@@ -14,6 +14,7 @@ from .channel import (
     SystemConfig,
     channel_from_json,
     channel_to_json,
+    complex_gaussian,
     deactivate_relay_antennas,
     derived_rng,
     sample_channel_set,
@@ -27,6 +28,7 @@ from .dof import (
     asymptotic_dof,
     capacity_thresholds,
     gamma_theta_tau,
+    improvement_branch,
     outer_bound_per_user,
     regime_index,
     scaling_check,
@@ -39,6 +41,7 @@ from .lemmas import (
     check_scaling,
     check_stacked_rank,
     default_battery,
+    run_battery,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -50,6 +53,7 @@ from .linalg import (
     range_basis,
     union_span_dim,
 )
+from .pipeline import Construction, construct
 from .relay import (
     RelayProcessor,
     StreamRecord,
@@ -79,11 +83,11 @@ __all__ = [
     "intersection_basis", "complement_projector", "union_span_dim",
     # channel
     "SystemConfig", "ChannelSet", "sample_channel_set", "deactivate_relay_antennas",
-    "channel_to_json", "channel_from_json", "derived_rng",
+    "channel_to_json", "channel_from_json", "complex_gaussian", "derived_rng",
     # dof
     "DofResult", "PatternCoefficients", "alpha_beta", "outer_bound_per_user",
-    "regime_index", "achievable_basic", "achievable_improved", "gamma_theta_tau",
-    "asymptotic_dof", "scaling_check", "capacity_thresholds",
+    "regime_index", "achievable_basic", "achievable_improved", "improvement_branch",
+    "gamma_theta_tau", "asymptotic_dof", "scaling_check", "capacity_thresholds",
     # units
     "RANDOM", "Unit", "Allocation", "AlignmentPlan", "build_random_unit",
     "build_aligned_unit", "plan_alignment", "execute_plan",
@@ -93,5 +97,7 @@ __all__ = [
     "verify_end_to_end", "estimate_dof_slope",
     # lemmas
     "LemmaId", "LemmaTrialResult", "check_intersection", "check_stacked_rank",
-    "check_direct_sum", "check_scaling", "default_battery",
+    "check_direct_sum", "check_scaling", "run_battery", "default_battery",
+    # pipeline
+    "Construction", "construct",
 ]

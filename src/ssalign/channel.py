@@ -7,9 +7,8 @@ uplink matrices for users ``0..K-1`` first, then downlink matrices in the
 same order, each block drawn row-major.
 
 Symbol extension by a factor ``s`` replaces each ``N x M`` uplink matrix with
-a block-diagonal ``sN x sM`` matrix of per-slot blocks (independent draws by
-default, identical blocks when ``identical_blocks`` is set), and likewise for
-the ``M x N`` downlink matrices.
+a block-diagonal ``sN x sM`` matrix of independently drawn per-slot blocks,
+and likewise for the ``M x N`` downlink matrices.
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ __all__ = [
     "deactivate_relay_antennas",
     "channel_to_json",
     "channel_from_json",
+    "complex_gaussian",
     "derived_rng",
 ]
 
@@ -48,7 +48,6 @@ class SystemConfig:
     extension: int = 1
     seed: int = 0
     tol: Tolerance = DEFAULT_TOL
-    identical_blocks: bool = False
 
     def __post_init__(self) -> None:
         if self.k < 3:
@@ -98,11 +97,22 @@ class ChannelSet:
         return sum(self.slot_rows)
 
 
-def _draw(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    # Circularly-symmetric complex Gaussian, unit variance per entry.
-    re = rng.standard_normal((rows, cols))
-    im = rng.standard_normal((rows, cols))
-    return (re + 1j * im) / np.sqrt(2.0)
+def complex_gaussian(rng: np.random.Generator, rows: int, cols: int,
+                     extension: int = 1) -> np.ndarray:
+    """Circularly-symmetric complex Gaussian matrix, unit variance per entry.
+
+    Each ``rows x cols`` block draws its real parts, then its imaginary
+    parts, row-major.  With ``extension > 1`` the result is block-diagonal
+    with ``extension`` independent blocks drawn in slot order.  A unit
+    direction in ``C^size`` is ``complex_gaussian(rng, size, 1)[:, 0]``
+    divided by its norm.
+    """
+    blocks = [
+        (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)))
+        / np.sqrt(2.0)
+        for _ in range(extension)
+    ]
+    return block_diag(*blocks) if extension > 1 else blocks[0]
 
 
 def derived_rng(seed: int | None, stream: int) -> np.random.Generator:
@@ -118,16 +128,8 @@ def derived_rng(seed: int | None, stream: int) -> np.random.Generator:
 def sample_channel_set(cfg: SystemConfig) -> ChannelSet:
     """Draw one i.i.d. complex Gaussian channel realization for ``cfg``."""
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-
-    def extended(rows: int, cols: int) -> np.ndarray:
-        if cfg.identical_blocks:
-            blocks = [_draw(rng, rows, cols)] * cfg.extension
-        else:
-            blocks = [_draw(rng, rows, cols) for _ in range(cfg.extension)]
-        return block_diag(*blocks).astype(np.complex128)
-
-    uplink = tuple(extended(cfg.n, cfg.m) for _ in range(cfg.k))
-    downlink = tuple(extended(cfg.m, cfg.n) for _ in range(cfg.k))
+    uplink = tuple(complex_gaussian(rng, cfg.n, cfg.m, cfg.extension) for _ in range(cfg.k))
+    downlink = tuple(complex_gaussian(rng, cfg.m, cfg.n, cfg.extension) for _ in range(cfg.k))
     return ChannelSet(
         m=cfg.m, n=cfg.n, k=cfg.k, extension=cfg.extension,
         uplink=uplink, downlink=downlink,

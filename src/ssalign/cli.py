@@ -9,6 +9,8 @@ build   Sample channels, plan and execute a beamforming construction, verify
 verify  Repeat ``build`` over a seed sweep and summarize pass counts.
 lemmas  Run the Monte Carlo rank-identity battery.
 
+The CLI only parses arguments and formats output; the library does the work.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 construction
 failure (with diagnostic JSON on stdout).
 """
@@ -20,41 +22,13 @@ import json
 import sys
 from fractions import Fraction
 
-from . import __version__
-from .channel import (
-    SystemConfig,
-    channel_to_json,
-    deactivate_relay_antennas,
-    derived_rng,
-    sample_channel_set,
-)
-from .dof import achievable_basic, achievable_improved, asymptotic_dof, outer_bound_per_user
-from .errors import (
-    AlignmentDegenerate,
-    ExtensionOverflow,
-    IndependenceViolation,
-    InternalPlanError,
-    ProjectorCollapse,
-    SupplyExhausted,
-)
-from .lemmas import (
-    check_direct_sum,
-    check_intersection,
-    check_scaling,
-    check_stacked_rank,
-    default_battery,
-)
-from .relay import build_relay_processor, estimate_dof_slope, verify_end_to_end
-from .units import RANDOM, execute_plan, plan_alignment
-
-CONSTRUCTION_ERRORS = (
-    ExtensionOverflow,
-    AlignmentDegenerate,
-    SupplyExhausted,
-    ProjectorCollapse,
-    IndependenceViolation,
-    InternalPlanError,
-)
+from . import __version__, dof
+from .channel import channel_to_json
+from .errors import ConstructionError
+from .lemmas import default_battery, run_battery
+from .pipeline import construct
+from .relay import estimate_dof_slope, verify_end_to_end
+from .units import plan_alignment  # noqa: F401  (perfbench's tests read cli.plan_alignment)
 
 CSV_HEADER = "ratio_num,ratio_den,ratio,value_num,value_den,value,mode,capacity_tight"
 
@@ -110,21 +84,17 @@ def cmd_curve(args, parser) -> int:
         if k < 3:
             parser.error(f"--k must be >= 3, got {k}")
         mode_tag = args.mode
+        evaluate = {"outer": dof.outer_bound_per_user, "basic": dof.achievable_basic,
+                    "improved": dof.achievable_improved}[args.mode]
 
     lines = [CSV_HEADER]
     for ratio in ratios:
         m, n = ratio.numerator, ratio.denominator
         if args.k == "inf":
-            value = asymptotic_dof(ratio, improved=args.mode == "improved")
+            value = dof.asymptotic_dof(ratio, improved=args.mode == "improved")
             tight = False
-        elif args.mode == "outer":
-            res = outer_bound_per_user(m, n, k)
-            value, tight = res.d_user / n, res.capacity_tight
-        elif args.mode == "basic":
-            res = achievable_basic(m, n, k)
-            value, tight = res.d_user / n, res.capacity_tight
         else:
-            res = achievable_improved(m, n, k)
+            res = evaluate(m, n, k)
             value, tight = res.d_user / n, res.capacity_tight
         if args.half_duplex:
             value = value / 2
@@ -193,33 +163,24 @@ def _report_json(report) -> dict:
     }
 
 
-def _run_construction(m: int, n: int, k: int, seed: int, improved: bool):
-    plan = plan_alignment(m, n, k, improved)
-    cfg = SystemConfig(m=m, n=n, k=k, extension=plan.extension, seed=seed)
-    channels = sample_channel_set(cfg)
-    if plan.active_relay < channels.active_relay:
-        channels = deactivate_relay_antennas(channels, plan.active_relay)
-    units = execute_plan(plan, channels, rng=derived_rng(seed, stream=1))
-    processor = build_relay_processor(units, channels, rng=derived_rng(seed, stream=2))
-    report = verify_end_to_end(channels, units, processor, cfg.tol)
-    return plan, channels, units, processor, report
+def _construction_failed(exc: Exception, seed: int, out_path: str | None) -> int:
+    _emit(json.dumps({"error": type(exc).__name__, "message": str(exc), "seed": seed},
+                     indent=2) + "\n", out_path)
+    return 3
 
 
 def cmd_build(args, parser) -> int:
     try:
-        plan, channels, units, processor, report = _run_construction(
-            args.m, args.n, args.k, args.seed, args.improved
-        )
-    except CONSTRUCTION_ERRORS as exc:
-        _emit(json.dumps({"error": type(exc).__name__, "message": str(exc)}, indent=2) + "\n",
-              args.out)
-        return 3
+        built = construct(args.m, args.n, args.k, args.seed, args.improved)
+    except ConstructionError as exc:
+        return _construction_failed(exc, args.seed, args.out)
+    report = verify_end_to_end(built.channels, built.units, built.processor)
     doc = {
         "config": {"m": args.m, "n": args.n, "k": args.k, "seed": args.seed,
                    "improved": args.improved},
-        "plan": _plan_json(plan),
-        "channels": channel_to_json(channels),
-        "units": [_unit_json(u) for u in units],
+        "plan": _plan_json(built.plan),
+        "channels": channel_to_json(built.channels),
+        "units": [_unit_json(u) for u in built.units],
         "report": _report_json(report),
     }
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
@@ -227,7 +188,7 @@ def cmd_build(args, parser) -> int:
 
 
 def cmd_verify(args, parser) -> int:
-    expected = (achievable_improved if args.improved else achievable_basic)(
+    expected = (dof.achievable_improved if args.improved else dof.achievable_basic)(
         args.m, args.n, args.k
     )
     expected_sum = expected.d_sum
@@ -236,13 +197,10 @@ def cmd_verify(args, parser) -> int:
     for offset in range(args.seeds):
         seed = args.seed + offset
         try:
-            plan, channels, units, processor, report = _run_construction(
-                args.m, args.n, args.k, seed, args.improved
-            )
-        except CONSTRUCTION_ERRORS as exc:
-            _emit(json.dumps({"error": type(exc).__name__, "message": str(exc),
-                              "seed": seed}, indent=2) + "\n", args.out)
-            return 3
+            built = construct(args.m, args.n, args.k, seed, args.improved)
+        except ConstructionError as exc:
+            return _construction_failed(exc, seed, args.out)
+        report = verify_end_to_end(built.channels, built.units, built.processor)
         ok = report.passed and report.counted_d_sum == expected_sum
         row = {
             "seed": seed,
@@ -251,7 +209,8 @@ def cmd_verify(args, parser) -> int:
             "d_sum_matches": report.counted_d_sum == expected_sum,
         }
         if args.snr_sweep:
-            slope = estimate_dof_slope(channels, units, processor, DEFAULT_SNR_SWEEP_DB)
+            slope = estimate_dof_slope(built.channels, built.units, built.processor,
+                                       DEFAULT_SNR_SWEEP_DB)
             target = float(report.counted_d_sum)
             slope_ok = target > 0 and abs(slope - target) <= 0.05 * target
             row["slope"] = slope
@@ -289,21 +248,7 @@ def cmd_lemmas(args, parser) -> int:
     if args.config:
         with open(args.config) as fh:
             spec = json.load(fh)
-        results = []
-        for i, (m, n) in enumerate(spec.get("intersection", [])):
-            results.append(check_intersection(m, n, args.trials, args.seed + i))
-        for i, (k, m, n) in enumerate(spec.get("stacked_rank", [])):
-            results.append(check_stacked_rank(k, m, n, args.trials, args.seed + 100 + i))
-        for i, row in enumerate(spec.get("direct_sum", [])):
-            k, t, m, n = row[:4]
-            ext = row[4] if len(row) > 4 else 1
-            results.append(check_direct_sum(k, t, m, n, args.trials, args.seed + 200 + i, ext))
-        for block in spec.get("scaling", []):
-            results.append(check_scaling(
-                block["k"],
-                [tuple(p) for p in block["grid"]],
-                block["sigmas"],
-            ))
+        results = run_battery(spec, args.trials, args.seed)
     else:
         results = default_battery(args.trials, args.seed)
     total_failures = sum(r.failures for r in results)
@@ -374,17 +319,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "curve":
-        return cmd_curve(args, parser)
-    if args.command == "build":
-        if args.k < 3:
-            parser.error(f"--k must be >= 3, got {args.k}")
-        return cmd_build(args, parser)
-    if args.command == "verify":
-        if args.k < 3:
-            parser.error(f"--k must be >= 3, got {args.k}")
-        return cmd_verify(args, parser)
-    return cmd_lemmas(args, parser)
+    if args.command in ("build", "verify") and args.k < 3:
+        parser.error(f"--k must be >= 3, got {args.k}")
+    command = {"curve": cmd_curve, "build": cmd_build, "verify": cmd_verify,
+               "lemmas": cmd_lemmas}[args.command]
+    return command(args, parser)
 
 
 if __name__ == "__main__":

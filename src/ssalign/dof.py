@@ -26,6 +26,7 @@ __all__ = [
     "regime_index",
     "achievable_basic",
     "achievable_improved",
+    "improvement_branch",
     "gamma_theta_tau",
     "asymptotic_dof",
     "scaling_check",
@@ -94,14 +95,6 @@ def alpha_beta(k: int, t: int) -> tuple[int, int]:
     return math.comb(k - 1, t - 1) * (t - 1), math.comb(k, t) * (t - 1) ** 2
 
 
-def _alpha_beta_fill(k: int, t: int) -> tuple[int, int]:
-    # Fill coefficients for order t + 1 on an order-t regime.  Order K + 1
-    # stands for random-direction units: alpha = K - 1, beta = K(K - 1).
-    if t == k + 1:
-        return k - 1, k * (k - 1)
-    return alpha_beta(k, t)
-
-
 def capacity_thresholds(k: int) -> tuple[Fraction, Fraction]:
     """Ratios bounding the known-capacity ranges: ``(low, high)``.
 
@@ -143,16 +136,22 @@ def _tau(k: int, t: int) -> Fraction:
     return Fraction(a_next * (t - 1 + b_t), t * a_t * b_next)
 
 
+def _gammas(m: int, n: int, k: int, t: int) -> tuple[Fraction, Fraction]:
+    # gamma_{t,1} fills with order t + 1 units; order K + 1 stands for
+    # random-direction units: alpha = K - 1, beta = K(K - 1).
+    a_t, b_t = alpha_beta(k, t)
+    a_next, b_next = (k - 1, k * (k - 1)) if t == k else alpha_beta(k, t + 1)
+    x = Fraction(t * m - n, t - 1)
+    return a_t * x + Fraction(a_next, b_next) * (n - b_t * x), Fraction(a_t * n, b_t)
+
+
 def gamma_theta_tau(m: int, n: int, k: int, t: int) -> PatternCoefficients:
     """Evaluate the order-``t`` regime coefficients at ``(M, N)``."""
     _validate_mnk(m, n, k)
     if not 2 <= t <= k - 1:
         raise InvalidPatternOrder(f"pattern order {t} outside [2, {k - 1}]")
     a_t, b_t = alpha_beta(k, t)
-    a_next, b_next = _alpha_beta_fill(k, t + 1)
-    x = Fraction(t * m - n, t - 1)
-    g1 = a_t * x + Fraction(a_next, b_next) * (n - b_t * x)
-    g2 = Fraction(a_t * n, b_t)
+    g1, g2 = _gammas(m, n, k, t)
     tau = _tau(k, t) if t <= k - 2 else None
     return PatternCoefficients(
         t=t, alpha_t=a_t, beta_t=b_t, gamma_t1=g1, gamma_t2=g2,
@@ -164,13 +163,7 @@ def _basic_user(m: int, n: int, k: int) -> Fraction:
     # Per-user value for M/N <= 1; callers clamp M to N above that.
     if k * m <= n:
         return Fraction(m)
-    t = regime_index(m, n)
-    a_t, b_t = alpha_beta(k, t)
-    a_next, b_next = _alpha_beta_fill(k, t + 1)
-    x = Fraction(t * m - n, t - 1)
-    g1 = a_t * x + Fraction(a_next, b_next) * (n - b_t * x)
-    g2 = Fraction(a_t * n, b_t)
-    return min(g1, g2)
+    return min(_gammas(m, n, k, regime_index(m, n)))
 
 
 def _tight(ratio: Fraction, k: int) -> bool:
@@ -190,31 +183,48 @@ def achievable_basic(m: int, n: int, k: int) -> DofResult:
     return _result(d, n, k, _tight(Fraction(m, n), k))
 
 
-def achievable_improved(m: int, n: int, k: int) -> DofResult:
-    """Per-user DoF with relay-antenna deactivation on the middle gap.
+def improvement_branch(m: int, n: int, k: int) -> tuple[int, bool] | None:
+    """Improved-curve interval holding ``M/N``: ``(t, deactivate)``, or None.
 
-    Outside ``(theta_{K-1}, theta_2)`` this equals :func:`achievable_basic`
-    (which is capacity there).  Inside, the curve alternates between the
-    flat corner value ``N alpha_{t+1} / beta_{t+1}`` on ``(theta_{t+1},
-    tau_t]`` and the deactivation line ``M t alpha_t / (t - 1 + beta_t)`` on
-    ``(tau_t, theta_t]``, for ``t = 2, ..., K-2``.  Never below the basic
-    value.
+    None where the improved value equals the basic one: ``K = 3``, or ``M/N``
+    outside the open range of :func:`capacity_thresholds`.  Otherwise ``M/N``
+    lies in ``(theta_{t+1}, theta_t]`` for some ``t = 2, ..., K-2``, and
+    ``deactivate`` is False on ``(theta_{t+1}, tau_t]``, where order-``t+1``
+    units fill the relay, and True on ``(tau_t, theta_t]``, where the relay
+    keeps only ``M / theta_t`` antennas.
     """
     _validate_mnk(m, n, k)
     ratio = Fraction(m, n)
     lo, hi = capacity_thresholds(k)
     if k == 3 or ratio <= lo or ratio >= hi:
-        return achievable_basic(m, n, k)
+        return None
     for t in range(2, k - 1):
         if _theta(k, t + 1) < ratio <= _theta(k, t):
-            if ratio <= _tau(k, t):
-                a_next, b_next = alpha_beta(k, t + 1)
-                d = Fraction(n * a_next, b_next)
-            else:
-                a_t, b_t = alpha_beta(k, t)
-                d = Fraction(m * t * a_t, t - 1 + b_t)
-            return _result(d, n, k, tight=False)
+            return t, ratio > _tau(k, t)
     raise AssertionError(f"ratio {ratio} not covered by any improvement interval")
+
+
+def achievable_improved(m: int, n: int, k: int) -> DofResult:
+    """Per-user DoF with relay-antenna deactivation on the middle gap.
+
+    Off the gap (see :func:`improvement_branch`) this equals
+    :func:`achievable_basic`, which is capacity there.  On the gap the curve
+    alternates between the flat corner value ``N alpha_{t+1} / beta_{t+1}``
+    on ``(theta_{t+1}, tau_t]`` and the deactivation line
+    ``M t alpha_t / (t - 1 + beta_t)`` on ``(tau_t, theta_t]``, for
+    ``t = 2, ..., K-2``.  Never below the basic value.
+    """
+    branch = improvement_branch(m, n, k)
+    if branch is None:
+        return achievable_basic(m, n, k)
+    t, deactivate = branch
+    if deactivate:
+        a_t, b_t = alpha_beta(k, t)
+        d = Fraction(m * t * a_t, t - 1 + b_t)
+    else:
+        a_next, b_next = alpha_beta(k, t + 1)
+        d = Fraction(n * a_next, b_next)
+    return _result(d, n, k, tight=False)
 
 
 def asymptotic_dof(ratio, improved: bool = False) -> Fraction:

@@ -17,11 +17,15 @@ class InvalidPatternOrder(ValueError):
     """Pattern order t lies outside the range valid for the user count."""
 
 
-class SupplyExhausted(RuntimeError):
+class ConstructionError(RuntimeError):
+    """A construction stage failed on valid input; the CLI exits with code 3."""
+
+
+class SupplyExhausted(ConstructionError):
     """A group's stacked-channel nullspace has no unused columns left."""
 
 
-class AlignmentDegenerate(RuntimeError):
+class AlignmentDegenerate(ConstructionError):
     """A constructed unit failed its geometric postcondition.
 
     Signals a measure-zero channel draw or a construction bug; callers
@@ -29,19 +33,19 @@ class AlignmentDegenerate(RuntimeError):
     """
 
 
-class ExtensionOverflow(RuntimeError):
+class ExtensionOverflow(ConstructionError):
     """No symbol-extension factor <= 64 makes every planned count integral."""
 
 
-class InternalPlanError(RuntimeError):
+class InternalPlanError(ConstructionError):
     """Planner allocation arithmetic disagrees with the closed-form value."""
 
 
-class ProjectorCollapse(RuntimeError):
+class ProjectorCollapse(ConstructionError):
     """A relay projection matrix has rank zero, so no combination survives."""
 
 
-class IndependenceViolation(RuntimeError):
+class IndependenceViolation(ConstructionError):
     """Executed units do not jointly span the planned number of dimensions."""
 
 

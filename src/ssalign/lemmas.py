@@ -20,9 +20,9 @@ from math import comb
 from itertools import combinations
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from . import dof
+from .channel import complex_gaussian
 from .errors import InvalidLemmaParams
 from .linalg import DEFAULT_TOL, Tolerance, intersection_basis, nullspace_basis, numerical_rank, union_span_dim
 
@@ -33,6 +33,7 @@ __all__ = [
     "check_stacked_rank",
     "check_direct_sum",
     "check_scaling",
+    "run_battery",
     "default_battery",
 ]
 
@@ -60,15 +61,6 @@ def _trial_rngs(seed: int, trials: int) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.Philox(c)) for c in children]
 
 
-def _draw(rng: np.random.Generator, rows: int, cols: int, extension: int = 1) -> np.ndarray:
-    blocks = [
-        (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)))
-        / np.sqrt(2.0)
-        for _ in range(extension)
-    ]
-    return block_diag(*blocks).astype(np.complex128)
-
-
 def _tally(result: LemmaTrialResult, trial: int, observed: int) -> None:
     result.observed[observed] += 1
     if observed != result.expected_value:
@@ -85,8 +77,8 @@ def check_intersection(m: int, n: int, trials: int, seed: int,
         LemmaId.INTERSECTION, {"m": m, "n": n}, trials, 0, max(2 * m - n, 0)
     )
     for trial, rng in enumerate(_trial_rngs(seed, trials)):
-        a = _draw(rng, n, m)
-        b = _draw(rng, n, m)
+        a = complex_gaussian(rng, n, m)
+        b = complex_gaussian(rng, n, m)
         _tally(result, trial, intersection_basis(a, b, tol).shape[1])
     return result
 
@@ -105,7 +97,7 @@ def check_stacked_rank(k: int, m: int, n: int, trials: int, seed: int,
         LemmaId.STACKED_RANK, {"k": k, "m": m, "n": n}, trials, 0, expected
     )
     for trial, rng in enumerate(_trial_rngs(seed, trials)):
-        mats = [_draw(rng, n, m) for _ in range(k)]
+        mats = [complex_gaussian(rng, n, m) for _ in range(k)]
         basis = nullspace_basis(np.hstack(mats), tol)
         pieces = [mats[i] @ basis[i * m:(i + 1) * m, :] for i in range(k)]
         _tally(result, trial, numerical_rank(np.hstack(pieces), tol))
@@ -133,7 +125,7 @@ def check_direct_sum(k: int, t: int, m: int, n: int, trials: int, seed: int,
     )
     mt = m * extension
     for trial, rng in enumerate(_trial_rngs(seed, trials)):
-        mats = [_draw(rng, n, m, extension) for _ in range(k)]
+        mats = [complex_gaussian(rng, n, m, extension) for _ in range(k)]
         pieces = []
         for group in combinations(range(k), t):
             basis = nullspace_basis(np.hstack([mats[g] for g in group]), tol)
@@ -162,27 +154,39 @@ def check_scaling(k: int, grid, sigmas) -> LemmaTrialResult:
     return result
 
 
-# Built-in parameter grid for the command-line battery.
-DEFAULT_INTERSECTION_GRID = [(3, 5), (2, 5), (4, 4)]
-DEFAULT_STACKED_GRID = [(3, 2, 4), (3, 3, 4), (4, 2, 7)]
-DEFAULT_DIRECT_SUM_GRID = [(4, 3, 3, 8, 1), (4, 3, 7, 20, 1), (3, 3, 2, 5, 2)]
-DEFAULT_SCALING = {
-    "k": [3, 4],
-    "grid": [(m, n) for m in range(1, 9) for n in range(1, 17)],
-    "sigmas": [2, 3, 5],
+# Built-in battery, in the format :func:`run_battery` reads.
+DEFAULT_SPEC = {
+    "intersection": [[3, 5], [2, 5], [4, 4]],
+    "stacked_rank": [[3, 2, 4], [3, 3, 4], [4, 2, 7]],
+    "direct_sum": [[4, 3, 3, 8, 1], [4, 3, 7, 20, 1], [3, 3, 2, 5, 2]],
+    "scaling": [
+        {"k": k, "grid": [[m, n] for m in range(1, 9) for n in range(1, 17)], "sigmas": [2, 3, 5]}
+        for k in (3, 4)
+    ],
 }
+
+
+def run_battery(spec: dict, trials: int, seed: int,
+                tol: Tolerance = DEFAULT_TOL) -> list[LemmaTrialResult]:
+    """Run the checks a battery spec lists, in the ``lemmas --config`` format.
+
+    Keys: ``intersection`` rows ``[M, N]``, ``stacked_rank`` rows ``[K, M, N]``,
+    ``direct_sum`` rows ``[K, t, M, N]`` or ``[K, t, M, N, ext]``, ``scaling``
+    blocks ``{"k", "grid", "sigmas"}``.  Row ``i`` of a list runs on seed
+    ``seed + i``, plus 100 for stacked rank and 200 for direct sum.
+    """
+    results = [check_intersection(m, n, trials, seed + i, tol)
+               for i, (m, n) in enumerate(spec.get("intersection", []))]
+    results += [check_stacked_rank(k, m, n, trials, seed + 100 + i, tol)
+                for i, (k, m, n) in enumerate(spec.get("stacked_rank", []))]
+    results += [check_direct_sum(*row[:4], trials, seed + 200 + i, *row[4:5], tol=tol)
+                for i, row in enumerate(spec.get("direct_sum", []))]
+    results += [check_scaling(block["k"], block["grid"], block["sigmas"])
+                for block in spec.get("scaling", [])]
+    return results
 
 
 def default_battery(trials: int, seed: int,
                     tol: Tolerance = DEFAULT_TOL) -> list[LemmaTrialResult]:
-    """Run every check over the built-in grids."""
-    results = []
-    for i, (m, n) in enumerate(DEFAULT_INTERSECTION_GRID):
-        results.append(check_intersection(m, n, trials, seed + i, tol))
-    for i, (k, m, n) in enumerate(DEFAULT_STACKED_GRID):
-        results.append(check_stacked_rank(k, m, n, trials, seed + 100 + i, tol))
-    for i, (k, t, m, n, ext) in enumerate(DEFAULT_DIRECT_SUM_GRID):
-        results.append(check_direct_sum(k, t, m, n, trials, seed + 200 + i, ext, tol))
-    for k in DEFAULT_SCALING["k"]:
-        results.append(check_scaling(k, DEFAULT_SCALING["grid"], DEFAULT_SCALING["sigmas"]))
-    return results
+    """Run every check over the built-in grids, :data:`DEFAULT_SPEC`."""
+    return run_battery(DEFAULT_SPEC, trials, seed, tol)

@@ -24,10 +24,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .channel import ChannelSet, derived_rng
+from .channel import ChannelSet, complex_gaussian, derived_rng
 from .errors import InvalidSweep, ProjectorCollapse
-from .linalg import DEFAULT_TOL, Tolerance, complement_projector, numerical_rank
-from .units import RANDOM, Unit, _unit_vector, build_aligned_unit
+from .linalg import DEFAULT_TOL, Tolerance, complement_projector
+from .units import RANDOM, Unit, build_aligned_unit
 
 __all__ = [
     "RelayProcessor",
@@ -113,12 +113,12 @@ def _complement_projectors(vectors: dict, tol: Tolerance, side: str) -> dict:
         for a, b in sorted(by_unit[li]):
             excluded = {(li, (a, b)), (li, (b, a))}
             others = [v for key, v in vectors.items() if key not in excluded]
-            if others:
-                proj = complement_projector(np.column_stack(others), tol)
-            else:
-                n = len(vectors[(li, (a, b))])
-                proj = np.eye(n, dtype=np.complex128)
-            if numerical_rank(proj, tol) < 1:
+            n = len(vectors[(li, (a, b))])
+            span = np.column_stack(others) if others else np.empty((n, 0))
+            proj = complement_projector(span, tol)
+            # The trace of a projector is its rank.  A collapsed projector is
+            # rounding noise that still has full relative rank.
+            if np.trace(proj).real < 0.5:
                 raise ProjectorCollapse(
                     f"{side} projector of unit {li} pair ({a},{b}) has rank zero"
                 )
@@ -149,7 +149,8 @@ def design_downlink(units: list[Unit], ch: ChannelSet,
     for li, unit in enumerate(units):
         if unit.pattern_order == RANDOM:
             for pair in unit.ordered_pairs():
-                v = _unit_vector(rng, mt)
+                v = complex_gaussian(rng, mt, 1)[:, 0]
+                v /= np.linalg.norm(v)
                 receive[(li, pair)] = v
                 equivalent[(li, pair)] = mirror.uplink[pair[0]] @ v
         else:
@@ -211,16 +212,19 @@ def _entry_rms_scale(a: np.ndarray) -> float:
 
 def _chain_vectors(ch: ChannelSet, units: list[Unit], processor: RelayProcessor,
                    normalized: bool):
-    """Equivalent vectors recomputed from beamformers and raw channels."""
+    """Stream matrix (columns in key order) and chain rows, from raw channels."""
     up_scale = [_entry_rms_scale(h) if normalized else 1.0 for h in ch.uplink]
     dn_scale = [_entry_rms_scale(g) if normalized else 1.0 for g in ch.downlink]
-    h = {}
-    g = {}
+    h = []
+    chains = {}
     for li, pair in _stream_keys(units):
         a = pair[0]
-        h[(li, pair)] = up_scale[a] * (ch.uplink[a] @ units[li].beamformers[pair])
-        g[(li, pair)] = dn_scale[a] * (ch.downlink[a].T @ processor.receive_vectors[(li, pair)])
-    return h, g
+        pk = _pair_key(*pair)
+        h.append(up_scale[a] * (ch.uplink[a] @ units[li].beamformers[pair]))
+        g = dn_scale[a] * (ch.downlink[a].T @ processor.receive_vectors[(li, pair)])
+        chains[(li, pair)] = g @ processor.downlink_projectors[(li, pk)] \
+            @ processor.uplink_projectors[(li, pk)]
+    return np.column_stack(h), chains
 
 
 def verify_end_to_end(ch: ChannelSet, units: list[Unit], processor: RelayProcessor,
@@ -236,18 +240,14 @@ def verify_end_to_end(ch: ChannelSet, units: list[Unit], processor: RelayProcess
     keys = _stream_keys(units)
     if not keys:
         return VerificationReport(streams=[], counted_d_sum=Fraction(0), passed=True)
-    h, g = _chain_vectors(ch, units, processor, normalized=True)
-    h_matrix = np.column_stack([h[key] for key in keys])
+    h_matrix, chains = _chain_vectors(ch, units, processor, normalized=True)
     index = {key: i for i, key in enumerate(keys)}
 
     records = []
     decodable = 0
     all_ok = True
     for li, (a, b) in keys:
-        pk = _pair_key(a, b)
-        chain = g[(li, (a, b))] @ processor.downlink_projectors[(li, pk)] \
-            @ processor.uplink_projectors[(li, pk)]
-        coeffs = np.abs(chain @ h_matrix)
+        coeffs = np.abs(chains[(li, (a, b))] @ h_matrix)
         desired = float(coeffs[index[(li, (b, a))]])
         partner = float(coeffs[index[(li, (a, b))]])
         mask = np.ones(len(keys), dtype=bool)
@@ -285,8 +285,7 @@ def estimate_dof_slope(ch: ChannelSet, units: list[Unit], processor: RelayProces
         return 0.0
 
     keys = _stream_keys(units)
-    h, g = _chain_vectors(ch, units, processor, normalized=False)
-    h_matrix = np.column_stack([h[key] for key in keys])
+    h_matrix, chains = _chain_vectors(ch, units, processor, normalized=False)
     index = {key: i for i, key in enumerate(keys)}
 
     user_gain = np.zeros(ch.k)
@@ -297,12 +296,6 @@ def estimate_dof_slope(ch: ChannelSet, units: list[Unit], processor: RelayProces
     base = np.zeros((n_active, n_active), dtype=np.complex128)
     for key, proj in processor.uplink_projectors.items():
         base += processor.downlink_projectors[key] @ proj
-
-    chains = {}
-    for li, (a, b) in keys:
-        pk = _pair_key(a, b)
-        chains[(li, (a, b))] = g[(li, (a, b))] @ processor.downlink_projectors[(li, pk)] \
-            @ processor.uplink_projectors[(li, pk)]
 
     rates = []
     for db in snrs:

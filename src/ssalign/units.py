@@ -27,7 +27,7 @@ from math import lcm
 import numpy as np
 
 from . import dof
-from .channel import ChannelSet, derived_rng
+from .channel import ChannelSet, complex_gaussian, derived_rng
 from .errors import (
     AlignmentDegenerate,
     ExtensionOverflow,
@@ -90,11 +90,6 @@ class Unit:
         )
 
 
-def _unit_vector(rng: np.random.Generator, size: int) -> np.ndarray:
-    v = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2.0)
-    return v / np.linalg.norm(v)
-
-
 def build_random_unit(ch: ChannelSet, rng: np.random.Generator,
                       tol: Tolerance = DEFAULT_TOL) -> Unit:
     """Unit with independently drawn beamformers for every ordered pair.
@@ -113,7 +108,8 @@ def build_random_unit(ch: ChannelSet, rng: np.random.Generator,
         for b in group:
             if a == b:
                 continue
-            u = _unit_vector(rng, mt)
+            u = complex_gaussian(rng, mt, 1)[:, 0]
+            u /= np.linalg.norm(u)
             beam[(a, b)] = u
             equiv[(a, b)] = ch.uplink[a] @ u
     unit = Unit(RANDOM, group, beam, equiv)
@@ -254,31 +250,27 @@ MAX_EXTENSION = 64
 
 def _plan_pieces(m: int, n: int, k: int, improved: bool):
     """Per-slot rational allocation: [(order, count per group)], active per slot."""
-    ratio = Fraction(m, n)
     active = Fraction(n)
-    if improved and k >= 4:
-        lo, hi = dof.capacity_thresholds(k)
-        if lo < ratio < hi:
-            for t in range(2, k - 1):
-                if dof._theta(k, t + 1) < ratio <= dof._theta(k, t):
-                    if ratio <= dof._tau(k, t):
-                        _, b_next = dof.alpha_beta(k, t + 1)
-                        return [(t + 1, Fraction(n, b_next))], active
-                    # Deactivate down to the order-t corner: M / active = theta_t.
-                    # Extension keeps channels block-diagonal, so alignment
-                    # decomposes per slot and the corner geometry only exists
-                    # when every slot keeps the same integer count.
-                    active = m / dof._theta(k, t)
-                    if active.denominator != 1:
-                        raise ExtensionOverflow(
-                            f"corner deactivation at (M={m}, N={n}, K={k}) needs "
-                            f"{active} active relay antennas per slot; no symbol "
-                            f"extension realizes a fractional per-slot count on "
-                            f"block-diagonal channels"
-                        )
-                    _, b_t = dof.alpha_beta(k, t)
-                    return [(t, active / b_t)], active
-            raise AssertionError(f"ratio {ratio} not covered by improvement intervals")
+    branch = dof.improvement_branch(m, n, k) if improved else None
+    if branch is not None:
+        t, deactivate = branch
+        if not deactivate:
+            _, b_next = dof.alpha_beta(k, t + 1)
+            return [(t + 1, Fraction(n, b_next))], active
+        # Deactivate down to the order-t corner: M / active = theta_t.
+        # Extension keeps channels block-diagonal, so alignment decomposes
+        # per slot and the corner geometry only exists when every slot keeps
+        # the same integer count.
+        active = m / dof.gamma_theta_tau(m, n, k, t).theta_t
+        if active.denominator != 1:
+            raise ExtensionOverflow(
+                f"corner deactivation at (M={m}, N={n}, K={k}) needs "
+                f"{active} active relay antennas per slot; no symbol "
+                f"extension realizes a fractional per-slot count on "
+                f"block-diagonal channels"
+            )
+        _, b_t = dof.alpha_beta(k, t)
+        return [(t, active / b_t)], active
     if k * m <= n:
         # Relay space supports full multiplexing; each user feeds K-1 streams
         # into every random unit, so the stream budget allows M/(K-1) units.

@@ -2,11 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from ssalign import (
     SystemConfig,
     channel_from_json,
     channel_to_json,
+    complex_gaussian,
     deactivate_relay_antennas,
     numerical_rank,
     sample_channel_set,
@@ -54,12 +56,6 @@ class TestSampling:
         assert np.all(h[:5, 2:] == 0) and np.all(h[5:, :2] == 0)
         assert not np.allclose(h[:5, :2], h[5:, 2:])
 
-    def test_identical_blocks_flag(self):
-        ch = sample_channel_set(SystemConfig(m=2, n=5, k=3, extension=2, seed=1,
-                                             identical_blocks=True))
-        h = ch.uplink[0]
-        assert np.array_equal(h[:5, :2], h[5:, 2:])
-
     def test_generic_full_rank(self):
         # Sampled channels are full rank in at least 999 of 1000 draws.
         failures = 0
@@ -69,6 +65,38 @@ class TestSampling:
                 if numerical_rank(h) != 3:
                     failures += 1
         assert failures <= 1
+
+
+def philox(key):
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def reference_block(rng, rows, cols):
+    re = rng.standard_normal((rows, cols))
+    im = rng.standard_normal((rows, cols))
+    return (re + 1j * im) / np.sqrt(2.0)
+
+
+class TestComplexGaussian:
+    def test_block_diagonal_draw_order(self):
+        ref = philox(3)
+        want = block_diag(*[reference_block(ref, 4, 2) for _ in range(3)])
+        assert np.array_equal(complex_gaussian(philox(3), 4, 2, extension=3), want)
+
+    def test_channel_draw_order(self):
+        # Uplink matrices for users 0..K-1, then downlink matrices.
+        ch = sample_channel_set(SystemConfig(m=2, n=3, k=3, extension=2, seed=9))
+        ref = philox(9)
+        for h in ch.uplink:
+            assert np.array_equal(h, block_diag(*[reference_block(ref, 3, 2) for _ in range(2)]))
+        for g in ch.downlink:
+            assert np.array_equal(g, block_diag(*[reference_block(ref, 2, 3) for _ in range(2)]))
+
+    def test_unit_direction(self):
+        ref = philox(4)
+        want = (ref.standard_normal(6) + 1j * ref.standard_normal(6)) / np.sqrt(2.0)
+        v = complex_gaussian(philox(4), 6, 1)[:, 0]
+        assert np.array_equal(v / np.linalg.norm(v), want / np.linalg.norm(want))
 
 
 class TestDeactivation:

@@ -11,6 +11,7 @@ from ssalign import (
     asymptotic_dof,
     capacity_thresholds,
     gamma_theta_tau,
+    improvement_branch,
     outer_bound_per_user,
     regime_index,
     scaling_check,
@@ -247,6 +248,25 @@ class TestAchievableImproved:
                         assert achievable_improved(m, n, k).d_user == F(m)
                     if r >= hi:
                         assert achievable_improved(m, n, k).d_user == F(2 * n, k)
+
+
+class TestImprovementBranch:
+    def test_matches_coefficient_intervals(self):
+        for k in (3, 4, 5, 6):
+            lo, hi = capacity_thresholds(k)
+            for n in range(1, 25):
+                for m in range(1, n + 1):
+                    ratio = F(m, n)
+                    branch = improvement_branch(m, n, k)
+                    assert (branch is None) == (k == 3 or not lo < ratio < hi)
+                    if branch is None:
+                        assert achievable_improved(m, n, k) == achievable_basic(m, n, k)
+                        continue
+                    t, deactivate = branch
+                    assert 2 <= t <= k - 2
+                    coef = gamma_theta_tau(m, n, k, t)
+                    assert gamma_theta_tau(m, n, k, t + 1).theta_t < ratio <= coef.theta_t
+                    assert deactivate == (ratio > coef.tau_t)
 
 
 class TestAsymptotic:

@@ -12,6 +12,7 @@ from ssalign import (
     build_random_unit,
     build_relay_processor,
     build_uplink_projectors,
+    complex_gaussian,
     deactivate_relay_antennas,
     derived_rng,
     design_downlink,
@@ -23,7 +24,8 @@ from ssalign import (
     union_span_dim,
     verify_end_to_end,
 )
-from ssalign.errors import InvalidSweep
+from ssalign.errors import InvalidSweep, ProjectorCollapse
+from ssalign.units import Unit
 
 
 def full_build(m, n, k, seed, improved=False):
@@ -66,6 +68,18 @@ class TestUplinkProjectors:
         for p in list(processor.uplink_projectors.values()) \
                 + list(processor.downlink_projectors.values()):
             assert np.linalg.norm(p @ p - p) <= 10 * DEFAULT_TOL.leakage_abs
+
+
+    def test_others_spanning_everything_collapse(self):
+        # Two 2-stream units in C^2: the other unit's streams span every row,
+        # so no combination of a pair survives its projector.
+        rng = np.random.Generator(np.random.Philox(key=5))
+        units = []
+        for _ in range(2):
+            vecs = {p: complex_gaussian(rng, 2, 1)[:, 0] for p in ((0, 1), (1, 0))}
+            units.append(Unit(2, (0, 1), dict(vecs), vecs))
+        with pytest.raises(ProjectorCollapse):
+            build_uplink_projectors(units)
 
 
 class TestDownlinkMirror:
