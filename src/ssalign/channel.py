@@ -181,23 +181,29 @@ def _matrix_from_pairs(rows: list) -> np.ndarray:
 
 
 def channel_to_json(ch: ChannelSet) -> dict:
-    """Serialize to ``{"m", "n", "k", "ext", "uplink", "downlink"}``.
+    """Serialize to ``{"m", "n", "k", "ext", "seed", "uplink", "downlink"}``.
 
     Entries are ``[re, im]`` pairs; the document replays exact instances in
-    bug reports.  Deactivation is implied by the matrix shapes.
+    bug reports.  Deactivation is implied by the matrix shapes.  The seed
+    (``null`` when unknown) keys the unit and downlink RNG substreams, so a
+    replayed build draws the same random directions.
     """
     return {
         "m": ch.m,
         "n": ch.n,
         "k": ch.k,
         "ext": ch.extension,
+        "seed": ch.seed,
         "uplink": [_matrix_to_pairs(h) for h in ch.uplink],
         "downlink": [_matrix_to_pairs(g) for g in ch.downlink],
     }
 
 
 def channel_from_json(doc: dict | str) -> ChannelSet:
-    """Rebuild a :class:`ChannelSet` from :func:`channel_to_json` output."""
+    """Rebuild a :class:`ChannelSet` from :func:`channel_to_json` output.
+
+    Documents written without a ``"seed"`` load with ``seed=None``.
+    """
     if isinstance(doc, str):
         doc = json.loads(doc)
     m, n, k, ext = doc["m"], doc["n"], doc["k"], doc["ext"]
@@ -215,5 +221,5 @@ def channel_from_json(doc: dict | str) -> ChannelSet:
         slot_rows = tuple(counts)
     return ChannelSet(
         m=m, n=n, k=k, extension=ext,
-        uplink=uplink, downlink=downlink, slot_rows=slot_rows,
+        uplink=uplink, downlink=downlink, slot_rows=slot_rows, seed=doc.get("seed"),
     )

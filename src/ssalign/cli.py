@@ -34,11 +34,21 @@ CSV_HEADER = "ratio_num,ratio_den,ratio,value_num,value_den,value,mode,capacity_
 
 DEFAULT_SNR_SWEEP_DB = (40.0, 50.0, 60.0)
 
+# Seeds key Philox generators, which take unsigned 64-bit integers.
+SEED_LIMIT = 2**64
+
 
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+    return value
+
+
+def _seed(text: str) -> int:
+    value = int(text)
+    if not 0 <= value < SEED_LIMIT:
+        raise argparse.ArgumentTypeError(f"expected a seed in [0, 2**64), got {text}")
     return value
 
 
@@ -290,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
     build.add_argument("--m", type=_positive_int, required=True, help="antennas per user")
     build.add_argument("--n", type=_positive_int, required=True, help="relay antennas")
     build.add_argument("--k", type=_positive_int, required=True, help="user count (>= 3)")
-    build.add_argument("--seed", type=int, default=0)
+    build.add_argument("--seed", type=_seed, default=0)
     build.add_argument("--improved", action="store_true",
                        help="allow relay-antenna deactivation")
     build.add_argument("--out", help="write JSON here instead of stdout")
@@ -301,7 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--k", type=_positive_int, required=True)
     verify.add_argument("--seeds", type=_positive_int, required=True,
                         help="number of consecutive seeds to run")
-    verify.add_argument("--seed", type=int, default=0, help="first seed of the sweep")
+    verify.add_argument("--seed", type=_seed, default=0, help="first seed of the sweep")
     verify.add_argument("--improved", action="store_true")
     verify.add_argument("--snr-sweep", action="store_true",
                         help="also check the high-SNR rate slope per seed")
@@ -309,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     lemmas = sub.add_parser("lemmas", help="Monte Carlo rank-identity battery")
     lemmas.add_argument("--trials", type=_positive_int, default=100)
-    lemmas.add_argument("--seed", type=int, default=0)
+    lemmas.add_argument("--seed", type=_seed, default=0)
     lemmas.add_argument("--config", help="JSON file overriding the built-in grids")
     lemmas.add_argument("--out", help="write JSON here instead of stdout")
 
@@ -321,6 +331,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command in ("build", "verify") and args.k < 3:
         parser.error(f"--k must be >= 3, got {args.k}")
+    if args.command == "verify" and args.seed + args.seeds > SEED_LIMIT:
+        parser.error(f"seeds {args.seed}..{args.seed + args.seeds - 1} leave [0, 2**64)")
     command = {"curve": cmd_curve, "build": cmd_build, "verify": cmd_verify,
                "lemmas": cmd_lemmas}[args.command]
     return command(args, parser)

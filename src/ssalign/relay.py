@@ -10,6 +10,11 @@ the equivalent downlink vectors.  The relay forwards
 ``F = alpha * sum_l sum_{a<b} W(l,a,b) @ P(l,a,b)`` with ``alpha`` meeting
 the relay power constraint with equality.
 
+No projector is stored densely.  Each side keeps one orthonormal basis ``Q``
+of all its streams and, per pair, a thin orthonormal ``Z``; the pair's
+projector is ``I - Q Q^H + Z Z^H``, and ``F`` and the verification chains
+are assembled from these factors directly.
+
 Verification is structural: a stream is decodable when its end-to-end scalar
 chain keeps both pair coefficients above threshold while every other stream's
 coefficient stays below the leakage tolerance.  Channel matrices are
@@ -26,13 +31,15 @@ import numpy as np
 
 from .channel import ChannelSet, complex_gaussian, derived_rng
 from .errors import InvalidSweep, ProjectorCollapse
-from .linalg import DEFAULT_TOL, Tolerance, complement_projector
-from .units import RANDOM, Unit, build_aligned_unit
+from .linalg import DEFAULT_TOL, Tolerance, nullspace_basis, range_basis
+from .units import RANDOM, Unit, group_nullspace, unit_from_nullspace
 
 __all__ = [
+    "PairProjectors",
     "RelayProcessor",
     "StreamRecord",
     "VerificationReport",
+    "projector",
     "build_uplink_projectors",
     "design_downlink",
     "assemble_forward_matrix",
@@ -46,19 +53,39 @@ __all__ = [
 # measure-zero degeneracy from numerical noise.
 DESIRED_COEFF_MIN = 1e-6
 
+Key = tuple[int, tuple[int, int]]
+
+
+@dataclass(frozen=True)
+class PairProjectors:
+    """One side's per-pair complement projectors, stored as low-rank factors.
+
+    ``basis`` is an orthonormal basis ``Q`` of every stream on that side.
+    ``factors[(l, (a, b))]`` is an orthonormal ``Z`` spanning the directions
+    of ``span(Q)`` orthogonal to every stream except the pair's two, so the
+    pair's projector is ``I - Q Q^H + Z Z^H`` (see :func:`projector`).
+    """
+
+    basis: np.ndarray
+    factors: dict[Key, np.ndarray]
+
 
 @dataclass
 class RelayProcessor:
-    """Projection matrices, receive vectors, and the scaled forwarding matrix.
+    """Projector factors, receive vectors, and the scaled forwarding matrix.
 
-    Projector maps are keyed by ``(unit_index, (a, b))`` with ``a < b``;
-    receive vectors by ``(unit_index, (a, b))`` for every ordered pair, where
-    ``v`` is applied at user ``a`` to listen for user ``b``'s stream.
+    ``uplink_projectors[(l, (a, b))]`` is the factor ``Z`` of the uplink
+    projector ``I - Q Q^H + Z Z^H`` with ``Q = uplink_basis``, keyed with
+    ``a < b``; the downlink fields mirror it.  Receive vectors are keyed by
+    ``(unit_index, (a, b))`` for every ordered pair, where ``v`` is applied
+    at user ``a`` to listen for user ``b``'s stream.
     """
 
-    uplink_projectors: dict[tuple[int, tuple[int, int]], np.ndarray]
-    downlink_projectors: dict[tuple[int, tuple[int, int]], np.ndarray]
-    receive_vectors: dict[tuple[int, tuple[int, int]], np.ndarray]
+    uplink_basis: np.ndarray
+    uplink_projectors: dict[Key, np.ndarray]
+    downlink_basis: np.ndarray
+    downlink_projectors: dict[Key, np.ndarray]
+    receive_vectors: dict[Key, np.ndarray]
     forward_matrix: np.ndarray
     power_scale: float
 
@@ -88,7 +115,7 @@ class VerificationReport:
     passed: bool
 
 
-def _stream_keys(units: list[Unit]) -> list[tuple[int, tuple[int, int]]]:
+def _stream_keys(units: list[Unit]) -> list[Key]:
     return [(li, pair) for li, u in enumerate(units) for pair in u.ordered_pairs()]
 
 
@@ -96,45 +123,76 @@ def _pair_key(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
+def projector(basis: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """Dense projector ``I - Q Q^H + Z Z^H`` of one pair from its factors."""
+    n = basis.shape[0]
+    return np.eye(n, dtype=np.complex128) - basis @ basis.conj().T + factor @ factor.conj().T
+
+
 def build_uplink_projectors(units: list[Unit],
-                            tol: Tolerance = DEFAULT_TOL) -> dict:
+                            tol: Tolerance = DEFAULT_TOL) -> PairProjectors:
     """Per-(unit, pair) projectors nulling every other stream in the system."""
     vectors = {(li, pair): units[li].equivalent_uplink[pair]
                for li, pair in _stream_keys(units)}
-    return _complement_projectors(vectors, tol, side="uplink")
+    n = len(next(iter(vectors.values()))) if vectors else 0
+    return _complement_projectors(vectors, n, tol, side="uplink")
 
 
-def _complement_projectors(vectors: dict, tol: Tolerance, side: str) -> dict:
-    projectors: dict[tuple[int, tuple[int, int]], np.ndarray] = {}
-    by_unit: dict[int, set[tuple[int, int]]] = {}
-    for li, pair in vectors:
-        by_unit.setdefault(li, set()).add(_pair_key(*pair))
-    for li in sorted(by_unit):
-        for a, b in sorted(by_unit[li]):
-            excluded = {(li, (a, b)), (li, (b, a))}
-            others = [v for key, v in vectors.items() if key not in excluded]
-            n = len(vectors[(li, (a, b))])
-            span = np.column_stack(others) if others else np.empty((n, 0))
-            proj = complement_projector(span, tol)
-            # The trace of a projector is its rank.  A collapsed projector is
-            # rounding noise that still has full relative rank.
-            if np.trace(proj).real < 0.5:
+def _complement_projectors(vectors: dict, n: int, tol: Tolerance,
+                           side: str) -> PairProjectors:
+    """Factor every pair's complement projector through one oblique basis change.
+
+    The units span a direct sum ``span(B_1) + ... + span(B_L) = span(Q)``,
+    so the rows of ``C^-1 Q^H`` with ``C = Q^H [B_1 .. B_L]`` give each
+    vector of ``span(Q)`` its coordinates in every unit basis.  A direction
+    ``R_l^H y`` built from unit ``l``'s rows is orthogonal to all other
+    units, and to the rest of unit ``l`` exactly when ``y`` is, so one small
+    nullspace in unit coordinates yields the pair's factor ``Z``.
+    """
+    if not vectors:
+        return PairProjectors(np.empty((n, 0), dtype=np.complex128), {})
+    by_unit: dict[int, list[Key]] = {}
+    for key in vectors:
+        by_unit.setdefault(key[0], []).append(key)
+    q = range_basis(np.column_stack(list(vectors.values())), tol)
+    unit_bases = [range_basis(np.column_stack([vectors[key] for key in keys]), tol)
+                  for keys in by_unit.values()]
+    widths = sum(b.shape[1] for b in unit_bases)
+    if widths != q.shape[1]:
+        raise ProjectorCollapse(
+            f"{side} unit spans overlap: their dimensions sum to {widths}, "
+            f"jointly they span {q.shape[1]}"
+        )
+    coords = np.linalg.solve(q.conj().T @ np.hstack(unit_bases), q.conj().T)
+    projectors: dict[Key, np.ndarray] = {}
+    offset = 0
+    for (li, keys), basis in zip(by_unit.items(), unit_bases):
+        rows = coords[offset:offset + basis.shape[1]]
+        offset += basis.shape[1]
+        local = basis.conj().T @ np.column_stack([vectors[key] for key in keys])
+        for a, b in sorted({_pair_key(*pair) for _, pair in keys}):
+            rest = [i for i, (_, pair) in enumerate(keys) if _pair_key(*pair) != (a, b)]
+            y = nullspace_basis(local[:, rest].conj().T, tol)
+            z = np.linalg.qr(rows.conj().T @ y)[0]
+            # I - Q Q^H + Z Z^H has rank n - rank(Q) + width(Z).
+            if n - q.shape[1] + z.shape[1] < 1:
                 raise ProjectorCollapse(
                     f"{side} projector of unit {li} pair ({a},{b}) has rank zero"
                 )
-            projectors[(li, (a, b))] = proj
-    return projectors
+            projectors[(li, (a, b))] = z
+    return PairProjectors(q, projectors)
 
 
 def design_downlink(units: list[Unit], ch: ChannelSet,
                     rng: np.random.Generator | None = None,
-                    tol: Tolerance = DEFAULT_TOL) -> tuple[dict, dict]:
+                    tol: Tolerance = DEFAULT_TOL) -> tuple[dict, PairProjectors]:
     """Receive vectors and downlink projectors by uplink/downlink symmetry.
 
     Runs the identical unit construction on the transposed downlink channels
     (same groups, same nullspace column blocks; fresh random draws for
     random-direction units), then builds complement projectors over the
-    equivalent downlink vectors ``G_a^T v``.
+    equivalent downlink vectors ``G_a^T v``.  Each group's nullspace is
+    computed once and shared by all of its units.
     """
     if rng is None:
         rng = derived_rng(ch.seed, stream=2)
@@ -143,8 +201,9 @@ def design_downlink(units: list[Unit], ch: ChannelSet,
         uplink=tuple(g.T.copy() for g in ch.downlink),
         downlink=ch.downlink, slot_rows=ch.slot_rows, seed=ch.seed,
     )
-    receive: dict[tuple[int, tuple[int, int]], np.ndarray] = {}
-    equivalent: dict[tuple[int, tuple[int, int]], np.ndarray] = {}
+    receive: dict[Key, np.ndarray] = {}
+    equivalent: dict[Key, np.ndarray] = {}
+    bases: dict[tuple[int, ...], np.ndarray] = {}
     mt = ch.m * ch.extension
     for li, unit in enumerate(units):
         if unit.pattern_order == RANDOM:
@@ -154,20 +213,34 @@ def design_downlink(units: list[Unit], ch: ChannelSet,
                 receive[(li, pair)] = v
                 equivalent[(li, pair)] = mirror.uplink[pair[0]] @ v
         else:
-            twin = build_aligned_unit(mirror, unit.group, unit.column_block, tol)
+            if unit.group not in bases:
+                bases[unit.group] = group_nullspace(mirror, unit.group, tol)
+            twin = unit_from_nullspace(mirror, unit.group, bases[unit.group],
+                                       unit.column_block, tol)
             for pair in twin.ordered_pairs():
                 receive[(li, pair)] = twin.beamformers[pair]
                 equivalent[(li, pair)] = twin.equivalent_uplink[pair]
-    projectors = _complement_projectors(equivalent, tol, side="downlink")
+    projectors = _complement_projectors(equivalent, ch.active_relay, tol, side="downlink")
     return receive, projectors
 
 
-def assemble_forward_matrix(units: list[Unit], uplink_projectors: dict,
-                            downlink_projectors: dict,
+def _stacked_factors(side: PairProjectors, keys: list[Key]):
+    """The factors of ``keys`` side by side, and the key index of each column."""
+    factors = [side.factors[key] for key in keys]
+    owner = np.repeat(np.arange(len(keys)), [z.shape[1] for z in factors])
+    return np.hstack(factors), owner
+
+
+def assemble_forward_matrix(units: list[Unit], uplink_projectors: PairProjectors,
+                            downlink_projectors: PairProjectors,
                             power: float = 1.0) -> tuple[np.ndarray, float]:
     """Sum the per-pair W P products and scale to the relay power budget.
 
-    The scale solves ``tr(F E[Y_R Y_R^H] F^H) = power`` exactly, with unit
+    With ``P = A + Z_u Z_u^H`` and ``W = D + Z_d Z_d^H``, where ``A`` and
+    ``D`` are the two sides' shared complements ``I - Q Q^H``, the sum over
+    ``p`` pairs is ``p D A + D Z_u Z_u^H + Z_d Z_d^H A`` plus the pairwise
+    ``Z_d (Z_d^H Z_u) Z_u^H`` terms, each a product of stacked factors.  The
+    scale solves ``tr(F E[Y_R Y_R^H] F^H) = power`` exactly, with unit
     per-stream power and unit relay noise variance, so no Monte Carlo noise
     enters the normalization.
     """
@@ -175,15 +248,21 @@ def assemble_forward_matrix(units: list[Unit], uplink_projectors: dict,
         raise ValueError(f"relay power budget must be positive, got {power}")
     if not units:
         return np.zeros((0, 0), dtype=np.complex128), 1.0
-    n_active = len(next(iter(units[0].equivalent_uplink.values())))
-    base = np.zeros((n_active, n_active), dtype=np.complex128)
-    for key, proj in uplink_projectors.items():
-        base += downlink_projectors[key] @ proj
+    keys = list(uplink_projectors.factors)
+    zu, owner_u = _stacked_factors(uplink_projectors, keys)
+    zd, owner_d = _stacked_factors(downlink_projectors, keys)
+    qu, qd = uplink_projectors.basis, downlink_projectors.basis
+    eye = np.eye(qu.shape[0], dtype=np.complex128)
+    a = eye - qu @ qu.conj().T
+    d = eye - qd @ qd.conj().T
+    own = (zd.conj().T @ zu) * np.equal.outer(owner_d, owner_u)
+    base = len(keys) * (d @ a) + (d @ zu) @ zu.conj().T + zd @ (zd.conj().T @ a) \
+        + zd @ own @ zu.conj().T
     streams = np.column_stack(
         [u.equivalent_uplink[p] for u in units for p in u.ordered_pairs()]
     )
-    cov = streams @ streams.conj().T + np.eye(n_active, dtype=np.complex128)
-    denom = float(np.trace(base @ cov @ base.conj().T).real)
+    # tr(B (S S^H + I) B^H) = ||B S||^2 + ||B||^2
+    denom = float(np.linalg.norm(base @ streams) ** 2 + np.linalg.norm(base) ** 2)
     if denom <= 0.0:
         raise ProjectorCollapse("forwarding matrix is identically zero")
     alpha = float(np.sqrt(power / denom))
@@ -198,7 +277,8 @@ def build_relay_processor(units: list[Unit], ch: ChannelSet, power: float = 1.0,
     receive, downlink = design_downlink(units, ch, rng, tol)
     forward, alpha = assemble_forward_matrix(units, uplink, downlink, power)
     return RelayProcessor(
-        uplink_projectors=uplink, downlink_projectors=downlink,
+        uplink_basis=uplink.basis, uplink_projectors=uplink.factors,
+        downlink_basis=downlink.basis, downlink_projectors=downlink.factors,
         receive_vectors=receive, forward_matrix=forward, power_scale=alpha,
     )
 
@@ -210,21 +290,45 @@ def _entry_rms_scale(a: np.ndarray) -> float:
     return float(np.sqrt(a.size) / norm)
 
 
+def _project_rows(rows: np.ndarray, basis: np.ndarray, factors: dict,
+                  pairs: list[Key]) -> np.ndarray:
+    """Each row times its pair's projector: ``x - (x Q) Q^H + (x Z) Z^H``."""
+    out = rows - (rows @ basis) @ basis.conj().T
+    for i, key in enumerate(pairs):
+        z = factors[key]
+        out[i] += (rows[i] @ z) @ z.conj().T
+    return out
+
+
 def _chain_vectors(ch: ChannelSet, units: list[Unit], processor: RelayProcessor,
                    normalized: bool):
-    """Stream matrix (columns in key order) and chain rows, from raw channels."""
+    """Stream matrix (columns) and chain rows, both in stream-key order."""
     up_scale = [_entry_rms_scale(h) if normalized else 1.0 for h in ch.uplink]
     dn_scale = [_entry_rms_scale(g) if normalized else 1.0 for g in ch.downlink]
-    h = []
-    chains = {}
-    for li, pair in _stream_keys(units):
-        a = pair[0]
-        pk = _pair_key(*pair)
-        h.append(up_scale[a] * (ch.uplink[a] @ units[li].beamformers[pair]))
-        g = dn_scale[a] * (ch.downlink[a].T @ processor.receive_vectors[(li, pair)])
-        chains[(li, pair)] = g @ processor.downlink_projectors[(li, pk)] \
-            @ processor.uplink_projectors[(li, pk)]
-    return np.column_stack(h), chains
+    keys = _stream_keys(units)
+    h = np.column_stack([up_scale[a] * (ch.uplink[a] @ units[li].beamformers[(a, b)])
+                         for li, (a, b) in keys])
+    g = np.vstack([dn_scale[a] * (ch.downlink[a].T @ processor.receive_vectors[(li, (a, b))])
+                   for li, (a, b) in keys])
+    pairs = [(li, _pair_key(*pair)) for li, pair in keys]
+    chains = _project_rows(g, processor.downlink_basis, processor.downlink_projectors, pairs)
+    chains = _project_rows(chains, processor.uplink_basis, processor.uplink_projectors, pairs)
+    return h, chains
+
+
+def _partner_columns(keys: list[Key]) -> np.ndarray:
+    """Index of stream ``(l, (b, a))`` for each stream ``(l, (a, b))``."""
+    index = {key: i for i, key in enumerate(keys)}
+    return np.array([index[(li, (b, a))] for li, (a, b) in keys])
+
+
+def _without_pair(coeffs: np.ndarray, partner: np.ndarray) -> np.ndarray:
+    """Copy of the chain coefficients with each row's own pair zeroed."""
+    rows = np.arange(len(partner))
+    rest = coeffs.copy()
+    rest[rows, rows] = 0.0
+    rest[rows, partner] = 0.0
+    return rest
 
 
 def verify_end_to_end(ch: ChannelSet, units: list[Unit], processor: RelayProcessor,
@@ -241,24 +345,22 @@ def verify_end_to_end(ch: ChannelSet, units: list[Unit], processor: RelayProcess
     if not keys:
         return VerificationReport(streams=[], counted_d_sum=Fraction(0), passed=True)
     h_matrix, chains = _chain_vectors(ch, units, processor, normalized=True)
-    index = {key: i for i, key in enumerate(keys)}
+    coeffs = np.abs(chains @ h_matrix)
+    partner = _partner_columns(keys)
+    leakages = _without_pair(coeffs, partner).max(axis=1)
 
     records = []
     decodable = 0
     all_ok = True
-    for li, (a, b) in keys:
-        coeffs = np.abs(chains[(li, (a, b))] @ h_matrix)
-        desired = float(coeffs[index[(li, (b, a))]])
-        partner = float(coeffs[index[(li, (a, b))]])
-        mask = np.ones(len(keys), dtype=bool)
-        mask[index[(li, (b, a))]] = False
-        mask[index[(li, (a, b))]] = False
-        leakage = float(coeffs[mask].max()) if mask.any() else 0.0
-        records.append(StreamRecord(unit=li, pair=(a, b), desired=desired,
-                                    partner=partner, leakage=leakage))
+    for i, (li, pair) in enumerate(keys):
+        desired = float(coeffs[i, partner[i]])
+        own = float(coeffs[i, i])
+        leakage = float(leakages[i])
+        records.append(StreamRecord(unit=li, pair=pair, desired=desired,
+                                    partner=own, leakage=leakage))
         if desired > DESIRED_COEFF_MIN and leakage <= tol.leakage_abs:
             decodable += 1
-        if not (desired > DESIRED_COEFF_MIN and partner > DESIRED_COEFF_MIN
+        if not (desired > DESIRED_COEFF_MIN and own > DESIRED_COEFF_MIN
                 and leakage <= tol.leakage_abs):
             all_ok = False
     return VerificationReport(
@@ -286,39 +388,33 @@ def estimate_dof_slope(ch: ChannelSet, units: list[Unit], processor: RelayProces
 
     keys = _stream_keys(units)
     h_matrix, chains = _chain_vectors(ch, units, processor, normalized=False)
-    index = {key: i for i, key in enumerate(keys)}
 
     user_gain = np.zeros(ch.k)
     for li, pair in keys:
         user_gain[pair[0]] += float(np.linalg.norm(units[li].beamformers[pair]) ** 2)
 
-    n_active = ch.active_relay
-    base = np.zeros((n_active, n_active), dtype=np.complex128)
-    for key, proj in processor.uplink_projectors.items():
-        base += processor.downlink_projectors[key] @ proj
+    # Everything but the SNR-dependent scalars is computed once.
+    base = processor.forward_matrix / processor.power_scale
+    stream_power = float(np.linalg.norm(base @ h_matrix) ** 2)
+    noise_power = float(np.linalg.norm(base) ** 2)
+    coeffs = np.abs(chains @ h_matrix) ** 2
+    partner = _partner_columns(keys)
+    signal = coeffs[np.arange(len(keys)), partner]
+    interference = _without_pair(coeffs, partner).sum(axis=1)  # self-interference subtracted
+    relay_noise = np.linalg.norm(chains, axis=1) ** 2
+    local_noise = np.array(
+        [np.linalg.norm(processor.receive_vectors[key]) ** 2 for key in keys]
+    )
 
     rates = []
     for db in snrs:
         power = 10.0 ** (db / 10.0)
         p_stream = power / float(user_gain.max())
-        cov = p_stream * (h_matrix @ h_matrix.conj().T) + np.eye(n_active)
-        alpha_sq = power / float(np.trace(base @ cov @ base.conj().T).real)
-        total = 0.0
-        for li, (a, b) in keys:
-            chain = chains[(li, (a, b))]
-            coeffs = np.abs(chain @ h_matrix) ** 2
-            signal = p_stream * alpha_sq * coeffs[index[(li, (b, a))]]
-            mask = np.ones(len(keys), dtype=bool)
-            mask[index[(li, (b, a))]] = False
-            mask[index[(li, (a, b))]] = False  # self-interference subtracted
-            interference = p_stream * alpha_sq * float(coeffs[mask].sum())
-            relay_noise = alpha_sq * float(np.linalg.norm(chain) ** 2)
-            local_noise = float(
-                np.linalg.norm(processor.receive_vectors[(li, (a, b))]) ** 2
-            )
-            sinr = signal / (relay_noise + local_noise + interference)
-            total += np.log2(1.0 + sinr)
-        rates.append(total / ch.extension)
+        alpha_sq = power / (p_stream * stream_power + noise_power)
+        sinr = p_stream * alpha_sq * signal / (
+            alpha_sq * relay_noise + local_noise + p_stream * alpha_sq * interference
+        )
+        rates.append(float(np.log2(1.0 + sinr).sum()) / ch.extension)
 
     log_snrs = [np.log2(10.0 ** (db / 10.0)) for db in snrs]
     slope = np.polyfit(log_snrs, rates, 1)[0]

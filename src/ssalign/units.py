@@ -38,9 +38,9 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
-    complement_projector,
     nullspace_basis,
     numerical_rank,
+    range_basis,
     union_span_dim,
 )
 
@@ -51,6 +51,8 @@ __all__ = [
     "AlignmentPlan",
     "build_random_unit",
     "build_aligned_unit",
+    "group_nullspace",
+    "unit_from_nullspace",
     "plan_alignment",
     "execute_plan",
 ]
@@ -127,9 +129,34 @@ def _aggregate_sign(i: int, j: int) -> float:
     return 1.0 if (i == 0 or j == 0) else -1.0
 
 
+def _check_group(ch: ChannelSet, group) -> tuple[int, ...]:
+    group = tuple(group)
+    if len(group) < 2:
+        raise ValueError("aligned units need a group of at least two users")
+    if len(set(group)) != len(group) or not all(0 <= g < ch.k for g in group):
+        raise ValueError(f"group {group} is not a set of distinct user indices")
+    return group
+
+
+def group_nullspace(ch: ChannelSet, group, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal nullspace basis of the group's stacked uplink channels.
+
+    Every aligned unit on ``group`` takes its own column block of this one
+    basis, so callers building several units compute it once.
+    """
+    group = _check_group(ch, group)
+    return nullspace_basis(np.hstack([ch.uplink[g] for g in group]), tol)
+
+
 def build_aligned_unit(ch: ChannelSet, group, column_block: int,
                        tol: Tolerance = DEFAULT_TOL) -> Unit:
-    """Order-``t`` aligned unit from one block of the group nullspace.
+    """Order-``t`` aligned unit from one block of the group nullspace."""
+    return unit_from_nullspace(ch, group, group_nullspace(ch, group, tol), column_block, tol)
+
+
+def unit_from_nullspace(ch: ChannelSet, group, basis: np.ndarray, column_block: int,
+                        tol: Tolerance = DEFAULT_TOL) -> Unit:
+    """Order-``t`` aligned unit from one block of ``group_nullspace(ch, group)``.
 
     ``column_block`` selects columns ``(t-1)*block .. (t-1)*(block+1) - 1``
     of the orthonormal nullspace basis of ``[H_{g0}, ..., H_{g(t-1)}]``, so
@@ -138,17 +165,11 @@ def build_aligned_unit(ch: ChannelSet, group, column_block: int,
     unit both vectors of every pair survive projection against the other
     streams.
     """
-    group = tuple(group)
+    group = _check_group(ch, group)
     t = len(group)
-    if t < 2:
-        raise ValueError("aligned units need a group of at least two users")
-    if len(set(group)) != t or not all(0 <= g < ch.k for g in group):
-        raise ValueError(f"group {group} is not a set of distinct user indices")
     if column_block < 0:
         raise SupplyExhausted(f"column block must be nonnegative, got {column_block}")
     mt = ch.m * ch.extension
-    stack = np.hstack([ch.uplink[g] for g in group])
-    basis = nullspace_basis(stack, tol)
     start = (t - 1) * column_block
     end = start + (t - 1)
     if end > basis.shape[1]:
@@ -191,14 +212,13 @@ def _check_pair_survival(unit: Unit, tol: Tolerance) -> None:
     vecs = unit.equivalent_uplink
     for a, b in combinations(sorted(unit.group), 2):
         others = [v for key, v in vecs.items() if key not in ((a, b), (b, a))]
-        if others:
-            proj = complement_projector(np.column_stack(others), tol)
-        else:
-            proj = np.eye(len(vecs[(a, b)]), dtype=np.complex128)
+        n = len(vecs[(a, b)])
+        q = range_basis(np.column_stack(others) if others else np.empty((n, 0)), tol)
         for key in ((a, b), (b, a)):
             h = vecs[key]
             norm = np.linalg.norm(h)
-            if norm == 0.0 or np.linalg.norm(proj @ h) < PAIR_SURVIVAL_MIN * norm:
+            # Norm of the component of h orthogonal to the rest of the unit.
+            if norm == 0.0 or np.linalg.norm(h - q @ (q.conj().T @ h)) < PAIR_SURVIVAL_MIN * norm:
                 raise AlignmentDegenerate(
                     f"stream {key} of unit on group {unit.group} does not survive "
                     f"projection against the rest of its unit"
@@ -391,11 +411,13 @@ def execute_plan(plan: AlignmentPlan, ch: ChannelSet,
 
     units: list[Unit] = []
     for alloc in plan.allocations:
+        if alloc.pattern_order != RANDOM:
+            basis = group_nullspace(ch, alloc.group, tol)
         for i in range(alloc.count):
             if alloc.pattern_order == RANDOM:
                 units.append(build_random_unit(ch, rng, tol))
             else:
-                units.append(build_aligned_unit(ch, alloc.group, i, tol))
+                units.append(unit_from_nullspace(ch, alloc.group, basis, i, tol))
 
     if units:
         all_streams = np.column_stack(

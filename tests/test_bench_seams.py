@@ -1,0 +1,55 @@
+"""The benchmark's stage tracer must still find what it measures.
+
+``perfbench/tracer.py`` wraps ``ssalign`` functions by module attribute and
+sizes the relay processor's ``*projector*`` maps.  A renamed function or a
+processor without those maps would silently zero its per-layer metrics.
+"""
+
+import dataclasses
+import importlib
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from ssalign import RelayProcessor, construct
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_stage_function_resolves():
+    stages = load_tracer().STAGES
+    missing = [f"{module}.{name}" for module, name, _ in stages
+               if not callable(getattr(importlib.import_module(module), name, None))]
+    assert missing == []
+
+
+def test_relay_processor_keeps_projector_maps():
+    built = construct(3, 5, 3, 0)
+    names = [f.name for f in dataclasses.fields(RelayProcessor) if "projector" in f.name]
+    assert names == ["uplink_projectors", "downlink_projectors"]
+    pairs = sum(u.stream_count() for u in built.units) // 2
+    for name in names:
+        maps = getattr(built.processor, name)
+        assert isinstance(maps, dict) and len(maps) == pairs
+        assert all(isinstance(z, np.ndarray) for z in maps.values())
+
+
+def test_traced_construction_reaches_every_relay_stage():
+    tracer = load_tracer().Tracer()
+    with tracer:
+        assert tracer.missing == []
+        built = construct(3, 5, 3, 0)
+    counts = tracer.snapshot()
+    assert counts["projectors"] == sum(u.stream_count() for u in built.units)
+    for stage in ("units.plan_s", "units.execute_s", "channel.sample_s",
+                  "relay.uplink_s", "relay.downlink_s", "relay.forward_s"):
+        assert counts["calls"][stage] == 1, stage
+    assert counts["svd_calls"] > 0

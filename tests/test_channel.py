@@ -6,10 +6,13 @@ from scipy.linalg import block_diag
 
 from ssalign import (
     SystemConfig,
+    build_relay_processor,
     channel_from_json,
     channel_to_json,
     complex_gaussian,
+    construct,
     deactivate_relay_antennas,
+    execute_plan,
     numerical_rank,
     sample_channel_set,
 )
@@ -158,7 +161,8 @@ class TestJson:
     def test_schema_keys(self):
         ch = sample_channel_set(SystemConfig(m=2, n=3, k=3, seed=5))
         doc = channel_to_json(ch)
-        assert set(doc) == {"m", "n", "k", "ext", "uplink", "downlink"}
+        assert set(doc) == {"m", "n", "k", "ext", "seed", "uplink", "downlink"}
+        assert doc["seed"] == 5
         assert doc["uplink"][0][0][0] == [ch.uplink[0][0, 0].real, ch.uplink[0][0, 0].imag]
 
     def test_round_trip_deactivated_extended(self):
@@ -168,3 +172,23 @@ class TestJson:
         assert back.slot_rows == ch.slot_rows
         for x, y in zip(ch.uplink, back.uplink):
             assert np.array_equal(x, y)
+
+    def test_document_without_seed_loads(self):
+        ch = sample_channel_set(SystemConfig(m=2, n=3, k=3, seed=5))
+        doc = channel_to_json(ch)
+        del doc["seed"]
+        assert channel_from_json(doc).seed is None
+        assert channel_from_json(channel_to_json(ch)).seed == 5
+
+    def test_replayed_build_is_bit_identical(self):
+        # The seed in the document keys the unit and downlink RNG substreams,
+        # so replaying the channels reproduces the random directions.
+        built = construct(1, 3, 3, 5)
+        back = channel_from_json(json.loads(json.dumps(channel_to_json(built.channels))))
+        units = execute_plan(built.plan, back)
+        processor = build_relay_processor(units, back)
+        assert len(units) == len(built.units)
+        for got, want in zip(units, built.units):
+            for pair in want.ordered_pairs():
+                assert np.array_equal(got.beamformers[pair], want.beamformers[pair])
+        assert np.array_equal(processor.forward_matrix, built.processor.forward_matrix)

@@ -45,6 +45,26 @@ class TestExitCodes:
             main(argv)
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["build", "--m", "3", "--n", "5", "--k", "3", "--seed", "-1"],
+        ["build", "--m", "3", "--n", "5", "--k", "3", "--seed", str(2**64)],
+        ["verify", "--m", "3", "--n", "5", "--k", "3", "--seeds", "1", "--seed", "-1"],
+        ["verify", "--m", "3", "--n", "5", "--k", "3", "--seeds", "2",
+         "--seed", str(2**64 - 1)],
+        ["lemmas", "--trials", "1", "--seed", "-1"],
+    ])
+    def test_seed_outside_unsigned_64_bits_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "seed" in capsys.readouterr().err
+
+    def test_last_seed_of_the_range_runs(self, capsys):
+        rc, out = run(capsys, "verify", "--m", "3", "--n", "5", "--k", "3", "--seeds", "1",
+                      "--seed", str(2**64 - 1))
+        assert rc == 0
+        assert json.loads(out)["runs"][0]["seed"] == 2**64 - 1
+
     @pytest.mark.parametrize("command,extra", [
         ("build", ["--seed", "5"]),
         ("verify", ["--seeds", "2", "--seed", "5"]),

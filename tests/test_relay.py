@@ -12,6 +12,7 @@ from ssalign import (
     build_random_unit,
     build_relay_processor,
     build_uplink_projectors,
+    complement_projector,
     complex_gaussian,
     deactivate_relay_antennas,
     derived_rng,
@@ -25,7 +26,8 @@ from ssalign import (
     verify_end_to_end,
 )
 from ssalign.errors import InvalidSweep, ProjectorCollapse
-from ssalign.units import Unit
+from ssalign.relay import projector
+from ssalign.units import RANDOM, Unit
 
 
 def full_build(m, n, k, seed, improved=False):
@@ -45,28 +47,32 @@ class TestUplinkProjectors:
         ch = sample_channel_set(SystemConfig(m=2, n=6, k=3, seed=1))
         unit = build_random_unit(ch, derived_rng(1, 1))
         projectors = build_uplink_projectors([unit])
-        assert len(projectors) == 3
-        for p in projectors.values():
-            assert numerical_rank(p) == 2
+        assert len(projectors.factors) == 3
+        for z in projectors.factors.values():
+            assert numerical_rank(projector(projectors.basis, z)) == 2
 
     def test_pair_plan_rank_one(self):
         # K=3, M=2, N=3: three aligned directions fill the space; each
         # projector keeps exactly the one direction of its own pair.
         _, ch, units, processor = full_build(2, 3, 3, seed=2)
         assert len(processor.uplink_projectors) == 3
-        for p in processor.uplink_projectors.values():
-            assert numerical_rank(p) == 1
+        for z in processor.uplink_projectors.values():
+            assert numerical_rank(projector(processor.uplink_basis, z)) == 1
 
     def test_single_pair_alone_gives_identity(self):
         ch = sample_channel_set(SystemConfig(m=3, n=5, k=3, seed=3))
         unit = build_aligned_unit(ch, (0, 1), 0)
         projectors = build_uplink_projectors([unit])
-        assert np.array_equal(projectors[(0, (0, 1))], np.eye(5))
+        p = projector(projectors.basis, projectors.factors[(0, (0, 1))])
+        assert np.allclose(p, np.eye(5), rtol=0, atol=1e-12)
 
     def test_projectors_idempotent(self):
         _, _, _, processor = full_build(3, 8, 4, seed=4)
-        for p in list(processor.uplink_projectors.values()) \
-                + list(processor.downlink_projectors.values()):
+        dense = [projector(processor.uplink_basis, z)
+                 for z in processor.uplink_projectors.values()] \
+            + [projector(processor.downlink_basis, z)
+               for z in processor.downlink_projectors.values()]
+        for p in dense:
             assert np.linalg.norm(p @ p - p) <= 10 * DEFAULT_TOL.leakage_abs
 
 
@@ -80,6 +86,41 @@ class TestUplinkProjectors:
             units.append(Unit(2, (0, 1), dict(vecs), vecs))
         with pytest.raises(ProjectorCollapse):
             build_uplink_projectors(units)
+
+    def test_pair_inside_rest_of_its_unit_collapses(self):
+        # One unit, four streams in C^2: the other pair's two streams span
+        # every row, so the unit's rest swallows the pair's directions.
+        rng = np.random.Generator(np.random.Philox(key=6))
+        pairs = ((0, 1), (1, 0), (0, 2), (2, 0))
+        vecs = {p: complex_gaussian(rng, 2, 1)[:, 0] for p in pairs}
+        with pytest.raises(ProjectorCollapse, match="rank zero"):
+            build_uplink_projectors([Unit(RANDOM, (0, 1, 2), dict(vecs), vecs)])
+
+
+class TestLowRankProjectors:
+    @pytest.mark.parametrize("m,n,k,improved,extension", [
+        (2, 6, 3, False, 1),   # one random unit
+        (3, 8, 4, False, 2),
+        (7, 14, 4, True, 1),   # deactivated corner
+        (3, 5, 4, False, 6),
+    ])
+    def test_materialised_projectors_match_dense_complement(self, m, n, k, improved,
+                                                            extension):
+        plan, ch, units, processor = full_build(m, n, k, seed=20, improved=improved)
+        assert plan.extension == extension
+        keys = [(li, pair) for li, u in enumerate(units) for pair in u.ordered_pairs()]
+        uplink = {key: units[key[0]].equivalent_uplink[key[1]] for key in keys}
+        downlink = {key: ch.downlink[key[1][0]].T @ processor.receive_vectors[key]
+                    for key in keys}
+        sides = ((uplink, processor.uplink_basis, processor.uplink_projectors),
+                 (downlink, processor.downlink_basis, processor.downlink_projectors))
+        for vectors, basis, factors in sides:
+            assert len(factors) == len(keys) // 2
+            for (li, (a, b)), z in factors.items():
+                others = [v for key, v in vectors.items()
+                          if key not in ((li, (a, b)), (li, (b, a)))]
+                dense = complement_projector(np.column_stack(others))
+                assert np.allclose(projector(basis, z), dense, rtol=0, atol=1e-12)
 
 
 class TestDownlinkMirror:
@@ -108,7 +149,7 @@ class TestDownlinkMirror:
     def test_empty_units(self):
         ch = sample_channel_set(SystemConfig(m=2, n=3, k=3, seed=7))
         receive, projectors = design_downlink([], ch)
-        assert receive == {} and projectors == {}
+        assert receive == {} and projectors.factors == {}
 
 
 class TestForwardMatrix:
@@ -137,7 +178,8 @@ class TestForwardMatrix:
         uplink = build_uplink_projectors([unit])
         receive, downlink = design_downlink([unit], ch, rng=derived_rng(10, 2))
         forward, alpha = assemble_forward_matrix([unit], uplink, downlink)
-        manual = sum(downlink[key] @ uplink[key] for key in uplink)
+        manual = sum(projector(downlink.basis, downlink.factors[key])
+                     @ projector(uplink.basis, uplink.factors[key]) for key in uplink.factors)
         assert np.allclose(forward, alpha * manual)
 
 
