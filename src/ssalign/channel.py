@@ -31,6 +31,7 @@ __all__ = [
     "channel_from_json",
     "complex_gaussian",
     "derived_rng",
+    "complex_to_pairs",
 ]
 
 
@@ -170,8 +171,13 @@ def deactivate_relay_antennas(ch: ChannelSet, n_active: int) -> ChannelSet:
     )
 
 
-def _matrix_to_pairs(a: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in a]
+def complex_to_pairs(a: np.ndarray) -> list:
+    """Nested lists of ``[re, im]`` Python floats, one pair per entry of ``a``.
+
+    Works for vectors and matrices alike; the floats are those of
+    ``[float(z.real), float(z.imag)]``, signed zeros included.
+    """
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
 def _matrix_from_pairs(rows: list) -> np.ndarray:
@@ -194,8 +200,8 @@ def channel_to_json(ch: ChannelSet) -> dict:
         "k": ch.k,
         "ext": ch.extension,
         "seed": ch.seed,
-        "uplink": [_matrix_to_pairs(h) for h in ch.uplink],
-        "downlink": [_matrix_to_pairs(g) for g in ch.downlink],
+        "uplink": [complex_to_pairs(h) for h in ch.uplink],
+        "downlink": [complex_to_pairs(g) for g in ch.downlink],
     }
 
 

@@ -10,9 +10,13 @@ verify  Repeat ``build`` over a seed sweep and summarize pass counts.
 lemmas  Run the Monte Carlo rank-identity battery.
 
 The CLI only parses arguments and formats output; the library does the work.
+JSON documents are written compact, on a single line, so that the C encoder
+of the ``json`` module writes them; ``python -m json.tool`` pretty-prints one.
+Output goes to stdout, or to the ``--out`` file once the command is done.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 construction
-failure (with diagnostic JSON on stdout).
+Exit codes: 0 success, 1 verification failure, 2 usage error (also an
+unreadable or invalid ``--config`` and an unwritable ``--out``), 3 construction
+failure (with a diagnostic JSON document as output).
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__, dof
-from .channel import channel_to_json
+from .channel import channel_to_json, complex_to_pairs
 from .errors import ConstructionError
 from .lemmas import default_battery, run_battery
 from .pipeline import construct
@@ -80,7 +84,7 @@ def _frac_json(x: Fraction):
     return {"num": x.numerator, "den": x.denominator, "value": float(x)}
 
 
-def cmd_curve(args, parser) -> int:
+def cmd_curve(args, parser) -> tuple[str, int]:
     ratios = _parse_ratios(args.ratios, parser)
     if args.k == "inf":
         if args.mode == "outer":
@@ -113,8 +117,7 @@ def cmd_curve(args, parser) -> int:
             f"{value.numerator},{value.denominator},{float(value)!r},"
             f"{mode_tag},{str(tight).lower()}"
         )
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n", 0
 
 
 def _plan_json(plan) -> dict:
@@ -138,18 +141,16 @@ def _plan_json(plan) -> dict:
     }
 
 
-def _vector_json(v) -> list:
-    return [[float(z.real), float(z.imag)] for z in v]
-
-
 def _unit_json(unit) -> dict:
     return {
         "pattern_order": unit.pattern_order,
         "group": list(unit.group),
         "column_block": unit.column_block,
-        "beamformers": {f"{a},{b}": _vector_json(u) for (a, b), u in sorted(unit.beamformers.items())},
+        "beamformers": {
+            f"{a},{b}": complex_to_pairs(u) for (a, b), u in sorted(unit.beamformers.items())
+        },
         "equivalent_uplink": {
-            f"{a},{b}": _vector_json(h) for (a, b), h in sorted(unit.equivalent_uplink.items())
+            f"{a},{b}": complex_to_pairs(h) for (a, b), h in sorted(unit.equivalent_uplink.items())
         },
     }
 
@@ -173,17 +174,20 @@ def _report_json(report) -> dict:
     }
 
 
-def _construction_failed(exc: Exception, seed: int, out_path: str | None) -> int:
-    _emit(json.dumps({"error": type(exc).__name__, "message": str(exc), "seed": seed},
-                     indent=2) + "\n", out_path)
-    return 3
+def _json_text(doc: dict) -> str:
+    # Without indent, json.dumps runs the C encoder; with it, pure Python.
+    return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
-def cmd_build(args, parser) -> int:
+def _construction_failed(exc: Exception, seed: int) -> tuple[str, int]:
+    return _json_text({"error": type(exc).__name__, "message": str(exc), "seed": seed}), 3
+
+
+def cmd_build(args, parser) -> tuple[str, int]:
     try:
         built = construct(args.m, args.n, args.k, args.seed, args.improved)
     except ConstructionError as exc:
-        return _construction_failed(exc, args.seed, args.out)
+        return _construction_failed(exc, args.seed)
     report = verify_end_to_end(built.channels, built.units, built.processor)
     doc = {
         "config": {"m": args.m, "n": args.n, "k": args.k, "seed": args.seed,
@@ -193,11 +197,10 @@ def cmd_build(args, parser) -> int:
         "units": [_unit_json(u) for u in built.units],
         "report": _report_json(report),
     }
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
-    return 0 if report.passed else 1
+    return _json_text(doc), 0 if report.passed else 1
 
 
-def cmd_verify(args, parser) -> int:
+def cmd_verify(args, parser) -> tuple[str, int]:
     expected = (dof.achievable_improved if args.improved else dof.achievable_basic)(
         args.m, args.n, args.k
     )
@@ -209,7 +212,7 @@ def cmd_verify(args, parser) -> int:
         try:
             built = construct(args.m, args.n, args.k, seed, args.improved)
         except ConstructionError as exc:
-            return _construction_failed(exc, seed, args.out)
+            return _construction_failed(exc, seed)
         report = verify_end_to_end(built.channels, built.units, built.processor)
         ok = report.passed and report.counted_d_sum == expected_sum
         row = {
@@ -238,8 +241,7 @@ def cmd_verify(args, parser) -> int:
         "all_pass": passes == args.seeds,
         "runs": rows,
     }
-    _emit(json.dumps(summary, indent=2) + "\n", args.out)
-    return 0 if passes == args.seeds else 1
+    return _json_text(summary), 0 if passes == args.seeds else 1
 
 
 def _lemma_json(result) -> dict:
@@ -254,25 +256,35 @@ def _lemma_json(result) -> dict:
     }
 
 
-def cmd_lemmas(args, parser) -> int:
+def cmd_lemmas(args, parser) -> tuple[str, int]:
     if args.config:
-        with open(args.config) as fh:
-            spec = json.load(fh)
-        results = run_battery(spec, args.trials, args.seed)
+        try:
+            with open(args.config) as fh:
+                spec = json.load(fh)
+        except OSError as exc:
+            parser.error(f"cannot read --config {args.config}: {exc.strerror or exc}")
+        except ValueError as exc:
+            parser.error(f"--config {args.config} is not JSON: {exc}")
+        try:
+            results = run_battery(spec, args.trials, args.seed)
+        except ValueError as exc:
+            parser.error(f"bad --config {args.config}: {exc}")
     else:
         results = default_battery(args.trials, args.seed)
     total_failures = sum(r.failures for r in results)
     doc = {"results": [_lemma_json(r) for r in results], "total_failures": total_failures}
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
-    return 0 if total_failures == 0 else 1
+    return _json_text(doc), 0 if total_failures == 0 else 1
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
+def _emit(text: str, out_path: str | None, parser: argparse.ArgumentParser) -> None:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        parser.error(f"cannot write --out {out_path}: {exc.strerror or exc}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -335,7 +347,9 @@ def main(argv=None) -> int:
         parser.error(f"seeds {args.seed}..{args.seed + args.seeds - 1} leave [0, 2**64)")
     command = {"curve": cmd_curve, "build": cmd_build, "verify": cmd_verify,
                "lemmas": cmd_lemmas}[args.command]
-    return command(args, parser)
+    text, code = command(args, parser)
+    _emit(text, args.out, parser)
+    return code
 
 
 if __name__ == "__main__":

@@ -166,6 +166,35 @@ DEFAULT_SPEC = {
 }
 
 
+# Allowed row lengths of each row-list key of a battery spec.
+_ROW_LENGTHS = {"intersection": (2,), "stacked_rank": (3,), "direct_sum": (4, 5)}
+_SCALING_KEYS = {"k", "grid", "sigmas"}
+
+
+def _check_spec(spec) -> None:
+    if not isinstance(spec, dict):
+        raise ValueError(f"battery spec must be a JSON object, got {type(spec).__name__}")
+    unknown = set(spec) - set(_ROW_LENGTHS) - {"scaling"}
+    if unknown:
+        raise ValueError(f"unknown battery keys {sorted(unknown)}; expected some of "
+                         f"{[*_ROW_LENGTHS, 'scaling']}")
+    for key, entries in spec.items():
+        if not isinstance(entries, (list, tuple)):
+            raise ValueError(f"{key!r} must be a list, got {type(entries).__name__}")
+    for key, lengths in _ROW_LENGTHS.items():
+        for row in spec.get(key, []):
+            if not (isinstance(row, (list, tuple)) and len(row) in lengths
+                    and all(type(x) is int for x in row)):
+                raise ValueError(f"{key!r} rows are {' or '.join(map(str, lengths))} "
+                                 f"integers, got {row!r}")
+    for block in spec.get("scaling", []):
+        if not (isinstance(block, dict) and set(block) == _SCALING_KEYS):
+            raise ValueError(f"'scaling' blocks have exactly the keys {sorted(_SCALING_KEYS)}, "
+                             f"got {block!r}")
+    if not any(spec.values()):
+        raise ValueError("battery spec selects no checks")
+
+
 def run_battery(spec: dict, trials: int, seed: int,
                 tol: Tolerance = DEFAULT_TOL) -> list[LemmaTrialResult]:
     """Run the checks a battery spec lists, in the ``lemmas --config`` format.
@@ -174,7 +203,11 @@ def run_battery(spec: dict, trials: int, seed: int,
     ``direct_sum`` rows ``[K, t, M, N]`` or ``[K, t, M, N, ext]``, ``scaling``
     blocks ``{"k", "grid", "sigmas"}``.  Row ``i`` of a list runs on seed
     ``seed + i``, plus 100 for stacked rank and 200 for direct sum.
+
+    Raises ``ValueError`` before any trial runs when the spec has an unknown
+    key, a row of the wrong length or type, or selects no check at all.
     """
+    _check_spec(spec)
     results = [check_intersection(m, n, trials, seed + i, tol)
                for i, (m, n) in enumerate(spec.get("intersection", []))]
     results += [check_stacked_rank(k, m, n, trials, seed + 100 + i, tol)

@@ -16,6 +16,7 @@ from ssalign import (
     numerical_rank,
     sample_channel_set,
 )
+from ssalign.channel import complex_to_pairs
 from ssalign.errors import InvalidDeactivation
 
 
@@ -179,6 +180,17 @@ class TestJson:
         del doc["seed"]
         assert channel_from_json(doc).seed is None
         assert channel_from_json(channel_to_json(ch)).seed == 5
+
+    def test_complex_to_pairs_matches_entrywise_floats(self):
+        m = complex_gaussian(np.random.Generator(np.random.Philox(key=1)), 3, 4)
+        m[0, 0], m[1, 2] = complex(-0.0, 0.0), complex(0.5, -0.0)
+        for a in (m, m[1], m[:, :0], m[1, :0]):
+            if a.ndim == 1:
+                want = [[float(z.real), float(z.imag)] for z in a]
+            else:
+                want = [[[float(z.real), float(z.imag)] for z in row] for row in a]
+            # repr tells -0.0 from 0.0 and a Python float from a numpy scalar.
+            assert repr(complex_to_pairs(a)) == repr(want)
 
     def test_replayed_build_is_bit_identical(self):
         # The seed in the document keys the unit and downlink RNG substreams,

@@ -1,11 +1,20 @@
+import csv
 import dataclasses
+import io
 import json
+from fractions import Fraction
+from math import gcd
 
+import numpy as np
 import pytest
 
-from ssalign import cli, dof
+from ssalign import cli, dof, lemmas
+from ssalign.channel import channel_from_json
 from ssalign.cli import main
 from ssalign.lemmas import DEFAULT_SPEC
+from ssalign.pipeline import construct
+from ssalign.relay import build_relay_processor
+from ssalign.units import execute_plan
 
 
 def run(capsys, *argv):
@@ -122,3 +131,171 @@ class TestLemmas:
         assert rc_default == rc_config == 0
         assert out_config == out_default
         assert json.loads(out_default)["total_failures"] == 0
+
+    @pytest.mark.parametrize("spec", [
+        {"intersections": [[3, 5]]},
+        {},
+        {"intersection": []},
+        {"intersection": [[3, 5, 7]]},
+        {"intersection": [[3, 5]], "direct_sum": [[4, 3, 3]]},
+        {"stacked_rank": [[3, 2, "4"]]},
+        {"scaling": [{"k": 3}]},
+        [[3, 5]],
+    ])
+    def test_bad_config_is_usage_error_before_any_trial(self, capsys, tmp_path, monkeypatch,
+                                                        spec):
+        calls = []
+        monkeypatch.setattr(lemmas, "check_intersection",
+                            lambda *args, **kw: calls.append(args))
+        path = tmp_path / "battery.json"
+        path.write_text(json.dumps(spec))
+        with pytest.raises(SystemExit) as info:
+            main(["lemmas", "--trials", "1", "--config", str(path)])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--config" in captured.err
+        assert calls == []
+
+    def test_config_outside_check_domain_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "battery.json"
+        path.write_text(json.dumps({"intersection": [[5, 3]]}))  # needs M <= N
+        with pytest.raises(SystemExit) as info:
+            main(["lemmas", "--trials", "1", "--config", str(path)])
+        assert info.value.code == 2
+        assert "M <= N" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [None, "{'intersection': [[3, 5]]}", "\xff\xfe"])
+    def test_missing_or_non_json_config_is_usage_error(self, capsys, tmp_path, text):
+        path = tmp_path / "battery.json"
+        if text is not None:
+            path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(SystemExit) as info:
+            main(["lemmas", "--trials", "1", "--config", str(path)])
+        assert info.value.code == 2
+        assert str(path) in capsys.readouterr().err
+
+
+class TestOut:
+    @pytest.mark.parametrize("argv", [
+        ["build", "--m", "3", "--n", "5", "--k", "3"],
+        ["verify", "--m", "3", "--n", "5", "--k", "3", "--seeds", "1"],
+        ["build", "--m", "1", "--n", "2", "--k", "4", "--improved"],  # exit-3 diagnostic
+        ["curve", "--k", "3", "--ratios", "1/2"],
+        ["lemmas", "--trials", "1"],
+    ])
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, argv):
+        path = tmp_path / "missing" / "x.json"
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--out", str(path)])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(path) in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["build", "--m", "3", "--n", "5", "--k", "3"],
+        ["curve", "--k", "3", "--ratios", "1/2,2/3"],
+    ])
+    def test_out_file_holds_the_stdout_text(self, capsys, tmp_path, argv):
+        rc, out = run(capsys, *argv)
+        path = tmp_path / "out.txt"
+        assert run(capsys, *argv, "--out", str(path)) == (rc, "")
+        assert path.read_text() == out
+
+
+def _curve_rows(capsys, *argv):
+    rc, out = run(capsys, "curve", *argv)
+    assert rc == 0
+    return list(csv.DictReader(io.StringIO(out)))
+
+
+def _fraction(row, prefix):
+    return Fraction(int(row[f"{prefix}_num"]), int(row[f"{prefix}_den"]))
+
+
+class TestCurveCsv:
+    FAREY_12 = sorted(Fraction(p, q) for q in range(1, 13) for p in range(1, q + 1)
+                      if gcd(p, q) == 1)
+
+    def test_basic_rows_are_exact_on_farey_grid(self, capsys):
+        rows = _curve_rows(capsys, "--k", "4", "--mode", "basic", "--ratios", "farey:12")
+        assert [_fraction(row, "ratio") for row in rows] == self.FAREY_12
+        for row in rows:
+            r = _fraction(row, "ratio")
+            assert (int(row["ratio_num"]), int(row["ratio_den"])) == (r.numerator,
+                                                                        r.denominator)
+            res = dof.achievable_basic(r.numerator, r.denominator, 4)
+            assert _fraction(row, "value") == res.d_user / r.denominator
+            assert float(row["value"]) == float(res.d_user / r.denominator)
+            assert row["capacity_tight"] == str(res.capacity_tight).lower()
+            assert row["mode"] == "basic"
+
+    def test_half_duplex_halves_every_value(self, capsys):
+        argv = ("--k", "4", "--mode", "basic", "--ratios", "farey:12")
+        full = _curve_rows(capsys, *argv)
+        half = _curve_rows(capsys, *argv, "--half-duplex")
+        assert [_fraction(row, "ratio") for row in half] == self.FAREY_12
+        assert [_fraction(row, "value") for row in half] == \
+            [_fraction(row, "value") / 2 for row in full]
+
+    def test_many_user_limit_rows(self, capsys):
+        rows = _curve_rows(capsys, "--k", "inf", "--mode", "improved", "--ratios", "farey:12")
+        assert [_fraction(row, "ratio") for row in rows] == self.FAREY_12
+        for row in rows:
+            r = _fraction(row, "ratio")
+            assert _fraction(row, "value") == dof.asymptotic_dof(r, improved=True)
+            assert row["mode"] == "asymptotic-improved"
+            assert row["capacity_tight"] == "false"
+
+
+def _pairs(a):
+    """Reference ``[re, im]`` conversion, one entry at a time."""
+    if a.ndim == 1:
+        return [[float(z.real), float(z.imag)] for z in a]
+    return [_pairs(row) for row in a]
+
+
+def _same_floats(got, want) -> bool:
+    got, want = np.array(got, dtype=float), np.array(want, dtype=float)
+    return (got.shape == want.shape and np.array_equal(got, want)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+class TestBuildDocument:
+    # (3, 5, 4) plans a symbol extension of 6, and its document holds -0.0s.
+    ARGV = ("build", "--m", "3", "--n", "5", "--k", "4")
+
+    @pytest.fixture(scope="class")
+    def built(self):
+        built = construct(3, 5, 4, 0)
+        assert built.plan.extension > 1
+        return built
+
+    def test_entries_equal_library_arrays(self, capsys, built):
+        rc, out = run(capsys, *self.ARGV)
+        assert rc == 0
+        assert out.endswith("\n") and out.count("\n") == 1
+        doc = json.loads(out)
+        for side in ("uplink", "downlink"):
+            assert len(doc["channels"][side]) == 4
+            for got, want in zip(doc["channels"][side], getattr(built.channels, side)):
+                assert _same_floats(got, _pairs(want))
+        assert len(doc["units"]) == len(built.units)
+        for got, want in zip(doc["units"], built.units):
+            for field in ("beamformers", "equivalent_uplink"):
+                vectors = getattr(want, field)
+                assert list(got[field]) == [f"{a},{b}" for a, b in sorted(vectors)]
+                for (a, b), v in sorted(vectors.items()):
+                    assert _same_floats(got[field][f"{a},{b}"], _pairs(v))
+
+    def test_channels_replay_bit_identical(self, capsys, built):
+        _, out = run(capsys, *self.ARGV)
+        back = channel_from_json(json.loads(out)["channels"])
+        units = execute_plan(built.plan, back)
+        processor = build_relay_processor(units, back)
+        assert len(units) == len(built.units)
+        for got, want in zip(units, built.units):
+            for pair in want.ordered_pairs():
+                assert np.array_equal(got.beamformers[pair], want.beamformers[pair])
+        assert np.array_equal(processor.forward_matrix, built.processor.forward_matrix)
