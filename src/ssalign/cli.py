@@ -142,16 +142,13 @@ def _plan_json(plan) -> dict:
 
 
 def _unit_json(unit) -> dict:
+    keys = [f"{a},{b}" for a, b in unit.pairs]
     return {
         "pattern_order": unit.pattern_order,
         "group": list(unit.group),
         "column_block": unit.column_block,
-        "beamformers": {
-            f"{a},{b}": complex_to_pairs(u) for (a, b), u in sorted(unit.beamformers.items())
-        },
-        "equivalent_uplink": {
-            f"{a},{b}": complex_to_pairs(h) for (a, b), h in sorted(unit.equivalent_uplink.items())
-        },
+        "beamformers": dict(zip(keys, complex_to_pairs(unit.beamformers.T))),
+        "equivalent_uplink": dict(zip(keys, complex_to_pairs(unit.equivalent_uplink.T))),
     }
 
 

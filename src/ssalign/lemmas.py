@@ -116,6 +116,8 @@ def check_direct_sum(k: int, t: int, m: int, n: int, trials: int, seed: int,
         raise InvalidLemmaParams(f"need 2 <= t <= K, got t={t}, K={k}")
     if t * m <= n:
         raise InvalidLemmaParams(f"need tM > N, got t={t}, M={m}, N={n}")
+    if extension < 1:
+        raise InvalidLemmaParams(f"need extension >= 1, got {extension}")
     j = comb(k, t)
     expected = extension * min(j * (t - 1) * (t * m - n), n)
     result = LemmaTrialResult(
@@ -171,6 +173,12 @@ _ROW_LENGTHS = {"intersection": (2,), "stacked_rank": (3,), "direct_sum": (4, 5)
 _SCALING_KEYS = {"k", "grid", "sigmas"}
 
 
+def _ints(row, lengths=None) -> bool:
+    """Whether ``row`` is a list of integers, of one of ``lengths`` if given."""
+    return (isinstance(row, (list, tuple)) and (lengths is None or len(row) in lengths)
+            and all(type(x) is int for x in row))
+
+
 def _check_spec(spec) -> None:
     if not isinstance(spec, dict):
         raise ValueError(f"battery spec must be a JSON object, got {type(spec).__name__}")
@@ -183,14 +191,16 @@ def _check_spec(spec) -> None:
             raise ValueError(f"{key!r} must be a list, got {type(entries).__name__}")
     for key, lengths in _ROW_LENGTHS.items():
         for row in spec.get(key, []):
-            if not (isinstance(row, (list, tuple)) and len(row) in lengths
-                    and all(type(x) is int for x in row)):
+            if not _ints(row, lengths):
                 raise ValueError(f"{key!r} rows are {' or '.join(map(str, lengths))} "
                                  f"integers, got {row!r}")
     for block in spec.get("scaling", []):
-        if not (isinstance(block, dict) and set(block) == _SCALING_KEYS):
-            raise ValueError(f"'scaling' blocks have exactly the keys {sorted(_SCALING_KEYS)}, "
-                             f"got {block!r}")
+        if not (isinstance(block, dict) and set(block) == _SCALING_KEYS
+                and type(block["k"]) is int and _ints(block["sigmas"])
+                and isinstance(block["grid"], (list, tuple))
+                and all(_ints(row, (2,)) for row in block["grid"])):
+            raise ValueError(f"'scaling' blocks are {{'k': int, 'grid': [[M, N], ...], "
+                             f"'sigmas': [int, ...]}}, got {block!r}")
     if not any(spec.values()):
         raise ValueError("battery spec selects no checks")
 

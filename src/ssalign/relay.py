@@ -29,10 +29,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .channel import ChannelSet, complex_gaussian, derived_rng
+from .channel import ChannelSet, derived_rng
 from .errors import InvalidSweep, ProjectorCollapse
 from .linalg import DEFAULT_TOL, Tolerance, nullspace_basis, range_basis
-from .units import RANDOM, Unit, group_nullspace, unit_from_nullspace
+from .units import RANDOM, Unit, build_random_unit, group_nullspace, unit_from_nullspace
 
 __all__ = [
     "PairProjectors",
@@ -76,16 +76,17 @@ class RelayProcessor:
 
     ``uplink_projectors[(l, (a, b))]`` is the factor ``Z`` of the uplink
     projector ``I - Q Q^H + Z Z^H`` with ``Q = uplink_basis``, keyed with
-    ``a < b``; the downlink fields mirror it.  Receive vectors are keyed by
-    ``(unit_index, (a, b))`` for every ordered pair, where ``v`` is applied
-    at user ``a`` to listen for user ``b``'s stream.
+    ``a < b``; the downlink fields mirror it.  ``receive_vectors`` is an
+    ``M*ext x streams`` matrix with one column per stream ``(l, (a, b))``,
+    in the order of the units and then of each unit's ``pairs``; the column
+    is applied at user ``a`` to listen for user ``b``'s stream.
     """
 
     uplink_basis: np.ndarray
     uplink_projectors: dict[Key, np.ndarray]
     downlink_basis: np.ndarray
     downlink_projectors: dict[Key, np.ndarray]
-    receive_vectors: dict[Key, np.ndarray]
+    receive_vectors: np.ndarray
     forward_matrix: np.ndarray
     power_scale: float
 
@@ -116,7 +117,7 @@ class VerificationReport:
 
 
 def _stream_keys(units: list[Unit]) -> list[Key]:
-    return [(li, pair) for li, u in enumerate(units) for pair in u.ordered_pairs()]
+    return [(li, pair) for li, u in enumerate(units) for pair in u.pairs]
 
 
 def _pair_key(a: int, b: int) -> tuple[int, int]:
@@ -132,31 +133,27 @@ def projector(basis: np.ndarray, factor: np.ndarray) -> np.ndarray:
 def build_uplink_projectors(units: list[Unit],
                             tol: Tolerance = DEFAULT_TOL) -> PairProjectors:
     """Per-(unit, pair) projectors nulling every other stream in the system."""
-    vectors = {(li, pair): units[li].equivalent_uplink[pair]
-               for li, pair in _stream_keys(units)}
-    n = len(next(iter(vectors.values()))) if vectors else 0
-    return _complement_projectors(vectors, n, tol, side="uplink")
+    n = units[0].equivalent_uplink.shape[0] if units else 0
+    return _complement_projectors(units, n, tol, side="uplink")
 
 
-def _complement_projectors(vectors: dict, n: int, tol: Tolerance,
+def _complement_projectors(units: list[Unit], n: int, tol: Tolerance,
                            side: str) -> PairProjectors:
     """Factor every pair's complement projector through one oblique basis change.
 
-    The units span a direct sum ``span(B_1) + ... + span(B_L) = span(Q)``,
+    The streams are the columns of the units' ``equivalent_uplink``, which
+    are ``G_a^T v`` for downlink twins.  The units span a direct sum
+    ``span(B_1) + ... + span(B_L) = span(Q)``,
     so the rows of ``C^-1 Q^H`` with ``C = Q^H [B_1 .. B_L]`` give each
     vector of ``span(Q)`` its coordinates in every unit basis.  A direction
     ``R_l^H y`` built from unit ``l``'s rows is orthogonal to all other
     units, and to the rest of unit ``l`` exactly when ``y`` is, so one small
     nullspace in unit coordinates yields the pair's factor ``Z``.
     """
-    if not vectors:
+    if not units:
         return PairProjectors(np.empty((n, 0), dtype=np.complex128), {})
-    by_unit: dict[int, list[Key]] = {}
-    for key in vectors:
-        by_unit.setdefault(key[0], []).append(key)
-    q = range_basis(np.column_stack(list(vectors.values())), tol)
-    unit_bases = [range_basis(np.column_stack([vectors[key] for key in keys]), tol)
-                  for keys in by_unit.values()]
+    q = range_basis(np.hstack([u.equivalent_uplink for u in units]), tol)
+    unit_bases = [range_basis(u.equivalent_uplink, tol) for u in units]
     widths = sum(b.shape[1] for b in unit_bases)
     if widths != q.shape[1]:
         raise ProjectorCollapse(
@@ -166,12 +163,12 @@ def _complement_projectors(vectors: dict, n: int, tol: Tolerance,
     coords = np.linalg.solve(q.conj().T @ np.hstack(unit_bases), q.conj().T)
     projectors: dict[Key, np.ndarray] = {}
     offset = 0
-    for (li, keys), basis in zip(by_unit.items(), unit_bases):
+    for li, (unit, basis) in enumerate(zip(units, unit_bases)):
         rows = coords[offset:offset + basis.shape[1]]
         offset += basis.shape[1]
-        local = basis.conj().T @ np.column_stack([vectors[key] for key in keys])
-        for a, b in sorted({_pair_key(*pair) for _, pair in keys}):
-            rest = [i for i, (_, pair) in enumerate(keys) if _pair_key(*pair) != (a, b)]
+        local = basis.conj().T @ unit.equivalent_uplink
+        for a, b in sorted({_pair_key(*pair) for pair in unit.pairs}):
+            rest = [i for i, pair in enumerate(unit.pairs) if _pair_key(*pair) != (a, b)]
             y = nullspace_basis(local[:, rest].conj().T, tol)
             z = np.linalg.qr(rows.conj().T @ y)[0]
             # I - Q Q^H + Z Z^H has rank n - rank(Q) + width(Z).
@@ -185,14 +182,15 @@ def _complement_projectors(vectors: dict, n: int, tol: Tolerance,
 
 def design_downlink(units: list[Unit], ch: ChannelSet,
                     rng: np.random.Generator | None = None,
-                    tol: Tolerance = DEFAULT_TOL) -> tuple[dict, PairProjectors]:
+                    tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, PairProjectors]:
     """Receive vectors and downlink projectors by uplink/downlink symmetry.
 
-    Runs the identical unit construction on the transposed downlink channels
-    (same groups, same nullspace column blocks; fresh random draws for
-    random-direction units), then builds complement projectors over the
-    equivalent downlink vectors ``G_a^T v``.  Each group's nullspace is
-    computed once and shared by all of its units.
+    Builds a twin of every unit with the uplink's own unit builders on the
+    transposed downlink channels (same group and column block; for random
+    units, fresh draws from ``rng``), so every twin passes the same span
+    checks.  Each group's nullspace is computed once.  The twins'
+    beamformers side by side are the receive vectors, and their equivalent
+    vectors ``G_a^T v`` give the complement projectors.
     """
     if rng is None:
         rng = derived_rng(ch.seed, stream=2)
@@ -201,26 +199,19 @@ def design_downlink(units: list[Unit], ch: ChannelSet,
         uplink=tuple(g.T.copy() for g in ch.downlink),
         downlink=ch.downlink, slot_rows=ch.slot_rows, seed=ch.seed,
     )
-    receive: dict[Key, np.ndarray] = {}
-    equivalent: dict[Key, np.ndarray] = {}
+    twins: list[Unit] = []
     bases: dict[tuple[int, ...], np.ndarray] = {}
-    mt = ch.m * ch.extension
-    for li, unit in enumerate(units):
+    for unit in units:
         if unit.pattern_order == RANDOM:
-            for pair in unit.ordered_pairs():
-                v = complex_gaussian(rng, mt, 1)[:, 0]
-                v /= np.linalg.norm(v)
-                receive[(li, pair)] = v
-                equivalent[(li, pair)] = mirror.uplink[pair[0]] @ v
-        else:
-            if unit.group not in bases:
-                bases[unit.group] = group_nullspace(mirror, unit.group, tol)
-            twin = unit_from_nullspace(mirror, unit.group, bases[unit.group],
-                                       unit.column_block, tol)
-            for pair in twin.ordered_pairs():
-                receive[(li, pair)] = twin.beamformers[pair]
-                equivalent[(li, pair)] = twin.equivalent_uplink[pair]
-    projectors = _complement_projectors(equivalent, ch.active_relay, tol, side="downlink")
+            twins.append(build_random_unit(mirror, rng, tol))
+            continue
+        if unit.group not in bases:
+            bases[unit.group] = group_nullspace(mirror, unit.group, tol)
+        twins.append(unit_from_nullspace(mirror, unit.group, bases[unit.group],
+                                         unit.column_block, tol))
+    receive = np.hstack([np.empty((ch.m * ch.extension, 0), dtype=np.complex128),
+                         *(twin.beamformers for twin in twins)])
+    projectors = _complement_projectors(twins, ch.active_relay, tol, side="downlink")
     return receive, projectors
 
 
@@ -258,9 +249,7 @@ def assemble_forward_matrix(units: list[Unit], uplink_projectors: PairProjectors
     own = (zd.conj().T @ zu) * np.equal.outer(owner_d, owner_u)
     base = len(keys) * (d @ a) + (d @ zu) @ zu.conj().T + zd @ (zd.conj().T @ a) \
         + zd @ own @ zu.conj().T
-    streams = np.column_stack(
-        [u.equivalent_uplink[p] for u in units for p in u.ordered_pairs()]
-    )
+    streams = np.hstack([u.equivalent_uplink for u in units])
     # tr(B (S S^H + I) B^H) = ||B S||^2 + ||B||^2
     denom = float(np.linalg.norm(base @ streams) ** 2 + np.linalg.norm(base) ** 2)
     if denom <= 0.0:
@@ -302,14 +291,22 @@ def _project_rows(rows: np.ndarray, basis: np.ndarray, factors: dict,
 
 def _chain_vectors(ch: ChannelSet, units: list[Unit], processor: RelayProcessor,
                    normalized: bool):
-    """Stream matrix (columns) and chain rows, both in stream-key order."""
-    up_scale = [_entry_rms_scale(h) if normalized else 1.0 for h in ch.uplink]
-    dn_scale = [_entry_rms_scale(g) if normalized else 1.0 for g in ch.downlink]
+    """Stream matrix (columns) and chain rows, both in stream-key order.
+
+    The streams are recomputed as ``H_a u``, so a beamformer changed after
+    the relay design shows in the chains.
+    """
     keys = _stream_keys(units)
-    h = np.column_stack([up_scale[a] * (ch.uplink[a] @ units[li].beamformers[(a, b)])
-                         for li, (a, b) in keys])
-    g = np.vstack([dn_scale[a] * (ch.downlink[a].T @ processor.receive_vectors[(li, (a, b))])
-                   for li, (a, b) in keys])
+    beams = np.hstack([u.beamformers for u in units])
+    senders = np.array([a for _, (a, _) in keys])
+    h = np.empty((ch.active_relay, len(senders)), dtype=np.complex128)
+    g = np.empty((len(senders), ch.active_relay), dtype=np.complex128)
+    for a in range(ch.k):
+        cols = senders == a
+        up = _entry_rms_scale(ch.uplink[a]) if normalized else 1.0
+        dn = _entry_rms_scale(ch.downlink[a]) if normalized else 1.0
+        h[:, cols] = up * (ch.uplink[a] @ beams[:, cols])
+        g[cols] = dn * (ch.downlink[a].T @ processor.receive_vectors[:, cols]).T
     pairs = [(li, _pair_key(*pair)) for li, pair in keys]
     chains = _project_rows(g, processor.downlink_basis, processor.downlink_projectors, pairs)
     chains = _project_rows(chains, processor.uplink_basis, processor.uplink_projectors, pairs)
@@ -389,9 +386,8 @@ def estimate_dof_slope(ch: ChannelSet, units: list[Unit], processor: RelayProces
     keys = _stream_keys(units)
     h_matrix, chains = _chain_vectors(ch, units, processor, normalized=False)
 
-    user_gain = np.zeros(ch.k)
-    for li, pair in keys:
-        user_gain[pair[0]] += float(np.linalg.norm(units[li].beamformers[pair]) ** 2)
+    gains = np.linalg.norm(np.hstack([u.beamformers for u in units]), axis=0) ** 2
+    user_gain = np.bincount([a for _, (a, _) in keys], weights=gains, minlength=ch.k)
 
     # Everything but the SNR-dependent scalars is computed once.
     base = processor.forward_matrix / processor.power_scale
@@ -402,9 +398,7 @@ def estimate_dof_slope(ch: ChannelSet, units: list[Unit], processor: RelayProces
     signal = coeffs[np.arange(len(keys)), partner]
     interference = _without_pair(coeffs, partner).sum(axis=1)  # self-interference subtracted
     relay_noise = np.linalg.norm(chains, axis=1) ** 2
-    local_noise = np.array(
-        [np.linalg.norm(processor.receive_vectors[key]) ** 2 for key in keys]
-    )
+    local_noise = np.linalg.norm(processor.receive_vectors, axis=0) ** 2
 
     rates = []
     for db in snrs:

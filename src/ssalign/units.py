@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import lcm
 
 import numpy as np
@@ -67,29 +67,35 @@ PAIR_SURVIVAL_MIN = 1e-6
 
 @dataclass
 class Unit:
-    """One bundle of jointly beamformed streams.
+    """One bundle of jointly beamformed streams, one column per ordered pair.
 
-    ``beamformers[(a, b)]`` is user ``a``'s transmit vector for the stream
-    destined to user ``b``; ``equivalent_uplink[(a, b)]`` is its image
-    ``H_a @ u`` at the active relay antennas.
+    Column ``i`` of ``beamformers`` (``M*ext x s``) is user ``a``'s transmit
+    vector for its stream to user ``b``, ``(a, b) = pairs[i]`` with ``pairs``
+    sorted; column ``i`` of ``equivalent_uplink`` (``N_active x s``) is its
+    image ``H_a @ u`` at the active relay antennas.
     """
 
     pattern_order: int  # 2..K for aligned units, RANDOM for random directions
     group: tuple[int, ...]
-    beamformers: dict[tuple[int, int], np.ndarray]
-    equivalent_uplink: dict[tuple[int, int], np.ndarray]
+    pairs: tuple[tuple[int, int], ...]
+    beamformers: np.ndarray
+    equivalent_uplink: np.ndarray
     column_block: int = 0
 
-    def ordered_pairs(self) -> list[tuple[int, int]]:
-        return sorted(self.beamformers)
-
-    def stream_count(self) -> int:
-        return len(self.beamformers)
-
     def span_dim(self, tol: Tolerance = DEFAULT_TOL) -> int:
-        return union_span_dim(
-            [np.column_stack([self.equivalent_uplink[p] for p in self.ordered_pairs()])], tol
-        )
+        return union_span_dim([self.equivalent_uplink], tol)
+
+
+def _unit(ch: ChannelSet, pattern_order: int, group: tuple[int, ...],
+          beam: dict[tuple[int, int], np.ndarray], column_block: int = 0) -> Unit:
+    """Unit from per-pair beamformers, columns in sorted pair order."""
+    pairs = tuple(sorted(beam))
+    return Unit(
+        pattern_order, group, pairs,
+        np.column_stack([beam[p] for p in pairs]),
+        np.column_stack([ch.uplink[a] @ beam[(a, b)] for a, b in pairs]),
+        column_block,
+    )
 
 
 def build_random_unit(ch: ChannelSet, rng: np.random.Generator,
@@ -105,16 +111,10 @@ def build_random_unit(ch: ChannelSet, rng: np.random.Generator,
     mt = ch.m * ch.extension
     group = tuple(range(ch.k))
     beam: dict[tuple[int, int], np.ndarray] = {}
-    equiv: dict[tuple[int, int], np.ndarray] = {}
-    for a in group:
-        for b in group:
-            if a == b:
-                continue
-            u = complex_gaussian(rng, mt, 1)[:, 0]
-            u /= np.linalg.norm(u)
-            beam[(a, b)] = u
-            equiv[(a, b)] = ch.uplink[a] @ u
-    unit = Unit(RANDOM, group, beam, equiv)
+    for pair in permutations(group, 2):
+        u = complex_gaussian(rng, mt, 1)[:, 0]
+        beam[pair] = u / np.linalg.norm(u)
+    unit = _unit(ch, RANDOM, group, beam)
     want = ch.k * (ch.k - 1)
     got = unit.span_dim(tol)
     if got != want:
@@ -195,8 +195,7 @@ def unit_from_nullspace(ch: ChannelSet, group, basis: np.ndarray, column_block: 
         local[(j, t - 1)] = acc / _aggregate_sign(j, t - 1)
 
     beam = {(group[i], group[j]): v for (i, j), v in local.items()}
-    equiv = {(a, b): ch.uplink[a] @ v for (a, b), v in beam.items()}
-    unit = Unit(t, group, beam, equiv, column_block)
+    unit = _unit(ch, t, group, beam, column_block)
 
     want = (t - 1) ** 2
     got = unit.span_dim(tol)
@@ -211,16 +210,15 @@ def unit_from_nullspace(ch: ChannelSet, group, basis: np.ndarray, column_block: 
 def _check_pair_survival(unit: Unit, tol: Tolerance) -> None:
     vecs = unit.equivalent_uplink
     for a, b in combinations(sorted(unit.group), 2):
-        others = [v for key, v in vecs.items() if key not in ((a, b), (b, a))]
-        n = len(vecs[(a, b)])
-        q = range_basis(np.column_stack(others) if others else np.empty((n, 0)), tol)
-        for key in ((a, b), (b, a)):
-            h = vecs[key]
+        own = [unit.pairs.index((a, b)), unit.pairs.index((b, a))]
+        q = range_basis(np.delete(vecs, own, axis=1), tol)
+        for i in own:
+            h = vecs[:, i]
             norm = np.linalg.norm(h)
             # Norm of the component of h orthogonal to the rest of the unit.
             if norm == 0.0 or np.linalg.norm(h - q @ (q.conj().T @ h)) < PAIR_SURVIVAL_MIN * norm:
                 raise AlignmentDegenerate(
-                    f"stream {key} of unit on group {unit.group} does not survive "
+                    f"stream {unit.pairs[i]} of unit on group {unit.group} does not survive "
                     f"projection against the rest of its unit"
                 )
 
@@ -420,20 +418,17 @@ def execute_plan(plan: AlignmentPlan, ch: ChannelSet,
                 units.append(unit_from_nullspace(ch, alloc.group, basis, i, tol))
 
     if units:
-        all_streams = np.column_stack(
-            [u.equivalent_uplink[p] for u in units for p in u.ordered_pairs()]
-        )
-        total = union_span_dim([all_streams], tol)
+        total = union_span_dim([u.equivalent_uplink for u in units], tol)
         if total != plan.dims_used:
             raise IndependenceViolation(
                 f"units span {total} dimensions jointly, plan uses {plan.dims_used}"
             )
+        beams = np.hstack([u.beamformers for u in units])
+        senders = np.array([a for u in units for a, _ in u.pairs])
         for user in range(ch.k):
-            cols = [u.beamformers[p] for u in units for p in u.ordered_pairs() if p[0] == user]
-            if cols:
-                stack = np.column_stack(cols)
-                if numerical_rank(stack, tol) != stack.shape[1]:
-                    raise IndependenceViolation(
-                        f"user {user}'s beamformer stack is column-rank deficient"
-                    )
+            stack = beams[:, senders == user]
+            if numerical_rank(stack, tol) != stack.shape[1]:
+                raise IndependenceViolation(
+                    f"user {user}'s beamformer stack is column-rank deficient"
+                )
     return units

@@ -35,7 +35,7 @@ def channels(m, n, k, extension=1, seed=0, active=None):
 
 
 def unit_vectors(unit):
-    return [unit.equivalent_uplink[p] for p in unit.ordered_pairs()]
+    return list(unit.equivalent_uplink.T)
 
 
 class TestAlignedUnit:
@@ -43,9 +43,9 @@ class TestAlignedUnit:
         # K=3, M=3, N=5: one pair unit; the two equivalent vectors are parallel.
         ch = channels(3, 5, 3, seed=2)
         unit = build_aligned_unit(ch, (0, 1), 0)
-        assert unit.stream_count() == 2
+        assert unit.pairs == ((0, 1), (1, 0))
         assert union_span_dim(unit_vectors(unit)) == 1
-        h01, h10 = unit.equivalent_uplink[(0, 1)], unit.equivalent_uplink[(1, 0)]
+        h01, h10 = unit_vectors(unit)
         cos = abs(np.vdot(h01, h10)) / (np.linalg.norm(h01) * np.linalg.norm(h10))
         assert cos == pytest.approx(1.0, abs=1e-9)
 
@@ -53,21 +53,21 @@ class TestAlignedUnit:
         # K=3, M=2, N=5 extended twice: 6 streams on 4 dimensions.
         ch = channels(2, 5, 3, extension=2, seed=4)
         unit = build_aligned_unit(ch, (0, 1, 2), 0)
-        assert unit.stream_count() == 6
+        assert len(unit.pairs) == 6
         assert union_span_dim(unit_vectors(unit)) == 4
 
     def test_order4(self):
         # K=4, M=3, N=9: group nullity 3 feeds one unit of 12 streams on 9 dims.
         ch = channels(3, 9, 4, seed=5)
         unit = build_aligned_unit(ch, (0, 1, 2, 3), 0)
-        assert unit.stream_count() == 12
+        assert len(unit.pairs) == 12
         assert union_span_dim(unit_vectors(unit)) == 9
 
     def test_order4_extended(self):
         # K=4, M=3, N=11 needs three slots for one order-4 unit (nullity 1 each).
         ch = channels(3, 11, 4, extension=3, seed=5)
         unit = build_aligned_unit(ch, (0, 1, 2, 3), 0)
-        assert unit.stream_count() == 12
+        assert len(unit.pairs) == 12
         assert union_span_dim(unit_vectors(unit)) == 9
 
     def test_beamformers_satisfy_nullspace_relations(self):
@@ -75,7 +75,7 @@ class TestAlignedUnit:
         # beamformers maps to the negated sum of the other users' streams.
         ch = channels(3, 8, 4, extension=2, seed=6)
         unit = build_aligned_unit(ch, (0, 1, 2, 3), 0)
-        h = unit.equivalent_uplink
+        h = dict(zip(unit.pairs, unit_vectors(unit)))
         group = unit.group
         t = len(group)
         for j_local in range(t - 1):
@@ -118,12 +118,39 @@ class TestAlignedUnit:
             unit_from_nullspace(ch, group, basis, 0)
 
 
+class TestUnitLayout:
+    # Random units (extended), pair units, order-3 units with a random fill
+    # (extended) and a deactivated corner.
+    @pytest.mark.parametrize("m,n,k,improved", [(1, 4, 3, False), (2, 3, 3, False),
+                                                (2, 5, 3, False), (7, 14, 4, True)])
+    def test_columns_follow_sorted_pairs(self, m, n, k, improved):
+        plan = plan_alignment(m, n, k, improved)
+        ch = channels(m, n, k, extension=plan.extension, seed=30, active=plan.active_relay)
+        for unit in execute_plan(plan, ch, rng=derived_rng(30, 1)):
+            assert list(unit.pairs) == sorted(set(unit.pairs))
+            assert set(unit.pairs) == {(a, b) for a in unit.group for b in unit.group if a != b}
+            assert unit.beamformers.shape == (m * plan.extension, len(unit.pairs))
+            assert unit.equivalent_uplink.shape == (ch.active_relay, len(unit.pairs))
+            for i, (a, _) in enumerate(unit.pairs):
+                assert np.allclose(unit.equivalent_uplink[:, i],
+                                   ch.uplink[a] @ unit.beamformers[:, i], rtol=0, atol=1e-12)
+
+    def test_unsorted_group_gives_sorted_pairs(self):
+        ch = channels(2, 5, 3, extension=2, seed=31)
+        unit = build_aligned_unit(ch, (2, 0, 1), 0)
+        assert unit.group == (2, 0, 1)
+        assert list(unit.pairs) == sorted(unit.pairs) and len(set(unit.pairs)) == 6
+        for i, (a, _) in enumerate(unit.pairs):
+            assert np.allclose(unit.equivalent_uplink[:, i],
+                               ch.uplink[a] @ unit.beamformers[:, i], rtol=0, atol=1e-12)
+
+
 class TestRandomUnit:
     @pytest.mark.parametrize("m,n,k", [(2, 6, 3), (3, 12, 4)])
     def test_full_span(self, m, n, k):
         ch = channels(m, n, k, seed=8)
         unit = build_random_unit(ch, derived_rng(8, 1))
-        assert unit.stream_count() == k * (k - 1)
+        assert len(unit.pairs) == k * (k - 1)
         assert union_span_dim(unit_vectors(unit)) == k * (k - 1)
 
     def test_single_antenna_users_degenerate(self):
@@ -277,8 +304,8 @@ class TestExecutePlan:
         a = execute_plan(plan, ch, rng=derived_rng(15, 1))
         b = execute_plan(plan, ch, rng=derived_rng(15, 1))
         for ua, ub in zip(a, b):
-            for pair in ua.ordered_pairs():
-                assert np.array_equal(ua.beamformers[pair], ub.beamformers[pair])
+            assert ua.pairs == ub.pairs
+            assert np.array_equal(ua.beamformers, ub.beamformers)
 
     @pytest.mark.parametrize("m,n,k", [(2, 3, 3), (3, 5, 3), (2, 5, 3), (1, 4, 3),
                                        (3, 8, 4), (7, 12, 4), (1, 2, 4), (7, 16, 4),
@@ -298,8 +325,8 @@ class TestExecutePlan:
     def test_pair_survival_within_units(self):
         _, _, units = self.run(3, 8, 4, seed=21)
         for u in units:
-            vecs = u.equivalent_uplink
-            for a, b in {tuple(sorted(p)) for p in u.ordered_pairs()}:
+            vecs = dict(zip(u.pairs, unit_vectors(u)))
+            for a, b in {tuple(sorted(p)) for p in u.pairs}:
                 others = [v for key, v in vecs.items() if key not in ((a, b), (b, a))]
                 from ssalign import complement_projector
                 proj = complement_projector(np.column_stack(others))
@@ -322,11 +349,9 @@ class TestExecutePlan:
         assert len(units) == sum(a.count for a in plan.allocations)
         for unit in units:
             alone = build_aligned_unit(ch, unit.group, unit.column_block)
-            assert unit.ordered_pairs() == alone.ordered_pairs()
-            for pair in alone.ordered_pairs():
-                assert np.array_equal(unit.beamformers[pair], alone.beamformers[pair])
-                assert np.array_equal(unit.equivalent_uplink[pair],
-                                      alone.equivalent_uplink[pair])
+            assert unit.pairs == alone.pairs
+            assert np.array_equal(unit.beamformers, alone.beamformers)
+            assert np.array_equal(unit.equivalent_uplink, alone.equivalent_uplink)
 
     # Known defect: with M = N, pair units and extension > 1, the SVD
     # nullspace basis of the block-diagonal stacked channels comes out

@@ -35,7 +35,7 @@ def test_relay_processor_keeps_projector_maps():
     built = construct(3, 5, 3, 0)
     names = [f.name for f in dataclasses.fields(RelayProcessor) if "projector" in f.name]
     assert names == ["uplink_projectors", "downlink_projectors"]
-    pairs = sum(u.stream_count() for u in built.units) // 2
+    pairs = sum(len(u.pairs) for u in built.units) // 2
     for name in names:
         maps = getattr(built.processor, name)
         assert isinstance(maps, dict) and len(maps) == pairs
@@ -48,7 +48,7 @@ def test_traced_construction_reaches_every_relay_stage():
         assert tracer.missing == []
         built = construct(3, 5, 3, 0)
     counts = tracer.snapshot()
-    assert counts["projectors"] == sum(u.stream_count() for u in built.units)
+    assert counts["projectors"] == sum(len(u.pairs) for u in built.units)
     for stage in ("units.plan_s", "units.execute_s", "channel.sample_s",
                   "relay.uplink_s", "relay.downlink_s", "relay.forward_s"):
         assert counts["calls"][stage] == 1, stage

@@ -141,6 +141,12 @@ class TestLemmas:
         {"stacked_rank": [[3, 2, "4"]]},
         {"scaling": [{"k": 3}]},
         [[3, 5]],
+        {"scaling": [{"k": 3, "grid": [5], "sigmas": [2]}]},
+        {"scaling": [{"k": 3, "grid": 5, "sigmas": [2]}]},
+        {"scaling": [{"k": "3", "grid": [[1, 2]], "sigmas": [2]}]},
+        {"scaling": [{"k": 3, "grid": [[1, 2]], "sigmas": [2.5]}]},
+        {"direct_sum": [[4, 3, 3, 8, 0]]},
+        {"direct_sum": [[4, 3, 3, 8, -1]]},
     ])
     def test_bad_config_is_usage_error_before_any_trial(self, capsys, tmp_path, monkeypatch,
                                                         spec):
@@ -283,10 +289,11 @@ class TestBuildDocument:
                 assert _same_floats(got, _pairs(want))
         assert len(doc["units"]) == len(built.units)
         for got, want in zip(doc["units"], built.units):
+            assert list(want.pairs) == sorted(want.pairs)
             for field in ("beamformers", "equivalent_uplink"):
-                vectors = getattr(want, field)
-                assert list(got[field]) == [f"{a},{b}" for a, b in sorted(vectors)]
-                for (a, b), v in sorted(vectors.items()):
+                columns = getattr(want, field).T
+                assert list(got[field]) == [f"{a},{b}" for a, b in want.pairs]
+                for (a, b), v in zip(want.pairs, columns, strict=True):
                     assert _same_floats(got[field][f"{a},{b}"], _pairs(v))
 
     def test_channels_replay_bit_identical(self, capsys, built):
@@ -296,6 +303,6 @@ class TestBuildDocument:
         processor = build_relay_processor(units, back)
         assert len(units) == len(built.units)
         for got, want in zip(units, built.units):
-            for pair in want.ordered_pairs():
-                assert np.array_equal(got.beamformers[pair], want.beamformers[pair])
+            assert got.pairs == want.pairs
+            assert np.array_equal(got.beamformers, want.beamformers)
         assert np.array_equal(processor.forward_matrix, built.processor.forward_matrix)

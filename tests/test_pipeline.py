@@ -38,9 +38,8 @@ def test_construct_matches_hand_wired_stages(m, n, k, improved):
         assert np.array_equal(x, y)
     assert len(built.units) == len(units)
     for got, want in zip(built.units, units):
-        assert got.ordered_pairs() == want.ordered_pairs()
-        for pair in want.ordered_pairs():
-            assert np.array_equal(got.beamformers[pair], want.beamformers[pair])
+        assert got.pairs == want.pairs
+        assert np.array_equal(got.beamformers, want.beamformers)
     assert np.array_equal(built.processor.forward_matrix, processor.forward_matrix)
     assert verify_end_to_end(built.channels, built.units, built.processor) == report
     assert report.passed

@@ -25,7 +25,7 @@ from ssalign import (
     union_span_dim,
     verify_end_to_end,
 )
-from ssalign.errors import InvalidSweep, ProjectorCollapse
+from ssalign.errors import AlignmentDegenerate, InvalidSweep, ProjectorCollapse
 from ssalign.relay import projector
 from ssalign.units import RANDOM, Unit
 
@@ -82,8 +82,8 @@ class TestUplinkProjectors:
         rng = np.random.Generator(np.random.Philox(key=5))
         units = []
         for _ in range(2):
-            vecs = {p: complex_gaussian(rng, 2, 1)[:, 0] for p in ((0, 1), (1, 0))}
-            units.append(Unit(2, (0, 1), dict(vecs), vecs))
+            vecs = np.column_stack([complex_gaussian(rng, 2, 1)[:, 0] for _ in range(2)])
+            units.append(Unit(2, (0, 1), ((0, 1), (1, 0)), vecs.copy(), vecs))
         with pytest.raises(ProjectorCollapse):
             build_uplink_projectors(units)
 
@@ -91,10 +91,10 @@ class TestUplinkProjectors:
         # One unit, four streams in C^2: the other pair's two streams span
         # every row, so the unit's rest swallows the pair's directions.
         rng = np.random.Generator(np.random.Philox(key=6))
-        pairs = ((0, 1), (1, 0), (0, 2), (2, 0))
-        vecs = {p: complex_gaussian(rng, 2, 1)[:, 0] for p in pairs}
+        pairs = ((0, 1), (0, 2), (1, 0), (2, 0))
+        vecs = np.column_stack([complex_gaussian(rng, 2, 1)[:, 0] for _ in pairs])
         with pytest.raises(ProjectorCollapse, match="rank zero"):
-            build_uplink_projectors([Unit(RANDOM, (0, 1, 2), dict(vecs), vecs)])
+            build_uplink_projectors([Unit(RANDOM, (0, 1, 2), pairs, vecs.copy(), vecs)])
 
 
 class TestLowRankProjectors:
@@ -108,10 +108,11 @@ class TestLowRankProjectors:
                                                             extension):
         plan, ch, units, processor = full_build(m, n, k, seed=20, improved=improved)
         assert plan.extension == extension
-        keys = [(li, pair) for li, u in enumerate(units) for pair in u.ordered_pairs()]
-        uplink = {key: units[key[0]].equivalent_uplink[key[1]] for key in keys}
-        downlink = {key: ch.downlink[key[1][0]].T @ processor.receive_vectors[key]
-                    for key in keys}
+        keys = [(li, pair) for li, u in enumerate(units) for pair in u.pairs]
+        streams = np.hstack([u.equivalent_uplink for u in units])
+        uplink = dict(zip(keys, streams.T))
+        downlink = {key: ch.downlink[key[1][0]].T @ processor.receive_vectors[:, i]
+                    for i, key in enumerate(keys)}
         sides = ((uplink, processor.uplink_basis, processor.uplink_projectors),
                  (downlink, processor.downlink_basis, processor.downlink_projectors))
         for vectors, basis, factors in sides:
@@ -128,9 +129,9 @@ class TestDownlinkMirror:
         # Downlink equivalents of a pair are parallel, like the uplink ones.
         _, ch, units, processor = full_build(2, 3, 3, seed=5)
         for li, unit in enumerate(units):
-            pairs = unit.ordered_pairs()
-            g_ab = ch.downlink[pairs[0][0]].T @ processor.receive_vectors[(li, pairs[0])]
-            g_ba = ch.downlink[pairs[1][0]].T @ processor.receive_vectors[(li, pairs[1])]
+            pairs = unit.pairs
+            g_ab = ch.downlink[pairs[0][0]].T @ processor.receive_vectors[:, 2 * li]
+            g_ba = ch.downlink[pairs[1][0]].T @ processor.receive_vectors[:, 2 * li + 1]
             cos = abs(np.vdot(g_ab, g_ba)) / (np.linalg.norm(g_ab) * np.linalg.norm(g_ba))
             assert cos == pytest.approx(1.0, abs=1e-9)
 
@@ -138,18 +139,43 @@ class TestDownlinkMirror:
         _, ch, units, processor = full_build(3, 8, 4, seed=6)
         up_dims = []
         down_dims = []
-        for li, unit in enumerate(units):
-            up = [unit.equivalent_uplink[p] for p in unit.ordered_pairs()]
-            down = [ch.downlink[p[0]].T @ processor.receive_vectors[(li, p)]
-                    for p in unit.ordered_pairs()]
-            up_dims.append(union_span_dim(up))
+        start = 0
+        for unit in units:
+            columns = range(start, start + len(unit.pairs))
+            start = columns.stop
+            down = [ch.downlink[p[0]].T @ processor.receive_vectors[:, i]
+                    for p, i in zip(unit.pairs, columns)]
+            up_dims.append(union_span_dim([unit.equivalent_uplink]))
             down_dims.append(union_span_dim(down))
         assert sorted(up_dims) == sorted(down_dims)
+
+    @pytest.mark.parametrize("m,n,k,improved", [(1, 4, 3, False), (2, 3, 3, False),
+                                                (2, 5, 3, False), (7, 14, 4, True)])
+    def test_receive_vectors_are_twin_beamformers(self, m, n, k, improved):
+        plan, ch, units, processor = full_build(m, n, k, seed=32, improved=improved)
+        mirror = replace(ch, uplink=tuple(g.T.copy() for g in ch.downlink))
+        rng = derived_rng(32, 2)
+        twins = [build_random_unit(mirror, rng) if u.pattern_order == RANDOM
+                 else build_aligned_unit(mirror, u.group, u.column_block) for u in units]
+        assert [twin.pairs for twin in twins] == [u.pairs for u in units]
+        assert processor.receive_vectors.shape == (m * plan.extension,
+                                                   sum(len(u.pairs) for u in units))
+        assert np.array_equal(processor.receive_vectors,
+                              np.hstack([twin.beamformers for twin in twins]))
+
+    def test_deaf_user_fails_the_random_twin_span_check(self):
+        # With user 0's downlink zeroed, the random twin's six equivalent
+        # downlink vectors span only four dimensions.
+        _, ch, units, _ = full_build(2, 6, 3, seed=0)
+        assert [u.pattern_order for u in units] == [RANDOM]
+        deaf = replace(ch, downlink=(np.zeros_like(ch.downlink[0]),) + ch.downlink[1:])
+        with pytest.raises(AlignmentDegenerate, match="random unit spans 4 dimensions"):
+            build_relay_processor(units, deaf)
 
     def test_empty_units(self):
         ch = sample_channel_set(SystemConfig(m=2, n=3, k=3, seed=7))
         receive, projectors = design_downlink([], ch)
-        assert receive == {} and projectors.factors == {}
+        assert receive.shape == (2, 0) and projectors.factors == {}
 
 
 class TestForwardMatrix:
@@ -165,9 +191,7 @@ class TestForwardMatrix:
 
     def test_power_constraint_met_with_equality(self):
         _, ch, units, processor = full_build(2, 3, 3, seed=9)
-        streams = np.column_stack(
-            [u.equivalent_uplink[p] for u in units for p in u.ordered_pairs()]
-        )
+        streams = np.hstack([u.equivalent_uplink for u in units])
         cov = streams @ streams.conj().T + np.eye(ch.active_relay)
         f = processor.forward_matrix
         assert np.trace(f @ cov @ f.conj().T).real == pytest.approx(1.0, rel=1e-9)
@@ -213,9 +237,8 @@ class TestVerification:
         # Negative control: perturb one beamformer after the relay design is
         # frozen; the verifier must flag it, with leakage above tolerance.
         _, ch, units, processor = full_build(2, 3, 3, seed=14)
-        pair = units[0].ordered_pairs()[0]
-        units[0].beamformers[pair] = units[0].beamformers[pair].copy()
-        units[0].beamformers[pair][0] += 1.0
+        units[0].beamformers = units[0].beamformers.copy()
+        units[0].beamformers[0, 0] += 1.0
         report = verify_end_to_end(ch, units, processor)
         assert not report.passed
         assert max(rec.leakage for rec in report.streams) > DEFAULT_TOL.leakage_abs
@@ -227,6 +250,66 @@ class TestVerification:
         assert report.passed and report.counted_d_sum == 0
 
 
+def dense_chains(ch, units, processor, normalized):
+    """Reference chain coefficients, one stream at a time with dense projectors."""
+    def scale(a):
+        return np.sqrt(a.size) / np.linalg.norm(a) if normalized else 1.0
+    keys = [(li, pair) for li, u in enumerate(units) for pair in u.pairs]
+    beams = [u.beamformers[:, i] for u in units for i in range(len(u.pairs))]
+    h = np.column_stack([scale(ch.uplink[a]) * (ch.uplink[a] @ u)
+                         for (_, (a, _)), u in zip(keys, beams)])
+    rows = []
+    for i, (li, (a, b)) in enumerate(keys):
+        pair = (li, (min(a, b), max(a, b)))
+        g = scale(ch.downlink[a]) * (ch.downlink[a].T @ processor.receive_vectors[:, i])
+        rows.append(g @ projector(processor.downlink_basis, processor.downlink_projectors[pair])
+                    @ projector(processor.uplink_basis, processor.uplink_projectors[pair]))
+    partner = [keys.index((li, (b, a))) for li, (a, b) in keys]
+    return keys, beams, np.array(rows), h, partner
+
+
+class TestDenseReference:
+    @pytest.mark.parametrize("m,n,k,improved", [(3, 8, 4, False), (2, 5, 3, False),
+                                                (7, 14, 4, True)])
+    def test_report_matches_per_stream_chains(self, m, n, k, improved):
+        _, ch, units, processor = full_build(m, n, k, seed=33, improved=improved)
+        report = verify_end_to_end(ch, units, processor)
+        keys, _, chains, h, partner = dense_chains(ch, units, processor, normalized=True)
+        coeffs = np.abs(chains @ h)
+        assert [(rec.unit, rec.pair) for rec in report.streams] == keys
+        for i, rec in enumerate(report.streams):
+            assert rec.desired == pytest.approx(coeffs[i, partner[i]], rel=0, abs=1e-12)
+            assert rec.partner == pytest.approx(coeffs[i, i], rel=0, abs=1e-12)
+            rest = np.delete(coeffs[i], [i, partner[i]])
+            assert rec.leakage == pytest.approx(rest.max(), rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("m,n,k,improved", [(3, 8, 4, False), (2, 5, 3, False)])
+    def test_slope_matches_per_stream_rates(self, m, n, k, improved):
+        _, ch, units, processor = full_build(m, n, k, seed=34, improved=improved)
+        snrs = [40.0, 50.0, 60.0]
+        keys, beams, chains, h, partner = dense_chains(ch, units, processor, normalized=False)
+        gain = [sum(np.linalg.norm(u) ** 2 for (_, (a, _)), u in zip(keys, beams) if a == user)
+                for user in range(ch.k)]
+        base = processor.forward_matrix / processor.power_scale
+        rates = []
+        for db in snrs:
+            power = 10.0 ** (db / 10.0)
+            p = power / max(gain)
+            alpha_sq = power / (p * np.linalg.norm(base @ h) ** 2 + np.linalg.norm(base) ** 2)
+            rate = 0.0
+            for i in range(len(keys)):
+                c = np.abs(chains[i] @ h) ** 2
+                interference = c.sum() - c[i] - c[partner[i]]
+                noise = (alpha_sq * np.linalg.norm(chains[i]) ** 2
+                         + np.linalg.norm(processor.receive_vectors[:, i]) ** 2)
+                rate += np.log2(1 + p * alpha_sq * c[partner[i]]
+                                / (noise + p * alpha_sq * interference))
+            rates.append(rate / ch.extension)
+        want = np.polyfit([np.log2(10.0 ** (db / 10.0)) for db in snrs], rates, 1)[0]
+        got = estimate_dof_slope(ch, units, processor, snrs)
+        assert got == pytest.approx(want, rel=1e-9)
+
+
 class TestSlope:
     def test_relay_limited_k3(self):
         _, ch, units, processor = full_build(2, 3, 3, seed=16)
@@ -235,9 +318,8 @@ class TestSlope:
 
     def test_corrupted_build_slope_drops(self):
         _, ch, units, processor = full_build(2, 3, 3, seed=17)
-        pair = units[0].ordered_pairs()[0]
-        units[0].beamformers[pair] = units[0].beamformers[pair].copy()
-        units[0].beamformers[pair][0] += 1.0
+        units[0].beamformers = units[0].beamformers.copy()
+        units[0].beamformers[0, 0] += 1.0
         slope = estimate_dof_slope(ch, units, processor, [40.0, 50.0, 60.0])
         assert slope < 6.0 * 0.95
 
