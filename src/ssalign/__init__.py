@@ -44,8 +44,8 @@ from .lemmas import (
     run_battery,
 )
 from .linalg import (
-    DEFAULT_TOL,
-    Tolerance,
+    LEAKAGE_ABS,
+    RANK_REL,
     complement_projector,
     intersection_basis,
     nullspace_basis,
@@ -79,7 +79,7 @@ from .units import (
 __all__ = [
     "__version__",
     # linalg
-    "Tolerance", "DEFAULT_TOL", "numerical_rank", "nullspace_basis", "range_basis",
+    "RANK_REL", "LEAKAGE_ABS", "numerical_rank", "nullspace_basis", "range_basis",
     "intersection_basis", "complement_projector", "union_span_dim",
     # channel
     "SystemConfig", "ChannelSet", "sample_channel_set", "deactivate_relay_antennas",

@@ -13,14 +13,12 @@ and likewise for the ``M x N`` downlink matrices.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import block_diag
 
 from .errors import InvalidDeactivation, ShapeMismatch
-from .linalg import DEFAULT_TOL, Tolerance
 
 __all__ = [
     "SystemConfig",
@@ -37,7 +35,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Antenna counts, user count, extension factor, seed, and tolerances.
+    """Antenna counts, user count, extension factor, and seed.
 
     ``K = 2`` is excluded: the two-user exchange is a solved problem and the
     constructions here start from three users.
@@ -48,7 +46,6 @@ class SystemConfig:
     k: int
     extension: int = 1
     seed: int = 0
-    tol: Tolerance = DEFAULT_TOL
 
     def __post_init__(self) -> None:
         if self.k < 3:
@@ -68,8 +65,10 @@ class ChannelSet:
     ``uplink[k]`` maps user ``k``'s transmit antennas to the active relay
     rows; ``downlink[k]`` maps active relay columns to user ``k``'s receive
     antennas.  ``slot_rows[i]`` counts the relay rows still active in
-    extension slot ``i``; their sum is ``active_relay``.  Instances are
-    treated as immutable and are safe to share across threads.
+    extension slot ``i``; their sum is ``active_relay``.  ``seed`` is the
+    seed the channels were sampled from; it keys the unit and downlink RNG
+    substreams and is ignored by ``==``.  Instances are treated as immutable
+    and are safe to share across threads.
     """
 
     m: int
@@ -79,7 +78,7 @@ class ChannelSet:
     uplink: tuple[np.ndarray, ...]
     downlink: tuple[np.ndarray, ...]
     slot_rows: tuple[int, ...]
-    seed: int | None = field(default=None, compare=False)
+    seed: int = field(compare=False)
 
     def __post_init__(self) -> None:
         active = sum(self.slot_rows)
@@ -116,13 +115,13 @@ def complex_gaussian(rng: np.random.Generator, rows: int, cols: int,
     return block_diag(*blocks) if extension > 1 else blocks[0]
 
 
-def derived_rng(seed: int | None, stream: int) -> np.random.Generator:
+def derived_rng(seed: int, stream: int) -> np.random.Generator:
     """Philox generator on substream ``stream`` of a base seed.
 
     Substreams are spawned with ``SeedSequence(seed, spawn_key=(stream,))``
     and are independent of the raw-keyed channel stream.
     """
-    ss = np.random.SeedSequence(entropy=0 if seed is None else seed, spawn_key=(stream,))
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -191,8 +190,8 @@ def channel_to_json(ch: ChannelSet) -> dict:
 
     Entries are ``[re, im]`` pairs; the document replays exact instances in
     bug reports.  Deactivation is implied by the matrix shapes.  The seed
-    (``null`` when unknown) keys the unit and downlink RNG substreams, so a
-    replayed build draws the same random directions.
+    keys the unit and downlink RNG substreams, so a replayed build draws the
+    same random directions.
     """
     return {
         "m": ch.m,
@@ -205,13 +204,15 @@ def channel_to_json(ch: ChannelSet) -> dict:
     }
 
 
-def channel_from_json(doc: dict | str) -> ChannelSet:
+def channel_from_json(doc: dict) -> ChannelSet:
     """Rebuild a :class:`ChannelSet` from :func:`channel_to_json` output.
 
-    Documents written without a ``"seed"`` load with ``seed=None``.
+    Raises ``ValueError`` unless ``doc["seed"]`` is an integer in
+    ``[0, 2**64)``, so that a replay draws the original random directions.
     """
-    if isinstance(doc, str):
-        doc = json.loads(doc)
+    seed = doc.get("seed")
+    if type(seed) is not int or not 0 <= seed < 2**64:
+        raise ValueError(f"channel document needs a seed in [0, 2**64), got {seed!r}")
     m, n, k, ext = doc["m"], doc["n"], doc["k"], doc["ext"]
     uplink = tuple(_matrix_from_pairs(rows) for rows in doc["uplink"])
     downlink = tuple(_matrix_from_pairs(rows) for rows in doc["downlink"])
@@ -227,5 +228,5 @@ def channel_from_json(doc: dict | str) -> ChannelSet:
         slot_rows = tuple(counts)
     return ChannelSet(
         m=m, n=n, k=k, extension=ext,
-        uplink=uplink, downlink=downlink, slot_rows=slot_rows, seed=doc.get("seed"),
+        uplink=uplink, downlink=downlink, slot_rows=slot_rows, seed=seed,
     )

@@ -34,7 +34,7 @@ class AlignmentDegenerate(ConstructionError):
 
 
 class ExtensionOverflow(ConstructionError):
-    """No symbol-extension factor <= 64 makes every planned count integral."""
+    """No extension factor <= ``units.MAX_EXTENSION`` makes every planned count integral."""
 
 
 class InternalPlanError(ConstructionError):

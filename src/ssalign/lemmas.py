@@ -24,7 +24,7 @@ import numpy as np
 from . import dof
 from .channel import complex_gaussian
 from .errors import InvalidLemmaParams
-from .linalg import DEFAULT_TOL, Tolerance, intersection_basis, nullspace_basis, numerical_rank, union_span_dim
+from .linalg import intersection_basis, nullspace_basis, numerical_rank, union_span_dim
 
 __all__ = [
     "LemmaId",
@@ -68,23 +68,21 @@ def _tally(result: LemmaTrialResult, trial: int, observed: int) -> None:
         result.failure_trials.append(trial)
 
 
-def check_intersection(m: int, n: int, trials: int, seed: int,
-                       tol: Tolerance = DEFAULT_TOL) -> LemmaTrialResult:
+def check_intersection(m: int, n: int, trials: int, seed: int) -> LemmaTrialResult:
     """Intersection of two random M-dim subspaces of C^N has dim (2M-N)+."""
-    if m > n:
-        raise InvalidLemmaParams(f"need M <= N, got M={m}, N={n}")
+    if not 1 <= m <= n:
+        raise InvalidLemmaParams(f"need 1 <= M <= N, got M={m}, N={n}")
     result = LemmaTrialResult(
         LemmaId.INTERSECTION, {"m": m, "n": n}, trials, 0, max(2 * m - n, 0)
     )
     for trial, rng in enumerate(_trial_rngs(seed, trials)):
         a = complex_gaussian(rng, n, m)
         b = complex_gaussian(rng, n, m)
-        _tally(result, trial, intersection_basis(a, b, tol).shape[1])
+        _tally(result, trial, intersection_basis(a, b).shape[1])
     return result
 
 
-def check_stacked_rank(k: int, m: int, n: int, trials: int, seed: int,
-                       tol: Tolerance = DEFAULT_TOL) -> LemmaTrialResult:
+def check_stacked_rank(k: int, m: int, n: int, trials: int, seed: int) -> LemmaTrialResult:
     """Rank of [A_1 U_1, ..., A_K U_K] is min((K-1)(KM-N), N).
 
     ``U`` is a nullspace basis of the horizontal stack ``[A_1 .. A_K]``,
@@ -98,15 +96,14 @@ def check_stacked_rank(k: int, m: int, n: int, trials: int, seed: int,
     )
     for trial, rng in enumerate(_trial_rngs(seed, trials)):
         mats = [complex_gaussian(rng, n, m) for _ in range(k)]
-        basis = nullspace_basis(np.hstack(mats), tol)
+        basis = nullspace_basis(np.hstack(mats))
         pieces = [mats[i] @ basis[i * m:(i + 1) * m, :] for i in range(k)]
-        _tally(result, trial, numerical_rank(np.hstack(pieces), tol))
+        _tally(result, trial, numerical_rank(np.hstack(pieces)))
     return result
 
 
 def check_direct_sum(k: int, t: int, m: int, n: int, trials: int, seed: int,
-                     extension: int = 1,
-                     tol: Tolerance = DEFAULT_TOL) -> LemmaTrialResult:
+                     extension: int = 1) -> LemmaTrialResult:
     """Group-wise aligned spans sum to dim min(J(t-1)(tM-N), N), J = C(K, t).
 
     With ``extension > 1`` the matrices are block-diagonal extended and the
@@ -130,11 +127,11 @@ def check_direct_sum(k: int, t: int, m: int, n: int, trials: int, seed: int,
         mats = [complex_gaussian(rng, n, m, extension) for _ in range(k)]
         pieces = []
         for group in combinations(range(k), t):
-            basis = nullspace_basis(np.hstack([mats[g] for g in group]), tol)
+            basis = nullspace_basis(np.hstack([mats[g] for g in group]))
             pieces.extend(
                 mats[g] @ basis[i * mt:(i + 1) * mt, :] for i, g in enumerate(group)
             )
-        _tally(result, trial, union_span_dim(pieces, tol))
+        _tally(result, trial, union_span_dim(pieces))
     return result
 
 
@@ -142,6 +139,13 @@ def check_scaling(k: int, grid, sigmas) -> LemmaTrialResult:
     """Exact check that the achievable DoF scales linearly in (M, N)."""
     points = list(grid)
     scales = list(sigmas)
+    if k < 3:
+        raise InvalidLemmaParams(f"need user count K >= 3, got K={k}")
+    for m, n in points:
+        if m < 1 or n < 1:
+            raise InvalidLemmaParams(f"need positive antenna counts, got M={m}, N={n}")
+    if any(sigma < 1 for sigma in scales):
+        raise InvalidLemmaParams(f"need scale factors sigma >= 1, got {scales}")
     result = LemmaTrialResult(
         LemmaId.SCALING,
         {"k": k, "points": len(points), "sigmas": scales},
@@ -205,8 +209,7 @@ def _check_spec(spec) -> None:
         raise ValueError("battery spec selects no checks")
 
 
-def run_battery(spec: dict, trials: int, seed: int,
-                tol: Tolerance = DEFAULT_TOL) -> list[LemmaTrialResult]:
+def run_battery(spec: dict, trials: int, seed: int) -> list[LemmaTrialResult]:
     """Run the checks a battery spec lists, in the ``lemmas --config`` format.
 
     Keys: ``intersection`` rows ``[M, N]``, ``stacked_rank`` rows ``[K, M, N]``,
@@ -218,18 +221,17 @@ def run_battery(spec: dict, trials: int, seed: int,
     key, a row of the wrong length or type, or selects no check at all.
     """
     _check_spec(spec)
-    results = [check_intersection(m, n, trials, seed + i, tol)
+    results = [check_intersection(m, n, trials, seed + i)
                for i, (m, n) in enumerate(spec.get("intersection", []))]
-    results += [check_stacked_rank(k, m, n, trials, seed + 100 + i, tol)
+    results += [check_stacked_rank(k, m, n, trials, seed + 100 + i)
                 for i, (k, m, n) in enumerate(spec.get("stacked_rank", []))]
-    results += [check_direct_sum(*row[:4], trials, seed + 200 + i, *row[4:5], tol=tol)
+    results += [check_direct_sum(*row[:4], trials, seed + 200 + i, *row[4:5])
                 for i, row in enumerate(spec.get("direct_sum", []))]
     results += [check_scaling(block["k"], block["grid"], block["sigmas"])
                 for block in spec.get("scaling", [])]
     return results
 
 
-def default_battery(trials: int, seed: int,
-                    tol: Tolerance = DEFAULT_TOL) -> list[LemmaTrialResult]:
+def default_battery(trials: int, seed: int) -> list[LemmaTrialResult]:
     """Run every check over the built-in grids, :data:`DEFAULT_SPEC`."""
-    return run_battery(DEFAULT_SPEC, trials, seed, tol)
+    return run_battery(DEFAULT_SPEC, trials, seed)

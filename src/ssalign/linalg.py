@@ -2,8 +2,8 @@
 
 Everything here is SVD-based and deterministic: identical inputs give
 bit-identical outputs, and every dimension decision goes through the same
-relative singular-value threshold.  All functions are pure and safe to call
-concurrently.
+relative singular-value threshold, :data:`RANK_REL`.  All functions are pure
+and safe to call concurrently.
 
 Conventions
 -----------
@@ -15,15 +15,13 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidMatrix, ShapeMismatch
 
 __all__ = [
-    "Tolerance",
-    "DEFAULT_TOL",
+    "RANK_REL",
+    "LEAKAGE_ABS",
     "numerical_rank",
     "nullspace_basis",
     "range_basis",
@@ -33,27 +31,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Numerical thresholds for rank and residual decisions.
+# A singular value counts toward the rank when it exceeds
+# ``RANK_REL * sigma_max * max(rows, cols)``.
+RANK_REL = 1e-10
 
-    ``rank_rel`` is relative: a singular value counts toward the rank when it
-    exceeds ``rank_rel * sigma_max * max(rows, cols)``.  ``leakage_abs`` is
-    the absolute ceiling on residual norms (nullspace residuals, projector
-    leakage, interference coefficients).
-    """
-
-    rank_rel: float = 1e-10
-    leakage_abs: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.rank_rel < 1e-3:
-            raise ValueError(f"rank_rel must lie in (0, 1e-3), got {self.rank_rel}")
-        if not 0.0 < self.leakage_abs < 1e-3:
-            raise ValueError(f"leakage_abs must lie in (0, 1e-3), got {self.leakage_abs}")
-
-
-DEFAULT_TOL = Tolerance()
+# Absolute ceiling on residual norms: nullspace residuals, projector leakage
+# and interference coefficients.
+LEAKAGE_ABS = 1e-8
 
 
 def as_complex_matrix(a) -> np.ndarray:
@@ -68,23 +52,23 @@ def as_complex_matrix(a) -> np.ndarray:
     return arr
 
 
-def _rank_from_singular_values(s: np.ndarray, shape, tol: Tolerance) -> int:
+def _rank_from_singular_values(s: np.ndarray, shape) -> int:
     if s.size == 0:
         return 0
-    thresh = tol.rank_rel * s[0] * max(shape)
+    thresh = RANK_REL * s[0] * max(shape)
     return int(np.count_nonzero(s > thresh))
 
 
-def numerical_rank(a, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Rank of ``a``: singular values above ``rank_rel * sigma_max * max(shape)``."""
+def numerical_rank(a) -> int:
+    """Rank of ``a``: singular values above ``RANK_REL * sigma_max * max(shape)``."""
     arr = as_complex_matrix(a)
     if arr.size == 0:
         return 0
     s = np.linalg.svd(arr, compute_uv=False)
-    return _rank_from_singular_values(s, arr.shape, tol)
+    return _rank_from_singular_values(s, arr.shape)
 
 
-def nullspace_basis(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def nullspace_basis(a) -> np.ndarray:
     """Orthonormal basis of the right nullspace of ``a``.
 
     Returns a ``cols x (cols - rank)`` matrix whose columns are ordered by
@@ -98,21 +82,21 @@ def nullspace_basis(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     if rows == 0:
         return np.eye(cols, dtype=np.complex128)
     _, s, vh = np.linalg.svd(arr, full_matrices=True)
-    rank = _rank_from_singular_values(s, arr.shape, tol)
+    rank = _rank_from_singular_values(s, arr.shape)
     return vh[rank:][::-1].conj().T
 
 
-def range_basis(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def range_basis(a) -> np.ndarray:
     """Orthonormal basis of the column space of ``a`` (``rows x rank``)."""
     arr = as_complex_matrix(a)
     if arr.size == 0:
         return np.empty((arr.shape[0], 0), dtype=np.complex128)
     u, s, _ = np.linalg.svd(arr, full_matrices=False)
-    rank = _rank_from_singular_values(s, arr.shape, tol)
+    rank = _rank_from_singular_values(s, arr.shape)
     return u[:, :rank]
 
 
-def intersection_basis(a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def intersection_basis(a, b) -> np.ndarray:
     """Orthonormal basis of ``span(a) & span(b)``.
 
     Computed through the nullspace of the horizontal stack ``[a, -b]``: each
@@ -128,12 +112,12 @@ def intersection_basis(a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     if am.shape[1] == 0 or bm.shape[1] == 0:
         return np.empty((n, 0), dtype=np.complex128)
     stacked = np.hstack([am, -bm])
-    null = nullspace_basis(stacked, tol)
+    null = nullspace_basis(stacked)
     candidates = am @ null[: am.shape[1], :]
-    return range_basis(candidates, tol)
+    return range_basis(candidates)
 
 
-def complement_projector(b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def complement_projector(b) -> np.ndarray:
     """Orthogonal projector onto the complement of ``span(b)``.
 
     Hermitian, idempotent within tolerance, and annihilates every column of
@@ -142,11 +126,11 @@ def complement_projector(b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """
     bm = as_complex_matrix(b)
     n = bm.shape[0]
-    q = range_basis(bm, tol)
+    q = range_basis(bm)
     return np.eye(n, dtype=np.complex128) - q @ q.conj().T
 
 
-def union_span_dim(bases, tol: Tolerance = DEFAULT_TOL) -> int:
+def union_span_dim(bases) -> int:
     """Dimension of the joint span of a collection of bases/vectors."""
     mats = [as_complex_matrix(b) for b in bases]
     if not mats:
@@ -154,4 +138,4 @@ def union_span_dim(bases, tol: Tolerance = DEFAULT_TOL) -> int:
     rows = {m.shape[0] for m in mats}
     if len(rows) != 1:
         raise ShapeMismatch(f"bases have mixed row counts: {sorted(rows)}")
-    return numerical_rank(np.hstack(mats), tol)
+    return numerical_rank(np.hstack(mats))

@@ -8,7 +8,6 @@ from .channel import (
     ChannelSet,
     SystemConfig,
     deactivate_relay_antennas,
-    derived_rng,
     sample_channel_set,
 )
 from .relay import RelayProcessor, build_relay_processor
@@ -32,8 +31,8 @@ def construct(m: int, n: int, k: int, seed: int, improved: bool = False) -> Cons
 
     Stages in order: :func:`plan_alignment`; :func:`sample_channel_set` on
     ``seed``, then :func:`deactivate_relay_antennas` if the plan keeps fewer
-    relay rows; :func:`execute_plan` on RNG substream 1 of ``seed``;
-    :func:`build_relay_processor` on substream 2.  A failed stage raises
+    relay rows; :func:`execute_plan`, which draws from RNG substream 1 of
+    ``seed``; :func:`build_relay_processor`, which draws from substream 2.  A failed stage raises
     :class:`~ssalign.errors.ConstructionError`.  Count the decodable DoF of
     the result with :func:`~ssalign.relay.verify_end_to_end`, which reports
     failures instead of raising them.
@@ -43,6 +42,6 @@ def construct(m: int, n: int, k: int, seed: int, improved: bool = False) -> Cons
     channels = sample_channel_set(cfg)
     if plan.active_relay < channels.active_relay:
         channels = deactivate_relay_antennas(channels, plan.active_relay)
-    units = execute_plan(plan, channels, rng=derived_rng(seed, stream=1))
-    processor = build_relay_processor(units, channels, rng=derived_rng(seed, stream=2))
+    units = execute_plan(plan, channels)
+    processor = build_relay_processor(units, channels)
     return Construction(plan, channels, units, processor)

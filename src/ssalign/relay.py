@@ -8,7 +8,7 @@ same unit construction runs on the transposed downlink channels to produce
 receive vectors, and downlink projectors null everything but the pair among
 the equivalent downlink vectors.  The relay forwards
 ``F = alpha * sum_l sum_{a<b} W(l,a,b) @ P(l,a,b)`` with ``alpha`` meeting
-the relay power constraint with equality.
+the unit relay power budget with equality.
 
 No projector is stored densely.  Each side keeps one orthonormal basis ``Q``
 of all its streams and, per pair, a thin orthonormal ``Z``; the pair's
@@ -17,9 +17,9 @@ are assembled from these factors directly.
 
 Verification is structural: a stream is decodable when its end-to-end scalar
 chain keeps both pair coefficients above threshold while every other stream's
-coefficient stays below the leakage tolerance.  Channel matrices are
-rescaled to unit per-entry RMS before thresholding so the absolute cutoffs
-are scale-free.
+coefficient stays within :data:`~ssalign.linalg.LEAKAGE_ABS`.  Channel
+matrices are rescaled to unit per-entry RMS before thresholding so the
+absolute cutoffs are scale-free.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ from fractions import Fraction
 import numpy as np
 
 from .channel import ChannelSet, derived_rng
-from .errors import InvalidSweep, ProjectorCollapse
-from .linalg import DEFAULT_TOL, Tolerance, nullspace_basis, range_basis
-from .units import RANDOM, Unit, build_random_unit, group_nullspace, unit_from_nullspace
+from .errors import ConstructionError, InvalidSweep, ProjectorCollapse
+from .linalg import LEAKAGE_ABS, nullspace_basis, range_basis
+from .units import Unit, _build_units
 
 __all__ = [
     "PairProjectors",
@@ -130,15 +130,13 @@ def projector(basis: np.ndarray, factor: np.ndarray) -> np.ndarray:
     return np.eye(n, dtype=np.complex128) - basis @ basis.conj().T + factor @ factor.conj().T
 
 
-def build_uplink_projectors(units: list[Unit],
-                            tol: Tolerance = DEFAULT_TOL) -> PairProjectors:
+def build_uplink_projectors(units: list[Unit]) -> PairProjectors:
     """Per-(unit, pair) projectors nulling every other stream in the system."""
     n = units[0].equivalent_uplink.shape[0] if units else 0
-    return _complement_projectors(units, n, tol, side="uplink")
+    return _complement_projectors(units, n, side="uplink")
 
 
-def _complement_projectors(units: list[Unit], n: int, tol: Tolerance,
-                           side: str) -> PairProjectors:
+def _complement_projectors(units: list[Unit], n: int, side: str) -> PairProjectors:
     """Factor every pair's complement projector through one oblique basis change.
 
     The streams are the columns of the units' ``equivalent_uplink``, which
@@ -152,8 +150,8 @@ def _complement_projectors(units: list[Unit], n: int, tol: Tolerance,
     """
     if not units:
         return PairProjectors(np.empty((n, 0), dtype=np.complex128), {})
-    q = range_basis(np.hstack([u.equivalent_uplink for u in units]), tol)
-    unit_bases = [range_basis(u.equivalent_uplink, tol) for u in units]
+    q = range_basis(np.hstack([u.equivalent_uplink for u in units]))
+    unit_bases = [range_basis(u.equivalent_uplink) for u in units]
     widths = sum(b.shape[1] for b in unit_bases)
     if widths != q.shape[1]:
         raise ProjectorCollapse(
@@ -169,7 +167,7 @@ def _complement_projectors(units: list[Unit], n: int, tol: Tolerance,
         local = basis.conj().T @ unit.equivalent_uplink
         for a, b in sorted({_pair_key(*pair) for pair in unit.pairs}):
             rest = [i for i, pair in enumerate(unit.pairs) if _pair_key(*pair) != (a, b)]
-            y = nullspace_basis(local[:, rest].conj().T, tol)
+            y = nullspace_basis(local[:, rest].conj().T)
             z = np.linalg.qr(rows.conj().T @ y)[0]
             # I - Q Q^H + Z Z^H has rank n - rank(Q) + width(Z).
             if n - q.shape[1] + z.shape[1] < 1:
@@ -180,38 +178,31 @@ def _complement_projectors(units: list[Unit], n: int, tol: Tolerance,
     return PairProjectors(q, projectors)
 
 
-def design_downlink(units: list[Unit], ch: ChannelSet,
-                    rng: np.random.Generator | None = None,
-                    tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, PairProjectors]:
+def design_downlink(units: list[Unit], ch: ChannelSet) -> tuple[np.ndarray, PairProjectors]:
     """Receive vectors and downlink projectors by uplink/downlink symmetry.
 
     Builds a twin of every unit with the uplink's own unit builders on the
     transposed downlink channels (same group and column block; for random
-    units, fresh draws from ``rng``), so every twin passes the same span
-    checks.  Each group's nullspace is computed once.  The twins'
-    beamformers side by side are the receive vectors, and their equivalent
-    vectors ``G_a^T v`` give the complement projectors.
+    units, fresh draws from RNG substream 2 of ``ch.seed``), so every twin
+    passes the same span checks; a failing twin's error names its unit.  The
+    twins' beamformers side by side are the receive vectors, and their
+    equivalent vectors ``G_a^T v`` give the complement projectors.
     """
-    if rng is None:
-        rng = derived_rng(ch.seed, stream=2)
     mirror = ChannelSet(
         m=ch.m, n=ch.n, k=ch.k, extension=ch.extension,
         uplink=tuple(g.T.copy() for g in ch.downlink),
         downlink=ch.downlink, slot_rows=ch.slot_rows, seed=ch.seed,
     )
+    specs = [(u.pattern_order, u.group, u.column_block) for u in units]
     twins: list[Unit] = []
-    bases: dict[tuple[int, ...], np.ndarray] = {}
-    for unit in units:
-        if unit.pattern_order == RANDOM:
-            twins.append(build_random_unit(mirror, rng, tol))
-            continue
-        if unit.group not in bases:
-            bases[unit.group] = group_nullspace(mirror, unit.group, tol)
-        twins.append(unit_from_nullspace(mirror, unit.group, bases[unit.group],
-                                         unit.column_block, tol))
+    try:
+        for twin in _build_units(mirror, specs, derived_rng(ch.seed, stream=2)):
+            twins.append(twin)
+    except ConstructionError as exc:
+        raise type(exc)(f"downlink twin of unit {len(twins)}: {exc}") from exc
     receive = np.hstack([np.empty((ch.m * ch.extension, 0), dtype=np.complex128),
                          *(twin.beamformers for twin in twins)])
-    projectors = _complement_projectors(twins, ch.active_relay, tol, side="downlink")
+    projectors = _complement_projectors(twins, ch.active_relay, side="downlink")
     return receive, projectors
 
 
@@ -223,20 +214,17 @@ def _stacked_factors(side: PairProjectors, keys: list[Key]):
 
 
 def assemble_forward_matrix(units: list[Unit], uplink_projectors: PairProjectors,
-                            downlink_projectors: PairProjectors,
-                            power: float = 1.0) -> tuple[np.ndarray, float]:
+                            downlink_projectors: PairProjectors) -> tuple[np.ndarray, float]:
     """Sum the per-pair W P products and scale to the relay power budget.
 
     With ``P = A + Z_u Z_u^H`` and ``W = D + Z_d Z_d^H``, where ``A`` and
     ``D`` are the two sides' shared complements ``I - Q Q^H``, the sum over
     ``p`` pairs is ``p D A + D Z_u Z_u^H + Z_d Z_d^H A`` plus the pairwise
     ``Z_d (Z_d^H Z_u) Z_u^H`` terms, each a product of stacked factors.  The
-    scale solves ``tr(F E[Y_R Y_R^H] F^H) = power`` exactly, with unit
-    per-stream power and unit relay noise variance, so no Monte Carlo noise
-    enters the normalization.
+    scale solves ``tr(F E[Y_R Y_R^H] F^H) = 1`` exactly, the unit relay power
+    budget, with unit per-stream power and unit relay noise variance, so no
+    Monte Carlo noise enters the normalization.
     """
-    if power <= 0:
-        raise ValueError(f"relay power budget must be positive, got {power}")
     if not units:
         return np.zeros((0, 0), dtype=np.complex128), 1.0
     keys = list(uplink_projectors.factors)
@@ -254,17 +242,15 @@ def assemble_forward_matrix(units: list[Unit], uplink_projectors: PairProjectors
     denom = float(np.linalg.norm(base @ streams) ** 2 + np.linalg.norm(base) ** 2)
     if denom <= 0.0:
         raise ProjectorCollapse("forwarding matrix is identically zero")
-    alpha = float(np.sqrt(power / denom))
+    alpha = float(np.sqrt(1.0 / denom))
     return alpha * base, alpha
 
 
-def build_relay_processor(units: list[Unit], ch: ChannelSet, power: float = 1.0,
-                          rng: np.random.Generator | None = None,
-                          tol: Tolerance = DEFAULT_TOL) -> RelayProcessor:
+def build_relay_processor(units: list[Unit], ch: ChannelSet) -> RelayProcessor:
     """Full relay design: uplink projectors, downlink mirror, forwarding matrix."""
-    uplink = build_uplink_projectors(units, tol)
-    receive, downlink = design_downlink(units, ch, rng, tol)
-    forward, alpha = assemble_forward_matrix(units, uplink, downlink, power)
+    uplink = build_uplink_projectors(units)
+    receive, downlink = design_downlink(units, ch)
+    forward, alpha = assemble_forward_matrix(units, uplink, downlink)
     return RelayProcessor(
         uplink_basis=uplink.basis, uplink_projectors=uplink.factors,
         downlink_basis=downlink.basis, downlink_projectors=downlink.factors,
@@ -328,14 +314,14 @@ def _without_pair(coeffs: np.ndarray, partner: np.ndarray) -> np.ndarray:
     return rest
 
 
-def verify_end_to_end(ch: ChannelSet, units: list[Unit], processor: RelayProcessor,
-                      tol: Tolerance = DEFAULT_TOL) -> VerificationReport:
+def verify_end_to_end(ch: ChannelSet, units: list[Unit],
+                      processor: RelayProcessor) -> VerificationReport:
     """Measure every stream's scalar chain and count the decodable DoF.
 
     For the receiver-side stream ``(a, b)`` of unit ``l`` the chain row is
     ``g(a,b)^T W(l,{a,b}) P(l,{a,b})``; applied to the partner vector
     ``h(b,a)`` it must exceed ``DESIRED_COEFF_MIN``, and applied to any
-    stream outside the pair it must stay within ``tol.leakage_abs``.
+    stream outside the pair it must stay within :data:`~ssalign.linalg.LEAKAGE_ABS`.
     Failures are reported, never raised.
     """
     keys = _stream_keys(units)
@@ -355,10 +341,10 @@ def verify_end_to_end(ch: ChannelSet, units: list[Unit], processor: RelayProcess
         leakage = float(leakages[i])
         records.append(StreamRecord(unit=li, pair=pair, desired=desired,
                                     partner=own, leakage=leakage))
-        if desired > DESIRED_COEFF_MIN and leakage <= tol.leakage_abs:
+        if desired > DESIRED_COEFF_MIN and leakage <= LEAKAGE_ABS:
             decodable += 1
         if not (desired > DESIRED_COEFF_MIN and own > DESIRED_COEFF_MIN
-                and leakage <= tol.leakage_abs):
+                and leakage <= LEAKAGE_ABS):
             all_ok = False
     return VerificationReport(
         streams=records,
@@ -368,7 +354,7 @@ def verify_end_to_end(ch: ChannelSet, units: list[Unit], processor: RelayProcess
 
 
 def estimate_dof_slope(ch: ChannelSet, units: list[Unit], processor: RelayProcessor,
-                       snr_db_list, tol: Tolerance = DEFAULT_TOL) -> float:
+                       snr_db_list) -> float:
     """Least-squares slope of achievable sum rate against log2(SNR).
 
     The rate at each SNR is ``sum_streams log2(1 + SINR)`` per channel use,

@@ -35,14 +35,7 @@ from .errors import (
     InternalPlanError,
     SupplyExhausted,
 )
-from .linalg import (
-    DEFAULT_TOL,
-    Tolerance,
-    nullspace_basis,
-    numerical_rank,
-    range_basis,
-    union_span_dim,
-)
+from .linalg import nullspace_basis, numerical_rank, range_basis, union_span_dim
 
 __all__ = [
     "RANDOM",
@@ -82,8 +75,8 @@ class Unit:
     equivalent_uplink: np.ndarray
     column_block: int = 0
 
-    def span_dim(self, tol: Tolerance = DEFAULT_TOL) -> int:
-        return union_span_dim([self.equivalent_uplink], tol)
+    def span_dim(self) -> int:
+        return union_span_dim([self.equivalent_uplink])
 
 
 def _unit(ch: ChannelSet, pattern_order: int, group: tuple[int, ...],
@@ -98,8 +91,7 @@ def _unit(ch: ChannelSet, pattern_order: int, group: tuple[int, ...],
     )
 
 
-def build_random_unit(ch: ChannelSet, rng: np.random.Generator,
-                      tol: Tolerance = DEFAULT_TOL) -> Unit:
+def build_random_unit(ch: ChannelSet, rng: np.random.Generator) -> Unit:
     """Unit with independently drawn beamformers for every ordered pair.
 
     The K(K-1) equivalent vectors span K(K-1) relay dimensions with
@@ -116,7 +108,7 @@ def build_random_unit(ch: ChannelSet, rng: np.random.Generator,
         beam[pair] = u / np.linalg.norm(u)
     unit = _unit(ch, RANDOM, group, beam)
     want = ch.k * (ch.k - 1)
-    got = unit.span_dim(tol)
+    got = unit.span_dim()
     if got != want:
         raise AlignmentDegenerate(
             f"random unit spans {got} dimensions, expected {want} "
@@ -138,24 +130,22 @@ def _check_group(ch: ChannelSet, group) -> tuple[int, ...]:
     return group
 
 
-def group_nullspace(ch: ChannelSet, group, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def group_nullspace(ch: ChannelSet, group) -> np.ndarray:
     """Orthonormal nullspace basis of the group's stacked uplink channels.
 
     Every aligned unit on ``group`` takes its own column block of this one
     basis, so callers building several units compute it once.
     """
     group = _check_group(ch, group)
-    return nullspace_basis(np.hstack([ch.uplink[g] for g in group]), tol)
+    return nullspace_basis(np.hstack([ch.uplink[g] for g in group]))
 
 
-def build_aligned_unit(ch: ChannelSet, group, column_block: int,
-                       tol: Tolerance = DEFAULT_TOL) -> Unit:
+def build_aligned_unit(ch: ChannelSet, group, column_block: int) -> Unit:
     """Order-``t`` aligned unit from one block of the group nullspace."""
-    return unit_from_nullspace(ch, group, group_nullspace(ch, group, tol), column_block, tol)
+    return unit_from_nullspace(ch, group, group_nullspace(ch, group), column_block)
 
 
-def unit_from_nullspace(ch: ChannelSet, group, basis: np.ndarray, column_block: int,
-                        tol: Tolerance = DEFAULT_TOL) -> Unit:
+def unit_from_nullspace(ch: ChannelSet, group, basis: np.ndarray, column_block: int) -> Unit:
     """Order-``t`` aligned unit from one block of ``group_nullspace(ch, group)``.
 
     ``column_block`` selects columns ``(t-1)*block .. (t-1)*(block+1) - 1``
@@ -198,20 +188,20 @@ def unit_from_nullspace(ch: ChannelSet, group, basis: np.ndarray, column_block: 
     unit = _unit(ch, t, group, beam, column_block)
 
     want = (t - 1) ** 2
-    got = unit.span_dim(tol)
+    got = unit.span_dim()
     if got != want:
         raise AlignmentDegenerate(
             f"order-{t} unit on group {group} spans {got} dimensions, expected {want}"
         )
-    _check_pair_survival(unit, tol)
+    _check_pair_survival(unit)
     return unit
 
 
-def _check_pair_survival(unit: Unit, tol: Tolerance) -> None:
+def _check_pair_survival(unit: Unit) -> None:
     vecs = unit.equivalent_uplink
     for a, b in combinations(sorted(unit.group), 2):
         own = [unit.pairs.index((a, b)), unit.pairs.index((b, a))]
-        q = range_basis(np.delete(vecs, own, axis=1), tol)
+        q = range_basis(np.delete(vecs, own, axis=1))
         for i in own:
             h = vecs[:, i]
             norm = np.linalg.norm(h)
@@ -384,12 +374,27 @@ def _check_plan(plan: AlignmentPlan) -> None:
             )
 
 
-def execute_plan(plan: AlignmentPlan, ch: ChannelSet,
-                 rng: np.random.Generator | None = None,
-                 tol: Tolerance = DEFAULT_TOL) -> list[Unit]:
+def _build_units(ch: ChannelSet, specs, rng: np.random.Generator):
+    """Yield one unit per ``(pattern_order, group, column_block)`` spec, in order.
+
+    Random units draw from ``rng`` in spec order; aligned units take their
+    column block of the group nullspace, computed once per group.
+    """
+    bases: dict[tuple[int, ...], np.ndarray] = {}
+    for order, group, block in specs:
+        if order == RANDOM:
+            yield build_random_unit(ch, rng)
+            continue
+        if group not in bases:
+            bases[group] = group_nullspace(ch, group)
+        yield unit_from_nullspace(ch, group, bases[group], block)
+
+
+def execute_plan(plan: AlignmentPlan, ch: ChannelSet) -> list[Unit]:
     """Build every planned unit on the given channels, in allocation order.
 
-    Nullspace column blocks are consumed sequentially, never reused.  After
+    Nullspace column blocks are consumed sequentially, never reused, and
+    random units draw from RNG substream 1 of ``ch.seed``.  After
     construction the units must jointly span exactly ``plan.dims_used``
     dimensions and every user's transmit beamformer stack must have full
     column rank; any shortfall raises
@@ -404,21 +409,11 @@ def execute_plan(plan: AlignmentPlan, ch: ChannelSet,
             f"plan needs {plan.active_relay} active relay rows, channels have "
             f"{ch.active_relay}; apply deactivate_relay_antennas first"
         )
-    if rng is None:
-        rng = derived_rng(ch.seed, stream=1)
-
-    units: list[Unit] = []
-    for alloc in plan.allocations:
-        if alloc.pattern_order != RANDOM:
-            basis = group_nullspace(ch, alloc.group, tol)
-        for i in range(alloc.count):
-            if alloc.pattern_order == RANDOM:
-                units.append(build_random_unit(ch, rng, tol))
-            else:
-                units.append(unit_from_nullspace(ch, alloc.group, basis, i, tol))
+    specs = [(a.pattern_order, a.group, i) for a in plan.allocations for i in range(a.count)]
+    units = list(_build_units(ch, specs, derived_rng(ch.seed, stream=1)))
 
     if units:
-        total = union_span_dim([u.equivalent_uplink for u in units], tol)
+        total = union_span_dim([u.equivalent_uplink for u in units])
         if total != plan.dims_used:
             raise IndependenceViolation(
                 f"units span {total} dimensions jointly, plan uses {plan.dims_used}"
@@ -427,7 +422,7 @@ def execute_plan(plan: AlignmentPlan, ch: ChannelSet,
         senders = np.array([a for u in units for a, _ in u.pairs])
         for user in range(ch.k):
             stack = beams[:, senders == user]
-            if numerical_rank(stack, tol) != stack.shape[1]:
+            if numerical_rank(stack) != stack.shape[1]:
                 raise IndependenceViolation(
                     f"user {user}'s beamformer stack is column-rank deficient"
                 )

@@ -174,11 +174,16 @@ class TestJson:
         for x, y in zip(ch.uplink, back.uplink):
             assert np.array_equal(x, y)
 
-    def test_document_without_seed_loads(self):
+    @pytest.mark.parametrize("seed", [None, -1, 2**64, 1.5, True])
+    def test_document_without_valid_seed_is_rejected(self, seed):
         ch = sample_channel_set(SystemConfig(m=2, n=3, k=3, seed=5))
         doc = channel_to_json(ch)
-        del doc["seed"]
-        assert channel_from_json(doc).seed is None
+        if seed is None:
+            del doc["seed"]
+        else:
+            doc["seed"] = seed
+        with pytest.raises(ValueError, match="seed"):
+            channel_from_json(doc)
         assert channel_from_json(channel_to_json(ch)).seed == 5
 
     def test_complex_to_pairs_matches_entrywise_floats(self):

@@ -171,6 +171,19 @@ class TestLemmas:
         assert info.value.code == 2
         assert "M <= N" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec,why", [
+        ({"intersection": [[0, 4]]}, "1 <= M <= N"),
+        ({"intersection": [[-1, 4]]}, "1 <= M <= N"),
+        ({"scaling": [{"k": 2, "grid": [[1, 2]], "sigmas": [2]}]}, "K >= 3"),
+    ])
+    def test_config_below_check_domain_is_usage_error(self, capsys, tmp_path, spec, why):
+        path = tmp_path / "battery.json"
+        path.write_text(json.dumps(spec))
+        with pytest.raises(SystemExit) as info:
+            main(["lemmas", "--trials", "1", "--config", str(path)])
+        assert info.value.code == 2
+        assert why in capsys.readouterr().err
+
     @pytest.mark.parametrize("text", [None, "{'intersection': [[3, 5]]}", "\xff\xfe"])
     def test_missing_or_non_json_config_is_usage_error(self, capsys, tmp_path, text):
         path = tmp_path / "battery.json"

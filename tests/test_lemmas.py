@@ -41,9 +41,14 @@ class TestIntersection:
         with pytest.raises(InvalidLemmaParams, match="M <= N"):
             check_intersection(5, 4, TRIALS, seed=1)
 
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_empty_or_negative_subspaces_rejected(self, m):
+        with pytest.raises(InvalidLemmaParams, match="1 <= M <= N"):
+            check_intersection(m, 4, TRIALS, seed=1)
+
     def test_missed_intersections_are_tallied(self, monkeypatch):
         monkeypatch.setattr(lemmas, "intersection_basis",
-                            lambda a, b, tol: np.zeros((a.shape[0], 3)))
+                            lambda a, b: np.zeros((a.shape[0], 3)))
         result = check_intersection(3, 5, TRIALS, seed=1)
         assert result.expected_value == 1
         assert_all_missed(result, 3)
@@ -68,7 +73,7 @@ class TestStackedRank:
             check_stacked_rank(k, m, n, TRIALS, seed=2)
 
     def test_missed_ranks_are_tallied(self, monkeypatch):
-        monkeypatch.setattr(lemmas, "numerical_rank", lambda a, tol: 99)
+        monkeypatch.setattr(lemmas, "numerical_rank", lambda a: 99)
         result = check_stacked_rank(3, 2, 4, TRIALS, seed=2)
         assert result.expected_value == 4
         assert_all_missed(result, 99)
@@ -101,7 +106,7 @@ class TestDirectSum:
             check_direct_sum(k, t, m, n, TRIALS, seed=3, extension=extension)
 
     def test_missed_spans_are_tallied(self, monkeypatch):
-        monkeypatch.setattr(lemmas, "union_span_dim", lambda pieces, tol: 0)
+        monkeypatch.setattr(lemmas, "union_span_dim", lambda pieces: 0)
         result = check_direct_sum(3, 3, 2, 5, TRIALS, seed=3)
         assert result.expected_value == 2
         assert_all_missed(result, 0)
@@ -118,15 +123,13 @@ class TestScaling:
         assert result.failures == 0 and result.failure_trials == []
         assert result.observed == {1: 30}
 
-    # The domain checks live in dof: they raise ValueError, which the CLI
-    # reports as a usage error like InvalidLemmaParams.
     @pytest.mark.parametrize("k,grid,sigmas,match", [
         (3, [[1, 2]], [0], "scale factor"),
         (2, [[1, 2]], [2], "user count"),
         (3, [[0, 2]], [2], "antenna counts"),
     ])
     def test_domain_edges_rejected(self, k, grid, sigmas, match):
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(InvalidLemmaParams, match=match):
             check_scaling(k, grid, sigmas)
 
     def test_missed_scalings_are_tallied(self, monkeypatch):

@@ -7,7 +7,6 @@ from ssalign import (
     build_relay_processor,
     construct,
     deactivate_relay_antennas,
-    derived_rng,
     execute_plan,
     plan_alignment,
     sample_channel_set,
@@ -22,9 +21,9 @@ def by_hand(m, n, k, seed, improved):
     ch = sample_channel_set(cfg)
     if plan.active_relay < ch.active_relay:
         ch = deactivate_relay_antennas(ch, plan.active_relay)
-    units = execute_plan(plan, ch, rng=derived_rng(seed, 1))
-    processor = build_relay_processor(units, ch, rng=derived_rng(seed, 2))
-    return plan, ch, units, processor, verify_end_to_end(ch, units, processor, cfg.tol)
+    units = execute_plan(plan, ch)
+    processor = build_relay_processor(units, ch)
+    return plan, ch, units, processor, verify_end_to_end(ch, units, processor)
 
 
 @pytest.mark.parametrize("m,n,k,improved", [(3, 5, 3, False), (7, 14, 4, True)])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ssalign import (
-    DEFAULT_TOL,
+    LEAKAGE_ABS,
     SystemConfig,
     assemble_forward_matrix,
     build_aligned_unit,
@@ -73,7 +73,7 @@ class TestUplinkProjectors:
             + [projector(processor.downlink_basis, z)
                for z in processor.downlink_projectors.values()]
         for p in dense:
-            assert np.linalg.norm(p @ p - p) <= 10 * DEFAULT_TOL.leakage_abs
+            assert np.linalg.norm(p @ p - p) <= 10 * LEAKAGE_ABS
 
 
     def test_others_spanning_everything_collapse(self):
@@ -169,7 +169,8 @@ class TestDownlinkMirror:
         _, ch, units, _ = full_build(2, 6, 3, seed=0)
         assert [u.pattern_order for u in units] == [RANDOM]
         deaf = replace(ch, downlink=(np.zeros_like(ch.downlink[0]),) + ch.downlink[1:])
-        with pytest.raises(AlignmentDegenerate, match="random unit spans 4 dimensions"):
+        with pytest.raises(AlignmentDegenerate,
+                           match="^downlink twin of unit 0: random unit spans 4 dimensions"):
             build_relay_processor(units, deaf)
 
     def test_empty_units(self):
@@ -185,7 +186,7 @@ class TestForwardMatrix:
         unit = build_aligned_unit(ch, (0, 1), 0)
         uplink = build_uplink_projectors([unit])
         receive, downlink = design_downlink([unit], ch)
-        forward, alpha = assemble_forward_matrix([unit], uplink, downlink, power=2.0)
+        forward, alpha = assemble_forward_matrix([unit], uplink, downlink)
         assert alpha > 0
         assert np.allclose(forward, alpha * np.eye(5))
 
@@ -200,7 +201,7 @@ class TestForwardMatrix:
         ch = sample_channel_set(SystemConfig(m=2, n=6, k=3, seed=10))
         unit = build_random_unit(ch, derived_rng(10, 1))
         uplink = build_uplink_projectors([unit])
-        receive, downlink = design_downlink([unit], ch, rng=derived_rng(10, 2))
+        receive, downlink = design_downlink([unit], ch)
         forward, alpha = assemble_forward_matrix([unit], uplink, downlink)
         manual = sum(projector(downlink.basis, downlink.factors[key])
                      @ projector(uplink.basis, uplink.factors[key]) for key in uplink.factors)
@@ -229,7 +230,7 @@ class TestVerification:
         _, ch, units, processor = full_build(3, 5, 3, seed=13)
         report = verify_end_to_end(ch, units, processor)
         assert report.passed
-        assert max(rec.leakage for rec in report.streams) <= DEFAULT_TOL.leakage_abs
+        assert max(rec.leakage for rec in report.streams) <= LEAKAGE_ABS
         assert min(rec.desired for rec in report.streams) > 1e-6
         assert min(rec.partner for rec in report.streams) > 1e-6
 
@@ -241,7 +242,7 @@ class TestVerification:
         units[0].beamformers[0, 0] += 1.0
         report = verify_end_to_end(ch, units, processor)
         assert not report.passed
-        assert max(rec.leakage for rec in report.streams) > DEFAULT_TOL.leakage_abs
+        assert max(rec.leakage for rec in report.streams) > LEAKAGE_ABS
         assert report.counted_d_sum < F(6)
 
     def test_empty_units(self):
