@@ -46,7 +46,6 @@ from .lemmas import (
 from .linalg import (
     LEAKAGE_ABS,
     RANK_REL,
-    complement_projector,
     intersection_basis,
     nullspace_basis,
     numerical_rank,
@@ -70,7 +69,6 @@ from .units import (
     AlignmentPlan,
     Allocation,
     Unit,
-    build_aligned_unit,
     build_random_unit,
     execute_plan,
     plan_alignment,
@@ -80,7 +78,7 @@ __all__ = [
     "__version__",
     # linalg
     "RANK_REL", "LEAKAGE_ABS", "numerical_rank", "nullspace_basis", "range_basis",
-    "intersection_basis", "complement_projector", "union_span_dim",
+    "intersection_basis", "union_span_dim",
     # channel
     "SystemConfig", "ChannelSet", "sample_channel_set", "deactivate_relay_antennas",
     "channel_to_json", "channel_from_json", "complex_gaussian", "derived_rng",
@@ -90,7 +88,7 @@ __all__ = [
     "gamma_theta_tau", "asymptotic_dof", "scaling_check", "capacity_thresholds",
     # units
     "RANDOM", "Unit", "Allocation", "AlignmentPlan", "build_random_unit",
-    "build_aligned_unit", "plan_alignment", "execute_plan",
+    "plan_alignment", "execute_plan",
     # relay
     "RelayProcessor", "StreamRecord", "VerificationReport", "build_uplink_projectors",
     "design_downlink", "assemble_forward_matrix", "build_relay_processor",

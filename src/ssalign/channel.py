@@ -3,12 +3,14 @@
 Sampling uses numpy's Philox generator (a named, counter-based, portable
 bit stream) keyed directly by the configured seed, so a ``SystemConfig``
 reproduces bit-identical channels on any platform.  Draw order is fixed:
-uplink matrices for users ``0..K-1`` first, then downlink matrices in the
-same order, each block drawn row-major.
+uplink blocks for users ``0..K-1`` first, then downlink blocks in the same
+order; each user's blocks in slot order, each block drawn row-major.
 
-Symbol extension by a factor ``s`` replaces each ``N x M`` uplink matrix with
-a block-diagonal ``sN x sM`` matrix of independently drawn per-slot blocks,
-and likewise for the ``M x N`` downlink matrices.
+Symbol extension by a factor ``s`` makes every channel block-diagonal over
+``s`` slots.  Only the diagonal blocks are stored, one per slot: ``N x M``
+uplink and ``M x N`` downlink, fewer relay rows after deactivation;
+:func:`slot_product` applies the block-diagonal matrix.  Extended transmit
+vectors are slot-major (``M`` entries per slot) and relay rows likewise.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .errors import InvalidDeactivation, ShapeMismatch
 
@@ -29,6 +30,7 @@ __all__ = [
     "channel_from_json",
     "complex_gaussian",
     "derived_rng",
+    "slot_product",
     "complex_to_pairs",
 ]
 
@@ -62,11 +64,13 @@ class SystemConfig:
 class ChannelSet:
     """One channel realization, possibly extended and/or deactivated.
 
-    ``uplink[k]`` maps user ``k``'s transmit antennas to the active relay
-    rows; ``downlink[k]`` maps active relay columns to user ``k``'s receive
-    antennas.  ``slot_rows[i]`` counts the relay rows still active in
-    extension slot ``i``; their sum is ``active_relay``.  ``seed`` is the
-    seed the channels were sampled from; it keys the unit and downlink RNG
+    ``uplink[k][i]`` is user ``k``'s slot-``i`` block, mapping its ``M``
+    transmit antennas to the slot's active relay rows; ``downlink[k][i]``
+    maps those rows to user ``k``'s ``M`` receive antennas.  ``extension``
+    (the number of slots), ``slot_rows`` (the active relay rows of each
+    slot) and ``active_relay`` (their sum) are read from the block shapes,
+    which must agree across users and links.  ``seed`` is the seed the
+    channels were sampled from; it keys the unit, mixing and downlink RNG
     substreams and is ignored by ``==``.  Instances are treated as immutable
     and are safe to share across threads.
     """
@@ -74,76 +78,72 @@ class ChannelSet:
     m: int
     n: int
     k: int
-    extension: int
-    uplink: tuple[np.ndarray, ...]
-    downlink: tuple[np.ndarray, ...]
-    slot_rows: tuple[int, ...]
+    uplink: tuple[tuple[np.ndarray, ...], ...]
+    downlink: tuple[tuple[np.ndarray, ...], ...]
     seed: int = field(compare=False)
 
     def __post_init__(self) -> None:
-        active = sum(self.slot_rows)
-        mt = self.m * self.extension
-        if len(self.uplink) != self.k or len(self.downlink) != self.k:
-            raise ShapeMismatch("need one uplink and one downlink matrix per user")
-        for h in self.uplink:
-            if h.shape != (active, mt):
-                raise ShapeMismatch(f"uplink shape {h.shape} != {(active, mt)}")
-        for g in self.downlink:
-            if g.shape != (mt, active):
-                raise ShapeMismatch(f"downlink shape {g.shape} != {(mt, active)}")
+        rows = self.slot_rows if self.uplink else ()
+        up, down = [(r, self.m) for r in rows], [(self.m, r) for r in rows]
+        if (not rows or [[h.shape for h in b] for b in self.uplink] != [up] * self.k
+                or [[g.shape for g in b] for b in self.downlink] != [down] * self.k):
+            raise ShapeMismatch(f"every user needs uplink blocks {up} and downlink blocks {down}")
+
+    @property
+    def extension(self) -> int:
+        return len(self.uplink[0])
+
+    @property
+    def slot_rows(self) -> tuple[int, ...]:
+        return tuple(h.shape[0] for h in self.uplink[0])
 
     @property
     def active_relay(self) -> int:
         return sum(self.slot_rows)
 
 
-def complex_gaussian(rng: np.random.Generator, rows: int, cols: int,
-                     extension: int = 1) -> np.ndarray:
+def complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     """Circularly-symmetric complex Gaussian matrix, unit variance per entry.
 
-    Each ``rows x cols`` block draws its real parts, then its imaginary
-    parts, row-major.  With ``extension > 1`` the result is block-diagonal
-    with ``extension`` independent blocks drawn in slot order.  A unit
+    Draws the real parts, then the imaginary parts, row-major.  A unit
     direction in ``C^size`` is ``complex_gaussian(rng, size, 1)[:, 0]``
     divided by its norm.
     """
-    blocks = [
-        (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)))
-        / np.sqrt(2.0)
-        for _ in range(extension)
-    ]
-    return block_diag(*blocks) if extension > 1 else blocks[0]
+    re = rng.standard_normal((rows, cols))
+    im = rng.standard_normal((rows, cols))
+    return (re + 1j * im) / np.sqrt(2.0)
 
 
-def derived_rng(seed: int, stream: int) -> np.random.Generator:
-    """Philox generator on substream ``stream`` of a base seed.
+def derived_rng(seed: int, *key: int) -> np.random.Generator:
+    """Philox generator on the substream ``key`` of a base seed.
 
-    Substreams are spawned with ``SeedSequence(seed, spawn_key=(stream,))``
-    and are independent of the raw-keyed channel stream.
+    Substreams are spawned with ``SeedSequence(seed, spawn_key=key)`` and
+    are independent of each other and of the raw-keyed channel stream.
     """
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=key)
     return np.random.Generator(np.random.Philox(ss))
 
 
 def sample_channel_set(cfg: SystemConfig) -> ChannelSet:
     """Draw one i.i.d. complex Gaussian channel realization for ``cfg``."""
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    uplink = tuple(complex_gaussian(rng, cfg.n, cfg.m, cfg.extension) for _ in range(cfg.k))
-    downlink = tuple(complex_gaussian(rng, cfg.m, cfg.n, cfg.extension) for _ in range(cfg.k))
-    return ChannelSet(
-        m=cfg.m, n=cfg.n, k=cfg.k, extension=cfg.extension,
-        uplink=uplink, downlink=downlink,
-        slot_rows=(cfg.n,) * cfg.extension, seed=cfg.seed,
-    )
+
+    def slots(rows: int, cols: int) -> tuple[np.ndarray, ...]:
+        return tuple(complex_gaussian(rng, rows, cols) for _ in range(cfg.extension))
+
+    uplink = tuple(slots(cfg.n, cfg.m) for _ in range(cfg.k))
+    downlink = tuple(slots(cfg.m, cfg.n) for _ in range(cfg.k))
+    return ChannelSet(m=cfg.m, n=cfg.n, k=cfg.k, uplink=uplink, downlink=downlink,
+                      seed=cfg.seed)
 
 
 def deactivate_relay_antennas(ch: ChannelSet, n_active: int) -> ChannelSet:
     """Keep only ``n_active`` relay rows (and downlink columns).
 
     Rows are dropped slot by slot, always from the slot that currently keeps
-    the most (later slots first on ties), so every extension slot retains a
-    prefix of its antennas and no transmit column goes dark.  With
-    ``extension == 1`` this is exactly a row prefix.
+    the most (later slots first on ties), so every extension slot keeps a
+    prefix of its rows, and no slot goes dark while another keeps two or
+    more.  With ``extension == 1`` this is exactly a row prefix.
     """
     if int(n_active) != n_active or n_active < 1:
         raise InvalidDeactivation(f"active count must be a positive integer, got {n_active}")
@@ -156,18 +156,18 @@ def deactivate_relay_antennas(ch: ChannelSet, n_active: int) -> ChannelSet:
     for _ in range(ch.active_relay - n_active):
         drop = max(range(len(counts)), key=lambda i: (counts[i], i))
         counts[drop] -= 1
-    keep: list[int] = []
-    offset = 0
-    for old, new in zip(ch.slot_rows, counts):
-        keep.extend(range(offset, offset + new))
-        offset += old
-    idx = np.asarray(keep, dtype=int)
-    return ChannelSet(
-        m=ch.m, n=ch.n, k=ch.k, extension=ch.extension,
-        uplink=tuple(h[idx, :].copy() for h in ch.uplink),
-        downlink=tuple(g[:, idx].copy() for g in ch.downlink),
-        slot_rows=tuple(counts), seed=ch.seed,
-    )
+    up = tuple(tuple(h[:r].copy() for h, r in zip(blocks, counts)) for blocks in ch.uplink)
+    down = tuple(tuple(g[:, :r].copy() for g, r in zip(blocks, counts)) for blocks in ch.downlink)
+    return ChannelSet(m=ch.m, n=ch.n, k=ch.k, uplink=up, downlink=down, seed=ch.seed)
+
+
+def slot_product(blocks: tuple[np.ndarray, ...], x: np.ndarray) -> np.ndarray:
+    """``blockdiag(*blocks) @ x``; block ``i`` acts on row segment ``i`` of ``x``.
+
+    For a downlink transpose ``G^T x`` pass ``tuple(g.T for g in blocks)``.
+    """
+    cols = blocks[0].shape[1]
+    return np.concatenate([b @ x[i * cols:(i + 1) * cols] for i, b in enumerate(blocks)])
 
 
 def complex_to_pairs(a: np.ndarray) -> list:
@@ -179,28 +179,30 @@ def complex_to_pairs(a: np.ndarray) -> list:
     return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
-def _matrix_from_pairs(rows: list) -> np.ndarray:
-    if not rows:
-        return np.empty((0, 0), dtype=np.complex128)
-    return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=np.complex128)
+def _matrix_from_pairs(rows: list, cols: int) -> np.ndarray:
+    """Inverse of :func:`complex_to_pairs`; ``cols`` sizes a matrix without entries."""
+    pairs = np.asarray(rows, dtype=np.float64)
+    if pairs.size == 0:
+        return np.empty((len(rows), cols), dtype=np.complex128)
+    return pairs[..., 0] + 1j * pairs[..., 1]
 
 
 def channel_to_json(ch: ChannelSet) -> dict:
-    """Serialize to ``{"m", "n", "k", "ext", "seed", "uplink", "downlink"}``.
+    """Serialize to ``{"m", "n", "k", "seed", "uplink", "downlink"}``.
 
-    Entries are ``[re, im]`` pairs; the document replays exact instances in
-    bug reports.  Deactivation is implied by the matrix shapes.  The seed
-    keys the unit and downlink RNG substreams, so a replayed build draws the
-    same random directions.
+    ``uplink[k][i]`` is user ``k``'s slot-``i`` block, rows of ``[re, im]``
+    pairs, and likewise ``downlink[k][i]``; the slot count and deactivation
+    are implied by the blocks.  The document replays exact instances in bug
+    reports: the seed keys the unit, mixing and downlink RNG substreams, so a
+    replayed build draws the same random directions.
     """
     return {
         "m": ch.m,
         "n": ch.n,
         "k": ch.k,
-        "ext": ch.extension,
         "seed": ch.seed,
-        "uplink": [complex_to_pairs(h) for h in ch.uplink],
-        "downlink": [complex_to_pairs(g) for g in ch.downlink],
+        "uplink": [[complex_to_pairs(h) for h in blocks] for blocks in ch.uplink],
+        "downlink": [[complex_to_pairs(g) for g in blocks] for blocks in ch.downlink],
     }
 
 
@@ -208,25 +210,13 @@ def channel_from_json(doc: dict) -> ChannelSet:
     """Rebuild a :class:`ChannelSet` from :func:`channel_to_json` output.
 
     Raises ``ValueError`` unless ``doc["seed"]`` is an integer in
-    ``[0, 2**64)``, so that a replay draws the original random directions.
+    ``[0, 2**64)``, so that a replay draws the original random directions,
+    and unless the block shapes agree across users and links.
     """
     seed = doc.get("seed")
     if type(seed) is not int or not 0 <= seed < 2**64:
         raise ValueError(f"channel document needs a seed in [0, 2**64), got {seed!r}")
-    m, n, k, ext = doc["m"], doc["n"], doc["k"], doc["ext"]
-    uplink = tuple(_matrix_from_pairs(rows) for rows in doc["uplink"])
-    downlink = tuple(_matrix_from_pairs(rows) for rows in doc["downlink"])
-    if ext == 1:
-        slot_rows = (uplink[0].shape[0],)
-    else:
-        # Rows of a block-diagonal matrix live in exactly one column block;
-        # recover each kept row's slot from its nonzero block.
-        counts = [0] * ext
-        for row in uplink[0]:
-            norms = [np.linalg.norm(row[j * m:(j + 1) * m]) for j in range(ext)]
-            counts[int(np.argmax(norms))] += 1
-        slot_rows = tuple(counts)
-    return ChannelSet(
-        m=m, n=n, k=k, extension=ext,
-        uplink=uplink, downlink=downlink, slot_rows=slot_rows, seed=seed,
-    )
+    m = doc["m"]
+    up = tuple(tuple(_matrix_from_pairs(h, m) for h in blocks) for blocks in doc["uplink"])
+    down = tuple(tuple(_matrix_from_pairs(g, 0) for g in blocks) for blocks in doc["downlink"])
+    return ChannelSet(m=m, n=doc["n"], k=doc["k"], uplink=up, downlink=down, seed=seed)

@@ -107,7 +107,8 @@ def check_direct_sum(k: int, t: int, m: int, n: int, trials: int, seed: int,
     """Group-wise aligned spans sum to dim min(J(t-1)(tM-N), N), J = C(K, t).
 
     With ``extension > 1`` the matrices are block-diagonal extended and the
-    formula scales by the extension factor on both sides.
+    formula scales by the extension factor on both sides.  They are dense on
+    purpose: this check is the independent reference for the slot-wise units.
     """
     if t > k or t < 2:
         raise InvalidLemmaParams(f"need 2 <= t <= K, got t={t}, K={k}")
@@ -124,7 +125,11 @@ def check_direct_sum(k: int, t: int, m: int, n: int, trials: int, seed: int,
     )
     mt = m * extension
     for trial, rng in enumerate(_trial_rngs(seed, trials)):
-        mats = [complex_gaussian(rng, n, m, extension) for _ in range(k)]
+        mats = []
+        for _ in range(k):
+            mats.append(np.zeros((extension * n, mt), dtype=np.complex128))
+            for s in range(extension):
+                mats[-1][s * n:(s + 1) * n, s * m:(s + 1) * m] = complex_gaussian(rng, n, m)
         pieces = []
         for group in combinations(range(k), t):
             basis = nullspace_basis(np.hstack([mats[g] for g in group]))
@@ -139,13 +144,7 @@ def check_scaling(k: int, grid, sigmas) -> LemmaTrialResult:
     """Exact check that the achievable DoF scales linearly in (M, N)."""
     points = list(grid)
     scales = list(sigmas)
-    if k < 3:
-        raise InvalidLemmaParams(f"need user count K >= 3, got K={k}")
-    for m, n in points:
-        if m < 1 or n < 1:
-            raise InvalidLemmaParams(f"need positive antenna counts, got M={m}, N={n}")
-    if any(sigma < 1 for sigma in scales):
-        raise InvalidLemmaParams(f"need scale factors sigma >= 1, got {scales}")
+    _scaling_domain(k, points, scales)
     result = LemmaTrialResult(
         LemmaId.SCALING,
         {"k": k, "points": len(points), "sigmas": scales},
@@ -158,6 +157,16 @@ def check_scaling(k: int, grid, sigmas) -> LemmaTrialResult:
             _tally(result, trial, 1 if ok else 0)
             trial += 1
     return result
+
+
+def _scaling_domain(k: int, points, scales) -> None:
+    if k < 3:
+        raise InvalidLemmaParams(f"need user count K >= 3, got K={k}")
+    for m, n in points:
+        if m < 1 or n < 1:
+            raise InvalidLemmaParams(f"need positive antenna counts, got M={m}, N={n}")
+    if any(sigma < 1 for sigma in scales):
+        raise InvalidLemmaParams(f"need scale factors sigma >= 1, got {scales}")
 
 
 # Built-in battery, in the format :func:`run_battery` reads.
@@ -218,15 +227,21 @@ def run_battery(spec: dict, trials: int, seed: int) -> list[LemmaTrialResult]:
     ``seed + i``, plus 100 for stacked rank and 200 for direct sum.
 
     Raises ``ValueError`` before any trial runs when the spec has an unknown
-    key, a row of the wrong length or type, or selects no check at all.
+    key, a row of the wrong length or type, or selects no check at all, and
+    :class:`~ssalign.errors.InvalidLemmaParams` (a ``ValueError`` too) when
+    any row lies outside its check's parameter domain.
     """
     _check_spec(spec)
-    results = [check_intersection(m, n, trials, seed + i)
-               for i, (m, n) in enumerate(spec.get("intersection", []))]
-    results += [check_stacked_rank(k, m, n, trials, seed + 100 + i)
-                for i, (k, m, n) in enumerate(spec.get("stacked_rank", []))]
-    results += [check_direct_sum(*row[:4], trials, seed + 200 + i, *row[4:5])
-                for i, row in enumerate(spec.get("direct_sum", []))]
+    for block in spec.get("scaling", []):
+        _scaling_domain(block["k"], block["grid"], block["sigmas"])
+    # A first pass with zero trials checks every other row's domain; the second runs.
+    for count in (0, trials):
+        results = [check_intersection(m, n, count, seed + i)
+                   for i, (m, n) in enumerate(spec.get("intersection", []))]
+        results += [check_stacked_rank(k, m, n, count, seed + 100 + i)
+                    for i, (k, m, n) in enumerate(spec.get("stacked_rank", []))]
+        results += [check_direct_sum(*row[:4], count, seed + 200 + i, *row[4:5])
+                    for i, row in enumerate(spec.get("direct_sum", []))]
     results += [check_scaling(block["k"], block["grid"], block["sigmas"])
                 for block in spec.get("scaling", [])]
     return results

@@ -26,7 +26,6 @@ __all__ = [
     "nullspace_basis",
     "range_basis",
     "intersection_basis",
-    "complement_projector",
     "union_span_dim",
 ]
 
@@ -115,19 +114,6 @@ def intersection_basis(a, b) -> np.ndarray:
     null = nullspace_basis(stacked)
     candidates = am @ null[: am.shape[1], :]
     return range_basis(candidates)
-
-
-def complement_projector(b) -> np.ndarray:
-    """Orthogonal projector onto the complement of ``span(b)``.
-
-    Hermitian, idempotent within tolerance, and annihilates every column of
-    ``b``.  Rank-deficient ``b`` is handled by projecting with an orthonormal
-    basis of its span instead of the normal-equation inverse.
-    """
-    bm = as_complex_matrix(b)
-    n = bm.shape[0]
-    q = range_basis(bm)
-    return np.eye(n, dtype=np.complex128) - q @ q.conj().T
 
 
 def union_span_dim(bases) -> int:

@@ -17,9 +17,10 @@ are assembled from these factors directly.
 
 Verification is structural: a stream is decodable when its end-to-end scalar
 chain keeps both pair coefficients above threshold while every other stream's
-coefficient stays within :data:`~ssalign.linalg.LEAKAGE_ABS`.  Channel
-matrices are rescaled to unit per-entry RMS before thresholding so the
-absolute cutoffs are scale-free.
+coefficient stays within :data:`~ssalign.linalg.LEAKAGE_ABS`.  Each
+channel is rescaled to unit per-entry RMS before thresholding, so the
+absolute cutoffs are scale-free; the RMS is that of the whole
+``N_active x M*ext`` block-diagonal matrix, its structural zeros counted.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .channel import ChannelSet, derived_rng
+from .channel import ChannelSet, derived_rng, slot_product
 from .errors import ConstructionError, InvalidSweep, ProjectorCollapse
 from .linalg import LEAKAGE_ABS, nullspace_basis, range_basis
 from .units import Unit, _build_units
@@ -39,7 +40,6 @@ __all__ = [
     "RelayProcessor",
     "StreamRecord",
     "VerificationReport",
-    "projector",
     "build_uplink_projectors",
     "design_downlink",
     "assemble_forward_matrix",
@@ -63,7 +63,7 @@ class PairProjectors:
     ``basis`` is an orthonormal basis ``Q`` of every stream on that side.
     ``factors[(l, (a, b))]`` is an orthonormal ``Z`` spanning the directions
     of ``span(Q)`` orthogonal to every stream except the pair's two, so the
-    pair's projector is ``I - Q Q^H + Z Z^H`` (see :func:`projector`).
+    pair's projector is ``I - Q Q^H + Z Z^H``.
     """
 
     basis: np.ndarray
@@ -124,12 +124,6 @@ def _pair_key(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
-def projector(basis: np.ndarray, factor: np.ndarray) -> np.ndarray:
-    """Dense projector ``I - Q Q^H + Z Z^H`` of one pair from its factors."""
-    n = basis.shape[0]
-    return np.eye(n, dtype=np.complex128) - basis @ basis.conj().T + factor @ factor.conj().T
-
-
 def build_uplink_projectors(units: list[Unit]) -> PairProjectors:
     """Per-(unit, pair) projectors nulling every other stream in the system."""
     n = units[0].equivalent_uplink.shape[0] if units else 0
@@ -188,15 +182,13 @@ def design_downlink(units: list[Unit], ch: ChannelSet) -> tuple[np.ndarray, Pair
     twins' beamformers side by side are the receive vectors, and their
     equivalent vectors ``G_a^T v`` give the complement projectors.
     """
-    mirror = ChannelSet(
-        m=ch.m, n=ch.n, k=ch.k, extension=ch.extension,
-        uplink=tuple(g.T.copy() for g in ch.downlink),
-        downlink=ch.downlink, slot_rows=ch.slot_rows, seed=ch.seed,
-    )
+    transposed = tuple(tuple(g.T for g in blocks) for blocks in ch.downlink)
+    mirror = ChannelSet(m=ch.m, n=ch.n, k=ch.k, uplink=transposed, downlink=ch.downlink,
+                        seed=ch.seed)
     specs = [(u.pattern_order, u.group, u.column_block) for u in units]
     twins: list[Unit] = []
     try:
-        for twin in _build_units(mirror, specs, derived_rng(ch.seed, stream=2)):
+        for twin in _build_units(mirror, specs, derived_rng(ch.seed, 2)):
             twins.append(twin)
     except ConstructionError as exc:
         raise type(exc)(f"downlink twin of unit {len(twins)}: {exc}") from exc
@@ -258,11 +250,11 @@ def build_relay_processor(units: list[Unit], ch: ChannelSet) -> RelayProcessor:
     )
 
 
-def _entry_rms_scale(a: np.ndarray) -> float:
-    norm = np.linalg.norm(a)
-    if norm == 0.0:
-        return 1.0
-    return float(np.sqrt(a.size) / norm)
+def _entry_rms_scale(blocks: tuple[np.ndarray, ...]) -> float:
+    """Inverse per-entry RMS of the block-diagonal channel, structural zeros counted."""
+    norm = np.linalg.norm(np.concatenate([b.ravel() for b in blocks]))
+    size = sum(b.shape[0] for b in blocks) * sum(b.shape[1] for b in blocks)
+    return float(np.sqrt(size) / norm) if norm else 1.0
 
 
 def _project_rows(rows: np.ndarray, basis: np.ndarray, factors: dict,
@@ -291,8 +283,9 @@ def _chain_vectors(ch: ChannelSet, units: list[Unit], processor: RelayProcessor,
         cols = senders == a
         up = _entry_rms_scale(ch.uplink[a]) if normalized else 1.0
         dn = _entry_rms_scale(ch.downlink[a]) if normalized else 1.0
-        h[:, cols] = up * (ch.uplink[a] @ beams[:, cols])
-        g[cols] = dn * (ch.downlink[a].T @ processor.receive_vectors[:, cols]).T
+        h[:, cols] = up * slot_product(ch.uplink[a], beams[:, cols])
+        g[cols] = dn * slot_product(tuple(b.T for b in ch.downlink[a]),
+                                    processor.receive_vectors[:, cols]).T
     pairs = [(li, _pair_key(*pair)) for li, pair in keys]
     chains = _project_rows(g, processor.downlink_basis, processor.downlink_projectors, pairs)
     chains = _project_rows(chains, processor.uplink_basis, processor.uplink_projectors, pairs)

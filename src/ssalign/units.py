@@ -27,7 +27,7 @@ from math import lcm
 import numpy as np
 
 from . import dof
-from .channel import ChannelSet, complex_gaussian, derived_rng
+from .channel import ChannelSet, complex_gaussian, derived_rng, slot_product
 from .errors import (
     AlignmentDegenerate,
     ExtensionOverflow,
@@ -43,7 +43,6 @@ __all__ = [
     "Allocation",
     "AlignmentPlan",
     "build_random_unit",
-    "build_aligned_unit",
     "group_nullspace",
     "unit_from_nullspace",
     "plan_alignment",
@@ -83,12 +82,13 @@ def _unit(ch: ChannelSet, pattern_order: int, group: tuple[int, ...],
           beam: dict[tuple[int, int], np.ndarray], column_block: int = 0) -> Unit:
     """Unit from per-pair beamformers, columns in sorted pair order."""
     pairs = tuple(sorted(beam))
-    return Unit(
-        pattern_order, group, pairs,
-        np.column_stack([beam[p] for p in pairs]),
-        np.column_stack([ch.uplink[a] @ beam[(a, b)] for a, b in pairs]),
-        column_block,
-    )
+    beams = np.column_stack([beam[p] for p in pairs])
+    # Every member sends to every other member, so in sorted pair order the
+    # i-th smallest member's streams are the i-th run of len(group) - 1 columns.
+    per = len(group) - 1
+    streams = np.hstack([slot_product(ch.uplink[a], beams[:, i * per:(i + 1) * per])
+                         for i, a in enumerate(sorted(group))])
+    return Unit(pattern_order, group, pairs, beams, streams, column_block)
 
 
 def build_random_unit(ch: ChannelSet, rng: np.random.Generator) -> Unit:
@@ -133,16 +133,29 @@ def _check_group(ch: ChannelSet, group) -> tuple[int, ...]:
 def group_nullspace(ch: ChannelSet, group) -> np.ndarray:
     """Orthonormal nullspace basis of the group's stacked uplink channels.
 
-    Every aligned unit on ``group`` takes its own column block of this one
-    basis, so callers building several units compute it once.
+    Stacked column ``i*M*ext + s*M + j`` (user ``group[i]``, slot ``s``,
+    antenna ``j``) meets only slot ``s``'s relay rows, so the nullspace is
+    the direct sum of the slots' nullspaces: one small SVD per slot, of
+    ``[H_{g0}[s], ..., H_{g(t-1)}[s]]``, embedded in the stacked coordinates.
+    That basis is slot-localised, and its consecutive column blocks would
+    repeat relay directions, so it is multiplied by one ``width x width``
+    unitary, the Q factor of a complex Gaussian matrix drawn from
+    ``derived_rng(ch.seed, 3, *group)``.  The basis is thus a pure function
+    of ``(ch, group)`` and replays from the channel JSON.  Every aligned unit
+    on ``group`` takes its own column block, so callers compute it once.
     """
     group = _check_group(ch, group)
-    return nullspace_basis(np.hstack([ch.uplink[g] for g in group]))
-
-
-def build_aligned_unit(ch: ChannelSet, group, column_block: int) -> Unit:
-    """Order-``t`` aligned unit from one block of the group nullspace."""
-    return unit_from_nullspace(ch, group, group_nullspace(ch, group), column_block)
+    t, ext = len(group), ch.extension
+    slots = [nullspace_basis(np.hstack([ch.uplink[g][s] for g in group])) for s in range(ext)]
+    width = sum(b.shape[1] for b in slots)
+    mixing = np.linalg.qr(complex_gaussian(derived_rng(ch.seed, 3, *group), width, width))[0]
+    basis = np.empty((t, ext, ch.m, width), dtype=np.complex128)
+    start = 0
+    for s, slot in enumerate(slots):
+        # Slot s's entries of every user segment: its basis times its rows of the mixing.
+        basis[:, s] = (slot @ mixing[start:start + slot.shape[1]]).reshape(t, ch.m, width)
+        start += slot.shape[1]
+    return basis.reshape(t * ext * ch.m, width)
 
 
 def unit_from_nullspace(ch: ChannelSet, group, basis: np.ndarray, column_block: int) -> Unit:
@@ -410,7 +423,7 @@ def execute_plan(plan: AlignmentPlan, ch: ChannelSet) -> list[Unit]:
             f"{ch.active_relay}; apply deactivate_relay_antennas first"
         )
     specs = [(a.pattern_order, a.group, i) for a in plan.allocations for i in range(a.count)]
-    units = list(_build_units(ch, specs, derived_rng(ch.seed, stream=1)))
+    units = list(_build_units(ch, specs, derived_rng(ch.seed, 1)))
 
     if units:
         total = union_span_dim([u.equivalent_uplink for u in units])

@@ -9,7 +9,6 @@ from ssalign import (
     SystemConfig,
     achievable_basic,
     achievable_improved,
-    build_aligned_unit,
     build_random_unit,
     deactivate_relay_antennas,
     derived_rng,
@@ -25,6 +24,8 @@ from ssalign.errors import (
     SupplyExhausted,
 )
 from ssalign.units import group_nullspace, unit_from_nullspace
+
+from reference import build_aligned_unit, complement_projector, dense
 
 
 def channels(m, n, k, extension=1, seed=0, active=None):
@@ -98,6 +99,13 @@ class TestAlignedUnit:
         u1 = build_aligned_unit(ch, (0, 1), 1)
         assert union_span_dim(unit_vectors(u0) + unit_vectors(u1)) == 2
 
+    def test_full_rank_stack_has_empty_nullspace(self):
+        # Four 3-antenna users into 12 relay rows per slot: no nullspace.
+        ch = channels(3, 12, 4, extension=2, seed=7)
+        assert group_nullspace(ch, (0, 1, 2, 3)).shape == (24, 0)
+        with pytest.raises(SupplyExhausted):
+            build_aligned_unit(ch, (0, 1, 2, 3), 0)
+
     def test_supply_exhausted(self):
         ch = channels(3, 5, 3, seed=2)  # pair nullity 2*3-5 = 1
         with pytest.raises(SupplyExhausted):
@@ -133,7 +141,7 @@ class TestUnitLayout:
             assert unit.equivalent_uplink.shape == (ch.active_relay, len(unit.pairs))
             for i, (a, _) in enumerate(unit.pairs):
                 assert np.allclose(unit.equivalent_uplink[:, i],
-                                   ch.uplink[a] @ unit.beamformers[:, i], rtol=0, atol=1e-12)
+                                   dense(ch.uplink[a]) @ unit.beamformers[:, i], rtol=0, atol=1e-12)
 
     def test_unsorted_group_gives_sorted_pairs(self):
         ch = channels(2, 5, 3, extension=2, seed=31)
@@ -142,7 +150,7 @@ class TestUnitLayout:
         assert list(unit.pairs) == sorted(unit.pairs) and len(set(unit.pairs)) == 6
         for i, (a, _) in enumerate(unit.pairs):
             assert np.allclose(unit.equivalent_uplink[:, i],
-                               ch.uplink[a] @ unit.beamformers[:, i], rtol=0, atol=1e-12)
+                               dense(ch.uplink[a]) @ unit.beamformers[:, i], rtol=0, atol=1e-12)
 
 
 class TestRandomUnit:
@@ -329,7 +337,6 @@ class TestExecutePlan:
             vecs = dict(zip(u.pairs, unit_vectors(u)))
             for a, b in {tuple(sorted(p)) for p in u.pairs}:
                 others = [v for key, v in vecs.items() if key not in ((a, b), (b, a))]
-                from ssalign import complement_projector
                 proj = complement_projector(np.column_stack(others))
                 for key in ((a, b), (b, a)):
                     h = vecs[key]
@@ -354,15 +361,25 @@ class TestExecutePlan:
             assert np.array_equal(unit.beamformers, alone.beamformers)
             assert np.array_equal(unit.equivalent_uplink, alone.equivalent_uplink)
 
-    # Known defect: with M = N, pair units and extension > 1, the SVD
-    # nullspace basis of the block-diagonal stacked channels comes out
-    # localised in extension slots, so consecutive column blocks do not span
-    # independent relay directions.
-    @pytest.mark.xfail(raises=IndependenceViolation, strict=True,
-                       reason="slot-localised group nullspace basis")
-    @pytest.mark.parametrize("m,n,k", [(2, 2, 3), (6, 7, 3)])
-    def test_pair_units_with_extension_span_planned_dims(self, m, n, k):
-        plan = plan_alignment(m, n, k)
+    # Pair units with extension > 1, where the group nullspace is the direct
+    # sum of slot-localised per-slot nullspaces: without the seeded mixing,
+    # consecutive column blocks repeat relay directions and these points
+    # raise IndependenceViolation.  (M, N) per K: every such point with
+    # N <= 12, on both seeds.
+    SLOT_LOCAL = {
+        3: [(1, 1), (2, 2), (4, 4), (5, 5), (6, 7), (7, 7), (7, 8), (8, 8), (9, 10), (10, 10),
+            (10, 11), (11, 11)],
+        4: [(1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (6, 7), (7, 7), (7, 8), (8, 8), (9, 9),
+            (9, 10), (9, 11), (10, 10), (10, 11), (11, 11)],
+        5: [(1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (5, 6), (6, 6), (6, 7), (7, 7), (7, 8),
+            (8, 8), (8, 9), (9, 9), (9, 11), (10, 11), (10, 12), (11, 11), (11, 12), (12, 12)],
+    }
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("m,n,k", [(m, n, k) for k, points in SLOT_LOCAL.items()
+                                       for m, n in points])
+    def test_pair_units_with_extension_span_planned_dims(self, m, n, k, seed):
+        plan, ch, units = self.run(m, n, k, seed=seed)
         assert plan.extension > 1
-        ch = channels(m, n, k, extension=plan.extension, seed=0, active=plan.active_relay)
-        execute_plan(plan, ch)
+        assert any(u.pattern_order == 2 for u in units)
+        assert union_span_dim([u.equivalent_uplink for u in units]) == plan.dims_used

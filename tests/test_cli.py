@@ -184,6 +184,26 @@ class TestLemmas:
         assert info.value.code == 2
         assert why in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", [
+        {"direct_sum": [[4, 3, 7, 20, 1]], "scaling": [{"k": 2, "grid": [[1, 2]], "sigmas": [2]}]},
+        {"intersection": [[3, 5], [5, 3]]},
+        {"intersection": [[3, 5]], "stacked_rank": [[3, 2, 6]]},
+        {"stacked_rank": [[3, 2, 4]], "direct_sum": [[3, 3, 2, 5, 0]]},
+    ])
+    def test_later_row_outside_its_domain_fails_before_any_trial(self, capsys, tmp_path,
+                                                               monkeypatch, spec):
+        draws = []
+        honest = lemmas.complex_gaussian
+        monkeypatch.setattr(lemmas, "complex_gaussian",
+                            lambda *args: draws.append(args) or honest(*args))
+        path = tmp_path / "battery.json"
+        path.write_text(json.dumps(spec))
+        with pytest.raises(SystemExit) as info:
+            main(["lemmas", "--trials", "2", "--config", str(path)])
+        assert info.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert draws == []
+
     @pytest.mark.parametrize("text", [None, "{'intersection': [[3, 5]]}", "\xff\xfe"])
     def test_missing_or_non_json_config_is_usage_error(self, capsys, tmp_path, text):
         path = tmp_path / "battery.json"
@@ -298,8 +318,10 @@ class TestBuildDocument:
         doc = json.loads(out)
         for side in ("uplink", "downlink"):
             assert len(doc["channels"][side]) == 4
-            for got, want in zip(doc["channels"][side], getattr(built.channels, side)):
-                assert _same_floats(got, _pairs(want))
+            for got_user, want_user in zip(doc["channels"][side], getattr(built.channels, side)):
+                assert len(got_user) == built.plan.extension
+                for got, want in zip(got_user, want_user, strict=True):
+                    assert _same_floats(got, _pairs(want))
         assert len(doc["units"]) == len(built.units)
         for got, want in zip(doc["units"], built.units):
             assert list(want.pairs) == sorted(want.pairs)

@@ -7,7 +7,6 @@ from ssalign import (
     LEAKAGE_ABS,
     RANK_REL,
     SystemConfig,
-    complement_projector,
     intersection_basis,
     nullspace_basis,
     numerical_rank,
@@ -17,6 +16,7 @@ from ssalign import (
 from ssalign.errors import InvalidMatrix, ShapeMismatch
 
 from conftest import complex_gaussian
+from reference import complement_projector, dense
 
 
 def _rng(seed):
@@ -64,7 +64,7 @@ class TestNullspaceBasis:
     def test_extended_three_user_stack(self):
         # M=2, N=5, K=3 extended by 2: 10x12 stack must have nullity 3M'-N' = 2.
         ch = sample_channel_set(SystemConfig(m=2, n=5, k=3, extension=2, seed=17))
-        stack = np.hstack(ch.uplink)
+        stack = np.hstack([dense(blocks) for blocks in ch.uplink])
         basis = nullspace_basis(stack)
         assert basis.shape == (12, 2)
         assert np.linalg.norm(stack @ basis) <= LEAKAGE_ABS * np.linalg.norm(stack)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -57,3 +62,14 @@ def test_construct_calls_module_planner(monkeypatch):
     monkeypatch.setattr(pipeline, "plan_alignment", spy)
     construct(3, 5, 3, 0)
     assert calls == [(3, 5, 3, False)]
+
+
+def test_library_needs_no_scipy():
+    # scipy is a test dependency only: the CLI and a construction never load it.
+    code = ("import sys, ssalign, ssalign.cli; ssalign.construct(3, 5, 3, 0); "
+            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))")
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out == "[]\n"

@@ -8,11 +8,9 @@ from ssalign import (
     LEAKAGE_ABS,
     SystemConfig,
     assemble_forward_matrix,
-    build_aligned_unit,
     build_random_unit,
     build_relay_processor,
     build_uplink_projectors,
-    complement_projector,
     complex_gaussian,
     deactivate_relay_antennas,
     derived_rng,
@@ -26,8 +24,10 @@ from ssalign import (
     verify_end_to_end,
 )
 from ssalign.errors import AlignmentDegenerate, InvalidSweep, ProjectorCollapse
-from ssalign.relay import projector
+from ssalign.relay import _entry_rms_scale
 from ssalign.units import RANDOM, Unit
+
+from reference import build_aligned_unit, complement_projector, dense, projector
 
 
 def full_build(m, n, k, seed, improved=False):
@@ -111,7 +111,7 @@ class TestLowRankProjectors:
         keys = [(li, pair) for li, u in enumerate(units) for pair in u.pairs]
         streams = np.hstack([u.equivalent_uplink for u in units])
         uplink = dict(zip(keys, streams.T))
-        downlink = {key: ch.downlink[key[1][0]].T @ processor.receive_vectors[:, i]
+        downlink = {key: dense(ch.downlink[key[1][0]]).T @ processor.receive_vectors[:, i]
                     for i, key in enumerate(keys)}
         sides = ((uplink, processor.uplink_basis, processor.uplink_projectors),
                  (downlink, processor.downlink_basis, processor.downlink_projectors))
@@ -120,8 +120,8 @@ class TestLowRankProjectors:
             for (li, (a, b)), z in factors.items():
                 others = [v for key, v in vectors.items()
                           if key not in ((li, (a, b)), (li, (b, a)))]
-                dense = complement_projector(np.column_stack(others))
-                assert np.allclose(projector(basis, z), dense, rtol=0, atol=1e-12)
+                want = complement_projector(np.column_stack(others))
+                assert np.allclose(projector(basis, z), want, rtol=0, atol=1e-12)
 
 
 class TestDownlinkMirror:
@@ -130,8 +130,8 @@ class TestDownlinkMirror:
         _, ch, units, processor = full_build(2, 3, 3, seed=5)
         for li, unit in enumerate(units):
             pairs = unit.pairs
-            g_ab = ch.downlink[pairs[0][0]].T @ processor.receive_vectors[:, 2 * li]
-            g_ba = ch.downlink[pairs[1][0]].T @ processor.receive_vectors[:, 2 * li + 1]
+            g_ab = dense(ch.downlink[pairs[0][0]]).T @ processor.receive_vectors[:, 2 * li]
+            g_ba = dense(ch.downlink[pairs[1][0]]).T @ processor.receive_vectors[:, 2 * li + 1]
             cos = abs(np.vdot(g_ab, g_ba)) / (np.linalg.norm(g_ab) * np.linalg.norm(g_ba))
             assert cos == pytest.approx(1.0, abs=1e-9)
 
@@ -143,7 +143,7 @@ class TestDownlinkMirror:
         for unit in units:
             columns = range(start, start + len(unit.pairs))
             start = columns.stop
-            down = [ch.downlink[p[0]].T @ processor.receive_vectors[:, i]
+            down = [dense(ch.downlink[p[0]]).T @ processor.receive_vectors[:, i]
                     for p, i in zip(unit.pairs, columns)]
             up_dims.append(union_span_dim([unit.equivalent_uplink]))
             down_dims.append(union_span_dim(down))
@@ -153,7 +153,7 @@ class TestDownlinkMirror:
                                                 (2, 5, 3, False), (7, 14, 4, True)])
     def test_receive_vectors_are_twin_beamformers(self, m, n, k, improved):
         plan, ch, units, processor = full_build(m, n, k, seed=32, improved=improved)
-        mirror = replace(ch, uplink=tuple(g.T.copy() for g in ch.downlink))
+        mirror = replace(ch, uplink=tuple(tuple(g.T for g in blocks) for blocks in ch.downlink))
         rng = derived_rng(32, 2)
         twins = [build_random_unit(mirror, rng) if u.pattern_order == RANDOM
                  else build_aligned_unit(mirror, u.group, u.column_block) for u in units]
@@ -168,7 +168,8 @@ class TestDownlinkMirror:
         # downlink vectors span only four dimensions.
         _, ch, units, _ = full_build(2, 6, 3, seed=0)
         assert [u.pattern_order for u in units] == [RANDOM]
-        deaf = replace(ch, downlink=(np.zeros_like(ch.downlink[0]),) + ch.downlink[1:])
+        deaf = replace(ch, downlink=(tuple(np.zeros_like(g) for g in ch.downlink[0]),)
+                       + ch.downlink[1:])
         with pytest.raises(AlignmentDegenerate,
                            match="^downlink twin of unit 0: random unit spans 4 dimensions"):
             build_relay_processor(units, deaf)
@@ -257,12 +258,13 @@ def dense_chains(ch, units, processor, normalized):
         return np.sqrt(a.size) / np.linalg.norm(a) if normalized else 1.0
     keys = [(li, pair) for li, u in enumerate(units) for pair in u.pairs]
     beams = [u.beamformers[:, i] for u in units for i in range(len(u.pairs))]
-    h = np.column_stack([scale(ch.uplink[a]) * (ch.uplink[a] @ u)
-                         for (_, (a, _)), u in zip(keys, beams)])
+    up = [dense(blocks) for blocks in ch.uplink]
+    down = [dense(blocks) for blocks in ch.downlink]
+    h = np.column_stack([scale(up[a]) * (up[a] @ u) for (_, (a, _)), u in zip(keys, beams)])
     rows = []
     for i, (li, (a, b)) in enumerate(keys):
         pair = (li, (min(a, b), max(a, b)))
-        g = scale(ch.downlink[a]) * (ch.downlink[a].T @ processor.receive_vectors[:, i])
+        g = scale(down[a]) * (down[a].T @ processor.receive_vectors[:, i])
         rows.append(g @ projector(processor.downlink_basis, processor.downlink_projectors[pair])
                     @ projector(processor.uplink_basis, processor.uplink_projectors[pair]))
     partner = [keys.index((li, (b, a))) for li, (a, b) in keys]
@@ -270,6 +272,20 @@ def dense_chains(ch, units, processor, normalized):
 
 
 class TestDenseReference:
+    @pytest.mark.parametrize("extension,active", [(1, None), (6, None), (4, 9)])
+    def test_normalisation_counts_the_structural_zeros(self, extension, active):
+        # The per-entry RMS is that of the dense block-diagonal matrix.
+        ch = sample_channel_set(SystemConfig(m=2, n=3, k=3, extension=extension, seed=3))
+        if active is not None:
+            ch = deactivate_relay_antennas(ch, active)
+        for blocks in ch.uplink + ch.downlink:
+            full = dense(blocks)
+            want = np.sqrt(full.size) / np.linalg.norm(full)
+            if extension == 1:
+                assert _entry_rms_scale(blocks) == want
+            assert _entry_rms_scale(blocks) == pytest.approx(want, rel=1e-14)
+
+
     @pytest.mark.parametrize("m,n,k,improved", [(3, 8, 4, False), (2, 5, 3, False),
                                                 (7, 14, 4, True)])
     def test_report_matches_per_stream_chains(self, m, n, k, improved):
