@@ -7,15 +7,16 @@ uplink blocks for users ``0..K-1`` first, then downlink blocks in the same
 order; each user's blocks in slot order, each block drawn row-major.
 
 Symbol extension by a factor ``s`` makes every channel block-diagonal over
-``s`` slots.  Only the diagonal blocks are stored, one per slot: ``N x M``
-uplink and ``M x N`` downlink, fewer relay rows after deactivation;
-:func:`slot_product` applies the block-diagonal matrix.  Extended transmit
-vectors are slot-major (``M`` entries per slot) and relay rows likewise.
+``s`` slots.  Only the diagonal blocks are stored, one array per link, and
+every slot keeps the same relay rows (``N``, fewer after deactivation);
+:func:`slot_product` applies a user's block-diagonal matrix.  Extended
+transmit vectors are slot-major (``M`` entries per slot) and relay rows
+likewise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,46 +61,46 @@ class SystemConfig:
             raise ValueError("seed must be an unsigned 64-bit integer")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelSet:
     """One channel realization, possibly extended and/or deactivated.
 
-    ``uplink[k][i]`` is user ``k``'s slot-``i`` block, mapping its ``M``
-    transmit antennas to the slot's active relay rows; ``downlink[k][i]``
-    maps those rows to user ``k``'s ``M`` receive antennas.  ``extension``
-    (the number of slots), ``slot_rows`` (the active relay rows of each
-    slot) and ``active_relay`` (their sum) are read from the block shapes,
-    which must agree across users and links.  ``seed`` is the seed the
-    channels were sampled from; it keys the unit, mixing and downlink RNG
-    substreams and is ignored by ``==``.  Instances are treated as immutable
-    and are safe to share across threads.
+    ``uplink`` is a ``K x ext x rows x M`` array whose ``uplink[k][i]`` maps
+    user ``k``'s ``M`` transmit antennas to slot ``i``'s active relay rows;
+    ``downlink`` is ``K x ext x M x rows`` and maps them back to each user's
+    receive antennas.  ``extension`` (``ext``) and ``active_relay`` (``ext *
+    rows``) are read from the shapes.  ``seed`` is the seed the channels were
+    sampled from; it keys the unit, mixing and downlink RNG substreams and is
+    ignored by ``==``, which compares the counts and the arrays.  Instances
+    are treated as immutable and are safe to share across threads.
     """
 
     m: int
     n: int
     k: int
-    uplink: tuple[tuple[np.ndarray, ...], ...]
-    downlink: tuple[tuple[np.ndarray, ...], ...]
-    seed: int = field(compare=False)
+    uplink: np.ndarray
+    downlink: np.ndarray
+    seed: int
 
     def __post_init__(self) -> None:
-        rows = self.slot_rows if self.uplink else ()
-        up, down = [(r, self.m) for r in rows], [(self.m, r) for r in rows]
-        if (not rows or [[h.shape for h in b] for b in self.uplink] != [up] * self.k
-                or [[g.shape for g in b] for b in self.downlink] != [down] * self.k):
-            raise ShapeMismatch(f"every user needs uplink blocks {up} and downlink blocks {down}")
+        _, ext, rows, _ = self.uplink.shape if self.uplink.ndim == 4 else (0,) * 4
+        up, down = (self.k, ext, rows, self.m), (self.k, ext, self.m, rows)
+        if not ext * rows or (self.uplink.shape, self.downlink.shape) != (up, down):
+            raise ShapeMismatch(f"need an uplink of shape {up} and a downlink of shape {down}")
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, ChannelSet)
+                and (self.m, self.n, self.k) == (other.m, other.n, other.k)
+                and np.array_equal(self.uplink, other.uplink)
+                and np.array_equal(self.downlink, other.downlink))
 
     @property
     def extension(self) -> int:
-        return len(self.uplink[0])
-
-    @property
-    def slot_rows(self) -> tuple[int, ...]:
-        return tuple(h.shape[0] for h in self.uplink[0])
+        return self.uplink.shape[1]
 
     @property
     def active_relay(self) -> int:
-        return sum(self.slot_rows)
+        return self.uplink.shape[1] * self.uplink.shape[2]
 
 
 def complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -128,11 +129,12 @@ def sample_channel_set(cfg: SystemConfig) -> ChannelSet:
     """Draw one i.i.d. complex Gaussian channel realization for ``cfg``."""
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
 
-    def slots(rows: int, cols: int) -> tuple[np.ndarray, ...]:
-        return tuple(complex_gaussian(rng, rows, cols) for _ in range(cfg.extension))
+    def link(rows: int, cols: int) -> np.ndarray:
+        return np.array([[complex_gaussian(rng, rows, cols) for _ in range(cfg.extension)]
+                         for _ in range(cfg.k)])
 
-    uplink = tuple(slots(cfg.n, cfg.m) for _ in range(cfg.k))
-    downlink = tuple(slots(cfg.m, cfg.n) for _ in range(cfg.k))
+    uplink = link(cfg.n, cfg.m)
+    downlink = link(cfg.m, cfg.n)
     return ChannelSet(m=cfg.m, n=cfg.n, k=cfg.k, uplink=uplink, downlink=downlink,
                       seed=cfg.seed)
 
@@ -140,34 +142,28 @@ def sample_channel_set(cfg: SystemConfig) -> ChannelSet:
 def deactivate_relay_antennas(ch: ChannelSet, n_active: int) -> ChannelSet:
     """Keep only ``n_active`` relay rows (and downlink columns).
 
-    Rows are dropped slot by slot, always from the slot that currently keeps
-    the most (later slots first on ties), so every extension slot keeps a
-    prefix of its rows, and no slot goes dark while another keeps two or
-    more.  With ``extension == 1`` this is exactly a row prefix.
+    Every slot keeps the same prefix of ``n_active / extension`` rows, the
+    only layout in which the improved scheme's ``M/N_active`` corner exists,
+    so ``n_active`` must be a positive multiple of ``extension`` and at most
+    ``active_relay``; any other count raises ``InvalidDeactivation``.  With
+    ``extension == 1`` this is a plain row prefix.
     """
-    if int(n_active) != n_active or n_active < 1:
-        raise InvalidDeactivation(f"active count must be a positive integer, got {n_active}")
-    n_active = int(n_active)
-    if n_active > ch.active_relay:
-        raise InvalidDeactivation(
-            f"cannot activate {n_active} of {ch.active_relay} remaining antennas"
-        )
-    counts = list(ch.slot_rows)
-    for _ in range(ch.active_relay - n_active):
-        drop = max(range(len(counts)), key=lambda i: (counts[i], i))
-        counts[drop] -= 1
-    up = tuple(tuple(h[:r].copy() for h, r in zip(blocks, counts)) for blocks in ch.uplink)
-    down = tuple(tuple(g[:, :r].copy() for g, r in zip(blocks, counts)) for blocks in ch.downlink)
-    return ChannelSet(m=ch.m, n=ch.n, k=ch.k, uplink=up, downlink=down, seed=ch.seed)
+    if int(n_active) != n_active or not 0 < n_active <= ch.active_relay or n_active % ch.extension:
+        raise InvalidDeactivation(f"active count must be a positive multiple of extension "
+                                  f"{ch.extension} up to {ch.active_relay}, got {n_active}")
+    rows = int(n_active) // ch.extension
+    return ChannelSet(m=ch.m, n=ch.n, k=ch.k, uplink=ch.uplink[:, :, :rows].copy(),
+                      downlink=ch.downlink[..., :rows].copy(), seed=ch.seed)
 
 
-def slot_product(blocks: tuple[np.ndarray, ...], x: np.ndarray) -> np.ndarray:
-    """``blockdiag(*blocks) @ x``; block ``i`` acts on row segment ``i`` of ``x``.
+def slot_product(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``blockdiag(*blocks) @ x`` for an ``ext x rows x cols`` stack of blocks.
 
-    For a downlink transpose ``G^T x`` pass ``tuple(g.T for g in blocks)``.
+    Block ``i`` acts on row segment ``i`` of ``x``, all in one batched
+    product.  For a downlink transpose ``G^T x`` pass ``blocks.swapaxes(1, 2)``.
     """
-    cols = blocks[0].shape[1]
-    return np.concatenate([b @ x[i * cols:(i + 1) * cols] for i, b in enumerate(blocks)])
+    ext, rows, cols = blocks.shape
+    return (blocks @ x.reshape(ext, cols, x[0].size)).reshape(ext * rows, *x.shape[1:])
 
 
 def complex_to_pairs(a: np.ndarray) -> list:
@@ -179,30 +175,22 @@ def complex_to_pairs(a: np.ndarray) -> list:
     return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
-def _matrix_from_pairs(rows: list, cols: int) -> np.ndarray:
-    """Inverse of :func:`complex_to_pairs`; ``cols`` sizes a matrix without entries."""
-    pairs = np.asarray(rows, dtype=np.float64)
-    if pairs.size == 0:
-        return np.empty((len(rows), cols), dtype=np.complex128)
-    return pairs[..., 0] + 1j * pairs[..., 1]
-
-
 def channel_to_json(ch: ChannelSet) -> dict:
     """Serialize to ``{"m", "n", "k", "seed", "uplink", "downlink"}``.
 
     ``uplink[k][i]`` is user ``k``'s slot-``i`` block, rows of ``[re, im]``
     pairs, and likewise ``downlink[k][i]``; the slot count and deactivation
-    are implied by the blocks.  The document replays exact instances in bug
-    reports: the seed keys the unit, mixing and downlink RNG substreams, so a
-    replayed build draws the same random directions.
+    are implied by the array shapes.  The document replays exact instances in
+    bug reports: the seed keys the unit, mixing and downlink RNG substreams,
+    so a replayed build draws the same random directions.
     """
     return {
         "m": ch.m,
         "n": ch.n,
         "k": ch.k,
         "seed": ch.seed,
-        "uplink": [[complex_to_pairs(h) for h in blocks] for blocks in ch.uplink],
-        "downlink": [[complex_to_pairs(g) for g in blocks] for blocks in ch.downlink],
+        "uplink": complex_to_pairs(ch.uplink),
+        "downlink": complex_to_pairs(ch.downlink),
     }
 
 
@@ -211,12 +199,18 @@ def channel_from_json(doc: dict) -> ChannelSet:
 
     Raises ``ValueError`` unless ``doc["seed"]`` is an integer in
     ``[0, 2**64)``, so that a replay draws the original random directions,
-    and unless the block shapes agree across users and links.
+    unless each link is a finite ``[user][slot][row][col][re, im]`` array,
+    and unless the shapes agree across links.  Ragged lists (slots or users
+    of different sizes, slots without rows) are not arrays and are rejected.
     """
     seed = doc.get("seed")
     if type(seed) is not int or not 0 <= seed < 2**64:
         raise ValueError(f"channel document needs a seed in [0, 2**64), got {seed!r}")
-    m = doc["m"]
-    up = tuple(tuple(_matrix_from_pairs(h, m) for h in blocks) for blocks in doc["uplink"])
-    down = tuple(tuple(_matrix_from_pairs(g, 0) for g in blocks) for blocks in doc["downlink"])
-    return ChannelSet(m=m, n=doc["n"], k=doc["k"], uplink=up, downlink=down, seed=seed)
+    links = []
+    for side in ("uplink", "downlink"):
+        pairs = np.asarray(doc[side], dtype=np.float64)
+        if pairs.ndim != 5 or pairs.shape[-1] != 2 or not np.isfinite(pairs).all():
+            raise ValueError(f"{side} must be a finite [user][slot][row][col][re, im] array")
+        links.append(pairs[..., 0] + 1j * pairs[..., 1])
+    return ChannelSet(m=doc["m"], n=doc["n"], k=doc["k"], uplink=links[0], downlink=links[1],
+                      seed=seed)

@@ -182,9 +182,8 @@ def design_downlink(units: list[Unit], ch: ChannelSet) -> tuple[np.ndarray, Pair
     twins' beamformers side by side are the receive vectors, and their
     equivalent vectors ``G_a^T v`` give the complement projectors.
     """
-    transposed = tuple(tuple(g.T for g in blocks) for blocks in ch.downlink)
-    mirror = ChannelSet(m=ch.m, n=ch.n, k=ch.k, uplink=transposed, downlink=ch.downlink,
-                        seed=ch.seed)
+    mirror = ChannelSet(m=ch.m, n=ch.n, k=ch.k, uplink=ch.downlink.swapaxes(2, 3),
+                        downlink=ch.downlink, seed=ch.seed)
     specs = [(u.pattern_order, u.group, u.column_block) for u in units]
     twins: list[Unit] = []
     try:
@@ -250,11 +249,11 @@ def build_relay_processor(units: list[Unit], ch: ChannelSet) -> RelayProcessor:
     )
 
 
-def _entry_rms_scale(blocks: tuple[np.ndarray, ...]) -> float:
+def _entry_rms_scale(blocks: np.ndarray) -> float:
     """Inverse per-entry RMS of the block-diagonal channel, structural zeros counted."""
-    norm = np.linalg.norm(np.concatenate([b.ravel() for b in blocks]))
-    size = sum(b.shape[0] for b in blocks) * sum(b.shape[1] for b in blocks)
-    return float(np.sqrt(size) / norm) if norm else 1.0
+    ext, rows, cols = blocks.shape
+    norm = np.linalg.norm(blocks)
+    return float(np.sqrt(ext * rows * ext * cols) / norm) if norm else 1.0
 
 
 def _project_rows(rows: np.ndarray, basis: np.ndarray, factors: dict,
@@ -284,7 +283,7 @@ def _chain_vectors(ch: ChannelSet, units: list[Unit], processor: RelayProcessor,
         up = _entry_rms_scale(ch.uplink[a]) if normalized else 1.0
         dn = _entry_rms_scale(ch.downlink[a]) if normalized else 1.0
         h[:, cols] = up * slot_product(ch.uplink[a], beams[:, cols])
-        g[cols] = dn * slot_product(tuple(b.T for b in ch.downlink[a]),
+        g[cols] = dn * slot_product(ch.downlink[a].swapaxes(1, 2),
                                     processor.receive_vectors[:, cols]).T
     pairs = [(li, _pair_key(*pair)) for li, pair in keys]
     chains = _project_rows(g, processor.downlink_basis, processor.downlink_projectors, pairs)

@@ -146,7 +146,7 @@ def group_nullspace(ch: ChannelSet, group) -> np.ndarray:
     """
     group = _check_group(ch, group)
     t, ext = len(group), ch.extension
-    slots = [nullspace_basis(np.hstack([ch.uplink[g][s] for g in group])) for s in range(ext)]
+    slots = [nullspace_basis(stack) for stack in np.concatenate(ch.uplink[list(group)], axis=2)]
     width = sum(b.shape[1] for b in slots)
     mixing = np.linalg.qr(complex_gaussian(derived_rng(ch.seed, 3, *group), width, width))[0]
     basis = np.empty((t, ext, ch.m, width), dtype=np.complex128)

@@ -1,8 +1,9 @@
 """Dense references the tests check the library against.
 
-The library never builds these: it stores channels as per-slot blocks and
-the relay projectors as low-rank factors.  The tests materialise both to
-compare with straightforward dense linear algebra.
+The library never builds these: it stores each link's channels as one
+``K x ext x rows x cols`` array of diagonal blocks, with the same rows in
+every slot, and the relay projectors as low-rank factors.  The tests
+materialise both to compare with straightforward dense linear algebra.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ from ssalign.units import group_nullspace, unit_from_nullspace
 
 
 def dense(blocks):
-    """The block-diagonal matrix of one user's per-slot channel blocks."""
+    """The block-diagonal matrix of one user's ``ext x rows x cols`` channel blocks."""
     return block_diag(*blocks)
 
 

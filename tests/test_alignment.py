@@ -240,6 +240,7 @@ class TestPlanner:
                     assert k == 6, (m, n, k)
                     continue
                 assert plan.predicted_d_user == achievable_basic(m, n, k).d_user, (m, n, k)
+                assert plan.active_relay % plan.extension == 0, (m, n, k)
         if k < 6:
             assert overflows == 0
         else:
@@ -258,6 +259,7 @@ class TestPlanner:
             for m, n in grid:
                 plan = plan_alignment(m, n, k, improved=True)
                 assert plan.predicted_d_user == achievable_improved(m, n, k).d_user, (m, n, k)
+                assert plan.active_relay % plan.extension == 0, (m, n, k)
 
     def test_budgets_respected(self):
         for k in (3, 4, 5):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,17 +39,14 @@ class TestSystemConfig:
 class TestSampling:
     def test_shapes(self):
         ch = sample_channel_set(SystemConfig(m=2, n=3, k=3, seed=7))
-        assert len(ch.uplink) == 3 and len(ch.downlink) == 3
-        assert all([h.shape for h in blocks] == [(3, 2)] for blocks in ch.uplink)
-        assert all([g.shape for g in blocks] == [(2, 3)] for blocks in ch.downlink)
-        assert ch.active_relay == 3
+        assert ch.uplink.shape == (3, 1, 3, 2) and ch.downlink.shape == (3, 1, 2, 3)
+        assert ch.extension == 1 and ch.active_relay == 3
 
     def test_seed_determinism(self):
         cfg = SystemConfig(m=2, n=3, k=3, seed=7)
         a = sample_channel_set(cfg)
         b = sample_channel_set(cfg)
-        for x, y in zip(a.uplink + a.downlink, b.uplink + b.downlink):
-            assert np.array_equal(x, y)
+        assert np.array_equal(a.uplink, b.uplink) and np.array_equal(a.downlink, b.downlink)
 
     def test_seeds_differ(self):
         a = sample_channel_set(SystemConfig(m=2, n=3, k=3, seed=7))
@@ -58,7 +56,8 @@ class TestSampling:
     def test_extension_block_structure(self):
         ch = sample_channel_set(SystemConfig(m=2, n=5, k=3, extension=2, seed=1))
         # One block per slot, no off-diagonal blocks stored; blocks independent.
-        assert ch.extension == 2 and ch.slot_rows == (5, 5) and ch.active_relay == 10
+        assert ch.uplink.shape == (3, 2, 5, 2) and ch.downlink.shape == (3, 2, 2, 5)
+        assert ch.extension == 2 and ch.active_relay == 10
         first, second = ch.uplink[0]
         assert first.shape == second.shape == (5, 2)
         assert not np.allclose(first, second)
@@ -106,20 +105,21 @@ class TestComplexGaussian:
             want = block_diag(*[reference_block(ref, 2, 3) for _ in range(2)])
             assert np.array_equal(dense(blocks), want)
 
-    # sha256 of the dense block-diagonal uplink then downlink matrices, as
-    # stored before channels were kept as per-slot blocks.
+    # sha256 of the dense block-diagonal uplink then downlink matrices,
+    # computed with earlier channel layouts, so the digests pin the draws
+    # and the deactivated rows independently of this one.
     @pytest.mark.parametrize("cfg,active,digest", [
         ((2, 3, 3, 2, 9), None, "982b3d12e114ccf1d003122d2c17662c01523905d3ec560e3d35136beddce090"),
         ((3, 5, 4, 6, 0), None, "7393d3eb2fe0bb23e4f9a989196a228e11174545c832fdf5c8d2268e8a445083"),
-        ((1, 2, 4, 7, 3), 12, "b791a7d9d5bd94ac2dbbef7818bfe477c2de4574632cc6b8aa9ce43dbe195779"),
-        ((2, 1, 3, 3, 4), 2, "a3b35ecad6e2d6c2439ee7c27baf5530b0e1bd224cc28a4c7957839b9a4e606f"),
+        ((1, 2, 4, 7, 3), 7, "79f8e2818614245e003d09623278f7104320647a3f92b68adacce7d43cb575da"),
+        ((2, 1, 3, 3, 4), 3, "2249c8e3c82b84076d0b50c1c9ad84138ee3eb456729daa55a146d52b3dcad51"),
     ])
     def test_blocks_match_the_dense_channels_bit_for_bit(self, cfg, active, digest):
         ch = sample_channel_set(SystemConfig(*cfg))
         if active is not None:
             ch = deactivate_relay_antennas(ch, active)
         sha = hashlib.sha256()
-        for blocks in ch.uplink + ch.downlink:
+        for blocks in [*ch.uplink, *ch.downlink]:
             sha.update(np.ascontiguousarray(dense(blocks)).tobytes())
         assert sha.hexdigest() == digest
 
@@ -156,27 +156,27 @@ class TestDeactivation:
             deactivate_relay_antennas(ch, 4)
 
     def test_extended_spreads_across_slots(self):
-        # 14 -> 12 over 7 slots: later slots lose first, none goes dark.
+        # 14 -> 7 over 7 slots: every slot keeps one row, none goes dark.
         ch = sample_channel_set(SystemConfig(m=1, n=2, k=4, extension=7, seed=3))
-        out = deactivate_relay_antennas(ch, 12)
-        assert out.slot_rows == (2, 2, 2, 2, 2, 1, 1)
+        out = deactivate_relay_antennas(ch, 7)
+        assert out.uplink.shape == (4, 7, 1, 1) and out.downlink.shape == (4, 7, 1, 1)
         # Every slot keeps a prefix of its rows, so every transmit column
         # still reaches the relay.
         for before, after in zip(ch.uplink, out.uplink):
-            for old, new, rows in zip(before, after, out.slot_rows, strict=True):
-                assert np.array_equal(new, old[:rows]) and np.linalg.norm(new) > 0
+            for old, new in zip(before, after, strict=True):
+                assert np.array_equal(new, old[:1]) and np.linalg.norm(new) > 0
         for before, after in zip(ch.downlink, out.downlink):
-            for old, new, rows in zip(before, after, out.slot_rows, strict=True):
-                assert np.array_equal(new, old[:, :rows])
+            for old, new in zip(before, after, strict=True):
+                assert np.array_equal(new, old[:, :1])
 
     def test_keeps_the_rows_of_the_dense_row_selection(self):
         # The dense layout dropped rows of the block-diagonal matrix from the
-        # slot keeping the most (later slots first on ties); the kept blocks
-        # are exactly that selection.
+        # slot keeping the most (later slots first on ties); on an even cut
+        # the kept blocks are exactly that selection.
         ch = sample_channel_set(SystemConfig(m=2, n=3, k=3, extension=4, seed=6))
-        out = deactivate_relay_antennas(ch, 9)
-        assert out.slot_rows == (3, 2, 2, 2)
-        keep = [0, 1, 2, 3, 4, 6, 7, 9, 10]
+        out = deactivate_relay_antennas(ch, 8)
+        assert out.active_relay == 8
+        keep = [0, 1, 3, 4, 6, 7, 9, 10]
         for before, after in zip(ch.uplink, out.uplink):
             assert np.array_equal(dense(after), dense(before)[keep])
         for before, after in zip(ch.downlink, out.downlink):
@@ -185,14 +185,29 @@ class TestDeactivation:
     def test_uniform_when_divisible(self):
         ch = sample_channel_set(SystemConfig(m=7, n=14, k=4, extension=2, seed=3))
         out = deactivate_relay_antennas(ch, 24)
-        assert out.slot_rows == (12, 12)
+        assert out.uplink.shape == (4, 2, 12, 7) and out.downlink.shape == (4, 2, 7, 12)
 
     def test_repeated_deactivation_composes(self):
         ch = sample_channel_set(SystemConfig(m=2, n=4, k=3, extension=3, seed=9))
         once = deactivate_relay_antennas(ch, 9)
-        twice = deactivate_relay_antennas(once, 7)
-        assert twice.active_relay == 7
-        assert sum(twice.slot_rows) == 7
+        twice = deactivate_relay_antennas(once, 6)
+        assert twice.active_relay == 6
+        assert twice == deactivate_relay_antennas(ch, 6)
+
+    @pytest.mark.parametrize("cfg,cuts", [
+        pytest.param((1, 2, 4, 7, 3), (12,), id="seven-slots-to-12"),
+        pytest.param((2, 3, 3, 4, 6), (9,), id="four-slots-to-9"),
+        pytest.param((2, 4, 3, 3, 9), (9, 7), id="three-slots-to-9-then-7"),
+        pytest.param((2, 1, 3, 3, 4), (2,), id="a-slot-without-rows"),
+    ])
+    def test_uneven_cut_is_rejected(self, cfg, cuts):
+        # Slots of unequal row counts have no order-t corner, so the count
+        # must be a multiple of the extension.
+        ch = sample_channel_set(SystemConfig(*cfg))
+        for n_active in cuts[:-1]:
+            ch = deactivate_relay_antennas(ch, n_active)
+        with pytest.raises(InvalidDeactivation, match="multiple of extension"):
+            deactivate_relay_antennas(ch, cuts[-1])
 
 
 class TestJson:
@@ -201,8 +216,8 @@ class TestJson:
         doc = json.loads(json.dumps(channel_to_json(ch)))
         back = channel_from_json(doc)
         assert back.m == 2 and back.n == 3 and back.k == 3 and back.extension == 1
-        for x, y in zip(ch.uplink + ch.downlink, back.uplink + back.downlink):
-            assert np.array_equal(x, y)
+        assert np.array_equal(back.uplink, ch.uplink)
+        assert np.array_equal(back.downlink, ch.downlink)
 
     def test_schema_keys(self):
         ch = sample_channel_set(SystemConfig(m=2, n=3, k=3, seed=5))
@@ -215,22 +230,11 @@ class TestJson:
 
     def test_round_trip_deactivated_extended(self):
         ch = sample_channel_set(SystemConfig(m=1, n=2, k=4, extension=7, seed=3))
-        ch = deactivate_relay_antennas(ch, 12)
+        ch = deactivate_relay_antennas(ch, 7)
         back = channel_from_json(channel_to_json(ch))
-        assert back.slot_rows == ch.slot_rows
-        for x, y in zip(ch.uplink + ch.downlink, back.uplink + back.downlink):
-            assert all(np.array_equal(a, b) for a, b in zip(x, y, strict=True))
-
-    def test_round_trip_slot_without_rows(self):
-        # Three slots of one relay row cut to two: the last slot keeps none.
-        ch = deactivate_relay_antennas(
-            sample_channel_set(SystemConfig(m=2, n=1, k=3, extension=3, seed=4)), 2)
-        assert ch.slot_rows == (1, 1, 0)
-        back = channel_from_json(json.loads(json.dumps(channel_to_json(ch))))
-        assert back.slot_rows == (1, 1, 0) and back.extension == 3
-        for x, y in zip(ch.uplink + ch.downlink, back.uplink + back.downlink):
-            assert [a.shape for a in x] == [b.shape for b in y]
-            assert all(np.array_equal(a, b) for a, b in zip(x, y, strict=True))
+        assert back.uplink.shape == (4, 7, 1, 1) and back.extension == 7
+        assert np.array_equal(back.uplink, ch.uplink)
+        assert np.array_equal(back.downlink, ch.downlink)
 
     @pytest.mark.parametrize("corrupt", [
         lambda doc: doc["uplink"][1][0].pop(),             # users disagree on slot rows
@@ -239,12 +243,24 @@ class TestJson:
         lambda doc: doc["downlink"][0].pop(),              # a slot missing
         lambda doc: doc["uplink"].pop(),                   # a user missing
         lambda doc: doc.update(m=3),                       # wrong column count for every user
+        lambda doc: doc["uplink"][0].__setitem__(1, []),   # a slot without rows
+        lambda doc: [blocks.pop() for user in doc["uplink"] for blocks in user],  # uplink cut alone
+        lambda doc: doc.update(downlink=doc["downlink"][0]),  # a dimension missing
     ])
     def test_disagreeing_block_shapes_are_rejected(self, corrupt):
         ch = sample_channel_set(SystemConfig(m=2, n=3, k=3, extension=2, seed=5))
         doc = json.loads(json.dumps(channel_to_json(ch)))
         corrupt(doc)
         with pytest.raises(ValueError):
+            channel_from_json(doc)
+
+    @pytest.mark.parametrize("side,value", [("uplink", float("nan")), ("downlink", float("inf")),
+                                            ("uplink", None)])
+    def test_non_finite_entries_are_rejected(self, side, value):
+        ch = sample_channel_set(SystemConfig(m=2, n=3, k=3, extension=2, seed=5))
+        doc = json.loads(json.dumps(channel_to_json(ch)))
+        doc[side][0][0][0][0][0] = value
+        with pytest.raises(ValueError, match="finite"):
             channel_from_json(doc)
 
     def test_dense_document_is_rejected(self):
@@ -293,6 +309,25 @@ class TestJson:
         assert np.array_equal(processor.forward_matrix, built.processor.forward_matrix)
 
 
+class TestEquality:
+    CFG = SystemConfig(m=2, n=3, k=3, extension=2, seed=5)
+
+    def test_same_config_compares_equal(self):
+        assert sample_channel_set(self.CFG) == sample_channel_set(self.CFG)
+
+    def test_different_seed_compares_unequal(self):
+        other = replace(self.CFG, seed=6)
+        assert sample_channel_set(self.CFG) != sample_channel_set(other)
+
+    def test_seed_field_is_ignored(self):
+        ch = sample_channel_set(self.CFG)
+        assert replace(ch, seed=6) == ch
+
+    def test_json_round_trip_compares_equal(self):
+        ch = sample_channel_set(self.CFG)
+        assert channel_from_json(channel_to_json(ch)) == ch
+
+
 class TestBlockLayout:
     def test_shape_fields_are_read_from_the_blocks(self):
         ch = sample_channel_set(SystemConfig(m=3, n=5, k=3, extension=2, seed=0))
@@ -301,16 +336,20 @@ class TestBlockLayout:
                        downlink=ch.downlink, seed=0)
         with pytest.raises(ValueError):
             ChannelSet(m=3, n=5, k=3, uplink=ch.uplink, downlink=ch.downlink[:2], seed=0)
+        with pytest.raises(ValueError):
+            ChannelSet(m=3, n=5, k=3, uplink=ch.uplink[:, :, :0], downlink=ch.downlink[..., :0],
+                       seed=0)
 
     def test_slot_product_matches_the_dense_product(self):
         ch = deactivate_relay_antennas(
-            sample_channel_set(SystemConfig(m=2, n=3, k=3, extension=3, seed=2)), 7)
+            sample_channel_set(SystemConfig(m=2, n=3, k=3, extension=3, seed=2)), 6)
         x = complex_gaussian(philox(1), 6, 4)
         for blocks in ch.uplink:
             assert np.allclose(slot_product(blocks, x), dense(blocks) @ x, rtol=0, atol=1e-13)
             assert np.allclose(slot_product(blocks, x[:, 0]), dense(blocks) @ x[:, 0],
                                rtol=0, atol=1e-13)
+            assert slot_product(blocks, x[:, :0]).shape == (6, 0)
         for blocks in ch.downlink:
             v = complex_gaussian(philox(2), 6, 2)
-            assert np.allclose(slot_product(tuple(g.T for g in blocks), v), dense(blocks).T @ v,
+            assert np.allclose(slot_product(blocks.swapaxes(1, 2), v), dense(blocks).T @ v,
                                rtol=0, atol=1e-13)

@@ -9,6 +9,7 @@ import pytest
 from ssalign import (
     Construction,
     SystemConfig,
+    achievable_basic,
     build_relay_processor,
     construct,
     deactivate_relay_antennas,
@@ -37,9 +38,7 @@ def test_construct_matches_hand_wired_stages(m, n, k, improved):
     built = construct(m, n, k, 21, improved)
     assert isinstance(built, Construction)
     assert built.plan == plan
-    assert built.channels.slot_rows == ch.slot_rows
-    for x, y in zip(built.channels.uplink + built.channels.downlink, ch.uplink + ch.downlink):
-        assert np.array_equal(x, y)
+    assert built.channels == ch
     assert len(built.units) == len(units)
     for got, want in zip(built.units, units):
         assert got.pairs == want.pairs
@@ -73,3 +72,17 @@ def test_library_needs_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120).stdout
     assert out == "[]\n"
+
+
+@pytest.mark.slow
+def test_every_basic_plan_up_to_five_users_verifies():
+    # The feasibility sweep: every basic point with K <= 5 and M <= N <= 12
+    # builds on two seeds and counts the closed-form d_sum.
+    for k in (3, 4, 5):
+        for n in range(1, 13):
+            for m in range(1, n + 1):
+                want = achievable_basic(m, n, k).d_sum
+                for seed in (0, 1):
+                    built = construct(m, n, k, seed)
+                    report = verify_end_to_end(built.channels, built.units, built.processor)
+                    assert report.passed and report.counted_d_sum == want, (m, n, k, seed)
