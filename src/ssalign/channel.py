@@ -87,6 +87,8 @@ class ChannelSet:
         up, down = (self.k, ext, rows, self.m), (self.k, ext, self.m, rows)
         if not ext * rows or (self.uplink.shape, self.downlink.shape) != (up, down):
             raise ShapeMismatch(f"need an uplink of shape {up} and a downlink of shape {down}")
+        if rows > self.n:
+            raise ShapeMismatch(f"{rows} relay rows per slot exceed the {self.n} relay antennas")
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, ChannelSet)
@@ -197,20 +199,25 @@ def channel_to_json(ch: ChannelSet) -> dict:
 def channel_from_json(doc: dict) -> ChannelSet:
     """Rebuild a :class:`ChannelSet` from :func:`channel_to_json` output.
 
-    Raises ``ValueError`` unless ``doc["seed"]`` is an integer in
-    ``[0, 2**64)``, so that a replay draws the original random directions,
-    unless each link is a finite ``[user][slot][row][col][re, im]`` array,
-    and unless the shapes agree across links.  Ragged lists (slots or users
-    of different sizes, slots without rows) are not arrays and are rejected.
+    Raises ``ValueError`` unless ``doc`` is a dict with all six keys, ``m``,
+    ``n``, ``k`` and ``seed`` are integers with ``M >= 1``, ``K >= 3`` and
+    ``seed`` in ``[0, 2**64)`` (so that a replay draws the original random
+    directions), each link is a finite ``[user][slot][row][col][re, im]``
+    array, and the shapes agree with the counts (at most ``N`` rows per
+    slot) and across links.  Ragged lists are not arrays and are rejected.
     """
-    seed = doc.get("seed")
-    if type(seed) is not int or not 0 <= seed < 2**64:
-        raise ValueError(f"channel document needs a seed in [0, 2**64), got {seed!r}")
+    keys = ("m", "n", "k", "seed", "uplink", "downlink")
+    if not isinstance(doc, dict) or any(key not in doc for key in keys):
+        raise ValueError(f"channel document must be an object with the keys {keys}")
+    m, n, k, seed = (doc[key] for key in keys[:4])
+    if any(type(v) is not int for v in (m, n, k, seed)) or m < 1 or k < 3 \
+            or not 0 <= seed < 2**64:
+        raise ValueError(f"channel document needs integers m >= 1, n, k >= 3 and a seed in "
+                         f"[0, 2**64), got {m!r}, {n!r}, {k!r}, {seed!r}")
     links = []
     for side in ("uplink", "downlink"):
         pairs = np.asarray(doc[side], dtype=np.float64)
         if pairs.ndim != 5 or pairs.shape[-1] != 2 or not np.isfinite(pairs).all():
             raise ValueError(f"{side} must be a finite [user][slot][row][col][re, im] array")
         links.append(pairs[..., 0] + 1j * pairs[..., 1])
-    return ChannelSet(m=doc["m"], n=doc["n"], k=doc["k"], uplink=links[0], downlink=links[1],
-                      seed=seed)
+    return ChannelSet(m=m, n=n, k=k, uplink=links[0], downlink=links[1], seed=seed)

@@ -42,7 +42,7 @@ class InternalPlanError(ConstructionError):
 
 
 class ProjectorCollapse(ConstructionError):
-    """A relay projection matrix has rank zero, so no combination survives."""
+    """The units' spans overlap on one link, or the forwarding matrix is zero."""
 
 
 class IndependenceViolation(ConstructionError):

@@ -16,9 +16,9 @@ from .units import AlignmentPlan, Unit, execute_plan, plan_alignment
 __all__ = ["Construction", "construct"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Construction:
-    """Everything one seeded construction produced, stage by stage."""
+    """Everything one seeded construction produced, stage by stage; ``==`` is identity."""
 
     plan: AlignmentPlan
     channels: ChannelSet

@@ -3,10 +3,12 @@
 For every unit ``l`` and user pair ``(a, b)`` the relay projects its received
 signal onto the orthogonal complement of *all* equivalent uplink vectors
 except the pair's own two, so exactly one linear combination of the paired
-streams survives per projector.  The downlink side mirrors the uplink: the
-same unit construction runs on the transposed downlink channels to produce
-receive vectors, and downlink projectors null everything but the pair among
-the equivalent downlink vectors.  The relay forwards
+streams survives per projector; that survival is tested for every pair of
+every unit on both links while the projector factors are computed.  The
+downlink side mirrors the uplink: the same unit construction runs on the
+transposed downlink channels to produce receive vectors, and downlink
+projectors null everything but the pair among the equivalent downlink
+vectors.  The relay forwards
 ``F = alpha * sum_l sum_{a<b} W(l,a,b) @ P(l,a,b)`` with ``alpha`` meeting
 the unit relay power budget with equality.
 
@@ -31,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .channel import ChannelSet, derived_rng, slot_product
-from .errors import ConstructionError, InvalidSweep, ProjectorCollapse
+from .errors import AlignmentDegenerate, ConstructionError, InvalidSweep, ProjectorCollapse
 from .linalg import LEAKAGE_ABS, nullspace_basis, range_basis
 from .units import Unit, _build_units
 
@@ -53,24 +55,28 @@ __all__ = [
 # measure-zero degeneracy from numerical noise.
 DESIRED_COEFF_MIN = 1e-6
 
+# A pair's stream must keep at least this fraction of its norm after the rest
+# of its unit is projected out, else the channel draw counts as degenerate.
+PAIR_SURVIVAL_MIN = 1e-6
+
 Key = tuple[int, tuple[int, int]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairProjectors:
     """One side's per-pair complement projectors, stored as low-rank factors.
 
     ``basis`` is an orthonormal basis ``Q`` of every stream on that side.
     ``factors[(l, (a, b))]`` is an orthonormal ``Z`` spanning the directions
     of ``span(Q)`` orthogonal to every stream except the pair's two, so the
-    pair's projector is ``I - Q Q^H + Z Z^H``.
+    pair's projector is ``I - Q Q^H + Z Z^H``.  ``==`` is identity.
     """
 
     basis: np.ndarray
     factors: dict[Key, np.ndarray]
 
 
-@dataclass
+@dataclass(eq=False)
 class RelayProcessor:
     """Projector factors, receive vectors, and the scaled forwarding matrix.
 
@@ -79,7 +85,7 @@ class RelayProcessor:
     ``a < b``; the downlink fields mirror it.  ``receive_vectors`` is an
     ``M*ext x streams`` matrix with one column per stream ``(l, (a, b))``,
     in the order of the units and then of each unit's ``pairs``; the column
-    is applied at user ``a`` to listen for user ``b``'s stream.
+    is applied at user ``a`` to listen for user ``b``'s stream.  ``==`` is identity.
     """
 
     uplink_basis: np.ndarray
@@ -126,11 +132,10 @@ def _pair_key(a: int, b: int) -> tuple[int, int]:
 
 def build_uplink_projectors(units: list[Unit]) -> PairProjectors:
     """Per-(unit, pair) projectors nulling every other stream in the system."""
-    n = units[0].equivalent_uplink.shape[0] if units else 0
-    return _complement_projectors(units, n, side="uplink")
+    return _complement_projectors(units, side="uplink")
 
 
-def _complement_projectors(units: list[Unit], n: int, side: str) -> PairProjectors:
+def _complement_projectors(units: list[Unit], side: str) -> PairProjectors:
     """Factor every pair's complement projector through one oblique basis change.
 
     The streams are the columns of the units' ``equivalent_uplink``, which
@@ -141,9 +146,12 @@ def _complement_projectors(units: list[Unit], n: int, side: str) -> PairProjecto
     ``R_l^H y`` built from unit ``l``'s rows is orthogonal to all other
     units, and to the rest of unit ``l`` exactly when ``y`` is, so one small
     nullspace in unit coordinates yields the pair's factor ``Z``.
+
+    The same ``y`` tests the pair's survival: each of its streams ``h`` must
+    keep ``|y^H B_l^H h| >= PAIR_SURVIVAL_MIN * |h| > 0`` off the rest of
+    its unit, else :class:`~ssalign.errors.AlignmentDegenerate` names the
+    side, unit, group, column block and pair; so ``Z`` is never empty.
     """
-    if not units:
-        return PairProjectors(np.empty((n, 0), dtype=np.complex128), {})
     q = range_basis(np.hstack([u.equivalent_uplink for u in units]))
     unit_bases = [range_basis(u.equivalent_uplink) for u in units]
     widths = sum(b.shape[1] for b in unit_bases)
@@ -159,16 +167,18 @@ def _complement_projectors(units: list[Unit], n: int, side: str) -> PairProjecto
         rows = coords[offset:offset + basis.shape[1]]
         offset += basis.shape[1]
         local = basis.conj().T @ unit.equivalent_uplink
-        for a, b in sorted({_pair_key(*pair) for pair in unit.pairs}):
-            rest = [i for i, pair in enumerate(unit.pairs) if _pair_key(*pair) != (a, b)]
+        norms = np.linalg.norm(unit.equivalent_uplink, axis=0)
+        keys = [_pair_key(*pair) for pair in unit.pairs]
+        for a, b in sorted(set(keys)):
+            own = [i for i, key in enumerate(keys) if key == (a, b)]
+            rest = [i for i, key in enumerate(keys) if key != (a, b)]
             y = nullspace_basis(local[:, rest].conj().T)
-            z = np.linalg.qr(rows.conj().T @ y)[0]
-            # I - Q Q^H + Z Z^H has rank n - rank(Q) + width(Z).
-            if n - q.shape[1] + z.shape[1] < 1:
-                raise ProjectorCollapse(
-                    f"{side} projector of unit {li} pair ({a},{b}) has rank zero"
-                )
-            projectors[(li, (a, b))] = z
+            kept = np.linalg.norm(y.conj().T @ local[:, own], axis=0)
+            if np.any((norms[own] == 0.0) | (kept < PAIR_SURVIVAL_MIN * norms[own])):
+                raise AlignmentDegenerate(
+                    f"{side} pair ({a},{b}) of unit {li} (group {unit.group}, column block "
+                    f"{unit.column_block}) does not survive the rest of its unit")
+            projectors[(li, (a, b))] = np.linalg.qr(rows.conj().T @ y)[0]
     return PairProjectors(q, projectors)
 
 
@@ -191,9 +201,8 @@ def design_downlink(units: list[Unit], ch: ChannelSet) -> tuple[np.ndarray, Pair
             twins.append(twin)
     except ConstructionError as exc:
         raise type(exc)(f"downlink twin of unit {len(twins)}: {exc}") from exc
-    receive = np.hstack([np.empty((ch.m * ch.extension, 0), dtype=np.complex128),
-                         *(twin.beamformers for twin in twins)])
-    projectors = _complement_projectors(twins, ch.active_relay, side="downlink")
+    receive = np.hstack([twin.beamformers for twin in twins])
+    projectors = _complement_projectors(twins, side="downlink")
     return receive, projectors
 
 
@@ -216,8 +225,6 @@ def assemble_forward_matrix(units: list[Unit], uplink_projectors: PairProjectors
     budget, with unit per-stream power and unit relay noise variance, so no
     Monte Carlo noise enters the normalization.
     """
-    if not units:
-        return np.zeros((0, 0), dtype=np.complex128), 1.0
     keys = list(uplink_projectors.factors)
     zu, owner_u = _stacked_factors(uplink_projectors, keys)
     zd, owner_d = _stacked_factors(downlink_projectors, keys)
@@ -317,8 +324,6 @@ def verify_end_to_end(ch: ChannelSet, units: list[Unit],
     Failures are reported, never raised.
     """
     keys = _stream_keys(units)
-    if not keys:
-        return VerificationReport(streams=[], counted_d_sum=Fraction(0), passed=True)
     h_matrix, chains = _chain_vectors(ch, units, processor, normalized=True)
     coeffs = np.abs(chains @ h_matrix)
     partner = _partner_columns(keys)
@@ -358,8 +363,6 @@ def estimate_dof_slope(ch: ChannelSet, units: list[Unit], processor: RelayProces
     snrs = list(snr_db_list)
     if len(snrs) < 2 or any(b <= a for a, b in zip(snrs, snrs[1:])):
         raise InvalidSweep(f"need >= 2 ascending SNR points, got {snrs}")
-    if not units:
-        return 0.0
 
     keys = _stream_keys(units)
     h_matrix, chains = _chain_vectors(ch, units, processor, normalized=False)

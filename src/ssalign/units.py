@@ -35,7 +35,7 @@ from .errors import (
     InternalPlanError,
     SupplyExhausted,
 )
-from .linalg import nullspace_basis, numerical_rank, range_basis, union_span_dim
+from .linalg import nullspace_basis, numerical_rank, union_span_dim
 
 __all__ = [
     "RANDOM",
@@ -52,19 +52,15 @@ __all__ = [
 # Pattern-order sentinel for random-direction (full-multiplexing) units.
 RANDOM = 0
 
-# A pair vector must keep at least this fraction of its norm after the rest
-# of its unit is projected out, else the channel draw counts as degenerate.
-PAIR_SURVIVAL_MIN = 1e-6
 
-
-@dataclass
+@dataclass(eq=False)
 class Unit:
     """One bundle of jointly beamformed streams, one column per ordered pair.
 
     Column ``i`` of ``beamformers`` (``M*ext x s``) is user ``a``'s transmit
     vector for its stream to user ``b``, ``(a, b) = pairs[i]`` with ``pairs``
     sorted; column ``i`` of ``equivalent_uplink`` (``N_active x s``) is its
-    image ``H_a @ u`` at the active relay antennas.
+    image ``H_a @ u`` at the active relay antennas.  ``==`` is identity.
     """
 
     pattern_order: int  # 2..K for aligned units, RANDOM for random directions
@@ -163,10 +159,9 @@ def unit_from_nullspace(ch: ChannelSet, group, basis: np.ndarray, column_block: 
 
     ``column_block`` selects columns ``(t-1)*block .. (t-1)*(block+1) - 1``
     of the orthonormal nullspace basis of ``[H_{g0}, ..., H_{g(t-1)}]``, so
-    distinct blocks never reuse columns.  Postconditions checked: the
-    equivalent vectors span exactly ``(t-1)^2`` dimensions, and within the
-    unit both vectors of every pair survive projection against the other
-    streams.
+    distinct blocks never reuse columns.  Postcondition checked: the
+    equivalent vectors span exactly ``(t-1)^2`` dimensions.  Pair survival
+    is tested by the relay's pair factorisation (:mod:`ssalign.relay`).
     """
     group = _check_group(ch, group)
     t = len(group)
@@ -206,24 +201,7 @@ def unit_from_nullspace(ch: ChannelSet, group, basis: np.ndarray, column_block: 
         raise AlignmentDegenerate(
             f"order-{t} unit on group {group} spans {got} dimensions, expected {want}"
         )
-    _check_pair_survival(unit)
     return unit
-
-
-def _check_pair_survival(unit: Unit) -> None:
-    vecs = unit.equivalent_uplink
-    for a, b in combinations(sorted(unit.group), 2):
-        own = [unit.pairs.index((a, b)), unit.pairs.index((b, a))]
-        q = range_basis(np.delete(vecs, own, axis=1))
-        for i in own:
-            h = vecs[:, i]
-            norm = np.linalg.norm(h)
-            # Norm of the component of h orthogonal to the rest of the unit.
-            if norm == 0.0 or np.linalg.norm(h - q @ (q.conj().T @ h)) < PAIR_SURVIVAL_MIN * norm:
-                raise AlignmentDegenerate(
-                    f"stream {unit.pairs[i]} of unit on group {unit.group} does not survive "
-                    f"projection against the rest of its unit"
-                )
 
 
 @dataclass(frozen=True)
@@ -341,8 +319,6 @@ def plan_alignment(m: int, n: int, k: int, improved: bool = False) -> AlignmentP
     allocations: list[Allocation] = []
     for order, per_group in pieces:
         count = int(per_group * sigma)
-        if count == 0:
-            continue
         if order == RANDOM:
             allocations.append(Allocation(tuple(range(k)), RANDOM, count))
         else:
@@ -422,21 +398,22 @@ def execute_plan(plan: AlignmentPlan, ch: ChannelSet) -> list[Unit]:
             f"plan needs {plan.active_relay} active relay rows, channels have "
             f"{ch.active_relay}; apply deactivate_relay_antennas first"
         )
+    if not plan.allocations:
+        raise ValueError("plan has no allocations; every plan_alignment plan has one")
     specs = [(a.pattern_order, a.group, i) for a in plan.allocations for i in range(a.count)]
     units = list(_build_units(ch, specs, derived_rng(ch.seed, 1)))
 
-    if units:
-        total = union_span_dim([u.equivalent_uplink for u in units])
-        if total != plan.dims_used:
+    total = union_span_dim([u.equivalent_uplink for u in units])
+    if total != plan.dims_used:
+        raise IndependenceViolation(
+            f"units span {total} dimensions jointly, plan uses {plan.dims_used}"
+        )
+    beams = np.hstack([u.beamformers for u in units])
+    senders = np.array([a for u in units for a, _ in u.pairs])
+    for user in range(ch.k):
+        stack = beams[:, senders == user]
+        if numerical_rank(stack) != stack.shape[1]:
             raise IndependenceViolation(
-                f"units span {total} dimensions jointly, plan uses {plan.dims_used}"
+                f"user {user}'s beamformer stack is column-rank deficient"
             )
-        beams = np.hstack([u.beamformers for u in units])
-        senders = np.array([a for u in units for a, _ in u.pairs])
-        for user in range(ch.k):
-            stack = beams[:, senders == user]
-            if numerical_rank(stack) != stack.shape[1]:
-                raise IndependenceViolation(
-                    f"user {user}'s beamformer stack is column-rank deficient"
-                )
     return units

@@ -295,12 +295,14 @@ class TestExecutePlan:
         all_vecs = [v for u in units for v in unit_vectors(u)]
         assert union_span_dim(all_vecs) == 16
 
-    def test_empty_plan_is_vacuous(self):
+    def test_plan_without_allocations_is_rejected(self):
+        # plan_alignment never makes one, so no stage handles an empty unit list.
         plan = AlignmentPlan(m=2, n=3, k=3, improved=False, extension=1,
                              active_relay=3, allocations=(),
                              predicted_d_user=F(0), dims_used=0)
         ch = channels(2, 3, 3, seed=13)
-        assert execute_plan(plan, ch) == []
+        with pytest.raises(ValueError, match="no allocations"):
+            execute_plan(plan, ch)
 
     def test_requires_matching_channels(self):
         plan = plan_alignment(3, 5, 3)  # extension 2

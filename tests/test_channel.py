@@ -19,7 +19,7 @@ from ssalign import (
     sample_channel_set,
 )
 from ssalign.channel import ChannelSet, complex_to_pairs, slot_product
-from ssalign.errors import InvalidDeactivation
+from ssalign.errors import InvalidDeactivation, ShapeMismatch
 
 from reference import dense
 
@@ -253,6 +253,32 @@ class TestJson:
         corrupt(doc)
         with pytest.raises(ValueError):
             channel_from_json(doc)
+
+    @pytest.mark.parametrize("change", [
+        pytest.param({"n": 1}, id="n-below-the-rows"),
+        pytest.param({"n": -4}, id="negative-n"),
+        pytest.param({"n": "x"}, id="string-n"),
+        pytest.param({"m": 3.0}, id="float-m"),
+        pytest.param({"k": True}, id="bool-k"),
+        pytest.param({"uplink": None}, id="no-uplink"),
+        pytest.param({"m": None}, id="no-m"),
+        pytest.param(None, id="list-document"),
+    ])
+    def test_invalid_counts_and_documents_are_rejected(self, change):
+        # A None value drops its key; a None change wraps the document in a list.
+        doc = channel_to_json(sample_channel_set(SystemConfig(m=3, n=5, k=3, seed=0)))
+        if change is None:
+            doc = [doc]
+        else:
+            doc.update(change)
+            doc = {key: value for key, value in doc.items() if value is not None}
+        with pytest.raises(ValueError):
+            channel_from_json(doc)
+
+    def test_more_rows_per_slot_than_relay_antennas_is_rejected(self):
+        ch = sample_channel_set(SystemConfig(m=3, n=5, k=3, seed=0))
+        with pytest.raises(ShapeMismatch, match="5 relay rows per slot exceed the 2"):
+            ChannelSet(m=3, n=2, k=3, uplink=ch.uplink, downlink=ch.downlink, seed=0)
 
     @pytest.mark.parametrize("side,value", [("uplink", float("nan")), ("downlink", float("inf")),
                                             ("uplink", None)])

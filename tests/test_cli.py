@@ -8,7 +8,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from ssalign import cli, dof, lemmas
+from ssalign import cli, dof, lemmas, relay
 from ssalign.channel import channel_from_json
 from ssalign.cli import main
 from ssalign.lemmas import DEFAULT_SPEC
@@ -85,6 +85,15 @@ class TestExitCodes:
         doc = json.loads(out)
         assert doc["error"] == "ExtensionOverflow"
         assert doc["seed"] == 5
+
+    def test_pair_survival_failure_exits_three(self, capsys, monkeypatch):
+        # No stream keeps twice its norm, so the first uplink pair fails.
+        monkeypatch.setattr(relay, "PAIR_SURVIVAL_MIN", 2.0)
+        rc, out = run(capsys, "build", "--m", "3", "--n", "8", "--k", "4", "--seed", "7")
+        assert rc == 3
+        doc = json.loads(out)
+        assert doc["error"] == "AlignmentDegenerate"
+        assert doc["seed"] == 7
 
 
 class TestVerificationLookup:

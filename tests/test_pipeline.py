@@ -48,6 +48,16 @@ def test_construct_matches_hand_wired_stages(m, n, k, improved):
     assert report.passed
 
 
+def test_constructions_compare_by_identity():
+    # Their arrays would make a field-by-field == raise.
+    built = construct(3, 5, 3, 0)
+    again = construct(3, 5, 3, 0)
+    assert built == built
+    assert built != again
+    assert built.units[0] != again.units[0]
+    assert built.processor != again.processor
+
+
 def test_construct_calls_module_planner(monkeypatch):
     # A stage tracer swaps module attributes; construct must look them up
     # when it runs.

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -12,6 +13,7 @@ from ssalign import (
     build_relay_processor,
     build_uplink_projectors,
     complex_gaussian,
+    construct,
     deactivate_relay_antennas,
     derived_rng,
     design_downlink,
@@ -24,6 +26,7 @@ from ssalign import (
     verify_end_to_end,
 )
 from ssalign.errors import AlignmentDegenerate, InvalidSweep, ProjectorCollapse
+from ssalign import relay
 from ssalign.relay import _entry_rms_scale
 from ssalign.units import RANDOM, Unit
 
@@ -93,8 +96,37 @@ class TestUplinkProjectors:
         rng = np.random.Generator(np.random.Philox(key=6))
         pairs = ((0, 1), (0, 2), (1, 0), (2, 0))
         vecs = np.column_stack([complex_gaussian(rng, 2, 1)[:, 0] for _ in pairs])
-        with pytest.raises(ProjectorCollapse, match="rank zero"):
+        with pytest.raises(AlignmentDegenerate,
+                           match=r"^uplink pair \(0,1\) of unit 0 .* does not survive"):
             build_uplink_projectors([Unit(RANDOM, (0, 1, 2), pairs, vecs.copy(), vecs)])
+
+    def test_zero_stream_does_not_survive(self):
+        rng = np.random.Generator(np.random.Philox(key=7))
+        vecs = complex_gaussian(rng, 3, 2)
+        vecs[:, 1] = 0.0
+        with pytest.raises(AlignmentDegenerate, match="does not survive"):
+            build_uplink_projectors([Unit(2, (0, 1), ((0, 1), (1, 0)), vecs.copy(), vecs)])
+
+
+class TestPairSurvival:
+    # No stream keeps twice its norm, so at 2.0 every pair fails the test.
+    @pytest.mark.parametrize("m,n,k,group", [
+        (3, 8, 4, (0, 1, 2)),   # order-3 units
+        (3, 5, 3, (0, 1)),      # pair units
+        (2, 6, 3, (0, 1, 2)),   # one random unit
+    ])
+    def test_construction_names_the_uplink_pair(self, monkeypatch, m, n, k, group):
+        monkeypatch.setattr(relay, "PAIR_SURVIVAL_MIN", 2.0)
+        with pytest.raises(AlignmentDegenerate,
+                           match=rf"^uplink pair \(0,1\) of unit 0 \(group "
+                                 rf"{re.escape(str(group))}, column block 0\)"):
+            construct(m, n, k, 0)
+
+    def test_downlink_twins_are_tested(self, monkeypatch):
+        built = construct(3, 8, 4, 0)
+        monkeypatch.setattr(relay, "PAIR_SURVIVAL_MIN", 2.0)
+        with pytest.raises(AlignmentDegenerate, match=r"^downlink pair \(0,1\) of unit 0 "):
+            design_downlink(built.units, built.channels)
 
 
 class TestLowRankProjectors:
@@ -174,11 +206,6 @@ class TestDownlinkMirror:
                            match="^downlink twin of unit 0: random unit spans 4 dimensions"):
             build_relay_processor(units, deaf)
 
-    def test_empty_units(self):
-        ch = sample_channel_set(SystemConfig(m=2, n=3, k=3, seed=7))
-        receive, projectors = design_downlink([], ch)
-        assert receive.shape == (2, 0) and projectors.factors == {}
-
 
 class TestForwardMatrix:
     def test_single_pair_identity_projectors(self):
@@ -245,11 +272,6 @@ class TestVerification:
         assert not report.passed
         assert max(rec.leakage for rec in report.streams) > LEAKAGE_ABS
         assert report.counted_d_sum < F(6)
-
-    def test_empty_units(self):
-        ch = sample_channel_set(SystemConfig(m=2, n=3, k=3, seed=15))
-        report = verify_end_to_end(ch, [], build_relay_processor([], ch))
-        assert report.passed and report.counted_d_sum == 0
 
 
 def dense_chains(ch, units, processor, normalized):
@@ -339,10 +361,6 @@ class TestSlope:
         units[0].beamformers[0, 0] += 1.0
         slope = estimate_dof_slope(ch, units, processor, [40.0, 50.0, 60.0])
         assert slope < 6.0 * 0.95
-
-    def test_empty_units_zero(self):
-        ch = sample_channel_set(SystemConfig(m=2, n=3, k=3, seed=18))
-        assert estimate_dof_slope(ch, [], build_relay_processor([], ch), [40, 50]) == 0.0
 
     def test_bad_sweeps_rejected(self):
         _, ch, units, processor = full_build(2, 3, 3, seed=19)
