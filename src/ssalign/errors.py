@@ -42,11 +42,11 @@ class InternalPlanError(ConstructionError):
 
 
 class ProjectorCollapse(ConstructionError):
-    """The units' spans overlap on one link, or the forwarding matrix is zero."""
+    """The relay's forwarding matrix is identically zero."""
 
 
 class IndependenceViolation(ConstructionError):
-    """Executed units do not jointly span the planned number of dimensions."""
+    """Units' spans overlap on one link, or a user's beamformer stack is rank deficient."""
 
 
 class InvalidLemmaParams(ValueError):

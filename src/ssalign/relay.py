@@ -33,7 +33,8 @@ from fractions import Fraction
 import numpy as np
 
 from .channel import ChannelSet, derived_rng, slot_product
-from .errors import AlignmentDegenerate, ConstructionError, InvalidSweep, ProjectorCollapse
+from .errors import (AlignmentDegenerate, ConstructionError, IndependenceViolation,
+                     InvalidSweep, ProjectorCollapse)
 from .linalg import LEAKAGE_ABS, nullspace_basis, range_basis
 from .units import Unit, _build_units
 
@@ -139,13 +140,14 @@ def _complement_projectors(units: list[Unit], side: str) -> PairProjectors:
     """Factor every pair's complement projector through one oblique basis change.
 
     The streams are the columns of the units' ``equivalent_uplink``, which
-    are ``G_a^T v`` for downlink twins.  The units span a direct sum
-    ``span(B_1) + ... + span(B_L) = span(Q)``,
-    so the rows of ``C^-1 Q^H`` with ``C = Q^H [B_1 .. B_L]`` give each
-    vector of ``span(Q)`` its coordinates in every unit basis.  A direction
-    ``R_l^H y`` built from unit ``l``'s rows is orthogonal to all other
-    units, and to the rest of unit ``l`` exactly when ``y`` is, so one small
-    nullspace in unit coordinates yields the pair's factor ``Z``.
+    are ``G_a^T v`` for downlink twins.  The unit bases ``B_l`` must span a
+    direct sum ``span(B_1) + ... + span(B_L) = span(Q)``, the link's one
+    joint-independence check; else :class:`~ssalign.errors.IndependenceViolation`
+    names the side.  So the rows of ``C^-1 Q^H`` with ``C = Q^H [B_1 .. B_L]``
+    give each vector of ``span(Q)`` its coordinates in every unit basis.  A
+    direction ``R_l^H y`` built from unit ``l``'s rows is orthogonal to all
+    other units, and to the rest of unit ``l`` exactly when ``y`` is, so one
+    small nullspace in unit coordinates yields the pair's factor ``Z``.
 
     The same ``y`` tests the pair's survival: each of its streams ``h`` must
     keep ``|y^H B_l^H h| >= PAIR_SURVIVAL_MIN * |h| > 0`` off the rest of
@@ -153,10 +155,10 @@ def _complement_projectors(units: list[Unit], side: str) -> PairProjectors:
     side, unit, group, column block and pair; so ``Z`` is never empty.
     """
     q = range_basis(np.hstack([u.equivalent_uplink for u in units]))
-    unit_bases = [range_basis(u.equivalent_uplink) for u in units]
+    unit_bases = [u.basis for u in units]
     widths = sum(b.shape[1] for b in unit_bases)
     if widths != q.shape[1]:
-        raise ProjectorCollapse(
+        raise IndependenceViolation(
             f"{side} unit spans overlap: their dimensions sum to {widths}, "
             f"jointly they span {q.shape[1]}"
         )

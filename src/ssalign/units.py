@@ -20,6 +20,7 @@ the regime's corner ratio when that raises the achievable DoF.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import lcm
@@ -35,7 +36,7 @@ from .errors import (
     InternalPlanError,
     SupplyExhausted,
 )
-from .linalg import nullspace_basis, numerical_rank, union_span_dim
+from .linalg import nullspace_basis, numerical_rank, range_basis
 
 __all__ = [
     "RANDOM",
@@ -60,7 +61,8 @@ class Unit:
     Column ``i`` of ``beamformers`` (``M*ext x s``) is user ``a``'s transmit
     vector for its stream to user ``b``, ``(a, b) = pairs[i]`` with ``pairs``
     sorted; column ``i`` of ``equivalent_uplink`` (``N_active x s``) is its
-    image ``H_a @ u`` at the active relay antennas.  ``==`` is identity.
+    image ``H_a @ u`` at the active relay antennas.  ``basis`` is an
+    orthonormal basis of their span, decomposed once.  ``==`` is identity.
     """
 
     pattern_order: int  # 2..K for aligned units, RANDOM for random directions
@@ -70,8 +72,9 @@ class Unit:
     equivalent_uplink: np.ndarray
     column_block: int = 0
 
-    def span_dim(self) -> int:
-        return union_span_dim([self.equivalent_uplink])
+    @cached_property
+    def basis(self) -> np.ndarray:
+        return range_basis(self.equivalent_uplink)
 
 
 def _unit(ch: ChannelSet, pattern_order: int, group: tuple[int, ...],
@@ -93,8 +96,8 @@ def build_random_unit(ch: ChannelSet, rng: np.random.Generator) -> Unit:
     The K(K-1) equivalent vectors span K(K-1) relay dimensions with
     probability one, which requires M*extension >= K-1 transmit antennas per
     user (each user sends K-1 streams) and at least K(K-1) active relay
-    dimensions; otherwise the span check fails and the draw is rejected as
-    degenerate.
+    dimensions; otherwise the span check on the unit's ``basis`` fails and
+    the draw is rejected as degenerate.
     """
     mt = ch.m * ch.extension
     group = tuple(range(ch.k))
@@ -104,7 +107,7 @@ def build_random_unit(ch: ChannelSet, rng: np.random.Generator) -> Unit:
         beam[pair] = u / np.linalg.norm(u)
     unit = _unit(ch, RANDOM, group, beam)
     want = ch.k * (ch.k - 1)
-    got = unit.span_dim()
+    got = unit.basis.shape[1]
     if got != want:
         raise AlignmentDegenerate(
             f"random unit spans {got} dimensions, expected {want} "
@@ -159,9 +162,9 @@ def unit_from_nullspace(ch: ChannelSet, group, basis: np.ndarray, column_block: 
 
     ``column_block`` selects columns ``(t-1)*block .. (t-1)*(block+1) - 1``
     of the orthonormal nullspace basis of ``[H_{g0}, ..., H_{g(t-1)}]``, so
-    distinct blocks never reuse columns.  Postcondition checked: the
-    equivalent vectors span exactly ``(t-1)^2`` dimensions.  Pair survival
-    is tested by the relay's pair factorisation (:mod:`ssalign.relay`).
+    distinct blocks never reuse columns.  Postcondition checked: the unit's
+    ``basis`` has exactly ``(t-1)^2`` columns.  Pair survival and joint
+    independence are tested by the relay (:mod:`ssalign.relay`).
     """
     group = _check_group(ch, group)
     t = len(group)
@@ -196,7 +199,7 @@ def unit_from_nullspace(ch: ChannelSet, group, basis: np.ndarray, column_block: 
     unit = _unit(ch, t, group, beam, column_block)
 
     want = (t - 1) ** 2
-    got = unit.span_dim()
+    got = unit.basis.shape[1]
     if got != want:
         raise AlignmentDegenerate(
             f"order-{t} unit on group {group} spans {got} dimensions, expected {want}"
@@ -383,11 +386,11 @@ def execute_plan(plan: AlignmentPlan, ch: ChannelSet) -> list[Unit]:
     """Build every planned unit on the given channels, in allocation order.
 
     Nullspace column blocks are consumed sequentially, never reused, and
-    random units draw from RNG substream 1 of ``ch.seed``.  After
-    construction the units must jointly span exactly ``plan.dims_used``
-    dimensions and every user's transmit beamformer stack must have full
-    column rank; any shortfall raises
-    :class:`~ssalign.errors.IndependenceViolation`.
+    random units draw from RNG substream 1 of ``ch.seed``.  Each unit spans
+    its ``dims_per_unit()``, so the spans sum to ``plan.dims_used``; the
+    relay checks, on both links, that they are independent.  Every user's
+    transmit beamformer stack must have full column rank, else
+    :class:`~ssalign.errors.IndependenceViolation` is raised.
     """
     if (plan.m, plan.n, plan.k) != (ch.m, ch.n, ch.k):
         raise ValueError("channel set was sampled for a different (M, N, K)")
@@ -402,12 +405,6 @@ def execute_plan(plan: AlignmentPlan, ch: ChannelSet) -> list[Unit]:
         raise ValueError("plan has no allocations; every plan_alignment plan has one")
     specs = [(a.pattern_order, a.group, i) for a in plan.allocations for i in range(a.count)]
     units = list(_build_units(ch, specs, derived_rng(ch.seed, 1)))
-
-    total = union_span_dim([u.equivalent_uplink for u in units])
-    if total != plan.dims_used:
-        raise IndependenceViolation(
-            f"units span {total} dimensions jointly, plan uses {plan.dims_used}"
-        )
     beams = np.hstack([u.beamformers for u in units])
     senders = np.array([a for u in units for a, _ in u.pairs])
     for user in range(ch.k):

@@ -17,12 +17,7 @@ from ssalign import (
     sample_channel_set,
     union_span_dim,
 )
-from ssalign.errors import (
-    AlignmentDegenerate,
-    ExtensionOverflow,
-    IndependenceViolation,
-    SupplyExhausted,
-)
+from ssalign.errors import AlignmentDegenerate, ExtensionOverflow, SupplyExhausted
 from ssalign.units import group_nullspace, unit_from_nullspace
 
 from reference import build_aligned_unit, complement_projector, dense
@@ -367,9 +362,9 @@ class TestExecutePlan:
 
     # Pair units with extension > 1, where the group nullspace is the direct
     # sum of slot-localised per-slot nullspaces: without the seeded mixing,
-    # consecutive column blocks repeat relay directions and these points
-    # raise IndependenceViolation.  (M, N) per K: every such point with
-    # N <= 12, on both seeds.
+    # consecutive column blocks repeat relay directions, and at these points
+    # the relay's uplink independence check raises IndependenceViolation.
+    # (M, N) per K: every such point with N <= 12, on both seeds.
     SLOT_LOCAL = {
         3: [(1, 1), (2, 2), (4, 4), (5, 5), (6, 7), (7, 7), (7, 8), (8, 8), (9, 10), (10, 10),
             (10, 11), (11, 11)],

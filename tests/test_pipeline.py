@@ -1,6 +1,8 @@
+import hashlib
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +58,26 @@ def test_constructions_compare_by_identity():
     assert built != again
     assert built.units[0] != again.units[0]
     assert built.processor != again.processor
+
+
+@pytest.mark.parametrize("m,n,k,improved", [(3, 5, 3, False), (7, 14, 4, True),
+                                            (5, 9, 5, True), (2, 12, 6, False)])
+def test_no_matrix_is_decomposed_twice(monkeypatch, m, n, k, improved):
+    # Every span is decided once: each unit's in its builder, each link's
+    # joint span and pair complements in the relay.
+    seen = Counter()
+    svd = np.linalg.svd
+
+    def fingerprinting(a, *args, **kwargs):
+        arr = np.asarray(a)
+        seen[(arr.shape, hashlib.sha256(arr.tobytes()).digest())] += 1
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", fingerprinting)
+    built = construct(m, n, k, 0, improved)
+    assert verify_end_to_end(built.channels, built.units, built.processor).passed
+    assert seen
+    assert [(shape, count) for (shape, _), count in seen.items() if count > 1] == []
 
 
 def test_construct_calls_module_planner(monkeypatch):

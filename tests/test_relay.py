@@ -25,7 +25,7 @@ from ssalign import (
     union_span_dim,
     verify_end_to_end,
 )
-from ssalign.errors import AlignmentDegenerate, InvalidSweep, ProjectorCollapse
+from ssalign.errors import AlignmentDegenerate, IndependenceViolation, InvalidSweep
 from ssalign import relay
 from ssalign.relay import _entry_rms_scale
 from ssalign.units import RANDOM, Unit
@@ -81,13 +81,13 @@ class TestUplinkProjectors:
 
     def test_others_spanning_everything_collapse(self):
         # Two 2-stream units in C^2: the other unit's streams span every row,
-        # so no combination of a pair survives its projector.
+        # so no combination of a pair survives its projector: the spans overlap.
         rng = np.random.Generator(np.random.Philox(key=5))
         units = []
         for _ in range(2):
             vecs = np.column_stack([complex_gaussian(rng, 2, 1)[:, 0] for _ in range(2)])
             units.append(Unit(2, (0, 1), ((0, 1), (1, 0)), vecs.copy(), vecs))
-        with pytest.raises(ProjectorCollapse):
+        with pytest.raises(IndependenceViolation, match="^uplink unit spans overlap"):
             build_uplink_projectors(units)
 
     def test_pair_inside_rest_of_its_unit_collapses(self):
@@ -127,6 +127,22 @@ class TestPairSurvival:
         monkeypatch.setattr(relay, "PAIR_SURVIVAL_MIN", 2.0)
         with pytest.raises(AlignmentDegenerate, match=r"^downlink pair \(0,1\) of unit 0 "):
             design_downlink(built.units, built.channels)
+
+
+class TestJointIndependence:
+    # At (3, 8, 4) four order-3 units fill all 16 relay rows, so a second
+    # copy of unit 0 (on the downlink, of its twin) overlaps the others.
+    @pytest.mark.parametrize("side", ["uplink", "downlink"])
+    def test_overlap_names_the_side(self, side):
+        built = construct(3, 8, 4, 0)
+        units = built.units + [built.units[0]]
+        with pytest.raises(IndependenceViolation,
+                           match=rf"^{side} unit spans overlap: their dimensions sum to 20, "
+                                 r"jointly they span 16$"):
+            if side == "uplink":
+                build_uplink_projectors(units)
+            else:
+                design_downlink(units, built.channels)
 
 
 class TestLowRankProjectors:
