@@ -56,6 +56,24 @@ def _seed(text: str) -> int:
     return value
 
 
+def _farey(q: int) -> list[Fraction]:
+    """Reduced fractions of (0, 1] with denominator <= ``q``, in increasing order.
+
+    Next-term recurrence of the Farey sequence (Hardy & Wright, *An
+    Introduction to the Theory of Numbers*, section 3.1): after ``a/b`` and
+    ``c/d`` comes ``(k c - a)/(k d - b)`` with ``k = (q + b) // d``.  Every
+    term is already in lowest terms, and the first term past ``1/1`` is
+    ``(q + 1)/q``.
+    """
+    grid = []
+    a, b, c, d = 0, 1, 1, q
+    while c <= d:
+        grid.append(Fraction(c, d))
+        k = (q + b) // d
+        a, b, c, d = c, d, k * c - a, k * d - b
+    return grid
+
+
 def _parse_ratios(spec: str, parser: argparse.ArgumentParser) -> list[Fraction]:
     spec = spec.strip()
     if spec.startswith("farey:"):
@@ -65,8 +83,7 @@ def _parse_ratios(spec: str, parser: argparse.ArgumentParser) -> list[Fraction]:
             parser.error(f"bad ratio grid spec {spec!r}")
         if top < 1:
             parser.error("farey grid denominator bound must be positive")
-        grid = {Fraction(p, q) for q in range(1, top + 1) for p in range(1, q + 1)}
-        return sorted(grid)
+        return _farey(top)
     try:
         ratios = sorted({Fraction(part) for part in spec.split(",") if part.strip()})
     except (ValueError, ZeroDivisionError):
@@ -298,8 +315,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="user count (integer >= 3) or 'inf' for the many-user limit")
     curve.add_argument("--mode", choices=["outer", "basic", "improved"], default="basic")
     curve.add_argument("--ratios", default="farey:48",
-                       help="comma list of rationals (e.g. '2/3,7/16') or 'farey:<q>' for "
-                            "all reduced fractions in (0, 1] with denominator <= q "
+                       help="comma list of rationals (e.g. '2/3,7/16'), emitted sorted "
+                            "without duplicates, or 'farey:<q>' for all reduced fractions "
+                            "in (0, 1] with denominator <= q, emitted in increasing order "
                             "(default farey:48)")
     curve.add_argument("--half-duplex", action="store_true",
                        help="halve emitted values for half-duplex operation")

@@ -5,6 +5,12 @@ breakpoint comparisons (``7/16``, ``(t+1)(t-1)/t^3``, ...) are exact and the
 results double as the analytical oracle that constructed beamforming plans
 must match.  No floating point is used anywhere in this module.
 
+The regime constants that depend on ``K`` and the pattern order ``t`` alone
+(``alpha_t``, ``beta_t``, ``theta_t``, ``tau_t`` and the capacity thresholds)
+are computed once per ``(K, t)`` and cached.  Integer arguments are reduced
+to plain ``int`` first, so a caller passing numpy integers gets the same
+plain ``int`` and ``Fraction`` values as one passing Python ints.
+
 Setting: ``K`` users with ``M`` antennas each exchange messages pairwise
 through an ``N``-antenna relay.  ``d_user`` counts spatial streams per user
 per channel use; ``d_sum = K * d_user``; ``d_relay = d_sum / N``.
@@ -12,7 +18,9 @@ per channel use; ``d_sum = K * d_user``; ``d_relay = d_sum / N``.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -70,11 +78,15 @@ class PatternCoefficients:
     tau_t: Fraction | None
 
 
-def _validate_mnk(m: int, n: int, k: int) -> None:
+def _validate_mnk(m: int, n: int, k: int) -> tuple[int, int, int]:
+    # Plain ints: a numpy integer times one of the large binomial constants
+    # overflows, and would leak its type into the returned fractions.
+    m, n, k = operator.index(m), operator.index(n), operator.index(k)
     if k < 3:
         raise ValueError(f"user count must be >= 3, got {k}")
     if m < 1 or n < 1:
         raise ValueError(f"antenna counts must be positive, got M={m}, N={n}")
+    return m, n, k
 
 
 def _result(d_user: Fraction, n: int, k: int, tight: bool) -> DofResult:
@@ -82,6 +94,20 @@ def _result(d_user: Fraction, n: int, k: int, tight: bool) -> DofResult:
     return DofResult(d_user=d_user, d_sum=d_sum, d_relay=d_sum / n, capacity_tight=tight)
 
 
+def _per_k_constant(fn):
+    # Exceptions are not cached, so out-of-range arguments raise on every call.
+    # The bound keeps a sweep over many K from growing the cache without limit;
+    # it holds every order t of one K up to 4096, so improvement_branch's scan
+    # over t still hits.
+    cached = functools.lru_cache(maxsize=4096)(fn)
+
+    @functools.wraps(fn)
+    def plain_int_args(*args):
+        return cached(*map(operator.index, args))
+    return plain_int_args
+
+
+@_per_k_constant
 def alpha_beta(k: int, t: int) -> tuple[int, int]:
     """Stream/dimension multipliers of pattern order ``t``.
 
@@ -95,6 +121,7 @@ def alpha_beta(k: int, t: int) -> tuple[int, int]:
     return math.comb(k - 1, t - 1) * (t - 1), math.comb(k, t) * (t - 1) ** 2
 
 
+@_per_k_constant
 def capacity_thresholds(k: int) -> tuple[Fraction, Fraction]:
     """Ratios bounding the known-capacity ranges: ``(low, high)``.
 
@@ -109,7 +136,7 @@ def capacity_thresholds(k: int) -> tuple[Fraction, Fraction]:
 
 def outer_bound_per_user(m: int, n: int, k: int) -> DofResult:
     """Counting bound ``d_user <= min(M, 2N/K)`` (never flagged tight)."""
-    _validate_mnk(m, n, k)
+    m, n, k = _validate_mnk(m, n, k)
     d = min(Fraction(m), Fraction(2 * n, k))
     return _result(d, n, k, tight=False)
 
@@ -125,11 +152,13 @@ def regime_index(m: int, n: int) -> int:
     return max(2, n // m + 1)
 
 
+@_per_k_constant
 def _theta(k: int, t: int) -> Fraction:
     _, b_t = alpha_beta(k, t)
     return Fraction(t - 1, t * b_t) + Fraction(1, t)
 
 
+@_per_k_constant
 def _tau(k: int, t: int) -> Fraction:
     a_t, b_t = alpha_beta(k, t)
     a_next, b_next = alpha_beta(k, t + 1)
@@ -141,13 +170,18 @@ def _gammas(m: int, n: int, k: int, t: int) -> tuple[Fraction, Fraction]:
     # random-direction units: alpha = K - 1, beta = K(K - 1).
     a_t, b_t = alpha_beta(k, t)
     a_next, b_next = (k - 1, k * (k - 1)) if t == k else alpha_beta(k, t + 1)
-    x = Fraction(t * m - n, t - 1)
-    return a_t * x + Fraction(a_next, b_next) * (n - b_t * x), Fraction(a_t * n, b_t)
+    # a_t x + (a_next / b_next)(N - b_t x) with x = (tM - N)/(t - 1), over
+    # the common denominator (t - 1) b_next.
+    excess = t * m - n
+    g1 = Fraction(a_t * b_next * excess + a_next * ((t - 1) * n - b_t * excess),
+                  (t - 1) * b_next)
+    return g1, Fraction(a_t * n, b_t)
 
 
 def gamma_theta_tau(m: int, n: int, k: int, t: int) -> PatternCoefficients:
     """Evaluate the order-``t`` regime coefficients at ``(M, N)``."""
-    _validate_mnk(m, n, k)
+    m, n, k = _validate_mnk(m, n, k)
+    t = operator.index(t)
     if not 2 <= t <= k - 1:
         raise InvalidPatternOrder(f"pattern order {t} outside [2, {k - 1}]")
     a_t, b_t = alpha_beta(k, t)
@@ -178,7 +212,7 @@ def achievable_basic(m: int, n: int, k: int) -> DofResult:
     the mixed fill ``gamma_{t,1}`` and the cap ``gamma_{t,2}``; for
     ``M > N`` the value achieved at ``M = N`` (the relay is the bottleneck).
     """
-    _validate_mnk(m, n, k)
+    m, n, k = _validate_mnk(m, n, k)
     d = _basic_user(min(m, n), n, k)
     return _result(d, n, k, _tight(Fraction(m, n), k))
 
@@ -193,7 +227,7 @@ def improvement_branch(m: int, n: int, k: int) -> tuple[int, bool] | None:
     units fill the relay, and True on ``(tau_t, theta_t]``, where the relay
     keeps only ``M / theta_t`` antennas.
     """
-    _validate_mnk(m, n, k)
+    m, n, k = _validate_mnk(m, n, k)
     ratio = Fraction(m, n)
     lo, hi = capacity_thresholds(k)
     if k == 3 or ratio <= lo or ratio >= hi:
@@ -214,6 +248,7 @@ def achievable_improved(m: int, n: int, k: int) -> DofResult:
     ``M t alpha_t / (t - 1 + beta_t)`` on ``(tau_t, theta_t]``, for
     ``t = 2, ..., K-2``.  Never below the basic value.
     """
+    m, n, k = _validate_mnk(m, n, k)
     branch = improvement_branch(m, n, k)
     if branch is None:
         return achievable_basic(m, n, k)

@@ -3,18 +3,27 @@
 ``perfbench/tracer.py`` wraps ``ssalign`` functions by module attribute and
 sizes the relay processor's ``*projector*`` maps.  A renamed function or a
 processor without those maps would silently zero its per-layer metrics.
+
+The benchmark also gates every ``curve`` output on the sha256 recorded in
+``perfbench/curves.sha256.json``; the small-grid entries are checked here so
+that a byte change in the CSV fails the tests before it fails the benchmark.
 """
 
 import dataclasses
+import hashlib
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from ssalign import RelayProcessor, construct
+from ssalign import RelayProcessor, cli, construct
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
+CURVE_HASHES = json.loads((PERFBENCH / "curves.sha256.json").read_text())["sha256"]
 
 
 def load_tracer():
@@ -53,3 +62,9 @@ def test_traced_construction_reaches_every_relay_stage():
                   "relay.uplink_s", "relay.downlink_s", "relay.forward_s"):
         assert counts["calls"][stage] == 1, stage
     assert counts["svd_calls"] > 0
+
+
+@pytest.mark.parametrize("command", [c for c in CURVE_HASHES if c.endswith("farey:8")])
+def test_curve_output_matches_recorded_hash(capsys, command):
+    assert cli.main(command.split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CURVE_HASHES[command]

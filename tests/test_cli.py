@@ -297,6 +297,27 @@ class TestCurveCsv:
             assert row["capacity_tight"] == "false"
 
 
+class TestRatioGrid:
+    @pytest.mark.parametrize("q", [1, 2, 7, 12, 60])
+    def test_farey_grid_is_the_sorted_reduced_set(self, capsys, q):
+        rows = _curve_rows(capsys, "--k", "3", "--mode", "outer", "--ratios", f"farey:{q}")
+        got = [(int(row["ratio_num"]), int(row["ratio_den"])) for row in rows]
+        want = sorted({Fraction(p, d) for d in range(1, q + 1) for p in range(1, d + 1)})
+        assert got == [(r.numerator, r.denominator) for r in want]
+        ratios = [Fraction(*pair) for pair in got]
+        assert all(a < b for a, b in zip(ratios, ratios[1:]))
+        assert got[-1] == (1, 1)
+
+    def test_farey_one_is_only_one(self, capsys):
+        rows = _curve_rows(capsys, "--k", "3", "--mode", "outer", "--ratios", "farey:1")
+        assert [(row["ratio_num"], row["ratio_den"]) for row in rows] == [("1", "1")]
+
+    def test_explicit_list_is_deduplicated_and_sorted(self, capsys):
+        rows = _curve_rows(capsys, "--k", "3", "--mode", "outer", "--ratios", "2/3,1/2,2/4")
+        assert [(row["ratio_num"], row["ratio_den"]) for row in rows] == \
+            [("1", "2"), ("2", "3")]
+
+
 def _pairs(a):
     """Reference ``[re, im]`` conversion, one entry at a time."""
     if a.ndim == 1:

@@ -1,5 +1,6 @@
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,6 +41,50 @@ class TestAlphaBeta:
     def test_out_of_range(self, k, t):
         with pytest.raises(InvalidPatternOrder):
             alpha_beta(k, t)
+
+
+class TestIntegerArguments:
+    @pytest.mark.parametrize("call,error", [(lambda: alpha_beta(4, 5), InvalidPatternOrder),
+                                            (lambda: capacity_thresholds(2), ValueError)])
+    def test_out_of_range_raises_on_every_call(self, call, error):
+        for _ in range(3):
+            with pytest.raises(error):
+                call()
+
+    @pytest.mark.parametrize("numpy_first", [True, False])
+    def test_numpy_arguments_get_plain_values(self, numpy_first):
+        # Distinct K per case, so that the first call of each fills the cache.
+        k, t = (23, 7) if numpy_first else (29, 5)
+        calls = [(np.int64(k), np.int64(t)), (k, t)]
+        if not numpy_first:
+            calls.reverse()
+        results = []
+        for kk, tt in calls:
+            coef = gamma_theta_tau(1, 1, kk, tt)
+            results.append((alpha_beta(kk, tt), capacity_thresholds(kk),
+                            (coef.alpha_t, coef.beta_t, coef.theta_t, coef.tau_t)))
+        assert results[0] == results[1]
+        for (a, b), (lo, hi), (a_t, b_t, theta, tau) in results:
+            assert {type(x) for x in (a, b, a_t, b_t)} == {int}
+            assert {type(x) for x in (lo, hi, theta, tau)} == {F}
+            assert {type(x) for f in (lo, hi, theta, tau)
+                    for x in (f.numerator, f.denominator)} == {int}
+
+    @pytest.mark.parametrize("m,n", [(1, 3), (3, 7), (4, 9), (2, 3)])
+    def test_numpy_antenna_counts_at_large_k(self, m, n):
+        # The binomial constants at K = 640 overflow a numpy int64 product.
+        k = 640
+        for f in (outer_bound_per_user, achievable_basic, achievable_improved):
+            want = f(m, n, k)
+            got = f(np.int64(m), np.int64(n), np.int64(k))
+            assert got == want
+            assert {type(x) for v in (got.d_user, got.d_sum, got.d_relay)
+                    for x in (v.numerator, v.denominator)} == {int}
+        t = regime_index(m, n)
+        got = gamma_theta_tau(np.int64(m), np.int64(n), np.int64(k), np.int64(t))
+        assert got == gamma_theta_tau(m, n, k, t)
+        assert {type(x) for v in (got.gamma_t1, got.gamma_t2)
+                for x in (v.numerator, v.denominator)} == {int}
 
 
 class TestOuterBound:
@@ -305,6 +350,23 @@ class TestAsymptotic:
                 r = F(p, q)
                 assert asymptotic_dof(r, True) >= asymptotic_dof(r, False)
                 assert asymptotic_dof(r, True) <= 2
+
+
+class TestManyUserLimit:
+    # Ties the paper's many-user limit to the finite-K closed forms.
+    RATIOS = (F(1, 7), F(1, 5), F(2, 9), F(1, 3), F(3, 7), F(4, 9), F(1, 2), F(3, 5),
+              F(2, 3))
+
+    @pytest.mark.parametrize("improved", [False, True])
+    @pytest.mark.parametrize("ratio", RATIOS)
+    def test_finite_k_gap_shrinks_as_k_doubles(self, ratio, improved):
+        achievable = achievable_improved if improved else achievable_basic
+        m, n = ratio.numerator, ratio.denominator
+        limit = asymptotic_dof(ratio, improved)
+        gaps = [abs(achievable(m, n, k).d_sum / n - limit)
+                for k in (10, 20, 40, 80, 160, 320, 640)]
+        assert all(later <= earlier for earlier, later in zip(gaps, gaps[1:]))
+        assert gaps[-1] <= F(1, 10**4)
 
 
 class TestScaling:
