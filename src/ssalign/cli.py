@@ -14,6 +14,18 @@ JSON documents are written compact, on a single line, so that the C encoder
 of the ``json`` module writes them; ``python -m json.tool`` pretty-prints one.
 Output goes to stdout, or to the ``--out`` file once the command is done.
 
+The ``build`` document has the keys ``config``, ``plan``, ``channels`` (the
+:func:`~ssalign.channel.channel_to_json` document), ``units`` and ``report``.
+Each unit has ``pattern_order``, ``group``, ``column_block`` and
+``beamformers``: one ``[re, im]`` column of ``M * extension`` entries per
+ordered pair, keyed ``"a,b"`` in sorted pair order.  The relay-side images
+``H_a u`` are not stored, because they follow exactly from the document:
+rebuild ``ch = channel_from_json(doc["channels"])``, then for each sender
+``a`` in sorted order take the run of columns whose key starts with ``a`` and
+compute ``slot_product(ch.uplink[a], columns)`` (both in
+:mod:`ssalign.channel`); stacked side by side these equal the library's
+``Unit.equivalent_uplink`` bit for bit.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error (also an
 unreadable or invalid ``--config`` and an unwritable ``--out``), 3 construction
 failure (with a diagnostic JSON document as output).
@@ -165,7 +177,6 @@ def _unit_json(unit) -> dict:
         "group": list(unit.group),
         "column_block": unit.column_block,
         "beamformers": dict(zip(keys, complex_to_pairs(unit.beamformers.T))),
-        "equivalent_uplink": dict(zip(keys, complex_to_pairs(unit.equivalent_uplink.T))),
     }
 
 

@@ -7,6 +7,7 @@ processor without those maps would silently zero its per-layer metrics.
 The benchmark also gates every ``curve`` output on the sha256 recorded in
 ``perfbench/curves.sha256.json``; the small-grid entries are checked here so
 that a byte change in the CSV fails the tests before it fails the benchmark.
+Likewise ``build`` documents must pass ``perfbench/workloads.py``'s gate.
 """
 
 import dataclasses
@@ -22,19 +23,18 @@ import pytest
 from ssalign import RelayProcessor, cli, construct
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-TRACER = PERFBENCH / "tracer.py"
 CURVE_HASHES = json.loads((PERFBENCH / "curves.sha256.json").read_text())["sha256"]
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_stage_function_resolves():
-    stages = load_tracer().STAGES
+    stages = load_perfbench("tracer").STAGES
     missing = [f"{module}.{name}" for module, name, _ in stages
                if not callable(getattr(importlib.import_module(module), name, None))]
     assert missing == []
@@ -52,7 +52,7 @@ def test_relay_processor_keeps_projector_maps():
 
 
 def test_traced_construction_reaches_every_relay_stage():
-    tracer = load_tracer().Tracer()
+    tracer = load_perfbench("tracer").Tracer()
     with tracer:
         assert tracer.missing == []
         built = construct(3, 5, 3, 0)
@@ -68,3 +68,11 @@ def test_traced_construction_reaches_every_relay_stage():
 def test_curve_output_matches_recorded_hash(capsys, command):
     assert cli.main(command.split()) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CURVE_HASHES[command]
+
+
+@pytest.mark.parametrize("config", [(3, 5, 3, False, 0), (7, 14, 4, True, 0)])
+def test_build_output_passes_benchmark_gate(capsys, config):
+    workloads = load_perfbench("workloads")
+    op = workloads.build_op(*config)
+    rc = cli.main(op["argv"])
+    assert workloads.check(op, rc, capsys.readouterr().out) == {"ok": True, "why": None}

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ssalign import cli, dof, lemmas, relay
-from ssalign.channel import channel_from_json
+from ssalign.channel import channel_from_json, slot_product
 from ssalign.cli import main
 from ssalign.lemmas import DEFAULT_SPEC
 from ssalign.pipeline import construct
@@ -354,12 +354,27 @@ class TestBuildDocument:
                     assert _same_floats(got, _pairs(want))
         assert len(doc["units"]) == len(built.units)
         for got, want in zip(doc["units"], built.units):
+            assert set(got) == {"pattern_order", "group", "column_block", "beamformers"}
             assert list(want.pairs) == sorted(want.pairs)
-            for field in ("beamformers", "equivalent_uplink"):
-                columns = getattr(want, field).T
-                assert list(got[field]) == [f"{a},{b}" for a, b in want.pairs]
-                for (a, b), v in zip(want.pairs, columns, strict=True):
-                    assert _same_floats(got[field][f"{a},{b}"], _pairs(v))
+            assert list(got["beamformers"]) == [f"{a},{b}" for a, b in want.pairs]
+            for (a, b), v in zip(want.pairs, want.beamformers.T, strict=True):
+                assert _same_floats(got["beamformers"][f"{a},{b}"], _pairs(v))
+
+    def test_equivalent_uplink_recomputes_from_document(self, capsys, built):
+        # The document omits H_a u; channels and beamformers give it back exactly.
+        _, out = run(capsys, *self.ARGV)
+        doc = json.loads(out)
+        ch = channel_from_json(doc["channels"])
+        assert len(doc["units"]) == len(built.units)
+        for got, want in zip(doc["units"], built.units):
+            beams = got["beamformers"]
+            images = []
+            for a in sorted(got["group"]):
+                # Sender a's columns, each a list of [re, im] pairs, as one complex matrix.
+                run_a = [beams[key] for key in beams if key.startswith(f"{a},")]
+                columns = np.array(run_a).view(np.complex128)[..., 0].T
+                images.append(slot_product(ch.uplink[a], columns))
+            assert np.array_equal(np.hstack(images), want.equivalent_uplink)
 
     def test_channels_replay_bit_identical(self, capsys, built):
         _, out = run(capsys, *self.ARGV)
