@@ -21,8 +21,9 @@ Each unit has ``pattern_order``, ``group``, ``column_block`` and
 ordered pair, keyed ``"a,b"`` in sorted pair order.  The relay-side images
 ``H_a u`` are not stored, because they follow exactly from the document:
 rebuild ``ch = channel_from_json(doc["channels"])``, then for each sender
-``a`` in sorted order take the run of columns whose key starts with ``a`` and
-compute ``slot_product(ch.uplink[a], columns)`` (both in
+``a`` in sorted order take the run of columns whose key ``"a,b"`` has sender
+field ``a`` (split the key on ``","``) and compute
+``slot_product(ch.uplink[a], columns)`` (both in
 :mod:`ssalign.channel`); stacked side by side these equal the library's
 ``Unit.equivalent_uplink`` bit for bit.
 

@@ -97,8 +97,8 @@ def _result(d_user: Fraction, n: int, k: int, tight: bool) -> DofResult:
 def _per_k_constant(fn):
     # Exceptions are not cached, so out-of-range arguments raise on every call.
     # The bound keeps a sweep over many K from growing the cache without limit;
-    # it holds every order t of one K up to 4096, so improvement_branch's
-    # bisection over t still hits.
+    # it holds every order t of one K up to 4096, so improvement_branch's scan
+    # over t still hits.
     cached = functools.lru_cache(maxsize=4096)(fn)
 
     @functools.wraps(fn)
@@ -232,16 +232,10 @@ def improvement_branch(m: int, n: int, k: int) -> tuple[int, bool] | None:
     lo, hi = capacity_thresholds(k)
     if k == 3 or ratio <= lo or ratio >= hi:
         return None
-    # theta_t strictly decreases in t from theta_2 = hi to theta_{K-1} = lo, so
-    # bisect on t keeping theta_{top} < ratio <= theta_t.
-    t, top = 2, k - 1
-    while top - t > 1:
-        mid = (t + top) // 2
-        if ratio <= _theta(k, mid):
-            t = mid
-        else:
-            top = mid
-    return t, ratio > _tau(k, t)
+    for t in range(2, k - 1):
+        if _theta(k, t + 1) < ratio <= _theta(k, t):
+            return t, ratio > _tau(k, t)
+    raise AssertionError(f"ratio {ratio} not covered by any improvement interval")
 
 
 def achievable_improved(m: int, n: int, k: int) -> DofResult:

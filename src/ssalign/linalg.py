@@ -24,7 +24,6 @@ __all__ = [
     "LEAKAGE_ABS",
     "numerical_rank",
     "nullspace_basis",
-    "nullspace_bases",
     "range_basis",
     "intersection_basis",
     "union_span_dim",
@@ -84,18 +83,6 @@ def nullspace_basis(a) -> np.ndarray:
     _, s, vh = np.linalg.svd(arr, full_matrices=True)
     rank = _rank_from_singular_values(s, arr.shape)
     return vh[rank:][::-1].conj().T
-
-
-def nullspace_bases(stacks: np.ndarray) -> list[np.ndarray]:
-    """:func:`nullspace_basis` of every matrix of a ``count x rows x cols`` stack.
-
-    One batched SVD for the whole stack; each matrix keeps its own rank
-    decision and column order, so basis ``i`` equals
-    ``nullspace_basis(stacks[i])`` bit for bit.  Needs ``rows, cols >= 1``.
-    """
-    _, s, vh = np.linalg.svd(stacks, full_matrices=True)
-    shape = stacks.shape[1:]
-    return [v[_rank_from_singular_values(sv, shape):][::-1].conj().T for sv, v in zip(s, vh)]
 
 
 def range_basis(a) -> np.ndarray:

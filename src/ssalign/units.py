@@ -36,7 +36,7 @@ from .errors import (
     InternalPlanError,
     SupplyExhausted,
 )
-from .linalg import nullspace_bases, numerical_rank, range_basis
+from .linalg import nullspace_basis, numerical_rank, range_basis
 
 __all__ = [
     "RANDOM",
@@ -134,9 +134,8 @@ def group_nullspace(ch: ChannelSet, group) -> np.ndarray:
 
     Stacked column ``i*M*ext + s*M + j`` (user ``group[i]``, slot ``s``,
     antenna ``j``) meets only slot ``s``'s relay rows, so the nullspace is
-    the direct sum of the slots' nullspaces: one batched SVD of the slots'
-    ``[H_{g0}[s], ..., H_{g(t-1)}[s]]``, each slot's basis embedded in the
-    stacked coordinates.
+    the direct sum of the slots' nullspaces: one small SVD per slot, of
+    ``[H_{g0}[s], ..., H_{g(t-1)}[s]]``, embedded in the stacked coordinates.
     That basis is slot-localised, and its consecutive column blocks would
     repeat relay directions, so it is multiplied by one ``width x width``
     unitary, the Q factor of a complex Gaussian matrix drawn from
@@ -146,7 +145,7 @@ def group_nullspace(ch: ChannelSet, group) -> np.ndarray:
     """
     group = _check_group(ch, group)
     t, ext = len(group), ch.extension
-    slots = nullspace_bases(np.concatenate(ch.uplink[list(group)], axis=2))
+    slots = [nullspace_basis(stack) for stack in np.concatenate(ch.uplink[list(group)], axis=2)]
     width = sum(b.shape[1] for b in slots)
     mixing = np.linalg.qr(complex_gaussian(derived_rng(ch.seed, 3, *group), width, width))[0]
     basis = np.empty((t, ext, ch.m, width), dtype=np.complex128)

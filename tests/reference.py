@@ -9,8 +9,7 @@ materialise both to compare with straightforward dense linear algebra.
 import numpy as np
 from scipy.linalg import block_diag
 
-from ssalign.channel import complex_gaussian, derived_rng
-from ssalign.linalg import as_complex_matrix, nullspace_basis, range_basis
+from ssalign.linalg import as_complex_matrix, range_basis
 from ssalign.units import group_nullspace, unit_from_nullspace
 
 
@@ -39,17 +38,3 @@ def projector(basis, factor):
 def build_aligned_unit(ch, group, column_block):
     """Order-``t`` aligned unit from one block of a freshly computed group nullspace."""
     return unit_from_nullspace(ch, group, group_nullspace(ch, group), column_block)
-
-
-def group_nullspace_per_slot(ch, group):
-    """``group_nullspace`` with one ``nullspace_basis`` call per slot."""
-    t, ext = len(group), ch.extension
-    slots = [nullspace_basis(stack) for stack in np.concatenate(ch.uplink[list(group)], axis=2)]
-    width = sum(b.shape[1] for b in slots)
-    mixing = np.linalg.qr(complex_gaussian(derived_rng(ch.seed, 3, *group), width, width))[0]
-    basis = np.empty((t, ext, ch.m, width), dtype=np.complex128)
-    start = 0
-    for s, slot in enumerate(slots):
-        basis[:, s] = (slot @ mixing[start:start + slot.shape[1]]).reshape(t, ch.m, width)
-        start += slot.shape[1]
-    return basis.reshape(t * ext * ch.m, width)

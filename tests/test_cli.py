@@ -371,7 +371,7 @@ class TestBuildDocument:
             images = []
             for a in sorted(got["group"]):
                 # Sender a's columns, each a list of [re, im] pairs, as one complex matrix.
-                run_a = [beams[key] for key in beams if key.startswith(f"{a},")]
+                run_a = [beams[key] for key in beams if key.split(",")[0] == str(a)]
                 columns = np.array(run_a).view(np.complex128)[..., 0].T
                 images.append(slot_product(ch.uplink[a], columns))
             assert np.array_equal(np.hstack(images), want.equivalent_uplink)

@@ -313,20 +313,6 @@ class TestImprovementBranch:
                     assert gamma_theta_tau(m, n, k, t + 1).theta_t < ratio <= coef.theta_t
                     assert deactivate == (ratio > coef.tau_t)
 
-    @pytest.mark.parametrize("k", [*range(4, 13), 64, 640])
-    def test_bisection_matches_linear_scan(self, k):
-        thetas = [gamma_theta_tau(1, 1, k, t).theta_t for t in range(2, k)]
-        taus = [gamma_theta_tau(1, 1, k, t).tau_t for t in range(2, k - 1)]
-        assert all(a > b for a, b in zip(thetas, thetas[1:]))
-        lo, hi = capacity_thresholds(k)
-        farey_40 = {F(p, q) for q in range(1, 41) for p in range(1, q + 1)}
-        for ratio in sorted(farey_40 | set(thetas) | set(taus)):
-            want = None
-            if lo < ratio < hi:
-                want = next((t, ratio > taus[t - 2]) for t in range(2, k - 1)
-                            if thetas[t - 1] < ratio <= thetas[t - 2])
-            assert improvement_branch(ratio.numerator, ratio.denominator, k) == want, ratio
-
 
 class TestAsymptotic:
     @pytest.mark.parametrize("ratio,improved,expected", [

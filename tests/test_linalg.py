@@ -14,7 +14,6 @@ from ssalign import (
     union_span_dim,
 )
 from ssalign.errors import InvalidMatrix, ShapeMismatch
-from ssalign.linalg import nullspace_bases
 
 from conftest import complex_gaussian
 from reference import complement_projector, dense
@@ -78,22 +77,6 @@ class TestNullspaceBasis:
         first = nullspace_basis(a)
         second = nullspace_basis(a.copy())
         assert np.array_equal(first, second)
-
-
-class TestNullspaceBases:
-    def test_equals_per_matrix_calls(self, rng):
-        # Slots of different rank: full row rank, rank 2, zero, and rank 3
-        # because 5e-10 is under RANK_REL * max(4, 6) but over RANK_REL * 4.
-        stacks = complex_gaussian(rng, 4 * 4, 6).reshape(4, 4, 6)
-        stacks[1] = complex_gaussian(rng, 4, 2) @ complex_gaussian(rng, 2, 6)
-        stacks[2] = 0
-        left = np.linalg.qr(complex_gaussian(rng, 4, 4))[0]
-        right = np.linalg.qr(complex_gaussian(rng, 6, 6))[0]
-        stacks[3] = left @ np.diag([1, 1, 1, 5e-10]) @ right[:4]
-        bases = nullspace_bases(stacks)
-        assert [b.shape for b in bases] == [(6, 2), (6, 4), (6, 6), (6, 3)]
-        for got, stack in zip(bases, stacks, strict=True):
-            assert np.array_equal(got, nullspace_basis(stack))
 
 
 class TestIntersectionBasis:
