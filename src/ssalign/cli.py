@@ -62,6 +62,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _user_count(text: str) -> int:
+    value = int(text)
+    if value < 3:
+        raise argparse.ArgumentTypeError(f"expected a user count >= 3, got {text}")
+    return value
+
+
+def _user_count_or_inf(text: str) -> int | str:
+    return text if text == "inf" else _user_count(text)
+
+
 def _seed(text: str) -> int:
     value = int(text)
     if not 0 <= value < SEED_LIMIT:
@@ -121,12 +132,6 @@ def cmd_curve(args, parser) -> tuple[str, int]:
             parser.error("--mode outer is not defined for --k inf")
         mode_tag = f"asymptotic-{args.mode}"
     else:
-        try:
-            k = int(args.k)
-        except ValueError:
-            parser.error(f"--k must be an integer >= 3 or 'inf', got {args.k!r}")
-        if k < 3:
-            parser.error(f"--k must be >= 3, got {k}")
         mode_tag = args.mode
         evaluate = {"outer": dof.outer_bound_per_user, "basic": dof.achievable_basic,
                     "improved": dof.achievable_improved}[args.mode]
@@ -138,7 +143,7 @@ def cmd_curve(args, parser) -> tuple[str, int]:
             value = dof.asymptotic_dof(ratio, improved=args.mode == "improved")
             tight = False
         else:
-            res = evaluate(m, n, k)
+            res = evaluate(m, n, args.k)
             value, tight = res.d_user / n, res.capacity_tight
         if args.half_duplex:
             value = value / 2
@@ -205,16 +210,20 @@ def _json_text(doc: dict) -> str:
     return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
-def _construction_failed(exc: Exception, seed: int) -> tuple[str, int]:
-    return _json_text({"error": type(exc).__name__, "message": str(exc), "seed": seed}), 3
+def _construct_and_verify(args, seed: int):
+    """``(built, report, None)``, or ``(None, None, exit-3 output)`` on a ConstructionError."""
+    try:
+        built = construct(args.m, args.n, args.k, seed, args.improved)
+    except ConstructionError as exc:
+        doc = {"error": type(exc).__name__, "message": str(exc), "seed": seed}
+        return None, None, (_json_text(doc), 3)
+    return built, verify_end_to_end(built.channels, built.units, built.processor), None
 
 
 def cmd_build(args, parser) -> tuple[str, int]:
-    try:
-        built = construct(args.m, args.n, args.k, args.seed, args.improved)
-    except ConstructionError as exc:
-        return _construction_failed(exc, args.seed)
-    report = verify_end_to_end(built.channels, built.units, built.processor)
+    built, report, failure = _construct_and_verify(args, args.seed)
+    if failure:
+        return failure
     doc = {
         "config": {"m": args.m, "n": args.n, "k": args.k, "seed": args.seed,
                    "improved": args.improved},
@@ -235,11 +244,9 @@ def cmd_verify(args, parser) -> tuple[str, int]:
     passes = 0
     for offset in range(args.seeds):
         seed = args.seed + offset
-        try:
-            built = construct(args.m, args.n, args.k, seed, args.improved)
-        except ConstructionError as exc:
-            return _construction_failed(exc, seed)
-        report = verify_end_to_end(built.channels, built.units, built.processor)
+        built, report, failure = _construct_and_verify(args, seed)
+        if failure:
+            return failure
         ok = report.passed and report.counted_d_sum == expected_sum
         row = {
             "seed": seed,
@@ -323,7 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     curve = sub.add_parser("curve", help="emit exact DoF curves as CSV")
-    curve.add_argument("--k", required=True,
+    curve.add_argument("--k", type=_user_count_or_inf, required=True,
                        help="user count (integer >= 3) or 'inf' for the many-user limit")
     curve.add_argument("--mode", choices=["outer", "basic", "improved"], default="basic")
     curve.add_argument("--ratios", default="farey:48",
@@ -338,7 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
     build = sub.add_parser("build", help="construct and verify one realization")
     build.add_argument("--m", type=_positive_int, required=True, help="antennas per user")
     build.add_argument("--n", type=_positive_int, required=True, help="relay antennas")
-    build.add_argument("--k", type=_positive_int, required=True, help="user count (>= 3)")
+    build.add_argument("--k", type=_user_count, required=True, help="user count (>= 3)")
     build.add_argument("--seed", type=_seed, default=0)
     build.add_argument("--improved", action="store_true",
                        help="allow relay-antenna deactivation")
@@ -347,7 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="sweep seeds and summarize verification")
     verify.add_argument("--m", type=_positive_int, required=True)
     verify.add_argument("--n", type=_positive_int, required=True)
-    verify.add_argument("--k", type=_positive_int, required=True)
+    verify.add_argument("--k", type=_user_count, required=True)
     verify.add_argument("--seeds", type=_positive_int, required=True,
                         help="number of consecutive seeds to run")
     verify.add_argument("--seed", type=_seed, default=0, help="first seed of the sweep")
@@ -368,8 +375,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command in ("build", "verify") and args.k < 3:
-        parser.error(f"--k must be >= 3, got {args.k}")
     if args.command == "verify" and args.seed + args.seeds > SEED_LIMIT:
         parser.error(f"seeds {args.seed}..{args.seed + args.seeds - 1} leave [0, 2**64)")
     command = {"curve": cmd_curve, "build": cmd_build, "verify": cmd_verify,

@@ -275,10 +275,10 @@ def asymptotic_dof(ratio, improved: bool = False) -> Fraction:
         raise ValueError(f"antenna ratio must be positive, got {r}")
     if r > Fraction(1, 2):
         return Fraction(2)
+    t = regime_index(r.numerator, r.denominator)
     if not improved:
-        t = math.floor(1 / r) + 1
         return Fraction(t, t - 1)
-    t = math.floor(1 / r)
+    t -= 1
     split = Fraction((t + 1) * (t - 1), t**3)
     if r <= split:
         return Fraction(t + 1, t)

@@ -19,9 +19,10 @@ are assembled from these factors directly.
 
 Verification is structural: a stream is decodable when its end-to-end scalar
 chain keeps both pair coefficients above threshold while every other stream's
-coefficient stays within :data:`~ssalign.linalg.LEAKAGE_ABS`.  Each
-channel is rescaled to unit per-entry RMS before thresholding, so the
-absolute cutoffs are scale-free; the RMS is that of the whole
+coefficient stays within :data:`~ssalign.linalg.LEAKAGE_ABS`.  The chains
+are measured on the raw channels, and each coefficient is then scaled by the
+inverse per-entry RMS of its receiver's downlink and its sender's uplink, so
+the absolute cutoffs are scale-free; the RMS is that of the whole
 ``N_active x M*ext`` block-diagonal matrix, its structural zeros counted.
 """
 
@@ -52,7 +53,7 @@ __all__ = [
 ]
 
 # Minimum magnitude for a combination coefficient to count as usable, after
-# normalizing channels to unit Frobenius norm per antenna.  Separates
+# the per-user per-entry RMS scaling of the module docstring.  Separates
 # measure-zero degeneracy from numerical noise.
 DESIRED_COEFF_MIN = 1e-6
 
@@ -121,10 +122,6 @@ class VerificationReport:
     streams: list[StreamRecord]
     counted_d_sum: Fraction
     passed: bool
-
-
-def _stream_keys(units: list[Unit]) -> list[Key]:
-    return [(li, pair) for li, u in enumerate(units) for pair in u.pairs]
 
 
 def _pair_key(a: int, b: int) -> tuple[int, int]:
@@ -275,35 +272,29 @@ def _project_rows(rows: np.ndarray, basis: np.ndarray, factors: dict,
     return out
 
 
-def _chain_vectors(ch: ChannelSet, units: list[Unit], processor: RelayProcessor,
-                   normalized: bool):
-    """Stream matrix (columns) and chain rows, both in stream-key order.
+def _stream_chains(ch: ChannelSet, units: list[Unit], processor: RelayProcessor):
+    """Every stream's measurement inputs on the raw channels, in stream-key order.
 
-    The streams are recomputed as ``H_a u``, so a beamformer changed after
-    the relay design shows in the chains.
+    The keys ``(l, (a, b))``, the partner indices (of ``(l, (b, a))``), the
+    senders ``a`` (also the users the chain rows listen at), the beamformers,
+    the images ``H_a u`` recomputed from them, and the chain rows.
     """
-    keys = _stream_keys(units)
-    beams = np.hstack([u.beamformers for u in units])
+    keys = [(li, pair) for li, u in enumerate(units) for pair in u.pairs]
+    index = {key: i for i, key in enumerate(keys)}
+    partner = np.array([index[(li, (b, a))] for li, (a, b) in keys])
     senders = np.array([a for _, (a, _) in keys])
-    h = np.empty((ch.active_relay, len(senders)), dtype=np.complex128)
-    g = np.empty((len(senders), ch.active_relay), dtype=np.complex128)
+    beams = np.hstack([u.beamformers for u in units])
+    h = np.empty((ch.active_relay, len(keys)), dtype=np.complex128)
+    g = np.empty((len(keys), ch.active_relay), dtype=np.complex128)
     for a in range(ch.k):
         cols = senders == a
-        up = _entry_rms_scale(ch.uplink[a]) if normalized else 1.0
-        dn = _entry_rms_scale(ch.downlink[a]) if normalized else 1.0
-        h[:, cols] = up * slot_product(ch.uplink[a], beams[:, cols])
-        g[cols] = dn * slot_product(ch.downlink[a].swapaxes(1, 2),
-                                    processor.receive_vectors[:, cols]).T
+        h[:, cols] = slot_product(ch.uplink[a], beams[:, cols])
+        g[cols] = slot_product(ch.downlink[a].swapaxes(1, 2),
+                               processor.receive_vectors[:, cols]).T
     pairs = [(li, _pair_key(*pair)) for li, pair in keys]
     chains = _project_rows(g, processor.downlink_basis, processor.downlink_projectors, pairs)
     chains = _project_rows(chains, processor.uplink_basis, processor.uplink_projectors, pairs)
-    return h, chains
-
-
-def _partner_columns(keys: list[Key]) -> np.ndarray:
-    """Index of stream ``(l, (b, a))`` for each stream ``(l, (a, b))``."""
-    index = {key: i for i, key in enumerate(keys)}
-    return np.array([index[(li, (b, a))] for li, (a, b) in keys])
+    return keys, partner, senders, beams, h, chains
 
 
 def _without_pair(coeffs: np.ndarray, partner: np.ndarray) -> np.ndarray:
@@ -323,32 +314,26 @@ def verify_end_to_end(ch: ChannelSet, units: list[Unit],
     ``g(a,b)^T W(l,{a,b}) P(l,{a,b})``; applied to the partner vector
     ``h(b,a)`` it must exceed ``DESIRED_COEFF_MIN``, and applied to any
     stream outside the pair it must stay within :data:`~ssalign.linalg.LEAKAGE_ABS`.
+    Both cutoffs apply after the per-user RMS scaling of the module docstring,
+    done on the measured coefficients: exact, as the chains are linear in ``g``.
     Failures are reported, never raised.
     """
-    keys = _stream_keys(units)
-    h_matrix, chains = _chain_vectors(ch, units, processor, normalized=True)
-    coeffs = np.abs(chains @ h_matrix)
-    partner = _partner_columns(keys)
-    leakages = _without_pair(coeffs, partner).max(axis=1)
-
-    records = []
-    decodable = 0
-    all_ok = True
-    for i, (li, pair) in enumerate(keys):
-        desired = float(coeffs[i, partner[i]])
-        own = float(coeffs[i, i])
-        leakage = float(leakages[i])
-        records.append(StreamRecord(unit=li, pair=pair, desired=desired,
-                                    partner=own, leakage=leakage))
-        if desired > DESIRED_COEFF_MIN and leakage <= LEAKAGE_ABS:
-            decodable += 1
-        if not (desired > DESIRED_COEFF_MIN and own > DESIRED_COEFF_MIN
-                and leakage <= LEAKAGE_ABS):
-            all_ok = False
+    keys, partner, senders, _, h, chains = _stream_chains(ch, units, processor)
+    up = np.array([_entry_rms_scale(blocks) for blocks in ch.uplink])
+    dn = np.array([_entry_rms_scale(blocks) for blocks in ch.downlink])
+    coeffs = np.abs(chains @ h) * np.outer(dn[senders], up[senders])
+    rows = np.arange(len(keys))
+    desired = coeffs[rows, partner]
+    own = coeffs[rows, rows]
+    leakage = _without_pair(coeffs, partner).max(axis=1)
+    decodable = (desired > DESIRED_COEFF_MIN) & (leakage <= LEAKAGE_ABS)
+    records = [StreamRecord(unit=li, pair=pair, desired=float(d), partner=float(o),
+                            leakage=float(x))
+               for (li, pair), d, o, x in zip(keys, desired, own, leakage)]
     return VerificationReport(
         streams=records,
-        counted_d_sum=Fraction(decodable, ch.extension),
-        passed=all_ok,
+        counted_d_sum=Fraction(int(decodable.sum()), ch.extension),
+        passed=bool(np.all(decodable & (own > DESIRED_COEFF_MIN))),
     )
 
 
@@ -366,19 +351,16 @@ def estimate_dof_slope(ch: ChannelSet, units: list[Unit], processor: RelayProces
     if len(snrs) < 2 or any(b <= a for a, b in zip(snrs, snrs[1:])):
         raise InvalidSweep(f"need >= 2 ascending SNR points, got {snrs}")
 
-    keys = _stream_keys(units)
-    h_matrix, chains = _chain_vectors(ch, units, processor, normalized=False)
-
-    gains = np.linalg.norm(np.hstack([u.beamformers for u in units]), axis=0) ** 2
-    user_gain = np.bincount([a for _, (a, _) in keys], weights=gains, minlength=ch.k)
+    _, partner, senders, beams, h_matrix, chains = _stream_chains(ch, units, processor)
+    gains = np.linalg.norm(beams, axis=0) ** 2
+    user_gain = np.bincount(senders, weights=gains, minlength=ch.k)
 
     # Everything but the SNR-dependent scalars is computed once.
     base = processor.forward_matrix / processor.power_scale
     stream_power = float(np.linalg.norm(base @ h_matrix) ** 2)
     noise_power = float(np.linalg.norm(base) ** 2)
     coeffs = np.abs(chains @ h_matrix) ** 2
-    partner = _partner_columns(keys)
-    signal = coeffs[np.arange(len(keys)), partner]
+    signal = coeffs[np.arange(len(partner)), partner]
     interference = _without_pair(coeffs, partner).sum(axis=1)  # self-interference subtracted
     relay_noise = np.linalg.norm(chains, axis=1) ** 2
     local_noise = np.linalg.norm(processor.receive_vectors, axis=0) ** 2

@@ -2,11 +2,6 @@ import numpy as np
 import pytest
 
 
-def complex_gaussian(rng, rows, cols):
-    """CN(0,1) matrix from a numpy Generator."""
-    return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2)
-
-
 @pytest.fixture
 def rng():
     return np.random.Generator(np.random.Philox(key=20240901))

@@ -55,6 +55,17 @@ class TestExitCodes:
         assert info.value.code == 2
 
     @pytest.mark.parametrize("argv", [
+        ["build", "--m", "3", "--n", "5", "--k", "inf"],
+        ["verify", "--m", "3", "--n", "5", "--k", "inf", "--seeds", "1"],
+        ["curve", "--k", "many"],
+    ])
+    def test_non_integer_user_count_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "--k" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
         ["build", "--m", "3", "--n", "5", "--k", "3", "--seed", "-1"],
         ["build", "--m", "3", "--n", "5", "--k", "3", "--seed", str(2**64)],
         ["verify", "--m", "3", "--n", "5", "--k", "3", "--seeds", "1", "--seed", "-1"],

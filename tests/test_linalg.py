@@ -13,9 +13,9 @@ from ssalign import (
     sample_channel_set,
     union_span_dim,
 )
+from ssalign.channel import complex_gaussian
 from ssalign.errors import InvalidMatrix, ShapeMismatch
 
-from conftest import complex_gaussian
 from reference import complement_projector, dense
 
 

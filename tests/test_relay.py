@@ -289,6 +289,26 @@ class TestVerification:
         assert max(rec.leakage for rec in report.streams) > LEAKAGE_ABS
         assert report.counted_d_sum < F(6)
 
+    @pytest.mark.parametrize("factor", [1e3, 1e-3])
+    def test_report_is_invariant_to_channel_scale(self, factor):
+        # The thresholds see per-entry-RMS-normalised channels, so scaling one
+        # user's links leaves every coefficient as it was.  Leakage is round-off
+        # (about 1e-16), so it is held to an absolute bound instead.
+        _, ch, units, processor = full_build(7, 14, 4, seed=21, improved=True)
+        base = verify_end_to_end(ch, units, processor)
+        uplink, downlink = ch.uplink.copy(), ch.downlink.copy()
+        uplink[1] *= factor
+        downlink[1] *= factor
+        scaled = replace(ch, uplink=uplink, downlink=downlink)
+        report = verify_end_to_end(scaled, units, processor)
+        assert report.passed == base.passed
+        assert report.counted_d_sum == base.counted_d_sum
+        for rec, want in zip(report.streams, base.streams, strict=True):
+            assert (rec.unit, rec.pair) == (want.unit, want.pair)
+            assert rec.desired == pytest.approx(want.desired, rel=1e-9)
+            assert rec.partner == pytest.approx(want.partner, rel=1e-9)
+            assert rec.leakage == pytest.approx(want.leakage, rel=1e-9, abs=1e-14)
+
 
 def dense_chains(ch, units, processor, normalized):
     """Reference chain coefficients, one stream at a time with dense projectors."""
