@@ -55,29 +55,33 @@ DEFAULT_SNR_SWEEP_DB = (40.0, 50.0, 60.0)
 SEED_LIMIT = 2**64
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+def _int_arg(text: str, low: int, high: float, expected: str) -> int:
+    """``int(text)`` if it lies in ``[low, high)``, else a usage error naming ``expected``."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or not low <= value < high:
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_arg(text, 1, float("inf"), "a positive integer")
 
 
 def _user_count(text: str) -> int:
-    value = int(text)
-    if value < 3:
-        raise argparse.ArgumentTypeError(f"expected a user count >= 3, got {text}")
-    return value
+    return _int_arg(text, 3, float("inf"), "a user count >= 3")
 
 
 def _user_count_or_inf(text: str) -> int | str:
-    return text if text == "inf" else _user_count(text)
+    if text == "inf":
+        return text
+    return _int_arg(text, 3, float("inf"), "a user count >= 3 or 'inf'")
 
 
 def _seed(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < SEED_LIMIT:
-        raise argparse.ArgumentTypeError(f"expected a seed in [0, 2**64), got {text}")
-    return value
+    return _int_arg(text, 0, SEED_LIMIT, "a seed in [0, 2**64)")
 
 
 def _farey(q: int) -> list[Fraction]:

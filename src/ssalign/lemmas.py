@@ -6,9 +6,8 @@ value.  The identities hold with probability one, so failures are counted,
 never raised; desk-scale acceptance expects zero.  Offending trial indices
 are recorded for replay.
 
-Trial seeds derive from the master seed via
-``numpy.random.SeedSequence(seed).spawn(trials)``; trial ``i`` feeds child
-``i`` into a Philox generator.
+Trial ``i`` of a check draws from ``channel.derived_rng(seed, i)``, the
+Philox generator on substream ``i`` of the master seed.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from itertools import combinations
 import numpy as np
 
 from . import dof
-from .channel import complex_gaussian
+from .channel import complex_gaussian, derived_rng
 from .errors import InvalidLemmaParams
 from .linalg import intersection_basis, nullspace_basis, numerical_rank, union_span_dim
 
@@ -56,11 +55,6 @@ class LemmaTrialResult:
     failure_trials: list[int] = field(default_factory=list)
 
 
-def _trial_rngs(seed: int, trials: int) -> list[np.random.Generator]:
-    children = np.random.SeedSequence(seed).spawn(trials)
-    return [np.random.Generator(np.random.Philox(c)) for c in children]
-
-
 def _tally(result: LemmaTrialResult, trial: int, observed: int) -> None:
     result.observed[observed] += 1
     if observed != result.expected_value:
@@ -75,7 +69,8 @@ def check_intersection(m: int, n: int, trials: int, seed: int) -> LemmaTrialResu
     result = LemmaTrialResult(
         LemmaId.INTERSECTION, {"m": m, "n": n}, trials, 0, max(2 * m - n, 0)
     )
-    for trial, rng in enumerate(_trial_rngs(seed, trials)):
+    for trial in range(trials):
+        rng = derived_rng(seed, trial)
         a = complex_gaussian(rng, n, m)
         b = complex_gaussian(rng, n, m)
         _tally(result, trial, intersection_basis(a, b).shape[1])
@@ -94,7 +89,8 @@ def check_stacked_rank(k: int, m: int, n: int, trials: int, seed: int) -> LemmaT
     result = LemmaTrialResult(
         LemmaId.STACKED_RANK, {"k": k, "m": m, "n": n}, trials, 0, expected
     )
-    for trial, rng in enumerate(_trial_rngs(seed, trials)):
+    for trial in range(trials):
+        rng = derived_rng(seed, trial)
         mats = [complex_gaussian(rng, n, m) for _ in range(k)]
         basis = nullspace_basis(np.hstack(mats))
         pieces = [mats[i] @ basis[i * m:(i + 1) * m, :] for i in range(k)]
@@ -124,7 +120,8 @@ def check_direct_sum(k: int, t: int, m: int, n: int, trials: int, seed: int,
         trials, 0, expected,
     )
     mt = m * extension
-    for trial, rng in enumerate(_trial_rngs(seed, trials)):
+    for trial in range(trials):
+        rng = derived_rng(seed, trial)
         mats = []
         for _ in range(k):
             mats.append(np.zeros((extension * n, mt), dtype=np.complex128))

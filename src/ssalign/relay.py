@@ -6,19 +6,19 @@ except the pair's own two, so exactly one linear combination of the paired
 streams survives per projector; that survival is tested for every pair of
 every unit on both links while the projector factors are computed.  The
 downlink side mirrors the uplink: the same unit construction runs on the
-transposed downlink channels to produce receive vectors, and downlink
-projectors null everything but the pair among the equivalent downlink
-vectors.  The relay forwards
+conjugate-transposed downlink ``G_a^H`` to produce receive vectors ``v``,
+and downlink projectors null everything but the pair among the vectors
+``G_a^H v = (v^H G_a)^H`` of the users' rows.  The relay forwards
 ``F = alpha * sum_l sum_{a<b} W(l,a,b) @ P(l,a,b)`` with ``alpha`` meeting
 the unit relay power budget with equality.
 
 No projector is stored densely.  Each side keeps one orthonormal basis ``Q``
 of all its streams and, per pair, a thin orthonormal ``Z``; the pair's
-projector is ``I - Q Q^H + Z Z^H``, and ``F`` and the verification chains
-are assembled from these factors directly.
+projector is ``I - Q Q^H + Z Z^H``, and ``F`` is assembled from these
+factors directly.
 
-Verification is structural: a stream is decodable when its end-to-end scalar
-chain keeps both pair coefficients above threshold while every other stream's
+Verification is structural: a stream is decodable when its chain through ``F``
+keeps both pair coefficients above threshold while every other stream's
 coefficient stays within :data:`~ssalign.linalg.LEAKAGE_ABS`.  The chains
 are measured on the raw channels, and each coefficient is then scaled by the
 inverse per-entry RMS of its receiver's downlink and its sender's uplink, so
@@ -86,8 +86,9 @@ class RelayProcessor:
     projector ``I - Q Q^H + Z Z^H`` with ``Q = uplink_basis``, keyed with
     ``a < b``; the downlink fields mirror it.  ``receive_vectors`` is an
     ``M*ext x streams`` matrix with one column per stream ``(l, (a, b))``,
-    in the order of the units and then of each unit's ``pairs``; the column
-    is applied at user ``a`` to listen for user ``b``'s stream.  ``==`` is identity.
+    in the order of the units and then of each unit's ``pairs``: the twins'
+    beamformers on ``G^H``.  User ``a`` combines its received ``y`` as ``v^H y``
+    to listen for user ``b``'s stream.  ``==`` is identity.
     """
 
     uplink_basis: np.ndarray
@@ -124,10 +125,6 @@ class VerificationReport:
     passed: bool
 
 
-def _pair_key(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a < b else (b, a)
-
-
 def build_uplink_projectors(units: list[Unit]) -> PairProjectors:
     """Per-(unit, pair) projectors nulling every other stream in the system."""
     return _complement_projectors(units, side="uplink")
@@ -137,7 +134,7 @@ def _complement_projectors(units: list[Unit], side: str) -> PairProjectors:
     """Factor every pair's complement projector through one oblique basis change.
 
     The streams are the columns of the units' ``equivalent_uplink``, which
-    are ``G_a^T v`` for downlink twins.  The unit bases ``B_l`` must span a
+    are ``G_a^H v`` for downlink twins.  The unit bases ``B_l`` must span a
     direct sum ``span(B_1) + ... + span(B_L) = span(Q)``, the link's one
     joint-independence check; else :class:`~ssalign.errors.IndependenceViolation`
     names the side.  So the rows of ``C^-1 Q^H`` with ``C = Q^H [B_1 .. B_L]``
@@ -167,7 +164,7 @@ def _complement_projectors(units: list[Unit], side: str) -> PairProjectors:
         offset += basis.shape[1]
         local = basis.conj().T @ unit.equivalent_uplink
         norms = np.linalg.norm(unit.equivalent_uplink, axis=0)
-        keys = [_pair_key(*pair) for pair in unit.pairs]
+        keys = [tuple(sorted(pair)) for pair in unit.pairs]
         for a, b in sorted(set(keys)):
             own = [i for i, key in enumerate(keys) if key == (a, b)]
             rest = [i for i, key in enumerate(keys) if key != (a, b)]
@@ -185,13 +182,14 @@ def design_downlink(units: list[Unit], ch: ChannelSet) -> tuple[np.ndarray, Pair
     """Receive vectors and downlink projectors by uplink/downlink symmetry.
 
     Builds a twin of every unit with the uplink's own unit builders on the
-    transposed downlink channels (same group and column block; for random
-    units, fresh draws from RNG substream 2 of ``ch.seed``), so every twin
-    passes the same span checks; a failing twin's error names its unit.  The
-    twins' beamformers side by side are the receive vectors, and their
-    equivalent vectors ``G_a^T v`` give the complement projectors.
+    conjugate-transposed downlink ``G_a^H`` (same group and column block; for
+    random units, fresh draws from RNG substream 2 of ``ch.seed``), so every
+    twin passes the same span checks; a failing twin's error names its unit.
+    The twins' beamformers side by side are the receive vectors ``v``, and
+    their equivalent vectors ``G_a^H v = (v^H G_a)^H`` give the complement
+    projectors, so each pair's ``W`` nulls the other pairs' rows ``v^H G_a``.
     """
-    mirror = ChannelSet(m=ch.m, n=ch.n, k=ch.k, uplink=ch.downlink.swapaxes(2, 3),
+    mirror = ChannelSet(m=ch.m, n=ch.n, k=ch.k, uplink=ch.downlink.swapaxes(2, 3).conj(),
                         downlink=ch.downlink, seed=ch.seed)
     specs = [(u.pattern_order, u.group, u.column_block) for u in units]
     twins: list[Unit] = []
@@ -262,22 +260,13 @@ def _entry_rms_scale(blocks: np.ndarray) -> float:
     return float(np.sqrt(ext * rows * ext * cols) / norm) if norm else 1.0
 
 
-def _project_rows(rows: np.ndarray, basis: np.ndarray, factors: dict,
-                  pairs: list[Key]) -> np.ndarray:
-    """Each row times its pair's projector: ``x - (x Q) Q^H + (x Z) Z^H``."""
-    out = rows - (rows @ basis) @ basis.conj().T
-    for i, key in enumerate(pairs):
-        z = factors[key]
-        out[i] += (rows[i] @ z) @ z.conj().T
-    return out
-
-
 def _stream_chains(ch: ChannelSet, units: list[Unit], processor: RelayProcessor):
     """Every stream's measurement inputs on the raw channels, in stream-key order.
 
     The keys ``(l, (a, b))``, the partner indices (of ``(l, (b, a))``), the
     senders ``a`` (also the users the chain rows listen at), the beamformers,
-    the images ``H_a u`` recomputed from them, and the chain rows.
+    the images ``H_a u`` recomputed from them, and the chain rows
+    ``v^H G_a F / alpha`` through the forwarding matrix the relay applies.
     """
     keys = [(li, pair) for li, u in enumerate(units) for pair in u.pairs]
     index = {key: i for i, key in enumerate(keys)}
@@ -290,10 +279,8 @@ def _stream_chains(ch: ChannelSet, units: list[Unit], processor: RelayProcessor)
         cols = senders == a
         h[:, cols] = slot_product(ch.uplink[a], beams[:, cols])
         g[cols] = slot_product(ch.downlink[a].swapaxes(1, 2),
-                               processor.receive_vectors[:, cols]).T
-    pairs = [(li, _pair_key(*pair)) for li, pair in keys]
-    chains = _project_rows(g, processor.downlink_basis, processor.downlink_projectors, pairs)
-    chains = _project_rows(chains, processor.uplink_basis, processor.uplink_projectors, pairs)
+                               processor.receive_vectors[:, cols].conj()).T
+    chains = g @ (processor.forward_matrix / processor.power_scale)
     return keys, partner, senders, beams, h, chains
 
 
@@ -311,11 +298,11 @@ def verify_end_to_end(ch: ChannelSet, units: list[Unit],
     """Measure every stream's scalar chain and count the decodable DoF.
 
     For the receiver-side stream ``(a, b)`` of unit ``l`` the chain row is
-    ``g(a,b)^T W(l,{a,b}) P(l,{a,b})``; applied to the partner vector
+    ``v(a,b)^H G_a F / alpha`` with the whole ``F``; applied to the partner vector
     ``h(b,a)`` it must exceed ``DESIRED_COEFF_MIN``, and applied to any
     stream outside the pair it must stay within :data:`~ssalign.linalg.LEAKAGE_ABS`.
     Both cutoffs apply after the per-user RMS scaling of the module docstring,
-    done on the measured coefficients: exact, as the chains are linear in ``g``.
+    done on the measured coefficients: exact, as the chains are linear in ``G_a``.
     Failures are reported, never raised.
     """
     keys, partner, senders, _, h, chains = _stream_chains(ch, units, processor)

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import json
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -15,6 +16,10 @@ from ssalign.lemmas import DEFAULT_SPEC
 from ssalign.pipeline import construct
 from ssalign.relay import build_relay_processor
 from ssalign.units import execute_plan
+
+
+# A private function name such as ``_seed`` in argparse's message.
+PRIVATE_NAME = re.compile(r"(?<![\w-])_[a-z]\w*")
 
 
 def run(capsys, *argv):
@@ -63,7 +68,24 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 2
-        assert "--k" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--k" in err and "expected a user count >= 3" in err
+        assert not PRIVATE_NAME.search(err)
+
+    @pytest.mark.parametrize("argv,option", [
+        (["build", "--m", "x", "--n", "5", "--k", "3"], "--m"),
+        (["build", "--m", "3", "--n", "5.5", "--k", "3"], "--n"),
+        (["build", "--m", "3", "--n", "5", "--k", "3", "--seed", "x"], "--seed"),
+        (["verify", "--m", "3", "--n", "5", "--k", "3", "--seeds", "two"], "--seeds"),
+        (["lemmas", "--trials", "1e3"], "--trials"),
+    ])
+    def test_non_integer_argument_names_no_private_function(self, capsys, argv, option):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {option}: expected a" in err
+        assert not PRIVATE_NAME.search(err)
 
     @pytest.mark.parametrize("argv", [
         ["build", "--m", "3", "--n", "5", "--k", "3", "--seed", "-1"],

@@ -159,8 +159,8 @@ class TestLowRankProjectors:
         keys = [(li, pair) for li, u in enumerate(units) for pair in u.pairs]
         streams = np.hstack([u.equivalent_uplink for u in units])
         uplink = dict(zip(keys, streams.T))
-        downlink = {key: dense(ch.downlink[key[1][0]]).T @ processor.receive_vectors[:, i]
-                    for i, key in enumerate(keys)}
+        downlink = {key: dense(ch.downlink[key[1][0]]).conj().T
+                    @ processor.receive_vectors[:, i] for i, key in enumerate(keys)}
         sides = ((uplink, processor.uplink_basis, processor.uplink_projectors),
                  (downlink, processor.downlink_basis, processor.downlink_projectors))
         for vectors, basis, factors in sides:
@@ -178,8 +178,9 @@ class TestDownlinkMirror:
         _, ch, units, processor = full_build(2, 3, 3, seed=5)
         for li, unit in enumerate(units):
             pairs = unit.pairs
-            g_ab = dense(ch.downlink[pairs[0][0]]).T @ processor.receive_vectors[:, 2 * li]
-            g_ba = dense(ch.downlink[pairs[1][0]]).T @ processor.receive_vectors[:, 2 * li + 1]
+            g_ab = dense(ch.downlink[pairs[0][0]]).conj().T @ processor.receive_vectors[:, 2 * li]
+            g_ba = (dense(ch.downlink[pairs[1][0]]).conj().T
+                    @ processor.receive_vectors[:, 2 * li + 1])
             cos = abs(np.vdot(g_ab, g_ba)) / (np.linalg.norm(g_ab) * np.linalg.norm(g_ba))
             assert cos == pytest.approx(1.0, abs=1e-9)
 
@@ -191,7 +192,7 @@ class TestDownlinkMirror:
         for unit in units:
             columns = range(start, start + len(unit.pairs))
             start = columns.stop
-            down = [dense(ch.downlink[p[0]]).T @ processor.receive_vectors[:, i]
+            down = [dense(ch.downlink[p[0]]).conj().T @ processor.receive_vectors[:, i]
                     for p, i in zip(unit.pairs, columns)]
             up_dims.append(union_span_dim([unit.equivalent_uplink]))
             down_dims.append(union_span_dim(down))
@@ -201,7 +202,7 @@ class TestDownlinkMirror:
                                                 (2, 5, 3, False), (7, 14, 4, True)])
     def test_receive_vectors_are_twin_beamformers(self, m, n, k, improved):
         plan, ch, units, processor = full_build(m, n, k, seed=32, improved=improved)
-        mirror = replace(ch, uplink=ch.downlink.swapaxes(2, 3))
+        mirror = replace(ch, uplink=ch.downlink.swapaxes(2, 3).conj())
         rng = derived_rng(32, 2)
         twins = [build_random_unit(mirror, rng) if u.pattern_order == RANDOM
                  else build_aligned_unit(mirror, u.group, u.column_block) for u in units]
@@ -309,9 +310,32 @@ class TestVerification:
             assert rec.partner == pytest.approx(want.partner, rel=1e-9)
             assert rec.leakage == pytest.approx(want.leakage, rel=1e-9, abs=1e-14)
 
+    @pytest.mark.parametrize("m,n,k,improved,extension", [
+        (3, 5, 3, False, 2),
+        (2, 6, 3, False, 1),   # one random unit
+        (3, 5, 4, False, 6),
+        (7, 14, 4, True, 1),   # deactivated corner
+    ])
+    def test_forward_matrix_carries_no_cross_pair_leakage(self, m, n, k, improved,
+                                                          extension):
+        # Through the F the relay applies, each row v^H G_a reaches only its
+        # own pair's two streams: every W_p nulls the other pairs' rows.
+        plan, ch, units, processor = full_build(m, n, k, seed=0, improved=improved)
+        assert plan.extension == extension
+        keys, _, rows, h = dense_links(ch, units, processor, normalized=True)
+        coeffs = np.abs(rows @ (processor.forward_matrix / processor.power_scale) @ h)
+        pair_of = [(li, frozenset(pair)) for li, pair in keys]
+        for i, own in enumerate(pair_of):
+            off = [j for j, other in enumerate(pair_of) if other != own]
+            assert coeffs[i, off].max() <= LEAKAGE_ABS
 
-def dense_chains(ch, units, processor, normalized):
-    """Reference chain coefficients, one stream at a time with dense projectors."""
+
+def dense_links(ch, units, processor, normalized):
+    """Stream keys, beamformers, rows ``v^H G_a`` and images ``H_a u``, from dense channels.
+
+    With ``normalized`` each row and image is scaled by the inverse per-entry
+    RMS of its user's dense downlink or uplink matrix.
+    """
     def scale(a):
         return np.sqrt(a.size) / np.linalg.norm(a) if normalized else 1.0
     keys = [(li, pair) for li, u in enumerate(units) for pair in u.pairs]
@@ -319,14 +343,28 @@ def dense_chains(ch, units, processor, normalized):
     up = [dense(blocks) for blocks in ch.uplink]
     down = [dense(blocks) for blocks in ch.downlink]
     h = np.column_stack([scale(up[a]) * (up[a] @ u) for (_, (a, _)), u in zip(keys, beams)])
-    rows = []
-    for i, (li, (a, b)) in enumerate(keys):
-        pair = (li, (min(a, b), max(a, b)))
-        g = scale(down[a]) * (down[a].T @ processor.receive_vectors[:, i])
-        rows.append(g @ projector(processor.downlink_basis, processor.downlink_projectors[pair])
-                    @ projector(processor.uplink_basis, processor.uplink_projectors[pair]))
+    rows = np.array([scale(down[a]) * (processor.receive_vectors[:, i].conj() @ down[a])
+                     for i, (_, (a, _)) in enumerate(keys)])
+    return keys, beams, rows, h
+
+
+def dense_chains(ch, units, processor, normalized):
+    """Reference chain coefficients through a fully dense relay.
+
+    Each pair's ``P_p`` and ``W_p`` are complement projectors over the other
+    streams' images ``H_a u`` and rows ``v^H G_a``, and ``F / alpha`` is the
+    sum of the ``W_p P_p``: neither the projector factors nor
+    ``processor.forward_matrix`` enter.
+    """
+    keys, beams, rows, h = dense_links(ch, units, processor, normalized)
+    pair_of = [(li, frozenset(pair)) for li, pair in keys]
+    relay = 0.0
+    for pair in dict.fromkeys(pair_of):
+        others = [i for i, q in enumerate(pair_of) if q != pair]
+        relay = relay + (complement_projector(rows[others].conj().T)
+                         @ complement_projector(h[:, others]))
     partner = [keys.index((li, (b, a))) for li, (a, b) in keys]
-    return keys, beams, np.array(rows), h, partner
+    return keys, beams, rows @ relay, h, partner, relay
 
 
 class TestDenseReference:
@@ -349,7 +387,7 @@ class TestDenseReference:
     def test_report_matches_per_stream_chains(self, m, n, k, improved):
         _, ch, units, processor = full_build(m, n, k, seed=33, improved=improved)
         report = verify_end_to_end(ch, units, processor)
-        keys, _, chains, h, partner = dense_chains(ch, units, processor, normalized=True)
+        keys, _, chains, h, partner, _ = dense_chains(ch, units, processor, normalized=True)
         coeffs = np.abs(chains @ h)
         assert [(rec.unit, rec.pair) for rec in report.streams] == keys
         for i, rec in enumerate(report.streams):
@@ -362,10 +400,10 @@ class TestDenseReference:
     def test_slope_matches_per_stream_rates(self, m, n, k, improved):
         _, ch, units, processor = full_build(m, n, k, seed=34, improved=improved)
         snrs = [40.0, 50.0, 60.0]
-        keys, beams, chains, h, partner = dense_chains(ch, units, processor, normalized=False)
+        keys, beams, chains, h, partner, base = dense_chains(ch, units, processor,
+                                                            normalized=False)
         gain = [sum(np.linalg.norm(u) ** 2 for (_, (a, _)), u in zip(keys, beams) if a == user)
                 for user in range(ch.k)]
-        base = processor.forward_matrix / processor.power_scale
         rates = []
         for db in snrs:
             power = 10.0 ** (db / 10.0)
