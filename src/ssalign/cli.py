@@ -49,8 +49,6 @@ from .units import plan_alignment  # noqa: F401  (perfbench's tests read cli.pla
 
 CSV_HEADER = "ratio_num,ratio_den,ratio,value_num,value_den,value,mode,capacity_tight"
 
-DEFAULT_SNR_SWEEP_DB = (40.0, 50.0, 60.0)
-
 # Seeds key Philox generators, which take unsigned 64-bit integers.
 SEED_LIMIT = 2**64
 
@@ -259,8 +257,7 @@ def cmd_verify(args, parser) -> tuple[str, int]:
             "d_sum_matches": report.counted_d_sum == expected_sum,
         }
         if args.snr_sweep:
-            slope = estimate_dof_slope(built.channels, built.units, built.processor,
-                                       DEFAULT_SNR_SWEEP_DB)
+            slope = estimate_dof_slope(built.channels, built.units, built.processor)
             target = float(report.counted_d_sum)
             slope_ok = target > 0 and abs(slope - target) <= 0.05 * target
             row["slope"] = slope
@@ -346,23 +343,22 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="halve emitted values for half-duplex operation")
     curve.add_argument("--out", help="write CSV here instead of stdout")
 
-    build = sub.add_parser("build", help="construct and verify one realization")
-    build.add_argument("--m", type=_positive_int, required=True, help="antennas per user")
-    build.add_argument("--n", type=_positive_int, required=True, help="relay antennas")
-    build.add_argument("--k", type=_user_count, required=True, help="user count (>= 3)")
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--m", type=_positive_int, required=True, help="antennas per user")
+    config.add_argument("--n", type=_positive_int, required=True, help="relay antennas")
+    config.add_argument("--k", type=_user_count, required=True, help="user count (>= 3)")
+    config.add_argument("--improved", action="store_true",
+                        help="allow relay-antenna deactivation")
+
+    build = sub.add_parser("build", parents=[config], help="construct and verify one realization")
     build.add_argument("--seed", type=_seed, default=0)
-    build.add_argument("--improved", action="store_true",
-                       help="allow relay-antenna deactivation")
     build.add_argument("--out", help="write JSON here instead of stdout")
 
-    verify = sub.add_parser("verify", help="sweep seeds and summarize verification")
-    verify.add_argument("--m", type=_positive_int, required=True)
-    verify.add_argument("--n", type=_positive_int, required=True)
-    verify.add_argument("--k", type=_user_count, required=True)
+    verify = sub.add_parser("verify", parents=[config],
+                            help="sweep seeds and summarize verification")
     verify.add_argument("--seeds", type=_positive_int, required=True,
                         help="number of consecutive seeds to run")
     verify.add_argument("--seed", type=_seed, default=0, help="first seed of the sweep")
-    verify.add_argument("--improved", action="store_true")
     verify.add_argument("--snr-sweep", action="store_true",
                         help="also check the high-SNR rate slope per seed")
     verify.add_argument("--out", help="write JSON here instead of stdout")

@@ -51,7 +51,3 @@ class IndependenceViolation(ConstructionError):
 
 class InvalidLemmaParams(ValueError):
     """Monte Carlo check called outside its parameter domain."""
-
-
-class InvalidSweep(ValueError):
-    """SNR sweep needs at least two ascending points."""

@@ -13,8 +13,9 @@ and downlink projectors null everything but the pair among the vectors
 the unit relay power budget with equality.
 
 No projector is stored densely.  Each side keeps one orthonormal basis ``Q``
-of all its streams and, per pair, a thin orthonormal ``Z``; the pair's
-projector is ``I - Q Q^H + Z Z^H``, and ``F`` is assembled from these
+of its stacked unit bases, which must keep all their columns (the link's
+joint-independence check), and, per pair, a thin orthonormal ``Z``; the
+pair's projector is ``I - Q Q^H + Z Z^H``, and ``F`` is assembled from these
 factors directly.
 
 Verification is structural: a stream is decodable when its chain through ``F``
@@ -34,8 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from .channel import ChannelSet, derived_rng, slot_product
-from .errors import (AlignmentDegenerate, ConstructionError, IndependenceViolation,
-                     InvalidSweep, ProjectorCollapse)
+from .errors import AlignmentDegenerate, ConstructionError, IndependenceViolation, ProjectorCollapse
 from .linalg import LEAKAGE_ABS, nullspace_basis, range_basis
 from .units import Unit, _build_units
 
@@ -60,6 +60,9 @@ DESIRED_COEFF_MIN = 1e-6
 # A pair's stream must keep at least this fraction of its norm after the rest
 # of its unit is projected out, else the channel draw counts as degenerate.
 PAIR_SURVIVAL_MIN = 1e-6
+
+# The SNR window, in dB, over which estimate_dof_slope fits the sum rate.
+SLOPE_SNR_DB = (40.0, 50.0, 60.0)
 
 Key = tuple[int, tuple[int, int]]
 
@@ -134,29 +137,31 @@ def _complement_projectors(units: list[Unit], side: str) -> PairProjectors:
     """Factor every pair's complement projector through one oblique basis change.
 
     The streams are the columns of the units' ``equivalent_uplink``, which
-    are ``G_a^H v`` for downlink twins.  The unit bases ``B_l`` must span a
-    direct sum ``span(B_1) + ... + span(B_L) = span(Q)``, the link's one
-    joint-independence check; else :class:`~ssalign.errors.IndependenceViolation`
-    names the side.  So the rows of ``C^-1 Q^H`` with ``C = Q^H [B_1 .. B_L]``
-    give each vector of ``span(Q)`` its coordinates in every unit basis.  A
-    direction ``R_l^H y`` built from unit ``l``'s rows is orthogonal to all
-    other units, and to the rest of unit ``l`` exactly when ``y`` is, so one
-    small nullspace in unit coordinates yields the pair's factor ``Z``.
+    are ``G_a^H v`` for downlink twins.  Each unit's ``basis`` ``B_l`` has
+    decided its span, so ``Q`` is the range of the stacked bases, not of the
+    streams, and must keep all their columns: the spans form a direct sum
+    ``span(B_1) + ... + span(B_L) = span(Q)``, the link's one joint-independence
+    check; else :class:`~ssalign.errors.IndependenceViolation` names the side.
+    So the rows of ``C^-1 Q^H`` with ``C = Q^H [B_1 .. B_L]`` give each vector
+    of ``span(Q)`` its coordinates in every unit basis.  A direction
+    ``R_l^H y`` built from unit ``l``'s rows is orthogonal to all other
+    units, and to the rest of unit ``l`` exactly when ``y`` is, so one small
+    nullspace in unit coordinates yields the pair's factor ``Z``.
 
     The same ``y`` tests the pair's survival: each of its streams ``h`` must
     keep ``|y^H B_l^H h| >= PAIR_SURVIVAL_MIN * |h| > 0`` off the rest of
     its unit, else :class:`~ssalign.errors.AlignmentDegenerate` names the
     side, unit, group, column block and pair; so ``Z`` is never empty.
     """
-    q = range_basis(np.hstack([u.equivalent_uplink for u in units]))
     unit_bases = [u.basis for u in units]
-    widths = sum(b.shape[1] for b in unit_bases)
-    if widths != q.shape[1]:
+    stacked = np.hstack(unit_bases)
+    q = range_basis(stacked)
+    if stacked.shape[1] != q.shape[1]:
         raise IndependenceViolation(
-            f"{side} unit spans overlap: their dimensions sum to {widths}, "
+            f"{side} unit spans overlap: their dimensions sum to {stacked.shape[1]}, "
             f"jointly they span {q.shape[1]}"
         )
-    coords = np.linalg.solve(q.conj().T @ np.hstack(unit_bases), q.conj().T)
+    coords = np.linalg.solve(q.conj().T @ stacked, q.conj().T)
     projectors: dict[Key, np.ndarray] = {}
     offset = 0
     for li, (unit, basis) in enumerate(zip(units, unit_bases)):
@@ -324,20 +329,16 @@ def verify_end_to_end(ch: ChannelSet, units: list[Unit],
     )
 
 
-def estimate_dof_slope(ch: ChannelSet, units: list[Unit], processor: RelayProcessor,
-                       snr_db_list) -> float:
+def estimate_dof_slope(ch: ChannelSet, units: list[Unit], processor: RelayProcessor) -> float:
     """Least-squares slope of achievable sum rate against log2(SNR).
 
-    The rate at each SNR is ``sum_streams log2(1 + SINR)`` per channel use,
-    with uniform per-stream transmit power meeting every user's budget,
-    forwarded relay noise and local receiver noise (unit variance each) in
-    the denominator, and self-interference removed.  Approaches the counted
-    DoF as the sweep moves to high SNR.
+    The window is :data:`SLOPE_SNR_DB`: 40, 50 and 60 dB.  The rate at each
+    SNR is ``sum_streams log2(1 + SINR)`` per channel use, with uniform
+    per-stream transmit power meeting every user's budget, forwarded relay
+    noise and local receiver noise (unit variance each) in the denominator,
+    and self-interference removed.  Approaches the counted DoF as the window
+    moves to high SNR.
     """
-    snrs = list(snr_db_list)
-    if len(snrs) < 2 or any(b <= a for a, b in zip(snrs, snrs[1:])):
-        raise InvalidSweep(f"need >= 2 ascending SNR points, got {snrs}")
-
     _, partner, senders, beams, h_matrix, chains = _stream_chains(ch, units, processor)
     gains = np.linalg.norm(beams, axis=0) ** 2
     user_gain = np.bincount(senders, weights=gains, minlength=ch.k)
@@ -353,7 +354,7 @@ def estimate_dof_slope(ch: ChannelSet, units: list[Unit], processor: RelayProces
     local_noise = np.linalg.norm(processor.receive_vectors, axis=0) ** 2
 
     rates = []
-    for db in snrs:
+    for db in SLOPE_SNR_DB:
         power = 10.0 ** (db / 10.0)
         p_stream = power / float(user_gain.max())
         alpha_sq = power / (p_stream * stream_power + noise_power)
@@ -362,6 +363,6 @@ def estimate_dof_slope(ch: ChannelSet, units: list[Unit], processor: RelayProces
         )
         rates.append(float(np.log2(1.0 + sinr).sum()) / ch.extension)
 
-    log_snrs = [np.log2(10.0 ** (db / 10.0)) for db in snrs]
+    log_snrs = [np.log2(10.0 ** (db / 10.0)) for db in SLOPE_SNR_DB]
     slope = np.polyfit(log_snrs, rates, 1)[0]
     return float(slope)

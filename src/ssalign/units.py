@@ -77,9 +77,16 @@ class Unit:
         return range_basis(self.equivalent_uplink)
 
 
+def _unit_dims(pattern_order: int, size: int) -> int:
+    """Relay dimensions a unit spans: ``K(K-1)`` if random on ``K`` users, else ``(t-1)^2``."""
+    if pattern_order == RANDOM:
+        return size * (size - 1)
+    return (pattern_order - 1) ** 2
+
+
 def _unit(ch: ChannelSet, pattern_order: int, group: tuple[int, ...],
           beam: dict[tuple[int, int], np.ndarray], column_block: int = 0) -> Unit:
-    """Unit from per-pair beamformers, columns in sorted pair order."""
+    """Unit from per-pair beamformers, columns in sorted pair order, its span checked."""
     pairs = tuple(sorted(beam))
     beams = np.column_stack([beam[p] for p in pairs])
     # Every member sends to every other member, so in sorted pair order the
@@ -87,7 +94,14 @@ def _unit(ch: ChannelSet, pattern_order: int, group: tuple[int, ...],
     per = len(group) - 1
     streams = np.hstack([slot_product(ch.uplink[a], beams[:, i * per:(i + 1) * per])
                          for i, a in enumerate(sorted(group))])
-    return Unit(pattern_order, group, pairs, beams, streams, column_block)
+    unit = Unit(pattern_order, group, pairs, beams, streams, column_block)
+    want = _unit_dims(pattern_order, len(group))
+    got = unit.basis.shape[1]
+    if got != want:
+        kind = "random" if pattern_order == RANDOM else f"order-{pattern_order}"
+        raise AlignmentDegenerate(
+            f"{kind} unit on group {group} spans {got} dimensions, expected {want}")
+    return unit
 
 
 def build_random_unit(ch: ChannelSet, rng: np.random.Generator) -> Unit:
@@ -105,15 +119,7 @@ def build_random_unit(ch: ChannelSet, rng: np.random.Generator) -> Unit:
     for pair in permutations(group, 2):
         u = complex_gaussian(rng, mt, 1)[:, 0]
         beam[pair] = u / np.linalg.norm(u)
-    unit = _unit(ch, RANDOM, group, beam)
-    want = ch.k * (ch.k - 1)
-    got = unit.basis.shape[1]
-    if got != want:
-        raise AlignmentDegenerate(
-            f"random unit spans {got} dimensions, expected {want} "
-            f"(needs M*ext >= K-1 and K(K-1) active relay dimensions)"
-        )
-    return unit
+    return _unit(ch, RANDOM, group, beam)
 
 
 def _aggregate_sign(i: int, j: int) -> float:
@@ -196,15 +202,7 @@ def unit_from_nullspace(ch: ChannelSet, group, basis: np.ndarray, column_block: 
         local[(j, t - 1)] = acc / _aggregate_sign(j, t - 1)
 
     beam = {(group[i], group[j]): v for (i, j), v in local.items()}
-    unit = _unit(ch, t, group, beam, column_block)
-
-    want = (t - 1) ** 2
-    got = unit.basis.shape[1]
-    if got != want:
-        raise AlignmentDegenerate(
-            f"order-{t} unit on group {group} spans {got} dimensions, expected {want}"
-        )
-    return unit
+    return _unit(ch, t, group, beam, column_block)
 
 
 @dataclass(frozen=True)
@@ -216,15 +214,10 @@ class Allocation:
     count: int
 
     def dims_per_unit(self) -> int:
-        size = len(self.group)
-        if self.pattern_order == RANDOM:
-            return size * (size - 1)
-        return (self.pattern_order - 1) ** 2
+        return _unit_dims(self.pattern_order, len(self.group))
 
     def streams_per_member(self) -> int:
-        if self.pattern_order == RANDOM:
-            return len(self.group) - 1
-        return self.pattern_order - 1
+        return len(self.group) - 1
 
 
 @dataclass(frozen=True)
@@ -289,7 +282,7 @@ def _plan_pieces(m: int, n: int, k: int, improved: bool):
         _, b_next = dof.alpha_beta(k, t + 1)
         pieces.append((t + 1, remaining / b_next))
     else:
-        pieces.append((RANDOM, remaining / (k * (k - 1))))
+        pieces.append((RANDOM, remaining / _unit_dims(RANDOM, k)))
     return pieces, active
 
 

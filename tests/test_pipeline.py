@@ -61,7 +61,9 @@ def test_constructions_compare_by_identity():
 
 
 @pytest.mark.parametrize("m,n,k,improved", [(3, 5, 3, False), (7, 14, 4, True),
-                                            (5, 9, 5, True), (2, 12, 6, False)])
+                                            (5, 9, 5, True), (2, 12, 6, False),
+                                            (3, 12, 4, False), (2, 10, 5, False),
+                                            (1, 4, 3, False)])
 def test_no_matrix_is_decomposed_twice(monkeypatch, m, n, k, improved):
     # Every span is decided once: each unit's in its builder, each link's
     # joint span and pair complements in the relay.
