@@ -35,6 +35,7 @@ failure (with a diagnostic JSON document as output).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -321,7 +322,9 @@ def _emit(text: str, out_path: str | None, parser: argparse.ArgumentParser) -> N
         parser.error(f"cannot write --out {out_path}: {exc.strerror or exc}")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="ssalign",
         description="Signal-space alignment construction, verification, and DoF curves "

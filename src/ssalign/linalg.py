@@ -22,6 +22,7 @@ from .errors import InvalidMatrix, ShapeMismatch
 __all__ = [
     "RANK_REL",
     "LEAKAGE_ABS",
+    "singular_value_ranks",
     "numerical_rank",
     "nullspace_basis",
     "range_basis",
@@ -51,11 +52,18 @@ def as_complex_matrix(a) -> np.ndarray:
     return arr
 
 
-def _rank_from_singular_values(s: np.ndarray, shape) -> int:
-    if s.size == 0:
-        return 0
-    thresh = RANK_REL * s[0] * max(shape)
-    return int(np.count_nonzero(s > thresh))
+def singular_value_ranks(s: np.ndarray, shape):
+    """Rank of a matrix of ``shape``, or of each of a stack, from its singular values.
+
+    ``s`` is ``(..., k)`` with ``k >= 1``, each row in the descending order
+    ``svd`` returns; a value counts when it exceeds
+    ``RANK_REL * sigma_max * max(shape)``.  Gives an ``int`` for one matrix,
+    else an integer array of shape ``s.shape[:-1]``.
+    """
+    thresh = RANK_REL * s[..., 0] * max(shape)
+    if s.ndim == 1:
+        return int(np.count_nonzero(s > thresh))
+    return np.count_nonzero(s > thresh[..., None], axis=-1)
 
 
 def numerical_rank(a) -> int:
@@ -64,7 +72,7 @@ def numerical_rank(a) -> int:
     if arr.size == 0:
         return 0
     s = np.linalg.svd(arr, compute_uv=False)
-    return _rank_from_singular_values(s, arr.shape)
+    return singular_value_ranks(s, arr.shape)
 
 
 def nullspace_basis(a) -> np.ndarray:
@@ -81,7 +89,7 @@ def nullspace_basis(a) -> np.ndarray:
     if rows == 0:
         return np.eye(cols, dtype=np.complex128)
     _, s, vh = np.linalg.svd(arr, full_matrices=True)
-    rank = _rank_from_singular_values(s, arr.shape)
+    rank = singular_value_ranks(s, arr.shape)
     return vh[rank:][::-1].conj().T
 
 
@@ -91,7 +99,7 @@ def range_basis(a) -> np.ndarray:
     if arr.size == 0:
         return np.empty((arr.shape[0], 0), dtype=np.complex128)
     u, s, _ = np.linalg.svd(arr, full_matrices=False)
-    rank = _rank_from_singular_values(s, arr.shape)
+    rank = singular_value_ranks(s, arr.shape)
     return u[:, :rank]
 
 

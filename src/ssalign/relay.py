@@ -16,7 +16,10 @@ No projector is stored densely.  Each side keeps one orthonormal basis ``Q``
 of its stacked unit bases, which must keep all their columns (the link's
 joint-independence check), and, per pair, a thin orthonormal ``Z``; the
 pair's projector is ``I - Q Q^H + Z Z^H``, and ``F`` is assembled from these
-factors directly.
+factors directly.  The factors are computed in batches, one per unit shape
+(basis width and pair layout): one stacked SVD gives every pair of an
+aligned shape its nullspace, and a random unit, whose basis is as wide as
+its stream count, takes all its pairs' nullspaces from one matrix inverse.
 
 Verification is structural: a stream is decodable when its chain through ``F``
 keeps both pair coefficients above threshold while every other stream's
@@ -36,7 +39,7 @@ import numpy as np
 
 from .channel import ChannelSet, derived_rng, slot_product
 from .errors import AlignmentDegenerate, ConstructionError, IndependenceViolation, ProjectorCollapse
-from .linalg import LEAKAGE_ABS, nullspace_basis, range_basis
+from .linalg import LEAKAGE_ABS, range_basis, singular_value_ranks
 from .units import Unit, _build_units
 
 __all__ = [
@@ -133,6 +136,45 @@ def build_uplink_projectors(units: list[Unit]) -> PairProjectors:
     return _complement_projectors(units, side="uplink")
 
 
+def _pair_columns(pairs: tuple[tuple[int, int], ...]) -> tuple[list[tuple[int, int]], tuple]:
+    """A unit's unordered pairs, sorted, and the column indices of each pair's streams."""
+    columns: dict[tuple[int, int], list[int]] = {}
+    for i, (a, b) in enumerate(pairs):
+        columns.setdefault((min(a, b), max(a, b)), []).append(i)
+    keys = sorted(columns)
+    return keys, tuple(tuple(columns[key]) for key in keys)
+
+
+def _pair_nullspaces(local: np.ndarray, own: np.ndarray):
+    """Each pair's ``y``, orthonormal and orthogonal to the rest of its unit, by rank.
+
+    ``local`` is ``(units, d, s)``, every unit of one shape in its own basis
+    coordinates; ``own`` is ``(pairs, 2)``, each pair's two columns.  Yields
+    ``(select, y)`` per rank: a ``(units, pairs)`` mask of the pairs with
+    that rank, and ``y`` as ``(units, pairs, d, width)``, valid where selected.
+    """
+    units, d, s = local.shape
+    pairs, width = own.shape
+    every = np.ones((units, pairs), dtype=bool)
+    if d == s:
+        # rank(L) = s, so L^-H[:, own] is orthogonal to L[:, rest] and spans its nullity 2.
+        inverse_h = np.linalg.inv(local).conj().swapaxes(1, 2)
+        yield every, np.linalg.qr(inverse_h[:, :, own].transpose(0, 2, 1, 3))[0]
+        return
+    outside = np.ones((pairs, s), dtype=bool)
+    outside[np.arange(pairs)[:, None], own] = False
+    rest = np.nonzero(outside)[1].reshape(pairs, s - width)
+    if rest.shape[1] == 0:
+        yield every, np.broadcast_to(np.eye(d, dtype=np.complex128), (units, pairs, d, d))
+        return
+    # (units, pairs, s - 2, d): every pair's rest, conjugate-transposed.
+    rests = local[:, :, rest].conj().transpose(0, 2, 3, 1)
+    _, sv, vh = np.linalg.svd(rests, full_matrices=True)
+    ranks = singular_value_ranks(sv, rests.shape[-2:])
+    for rank in set(ranks.flat):
+        yield ranks == rank, vh[:, :, rank:][:, :, ::-1].conj().swapaxes(2, 3)
+
+
 def _complement_projectors(units: list[Unit], side: str) -> PairProjectors:
     """Factor every pair's complement projector through one oblique basis change.
 
@@ -146,12 +188,27 @@ def _complement_projectors(units: list[Unit], side: str) -> PairProjectors:
     of ``span(Q)`` its coordinates in every unit basis.  A direction
     ``R_l^H y`` built from unit ``l``'s rows is orthogonal to all other
     units, and to the rest of unit ``l`` exactly when ``y`` is, so one small
-    nullspace in unit coordinates yields the pair's factor ``Z``.
+    nullspace in unit coordinates ``L = B_l^H H`` yields the pair's factor
+    ``Z = qr(R_l^H y)``.
+
+    The nullspaces are taken per unit shape, the basis width ``d`` and the
+    pair layout: one stacked SVD of every pair's ``L[:, rest]^H`` decides each
+    pair's rank by the rule of :func:`~ssalign.linalg.nullspace_basis`, and
+    the pairs are sliced by rank, so each keeps the width that rule gives it.
+    A square unit (a random one, ``d = s``) needs no SVD.  Its basis width is
+    the span check's verdict ``rank(L) = s``, so ``L^-H[:, own]``, orthogonal
+    to every other column of ``L``, spans the nullspace, and one inverse per
+    unit gives every pair's ``y`` as the orthonormal columns of its QR.  The
+    per-pair rule would find the same nullity 2: deleting columns interlaces
+    the singular values, so ``sigma_min(L[:, rest]) >= sigma_min(L)``, while
+    its threshold ``RANK_REL * sigma_max * max(shape)`` is at most the span
+    check's, as both ``sigma_max`` and the shape shrink.
 
     The same ``y`` tests the pair's survival: each of its streams ``h`` must
     keep ``|y^H B_l^H h| >= PAIR_SURVIVAL_MIN * |h| > 0`` off the rest of
     its unit, else :class:`~ssalign.errors.AlignmentDegenerate` names the
-    side, unit, group, column block and pair; so ``Z`` is never empty.
+    side, unit, group, column block and pair, the first failing in unit
+    order; so ``Z`` is never empty.
     """
     unit_bases = [u.basis for u in units]
     stacked = np.hstack(unit_bases)
@@ -162,24 +219,43 @@ def _complement_projectors(units: list[Unit], side: str) -> PairProjectors:
             f"jointly they span {q.shape[1]}"
         )
     coords = np.linalg.solve(q.conj().T @ stacked, q.conj().T)
-    projectors: dict[Key, np.ndarray] = {}
-    offset = 0
+    offsets = np.cumsum([0] + [basis.shape[1] for basis in unit_bases])
+    pair_keys, shapes = [], {}
     for li, (unit, basis) in enumerate(zip(units, unit_bases)):
-        rows = coords[offset:offset + basis.shape[1]]
-        offset += basis.shape[1]
-        local = basis.conj().T @ unit.equivalent_uplink
-        norms = np.linalg.norm(unit.equivalent_uplink, axis=0)
-        keys = [tuple(sorted(pair)) for pair in unit.pairs]
-        for a, b in sorted(set(keys)):
-            own = [i for i, key in enumerate(keys) if key == (a, b)]
-            rest = [i for i, key in enumerate(keys) if key != (a, b)]
-            y = nullspace_basis(local[:, rest].conj().T)
-            kept = np.linalg.norm(y.conj().T @ local[:, own], axis=0)
-            if np.any((norms[own] == 0.0) | (kept < PAIR_SURVIVAL_MIN * norms[own])):
-                raise AlignmentDegenerate(
-                    f"{side} pair ({a},{b}) of unit {li} (group {unit.group}, column block "
-                    f"{unit.column_block}) does not survive the rest of its unit")
-            projectors[(li, (a, b))] = np.linalg.qr(rows.conj().T @ y)[0]
+        keys, columns = _pair_columns(unit.pairs)
+        pair_keys.append(keys)
+        shapes.setdefault((basis.shape[1], columns), []).append(li)
+
+    found: dict[tuple[int, int], np.ndarray] = {}
+    failed = []
+    for (d, columns), members in shapes.items():
+        own = np.array(columns)
+        bases = np.stack([unit_bases[li] for li in members])
+        streams = np.stack([units[li].equivalent_uplink for li in members])
+        local = bases.conj().swapaxes(1, 2) @ streams
+        # (units, pairs, d, 2) and (units, pairs, 2): each pair's own streams.
+        local_own = local[:, :, own].transpose(0, 2, 1, 3)
+        norms = np.linalg.norm(streams, axis=1)[:, own]
+        # (units, 1, N_active, d): each unit's rows R_l^H, shared by its pairs.
+        rows_h = np.stack([coords[offsets[li]:offsets[li] + d] for li in members])
+        rows_h = rows_h.conj().swapaxes(1, 2)[:, None]
+        for select, y in _pair_nullspaces(local, own):
+            kept = np.linalg.norm(y.conj().swapaxes(2, 3) @ local_own, axis=2)
+            bad = select & np.any((norms == 0.0) | (kept < PAIR_SURVIVAL_MIN * norms), axis=2)
+            failed += [(members[u], p) for u, p in zip(*np.nonzero(bad))]
+            if y.shape[3] == 0:
+                continue
+            z = np.linalg.qr(rows_h @ y)[0]
+            found.update(((members[u], p), z[u, p]) for u, p in zip(*np.nonzero(select)))
+    if failed:
+        li, p = min(failed)
+        unit = units[li]
+        a, b = pair_keys[li][p]
+        raise AlignmentDegenerate(
+            f"{side} pair ({a},{b}) of unit {li} (group {unit.group}, column block "
+            f"{unit.column_block}) does not survive the rest of its unit")
+    projectors = {(li, key): found[(li, p)]
+                  for li, keys in enumerate(pair_keys) for p, key in enumerate(keys)}
     return PairProjectors(q, projectors)
 
 

@@ -119,6 +119,29 @@ class TestExitCodes:
         assert doc["error"] == "ExtensionOverflow"
         assert doc["seed"] == 5
 
+    def test_repeated_calls_keep_their_own_exit_codes(self, capsys):
+        # The parser is built once per process; each call still parses afresh.
+        build = ["build", "--m", "3", "--n", "5", "--k", "3"]
+        rc, first = run(capsys, *build)
+        assert rc == 0 and json.loads(first)["config"]["seed"] == 0
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--m", "3", "--n", "5", "--k", "2", "--seeds", "1"])
+        assert info.value.code == 2
+        assert "expected a user count >= 3" in capsys.readouterr().err
+        rc, out = run(capsys, "curve", "--k", "3", "--ratios", "1/2")
+        assert rc == 0 and out.splitlines()[1].startswith("1,2,0.5,")
+        rc, out = run(capsys, "verify", "--m", "1", "--n", "2", "--k", "4", "--improved",
+                      "--seeds", "1", "--seed", "5")
+        assert rc == 3 and json.loads(out)["error"] == "ExtensionOverflow"
+        with pytest.raises(SystemExit) as info:
+            main(["lemmas", "--trials", "0"])
+        assert info.value.code == 2
+        rc, out = run(capsys, *build, "--seed", "1")
+        assert rc == 0 and json.loads(out)["config"]["seed"] == 1
+        rc, again = run(capsys, *build)
+        assert rc == 0 and again == first
+        assert cli._build_parser() is cli._build_parser()
+
     def test_pair_survival_failure_exits_three(self, capsys, monkeypatch):
         # No stream keeps twice its norm, so the first uplink pair fails.
         monkeypatch.setattr(relay, "PAIR_SURVIVAL_MIN", 2.0)

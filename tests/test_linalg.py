@@ -15,6 +15,7 @@ from ssalign import (
 )
 from ssalign.channel import complex_gaussian
 from ssalign.errors import InvalidMatrix, ShapeMismatch
+from ssalign.linalg import singular_value_ranks
 
 from reference import complement_projector, dense
 
@@ -43,6 +44,15 @@ class TestNumericalRank:
 
     def test_empty_is_rank_zero(self):
         assert numerical_rank(np.empty((4, 0))) == 0
+
+    def test_stacked_ranks_match_each_matrix(self, rng):
+        # A (2, 3) stack of 4 x 6 matrices with ranks 0..4: the stacked rule
+        # decides each one as numerical_rank does alone.
+        stack = np.array([complex_gaussian(rng, 4, rank) @ complex_gaussian(rng, rank, 6)
+                          for rank in (0, 1, 2, 3, 4, 2)]).reshape(2, 3, 4, 6)
+        ranks = singular_value_ranks(np.linalg.svd(stack, compute_uv=False), (4, 6))
+        assert ranks.tolist() == [[numerical_rank(m) for m in row] for row in stack]
+        assert ranks.tolist() == [[0, 1, 2], [3, 4, 2]]
 
     def test_nonfinite_rejected(self):
         with pytest.raises(InvalidMatrix):

@@ -18,6 +18,7 @@ from ssalign import (
     derived_rng,
     design_downlink,
     estimate_dof_slope,
+    nullspace_basis,
     numerical_rank,
     sample_channel_set,
     union_span_dim,
@@ -101,6 +102,61 @@ class TestUplinkProjectors:
             build_uplink_projectors([Unit(2, (0, 1), ((0, 1), (1, 0)), vecs.copy(), vecs)])
 
 
+# The ordered pairs of group (0, 1, 2): pair (0,1) owns columns 0 and 2,
+# (0,2) columns 1 and 4, (1,2) columns 3 and 5.
+TRIPLE_PAIRS = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
+
+
+def six_stream_unit(rng, frame, dependent=None):
+    """Six streams on five generic coordinates in ``frame``, one column optionally a sum.
+
+    ``dependent=(j, cols)`` replaces stream ``j``'s coordinates by the sum of
+    the coordinates of ``cols``.  Every such unit has basis width 5 and
+    the same pair layout, so the relay factors them in one batch.
+    """
+    coords = complex_gaussian(rng, 5, 6)
+    if dependent is not None:
+        j, cols = dependent
+        coords[:, j] = coords[:, list(cols)].sum(axis=1)
+    streams = frame @ coords
+    return Unit(3, (0, 1, 2), TRIPLE_PAIRS, streams.copy(), streams)
+
+
+class TestBatchedFactors:
+    def test_mixed_ranks_in_one_batch_keep_their_own_width(self):
+        # In unit 0 the rest of pair (0,1) has rank 3 (column 5 is the sum
+        # of 1, 3 and 4), every other rest rank 4: widths 2 and 1.
+        rng = np.random.Generator(np.random.Philox(key=8))
+        frame = complex_gaussian(rng, 12, 10)
+        units = [six_stream_unit(rng, frame[:, :5], dependent=(5, (1, 3, 4))),
+                 six_stream_unit(rng, frame[:, 5:])]
+        projectors = build_uplink_projectors(units)
+        widths = {}
+        for li, unit in enumerate(units):
+            local = unit.basis.conj().T @ unit.equivalent_uplink
+            for a, b in ((0, 1), (0, 2), (1, 2)):
+                rest = [i for i, p in enumerate(unit.pairs) if p not in ((a, b), (b, a))]
+                want = nullspace_basis(local[:, rest].conj().T).shape[1]
+                widths[(li, (a, b))] = projectors.factors[(li, (a, b))].shape[1]
+                assert widths[(li, (a, b))] == want
+        assert widths == {(0, (0, 1)): 2, (0, (0, 2)): 1, (0, (1, 2)): 1,
+                          (1, (0, 1)): 1, (1, (0, 2)): 1, (1, (1, 2)): 1}
+
+    def test_survival_failure_in_a_later_unit_names_it(self):
+        # Unit 2 shares unit 1's batch; its stream 3 is the sum of 0, 1, 2
+        # and 4, the rest of pair (1,2), so that pair alone fails.
+        rng = np.random.Generator(np.random.Philox(key=9))
+        frame = complex_gaussian(rng, 12, 11)
+        pair = frame[:, :1] @ complex_gaussian(rng, 1, 2)
+        units = [Unit(2, (0, 1), ((0, 1), (1, 0)), pair.copy(), pair),
+                 six_stream_unit(rng, frame[:, 1:6]),
+                 six_stream_unit(rng, frame[:, 6:], dependent=(3, (0, 1, 2, 4)))]
+        with pytest.raises(AlignmentDegenerate,
+                           match=r"^uplink pair \(1,2\) of unit 2 \(group \(0, 1, 2\), "
+                                 r"column block 0\) does not survive"):
+            build_uplink_projectors(units)
+
+
 class TestPairSurvival:
     # No stream keeps twice its norm, so at 2.0 every pair fails the test.
     @pytest.mark.parametrize("m,n,k,group", [
@@ -144,6 +200,10 @@ class TestLowRankProjectors:
         (3, 8, 4, False, 2),
         (7, 14, 4, True, 1),   # deactivated corner
         (3, 5, 4, False, 6),
+        (2, 10, 5, False, 2),  # square random units
+        (2, 12, 6, False, 5),
+        (2, 5, 3, False, 2),   # a random unit beside aligned ones
+        (2, 7, 4, False, 3),
     ])
     def test_materialised_projectors_match_dense_complement(self, m, n, k, improved,
                                                             extension):
