@@ -28,6 +28,8 @@ are measured on the raw channels, and each coefficient is then scaled by the
 inverse per-entry RMS of its receiver's downlink and its sender's uplink, so
 the absolute cutoffs are scale-free; the RMS is that of the whole
 ``N_active x M*ext`` block-diagonal matrix, its structural zeros counted.
+The same pass reads the sum rate's slope against log2(SNR) where it has
+settled at high SNR, so that it measures the DoF rather than the SNR window.
 """
 
 from __future__ import annotations
@@ -64,8 +66,10 @@ DESIRED_COEFF_MIN = 1e-6
 # of its unit is projected out, else the channel draw counts as degenerate.
 PAIR_SURVIVAL_MIN = 1e-6
 
-# The SNR window, in dB, over which estimate_dof_slope fits the sum rate.
-SLOPE_SNR_DB = (40.0, 50.0, 60.0)
+# The SNR grid, in dB, of the sum rates whose secant slopes verify_end_to_end
+# reads, and the relative change at which two neighbouring slopes count as settled.
+SLOPE_SNR_DB = (40.0, 60.0, 80.0, 100.0, 120.0, 140.0, 160.0)
+SLOPE_SETTLE_REL = 1e-3
 
 Key = tuple[int, tuple[int, int]]
 
@@ -124,11 +128,17 @@ class StreamRecord:
 
 @dataclass
 class VerificationReport:
-    """Per-stream measurements plus the counted, constructive DoF."""
+    """Per-stream measurements, the counted DoF, and the sum rate's slope.
+
+    ``slope`` is taken against log2(SNR) between the two SNRs, in dB, of
+    ``slope_window_db``.
+    """
 
     streams: list[StreamRecord]
     counted_d_sum: Fraction
     passed: bool
+    slope: float
+    slope_window_db: tuple[float, float]
 
 
 def build_uplink_projectors(units: list[Unit]) -> PairProjectors:
@@ -341,42 +351,9 @@ def _entry_rms_scale(blocks: np.ndarray) -> float:
     return float(np.sqrt(ext * rows * ext * cols) / norm) if norm else 1.0
 
 
-def _stream_chains(ch: ChannelSet, units: list[Unit], processor: RelayProcessor):
-    """Every stream's measurement inputs on the raw channels, in stream-key order.
-
-    The keys ``(l, (a, b))``, the partner indices (of ``(l, (b, a))``), the
-    senders ``a`` (also the users the chain rows listen at), the beamformers,
-    the images ``H_a u`` recomputed from them, and the chain rows
-    ``v^H G_a F / alpha`` through the forwarding matrix the relay applies.
-    """
-    keys = [(li, pair) for li, u in enumerate(units) for pair in u.pairs]
-    index = {key: i for i, key in enumerate(keys)}
-    partner = np.array([index[(li, (b, a))] for li, (a, b) in keys])
-    senders = np.array([a for _, (a, _) in keys])
-    beams = np.hstack([u.beamformers for u in units])
-    h = np.empty((ch.active_relay, len(keys)), dtype=np.complex128)
-    g = np.empty((len(keys), ch.active_relay), dtype=np.complex128)
-    for a in range(ch.k):
-        cols = senders == a
-        h[:, cols] = slot_product(ch.uplink[a], beams[:, cols])
-        g[cols] = slot_product(ch.downlink[a].swapaxes(1, 2),
-                               processor.receive_vectors[:, cols].conj()).T
-    chains = g @ (processor.forward_matrix / processor.power_scale)
-    return keys, partner, senders, beams, h, chains
-
-
-def _without_pair(coeffs: np.ndarray, partner: np.ndarray) -> np.ndarray:
-    """Copy of the chain coefficients with each row's own pair zeroed."""
-    rows = np.arange(len(partner))
-    rest = coeffs.copy()
-    rest[rows, rows] = 0.0
-    rest[rows, partner] = 0.0
-    return rest
-
-
 def verify_end_to_end(ch: ChannelSet, units: list[Unit],
                       processor: RelayProcessor) -> VerificationReport:
-    """Measure every stream's scalar chain and count the decodable DoF.
+    """Measure every stream's chain once: the decodable DoF and the rate slope.
 
     For the receiver-side stream ``(a, b)`` of unit ``l`` the chain row is
     ``v(a,b)^H G_a F / alpha`` with the whole ``F``; applied to the partner vector
@@ -385,60 +362,71 @@ def verify_end_to_end(ch: ChannelSet, units: list[Unit],
     Both cutoffs apply after the per-user RMS scaling of the module docstring,
     done on the measured coefficients: exact, as the chains are linear in ``G_a``.
     Failures are reported, never raised.
+
+    The sum rate at each SNR of :data:`SLOPE_SNR_DB` is ``sum log2(1 + SINR)``
+    per channel use: uniform per-stream power meeting every user's budget,
+    unit-variance relay and receiver noise, self-interference removed, and
+    interference summed over the off-pair entries (a row sum minus the pair's
+    terms would replace ~1e-32 of leakage with ~1e-16 of round-off).  The slope
+    is the first secant over neighbouring SNRs that agrees with the one before
+    it within :data:`SLOPE_SETTLE_REL`, else the last.
     """
-    keys, partner, senders, _, h, chains = _stream_chains(ch, units, processor)
+    keys = [(li, pair) for li, u in enumerate(units) for pair in u.pairs]
+    index = {key: i for i, key in enumerate(keys)}
+    rows = np.arange(len(keys))
+    partner = np.array([index[(li, (b, a))] for li, (a, b) in keys])
+    senders = np.array([a for _, (a, _) in keys])
+    # Every stream's image H_a u and chain row v^H G_a F / alpha, on the raw channels.
+    beams = np.hstack([u.beamformers for u in units])
+    h = np.empty((ch.active_relay, len(keys)), dtype=np.complex128)
+    g = np.empty((len(keys), ch.active_relay), dtype=np.complex128)
+    for a in range(ch.k):
+        cols = senders == a
+        h[:, cols] = slot_product(ch.uplink[a], beams[:, cols])
+        g[cols] = slot_product(ch.downlink[a].swapaxes(1, 2),
+                               processor.receive_vectors[:, cols].conj()).T
+    base = processor.forward_matrix / processor.power_scale
+    chains = g @ base
+    raw = np.abs(chains @ h)
+    off_pair = np.ones(raw.shape, dtype=bool)
+    off_pair[rows, rows] = off_pair[rows, partner] = False
+
     up = np.array([_entry_rms_scale(blocks) for blocks in ch.uplink])
     dn = np.array([_entry_rms_scale(blocks) for blocks in ch.downlink])
-    coeffs = np.abs(chains @ h) * np.outer(dn[senders], up[senders])
-    rows = np.arange(len(keys))
+    coeffs = np.outer(dn[senders], up[senders])
+    coeffs *= raw
     desired = coeffs[rows, partner]
     own = coeffs[rows, rows]
-    leakage = _without_pair(coeffs, partner).max(axis=1)
+    leakage = coeffs.max(axis=1, where=off_pair, initial=0.0)
     decodable = (desired > DESIRED_COEFF_MIN) & (leakage <= LEAKAGE_ABS)
     records = [StreamRecord(unit=li, pair=pair, desired=float(d), partner=float(o),
                             leakage=float(x))
                for (li, pair), d, o, x in zip(keys, desired, own, leakage)]
+
+    power = 10.0 ** (np.array(SLOPE_SNR_DB) / 10.0)
+    p_stream = power / np.bincount(senders, weights=np.linalg.norm(beams, axis=0) ** 2,
+                                   minlength=ch.k).max()
+    alpha_sq = power / (p_stream * np.linalg.norm(base @ h) ** 2 + np.linalg.norm(base) ** 2)
+    raw **= 2
+    signal = raw[rows, partner]
+    interference = raw.sum(axis=1, where=off_pair)  # self-interference subtracted
+    relay_noise = np.linalg.norm(chains, axis=1) ** 2
+    local_noise = np.linalg.norm(processor.receive_vectors, axis=0) ** 2
+    gain = (p_stream * alpha_sq)[:, None]
+    sinr = gain * signal / (alpha_sq[:, None] * relay_noise + local_noise + gain * interference)
+    rates = np.log2(1.0 + sinr).sum(axis=1) / ch.extension
+    slopes = np.diff(rates) / np.diff(np.log2(power))
+    settled = np.abs(np.diff(slopes)) <= SLOPE_SETTLE_REL * np.abs(slopes[:-1])
+    w = int(np.argmax(settled)) + 1 if settled.any() else len(slopes) - 1
     return VerificationReport(
         streams=records,
         counted_d_sum=Fraction(int(decodable.sum()), ch.extension),
         passed=bool(np.all(decodable & (own > DESIRED_COEFF_MIN))),
+        slope=float(slopes[w]),
+        slope_window_db=(SLOPE_SNR_DB[w], SLOPE_SNR_DB[w + 1]),
     )
 
 
 def estimate_dof_slope(ch: ChannelSet, units: list[Unit], processor: RelayProcessor) -> float:
-    """Least-squares slope of achievable sum rate against log2(SNR).
-
-    The window is :data:`SLOPE_SNR_DB`: 40, 50 and 60 dB.  The rate at each
-    SNR is ``sum_streams log2(1 + SINR)`` per channel use, with uniform
-    per-stream transmit power meeting every user's budget, forwarded relay
-    noise and local receiver noise (unit variance each) in the denominator,
-    and self-interference removed.  Approaches the counted DoF as the window
-    moves to high SNR.
-    """
-    _, partner, senders, beams, h_matrix, chains = _stream_chains(ch, units, processor)
-    gains = np.linalg.norm(beams, axis=0) ** 2
-    user_gain = np.bincount(senders, weights=gains, minlength=ch.k)
-
-    # Everything but the SNR-dependent scalars is computed once.
-    base = processor.forward_matrix / processor.power_scale
-    stream_power = float(np.linalg.norm(base @ h_matrix) ** 2)
-    noise_power = float(np.linalg.norm(base) ** 2)
-    coeffs = np.abs(chains @ h_matrix) ** 2
-    signal = coeffs[np.arange(len(partner)), partner]
-    interference = _without_pair(coeffs, partner).sum(axis=1)  # self-interference subtracted
-    relay_noise = np.linalg.norm(chains, axis=1) ** 2
-    local_noise = np.linalg.norm(processor.receive_vectors, axis=0) ** 2
-
-    rates = []
-    for db in SLOPE_SNR_DB:
-        power = 10.0 ** (db / 10.0)
-        p_stream = power / float(user_gain.max())
-        alpha_sq = power / (p_stream * stream_power + noise_power)
-        sinr = p_stream * alpha_sq * signal / (
-            alpha_sq * relay_noise + local_noise + p_stream * alpha_sq * interference
-        )
-        rates.append(float(np.log2(1.0 + sinr).sum()) / ch.extension)
-
-    log_snrs = [np.log2(10.0 ** (db / 10.0)) for db in SLOPE_SNR_DB]
-    slope = np.polyfit(log_snrs, rates, 1)[0]
-    return float(slope)
+    """The sum rate's high-SNR slope: the ``slope`` of :func:`verify_end_to_end`."""
+    return verify_end_to_end(ch, units, processor).slope

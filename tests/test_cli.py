@@ -36,18 +36,61 @@ class TestExitCodes:
         assert doc["config"] == {"m": 3, "n": 5, "k": 3, "seed": 0, "improved": False}
         assert doc["report"]["pass"] is True
 
-    def test_verify_slope_miss_exits_one(self, capsys):
-        # The fixed 40/50/60 dB window sits below the high-SNR regime here, so
-        # the slope misses its 5% gate although the counted DoF is right.
+    def test_verify_snr_sweep_passes(self, capsys):
+        # The slope is read where it has settled, so it measures the DoF.
         rc, out = run(capsys, "verify", "--m", "3", "--n", "5", "--k", "4",
                       "--seeds", "1", "--snr-sweep")
-        assert rc == 1
+        assert rc == 0
         doc = json.loads(out)
         assert list(doc) == ["config", "expected_d_user", "expected_d_sum", "seeds",
                              "passes", "all_pass", "runs"]
         (row,) = doc["runs"]
+        assert list(row) == ["seed", "pass", "d_sum", "d_sum_matches", "slope",
+                             "slope_window_db", "slope_ok", "ok"]
+        assert row["pass"] is True and row["d_sum_matches"] is True
+        assert row["slope_ok"] is True and row["ok"] is True
+        low, high = row["slope_window_db"]
+        assert low in relay.SLOPE_SNR_DB and high in relay.SLOPE_SNR_DB and low < high
+        assert row["slope"] == pytest.approx(10.0, rel=1e-3)
+
+    def test_verify_slope_miss_exits_one(self, capsys, monkeypatch):
+        # A slope off by half misses its 5% gate although the counted DoF is right.
+        honest = cli.verify_end_to_end
+
+        def halved(*args):
+            report = honest(*args)
+            return dataclasses.replace(report, slope=report.slope / 2)
+
+        monkeypatch.setattr(cli, "verify_end_to_end", halved)
+        rc, out = run(capsys, "verify", "--m", "3", "--n", "5", "--k", "4",
+                      "--seeds", "1", "--snr-sweep")
+        assert rc == 1
+        doc = json.loads(out)
+        (row,) = doc["runs"]
         assert row["pass"] is True and row["d_sum_matches"] is True
         assert row["slope_ok"] is False and row["ok"] is False
+        assert doc["passes"] == 0 and doc["all_pass"] is False
+
+    def test_build_verification_failure_exits_one(self, capsys, monkeypatch):
+        # No desired coefficient clears the raised threshold, so no stream decodes.
+        monkeypatch.setattr(relay, "DESIRED_COEFF_MIN", 1e9)
+        rc, out = run(capsys, "build", "--m", "3", "--n", "5", "--k", "3")
+        assert rc == 1
+        report = json.loads(out)["report"]
+        assert report["pass"] is False
+        assert report["d_sum"] == 0
+
+    def test_lemma_failure_exits_one(self, capsys, monkeypatch):
+        # An empty intersection misses every intersection row that expects one.
+        monkeypatch.setattr(lemmas, "intersection_basis",
+                            lambda a, b: np.zeros((a.shape[0], 0), dtype=np.complex128))
+        rc, out = run(capsys, "lemmas", "--trials", "2")
+        assert rc == 1
+        doc = json.loads(out)
+        failures = {(r["params"]["m"], r["params"]["n"]): r["failures"]
+                    for r in doc["results"] if r["lemma"] == "intersection"}
+        assert failures == {(3, 5): 2, (2, 5): 0, (4, 4): 2}  # (2, 5) expects none
+        assert doc["total_failures"] == 4
 
     @pytest.mark.parametrize("argv", [
         ["build", "--m", "3", "--n", "5", "--k", "2"],

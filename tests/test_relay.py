@@ -449,9 +449,17 @@ class TestDenseReference:
             rest = np.delete(coeffs[i], [i, partner[i]])
             assert rec.leakage == pytest.approx(rest.max(), rel=0, abs=1e-12)
 
-    @pytest.mark.parametrize("m,n,k,improved", [(3, 8, 4, False), (2, 5, 3, False)])
-    def test_slope_matches_per_stream_rates(self, m, n, k, improved):
-        _, ch, units, processor = full_build(m, n, k, seed=34, improved=improved)
+    @pytest.mark.parametrize("m,n,k,improved,seed", [
+        pytest.param(3, 8, 4, False, 34, id="3-8-4-False"),
+        pytest.param(2, 5, 3, False, 34, id="2-5-3-False"),
+        *[(3, 5, 4, False, seed) for seed in range(3)],
+        *[(2, 12, 6, False, seed) for seed in range(3)],
+        # 360 relay rows: its dense projectors take about a minute.
+        pytest.param(4, 9, 5, False, 0, marks=pytest.mark.slow),
+    ])
+    def test_slope_matches_per_stream_rates(self, m, n, k, improved, seed):
+        _, ch, units, processor = full_build(m, n, k, seed=seed, improved=improved)
+        report = verify_end_to_end(ch, units, processor)
         snrs = relay.SLOPE_SNR_DB
         keys, beams, chains, h, partner, base = dense_chains(ch, units, processor,
                                                             normalized=False)
@@ -465,15 +473,26 @@ class TestDenseReference:
             rate = 0.0
             for i in range(len(keys)):
                 c = np.abs(chains[i] @ h) ** 2
-                interference = c.sum() - c[i] - c[partner[i]]
+                # Summed off the pair, not subtracted from the row sum, whose
+                # round-off would swamp the leakage at high SNR.
+                interference = np.delete(c, [i, partner[i]]).sum()
                 noise = (alpha_sq * np.linalg.norm(chains[i]) ** 2
                          + np.linalg.norm(processor.receive_vectors[:, i]) ** 2)
                 rate += np.log2(1 + p * alpha_sq * c[partner[i]]
                                 / (noise + p * alpha_sq * interference))
             rates.append(rate / ch.extension)
-        want = np.polyfit([np.log2(10.0 ** (db / 10.0)) for db in snrs], rates, 1)[0]
-        got = estimate_dof_slope(ch, units, processor)
-        assert got == pytest.approx(want, rel=1e-9)
+        log_snrs = [np.log2(10.0 ** (db / 10.0)) for db in snrs]
+        slopes = [(rates[i + 1] - rates[i]) / (log_snrs[i + 1] - log_snrs[i])
+                  for i in range(len(snrs) - 1)]
+        settled = len(slopes) - 1
+        for i in range(1, len(slopes)):
+            if abs(slopes[i] - slopes[i - 1]) <= 1e-3 * abs(slopes[i - 1]):
+                settled = i
+                break
+        assert report.slope_window_db == (snrs[settled], snrs[settled + 1])
+        assert report.slope == pytest.approx(slopes[settled], rel=1e-9)
+        assert report.slope == pytest.approx(float(report.counted_d_sum), rel=1e-3)
+        assert estimate_dof_slope(ch, units, processor) == report.slope
 
 
 class TestSlope:
