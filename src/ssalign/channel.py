@@ -12,10 +12,17 @@ every slot keeps the same relay rows (``N``, fewer after deactivation);
 :func:`slot_product` applies a user's block-diagonal matrix.  Extended
 transmit vectors are slot-major (``M`` entries per slot) and relay rows
 likewise.
+
+Documents write every complex array as one object, ``{"shape": [...],
+"base64": ...}``: the base64 text of the array's C-order little-endian
+``complex128`` bytes (:func:`array_to_json`, read back bit for bit by
+:func:`array_from_json`).
 """
 
 from __future__ import annotations
 
+import base64
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +39,8 @@ __all__ = [
     "complex_gaussian",
     "derived_rng",
     "slot_product",
-    "complex_to_pairs",
+    "array_to_json",
+    "array_from_json",
 ]
 
 
@@ -168,43 +176,75 @@ def slot_product(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (blocks @ x.reshape(ext, cols, x[0].size)).reshape(ext * rows, *x.shape[1:])
 
 
-def complex_to_pairs(a: np.ndarray) -> list:
-    """Nested lists of ``[re, im]`` Python floats, one pair per entry of ``a``.
+def array_to_json(a: np.ndarray) -> dict:
+    """``{"shape": [...], "base64": ...}``: ``a``'s C-order little-endian ``complex128`` bytes.
 
-    Works for vectors and matrices alike; the floats are those of
-    ``[float(z.real), float(z.imag)]``, signed zeros included.
+    One string per array keeps the document compact and cheap to write;
+    :func:`array_from_json` returns the same entries bit for bit, signed
+    zeros included.
     """
-    return np.stack([a.real, a.imag], axis=-1).tolist()
+    data = np.asarray(a, dtype="<c16").tobytes()
+    return {"shape": list(a.shape), "base64": base64.b64encode(data).decode("ascii")}
+
+
+def array_from_json(doc, ndim: int, name: str = "array") -> np.ndarray:
+    """The finite ``complex128`` array of an :func:`array_to_json` object with ``ndim`` axes.
+
+    Raises ``ValueError`` (naming ``name``) unless ``doc`` is a dict whose
+    ``shape`` is a list of ``ndim`` non-negative integers (not bools) and
+    whose ``base64`` is valid base64 text of exactly ``16 * prod(shape)``
+    bytes, all of them finite entries.  The result is a fresh, writable,
+    native-order array.
+    """
+    if not isinstance(doc, dict) or not isinstance(doc.get("base64"), str):
+        raise ValueError(f"{name} must be an object with a shape and base64 text")
+    shape = doc.get("shape")
+    if type(shape) is not list or len(shape) != ndim \
+            or any(type(d) is not int or d < 0 for d in shape):
+        raise ValueError(f"{name} shape must be a list of {ndim} non-negative integers, "
+                         f"got {shape!r}")
+    try:
+        data = base64.b64decode(doc["base64"], validate=True)
+    except ValueError as exc:
+        raise ValueError(f"{name} is not valid base64: {exc}") from None
+    nbytes = 16 * math.prod(shape)
+    if len(data) != nbytes:
+        raise ValueError(f"{name} holds {len(data)} bytes; shape {shape} needs {nbytes}")
+    a = np.frombuffer(data, dtype="<c16").reshape(shape).astype(np.complex128)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must have finite entries")
+    return a
 
 
 def channel_to_json(ch: ChannelSet) -> dict:
     """Serialize to ``{"m", "n", "k", "seed", "uplink", "downlink"}``.
 
-    ``uplink[k][i]`` is user ``k``'s slot-``i`` block, rows of ``[re, im]``
-    pairs, and likewise ``downlink[k][i]``; the slot count and deactivation
-    are implied by the array shapes.  The document replays exact instances in
-    bug reports: the seed keys the unit, mixing and downlink RNG substreams,
-    so a replayed build draws the same random directions.
+    ``uplink`` and ``downlink`` are :func:`array_to_json` objects of the
+    ``K x ext x rows x M`` and ``K x ext x M x rows`` block arrays, so
+    ``uplink[k][i]`` is user ``k``'s slot-``i`` block; the slot count and
+    deactivation are implied by the shapes.  The document replays exact
+    instances in bug reports: the seed keys the unit, mixing and downlink RNG
+    substreams, so a replayed build draws the same random directions.
     """
     return {
         "m": ch.m,
         "n": ch.n,
         "k": ch.k,
         "seed": ch.seed,
-        "uplink": complex_to_pairs(ch.uplink),
-        "downlink": complex_to_pairs(ch.downlink),
+        "uplink": array_to_json(ch.uplink),
+        "downlink": array_to_json(ch.downlink),
     }
 
 
 def channel_from_json(doc: dict) -> ChannelSet:
-    """Rebuild a :class:`ChannelSet` from :func:`channel_to_json` output.
+    """Rebuild a :class:`ChannelSet` from :func:`channel_to_json` output, bit for bit.
 
     Raises ``ValueError`` unless ``doc`` is a dict with all six keys, ``m``,
     ``n``, ``k`` and ``seed`` are integers with ``M >= 1``, ``K >= 3`` and
     ``seed`` in ``[0, 2**64)`` (so that a replay draws the original random
-    directions), each link is a finite ``[user][slot][row][col][re, im]``
-    array, and the shapes agree with the counts (at most ``N`` rows per
-    slot) and across links.  Ragged lists are not arrays and are rejected.
+    directions), each link is a finite four-axis :func:`array_from_json`
+    object, and the shapes agree with the counts (at most ``N`` rows per
+    slot) and across links.
     """
     keys = ("m", "n", "k", "seed", "uplink", "downlink")
     if not isinstance(doc, dict) or any(key not in doc for key in keys):
@@ -214,10 +254,5 @@ def channel_from_json(doc: dict) -> ChannelSet:
             or not 0 <= seed < 2**64:
         raise ValueError(f"channel document needs integers m >= 1, n, k >= 3 and a seed in "
                          f"[0, 2**64), got {m!r}, {n!r}, {k!r}, {seed!r}")
-    links = []
-    for side in ("uplink", "downlink"):
-        pairs = np.asarray(doc[side], dtype=np.float64)
-        if pairs.ndim != 5 or pairs.shape[-1] != 2 or not np.isfinite(pairs).all():
-            raise ValueError(f"{side} must be a finite [user][slot][row][col][re, im] array")
-        links.append(pairs[..., 0] + 1j * pairs[..., 1])
-    return ChannelSet(m=m, n=n, k=k, uplink=links[0], downlink=links[1], seed=seed)
+    uplink, downlink = (array_from_json(doc[side], 4, side) for side in keys[4:])
+    return ChannelSet(m=m, n=n, k=k, uplink=uplink, downlink=downlink, seed=seed)

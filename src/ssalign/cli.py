@@ -16,14 +16,17 @@ Output goes to stdout, or to the ``--out`` file once the command is done.
 
 The ``build`` document has the keys ``config``, ``plan``, ``channels`` (the
 :func:`~ssalign.channel.channel_to_json` document), ``units`` and ``report``.
-Each unit has ``pattern_order``, ``group``, ``column_block`` and
-``beamformers``: one ``[re, im]`` column of ``M * extension`` entries per
-ordered pair, keyed ``"a,b"`` in sorted pair order.  The relay-side images
-``H_a u`` are not stored, because they follow exactly from the document:
-rebuild ``ch = channel_from_json(doc["channels"])``, then for each sender
-``a`` in sorted order take the run of columns whose key ``"a,b"`` has sender
-field ``a`` (split the key on ``","``) and compute
-``slot_product(ch.uplink[a], columns)`` (both in
+Every complex array in it is one object, ``{"shape": [...], "base64": ...}``,
+holding the base64 text of the array's C-order little-endian ``complex128``
+bytes; :func:`~ssalign.channel.array_from_json` reads one back bit for bit.
+Each unit has ``pattern_order``, ``group``, ``column_block``, ``pairs`` and
+``beamformers``: ``pairs[i] = [a, b]`` is the ordered pair of column ``i`` of
+the ``(M * extension) x streams`` matrix ``beamformers``, in sorted pair
+order.  The relay-side images ``H_a u`` are not stored, because they follow
+exactly from the document: rebuild ``ch = channel_from_json(doc["channels"])``
+and ``B = array_from_json(unit["beamformers"], 2)``, then for each sender
+``a`` in sorted order take the columns ``i`` with ``pairs[i][0] == a`` and
+compute ``slot_product(ch.uplink[a], B[:, cols])`` (all in
 :mod:`ssalign.channel`); stacked side by side these equal the library's
 ``Unit.equivalent_uplink`` bit for bit.
 
@@ -34,7 +37,9 @@ A ``verify`` row has ``seed``, ``pass``, ``d_sum``, ``d_sum_matches`` and
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (also an
 unreadable or invalid ``--config`` and an unwritable ``--out``), 3 construction
-failure (with a diagnostic JSON document as output).
+failure.  Exit 3 writes ``{"error", "message", "seed"}``, plus ``channels``
+when the failure came after sampling, so that rebuilding from those channels
+with the same plan raises the same error and message again.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__, dof
-from .channel import channel_to_json, complex_to_pairs
+from .channel import array_to_json, channel_to_json
 from .errors import ConstructionError
 from .lemmas import default_battery, run_battery
 from .pipeline import construct
@@ -185,12 +190,12 @@ def _plan_json(plan) -> dict:
 
 
 def _unit_json(unit) -> dict:
-    keys = [f"{a},{b}" for a, b in unit.pairs]
     return {
         "pattern_order": unit.pattern_order,
         "group": list(unit.group),
         "column_block": unit.column_block,
-        "beamformers": dict(zip(keys, complex_to_pairs(unit.beamformers.T))),
+        "pairs": [list(pair) for pair in unit.pairs],
+        "beamformers": array_to_json(unit.beamformers),
     }
 
 
@@ -224,6 +229,8 @@ def _construct_and_verify(args, seed: int):
         built = construct(args.m, args.n, args.k, seed, args.improved)
     except ConstructionError as exc:
         doc = {"error": type(exc).__name__, "message": str(exc), "seed": seed}
+        if exc.channels is not None:
+            doc["channels"] = channel_to_json(exc.channels)
         return None, None, (_json_text(doc), 3)
     return built, verify_end_to_end(built.channels, built.units, built.processor), None
 

@@ -18,7 +18,13 @@ class InvalidPatternOrder(ValueError):
 
 
 class ConstructionError(RuntimeError):
-    """A construction stage failed on valid input; the CLI exits with code 3."""
+    """A construction stage failed on valid input; the CLI exits with code 3.
+
+    ``channels`` is the ``ChannelSet`` the failed construction sampled, set by
+    ``pipeline.construct`` on failures after sampling, else ``None``.
+    """
+
+    channels = None
 
 
 class SupplyExhausted(ConstructionError):

@@ -10,6 +10,7 @@ from .channel import (
     deactivate_relay_antennas,
     sample_channel_set,
 )
+from .errors import ConstructionError
 from .relay import RelayProcessor, build_relay_processor
 from .units import AlignmentPlan, Unit, execute_plan, plan_alignment
 
@@ -33,7 +34,9 @@ def construct(m: int, n: int, k: int, seed: int, improved: bool = False) -> Cons
     ``seed``, then :func:`deactivate_relay_antennas` if the plan keeps fewer
     relay rows; :func:`execute_plan`, which draws from RNG substream 1 of
     ``seed``; :func:`build_relay_processor`, which draws from substream 2.  A failed stage raises
-    :class:`~ssalign.errors.ConstructionError`.  Count the decodable DoF of
+    :class:`~ssalign.errors.ConstructionError`; one raised after sampling
+    carries the sampled channels as its ``channels``, from which the same
+    stages raise it again.  Count the decodable DoF of
     the result with :func:`~ssalign.relay.verify_end_to_end`, which reports
     failures instead of raising them.
     """
@@ -42,6 +45,10 @@ def construct(m: int, n: int, k: int, seed: int, improved: bool = False) -> Cons
     channels = sample_channel_set(cfg)
     if plan.active_relay < channels.active_relay:
         channels = deactivate_relay_antennas(channels, plan.active_relay)
-    units = execute_plan(plan, channels)
-    processor = build_relay_processor(units, channels)
+    try:
+        units = execute_plan(plan, channels)
+        processor = build_relay_processor(units, channels)
+    except ConstructionError as exc:
+        exc.channels = channels
+        raise
     return Construction(plan, channels, units, processor)

@@ -1,9 +1,14 @@
+import base64
 import hashlib
 import json
+import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.linalg import block_diag
 
 from ssalign import (
@@ -18,7 +23,7 @@ from ssalign import (
     numerical_rank,
     sample_channel_set,
 )
-from ssalign.channel import ChannelSet, complex_to_pairs, slot_product
+from ssalign.channel import ChannelSet, array_from_json, array_to_json, slot_product
 from ssalign.errors import InvalidDeactivation, ShapeMismatch
 
 from reference import dense
@@ -210,6 +215,16 @@ class TestDeactivation:
             deactivate_relay_antennas(ch, cuts[-1])
 
 
+def recode(doc, side, change):
+    """Replace ``doc[side]`` by the array object of ``change(its decoded array)``."""
+    doc[side] = array_to_json(change(array_from_json(doc[side], 4)))
+
+
+# Signed zeros, subnormals and the largest magnitudes next to ordinary floats.
+FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1.7e308, -1.7e308]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
 class TestJson:
     def test_round_trip(self):
         ch = sample_channel_set(SystemConfig(m=2, n=3, k=3, seed=5))
@@ -224,9 +239,15 @@ class TestJson:
         doc = channel_to_json(ch)
         assert set(doc) == {"m", "n", "k", "seed", "uplink", "downlink"}
         assert doc["seed"] == 5
-        # User 0, slot 0, row 0, entry 0.
+        assert doc["uplink"]["shape"] == [3, 1, 3, 2] and doc["downlink"]["shape"] == [3, 1, 2, 3]
+        for side in ("uplink", "downlink"):
+            assert set(doc[side]) == {"shape", "base64"}
+        # User 0, slot 0, row 0, entry 0 is the first 16 bytes: real then
+        # imaginary part, little-endian doubles.
         h = ch.uplink[0][0]
-        assert doc["uplink"][0][0][0][0] == [h[0, 0].real, h[0, 0].imag]
+        data = base64.b64decode(doc["uplink"]["base64"])
+        assert len(data) == 16 * ch.uplink.size
+        assert data[:16] == struct.pack("<2d", h[0, 0].real, h[0, 0].imag)
 
     def test_round_trip_deactivated_extended(self):
         ch = sample_channel_set(SystemConfig(m=1, n=2, k=4, extension=7, seed=3))
@@ -237,15 +258,18 @@ class TestJson:
         assert np.array_equal(back.downlink, ch.downlink)
 
     @pytest.mark.parametrize("corrupt", [
-        lambda doc: doc["uplink"][1][0].pop(),             # users disagree on slot rows
-        lambda doc: [row.pop() for row in doc["downlink"][0][1]],  # downlink vs uplink rows
-        lambda doc: [row.append([0.0, 0.0]) for row in doc["uplink"][2][0]],  # M + 1 columns
-        lambda doc: doc["downlink"][0].pop(),              # a slot missing
-        lambda doc: doc["uplink"].pop(),                   # a user missing
+        lambda doc: recode(doc, "uplink", lambda a: a[:, :, :-1]),    # uplink vs downlink rows
+        lambda doc: recode(doc, "downlink", lambda a: a[..., :-1]),   # downlink vs uplink rows
+        # M + 1 uplink columns
+        lambda doc: recode(doc, "uplink", lambda a: np.concatenate([a, a[..., :1]], axis=-1)),
+        lambda doc: recode(doc, "downlink", lambda a: a[:, :-1]),     # a slot missing
+        lambda doc: recode(doc, "uplink", lambda a: a[:-1]),          # a user missing
         lambda doc: doc.update(m=3),                       # wrong column count for every user
-        lambda doc: doc["uplink"][0].__setitem__(1, []),   # a slot without rows
-        lambda doc: [blocks.pop() for user in doc["uplink"] for blocks in user],  # uplink cut alone
-        lambda doc: doc.update(downlink=doc["downlink"][0]),  # a dimension missing
+        lambda doc: [recode(doc, side, lambda a: a[:, :, :0] if side == "uplink" else a[..., :0])
+                     for side in ("uplink", "downlink")],  # slots without rows
+        # M + 1 downlink rows
+        lambda doc: recode(doc, "downlink", lambda a: np.concatenate([a, a[:, :, :1]], axis=2)),
+        lambda doc: recode(doc, "downlink", lambda a: a[0]),          # a dimension missing
     ])
     def test_disagreeing_block_shapes_are_rejected(self, corrupt):
         ch = sample_channel_set(SystemConfig(m=2, n=3, k=3, extension=2, seed=5))
@@ -280,23 +304,61 @@ class TestJson:
         with pytest.raises(ShapeMismatch, match="5 relay rows per slot exceed the 2"):
             ChannelSet(m=3, n=2, k=3, uplink=ch.uplink, downlink=ch.downlink, seed=0)
 
-    @pytest.mark.parametrize("side,value", [("uplink", float("nan")), ("downlink", float("inf")),
-                                            ("uplink", None)])
+    @pytest.mark.parametrize("side,value", [
+        pytest.param("uplink", float("nan"), id="uplink-nan"),
+        pytest.param("downlink", float("inf"), id="downlink-inf"),
+        pytest.param("uplink", complex(0.0, -float("inf")), id="uplink-imag-inf"),
+    ])
     def test_non_finite_entries_are_rejected(self, side, value):
         ch = sample_channel_set(SystemConfig(m=2, n=3, k=3, extension=2, seed=5))
         doc = json.loads(json.dumps(channel_to_json(ch)))
-        doc[side][0][0][0][0][0] = value
+
+        def poison(a):
+            a[0, 0, 0, 0] = value
+            return a
+        recode(doc, side, poison)
         with pytest.raises(ValueError, match="finite"):
             channel_from_json(doc)
 
-    def test_dense_document_is_rejected(self):
-        # The block-diagonal matrices that documents held before per-slot blocks.
+    @pytest.mark.parametrize("corrupt", [
+        pytest.param(lambda link: link.update(base64=link["base64"][:-1]), id="unpadded"),
+        pytest.param(lambda link: link.update(base64="*" + link["base64"][1:]), id="not-base64"),
+        pytest.param(lambda link: link.update(base64=link["base64"][:-24]), id="short-bytes"),
+        pytest.param(lambda link: link.update(base64=None), id="no-text"),
+        pytest.param(lambda link: link["shape"].__setitem__(0, True), id="bool-shape"),
+        pytest.param(lambda link: link["shape"].__setitem__(0, 3.0), id="float-shape"),
+        pytest.param(lambda link: link["shape"].__setitem__(0, -3), id="negative-shape"),
+        pytest.param(lambda link: link.update(shape=tuple(link["shape"])), id="tuple-shape"),
+        pytest.param(lambda link: link.pop("shape"), id="no-shape"),
+    ])
+    def test_malformed_arrays_are_rejected(self, corrupt):
         ch = sample_channel_set(SystemConfig(m=2, n=3, k=3, extension=2, seed=5))
         doc = channel_to_json(ch)
-        doc["uplink"] = [complex_to_pairs(dense(blocks)) for blocks in ch.uplink]
-        doc["downlink"] = [complex_to_pairs(dense(blocks)) for blocks in ch.downlink]
-        with pytest.raises(ValueError):
+        corrupt(doc["uplink"])
+        with pytest.raises(ValueError, match="uplink"):
             channel_from_json(doc)
+
+    def test_nested_list_document_is_rejected(self):
+        # The [user][slot][row][col][re, im] lists that documents held before.
+        ch = sample_channel_set(SystemConfig(m=2, n=3, k=3, extension=2, seed=5))
+        doc = channel_to_json(ch)
+        for side in ("uplink", "downlink"):
+            a = getattr(ch, side)
+            doc[side] = np.stack([a.real, a.imag], axis=-1).tolist()
+        with pytest.raises(ValueError, match="uplink"):
+            channel_from_json(doc)
+
+    def test_dense_document_is_rejected(self):
+        # The block-diagonal matrices that documents held before per-slot
+        # blocks, written as arrays of users, and of users with one slot each.
+        ch = sample_channel_set(SystemConfig(m=2, n=3, k=3, extension=2, seed=5))
+        doc = channel_to_json(ch)
+        links = {side: np.array([dense(blocks) for blocks in getattr(ch, side)])
+                 for side in ("uplink", "downlink")}
+        for axes in (lambda a: a, lambda a: a[:, None]):
+            doc.update({side: array_to_json(axes(a)) for side, a in links.items()})
+            with pytest.raises(ValueError):
+                channel_from_json(doc)
 
     @pytest.mark.parametrize("seed", [None, -1, 2**64, 1.5, True])
     def test_document_without_valid_seed_is_rejected(self, seed):
@@ -310,16 +372,15 @@ class TestJson:
             channel_from_json(doc)
         assert channel_from_json(channel_to_json(ch)).seed == 5
 
-    def test_complex_to_pairs_matches_entrywise_floats(self):
-        m = complex_gaussian(np.random.Generator(np.random.Philox(key=1)), 3, 4)
-        m[0, 0], m[1, 2] = complex(-0.0, 0.0), complex(0.5, -0.0)
-        for a in (m, m[1], m[:, :0], m[1, :0]):
-            if a.ndim == 1:
-                want = [[float(z.real), float(z.imag)] for z in a]
-            else:
-                want = [[[float(z.real), float(z.imag)] for z in row] for row in a]
-            # repr tells -0.0 from 0.0 and a Python float from a numpy scalar.
-            assert repr(complex_to_pairs(a)) == repr(want)
+    @settings(max_examples=80, deadline=None)
+    @given(arrays(np.complex128, array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=4),
+                  elements=st.builds(complex, FLOATS, FLOATS)))
+    def test_arrays_round_trip_bit_for_bit(self, a):
+        for x in (a, a.T):
+            back = array_from_json(json.loads(json.dumps(array_to_json(x))), x.ndim)
+            assert back.shape == x.shape and back.tobytes() == x.tobytes()
+            assert back.dtype == np.complex128 and back.dtype.isnative
+            assert back.flags.owndata and back.flags.writeable
 
     def test_replayed_build_is_bit_identical(self):
         # The seed in the document keys the unit and downlink RNG substreams,

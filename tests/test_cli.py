@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 
 from ssalign import cli, dof, lemmas, relay
-from ssalign.channel import channel_from_json, slot_product
+from ssalign.channel import array_from_json, channel_from_json, slot_product
 from ssalign.cli import main
+from ssalign.errors import AlignmentDegenerate
 from ssalign.lemmas import DEFAULT_SPEC
 from ssalign.pipeline import construct
 from ssalign.relay import build_relay_processor
-from ssalign.units import execute_plan
+from ssalign.units import execute_plan, plan_alignment
 
 
 # A private function name such as ``_seed`` in argparse's message.
@@ -161,6 +162,8 @@ class TestExitCodes:
         doc = json.loads(out)
         assert doc["error"] == "ExtensionOverflow"
         assert doc["seed"] == 5
+        # The plan failed before any channel was sampled.
+        assert list(doc) == ["error", "message", "seed"]
 
     def test_repeated_calls_keep_their_own_exit_codes(self, capsys):
         # The parser is built once per process; each call still parses afresh.
@@ -193,6 +196,12 @@ class TestExitCodes:
         doc = json.loads(out)
         assert doc["error"] == "AlignmentDegenerate"
         assert doc["seed"] == 7
+        # The document's channels replay the failure, message and all.
+        ch = channel_from_json(doc["channels"])
+        assert ch.seed == 7
+        with pytest.raises(AlignmentDegenerate) as info:
+            build_relay_processor(execute_plan(plan_alignment(3, 8, 4), ch), ch)
+        assert str(info.value) == doc["message"]
 
 
 class TestVerificationLookup:
@@ -417,19 +426,6 @@ class TestRatioGrid:
             [("1", "2"), ("2", "3")]
 
 
-def _pairs(a):
-    """Reference ``[re, im]`` conversion, one entry at a time."""
-    if a.ndim == 1:
-        return [[float(z.real), float(z.imag)] for z in a]
-    return [_pairs(row) for row in a]
-
-
-def _same_floats(got, want) -> bool:
-    got, want = np.array(got, dtype=float), np.array(want, dtype=float)
-    return (got.shape == want.shape and np.array_equal(got, want)
-            and np.array_equal(np.signbit(got), np.signbit(want)))
-
-
 class TestBuildDocument:
     # (3, 5, 4) plans a symbol extension of 6, and its document holds -0.0s.
     ARGV = ("build", "--m", "3", "--n", "5", "--k", "4")
@@ -446,18 +442,20 @@ class TestBuildDocument:
         assert out.endswith("\n") and out.count("\n") == 1
         doc = json.loads(out)
         for side in ("uplink", "downlink"):
-            assert len(doc["channels"][side]) == 4
-            for got_user, want_user in zip(doc["channels"][side], getattr(built.channels, side)):
-                assert len(got_user) == built.plan.extension
-                for got, want in zip(got_user, want_user, strict=True):
-                    assert _same_floats(got, _pairs(want))
+            got = array_from_json(doc["channels"][side], 4)
+            want = getattr(built.channels, side)
+            assert got.shape[:2] == (4, built.plan.extension)
+            # Equal bytes: every bit of every entry, signed zeros included.
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert len(doc["units"]) == len(built.units)
         for got, want in zip(doc["units"], built.units):
-            assert set(got) == {"pattern_order", "group", "column_block", "beamformers"}
+            assert list(got) == ["pattern_order", "group", "column_block", "pairs",
+                                 "beamformers"]
             assert list(want.pairs) == sorted(want.pairs)
-            assert list(got["beamformers"]) == [f"{a},{b}" for a, b in want.pairs]
-            for (a, b), v in zip(want.pairs, want.beamformers.T, strict=True):
-                assert _same_floats(got["beamformers"][f"{a},{b}"], _pairs(v))
+            assert got["pairs"] == [[a, b] for a, b in want.pairs]
+            beams = array_from_json(got["beamformers"], 2)
+            assert beams.shape == (3 * built.plan.extension, len(want.pairs))
+            assert beams.tobytes() == want.beamformers.tobytes()
 
     def test_equivalent_uplink_recomputes_from_document(self, capsys, built):
         # The document omits H_a u; channels and beamformers give it back exactly.
@@ -466,13 +464,11 @@ class TestBuildDocument:
         ch = channel_from_json(doc["channels"])
         assert len(doc["units"]) == len(built.units)
         for got, want in zip(doc["units"], built.units):
-            beams = got["beamformers"]
+            beams = array_from_json(got["beamformers"], 2)
             images = []
             for a in sorted(got["group"]):
-                # Sender a's columns, each a list of [re, im] pairs, as one complex matrix.
-                run_a = [beams[key] for key in beams if key.split(",")[0] == str(a)]
-                columns = np.array(run_a).view(np.complex128)[..., 0].T
-                images.append(slot_product(ch.uplink[a], columns))
+                cols = [i for i, pair in enumerate(got["pairs"]) if pair[0] == a]
+                images.append(slot_product(ch.uplink[a], beams[:, cols]))
             assert np.array_equal(np.hstack(images), want.equivalent_uplink)
 
     def test_channels_replay_bit_identical(self, capsys, built):
