@@ -37,9 +37,11 @@ A ``verify`` row has ``seed``, ``pass``, ``d_sum``, ``d_sum_matches`` and
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (also an
 unreadable or invalid ``--config`` and an unwritable ``--out``), 3 construction
-failure.  Exit 3 writes ``{"error", "message", "seed"}``, plus ``channels``
-when the failure came after sampling, so that rebuilding from those channels
-with the same plan raises the same error and message again.
+failure.  Exit 3 writes ``{"error", "message", "seed", "stage"}``, ``stage``
+being the construction stage that failed (``plan``, ``execute``, ``uplink``,
+``downlink`` or ``forward``), plus ``channels`` when the failure came after
+sampling, so that rebuilding from those channels with the same plan raises
+the same error, message and stage again.
 """
 
 from __future__ import annotations
@@ -228,7 +230,8 @@ def _construct_and_verify(args, seed: int):
     try:
         built = construct(args.m, args.n, args.k, seed, args.improved)
     except ConstructionError as exc:
-        doc = {"error": type(exc).__name__, "message": str(exc), "seed": seed}
+        doc = {"error": type(exc).__name__, "message": str(exc), "seed": seed,
+               "stage": exc.stage}
         if exc.channels is not None:
             doc["channels"] = channel_to_json(exc.channels)
         return None, None, (_json_text(doc), 3)

@@ -1,4 +1,6 @@
-"""Exception types raised across the toolkit."""
+"""Exception types raised across the toolkit, and the stage tag of construction errors."""
+
+import functools
 
 
 class InvalidMatrix(ValueError):
@@ -22,9 +24,13 @@ class ConstructionError(RuntimeError):
 
     ``channels`` is the ``ChannelSet`` the failed construction sampled, set by
     ``pipeline.construct`` on failures after sampling, else ``None``.
+    ``stage`` names the construction stage that raised it, set by the
+    stage's function (see :func:`stage`): ``plan``, ``execute``, ``uplink``,
+    ``downlink`` or ``forward``; ``None`` if it came from outside them.
     """
 
     channels = None
+    stage = None
 
 
 class SupplyExhausted(ConstructionError):
@@ -57,3 +63,21 @@ class IndependenceViolation(ConstructionError):
 
 class InvalidLemmaParams(ValueError):
     """Monte Carlo check called outside its parameter domain."""
+
+
+def stage(name: str):
+    """Decorator: a ``ConstructionError`` leaving the function gets ``stage = name``.
+
+    An error already tagged by a stage called inside keeps its tag.
+    """
+    def tag(fn):
+        @functools.wraps(fn)
+        def tagged(*args, **kwargs):
+            try:
+                return fn(*args, **kwargs)
+            except ConstructionError as exc:
+                if exc.stage is None:
+                    exc.stage = name
+                raise
+        return tagged
+    return tag

@@ -34,9 +34,9 @@ def construct(m: int, n: int, k: int, seed: int, improved: bool = False) -> Cons
     ``seed``, then :func:`deactivate_relay_antennas` if the plan keeps fewer
     relay rows; :func:`execute_plan`, which draws from RNG substream 1 of
     ``seed``; :func:`build_relay_processor`, which draws from substream 2.  A failed stage raises
-    :class:`~ssalign.errors.ConstructionError`; one raised after sampling
-    carries the sampled channels as its ``channels``, from which the same
-    stages raise it again.  Count the decodable DoF of
+    :class:`~ssalign.errors.ConstructionError` tagged with its ``stage``; one
+    raised after sampling carries the sampled channels as its ``channels``,
+    from which the same stages raise it again.  Count the decodable DoF of
     the result with :func:`~ssalign.relay.verify_end_to_end`, which reports
     failures instead of raising them.
     """

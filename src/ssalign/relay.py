@@ -40,7 +40,7 @@ from fractions import Fraction
 import numpy as np
 
 from .channel import ChannelSet, derived_rng, slot_product
-from .errors import AlignmentDegenerate, ConstructionError, IndependenceViolation, ProjectorCollapse
+from .errors import AlignmentDegenerate, IndependenceViolation, ProjectorCollapse, stage
 from .linalg import LEAKAGE_ABS, range_basis, singular_value_ranks
 from .units import Unit, _build_units
 
@@ -141,6 +141,7 @@ class VerificationReport:
     slope_window_db: tuple[float, float]
 
 
+@stage("uplink")
 def build_uplink_projectors(units: list[Unit]) -> PairProjectors:
     """Per-(unit, pair) projectors nulling every other stream in the system."""
     return _complement_projectors(units, side="uplink")
@@ -269,13 +270,15 @@ def _complement_projectors(units: list[Unit], side: str) -> PairProjectors:
     return PairProjectors(q, projectors)
 
 
+@stage("downlink")
 def design_downlink(units: list[Unit], ch: ChannelSet) -> tuple[np.ndarray, PairProjectors]:
     """Receive vectors and downlink projectors by uplink/downlink symmetry.
 
-    Builds a twin of every unit with the uplink's own unit builders on the
-    conjugate-transposed downlink ``G_a^H`` (same group and column block; for
-    random units, fresh draws from RNG substream 2 of ``ch.seed``), so every
-    twin passes the same span checks; a failing twin's error names its unit.
+    Builds a twin of every unit with the uplink's own batched unit builder on
+    the conjugate-transposed downlink ``G_a^H`` (same group and column block;
+    for random units, fresh draws from RNG substream 2 of ``ch.seed``), so
+    every twin passes the same span checks; the first failing twin's error
+    names its unit.
     The twins' beamformers side by side are the receive vectors ``v``, and
     their equivalent vectors ``G_a^H v = (v^H G_a)^H`` give the complement
     projectors, so each pair's ``W`` nulls the other pairs' rows ``v^H G_a``.
@@ -283,12 +286,7 @@ def design_downlink(units: list[Unit], ch: ChannelSet) -> tuple[np.ndarray, Pair
     mirror = ChannelSet(m=ch.m, n=ch.n, k=ch.k, uplink=ch.downlink.swapaxes(2, 3).conj(),
                         downlink=ch.downlink, seed=ch.seed)
     specs = [(u.pattern_order, u.group, u.column_block) for u in units]
-    twins: list[Unit] = []
-    try:
-        for twin in _build_units(mirror, specs, derived_rng(ch.seed, 2)):
-            twins.append(twin)
-    except ConstructionError as exc:
-        raise type(exc)(f"downlink twin of unit {len(twins)}: {exc}") from exc
+    twins = _build_units(mirror, specs, derived_rng(ch.seed, 2), name="downlink twin of unit")
     receive = np.hstack([twin.beamformers for twin in twins])
     projectors = _complement_projectors(twins, side="downlink")
     return receive, projectors
@@ -301,6 +299,7 @@ def _stacked_factors(side: PairProjectors, keys: list[Key]):
     return np.hstack(factors), owner
 
 
+@stage("forward")
 def assemble_forward_matrix(units: list[Unit], uplink_projectors: PairProjectors,
                             downlink_projectors: PairProjectors) -> tuple[np.ndarray, float]:
     """Sum the per-pair W P products and scale to the relay power budget.

@@ -11,6 +11,15 @@ one remaining beamformer makes the ``t (t - 1)`` equivalent channel vectors
 collapse onto ``(t - 1)^2`` relay dimensions; ``t = 2`` degenerates to the
 two pair vectors being parallel.
 
+Units are built in batches, not one by one (:func:`_build_units`, which
+serves both the uplink units and the relay's downlink twins): per group
+size, one SVD over every ``(group, slot)`` stack gives the slot nullspaces
+and one QR per width the groups' mixings; one product with a fixed signed
+coefficient array gives every column block's beamformers; and per unit
+shape one product gives every equivalent vector and one SVD checks every
+span.  The RNG keys are those of the one-unit functions, which run the same
+code on a batch of one and give the same units bit for bit.
+
 The planner decides, per antenna regime, how many units of which order fill
 the relay space, choosing the smallest symbol-extension factor that makes
 every count an integer, and (optionally) deactivating relay antennas down to
@@ -20,23 +29,25 @@ the regime's corner ratio when that raises the achievable DoF.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
-from itertools import combinations, permutations
+from functools import cache
+from itertools import combinations
 from math import lcm
 
 import numpy as np
 
 from . import dof
-from .channel import ChannelSet, complex_gaussian, derived_rng, slot_product
+from .channel import ChannelSet, complex_gaussian, derived_rng
 from .errors import (
     AlignmentDegenerate,
+    ConstructionError,
     ExtensionOverflow,
     IndependenceViolation,
     InternalPlanError,
     SupplyExhausted,
+    stage,
 )
-from .linalg import nullspace_basis, numerical_rank, range_basis
+from .linalg import range_basis, singular_value_ranks
 
 __all__ = [
     "RANDOM",
@@ -62,7 +73,8 @@ class Unit:
     vector for its stream to user ``b``, ``(a, b) = pairs[i]`` with ``pairs``
     sorted; column ``i`` of ``equivalent_uplink`` (``N_active x s``) is its
     image ``H_a @ u`` at the active relay antennas.  ``basis`` is an
-    orthonormal basis of their span, decomposed once.  ``==`` is identity.
+    orthonormal basis of their span: the builders pass the one their span
+    check decided, else it is decomposed here, once.  ``==`` is identity.
     """
 
     pattern_order: int  # 2..K for aligned units, RANDOM for random directions
@@ -71,10 +83,11 @@ class Unit:
     beamformers: np.ndarray
     equivalent_uplink: np.ndarray
     column_block: int = 0
+    basis: np.ndarray | None = None
 
-    @cached_property
-    def basis(self) -> np.ndarray:
-        return range_basis(self.equivalent_uplink)
+    def __post_init__(self) -> None:
+        if self.basis is None:
+            self.basis = range_basis(self.equivalent_uplink)
 
 
 def _unit_dims(pattern_order: int, size: int) -> int:
@@ -84,24 +97,60 @@ def _unit_dims(pattern_order: int, size: int) -> int:
     return (pattern_order - 1) ** 2
 
 
-def _unit(ch: ChannelSet, pattern_order: int, group: tuple[int, ...],
-          beam: dict[tuple[int, int], np.ndarray], column_block: int = 0) -> Unit:
-    """Unit from per-pair beamformers, columns in sorted pair order, its span checked."""
-    pairs = tuple(sorted(beam))
-    beams = np.column_stack([beam[p] for p in pairs])
-    # Every member sends to every other member, so in sorted pair order the
-    # i-th smallest member's streams are the i-th run of len(group) - 1 columns.
-    per = len(group) - 1
-    streams = np.hstack([slot_product(ch.uplink[a], beams[:, i * per:(i + 1) * per])
-                         for i, a in enumerate(sorted(group))])
-    unit = Unit(pattern_order, group, pairs, beams, streams, column_block)
-    want = _unit_dims(pattern_order, len(group))
-    got = unit.basis.shape[1]
-    if got != want:
-        kind = "random" if pattern_order == RANDOM else f"order-{pattern_order}"
-        raise AlignmentDegenerate(
-            f"{kind} unit on group {group} spans {got} dimensions, expected {want}")
-    return unit
+@cache
+def _pair_layout(group: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """A unit's sorted pairs, and the column of each in the group's own pair order.
+
+    The own order runs over senders ``group[i]`` and, for each, over its
+    partners ``group[j]``, ``j != i``, both by position in ``group``.
+    """
+    own = [(a, b) for a in group for b in group if a != b]
+    order = tuple(sorted(range(len(own)), key=own.__getitem__))
+    return tuple(own[c] for c in order), order
+
+
+def _checked_units(ch: ChannelSet, pattern_order: int, groups: list[tuple[int, ...]],
+                   beams: np.ndarray, column_blocks: list[int]) -> list:
+    """Units of one shape from their beamformers, each span checked: a ``Unit`` or its error.
+
+    ``beams`` is ``(units, M*ext, s)``, every unit's columns in its group's
+    own pair order (:func:`_pair_layout`).  One batched product gives every
+    image ``H_a u``, laid out as :func:`~ssalign.channel.slot_product` lays
+    it out, so the images equal that function's bit for bit; one stacked
+    SVD decides every span, and each unit keeps its slice as ``basis``.
+    """
+    count, _, streams = beams.shape
+    t, ext = len(groups[0]), ch.extension
+    layouts = [_pair_layout(group) for group in groups]
+    beams = np.take_along_axis(beams, np.array([order for _, order in layouts])[:, None], axis=2)
+    # (units, t, ext, M, t - 1): each sorted sender's beamformers, slot by slot.
+    per_sender = np.ascontiguousarray(
+        beams.reshape(count, ext, ch.m, t, t - 1).transpose(0, 3, 1, 2, 4))
+    images = ch.uplink[np.sort(groups, axis=1)] @ per_sender
+    images = images.transpose(0, 2, 3, 1, 4).reshape(count, -1, streams)
+    left, sv, _ = np.linalg.svd(images, full_matrices=False)
+    ranks = singular_value_ranks(sv, images.shape[1:])
+    want = _unit_dims(pattern_order, t)
+    kind = "random" if pattern_order == RANDOM else f"order-{pattern_order}"
+    return [Unit(pattern_order, group, pairs, beams[u], images[u], block, left[u, :, :want])
+            if ranks[u] == want else AlignmentDegenerate(
+                f"{kind} unit on group {group} spans {ranks[u]} dimensions, expected {want}")
+            for u, (group, (pairs, _), block) in enumerate(zip(groups, layouts, column_blocks))]
+
+
+def _random_units(ch: ChannelSet, count: int, rng: np.random.Generator) -> list:
+    """``count`` random units, each span checked: a ``Unit`` or its error.
+
+    Every pair's beamformer is a unit direction drawn as
+    ``complex_gaussian(rng, M*ext, 1)`` would draw it, real parts then
+    imaginary parts, units and then pairs in order, all in one draw.
+    """
+    k, mt = ch.k, ch.m * ch.extension
+    draws = rng.standard_normal((count, k * (k - 1), 2, mt))
+    beams = (draws[:, :, 0] + 1j * draws[:, :, 1]) / np.sqrt(2.0)
+    beams /= np.linalg.norm(beams, axis=2, keepdims=True)
+    return _checked_units(ch, RANDOM, [tuple(range(k))] * count, beams.swapaxes(1, 2),
+                          [0] * count)
 
 
 def build_random_unit(ch: ChannelSet, rng: np.random.Generator) -> Unit:
@@ -111,19 +160,35 @@ def build_random_unit(ch: ChannelSet, rng: np.random.Generator) -> Unit:
     probability one, which requires M*extension >= K-1 transmit antennas per
     user (each user sends K-1 streams) and at least K(K-1) active relay
     dimensions; otherwise the span check on the unit's ``basis`` fails and
-    the draw is rejected as degenerate.
+    the draw is rejected as degenerate.  Successive calls on one ``rng``
+    draw what one batch of units draws from it.
     """
-    mt = ch.m * ch.extension
-    group = tuple(range(ch.k))
-    beam: dict[tuple[int, int], np.ndarray] = {}
-    for pair in permutations(group, 2):
-        u = complex_gaussian(rng, mt, 1)[:, 0]
-        beam[pair] = u / np.linalg.norm(u)
-    return _unit(ch, RANDOM, group, beam)
+    return _raise_first(_random_units(ch, 1, rng))[0]
 
 
-def _aggregate_sign(i: int, j: int) -> float:
-    return 1.0 if (i == 0 or j == 0) else -1.0
+@cache
+def _aggregate_coefficients(t: int) -> np.ndarray:
+    """``(t, t-1, t-1)``: each member's beamformers from its nullspace segment's columns.
+
+    Member ``i``'s beamformers toward its partners, by position, are its
+    segment ``w_i`` (``M*ext x t-1``) times ``coeffs[i]``.  Toward a partner
+    ``j < t-1`` it is column ``j``; toward the last member it solves column
+    ``i``'s aggregate ``sum_{j != i} sign(i, j) u^(i, j) = w_i[:, i]``, with
+    sign +1 when either index is the leader 0, else -1.
+    """
+    def sign(i: int, j: int) -> float:
+        return 1.0 if (i == 0 or j == 0) else -1.0
+
+    coeffs = np.zeros((t, t - 1, t - 1), dtype=np.complex128)
+    for i in range(t):
+        for q, j in enumerate(j for j in range(t) if j != i):
+            if j < t - 1:
+                coeffs[i, j, q] = 1.0
+                continue
+            for c in range(t - 1):
+                coeffs[i, c, q] = (1.0 if c == i else -sign(i, c)) / sign(i, t - 1)
+    coeffs.flags.writeable = False
+    return coeffs
 
 
 def _check_group(ch: ChannelSet, group) -> tuple[int, ...]:
@@ -135,32 +200,87 @@ def _check_group(ch: ChannelSet, group) -> tuple[int, ...]:
     return group
 
 
+def _group_nullspaces(ch: ChannelSet, groups: list[tuple[int, ...]]):
+    """Nullspace bases of equal-size groups, ``(groups, t*M*ext, width)``, and their widths.
+
+    One SVD runs over every ``(group, slot)`` stack ``[H_{g0}[s], ...,
+    H_{g(t-1)}[s]]``; each slot's nullity follows from its own singular
+    values by the rule of :func:`~ssalign.linalg.nullspace_basis`, whose
+    basis (ascending singular value) it takes, so the slots are sliced by
+    rank.  A group's width is its slots' nullities summed, and one QR per
+    width gives the groups' mixings.  A group narrower than the widest
+    has zero columns past its width.
+    """
+    t, ext, m = len(groups[0]), ch.extension, ch.m
+    stacks = ch.uplink[np.array(groups)].transpose(0, 2, 3, 1, 4).reshape(
+        len(groups), ext, -1, t * m)
+    _, sv, vh = np.linalg.svd(stacks, full_matrices=True)
+    ranks = singular_value_ranks(sv, stacks.shape[2:])
+    nullities = t * m - ranks
+    widths = nullities.sum(axis=1)
+    width = int(widths.max())
+    mixings = np.zeros((len(groups), width, width), dtype=np.complex128)
+    for w in set(widths.tolist()):
+        members = np.flatnonzero(widths == w)
+        draws = [complex_gaussian(derived_rng(ch.seed, 3, *groups[g]), w, w) for g in members]
+        mixings[members, :w, :w] = np.linalg.qr(np.stack(draws))[0]
+    # Slot s of a group takes the mixing rows after its earlier slots' nullities.
+    starts = np.cumsum(nullities, axis=1) - nullities
+    bases = np.zeros((len(groups), ext, t * m, width), dtype=np.complex128)
+    for rank in set(ranks.flat):
+        g, s = np.nonzero(ranks == rank)
+        null = vh[g, s, rank:][:, ::-1].conj().swapaxes(1, 2)
+        bases[g, s] = null @ mixings[g[:, None], starts[g, s][:, None] + np.arange(t * m - rank)]
+    # Stacked row i*M*ext + s*M + j: user group[i], slot s, antenna j.
+    bases = bases.reshape(len(groups), ext, t, m, width).transpose(0, 2, 1, 3, 4)
+    return bases.reshape(len(groups), t * ext * m, width), widths
+
+
 def group_nullspace(ch: ChannelSet, group) -> np.ndarray:
     """Orthonormal nullspace basis of the group's stacked uplink channels.
 
     Stacked column ``i*M*ext + s*M + j`` (user ``group[i]``, slot ``s``,
     antenna ``j``) meets only slot ``s``'s relay rows, so the nullspace is
-    the direct sum of the slots' nullspaces: one small SVD per slot, of
-    ``[H_{g0}[s], ..., H_{g(t-1)}[s]]``, embedded in the stacked coordinates.
-    That basis is slot-localised, and its consecutive column blocks would
-    repeat relay directions, so it is multiplied by one ``width x width``
-    unitary, the Q factor of a complex Gaussian matrix drawn from
+    the direct sum of the slots' nullspaces, of ``[H_{g0}[s], ...,
+    H_{g(t-1)}[s]]`` each, embedded in the stacked coordinates.  That basis
+    is slot-localised, and its consecutive column blocks would repeat relay
+    directions, so it is multiplied by one ``width x width`` unitary, the Q
+    factor of a complex Gaussian matrix drawn from
     ``derived_rng(ch.seed, 3, *group)``.  The basis is thus a pure function
-    of ``(ch, group)`` and replays from the channel JSON.  Every aligned unit
-    on ``group`` takes its own column block, so callers compute it once.
+    of ``(ch, group)`` and replays from the channel JSON.  It is computed by
+    :func:`_group_nullspaces`, the unit builder's batched pass (one SVD over
+    all slots, one QR), here on a batch of one group; a group's basis is the
+    same in any batch, bit for bit.
     """
-    group = _check_group(ch, group)
-    t, ext = len(group), ch.extension
-    slots = [nullspace_basis(stack) for stack in np.concatenate(ch.uplink[list(group)], axis=2)]
-    width = sum(b.shape[1] for b in slots)
-    mixing = np.linalg.qr(complex_gaussian(derived_rng(ch.seed, 3, *group), width, width))[0]
-    basis = np.empty((t, ext, ch.m, width), dtype=np.complex128)
-    start = 0
-    for s, slot in enumerate(slots):
-        # Slot s's entries of every user segment: its basis times its rows of the mixing.
-        basis[:, s] = (slot @ mixing[start:start + slot.shape[1]]).reshape(t, ch.m, width)
-        start += slot.shape[1]
-    return basis.reshape(t * ext * ch.m, width)
+    return _group_nullspaces(ch, [_check_group(ch, group)])[0][0]
+
+
+def _block_start(group: tuple[int, ...], width: int, column_block: int) -> int:
+    """First nullspace column of a column block, or ``SupplyExhausted`` if it does not fit."""
+    t = len(group)
+    if column_block < 0:
+        raise SupplyExhausted(f"column block must be nonnegative, got {column_block}")
+    start = (t - 1) * column_block
+    if start + t - 1 > width:
+        raise SupplyExhausted(
+            f"group {group} nullspace has {width} columns, "
+            f"block {column_block} needs columns {start}..{start + t - 2}"
+        )
+    return start
+
+
+def _aligned_units(ch: ChannelSet, groups: list[tuple[int, ...]], blocks: np.ndarray,
+                   column_blocks: list[int]) -> list:
+    """Order-``t`` units from their nullspace column blocks, each a ``Unit`` or its error.
+
+    ``blocks`` is ``(units, t*M*ext, t-1)``; one product with
+    :func:`_aggregate_coefficients` gives every unit's beamformers.
+    """
+    t = len(groups[0])
+    segments = blocks.reshape(len(groups), t, ch.m * ch.extension, t - 1)
+    beams = (segments @ _aggregate_coefficients(t)).transpose(0, 2, 1, 3)
+    return _checked_units(ch, t, groups, beams.reshape(len(groups), -1, t * (t - 1)),
+                          column_blocks)
 
 
 def unit_from_nullspace(ch: ChannelSet, group, basis: np.ndarray, column_block: int) -> Unit:
@@ -173,36 +293,23 @@ def unit_from_nullspace(ch: ChannelSet, group, basis: np.ndarray, column_block: 
     independence are tested by the relay (:mod:`ssalign.relay`).
     """
     group = _check_group(ch, group)
-    t = len(group)
-    if column_block < 0:
-        raise SupplyExhausted(f"column block must be nonnegative, got {column_block}")
-    mt = ch.m * ch.extension
-    start = (t - 1) * column_block
-    end = start + (t - 1)
-    if end > basis.shape[1]:
-        raise SupplyExhausted(
-            f"group {group} nullspace has {basis.shape[1]} columns, "
-            f"block {column_block} needs columns {start}..{end - 1}"
-        )
-    cols = basis[:, start:end]
-    w = [[cols[i * mt:(i + 1) * mt, j] for j in range(t - 1)] for i in range(t)]
+    start = _block_start(group, basis.shape[1], column_block)
+    cols = basis[None, :, start:start + len(group) - 1]
+    return _raise_first(_aligned_units(ch, [group], cols, [column_block]))[0]
 
-    local: dict[tuple[int, int], np.ndarray] = {}
-    for j in range(t - 1):
-        for i in range(t):
-            if i != j:
-                local[(i, j)] = w[i][j]
-    # Segment w[j][j] fixes sum_{i != j} sign(j, i) u^(j, i); solve for the
-    # single beamformer not yet assigned, u^(j, t-1).
-    for j in range(t - 1):
-        acc = w[j][j].copy()
-        for i in range(t - 1):
-            if i != j:
-                acc -= _aggregate_sign(j, i) * local[(j, i)]
-        local[(j, t - 1)] = acc / _aggregate_sign(j, t - 1)
 
-    beam = {(group[i], group[j]): v for (i, j), v in local.items()}
-    return _unit(ch, t, group, beam, column_block)
+def _raise_first(built: list, name: str = "") -> list[Unit]:
+    """``built`` if every entry is a ``Unit``, else raise the first error.
+
+    With a ``name`` the error is raised again, its message led by
+    ``f"{name} {index}: "``.
+    """
+    for index, unit in enumerate(built):
+        if isinstance(unit, ConstructionError):
+            if name:
+                raise type(unit)(f"{name} {index}: {unit}") from unit
+            raise unit
+    return built
 
 
 @dataclass(frozen=True)
@@ -286,6 +393,7 @@ def _plan_pieces(m: int, n: int, k: int, improved: bool):
     return pieces, active
 
 
+@stage("plan")
 def plan_alignment(m: int, n: int, k: int, improved: bool = False) -> AlignmentPlan:
     """Allocate unit counts for ``(M, N, K)`` and pick the extension factor.
 
@@ -359,22 +467,50 @@ def _check_plan(plan: AlignmentPlan) -> None:
             )
 
 
-def _build_units(ch: ChannelSet, specs, rng: np.random.Generator):
-    """Yield one unit per ``(pattern_order, group, column_block)`` spec, in order.
+def _build_units(ch: ChannelSet, specs, rng: np.random.Generator, name: str = "") -> list[Unit]:
+    """One unit per ``(pattern_order, group, column_block)`` spec, in spec order.
 
-    Random units draw from ``rng`` in spec order; aligned units take their
-    column block of the group nullspace, computed once per group.
+    The units are built in the batched passes of the module docstring: the
+    random ones in one draw from ``rng``, in spec order, and the aligned ones
+    per group size, their groups' mixings still keyed
+    ``derived_rng(ch.seed, 3, *group)``.  A unit equals the one the
+    single-unit functions build, bit for bit.  If specs fail, the first in
+    spec order raises its error (see :func:`_raise_first` for ``name``).
     """
-    bases: dict[tuple[int, ...], np.ndarray] = {}
-    for order, group, block in specs:
-        if order == RANDOM:
-            yield build_random_unit(ch, rng)
-            continue
-        if group not in bases:
-            bases[group] = group_nullspace(ch, group)
-        yield unit_from_nullspace(ch, group, bases[group], block)
+    built: list = [None] * len(specs)
+    randoms = [i for i, (order, _, _) in enumerate(specs) if order == RANDOM]
+    if randoms:
+        for i, unit in zip(randoms, _random_units(ch, len(randoms), rng)):
+            built[i] = unit
+    sizes: dict[int, list[int]] = {}
+    for i, (order, group, _) in enumerate(specs):
+        if order != RANDOM:
+            sizes.setdefault(len(group), []).append(i)
+    for members in sizes.values():
+        groups = list(dict.fromkeys(specs[i][1] for i in members))
+        bases, widths = _group_nullspaces(ch, groups)
+        rows = {group: g for g, group in enumerate(groups)}
+        fits, owners, starts = [], [], []
+        for i in members:
+            _, group, block = specs[i]
+            try:
+                starts.append(_block_start(group, int(widths[rows[group]]), block))
+            except SupplyExhausted as exc:
+                built[i] = exc
+                continue
+            fits.append(i)
+            owners.append(rows[group])
+        if fits:
+            cols = np.array(starts)[:, None] + np.arange(len(groups[0]) - 1)
+            blocks = bases.swapaxes(1, 2)[np.array(owners)[:, None], cols].swapaxes(1, 2)
+            done = _aligned_units(ch, [specs[i][1] for i in fits], blocks,
+                                  [specs[i][2] for i in fits])
+            for i, unit in zip(fits, done):
+                built[i] = unit
+    return _raise_first(built, name)
 
 
+@stage("execute")
 def execute_plan(plan: AlignmentPlan, ch: ChannelSet) -> list[Unit]:
     """Build every planned unit on the given channels, in allocation order.
 
@@ -383,7 +519,9 @@ def execute_plan(plan: AlignmentPlan, ch: ChannelSet) -> list[Unit]:
     its ``dims_per_unit()``, so the spans sum to ``plan.dims_used``; the
     relay checks, on both links, that they are independent.  Every user's
     transmit beamformer stack must have full column rank, else
-    :class:`~ssalign.errors.IndependenceViolation` is raised.
+    :class:`~ssalign.errors.IndependenceViolation` names the first user
+    whose stack does not; the stacks, equally wide as ``_check_plan`` gives
+    every user the same stream count, are checked in one SVD.
     """
     if (plan.m, plan.n, plan.k) != (ch.m, ch.n, ch.k):
         raise ValueError("channel set was sampled for a different (M, N, K)")
@@ -397,13 +535,17 @@ def execute_plan(plan: AlignmentPlan, ch: ChannelSet) -> list[Unit]:
     if not plan.allocations:
         raise ValueError("plan has no allocations; every plan_alignment plan has one")
     specs = [(a.pattern_order, a.group, i) for a in plan.allocations for i in range(a.count)]
-    units = list(_build_units(ch, specs, derived_rng(ch.seed, 1)))
-    beams = np.hstack([u.beamformers for u in units])
+    units = _build_units(ch, specs, derived_rng(ch.seed, 1))
     senders = np.array([a for u in units for a, _ in u.pairs])
-    for user in range(ch.k):
-        stack = beams[:, senders == user]
-        if numerical_rank(stack) != stack.shape[1]:
-            raise IndependenceViolation(
-                f"user {user}'s beamformer stack is column-rank deficient"
-            )
+    streams = np.bincount(senders, minlength=ch.k)
+    if streams.min() != streams.max():
+        raise ValueError(f"plan gives its users unequal stream counts {streams.tolist()}")
+    beams = np.hstack([u.beamformers for u in units])[:, np.argsort(senders, kind="stable")]
+    stacks = beams.reshape(beams.shape[0], ch.k, -1).swapaxes(0, 1)
+    ranks = singular_value_ranks(np.linalg.svd(stacks, compute_uv=False), stacks.shape[1:])
+    deficient = np.flatnonzero(ranks != stacks.shape[2])
+    if deficient.size:
+        raise IndependenceViolation(
+            f"user {deficient[0]}'s beamformer stack is column-rank deficient"
+        )
     return units

@@ -1,16 +1,26 @@
-"""Dense references the tests check the library against.
+"""Dense and one-at-a-time references the tests check the library against.
 
 The library never builds these: it stores each link's channels as one
 ``K x ext x rows x cols`` array of diagonal blocks, with the same rows in
 every slot, and the relay projectors as low-rank factors.  The tests
 materialise both to compare with straightforward dense linear algebra.
+
+It also builds its units in batched passes, per group size and unit shape.
+The ``reference_*`` functions build them one at a time instead: one
+nullspace per slot, one mixing per group, the aggregate solve pair by pair,
+one span decomposition per unit, and one draw per random pair.  They keep
+the library's thresholds, RNG keys and error messages.
 """
+
+from itertools import permutations
 
 import numpy as np
 from scipy.linalg import block_diag
 
-from ssalign.linalg import as_complex_matrix, range_basis
-from ssalign.units import group_nullspace, unit_from_nullspace
+from ssalign.channel import complex_gaussian, derived_rng, slot_product
+from ssalign.errors import AlignmentDegenerate, SupplyExhausted
+from ssalign.linalg import as_complex_matrix, nullspace_basis, range_basis
+from ssalign.units import RANDOM, Unit, group_nullspace, unit_from_nullspace
 
 
 def dense(blocks):
@@ -38,3 +48,81 @@ def projector(basis, factor):
 def build_aligned_unit(ch, group, column_block):
     """Order-``t`` aligned unit from one block of a freshly computed group nullspace."""
     return unit_from_nullspace(ch, group, group_nullspace(ch, group), column_block)
+
+
+def reference_group_nullspace(ch, group):
+    """A group's mixed nullspace basis, one ``nullspace_basis`` per slot."""
+    t, ext = len(group), ch.extension
+    slots = [nullspace_basis(stack) for stack in np.concatenate(ch.uplink[list(group)], axis=2)]
+    width = sum(b.shape[1] for b in slots)
+    mixing = np.linalg.qr(complex_gaussian(derived_rng(ch.seed, 3, *group), width, width))[0]
+    basis = np.empty((t, ext, ch.m, width), dtype=np.complex128)
+    start = 0
+    for s, slot in enumerate(slots):
+        basis[:, s] = (slot @ mixing[start:start + slot.shape[1]]).reshape(t, ch.m, width)
+        start += slot.shape[1]
+    return basis.reshape(t * ext * ch.m, width)
+
+
+def _reference_unit(ch, pattern_order, group, beam, column_block=0):
+    pairs = tuple(sorted(beam))
+    beams = np.column_stack([beam[p] for p in pairs])
+    per = len(group) - 1
+    streams = np.hstack([slot_product(ch.uplink[a], beams[:, i * per:(i + 1) * per])
+                         for i, a in enumerate(sorted(group))])
+    basis = range_basis(streams)
+    want = len(group) * per if pattern_order == RANDOM else per ** 2
+    if basis.shape[1] != want:
+        kind = "random" if pattern_order == RANDOM else f"order-{pattern_order}"
+        raise AlignmentDegenerate(
+            f"{kind} unit on group {group} spans {basis.shape[1]} dimensions, expected {want}")
+    return Unit(pattern_order, group, pairs, beams, streams, column_block, basis)
+
+
+def reference_aligned_unit(ch, group, basis, column_block):
+    """Order-``t`` unit from one column block, solving each aggregate pair by pair."""
+    t, mt = len(group), ch.m * ch.extension
+    start, end = (t - 1) * column_block, (t - 1) * (column_block + 1)
+    if end > basis.shape[1]:
+        raise SupplyExhausted(
+            f"group {group} nullspace has {basis.shape[1]} columns, "
+            f"block {column_block} needs columns {start}..{end - 1}")
+    cols = basis[:, start:end]
+    w = [[cols[i * mt:(i + 1) * mt, j] for j in range(t - 1)] for i in range(t)]
+    local = {(i, j): w[i][j] for j in range(t - 1) for i in range(t) if i != j}
+
+    def sign(i, j):
+        return 1.0 if (i == 0 or j == 0) else -1.0
+
+    for j in range(t - 1):
+        acc = w[j][j].copy()
+        for i in range(t - 1):
+            if i != j:
+                acc -= sign(j, i) * local[(j, i)]
+        local[(j, t - 1)] = acc / sign(j, t - 1)
+    beam = {(group[i], group[j]): v for (i, j), v in local.items()}
+    return _reference_unit(ch, t, group, beam, column_block)
+
+
+def reference_random_unit(ch, rng):
+    """Random unit, one unit-norm draw per ordered pair."""
+    group = tuple(range(ch.k))
+    beam = {}
+    for pair in permutations(group, 2):
+        u = complex_gaussian(rng, ch.m * ch.extension, 1)[:, 0]
+        beam[pair] = u / np.linalg.norm(u)
+    return _reference_unit(ch, RANDOM, group, beam)
+
+
+def reference_units(ch, specs, rng):
+    """One unit per ``(pattern_order, group, column_block)`` spec, built in order."""
+    bases = {}
+    units = []
+    for order, group, block in specs:
+        if order == RANDOM:
+            units.append(reference_random_unit(ch, rng))
+            continue
+        if group not in bases:
+            bases[group] = reference_group_nullspace(ch, group)
+        units.append(reference_aligned_unit(ch, group, bases[group], block))
+    return units

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -10,6 +11,8 @@ from ssalign import (
     achievable_basic,
     achievable_improved,
     build_random_unit,
+    build_relay_processor,
+    construct,
     deactivate_relay_antennas,
     derived_rng,
     execute_plan,
@@ -17,10 +20,21 @@ from ssalign import (
     sample_channel_set,
     union_span_dim,
 )
-from ssalign.errors import AlignmentDegenerate, ExtensionOverflow, SupplyExhausted
-from ssalign.units import group_nullspace, unit_from_nullspace
+from ssalign.errors import (
+    AlignmentDegenerate,
+    ExtensionOverflow,
+    IndependenceViolation,
+    SupplyExhausted,
+)
+from ssalign.units import _build_units, group_nullspace, unit_from_nullspace
 
-from reference import build_aligned_unit, complement_projector, dense
+from reference import (
+    build_aligned_unit,
+    complement_projector,
+    dense,
+    reference_group_nullspace,
+    reference_units,
+)
 
 
 def channels(m, n, k, extension=1, seed=0, active=None):
@@ -382,3 +396,111 @@ class TestExecutePlan:
         assert plan.extension > 1
         assert any(u.pattern_order == 2 for u in units)
         assert union_span_dim([u.equivalent_uplink for u in units]) == plan.dims_used
+
+
+def mirror_of(ch):
+    return replace(ch, uplink=ch.downlink.swapaxes(2, 3).conj())
+
+
+def assert_units_match(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.pattern_order, g.group, g.pairs, g.column_block) \
+            == (w.pattern_order, w.group, w.pairs, w.column_block)
+        assert np.allclose(g.beamformers, w.beamformers, rtol=0, atol=1e-12)
+        assert np.allclose(g.equivalent_uplink, w.equivalent_uplink, rtol=0, atol=1e-12)
+        assert g.basis.shape == w.basis.shape
+        assert np.allclose(g.basis @ g.basis.conj().T, w.basis @ w.basis.conj().T,
+                           rtol=0, atol=1e-12)
+
+
+class TestBatchedBuilder:
+    # The seven seed-sweep configs, (7,20,4), (5,9,5) improved, and a pair-unit
+    # point with extension 3 from TestExecution.SLOT_LOCAL.
+    CONFIGS = [(3, 5, 3, False), (3, 8, 4, False), (3, 12, 4, False), (2, 10, 5, False),
+               (7, 14, 4, True), (2, 12, 6, False), (3, 5, 4, False), (7, 20, 4, False),
+               (5, 9, 5, True), (7, 8, 4, False)]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("m,n,k,improved", CONFIGS)
+    def test_units_and_twins_match_one_at_a_time_reference(self, m, n, k, improved, seed):
+        built = construct(m, n, k, seed, improved)
+        ch = built.channels
+        specs = [(a.pattern_order, a.group, i) for a in built.plan.allocations
+                 for i in range(a.count)]
+        assert_units_match(built.units, reference_units(ch, specs, derived_rng(seed, 1)))
+        twins = _build_units(mirror_of(ch), specs, derived_rng(seed, 2))
+        assert_units_match(twins, reference_units(mirror_of(ch), specs, derived_rng(seed, 2)))
+        assert np.array_equal(built.processor.receive_vectors,
+                              np.hstack([twin.beamformers for twin in twins]))
+
+    def test_mixed_slot_nullities_keep_the_per_slot_widths(self):
+        # Relay row 2 of slot 1 hears neither user 0 nor user 1, so that slot
+        # of group (0,1) has nullity 2 and the other slots and pair groups 1:
+        # one batch holds ranks 4 and 5 and group widths 3, 2 and 2.
+        plan = plan_alignment(3, 5, 3)
+        ch = channels(3, 5, 3, extension=plan.extension, seed=3)
+        uplink = ch.uplink.copy()
+        uplink[:2, 1, 2] = 0.0
+        ch = replace(ch, uplink=uplink)
+        widths = {g: group_nullspace(ch, g).shape[1] for g in [(0, 1), (0, 2), (1, 2), (0, 1, 2)]}
+        assert widths == {(0, 1): 3, (0, 2): 2, (1, 2): 2, (0, 1, 2): 8}
+        for group in widths:
+            want = reference_group_nullspace(ch, group)
+            assert np.allclose(group_nullspace(ch, group), want, rtol=0, atol=1e-12)
+        specs = [(a.pattern_order, a.group, i) for a in plan.allocations for i in range(a.count)]
+        specs.append((2, (0, 1), 2))  # the third column of group (0,1)
+        units = _build_units(ch, specs, derived_rng(3, 1))
+        assert_units_match(units, reference_units(ch, specs, derived_rng(3, 1)))
+        for unit in units:
+            alone = build_aligned_unit(ch, unit.group, unit.column_block)
+            assert np.array_equal(unit.beamformers, alone.beamformers)
+
+    def test_first_failing_twin_in_a_shared_batch_names_its_unit(self):
+        # Users 2 and 3 share one downlink, so the twins of the units on
+        # (0,2,3) and (1,2,3), units 2 and 3 of one batch, span 2 of 4
+        # dimensions while units 0 and 1 pass.
+        built = construct(3, 8, 4, 0)
+        assert [u.group for u in built.units] == [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+        downlink = built.channels.downlink.copy()
+        downlink[3] = downlink[2]
+        ch = replace(built.channels, downlink=downlink)
+        specs = [(u.pattern_order, u.group, u.column_block) for u in built.units]
+        with pytest.raises(AlignmentDegenerate) as want:
+            reference_units(mirror_of(ch), specs, derived_rng(0, 2))
+        assert "(0, 2, 3)" in str(want.value)
+        with pytest.raises(AlignmentDegenerate) as info:
+            build_relay_processor(built.units, ch)
+        assert str(info.value) == f"downlink twin of unit 2: {want.value}"
+        assert info.value.stage == "downlink"
+
+    def test_first_failing_spec_raises_its_own_error(self):
+        # Spec 1 asks for a column block past the pair nullspace, spec 2 is a
+        # random unit that cannot span K(K-1) = 6 dimensions on 3 relay rows.
+        ch = channels(2, 3, 3, seed=4)
+        specs = [(2, (0, 1), 0), (2, (0, 1), 9), (RANDOM, (0, 1, 2), 0)]
+        with pytest.raises(SupplyExhausted, match=r"^group \(0, 1\) nullspace has 1 columns, "
+                                                  r"block 9 needs columns 9\.\.9$"):
+            _build_units(ch, specs, derived_rng(4, 1))
+        with pytest.raises(AlignmentDegenerate, match=r"^twin 1: random unit on group "):
+            _build_units(ch, specs[::2], derived_rng(4, 1), name="twin")
+
+    def test_user_stacks_checked_in_one_pass_name_the_first_deficient_user(self, monkeypatch):
+        # Users 1 and 2 each send along one direction only.
+        plan = plan_alignment(3, 12, 4)
+        ch = channels(3, 12, 4, extension=plan.extension, seed=5)
+        original = _build_units
+
+        def flattened(*args, **kwargs):
+            units = original(*args, **kwargs)
+            for unit in units:
+                for i, (a, _) in enumerate(unit.pairs):
+                    if a in (1, 2):
+                        unit.beamformers[:, i] = unit.beamformers[:, 0]
+            return units
+
+        monkeypatch.setattr("ssalign.units._build_units", flattened)
+        with pytest.raises(IndependenceViolation,
+                           match=r"^user 1's beamformer stack is column-rank deficient$") as info:
+            execute_plan(plan, ch)
+        assert info.value.stage == "execute"

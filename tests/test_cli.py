@@ -9,7 +9,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from ssalign import cli, dof, lemmas, relay
+from ssalign import cli, dof, lemmas, pipeline, relay
 from ssalign.channel import array_from_json, channel_from_json, slot_product
 from ssalign.cli import main
 from ssalign.errors import AlignmentDegenerate
@@ -163,7 +163,8 @@ class TestExitCodes:
         assert doc["error"] == "ExtensionOverflow"
         assert doc["seed"] == 5
         # The plan failed before any channel was sampled.
-        assert list(doc) == ["error", "message", "seed"]
+        assert list(doc) == ["error", "message", "seed", "stage"]
+        assert doc["stage"] == "plan"
 
     def test_repeated_calls_keep_their_own_exit_codes(self, capsys):
         # The parser is built once per process; each call still parses afresh.
@@ -202,6 +203,38 @@ class TestExitCodes:
         with pytest.raises(AlignmentDegenerate) as info:
             build_relay_processor(execute_plan(plan_alignment(3, 8, 4), ch), ch)
         assert str(info.value) == doc["message"]
+
+
+    @pytest.mark.parametrize("failure,argv,stage", [
+        ("deaf", ["--m", "2", "--n", "6", "--k", "3", "--seed", "4"], "downlink"),
+        ("survival", ["--m", "3", "--n", "8", "--k", "4", "--seed", "7"], "uplink"),
+    ])
+    def test_exit_three_document_replays_type_message_and_stage(self, capsys, monkeypatch,
+                                                                  failure, argv, stage):
+        if failure == "deaf":
+            # User 0 hears nothing, so the random unit's downlink twin spans 4 of 6.
+            sample = pipeline.sample_channel_set
+
+            def deaf(cfg):
+                ch = sample(cfg)
+                downlink = ch.downlink.copy()
+                downlink[0] = 0.0
+                return dataclasses.replace(ch, downlink=downlink)
+
+            monkeypatch.setattr(pipeline, "sample_channel_set", deaf)
+        else:
+            monkeypatch.setattr(relay, "PAIR_SURVIVAL_MIN", 2.0)
+        rc, out = run(capsys, "build", *argv)
+        assert rc == 3
+        doc = json.loads(out)
+        assert list(doc) == ["error", "message", "seed", "stage", "channels"]
+        assert doc["stage"] == stage
+        ch = channel_from_json(doc["channels"])
+        m, n, k = (int(v) for v in argv[1:6:2])
+        with pytest.raises(AlignmentDegenerate) as info:
+            build_relay_processor(execute_plan(plan_alignment(m, n, k), ch), ch)
+        assert (type(info.value).__name__, str(info.value), info.value.stage) \
+            == (doc["error"], doc["message"], doc["stage"])
 
 
 class TestVerificationLookup:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -20,7 +21,9 @@ from ssalign import (
     sample_channel_set,
     verify_end_to_end,
 )
-from ssalign import pipeline
+from ssalign import pipeline, relay
+from ssalign.errors import AlignmentDegenerate, ExtensionOverflow, ProjectorCollapse
+from ssalign.relay import PairProjectors, assemble_forward_matrix
 
 
 def by_hand(m, n, k, seed, improved):
@@ -95,6 +98,36 @@ def test_construct_calls_module_planner(monkeypatch):
     monkeypatch.setattr(pipeline, "plan_alignment", spy)
     construct(3, 5, 3, 0)
     assert calls == [(3, 5, 3, False)]
+
+
+def test_construction_errors_carry_their_stage(monkeypatch):
+    with pytest.raises(ExtensionOverflow) as info:
+        construct(1, 2, 4, 0, improved=True)
+    assert (info.value.stage, info.value.channels) == ("plan", None)
+    # Every user's uplink zeroed: the first aligned unit spans nothing.
+    sample = pipeline.sample_channel_set
+
+    def mute(cfg):
+        ch = sample(cfg)
+        return dataclasses.replace(ch, uplink=np.zeros_like(ch.uplink))
+
+    monkeypatch.setattr(pipeline, "sample_channel_set", mute)
+    with pytest.raises(AlignmentDegenerate) as info:
+        construct(3, 8, 4, 0)
+    assert info.value.stage == "execute" and info.value.channels is not None
+    monkeypatch.undo()
+    monkeypatch.setattr(relay, "PAIR_SURVIVAL_MIN", 2.0)
+    with pytest.raises(AlignmentDegenerate) as info:
+        construct(3, 8, 4, 0)
+    assert info.value.stage == "uplink"
+    monkeypatch.undo()
+    # Both sides' complements vanish and every pair factor is empty: F = 0.
+    built = construct(3, 5, 3, 0)
+    n = built.channels.active_relay
+    empty = PairProjectors(np.eye(n, dtype=complex), {(0, (0, 1)): np.zeros((n, 0))})
+    with pytest.raises(ProjectorCollapse) as info:
+        assemble_forward_matrix(built.units, empty, empty)
+    assert info.value.stage == "forward"
 
 
 def test_library_needs_no_scipy():
