@@ -416,7 +416,7 @@ def assert_units_match(got, want):
 
 class TestBatchedBuilder:
     # The seven seed-sweep configs, (7,20,4), (5,9,5) improved, and a pair-unit
-    # point with extension 3 from TestExecution.SLOT_LOCAL.
+    # point with extension 3 from TestExecutePlan.SLOT_LOCAL.
     CONFIGS = [(3, 5, 3, False), (3, 8, 4, False), (3, 12, 4, False), (2, 10, 5, False),
                (7, 14, 4, True), (2, 12, 6, False), (3, 5, 4, False), (7, 20, 4, False),
                (5, 9, 5, True), (7, 8, 4, False)]
