@@ -3,7 +3,8 @@
 Subcommands
 -----------
 curve   Emit exact-rational DoF curves as CSV (per-user for finite K,
-        total-normalized for ``--k inf``).
+        total-normalized for ``--k inf``): one line per row that
+        :func:`ssalign.dof.curve` yields.
 build   Sample channels, plan and execute a beamforming construction, verify
         decodability, and dump everything as JSON.
 verify  Repeat ``build`` over a seed sweep and summarize pass counts.
@@ -50,6 +51,7 @@ import argparse
 import functools
 import json
 import sys
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
 from . import __version__, dof
@@ -95,8 +97,8 @@ def _seed(text: str) -> int:
     return _int_arg(text, 0, SEED_LIMIT, "a seed in [0, 2**64)")
 
 
-def _farey(q: int) -> list[Fraction]:
-    """Reduced fractions of (0, 1] with denominator <= ``q``, in increasing order.
+def _farey(q: int) -> Iterator[tuple[int, int]]:
+    """Reduced fractions ``(c, d)`` of (0, 1] with denominator <= ``q``, in increasing order.
 
     Next-term recurrence of the Farey sequence (Hardy & Wright, *An
     Introduction to the Theory of Numbers*, section 3.1): after ``a/b`` and
@@ -104,16 +106,15 @@ def _farey(q: int) -> list[Fraction]:
     term is already in lowest terms, and the first term past ``1/1`` is
     ``(q + 1)/q``.
     """
-    grid = []
     a, b, c, d = 0, 1, 1, q
     while c <= d:
-        grid.append(Fraction(c, d))
+        yield c, d
         k = (q + b) // d
         a, b, c, d = c, d, k * c - a, k * d - b
-    return grid
 
 
-def _parse_ratios(spec: str, parser: argparse.ArgumentParser) -> list[Fraction]:
+def _parse_ratios(spec: str, parser: argparse.ArgumentParser) -> Iterable[tuple[int, int]]:
+    """The ratio grid of ``--ratios`` as ``(numerator, denominator)`` pairs in lowest terms."""
     spec = spec.strip()
     if spec.startswith("farey:"):
         try:
@@ -129,7 +130,7 @@ def _parse_ratios(spec: str, parser: argparse.ArgumentParser) -> list[Fraction]:
         parser.error(f"bad ratio list {spec!r}")
     if not ratios or any(r <= 0 for r in ratios):
         parser.error("ratios must be positive rationals")
-    return ratios
+    return [(r.numerator, r.denominator) for r in ratios]
 
 
 def _frac_str(x: Fraction) -> str:
@@ -145,28 +146,13 @@ def cmd_curve(args, parser) -> tuple[str, int]:
     if args.k == "inf":
         if args.mode == "outer":
             parser.error("--mode outer is not defined for --k inf")
-        mode_tag = f"asymptotic-{args.mode}"
+        k, mode_tag = None, f"asymptotic-{args.mode}"
     else:
-        mode_tag = args.mode
-        evaluate = {"outer": dof.outer_bound_per_user, "basic": dof.achievable_basic,
-                    "improved": dof.achievable_improved}[args.mode]
-
+        k, mode_tag = args.k, args.mode
+    # Int true division is correctly rounded: the same float as float(Fraction).
     lines = [CSV_HEADER]
-    for ratio in ratios:
-        m, n = ratio.numerator, ratio.denominator
-        if args.k == "inf":
-            value = dof.asymptotic_dof(ratio, improved=args.mode == "improved")
-            tight = False
-        else:
-            res = evaluate(m, n, args.k)
-            value, tight = res.d_user / n, res.capacity_tight
-        if args.half_duplex:
-            value = value / 2
-        lines.append(
-            f"{ratio.numerator},{ratio.denominator},{float(ratio)!r},"
-            f"{value.numerator},{value.denominator},{float(value)!r},"
-            f"{mode_tag},{str(tight).lower()}"
-        )
+    lines += [f"{c},{d},{c / d!r},{num},{den},{num / den!r},{mode_tag},{str(tight).lower()}"
+              for c, d, num, den, tight in dof.curve(k, args.mode, ratios, args.half_duplex)]
     return "\n".join(lines) + "\n", 0
 
 
@@ -356,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="comma list of rationals (e.g. '2/3,7/16'), emitted sorted "
                             "without duplicates, or 'farey:<q>' for all reduced fractions "
                             "in (0, 1] with denominator <= q, emitted in increasing order "
-                            "(default farey:48)")
+                            "(default farey:48); ratios above 1 are clamped at M = N")
     curve.add_argument("--half-duplex", action="store_true",
                        help="halve emitted values for half-duplex operation")
     curve.add_argument("--out", help="write CSV here instead of stdout")

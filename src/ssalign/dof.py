@@ -1,15 +1,17 @@
 """Closed-form degrees-of-freedom expressions, in exact rational arithmetic.
 
-Every value here is a :class:`fractions.Fraction` computed from integers, so
-breakpoint comparisons (``7/16``, ``(t+1)(t-1)/t^3``, ...) are exact and the
-results double as the analytical oracle that constructed beamforming plans
-must match.  No floating point is used anywhere in this module.
+Every rule here runs on plain-int numerator/denominator pairs, and breakpoint
+comparisons (``7/16``, ``(t+1)(t-1)/t^3``, ...) are integer
+cross-multiplications, so they are exact.  The public functions return exact
+:class:`fractions.Fraction` values built from those pairs, and the results
+double as the analytical oracle that constructed beamforming plans must
+match.  No floating point is used anywhere in this module.
 
 The regime constants that depend on ``K`` and the pattern order ``t`` alone
 (``alpha_t``, ``beta_t``, ``theta_t``, ``tau_t`` and the capacity thresholds)
-are computed once per ``(K, t)`` and cached.  Integer arguments are reduced
-to plain ``int`` first, so a caller passing numpy integers gets the same
-plain ``int`` and ``Fraction`` values as one passing Python ints.
+are computed once per ``(K, t)`` and cached as integers.  Integer arguments
+are reduced to plain ``int`` first, so a caller passing numpy integers gets
+the same plain ``int`` and ``Fraction`` values as one passing Python ints.
 
 Setting: ``K`` users with ``M`` antennas each exchange messages pairwise
 through an ``N``-antenna relay.  ``d_user`` counts spatial streams per user
@@ -21,6 +23,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,6 +42,7 @@ __all__ = [
     "asymptotic_dof",
     "scaling_check",
     "capacity_thresholds",
+    "curve",
 ]
 
 
@@ -121,7 +125,118 @@ def alpha_beta(k: int, t: int) -> tuple[int, int]:
     return math.comb(k - 1, t - 1) * (t - 1), math.comb(k, t) * (t - 1) ** 2
 
 
-@_per_k_constant
+# -- integer core ------------------------------------------------------------
+#
+# Each closed form below is written once, on plain ints: a value is a
+# ``(numerator, denominator)`` pair with a positive denominator, not
+# necessarily reduced, and ``a/b <= c/d`` is tested as ``a*d <= c*b``.
+# Callers pass plain ints already, so the per-(K, t) constants are cached
+# without _per_k_constant's conversion.
+_core_constant = functools.lru_cache(maxsize=4096)
+
+
+@_core_constant
+def _threshold_pairs(k: int) -> tuple[int, int, int, int]:
+    # (k-1)/(k(k-2)) and 1/(k(k-1)) + 1/2, as (low_num, low_den, high_num, high_den).
+    if k < 3:
+        raise ValueError(f"user count must be >= 3, got {k}")
+    return k - 1, k * (k - 2), k * (k - 1) + 2, 2 * k * (k - 1)
+
+
+@_core_constant
+def _theta(k: int, t: int) -> tuple[int, int]:
+    # (t - 1)/(t beta_t) + 1/t.
+    _, b_t = alpha_beta(k, t)
+    return t - 1 + b_t, t * b_t
+
+
+@_core_constant
+def _fill(k: int, t: int) -> tuple[int, int, int, int]:
+    # (alpha_t, beta_t) and those of the units that fill the rest of the
+    # relay: order t + 1, or for t = K random-direction units with
+    # alpha = K - 1, beta = K(K - 1).
+    a_next, b_next = (k - 1, k * (k - 1)) if t == k else alpha_beta(k, t + 1)
+    return (*alpha_beta(k, t), a_next, b_next)
+
+
+@_core_constant
+def _tau(k: int, t: int) -> tuple[int, int]:
+    a_t, b_t, a_next, b_next = _fill(k, t)
+    return a_next * (t - 1 + b_t), t * a_t * b_next
+
+
+def _gammas(m: int, n: int, k: int, t: int) -> tuple[int, int, int, int]:
+    # gamma_{t,1} and gamma_{t,2} as (num, den, num, den).
+    a_t, b_t, a_next, b_next = _fill(k, t)
+    # a_t x + (a_next / b_next)(N - b_t x) with x = (tM - N)/(t - 1), over
+    # the common denominator (t - 1) b_next.
+    excess = t * m - n
+    return (a_t * b_next * excess + a_next * ((t - 1) * n - b_t * excess),
+            (t - 1) * b_next, a_t * n, b_t)
+
+
+def _outer(m: int, n: int, k: int) -> tuple[int, int]:
+    # min(M, 2N/K).
+    return (m, 1) if m * k <= 2 * n else (2 * n, k)
+
+
+def _basic(m: int, n: int, k: int) -> tuple[int, int]:
+    # For M > N the value at M = N: the relay is the bottleneck.
+    m = min(m, n)
+    if k * m <= n:
+        return m, 1
+    g1_num, g1_den, g2_num, g2_den = _gammas(m, n, k, regime_index(m, n))
+    return (g2_num, g2_den) if g2_num * g1_den < g1_num * g2_den else (g1_num, g1_den)
+
+
+def _tight(m: int, n: int, k: int) -> bool:
+    # M/N <= low or M/N >= high, the two capacity ranges.
+    low_num, low_den, high_num, high_den = _threshold_pairs(k)
+    return m * low_den <= low_num * n or m * high_den >= high_num * n
+
+
+def _branch(m: int, n: int, k: int) -> tuple[int, bool] | None:
+    # theta_2 is the high threshold and theta_{K-1} the low one, so the
+    # intervals (theta_{t+1}, theta_t] cover the open range between them.
+    if k == 3 or _tight(m, n, k):
+        return None
+    for t in range(2, k - 1):
+        up_num, up_den = _theta(k, t)
+        low_num, low_den = _theta(k, t + 1)
+        if low_num * n < m * low_den and m * up_den <= up_num * n:
+            tau_num, tau_den = _tau(k, t)
+            return t, m * tau_den > tau_num * n
+    raise AssertionError(f"ratio {m}/{n} not covered by any improvement interval")
+
+
+def _improved(m: int, n: int, k: int) -> tuple[int, int]:
+    branch = _branch(m, n, k)
+    if branch is None:
+        return _basic(m, n, k)
+    t, deactivate = branch
+    a_t, b_t, a_next, b_next = _fill(k, t)
+    if deactivate:
+        return m * t * a_t, t - 1 + b_t
+    return n * a_next, b_next
+
+
+def _asymptotic(num: int, den: int, improved: bool) -> tuple[int, int]:
+    # num/den > 0; 2 above 1/2, else the branch of (1/t, 1/(t-1)].
+    if 2 * num > den:
+        return 2, 1
+    t = regime_index(num, den)
+    if not improved:
+        return t, t - 1
+    t -= 1
+    # Flat (t+1)/t up to (t+1)(t-1)/t^3, the line ratio * t^2/(t-1) beyond.
+    if num * t**3 <= (t + 1) * (t - 1) * den:
+        return t + 1, t
+    return num * t * t, den * (t - 1)
+
+
+# -- public functions --------------------------------------------------------
+
+
 def capacity_thresholds(k: int) -> tuple[Fraction, Fraction]:
     """Ratios bounding the known-capacity ranges: ``(low, high)``.
 
@@ -129,16 +244,14 @@ def capacity_thresholds(k: int) -> tuple[Fraction, Fraction]:
     capacity for ``M/N >= high``.  For ``K = 3`` both equal ``2/3`` and the
     two ranges cover every ratio.
     """
-    if k < 3:
-        raise ValueError(f"user count must be >= 3, got {k}")
-    return Fraction(k - 1, k * (k - 2)), Fraction(1, k * (k - 1)) + Fraction(1, 2)
+    low_num, low_den, high_num, high_den = _threshold_pairs(operator.index(k))
+    return Fraction(low_num, low_den), Fraction(high_num, high_den)
 
 
 def outer_bound_per_user(m: int, n: int, k: int) -> DofResult:
     """Counting bound ``d_user <= min(M, 2N/K)`` (never flagged tight)."""
     m, n, k = _validate_mnk(m, n, k)
-    d = min(Fraction(m), Fraction(2 * n, k))
-    return _result(d, n, k, tight=False)
+    return _result(Fraction(*_outer(m, n, k)), n, k, tight=False)
 
 
 def regime_index(m: int, n: int) -> int:
@@ -152,32 +265,6 @@ def regime_index(m: int, n: int) -> int:
     return max(2, n // m + 1)
 
 
-@_per_k_constant
-def _theta(k: int, t: int) -> Fraction:
-    _, b_t = alpha_beta(k, t)
-    return Fraction(t - 1, t * b_t) + Fraction(1, t)
-
-
-@_per_k_constant
-def _tau(k: int, t: int) -> Fraction:
-    a_t, b_t = alpha_beta(k, t)
-    a_next, b_next = alpha_beta(k, t + 1)
-    return Fraction(a_next * (t - 1 + b_t), t * a_t * b_next)
-
-
-def _gammas(m: int, n: int, k: int, t: int) -> tuple[Fraction, Fraction]:
-    # gamma_{t,1} fills with order t + 1 units; order K + 1 stands for
-    # random-direction units: alpha = K - 1, beta = K(K - 1).
-    a_t, b_t = alpha_beta(k, t)
-    a_next, b_next = (k - 1, k * (k - 1)) if t == k else alpha_beta(k, t + 1)
-    # a_t x + (a_next / b_next)(N - b_t x) with x = (tM - N)/(t - 1), over
-    # the common denominator (t - 1) b_next.
-    excess = t * m - n
-    g1 = Fraction(a_t * b_next * excess + a_next * ((t - 1) * n - b_t * excess),
-                  (t - 1) * b_next)
-    return g1, Fraction(a_t * n, b_t)
-
-
 def gamma_theta_tau(m: int, n: int, k: int, t: int) -> PatternCoefficients:
     """Evaluate the order-``t`` regime coefficients at ``(M, N)``."""
     m, n, k = _validate_mnk(m, n, k)
@@ -185,24 +272,12 @@ def gamma_theta_tau(m: int, n: int, k: int, t: int) -> PatternCoefficients:
     if not 2 <= t <= k - 1:
         raise InvalidPatternOrder(f"pattern order {t} outside [2, {k - 1}]")
     a_t, b_t = alpha_beta(k, t)
-    g1, g2 = _gammas(m, n, k, t)
-    tau = _tau(k, t) if t <= k - 2 else None
+    g1_num, g1_den, g2_num, g2_den = _gammas(m, n, k, t)
+    tau = Fraction(*_tau(k, t)) if t <= k - 2 else None
     return PatternCoefficients(
-        t=t, alpha_t=a_t, beta_t=b_t, gamma_t1=g1, gamma_t2=g2,
-        theta_t=_theta(k, t), tau_t=tau,
+        t=t, alpha_t=a_t, beta_t=b_t, gamma_t1=Fraction(g1_num, g1_den),
+        gamma_t2=Fraction(g2_num, g2_den), theta_t=Fraction(*_theta(k, t)), tau_t=tau,
     )
-
-
-def _basic_user(m: int, n: int, k: int) -> Fraction:
-    # Per-user value for M/N <= 1; callers clamp M to N above that.
-    if k * m <= n:
-        return Fraction(m)
-    return min(_gammas(m, n, k, regime_index(m, n)))
-
-
-def _tight(ratio: Fraction, k: int) -> bool:
-    lo, hi = capacity_thresholds(k)
-    return ratio <= lo or ratio >= hi
 
 
 def achievable_basic(m: int, n: int, k: int) -> DofResult:
@@ -213,8 +288,7 @@ def achievable_basic(m: int, n: int, k: int) -> DofResult:
     ``M > N`` the value achieved at ``M = N`` (the relay is the bottleneck).
     """
     m, n, k = _validate_mnk(m, n, k)
-    d = _basic_user(min(m, n), n, k)
-    return _result(d, n, k, _tight(Fraction(m, n), k))
+    return _result(Fraction(*_basic(m, n, k)), n, k, _tight(m, n, k))
 
 
 def improvement_branch(m: int, n: int, k: int) -> tuple[int, bool] | None:
@@ -227,15 +301,7 @@ def improvement_branch(m: int, n: int, k: int) -> tuple[int, bool] | None:
     units fill the relay, and True on ``(tau_t, theta_t]``, where the relay
     keeps only ``M / theta_t`` antennas.
     """
-    m, n, k = _validate_mnk(m, n, k)
-    ratio = Fraction(m, n)
-    lo, hi = capacity_thresholds(k)
-    if k == 3 or ratio <= lo or ratio >= hi:
-        return None
-    for t in range(2, k - 1):
-        if _theta(k, t + 1) < ratio <= _theta(k, t):
-            return t, ratio > _tau(k, t)
-    raise AssertionError(f"ratio {ratio} not covered by any improvement interval")
+    return _branch(*_validate_mnk(m, n, k))
 
 
 def achievable_improved(m: int, n: int, k: int) -> DofResult:
@@ -249,17 +315,9 @@ def achievable_improved(m: int, n: int, k: int) -> DofResult:
     ``t = 2, ..., K-2``.  Never below the basic value.
     """
     m, n, k = _validate_mnk(m, n, k)
-    branch = improvement_branch(m, n, k)
-    if branch is None:
-        return achievable_basic(m, n, k)
-    t, deactivate = branch
-    if deactivate:
-        a_t, b_t = alpha_beta(k, t)
-        d = Fraction(m * t * a_t, t - 1 + b_t)
-    else:
-        a_next, b_next = alpha_beta(k, t + 1)
-        d = Fraction(n * a_next, b_next)
-    return _result(d, n, k, tight=False)
+    # The gap is the open range between the capacity thresholds, so the
+    # value is capacity exactly where the basic one is.
+    return _result(Fraction(*_improved(m, n, k)), n, k, _tight(m, n, k))
 
 
 def asymptotic_dof(ratio, improved: bool = False) -> Fraction:
@@ -273,16 +331,50 @@ def asymptotic_dof(ratio, improved: bool = False) -> Fraction:
     r = Fraction(ratio)
     if r <= 0:
         raise ValueError(f"antenna ratio must be positive, got {r}")
-    if r > Fraction(1, 2):
-        return Fraction(2)
-    t = regime_index(r.numerator, r.denominator)
-    if not improved:
-        return Fraction(t, t - 1)
-    t -= 1
-    split = Fraction((t + 1) * (t - 1), t**3)
-    if r <= split:
-        return Fraction(t + 1, t)
-    return r * Fraction(t * t, t - 1)
+    return Fraction(*_asymptotic(r.numerator, r.denominator, improved))
+
+
+def curve(k: int | None, mode: str, ratios: Iterable[tuple[int, int]],
+          half_duplex: bool = False) -> Iterator[tuple[int, int, int, int, bool]]:
+    """Rows ``(c, d, value_num, value_den, tight)`` of one DoF curve.
+
+    One row per ratio ``M/N = c/d`` in ``ratios``, positive integer pairs, in
+    the order given.  For a user count ``k`` the value is ``d_user / N`` of
+    ``mode`` ``"outer"``, ``"basic"`` or ``"improved"``
+    (:func:`outer_bound_per_user`, :func:`achievable_basic`,
+    :func:`achievable_improved`) and ``tight`` its ``capacity_tight``; for
+    ``k=None`` it is :func:`asymptotic_dof` of mode ``"basic"`` or
+    ``"improved"``, never tight.  ``half_duplex`` halves every value.  The
+    value is in lowest terms, and equal to the public function's.
+
+    ``k`` and ``mode`` are checked here; the pairs as the rows are made.
+    """
+    if mode not in (("basic", "improved") if k is None else ("outer", "basic", "improved")):
+        raise ValueError(f"mode {mode!r} is not defined for k={k}")
+    if k is not None:
+        k = operator.index(k)
+        if k < 3:
+            raise ValueError(f"user count must be >= 3, got {k}")
+    return _curve_rows(k, mode, ratios, 2 if half_duplex else 1)
+
+
+def _curve_rows(k, mode, ratios, scale):
+    improved = mode == "improved"
+    per_user = {"outer": _outer, "basic": _basic, "improved": _improved}[mode]
+    for c, d in ratios:
+        c, d = operator.index(c), operator.index(d)
+        if c < 1 or d < 1:
+            raise ValueError(f"ratio {c}/{d} is not a positive rational")
+        if k is None:
+            num, den = _asymptotic(c, d, improved)
+            tight = False
+        else:
+            num, den = per_user(c, d, k)
+            den *= d
+            tight = mode != "outer" and _tight(c, d, k)
+        den *= scale
+        g = math.gcd(num, den)
+        yield c, d, num // g, den // g, tight
 
 
 def scaling_check(m: int, n: int, sigma: int, k: int) -> bool:

@@ -34,6 +34,7 @@ settled at high SNR, so that it measures the DoF rather than the SNR window.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -147,12 +148,17 @@ def build_uplink_projectors(units: list[Unit]) -> PairProjectors:
     return _complement_projectors(units, side="uplink")
 
 
-def _pair_columns(pairs: tuple[tuple[int, int], ...]) -> tuple[list[tuple[int, int]], tuple]:
-    """A unit's unordered pairs, sorted, and the column indices of each pair's streams."""
+@functools.lru_cache(maxsize=1024)
+def _pair_columns(pairs: tuple[tuple[int, int], ...]) -> tuple[tuple[tuple[int, int], ...], tuple]:
+    """A unit's unordered pairs, sorted, and the column indices of each pair's streams.
+
+    Units of one group and order share their ``pairs``, so the result is
+    cached; it is all tuples, so no caller can change a shared value.
+    """
     columns: dict[tuple[int, int], list[int]] = {}
     for i, (a, b) in enumerate(pairs):
         columns.setdefault((min(a, b), max(a, b)), []).append(i)
-    keys = sorted(columns)
+    keys = tuple(sorted(columns))
     return keys, tuple(tuple(columns[key]) for key in keys)
 
 

@@ -10,6 +10,10 @@ The ``reference_*`` functions build them one at a time instead: one
 nullspace per slot, one mixing per group, the aggregate solve pair by pair,
 one span decomposition per unit, and one draw per random pair.  They keep
 the library's thresholds, RNG keys and error messages.
+
+``reference_curve_csv`` is the ``curve`` command's text made point by point
+from the public ``DofResult`` functions in ``Fraction`` arithmetic, which
+the library's integer curve rows must match byte for byte.
 """
 
 from itertools import permutations
@@ -17,9 +21,11 @@ from itertools import permutations
 import numpy as np
 from scipy.linalg import block_diag
 
+from ssalign import dof
 from ssalign.channel import complex_gaussian, derived_rng, slot_product
 from ssalign.errors import AlignmentDegenerate, SupplyExhausted
 from ssalign.linalg import as_complex_matrix, nullspace_basis, range_basis
+from ssalign.cli import CSV_HEADER
 from ssalign.units import RANDOM, Unit, group_nullspace, unit_from_nullspace
 
 
@@ -126,3 +132,30 @@ def reference_units(ch, specs, rng):
             bases[group] = reference_group_nullspace(ch, group)
         units.append(reference_aligned_unit(ch, group, bases[group], block))
     return units
+
+
+def reference_curve_csv(k, mode, ratios, half_duplex=False):
+    """``curve`` output for ``--k k`` (an int or ``"inf"``) over the sorted Fractions ``ratios``."""
+    if k == "inf":
+        mode_tag = f"asymptotic-{mode}"
+    else:
+        mode_tag = mode
+        evaluate = {"outer": dof.outer_bound_per_user, "basic": dof.achievable_basic,
+                    "improved": dof.achievable_improved}[mode]
+    lines = [CSV_HEADER]
+    for ratio in ratios:
+        m, n = ratio.numerator, ratio.denominator
+        if k == "inf":
+            value = dof.asymptotic_dof(ratio, improved=mode == "improved")
+            tight = False
+        else:
+            res = evaluate(m, n, k)
+            value, tight = res.d_user / n, res.capacity_tight
+        if half_duplex:
+            value = value / 2
+        lines.append(
+            f"{ratio.numerator},{ratio.denominator},{float(ratio)!r},"
+            f"{value.numerator},{value.denominator},{float(value)!r},"
+            f"{mode_tag},{str(tight).lower()}"
+        )
+    return "\n".join(lines) + "\n"

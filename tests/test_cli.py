@@ -8,6 +8,7 @@ from math import gcd
 
 import numpy as np
 import pytest
+from reference import reference_curve_csv
 
 from ssalign import cli, dof, lemmas, pipeline, relay
 from ssalign.channel import array_from_json, channel_from_json, slot_product
@@ -255,19 +256,20 @@ class TestVerificationLookup:
 
 class TestCurveLookup:
     def test_curve_calls_module_function(self, capsys, monkeypatch):
-        # A stage tracer swaps module attributes, so the mode lookup must read
-        # them when the command runs, not when the CLI is imported.
+        # A stage tracer swaps module attributes, so the command must read
+        # them when it runs, not when the CLI is imported.
         calls = []
-        original = dof.achievable_basic
+        original = dof.curve
 
-        def spy(m, n, k):
-            calls.append((m, n, k))
-            return original(m, n, k)
+        def spy(k, mode, ratios, half_duplex):
+            ratios = list(ratios)
+            calls.append((k, mode, ratios, half_duplex))
+            return original(k, mode, ratios, half_duplex)
 
-        monkeypatch.setattr(dof, "achievable_basic", spy)
+        monkeypatch.setattr(dof, "curve", spy)
         rc, out = run(capsys, "curve", "--k", "4", "--mode", "basic", "--ratios", "1/2,2/3")
         assert rc == 0
-        assert calls == [(1, 2, 4), (2, 3, 4)]
+        assert calls == [(4, "basic", [(1, 2), (2, 3)], False)]
         assert out.count("\n") == 3
 
 
@@ -436,6 +438,39 @@ class TestCurveCsv:
             assert _fraction(row, "value") == dof.asymptotic_dof(r, improved=True)
             assert row["mode"] == "asymptotic-improved"
             assert row["capacity_tight"] == "false"
+
+
+def _boundaries(k):
+    """The breakpoints of K's curves: the capacity thresholds, every theta_t and tau_t."""
+    points = set(dof.capacity_thresholds(k))
+    for t in range(2, k):
+        coef = dof.gamma_theta_tau(1, 1, k, t)
+        points |= {coef.theta_t, coef.tau_t} - {None}
+    return points
+
+
+class TestCurveMatchesReference:
+    # Exact breakpoints are where a strict comparison written for a non-strict
+    # one would show; ratios above 1 take the clamp at M = N.  K = 40 makes
+    # the binomial constants large.
+    EXPLICIT = sorted(_boundaries(4) | _boundaries(5) | _boundaries(6)
+                      | {Fraction(5, 3), Fraction(2), Fraction(7, 2)})
+    FAREY_30 = sorted({Fraction(p, q) for q in range(1, 31) for p in range(1, q + 1)})
+    CURVES = [(k, mode) for k in (3, 4, 5, 6, 7, 40) for mode in ("outer", "basic", "improved")] \
+        + [("inf", "basic"), ("inf", "improved")]
+
+    @pytest.mark.parametrize("half_duplex", [False, True])
+    @pytest.mark.parametrize("grid", ["farey", "explicit"])
+    @pytest.mark.parametrize("k,mode", CURVES)
+    def test_csv_equals_fraction_reference(self, capsys, k, mode, grid, half_duplex):
+        if grid == "farey":
+            spec, ratios = "farey:30", self.FAREY_30
+        else:
+            spec, ratios = ",".join(str(r) for r in self.EXPLICIT), self.EXPLICIT
+        argv = ["curve", "--k", str(k), "--mode", mode, "--ratios", spec]
+        rc, out = run(capsys, *argv, *(["--half-duplex"] if half_duplex else []))
+        assert rc == 0
+        assert out == reference_curve_csv(k, mode, ratios, half_duplex)
 
 
 class TestRatioGrid:

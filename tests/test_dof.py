@@ -17,6 +17,7 @@ from ssalign import (
     regime_index,
     scaling_check,
 )
+from ssalign.dof import curve
 from ssalign.errors import InvalidPatternOrder
 
 
@@ -367,6 +368,37 @@ class TestManyUserLimit:
                 for k in (10, 20, 40, 80, 160, 320, 640)]
         assert all(later <= earlier for earlier, later in zip(gaps, gaps[1:]))
         assert gaps[-1] <= F(1, 10**4)
+
+
+class TestCurve:
+    @pytest.mark.parametrize("mode,f", [("outer", outer_bound_per_user),
+                                        ("basic", achievable_basic),
+                                        ("improved", achievable_improved)])
+    def test_rows_are_the_public_values_in_lowest_terms(self, mode, f):
+        # Unreduced and numpy pairs: the value depends on the ratio alone.
+        pairs = [(2, 6), (np.int64(3), np.int64(7)), (14, 24), (9, 4)]
+        for half_duplex in (False, True):
+            rows = list(curve(np.int64(5), mode, pairs, half_duplex))
+            assert [row[:2] for row in rows] == [(int(c), int(d)) for c, d in pairs]
+            for (c, d, num, den, tight), (m, n) in zip(rows, pairs):
+                res = f(m, n, 5)
+                want = res.d_user / n / (2 if half_duplex else 1)
+                assert {type(x) for x in (c, d, num, den)} == {int}
+                assert (num, den) == (want.numerator, want.denominator)
+                assert tight is res.capacity_tight
+
+    def test_many_user_limit(self):
+        rows = list(curve(None, "improved", [(3, 10), (2, 7), (3, 4)]))
+        assert rows == [(3, 10, 27, 20, False), (2, 7, 4, 3, False), (3, 4, 2, 1, False)]
+
+    @pytest.mark.parametrize("k,mode", [(None, "outer"), (2, "basic"), (4, "bogus")])
+    def test_bad_arguments_raise_before_any_row(self, k, mode):
+        with pytest.raises(ValueError):
+            curve(k, mode, [])
+
+    def test_non_positive_ratio_raises(self):
+        with pytest.raises(ValueError, match="positive"):
+            list(curve(4, "basic", [(1, 2), (0, 3)]))
 
 
 class TestScaling:
