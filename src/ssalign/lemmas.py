@@ -7,7 +7,19 @@ never raised; desk-scale acceptance expects zero.  Offending trial indices
 are recorded for replay.
 
 Trial ``i`` of a check draws from ``channel.derived_rng(seed, i)``, the
-Philox generator on substream ``i`` of the master seed.
+Philox generator on substream ``i`` of the master seed.  It makes one
+``standard_normal`` of shape ``(matrices, 2, rows, cols)``: per matrix the
+real parts, then the imaginary parts, row-major, the same stream as one
+:func:`~ssalign.channel.complex_gaussian` call per matrix.
+
+Trials run in batches, and each step of a batch is one stacked SVD: one per
+nullspace and one per final rank.  Every rank goes through
+:func:`~ssalign.linalg.singular_value_ranks`, the rule of
+:func:`~ssalign.linalg.numerical_rank`.  Trials whose nullspace ranks differ
+from the rest of their batch run in a sub-batch of their own, so each trial
+is measured as it would be alone.  A batch holds at most
+:data:`_BATCH_ENTRIES` matrix entries in its draws, stacks and singular
+vectors, and at least one trial, so memory stays bounded for any row.
 """
 
 from __future__ import annotations
@@ -15,15 +27,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from math import comb
 from itertools import combinations
 
 import numpy as np
 
 from . import dof
-from .channel import complex_gaussian, derived_rng
+from .channel import derived_rng
 from .errors import InvalidLemmaParams
-from .linalg import intersection_basis, nullspace_basis, numerical_rank, union_span_dim
+from .linalg import singular_value_ranks
 
 __all__ = [
     "LemmaId",
@@ -55,25 +66,106 @@ class LemmaTrialResult:
     failure_trials: list[int] = field(default_factory=list)
 
 
-def _tally(result: LemmaTrialResult, trial: int, observed: int) -> None:
-    result.observed[observed] += 1
-    if observed != result.expected_value:
-        result.failures += 1
-        result.failure_trials.append(trial)
+def _tally(result: LemmaTrialResult, trials, observed) -> None:
+    for trial, value in zip(trials, observed):
+        result.observed[value] += 1
+        if value != result.expected_value:
+            result.failures += 1
+            result.failure_trials.append(trial)
+
+
+# Complex matrix entries a batch of trials may hold at once.
+_BATCH_ENTRIES = 1 << 14
+
+
+def _batches(trials: int, held: int, rows: int, cols: int):
+    """Ranges of trials that fit :data:`_BATCH_ENTRIES`, at least one trial each.
+
+    A trial holds ``held`` entries plus one ``rows x cols`` matrix and its
+    singular vectors while its widest SVD runs.
+    """
+    size = _batch_size(held + rows * cols + rows * rows + cols * cols)
+    for start in range(0, trials, size):
+        yield range(start, min(start + size, trials))
+
+
+def _batch_size(entries_per_trial: int) -> int:
+    return max(1, _BATCH_ENTRIES // entries_per_trial)
+
+
+def _gaussian_draws(seed: int, trials: range, shape: tuple) -> np.ndarray:
+    """Complex Gaussian matrices of ``shape`` per trial, as ``(len(trials), *shape)``.
+
+    Trial ``i`` makes one ``standard_normal`` of ``(*shape[:-2], 2, rows,
+    cols)`` on ``derived_rng(seed, i)``.
+    """
+    *lead, rows, cols = shape
+    raw = np.empty((len(trials), *lead, 2, rows, cols))
+    for j, trial in enumerate(trials):
+        derived_rng(seed, trial).standard_normal(out=raw[j])
+    return (raw[..., 0, :, :] + 1j * raw[..., 1, :, :]) / np.sqrt(2.0)
+
+
+def _hstack(blocks: np.ndarray) -> np.ndarray:
+    """Each ``(t, rows, cols)`` stack of blocks of a batch side by side, ``(rows, t * cols)``."""
+    b, t, rows, cols = blocks.shape
+    return blocks.swapaxes(1, 2).reshape(b, rows, t * cols)
+
+
+def _ranks(stack: np.ndarray) -> np.ndarray:
+    """Numerical rank of each matrix of a ``(trials, rows, cols)`` stack."""
+    if 0 in stack.shape[1:]:
+        return np.zeros(len(stack), dtype=int)
+    s = np.linalg.svd(stack, compute_uv=False)
+    return singular_value_ranks(s, stack.shape[1:])
+
+
+def _nullspaces(stack: np.ndarray):
+    """Rank and nullspace columns of each matrix of a ``(trials, rows, cols)`` stack.
+
+    The columns are the right singular vectors in ascending singular value
+    order, as :func:`~ssalign.linalg.nullspace_basis` orders them, for the
+    widest nullspace in the stack: a trial of rank ``r`` keeps the first
+    ``cols - r`` (:func:`_null_basis`).
+    """
+    _, s, vh = np.linalg.svd(stack, full_matrices=True)
+    ranks = singular_value_ranks(s, stack.shape[1:])
+    return ranks, vh[:, ranks.min():][:, ::-1].conj().swapaxes(1, 2)
+
+
+def _null_basis(null: np.ndarray, idx: np.ndarray, rank: int) -> np.ndarray:
+    """Nullspace bases of the trials ``idx`` of a stack, each of rank ``rank``."""
+    return null[idx, :, :null.shape[1] - rank]
+
+
+def _sub_batches(ranks: np.ndarray):
+    """Each distinct row of ``(trials, steps)`` nullspace ranks and the trials that have it."""
+    rest = np.arange(len(ranks))
+    while rest.size:
+        row = ranks[rest[0]]
+        same = (ranks[rest] == row).all(axis=1)
+        yield row.tolist(), rest[same]
+        rest = rest[~same]
 
 
 def check_intersection(m: int, n: int, trials: int, seed: int) -> LemmaTrialResult:
-    """Intersection of two random M-dim subspaces of C^N has dim (2M-N)+."""
+    """Intersection of two random M-dim subspaces of C^N has dim (2M-N)+.
+
+    The intersection is ``a`` times the top block of the nullspace of
+    ``[a, -b]``, as in :func:`~ssalign.linalg.intersection_basis`.
+    """
     if not 1 <= m <= n:
         raise InvalidLemmaParams(f"need 1 <= M <= N, got M={m}, N={n}")
     result = LemmaTrialResult(
         LemmaId.INTERSECTION, {"m": m, "n": n}, trials, 0, max(2 * m - n, 0)
     )
-    for trial in range(trials):
-        rng = derived_rng(seed, trial)
-        a = complex_gaussian(rng, n, m)
-        b = complex_gaussian(rng, n, m)
-        _tally(result, trial, intersection_basis(a, b).shape[1])
+    for batch in _batches(trials, 2 * n * m, n, 2 * m):
+        draws = _gaussian_draws(seed, batch, (2, n, m))
+        ranks, null = _nullspaces(np.concatenate([draws[:, 0], -draws[:, 1]], axis=2))
+        observed = np.empty(len(batch), dtype=int)
+        for (rank,), idx in _sub_batches(ranks[:, None]):
+            observed[idx] = _ranks(draws[idx, 0] @ _null_basis(null, idx, rank)[:, :m])
+        _tally(result, batch, observed.tolist())
     return result
 
 
@@ -83,18 +175,20 @@ def check_stacked_rank(k: int, m: int, n: int, trials: int, seed: int) -> LemmaT
     ``U`` is a nullspace basis of the horizontal stack ``[A_1 .. A_K]``,
     partitioned into per-user row blocks ``U_i``.
     """
-    if m > n or k * m <= n:
-        raise InvalidLemmaParams(f"need M <= N < KM, got K={k}, M={m}, N={n}")
+    if not 1 <= m <= n < k * m:
+        raise InvalidLemmaParams(f"need 1 <= M <= N < KM, got K={k}, M={m}, N={n}")
     expected = min((k - 1) * (k * m - n), n)
     result = LemmaTrialResult(
         LemmaId.STACKED_RANK, {"k": k, "m": m, "n": n}, trials, 0, expected
     )
-    for trial in range(trials):
-        rng = derived_rng(seed, trial)
-        mats = [complex_gaussian(rng, n, m) for _ in range(k)]
-        basis = nullspace_basis(np.hstack(mats))
-        pieces = [mats[i] @ basis[i * m:(i + 1) * m, :] for i in range(k)]
-        _tally(result, trial, numerical_rank(np.hstack(pieces)))
+    for batch in _batches(trials, k * n * m, n, k * m):
+        mats = _gaussian_draws(seed, batch, (k, n, m))
+        ranks, null = _nullspaces(_hstack(mats))
+        observed = np.empty(len(batch), dtype=int)
+        for (rank,), idx in _sub_batches(ranks[:, None]):
+            blocks = _null_basis(null, idx, rank).reshape(len(idx), k, m, -1)
+            observed[idx] = _ranks(_hstack(mats[idx] @ blocks))
+        _tally(result, batch, observed.tolist())
     return result
 
 
@@ -108,33 +202,41 @@ def check_direct_sum(k: int, t: int, m: int, n: int, trials: int, seed: int,
     """
     if t > k or t < 2:
         raise InvalidLemmaParams(f"need 2 <= t <= K, got t={t}, K={k}")
+    if m < 1 or n < 1:
+        raise InvalidLemmaParams(f"need M >= 1 and N >= 1, got M={m}, N={n}")
     if t * m <= n:
         raise InvalidLemmaParams(f"need tM > N, got t={t}, M={m}, N={n}")
     if extension < 1:
         raise InvalidLemmaParams(f"need extension >= 1, got {extension}")
-    j = comb(k, t)
-    expected = extension * min(j * (t - 1) * (t * m - n), n)
+    groups = [list(group) for group in combinations(range(k), t)]
+    expected = extension * min(len(groups) * (t - 1) * (t * m - n), n)
     result = LemmaTrialResult(
         LemmaId.DIRECT_SUM,
         {"k": k, "t": t, "m": m, "n": n, "extension": extension},
         trials, 0, expected,
     )
-    mt = m * extension
-    for trial in range(trials):
-        rng = derived_rng(seed, trial)
-        mats = []
-        for _ in range(k):
-            mats.append(np.zeros((extension * n, mt), dtype=np.complex128))
-            for s in range(extension):
-                mats[-1][s * n:(s + 1) * n, s * m:(s + 1) * m] = complex_gaussian(rng, n, m)
-        pieces = []
-        for group in combinations(range(k), t):
-            basis = nullspace_basis(np.hstack([mats[g] for g in group]))
-            pieces.extend(
-                mats[g] @ basis[i * mt:(i + 1) * mt, :] for i, g in enumerate(group)
-            )
-        _tally(result, trial, union_span_dim(pieces))
+    en, mt = extension * n, extension * m
+    for batch in _batches(trials, k * en * mt, en, t * mt):
+        mats = _block_diagonal(_gaussian_draws(seed, batch, (k, extension, n, m)))
+        nulls = [_nullspaces(_hstack(mats[:, group])) for group in groups]
+        observed = np.empty(len(batch), dtype=int)
+        for row, idx in _sub_batches(np.stack([ranks for ranks, _ in nulls], axis=1)):
+            pieces = []
+            for group, (_, null), rank in zip(groups, nulls, row):
+                blocks = _null_basis(null, idx, rank).reshape(len(idx), t, mt, -1)
+                pieces.append(_hstack(mats[idx][:, group] @ blocks))
+            observed[idx] = _ranks(np.concatenate(pieces, axis=2))
+        _tally(result, batch, observed.tolist())
     return result
+
+
+def _block_diagonal(draws: np.ndarray) -> np.ndarray:
+    """Dense block-diagonal matrices of ``(trials, k, ext, n, m)`` diagonal blocks."""
+    b, k, ext, n, m = draws.shape
+    mats = np.zeros((b, k, ext * n, ext * m), dtype=np.complex128)
+    for s in range(ext):
+        mats[:, :, s * n:(s + 1) * n, s * m:(s + 1) * m] = draws[:, :, s]
+    return mats
 
 
 def check_scaling(k: int, grid, sigmas) -> LemmaTrialResult:
@@ -147,12 +249,9 @@ def check_scaling(k: int, grid, sigmas) -> LemmaTrialResult:
         {"k": k, "points": len(points), "sigmas": scales},
         len(points) * len(scales), 0, 1,
     )
-    trial = 0
-    for m, n in points:
-        for sigma in scales:
-            ok = dof.scaling_check(m, n, sigma, k)
-            _tally(result, trial, 1 if ok else 0)
-            trial += 1
+    observed = [1 if dof.scaling_check(m, n, sigma, k) else 0
+                for m, n in points for sigma in scales]
+    _tally(result, range(len(observed)), observed)
     return result
 
 
@@ -218,10 +317,18 @@ def _check_spec(spec) -> None:
 def run_battery(spec: dict, trials: int, seed: int) -> list[LemmaTrialResult]:
     """Run the checks a battery spec lists, in the ``lemmas --config`` format.
 
-    Keys: ``intersection`` rows ``[M, N]``, ``stacked_rank`` rows ``[K, M, N]``,
-    ``direct_sum`` rows ``[K, t, M, N]`` or ``[K, t, M, N, ext]``, ``scaling``
-    blocks ``{"k", "grid", "sigmas"}``.  Row ``i`` of a list runs on seed
-    ``seed + i``, plus 100 for stacked rank and 200 for direct sum.
+    Keys, each with the domain its check accepts:
+
+    * ``intersection`` rows ``[M, N]``: ``1 <= M <= N``;
+    * ``stacked_rank`` rows ``[K, M, N]``: ``1 <= M <= N < KM``;
+    * ``direct_sum`` rows ``[K, t, M, N]`` or ``[K, t, M, N, ext]``:
+      ``2 <= t <= K``, ``M >= 1``, ``N >= 1``, ``tM > N`` and ``ext >= 1``
+      (1 when left out);
+    * ``scaling`` blocks ``{"k", "grid", "sigmas"}``: ``K >= 3``, every grid
+      point ``[M, N]`` positive and every ``sigma >= 1``.
+
+    Row ``i`` of a list runs on seed ``seed + i``, plus 100 for stacked rank
+    and 200 for direct sum.
 
     Raises ``ValueError`` before any trial runs when the spec has an unknown
     key, a row of the wrong length or type, or selects no check at all, and

@@ -11,12 +11,16 @@ nullspace per slot, one mixing per group, the aggregate solve pair by pair,
 one span decomposition per unit, and one draw per random pair.  They keep
 the library's thresholds, RNG keys and error messages.
 
+The lemma checks run their Monte Carlo trials in batches, one stacked SVD
+per step.  The ``reference_check_*`` functions run them one trial at a
+time, through the single-matrix ``linalg`` functions, with the same draws.
+
 ``reference_curve_csv`` is the ``curve`` command's text made point by point
 from the public ``DofResult`` functions in ``Fraction`` arithmetic, which
 the library's integer curve rows must match byte for byte.
 """
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 from scipy.linalg import block_diag
@@ -24,7 +28,15 @@ from scipy.linalg import block_diag
 from ssalign import dof
 from ssalign.channel import complex_gaussian, derived_rng, slot_product
 from ssalign.errors import AlignmentDegenerate, SupplyExhausted
-from ssalign.linalg import as_complex_matrix, nullspace_basis, range_basis
+from ssalign.lemmas import check_direct_sum, check_intersection, check_stacked_rank
+from ssalign.linalg import (
+    as_complex_matrix,
+    intersection_basis,
+    nullspace_basis,
+    numerical_rank,
+    range_basis,
+    union_span_dim,
+)
 from ssalign.cli import CSV_HEADER
 from ssalign.units import RANDOM, Unit, group_nullspace, unit_from_nullspace
 
@@ -132,6 +144,63 @@ def reference_units(ch, specs, rng):
             bases[group] = reference_group_nullspace(ch, group)
         units.append(reference_aligned_unit(ch, group, bases[group], block))
     return units
+
+
+def reference_intersection_dim(a, b):
+    """Dimension of ``span(a) & span(b)``, one intersection basis."""
+    return intersection_basis(a, b).shape[1]
+
+
+def reference_stacked_rank(mats):
+    """Rank of ``[A_1 U_1, ..., A_K U_K]``, ``U`` a nullspace basis of ``[A_1 .. A_K]``."""
+    m = mats[0].shape[1]
+    basis = nullspace_basis(np.hstack(mats))
+    pieces = [mat @ basis[i * m:(i + 1) * m, :] for i, mat in enumerate(mats)]
+    return numerical_rank(np.hstack(pieces))
+
+
+def reference_direct_sum_dim(mats, t):
+    """Dimension of the joint span of every size-``t`` group's aligned pieces."""
+    mt = mats[0].shape[1]
+    pieces = []
+    for group in combinations(range(len(mats)), t):
+        basis = nullspace_basis(np.hstack([mats[g] for g in group]))
+        pieces.extend(mats[g] @ basis[i * mt:(i + 1) * mt, :] for i, g in enumerate(group))
+    return union_span_dim(pieces)
+
+
+def _reference_trials(result, trials, seed, measure):
+    """Tally ``measure(derived_rng(seed, i))`` of each trial into a zero-trial result."""
+    result.trials = trials
+    for trial in range(trials):
+        value = measure(derived_rng(seed, trial))
+        result.observed[value] += 1
+        if value != result.expected_value:
+            result.failures += 1
+            result.failure_trials.append(trial)
+    return result
+
+
+def reference_check_intersection(m, n, trials, seed):
+    def measure(rng):
+        a = complex_gaussian(rng, n, m)
+        return reference_intersection_dim(a, complex_gaussian(rng, n, m))
+    return _reference_trials(check_intersection(m, n, 0, seed), trials, seed, measure)
+
+
+def reference_check_stacked_rank(k, m, n, trials, seed):
+    def measure(rng):
+        return reference_stacked_rank([complex_gaussian(rng, n, m) for _ in range(k)])
+    return _reference_trials(check_stacked_rank(k, m, n, 0, seed), trials, seed, measure)
+
+
+def reference_check_direct_sum(k, t, m, n, trials, seed, extension=1):
+    def measure(rng):
+        mats = [dense([complex_gaussian(rng, n, m) for _ in range(extension)])
+                for _ in range(k)]
+        return reference_direct_sum_dim(mats, t)
+    return _reference_trials(check_direct_sum(k, t, m, n, 0, seed, extension), trials, seed,
+                             measure)
 
 
 def reference_curve_csv(k, mode, ratios, half_duplex=False):

@@ -23,8 +23,9 @@ from ssalign import (
     numerical_rank,
     sample_channel_set,
 )
-from ssalign.channel import ChannelSet, array_from_json, array_to_json, slot_product
+from ssalign.channel import ChannelSet, array_from_json, array_to_json, derived_rng, slot_product
 from ssalign.errors import InvalidDeactivation, ShapeMismatch
+from ssalign.lemmas import _gaussian_draws
 
 from reference import dense
 
@@ -97,6 +98,16 @@ class TestComplexGaussian:
         for s in range(3):
             block = want[4 * s:4 * (s + 1), 2 * s:2 * (s + 1)]
             assert np.array_equal(complex_gaussian(rng, 4, 2), block)
+
+    @pytest.mark.parametrize("shape", [(2, 4, 3), (3, 2, 5, 2)])
+    def test_one_draw_per_lemma_trial_equals_consecutive_calls(self, shape):
+        # The lemma battery draws all of a trial's matrices in one standard_normal
+        # of shape (..., 2, rows, cols): the stream of one complex_gaussian per matrix.
+        got = _gaussian_draws(11, range(3, 5), shape)
+        for j, trial in enumerate(range(3, 5)):
+            rng = derived_rng(11, trial)
+            want = [complex_gaussian(rng, *shape[-2:]) for _ in range(np.prod(shape[:-2]))]
+            assert np.array_equal(got[j], np.reshape(want, shape))
 
     def test_channel_draw_order(self):
         # Uplink blocks for users 0..K-1, then downlink blocks, slot by slot.

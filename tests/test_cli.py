@@ -84,8 +84,14 @@ class TestExitCodes:
 
     def test_lemma_failure_exits_one(self, capsys, monkeypatch):
         # An empty intersection misses every intersection row that expects one.
-        monkeypatch.setattr(lemmas, "intersection_basis",
-                            lambda a, b: np.zeros((a.shape[0], 0), dtype=np.complex128))
+        honest = lemmas.check_intersection
+
+        def empty_intersections(*args):
+            with monkeypatch.context() as patch:
+                patch.setattr(lemmas, "_ranks", lambda stack: np.zeros(len(stack), dtype=int))
+                return honest(*args)
+
+        monkeypatch.setattr(lemmas, "check_intersection", empty_intersections)
         rc, out = run(capsys, "lemmas", "--trials", "2")
         assert rc == 1
         doc = json.loads(out)
@@ -327,6 +333,9 @@ class TestLemmas:
         ({"intersection": [[0, 4]]}, "1 <= M <= N"),
         ({"intersection": [[-1, 4]]}, "1 <= M <= N"),
         ({"scaling": [{"k": 2, "grid": [[1, 2]], "sigmas": [2]}]}, "K >= 3"),
+        ({"direct_sum": [[3, 2, 0, -1]]}, "M >= 1 and N >= 1"),
+        ({"stacked_rank": [[-3, -1, 1]]}, "1 <= M <= N < KM"),
+        ({"direct_sum": [[3, 2, 1, 0]]}, "M >= 1 and N >= 1"),
     ])
     def test_config_below_check_domain_is_usage_error(self, capsys, tmp_path, spec, why):
         path = tmp_path / "battery.json"
@@ -341,12 +350,15 @@ class TestLemmas:
         {"intersection": [[3, 5], [5, 3]]},
         {"intersection": [[3, 5]], "stacked_rank": [[3, 2, 6]]},
         {"stacked_rank": [[3, 2, 4]], "direct_sum": [[3, 3, 2, 5, 0]]},
+        {"intersection": [[3, 5]], "direct_sum": [[3, 2, 0, -1]]},
+        {"intersection": [[3, 5]], "stacked_rank": [[-3, -1, 1]]},
+        {"intersection": [[3, 5]], "direct_sum": [[3, 2, 1, 0]]},
     ])
     def test_later_row_outside_its_domain_fails_before_any_trial(self, capsys, tmp_path,
                                                                monkeypatch, spec):
         draws = []
-        honest = lemmas.complex_gaussian
-        monkeypatch.setattr(lemmas, "complex_gaussian",
+        honest = lemmas._gaussian_draws
+        monkeypatch.setattr(lemmas, "_gaussian_draws",
                             lambda *args: draws.append(args) or honest(*args))
         path = tmp_path / "battery.json"
         path.write_text(json.dumps(spec))

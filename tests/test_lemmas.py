@@ -1,16 +1,30 @@
 """The Monte Carlo rank-identity checks, one at a time.
 
 Each check is tested on a small valid case, at the edges of its parameter
-domain, and with its rank or intersection helper replaced by one that
-misses, so that the failure tally is exercised.
+domain, and with its batched rank step replaced by one that misses, so that
+the failure tally is exercised.  The batched checks are compared with the
+one-trial-at-a-time references, on the default rows and on batches that mix
+degenerate trials with generic ones.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
+from reference import (
+    dense,
+    reference_check_direct_sum,
+    reference_check_intersection,
+    reference_check_stacked_rank,
+    reference_direct_sum_dim,
+    reference_intersection_dim,
+    reference_stacked_rank,
+)
 
 from ssalign import lemmas
 from ssalign.errors import InvalidLemmaParams
 from ssalign.lemmas import (
+    DEFAULT_SPEC,
     LemmaId,
     check_direct_sum,
     check_intersection,
@@ -47,8 +61,7 @@ class TestIntersection:
             check_intersection(m, 4, TRIALS, seed=1)
 
     def test_missed_intersections_are_tallied(self, monkeypatch):
-        monkeypatch.setattr(lemmas, "intersection_basis",
-                            lambda a, b: np.zeros((a.shape[0], 3)))
+        monkeypatch.setattr(lemmas, "_ranks", lambda stack: np.full(len(stack), 3))
         result = check_intersection(3, 5, TRIALS, seed=1)
         assert result.expected_value == 1
         assert_all_missed(result, 3)
@@ -67,13 +80,15 @@ class TestStackedRank:
     @pytest.mark.parametrize("k,m,n", [
         (3, 5, 4),  # M > N
         (3, 2, 6),  # KM = N: the stacked channels have no nullspace
+        (-3, -1, 1),  # M < 1
+        (3, 0, 4),
     ])
     def test_domain_edges_rejected(self, k, m, n):
         with pytest.raises(InvalidLemmaParams, match="M <= N < KM"):
             check_stacked_rank(k, m, n, TRIALS, seed=2)
 
     def test_missed_ranks_are_tallied(self, monkeypatch):
-        monkeypatch.setattr(lemmas, "numerical_rank", lambda a: 99)
+        monkeypatch.setattr(lemmas, "_ranks", lambda stack: np.full(len(stack), 99))
         result = check_stacked_rank(3, 2, 4, TRIALS, seed=2)
         assert result.expected_value == 4
         assert_all_missed(result, 99)
@@ -98,6 +113,8 @@ class TestDirectSum:
         (3, 4, 2, 5, 1, "2 <= t <= K"),
         (3, 1, 2, 5, 1, "2 <= t <= K"),
         (3, 3, 2, 6, 1, "tM > N"),
+        (3, 2, 0, -1, 1, "M >= 1 and N >= 1"),
+        (3, 2, 1, 0, 1, "M >= 1 and N >= 1"),
         (3, 3, 2, 5, 0, "extension >= 1"),
         (3, 3, 2, 5, -1, "extension >= 1"),
     ])
@@ -106,10 +123,112 @@ class TestDirectSum:
             check_direct_sum(k, t, m, n, TRIALS, seed=3, extension=extension)
 
     def test_missed_spans_are_tallied(self, monkeypatch):
-        monkeypatch.setattr(lemmas, "union_span_dim", lambda pieces: 0)
+        monkeypatch.setattr(lemmas, "_ranks", lambda stack: np.zeros(len(stack), dtype=int))
         result = check_direct_sum(3, 3, 2, 5, TRIALS, seed=3)
         assert result.expected_value == 2
         assert_all_missed(result, 0)
+
+
+MONTE_CARLO_ROWS = [
+    (check, reference, row)
+    for key, check, reference in [
+        ("intersection", check_intersection, reference_check_intersection),
+        ("stacked_rank", check_stacked_rank, reference_check_stacked_rank),
+        ("direct_sum", check_direct_sum, reference_check_direct_sum),
+    ]
+    for row in DEFAULT_SPEC[key]
+]
+
+
+def batch_size(monkeypatch, check, row):
+    """Trials per batch of ``check`` on a battery row; its extension, if any, goes last."""
+    sizes = []
+    honest = lemmas._batch_size
+    with monkeypatch.context() as patch:
+        patch.setattr(lemmas, "_batch_size",
+                      lambda entries: sizes.append(honest(entries)) or sizes[-1])
+        check(*row[:4], 1, 0, *row[4:])
+    return sizes[0]
+
+
+class TestBatches:
+    @pytest.mark.parametrize("check,reference,row", MONTE_CARLO_ROWS,
+                             ids=[f"{c.__name__[6:]}-{'-'.join(map(str, r))}"
+                                  for c, _, r in MONTE_CARLO_ROWS])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_batched_tallies_match_one_trial_at_a_time(self, monkeypatch, check, reference,
+                                                       row, seed):
+        size = batch_size(monkeypatch, check, row)
+        for trials in (0, 1, size, size + 1):
+            args = (*row[:4], trials, seed, *row[4:])
+            assert check(*args) == reference(*args)
+
+    def test_batch_size_is_bounded_and_at_least_one(self):
+        assert lemmas._batch_size(1) == lemmas._BATCH_ENTRIES
+        assert lemmas._batch_size(lemmas._BATCH_ENTRIES + 1) == 1
+
+    def test_a_huge_row_runs_one_trial_per_batch(self, monkeypatch):
+        draws = []
+        honest = lemmas._gaussian_draws
+        monkeypatch.setattr(lemmas, "_BATCH_ENTRIES", 1)
+        monkeypatch.setattr(lemmas, "_gaussian_draws",
+                            lambda seed, trials, shape: draws.append(trials)
+                            or honest(seed, trials, shape))
+        result = check_stacked_rank(3, 2, 4, 3, seed=2)
+        assert draws == [range(0, 1), range(1, 2), range(2, 3)]
+        assert result == reference_check_stacked_rank(3, 2, 4, 3, 2)
+
+
+def repeat_first(draw):
+    draw[1] = draw[0]
+
+
+def zero_first(draw):
+    draw[0] = 0
+
+
+class TestMixedRankBatch:
+    """Degenerate trials change a nullspace rank inside one batch."""
+
+    @pytest.mark.parametrize("check,row,degrade,measure", [
+        (check_intersection, (3, 5), repeat_first,  # b = a
+         lambda d: reference_intersection_dim(d[0], d[1])),
+        (check_stacked_rank, (4, 2, 7), repeat_first,  # a repeated user channel
+         lambda d: reference_stacked_rank(list(d))),
+        (check_direct_sum, (4, 3, 3, 8), zero_first,  # a zeroed user block
+         lambda d: reference_direct_sum_dim([dense(blocks) for blocks in d], 3)),
+        (check_direct_sum, (3, 3, 2, 5, 2), zero_first,
+         lambda d: reference_direct_sum_dim([dense(blocks) for blocks in d], 3)),
+    ], ids=["intersection", "stacked_rank", "direct_sum", "direct_sum_extended"])
+    def test_degenerate_trials_are_measured_alone(self, monkeypatch, check, row, degrade,
+                                                 measure):
+        trials, bad = 6, [1, 4]
+        seen, splits = {}, []
+        honest_draws, honest_split = lemmas._gaussian_draws, lemmas._sub_batches
+
+        def draws(seed, batch, shape):
+            out = honest_draws(seed, batch, shape)
+            for j, trial in enumerate(batch):
+                if trial in bad:
+                    degrade(out[j])
+                seen[trial] = out[j].copy()
+            return out
+
+        def split(ranks):
+            parts = list(honest_split(ranks))
+            splits.append(len(parts))
+            return parts
+
+        monkeypatch.setattr(lemmas, "_gaussian_draws", draws)
+        monkeypatch.setattr(lemmas, "_sub_batches", split)
+        args = (*row[:4], trials, 5, *row[4:])
+        result = check(*args)
+        assert splits == [2]  # one batch, split by nullspace rank
+        want = [measure(seen[i]) for i in range(trials)]
+        assert all(want[i] != result.expected_value for i in bad)
+        assert result.failure_trials == bad
+        assert result.failures == len(bad)
+        assert result.observed == Counter(want)
 
 
 class TestScaling:
