@@ -69,7 +69,6 @@ from .units import (
     AlignmentPlan,
     Allocation,
     Unit,
-    build_random_unit,
     execute_plan,
     plan_alignment,
 )
@@ -87,8 +86,7 @@ __all__ = [
     "regime_index", "achievable_basic", "achievable_improved", "improvement_branch",
     "gamma_theta_tau", "asymptotic_dof", "scaling_check", "capacity_thresholds",
     # units
-    "RANDOM", "Unit", "Allocation", "AlignmentPlan", "build_random_unit",
-    "plan_alignment", "execute_plan",
+    "RANDOM", "Unit", "Allocation", "AlignmentPlan", "plan_alignment", "execute_plan",
     # relay
     "RelayProcessor", "StreamRecord", "VerificationReport", "build_uplink_projectors",
     "design_downlink", "assemble_forward_matrix", "build_relay_processor",

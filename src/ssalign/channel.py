@@ -113,16 +113,19 @@ class ChannelSet:
         return self.uplink.shape[1] * self.uplink.shape[2]
 
 
-def complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    """Circularly-symmetric complex Gaussian matrix, unit variance per entry.
+def complex_gaussian(rng: np.random.Generator, *shape: int) -> np.ndarray:
+    """Circularly-symmetric complex Gaussian array of ``shape``, unit variance per entry.
 
-    Draws the real parts, then the imaginary parts, row-major.  A unit
-    direction in ``C^size`` is ``complex_gaussian(rng, size, 1)[:, 0]``
-    divided by its norm.
+    ``shape`` ends in ``rows, cols``.  One ``standard_normal`` of
+    ``(*shape[:-2], 2, rows, cols)`` draws, matrix by matrix in C order, the
+    real parts and then the imaginary parts, row-major, so one call equals
+    one ``complex_gaussian(rng, rows, cols)`` per matrix.  A unit direction
+    in ``C^size`` is ``complex_gaussian(rng, size, 1)[:, 0]`` divided by its
+    norm.
     """
-    re = rng.standard_normal((rows, cols))
-    im = rng.standard_normal((rows, cols))
-    return (re + 1j * im) / np.sqrt(2.0)
+    *lead, rows, cols = shape
+    draws = rng.standard_normal((*lead, 2, rows, cols))
+    return (draws[..., 0, :, :] + 1j * draws[..., 1, :, :]) / np.sqrt(2.0)
 
 
 def derived_rng(seed: int, *key: int) -> np.random.Generator:
@@ -138,13 +141,8 @@ def derived_rng(seed: int, *key: int) -> np.random.Generator:
 def sample_channel_set(cfg: SystemConfig) -> ChannelSet:
     """Draw one i.i.d. complex Gaussian channel realization for ``cfg``."""
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-
-    def link(rows: int, cols: int) -> np.ndarray:
-        return np.array([[complex_gaussian(rng, rows, cols) for _ in range(cfg.extension)]
-                         for _ in range(cfg.k)])
-
-    uplink = link(cfg.n, cfg.m)
-    downlink = link(cfg.m, cfg.n)
+    uplink = complex_gaussian(rng, cfg.k, cfg.extension, cfg.n, cfg.m)
+    downlink = complex_gaussian(rng, cfg.k, cfg.extension, cfg.m, cfg.n)
     return ChannelSet(m=cfg.m, n=cfg.n, k=cfg.k, uplink=uplink, downlink=downlink,
                       seed=cfg.seed)
 

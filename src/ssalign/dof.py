@@ -175,6 +175,11 @@ def _gammas(m: int, n: int, k: int, t: int) -> tuple[int, int, int, int]:
             (t - 1) * b_next, a_t * n, b_t)
 
 
+def _regime(m: int, n: int) -> int:
+    # regime_index on positive plain ints.
+    return max(2, n // m + 1)
+
+
 def _outer(m: int, n: int, k: int) -> tuple[int, int]:
     # min(M, 2N/K).
     return (m, 1) if m * k <= 2 * n else (2 * n, k)
@@ -185,7 +190,7 @@ def _basic(m: int, n: int, k: int) -> tuple[int, int]:
     m = min(m, n)
     if k * m <= n:
         return m, 1
-    g1_num, g1_den, g2_num, g2_den = _gammas(m, n, k, regime_index(m, n))
+    g1_num, g1_den, g2_num, g2_den = _gammas(m, n, k, _regime(m, n))
     return (g2_num, g2_den) if g2_num * g1_den < g1_num * g2_den else (g1_num, g1_den)
 
 
@@ -224,7 +229,7 @@ def _asymptotic(num: int, den: int, improved: bool) -> tuple[int, int]:
     # num/den > 0; 2 above 1/2, else the branch of (1/t, 1/(t-1)].
     if 2 * num > den:
         return 2, 1
-    t = regime_index(num, den)
+    t = _regime(num, den)
     if not improved:
         return t, t - 1
     t -= 1
@@ -260,9 +265,10 @@ def regime_index(m: int, n: int) -> int:
     Boundary ratios equal to ``1/t`` belong to the ``t + 1`` regime, where
     order-``t`` alignment degenerates (``tM - N = 0``).
     """
+    m, n = operator.index(m), operator.index(n)
     if m < 1 or n < 1:
         raise ValueError(f"antenna counts must be positive, got M={m}, N={n}")
-    return max(2, n // m + 1)
+    return _regime(m, n)
 
 
 def gamma_theta_tau(m: int, n: int, k: int, t: int) -> PatternCoefficients:

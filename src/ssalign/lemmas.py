@@ -6,14 +6,14 @@ value.  The identities hold with probability one, so failures are counted,
 never raised; desk-scale acceptance expects zero.  Offending trial indices
 are recorded for replay.
 
-Trial ``i`` of a check draws from ``channel.derived_rng(seed, i)``, the
-Philox generator on substream ``i`` of the master seed.  It makes one
-``standard_normal`` of shape ``(matrices, 2, rows, cols)``: per matrix the
-real parts, then the imaginary parts, row-major, the same stream as one
-:func:`~ssalign.channel.complex_gaussian` call per matrix.
+Trial ``i`` of a check draws its matrices from ``derived_rng(seed, i)``,
+the Philox generator on substream ``i`` of the master seed, as one
+:func:`~ssalign.channel.complex_gaussian` call of their stacked shape
+would: per matrix the real parts, then the imaginary parts, row-major.
 
 Trials run in batches, and each step of a batch is one stacked SVD: one per
-nullspace and one per final rank.  Every rank goes through
+nullspace (:func:`~ssalign.linalg.stacked_nullspaces`) and one per final
+rank.  Every rank goes through
 :func:`~ssalign.linalg.singular_value_ranks`, the rule of
 :func:`~ssalign.linalg.numerical_rank`.  Trials whose nullspace ranks differ
 from the rest of their batch run in a sub-batch of their own, so each trial
@@ -34,7 +34,7 @@ import numpy as np
 from . import dof
 from .channel import derived_rng
 from .errors import InvalidLemmaParams
-from .linalg import singular_value_ranks
+from .linalg import singular_value_ranks, stacked_nullspaces
 
 __all__ = [
     "LemmaId",
@@ -96,8 +96,8 @@ def _batch_size(entries_per_trial: int) -> int:
 def _gaussian_draws(seed: int, trials: range, shape: tuple) -> np.ndarray:
     """Complex Gaussian matrices of ``shape`` per trial, as ``(len(trials), *shape)``.
 
-    Trial ``i`` makes one ``standard_normal`` of ``(*shape[:-2], 2, rows,
-    cols)`` on ``derived_rng(seed, i)``.
+    Trial ``i`` gets the stream of ``complex_gaussian(derived_rng(seed, i),
+    *shape)``, each trial's normals filled into one array for the batch.
     """
     *lead, rows, cols = shape
     raw = np.empty((len(trials), *lead, 2, rows, cols))
@@ -118,19 +118,6 @@ def _ranks(stack: np.ndarray) -> np.ndarray:
         return np.zeros(len(stack), dtype=int)
     s = np.linalg.svd(stack, compute_uv=False)
     return singular_value_ranks(s, stack.shape[1:])
-
-
-def _nullspaces(stack: np.ndarray):
-    """Rank and nullspace columns of each matrix of a ``(trials, rows, cols)`` stack.
-
-    The columns are the right singular vectors in ascending singular value
-    order, as :func:`~ssalign.linalg.nullspace_basis` orders them, for the
-    widest nullspace in the stack: a trial of rank ``r`` keeps the first
-    ``cols - r`` (:func:`_null_basis`).
-    """
-    _, s, vh = np.linalg.svd(stack, full_matrices=True)
-    ranks = singular_value_ranks(s, stack.shape[1:])
-    return ranks, vh[:, ranks.min():][:, ::-1].conj().swapaxes(1, 2)
 
 
 def _null_basis(null: np.ndarray, idx: np.ndarray, rank: int) -> np.ndarray:
@@ -161,7 +148,7 @@ def check_intersection(m: int, n: int, trials: int, seed: int) -> LemmaTrialResu
     )
     for batch in _batches(trials, 2 * n * m, n, 2 * m):
         draws = _gaussian_draws(seed, batch, (2, n, m))
-        ranks, null = _nullspaces(np.concatenate([draws[:, 0], -draws[:, 1]], axis=2))
+        ranks, null = stacked_nullspaces(np.concatenate([draws[:, 0], -draws[:, 1]], axis=2))
         observed = np.empty(len(batch), dtype=int)
         for (rank,), idx in _sub_batches(ranks[:, None]):
             observed[idx] = _ranks(draws[idx, 0] @ _null_basis(null, idx, rank)[:, :m])
@@ -183,7 +170,7 @@ def check_stacked_rank(k: int, m: int, n: int, trials: int, seed: int) -> LemmaT
     )
     for batch in _batches(trials, k * n * m, n, k * m):
         mats = _gaussian_draws(seed, batch, (k, n, m))
-        ranks, null = _nullspaces(_hstack(mats))
+        ranks, null = stacked_nullspaces(_hstack(mats))
         observed = np.empty(len(batch), dtype=int)
         for (rank,), idx in _sub_batches(ranks[:, None]):
             blocks = _null_basis(null, idx, rank).reshape(len(idx), k, m, -1)
@@ -218,7 +205,7 @@ def check_direct_sum(k: int, t: int, m: int, n: int, trials: int, seed: int,
     en, mt = extension * n, extension * m
     for batch in _batches(trials, k * en * mt, en, t * mt):
         mats = _block_diagonal(_gaussian_draws(seed, batch, (k, extension, n, m)))
-        nulls = [_nullspaces(_hstack(mats[:, group])) for group in groups]
+        nulls = [stacked_nullspaces(_hstack(mats[:, group])) for group in groups]
         observed = np.empty(len(batch), dtype=int)
         for row, idx in _sub_batches(np.stack([ranks for ranks, _ in nulls], axis=1)):
             pieces = []

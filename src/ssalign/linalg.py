@@ -23,6 +23,7 @@ __all__ = [
     "RANK_REL",
     "LEAKAGE_ABS",
     "singular_value_ranks",
+    "stacked_nullspaces",
     "numerical_rank",
     "nullspace_basis",
     "range_basis",
@@ -75,12 +76,26 @@ def numerical_rank(a) -> int:
     return singular_value_ranks(s, arr.shape)
 
 
+def stacked_nullspaces(stack: np.ndarray):
+    """Rank and right nullspace of each matrix of a ``(..., rows, cols)`` stack.
+
+    One full SVD runs over the stack, and :func:`singular_value_ranks`
+    decides each rank.  ``null`` is ``(..., cols, cols - min rank)``: the
+    right singular vectors of the widest nullspace in the stack, in
+    ascending singular value order, so a matrix of rank ``r`` keeps
+    ``null[..., :cols - r]``.  Needs ``rows, cols >= 1``.
+    """
+    _, s, vh = np.linalg.svd(stack, full_matrices=True)
+    ranks = singular_value_ranks(s, stack.shape[-2:])
+    return ranks, vh[..., np.min(ranks):, :][..., ::-1, :].conj().swapaxes(-1, -2)
+
+
 def nullspace_basis(a) -> np.ndarray:
     """Orthonormal basis of the right nullspace of ``a``.
 
     Returns a ``cols x (cols - rank)`` matrix whose columns are ordered by
-    ascending associated singular value, so repeated calls on identical input
-    agree bit for bit.
+    ascending associated singular value (:func:`stacked_nullspaces` on a
+    stack of one), so repeated calls on identical input agree bit for bit.
     """
     arr = as_complex_matrix(a)
     rows, cols = arr.shape
@@ -88,9 +103,7 @@ def nullspace_basis(a) -> np.ndarray:
         return np.empty((0, 0), dtype=np.complex128)
     if rows == 0:
         return np.eye(cols, dtype=np.complex128)
-    _, s, vh = np.linalg.svd(arr, full_matrices=True)
-    rank = singular_value_ranks(s, arr.shape)
-    return vh[rank:][::-1].conj().T
+    return stacked_nullspaces(arr)[1]
 
 
 def range_basis(a) -> np.ndarray:

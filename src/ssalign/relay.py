@@ -42,7 +42,7 @@ import numpy as np
 
 from .channel import ChannelSet, derived_rng, slot_product
 from .errors import AlignmentDegenerate, IndependenceViolation, ProjectorCollapse, stage
-from .linalg import LEAKAGE_ABS, range_basis, singular_value_ranks
+from .linalg import LEAKAGE_ABS, range_basis, stacked_nullspaces
 from .units import Unit, _build_units
 
 __all__ = [
@@ -186,10 +186,9 @@ def _pair_nullspaces(local: np.ndarray, own: np.ndarray):
         return
     # (units, pairs, s - 2, d): every pair's rest, conjugate-transposed.
     rests = local[:, :, rest].conj().transpose(0, 2, 3, 1)
-    _, sv, vh = np.linalg.svd(rests, full_matrices=True)
-    ranks = singular_value_ranks(sv, rests.shape[-2:])
+    ranks, null = stacked_nullspaces(rests)
     for rank in set(ranks.flat):
-        yield ranks == rank, vh[:, :, rank:][:, :, ::-1].conj().swapaxes(2, 3)
+        yield ranks == rank, null[..., :d - rank]
 
 
 def _complement_projectors(units: list[Unit], side: str) -> PairProjectors:
@@ -209,9 +208,9 @@ def _complement_projectors(units: list[Unit], side: str) -> PairProjectors:
     ``Z = qr(R_l^H y)``.
 
     The nullspaces are taken per unit shape, the basis width ``d`` and the
-    pair layout: one stacked SVD of every pair's ``L[:, rest]^H`` decides each
-    pair's rank by the rule of :func:`~ssalign.linalg.nullspace_basis`, and
-    the pairs are sliced by rank, so each keeps the width that rule gives it.
+    pair layout: one :func:`~ssalign.linalg.stacked_nullspaces` of every
+    pair's ``L[:, rest]^H`` decides each pair's rank, and the pairs are
+    sliced by rank, so each keeps the width that rule gives it.
     A square unit (a random one, ``d = s``) needs no SVD.  Its basis width is
     the span check's verdict ``rank(L) = s``, so ``L^-H[:, own]``, orthogonal
     to every other column of ``L``, spans the nullspace, and one inverse per

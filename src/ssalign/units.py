@@ -17,8 +17,9 @@ size, one SVD over every ``(group, slot)`` stack gives the slot nullspaces
 and one QR per width the groups' mixings; one product with a fixed signed
 coefficient array gives every column block's beamformers; and per unit
 shape one product gives every equivalent vector and one SVD checks every
-span.  The RNG keys are those of the one-unit functions, which run the same
-code on a batch of one and give the same units bit for bit.
+span.  Random units draw from the caller's RNG in spec order, and a group's
+mixing from its own key, so a unit does not depend on its batch: built alone,
+as a batch of one, it equals its copy in a whole plan bit for bit.
 
 The planner decides, per antenna regime, how many units of which order fill
 the relay space, choosing the smallest symbol-extension factor that makes
@@ -47,16 +48,13 @@ from .errors import (
     SupplyExhausted,
     stage,
 )
-from .linalg import range_basis, singular_value_ranks
+from .linalg import range_basis, singular_value_ranks, stacked_nullspaces
 
 __all__ = [
     "RANDOM",
     "Unit",
     "Allocation",
     "AlignmentPlan",
-    "build_random_unit",
-    "group_nullspace",
-    "unit_from_nullspace",
     "plan_alignment",
     "execute_plan",
 ]
@@ -73,8 +71,8 @@ class Unit:
     vector for its stream to user ``b``, ``(a, b) = pairs[i]`` with ``pairs``
     sorted; column ``i`` of ``equivalent_uplink`` (``N_active x s``) is its
     image ``H_a @ u`` at the active relay antennas.  ``basis`` is an
-    orthonormal basis of their span: the builders pass the one their span
-    check decided, else it is decomposed here, once.  ``==`` is identity.
+    orthonormal basis of their span: :func:`_build_units` passes the one its
+    span check decided, else it is decomposed here, once.  ``==`` is identity.
     """
 
     pattern_order: int  # 2..K for aligned units, RANDOM for random directions
@@ -141,29 +139,16 @@ def _checked_units(ch: ChannelSet, pattern_order: int, groups: list[tuple[int, .
 def _random_units(ch: ChannelSet, count: int, rng: np.random.Generator) -> list:
     """``count`` random units, each span checked: a ``Unit`` or its error.
 
-    Every pair's beamformer is a unit direction drawn as
-    ``complex_gaussian(rng, M*ext, 1)`` would draw it, real parts then
-    imaginary parts, units and then pairs in order, all in one draw.
+    Every pair's beamformer is a unit direction, normalised from one
+    ``complex_gaussian`` draw for all units and then pairs, in order.  The
+    K(K-1) equivalent vectors span K(K-1) relay dimensions with probability
+    one, which needs ``M*ext >= K-1`` and at least K(K-1) active relay rows.
     """
     k, mt = ch.k, ch.m * ch.extension
-    draws = rng.standard_normal((count, k * (k - 1), 2, mt))
-    beams = (draws[:, :, 0] + 1j * draws[:, :, 1]) / np.sqrt(2.0)
+    beams = complex_gaussian(rng, count, k * (k - 1), mt, 1)[..., 0]
     beams /= np.linalg.norm(beams, axis=2, keepdims=True)
     return _checked_units(ch, RANDOM, [tuple(range(k))] * count, beams.swapaxes(1, 2),
                           [0] * count)
-
-
-def build_random_unit(ch: ChannelSet, rng: np.random.Generator) -> Unit:
-    """Unit with independently drawn beamformers for every ordered pair.
-
-    The K(K-1) equivalent vectors span K(K-1) relay dimensions with
-    probability one, which requires M*extension >= K-1 transmit antennas per
-    user (each user sends K-1 streams) and at least K(K-1) active relay
-    dimensions; otherwise the span check on the unit's ``basis`` fails and
-    the draw is rejected as degenerate.  Successive calls on one ``rng``
-    draw what one batch of units draws from it.
-    """
-    return _raise_first(_random_units(ch, 1, rng))[0]
 
 
 @cache
@@ -191,31 +176,26 @@ def _aggregate_coefficients(t: int) -> np.ndarray:
     return coeffs
 
 
-def _check_group(ch: ChannelSet, group) -> tuple[int, ...]:
-    group = tuple(group)
-    if len(group) < 2:
-        raise ValueError("aligned units need a group of at least two users")
-    if len(set(group)) != len(group) or not all(0 <= g < ch.k for g in group):
-        raise ValueError(f"group {group} is not a set of distinct user indices")
-    return group
-
-
 def _group_nullspaces(ch: ChannelSet, groups: list[tuple[int, ...]]):
     """Nullspace bases of equal-size groups, ``(groups, t*M*ext, width)``, and their widths.
 
-    One SVD runs over every ``(group, slot)`` stack ``[H_{g0}[s], ...,
-    H_{g(t-1)}[s]]``; each slot's nullity follows from its own singular
-    values by the rule of :func:`~ssalign.linalg.nullspace_basis`, whose
-    basis (ascending singular value) it takes, so the slots are sliced by
-    rank.  A group's width is its slots' nullities summed, and one QR per
-    width gives the groups' mixings.  A group narrower than the widest
+    Stacked column ``i*M*ext + s*M + j`` (user ``group[i]``, slot ``s``,
+    antenna ``j``) meets only slot ``s``'s relay rows, so a group's nullspace
+    is the direct sum of its slots' nullspaces, of ``[H_{g0}[s], ...,
+    H_{g(t-1)}[s]]`` each.  One :func:`~ssalign.linalg.stacked_nullspaces`
+    runs over every ``(group, slot)`` stack, and the slots are sliced by
+    rank.  That basis is slot-localised, and its consecutive column blocks
+    would repeat relay directions, so it is multiplied by one ``width x
+    width`` unitary, the Q factor of a complex Gaussian matrix drawn from
+    ``derived_rng(ch.seed, 3, *group)``; the basis thus replays from the
+    channel JSON.  One QR per width gives the groups' mixings.  A group's
+    width is its slots' nullities summed; a group narrower than the widest
     has zero columns past its width.
     """
     t, ext, m = len(groups[0]), ch.extension, ch.m
     stacks = ch.uplink[np.array(groups)].transpose(0, 2, 3, 1, 4).reshape(
         len(groups), ext, -1, t * m)
-    _, sv, vh = np.linalg.svd(stacks, full_matrices=True)
-    ranks = singular_value_ranks(sv, stacks.shape[2:])
+    ranks, null = stacked_nullspaces(stacks)
     nullities = t * m - ranks
     widths = nullities.sum(axis=1)
     width = int(widths.max())
@@ -229,30 +209,11 @@ def _group_nullspaces(ch: ChannelSet, groups: list[tuple[int, ...]]):
     bases = np.zeros((len(groups), ext, t * m, width), dtype=np.complex128)
     for rank in set(ranks.flat):
         g, s = np.nonzero(ranks == rank)
-        null = vh[g, s, rank:][:, ::-1].conj().swapaxes(1, 2)
-        bases[g, s] = null @ mixings[g[:, None], starts[g, s][:, None] + np.arange(t * m - rank)]
+        cols = starts[g, s][:, None] + np.arange(t * m - rank)
+        bases[g, s] = null[g, s, :, :t * m - rank] @ mixings[g[:, None], cols]
     # Stacked row i*M*ext + s*M + j: user group[i], slot s, antenna j.
     bases = bases.reshape(len(groups), ext, t, m, width).transpose(0, 2, 1, 3, 4)
     return bases.reshape(len(groups), t * ext * m, width), widths
-
-
-def group_nullspace(ch: ChannelSet, group) -> np.ndarray:
-    """Orthonormal nullspace basis of the group's stacked uplink channels.
-
-    Stacked column ``i*M*ext + s*M + j`` (user ``group[i]``, slot ``s``,
-    antenna ``j``) meets only slot ``s``'s relay rows, so the nullspace is
-    the direct sum of the slots' nullspaces, of ``[H_{g0}[s], ...,
-    H_{g(t-1)}[s]]`` each, embedded in the stacked coordinates.  That basis
-    is slot-localised, and its consecutive column blocks would repeat relay
-    directions, so it is multiplied by one ``width x width`` unitary, the Q
-    factor of a complex Gaussian matrix drawn from
-    ``derived_rng(ch.seed, 3, *group)``.  The basis is thus a pure function
-    of ``(ch, group)`` and replays from the channel JSON.  It is computed by
-    :func:`_group_nullspaces`, the unit builder's batched pass (one SVD over
-    all slots, one QR), here on a batch of one group; a group's basis is the
-    same in any batch, bit for bit.
-    """
-    return _group_nullspaces(ch, [_check_group(ch, group)])[0][0]
 
 
 def _block_start(group: tuple[int, ...], width: int, column_block: int) -> int:
@@ -281,35 +242,6 @@ def _aligned_units(ch: ChannelSet, groups: list[tuple[int, ...]], blocks: np.nda
     beams = (segments @ _aggregate_coefficients(t)).transpose(0, 2, 1, 3)
     return _checked_units(ch, t, groups, beams.reshape(len(groups), -1, t * (t - 1)),
                           column_blocks)
-
-
-def unit_from_nullspace(ch: ChannelSet, group, basis: np.ndarray, column_block: int) -> Unit:
-    """Order-``t`` aligned unit from one block of ``group_nullspace(ch, group)``.
-
-    ``column_block`` selects columns ``(t-1)*block .. (t-1)*(block+1) - 1``
-    of the orthonormal nullspace basis of ``[H_{g0}, ..., H_{g(t-1)}]``, so
-    distinct blocks never reuse columns.  Postcondition checked: the unit's
-    ``basis`` has exactly ``(t-1)^2`` columns.  Pair survival and joint
-    independence are tested by the relay (:mod:`ssalign.relay`).
-    """
-    group = _check_group(ch, group)
-    start = _block_start(group, basis.shape[1], column_block)
-    cols = basis[None, :, start:start + len(group) - 1]
-    return _raise_first(_aligned_units(ch, [group], cols, [column_block]))[0]
-
-
-def _raise_first(built: list, name: str = "") -> list[Unit]:
-    """``built`` if every entry is a ``Unit``, else raise the first error.
-
-    With a ``name`` the error is raised again, its message led by
-    ``f"{name} {index}: "``.
-    """
-    for index, unit in enumerate(built):
-        if isinstance(unit, ConstructionError):
-            if name:
-                raise type(unit)(f"{name} {index}: {unit}") from unit
-            raise unit
-    return built
 
 
 @dataclass(frozen=True)
@@ -471,11 +403,11 @@ def _build_units(ch: ChannelSet, specs, rng: np.random.Generator, name: str = ""
     """One unit per ``(pattern_order, group, column_block)`` spec, in spec order.
 
     The units are built in the batched passes of the module docstring: the
-    random ones in one draw from ``rng``, in spec order, and the aligned ones
-    per group size, their groups' mixings still keyed
-    ``derived_rng(ch.seed, 3, *group)``.  A unit equals the one the
-    single-unit functions build, bit for bit.  If specs fail, the first in
-    spec order raises its error (see :func:`_raise_first` for ``name``).
+    random ones in one draw from ``rng``, in spec order (aligned ones draw
+    nothing from it), and the aligned ones per group size, each group's
+    mixing keyed ``derived_rng(ch.seed, 3, *group)``.  If specs fail, the
+    first in spec order raises its error; with a ``name`` it is raised again,
+    its message led by ``f"{name} {index}: "``.
     """
     built: list = [None] * len(specs)
     randoms = [i for i, (order, _, _) in enumerate(specs) if order == RANDOM]
@@ -507,7 +439,12 @@ def _build_units(ch: ChannelSet, specs, rng: np.random.Generator, name: str = ""
                                   [specs[i][2] for i in fits])
             for i, unit in zip(fits, done):
                 built[i] = unit
-    return _raise_first(built, name)
+    for index, unit in enumerate(built):
+        if isinstance(unit, ConstructionError):
+            if name:
+                raise type(unit)(f"{name} {index}: {unit}") from unit
+            raise unit
+    return built
 
 
 @stage("execute")

@@ -38,7 +38,7 @@ from ssalign.linalg import (
     union_span_dim,
 )
 from ssalign.cli import CSV_HEADER
-from ssalign.units import RANDOM, Unit, group_nullspace, unit_from_nullspace
+from ssalign.units import RANDOM, Unit, _build_units
 
 
 def dense(blocks):
@@ -64,8 +64,13 @@ def projector(basis, factor):
 
 
 def build_aligned_unit(ch, group, column_block):
-    """Order-``t`` aligned unit from one block of a freshly computed group nullspace."""
-    return unit_from_nullspace(ch, group, group_nullspace(ch, group), column_block)
+    """Order-``t`` aligned unit on one column block, the library's batch of one."""
+    return _build_units(ch, [(len(group), group, column_block)], None)[0]
+
+
+def build_random_unit(ch, rng):
+    """Random unit drawn from ``rng``, the library's batch of one."""
+    return _build_units(ch, [(RANDOM, tuple(range(ch.k)), 0)], rng)[0]
 
 
 def reference_group_nullspace(ch, group):

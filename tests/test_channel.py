@@ -99,6 +99,14 @@ class TestComplexGaussian:
             block = want[4 * s:4 * (s + 1), 2 * s:2 * (s + 1)]
             assert np.array_equal(complex_gaussian(rng, 4, 2), block)
 
+    def test_stacked_shape_equals_consecutive_calls(self):
+        # Matrices in C order, each the draw of one two-axis call.
+        got = complex_gaussian(philox(5), 3, 2, 4, 2)
+        rng = philox(5)
+        want = [complex_gaussian(rng, 4, 2) for _ in range(6)]
+        assert got.shape == (3, 2, 4, 2)
+        assert np.array_equal(got, np.reshape(want, (3, 2, 4, 2)))
+
     @pytest.mark.parametrize("shape", [(2, 4, 3), (3, 2, 5, 2)])
     def test_one_draw_per_lemma_trial_equals_consecutive_calls(self, shape):
         # The lemma battery draws all of a trial's matrices in one standard_normal

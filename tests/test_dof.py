@@ -120,6 +120,15 @@ class TestRegimeIndex:
                 if m < n:
                     assert F(1, t) < F(m, n) <= F(1, t - 1)
 
+    def test_numpy_arguments_get_a_plain_int(self):
+        t = regime_index(np.int64(3), np.int64(7))
+        assert type(t) is int and t == 3
+
+    @pytest.mark.parametrize("m,n", [(2.5, 7), (3, 7.0)])
+    def test_float_arguments_raise(self, m, n):
+        with pytest.raises(TypeError):
+            regime_index(m, n)
+
 
 class TestAchievableBasic:
     def test_k3_is_capacity_everywhere(self):

@@ -15,7 +15,7 @@ from ssalign import (
 )
 from ssalign.channel import complex_gaussian
 from ssalign.errors import InvalidMatrix, ShapeMismatch
-from ssalign.linalg import singular_value_ranks
+from ssalign.linalg import singular_value_ranks, stacked_nullspaces
 
 from reference import complement_projector, dense
 
@@ -63,6 +63,17 @@ class TestNullspaceBasis:
     def test_identity_trivial(self):
         basis = nullspace_basis(np.eye(3))
         assert basis.shape == (3, 0)
+
+    def test_stacked_nullspaces_match_each_matrix(self, rng):
+        # A (2, 2) stack of 4 x 6 matrices with ranks 2, 4, 1 and 3: each
+        # keeps the first 6 - rank of the 5 columns, its basis alone.
+        stack = np.array([complex_gaussian(rng, 4, rank) @ complex_gaussian(rng, rank, 6)
+                          for rank in (2, 4, 1, 3)]).reshape(2, 2, 4, 6)
+        ranks, null = stacked_nullspaces(stack)
+        assert ranks.tolist() == [[2, 4], [1, 3]]
+        assert null.shape == (2, 2, 6, 5)
+        for i, j in np.ndindex(2, 2):
+            assert np.array_equal(null[i, j, :, :6 - ranks[i, j]], nullspace_basis(stack[i, j]))
 
     def test_full_row_rank_residual(self, rng):
         a = complex_gaussian(rng, 5, 6)

@@ -9,7 +9,6 @@ from ssalign import (
     LEAKAGE_ABS,
     SystemConfig,
     assemble_forward_matrix,
-    build_random_unit,
     build_relay_processor,
     build_uplink_projectors,
     complex_gaussian,
@@ -29,7 +28,13 @@ from ssalign import relay
 from ssalign.relay import _entry_rms_scale
 from ssalign.units import RANDOM, Unit
 
-from reference import build_aligned_unit, complement_projector, dense, projector
+from reference import (
+    build_aligned_unit,
+    build_random_unit,
+    complement_projector,
+    dense,
+    projector,
+)
 
 
 def full_build(m, n, k, seed, improved=False):
