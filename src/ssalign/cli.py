@@ -377,9 +377,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _command_parser(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    """The subcommand's own parser, so that late usage errors print its usage."""
+    sub = next(action for action in parser._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return sub.choices[command]
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    parser = _command_parser(parser, args.command)
     if args.command == "verify" and args.seed + args.seeds > SEED_LIMIT:
         parser.error(f"seeds {args.seed}..{args.seed + args.seeds - 1} leave [0, 2**64)")
     command = {"curve": cmd_curve, "build": cmd_build, "verify": cmd_verify,

@@ -12,10 +12,11 @@ and downlink projectors null everything but the pair among the vectors
 ``F = alpha * sum_l sum_{a<b} W(l,a,b) @ P(l,a,b)`` with ``alpha`` meeting
 the unit relay power budget with equality.
 
-No projector is stored densely.  Each side keeps one orthonormal basis ``Q``
-of its stacked unit bases, which must keep all their columns (the link's
-joint-independence check), and, per pair, a thin orthonormal ``Z``; the
-pair's projector is ``I - Q Q^H + Z Z^H``, and ``F`` is assembled from these
+No projector is stored densely.  One complete QR of each side's stacked
+unit bases, which must keep all their columns (the link's joint-independence
+check), gives an orthonormal basis ``Q`` of their span and ``C`` of its
+complement; per pair, a thin orthonormal ``Z`` completes the pair's projector
+``C C^H + Z Z^H = I - Q Q^H + Z Z^H``, and ``F`` is assembled from these
 factors directly.  The factors are computed in batches, one per unit shape
 (basis width and pair layout): one stacked SVD gives every pair of an
 aligned shape its nullspace, and a random unit, whose basis is as wide as
@@ -42,7 +43,7 @@ import numpy as np
 
 from .channel import ChannelSet, derived_rng, slot_product
 from .errors import AlignmentDegenerate, IndependenceViolation, ProjectorCollapse, stage
-from .linalg import LEAKAGE_ABS, range_basis, stacked_nullspaces
+from .linalg import LEAKAGE_ABS, RANK_REL, singular_value_ranks, stacked_nullspaces
 from .units import Unit, _build_units
 
 __all__ = [
@@ -79,13 +80,17 @@ Key = tuple[int, tuple[int, int]]
 class PairProjectors:
     """One side's per-pair complement projectors, stored as low-rank factors.
 
-    ``basis`` is an orthonormal basis ``Q`` of every stream on that side.
+    ``basis`` is an orthonormal basis ``Q`` of every stream on that side, and
+    ``complement`` an orthonormal basis ``C`` of its orthogonal complement,
+    ``N_active x (N_active - W)``: empty when the units fill the relay.
     ``factors[(l, (a, b))]`` is an orthonormal ``Z`` spanning the directions
     of ``span(Q)`` orthogonal to every stream except the pair's two, so the
-    pair's projector is ``I - Q Q^H + Z Z^H``.  ``==`` is identity.
+    pair's projector is ``C C^H + Z Z^H = I - Q Q^H + Z Z^H``.  ``==`` is
+    identity.
     """
 
     basis: np.ndarray
+    complement: np.ndarray
     factors: dict[Key, np.ndarray]
 
 
@@ -196,12 +201,19 @@ def _complement_projectors(units: list[Unit], side: str) -> PairProjectors:
 
     The streams are the columns of the units' ``equivalent_uplink``, which
     are ``G_a^H v`` for downlink twins.  Each unit's ``basis`` ``B_l`` has
-    decided its span, so ``Q`` is the range of the stacked bases, not of the
-    streams, and must keep all their columns: the spans form a direct sum
-    ``span(B_1) + ... + span(B_L) = span(Q)``, the link's one joint-independence
-    check; else :class:`~ssalign.errors.IndependenceViolation` names the side.
-    So the rows of ``C^-1 Q^H`` with ``C = Q^H [B_1 .. B_L]`` give each vector
-    of ``span(Q)`` its coordinates in every unit basis.  A direction
+    decided its span, so the relay space is split by one complete Householder
+    QR of the ``N_active x W`` stacked bases ``S = [B_1 .. B_L]``, not of the
+    streams: ``S = Q R`` with ``Q`` the first ``W`` columns of the unitary
+    factor and the complement ``C`` the other ``N_active - W``.  The spans
+    must form a direct sum ``span(B_1) + ... + span(B_L) = span(Q)``, the
+    link's one joint-independence check: ``R`` has the singular values of
+    ``S``, and all ``W`` must count under :func:`~ssalign.linalg.singular_value_ranks`
+    with the shape of ``S``; else :class:`~ssalign.errors.IndependenceViolation`
+    names the side, the joint dimension against ``N_active``, and the
+    largest dropped singular value over ``sigma_max`` against the cutoff
+    (0 when ``W > N_active``, whose excess values are exact zeros).
+    So the rows of ``R^-1 Q^H`` give each vector of ``span(Q)`` its
+    coordinates in every unit basis.  A direction
     ``R_l^H y`` built from unit ``l``'s rows is orthogonal to all other
     units, and to the rest of unit ``l`` exactly when ``y`` is, so one small
     nullspace in unit coordinates ``L = B_l^H H`` yields the pair's factor
@@ -228,13 +240,20 @@ def _complement_projectors(units: list[Unit], side: str) -> PairProjectors:
     """
     unit_bases = [u.basis for u in units]
     stacked = np.hstack(unit_bases)
-    q = range_basis(stacked)
-    if stacked.shape[1] != q.shape[1]:
+    rows, width = stacked.shape
+    q_full, r = np.linalg.qr(stacked, mode="complete")
+    sigma = np.linalg.svd(r[:width], compute_uv=False)
+    rank = singular_value_ranks(sigma, stacked.shape)
+    if rank != width:
+        dropped = sigma[rank] / sigma[0] if rank < sigma.size else 0.0
         raise IndependenceViolation(
-            f"{side} unit spans overlap: their dimensions sum to {stacked.shape[1]}, "
-            f"jointly they span {q.shape[1]}"
+            f"{side} unit spans overlap: their dimensions sum to {width}, "
+            f"jointly they span {rank} of N_active = {rows}; largest dropped singular "
+            f"value / sigma_max = {dropped:.1e} against RANK_REL*max(shape) = "
+            f"{RANK_REL * max(rows, width):.1e}"
         )
-    coords = np.linalg.solve(q.conj().T @ stacked, q.conj().T)
+    q = q_full[:, :width]
+    coords = np.linalg.solve(r[:width], q.conj().T)
     offsets = np.cumsum([0] + [basis.shape[1] for basis in unit_bases])
     pair_keys, shapes = [], {}
     for li, (unit, basis) in enumerate(zip(units, unit_bases)):
@@ -272,7 +291,7 @@ def _complement_projectors(units: list[Unit], side: str) -> PairProjectors:
             f"{unit.column_block}) does not survive the rest of its unit")
     projectors = {(li, key): found[(li, p)]
                   for li, keys in enumerate(pair_keys) for p, key in enumerate(keys)}
-    return PairProjectors(q, projectors)
+    return PairProjectors(q, q_full[:, width:], projectors)
 
 
 @stage("downlink")
@@ -309,24 +328,26 @@ def assemble_forward_matrix(units: list[Unit], uplink_projectors: PairProjectors
                             downlink_projectors: PairProjectors) -> tuple[np.ndarray, float]:
     """Sum the per-pair W P products and scale to the relay power budget.
 
-    With ``P = A + Z_u Z_u^H`` and ``W = D + Z_d Z_d^H``, where ``A`` and
-    ``D`` are the two sides' shared complements ``I - Q Q^H``, the sum over
-    ``p`` pairs is ``p D A + D Z_u Z_u^H + Z_d Z_d^H A`` plus the pairwise
-    ``Z_d (Z_d^H Z_u) Z_u^H`` terms, each a product of stacked factors.  The
-    scale solves ``tr(F E[Y_R Y_R^H] F^H) = 1`` exactly, the unit relay power
-    budget, with unit per-stream power and unit relay noise variance, so no
-    Monte Carlo noise enters the normalization.
+    With ``P = C_u C_u^H + Z_u Z_u^H`` and ``W = C_d C_d^H + Z_d Z_d^H``, the
+    sum over ``p`` pairs is one factored sandwich
+    ``[C_d Z_d] [[p C_d^H C_u, C_d^H Z_u], [Z_d^H C_u, own]] [C_u Z_u]^H``:
+    ``Z_u`` and ``Z_d`` stack every pair's factor, and ``own`` keeps the
+    blocks of ``Z_d^H Z_u`` that pair a factor with its own.  The complement
+    blocks have ``N_active - W`` columns, none when the units fill the relay.
+    The scale solves ``tr(F E[Y_R Y_R^H] F^H) = 1`` exactly, the unit relay
+    power budget, with unit per-stream power and unit relay noise variance,
+    so no Monte Carlo noise enters the normalization.
     """
     keys = list(uplink_projectors.factors)
     zu, owner_u = _stacked_factors(uplink_projectors, keys)
     zd, owner_d = _stacked_factors(downlink_projectors, keys)
-    qu, qd = uplink_projectors.basis, downlink_projectors.basis
-    eye = np.eye(qu.shape[0], dtype=np.complex128)
-    a = eye - qu @ qu.conj().T
-    d = eye - qd @ qd.conj().T
-    own = (zd.conj().T @ zu) * np.equal.outer(owner_d, owner_u)
-    base = len(keys) * (d @ a) + (d @ zu) @ zu.conj().T + zd @ (zd.conj().T @ a) \
-        + zd @ own @ zu.conj().T
+    cu, cd = uplink_projectors.complement, downlink_projectors.complement
+    left = np.hstack([cd, zd])
+    right = np.hstack([cu, zu])
+    middle = left.conj().T @ right
+    middle[:cd.shape[1], :cu.shape[1]] *= len(keys)
+    middle[cd.shape[1]:, cu.shape[1]:] *= np.equal.outer(owner_d, owner_u)
+    base = (left @ middle) @ right.conj().T
     streams = np.hstack([u.equivalent_uplink for u in units])
     # tr(B (S S^H + I) B^H) = ||B S||^2 + ||B||^2
     denom = float(np.linalg.norm(base @ streams) ** 2 + np.linalg.norm(base) ** 2)

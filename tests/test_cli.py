@@ -152,6 +152,25 @@ class TestExitCodes:
         assert info.value.code == 2
         assert "seed" in capsys.readouterr().err
 
+    # Errors found after parsing go through the subcommand's own parser, like
+    # argument-type errors, so they print that subcommand's usage.
+    @pytest.mark.parametrize("argv", [
+        ["curve", "--k", "3", "--ratios", "0"],
+        ["lemmas", "--trials", "1", "--config", "{missing}"],
+        ["verify", "--m", "3", "--n", "5", "--k", "3", "--seed", str(2**64 - 1),
+         "--seeds", "2"],
+        ["build", "--m", "3", "--n", "5", "--k", "3", "--out", "{missing}"],
+        ["curve", "--k", "x"],
+    ])
+    def test_usage_error_prints_the_subcommand_usage(self, capsys, tmp_path, argv):
+        argv = [arg.format(missing=tmp_path / "missing" / "x.json") for arg in argv]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: ssalign {argv[0]} ")
+        assert f"\nssalign {argv[0]}: error: " in err
+
     def test_last_seed_of_the_range_runs(self, capsys):
         rc, out = run(capsys, "verify", "--m", "3", "--n", "5", "--k", "3", "--seeds", "1",
                       "--seed", str(2**64 - 1))

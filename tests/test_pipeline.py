@@ -124,7 +124,8 @@ def test_construction_errors_carry_their_stage(monkeypatch):
     # Both sides' complements vanish and every pair factor is empty: F = 0.
     built = construct(3, 5, 3, 0)
     n = built.channels.active_relay
-    empty = PairProjectors(np.eye(n, dtype=complex), {(0, (0, 1)): np.zeros((n, 0))})
+    empty = PairProjectors(np.eye(n, dtype=complex), np.zeros((n, 0)),
+                           {(0, (0, 1)): np.zeros((n, 0))})
     with pytest.raises(ProjectorCollapse) as info:
         assemble_forward_matrix(built.units, empty, empty)
     assert info.value.stage == "forward"

@@ -186,17 +186,40 @@ class TestPairSurvival:
 class TestJointIndependence:
     # At (3, 8, 4) four order-3 units fill all 16 relay rows, so a second
     # copy of unit 0 (on the downlink, of its twin) overlaps the others.
+    # Its 4 extra dimensions lie past the 16 rows, so no singular value of
+    # the stacked bases is dropped: the largest dropped one is exactly 0.
     @pytest.mark.parametrize("side", ["uplink", "downlink"])
     def test_overlap_names_the_side(self, side):
         built = construct(3, 8, 4, 0)
         units = built.units + [built.units[0]]
         with pytest.raises(IndependenceViolation,
                            match=rf"^{side} unit spans overlap: their dimensions sum to 20, "
-                                 r"jointly they span 16$"):
+                                 r"jointly they span 16 of N_active = 16; largest dropped "
+                                 r"singular value / sigma_max = 0\.0e\+00 against "
+                                 r"RANK_REL\*max\(shape\) = 2\.0e-09$"):
             if side == "uplink":
                 build_uplink_projectors(units)
             else:
                 design_downlink(units, built.channels)
+
+    # Units 0, 1 and a copy of 0 fit in the 16 rows, so the copy's 4
+    # dimensions are dropped singular values: round-off, far below the cutoff.
+    @pytest.mark.parametrize("side", ["uplink", "downlink"])
+    def test_overlap_inside_the_relay_reports_its_margin(self, side):
+        built = construct(3, 8, 4, 0)
+        units = built.units[:2] + [built.units[0]]
+        with pytest.raises(IndependenceViolation) as info:
+            if side == "uplink":
+                build_uplink_projectors(units)
+            else:
+                design_downlink(units, built.channels)
+        found = re.fullmatch(rf"{side} unit spans overlap: their dimensions sum to 12, "
+                             r"jointly they span 8 of N_active = 16; largest dropped "
+                             r"singular value / sigma_max = (\d\.\de-\d\d) against "
+                             r"RANK_REL\*max\(shape\) = (1\.6e-09)", str(info.value))
+        assert found is not None, str(info.value)
+        margin, cutoff = map(float, found.groups())
+        assert margin < 1e-6 * cutoff
 
 
 class TestLowRankProjectors:
@@ -309,6 +332,33 @@ class TestForwardMatrix:
         manual = sum(projector(downlink.basis, downlink.factors[key])
                      @ projector(uplink.basis, uplink.factors[key]) for key in uplink.factors)
         assert np.allclose(forward, alpha * manual)
+
+    # The forward matrix is one factored sandwich of the complements and pair
+    # factors; check it against the dense sum of W_p P_p on plans that leave
+    # relay rows free (K*M < N, which no benchmark config does) and on ones the
+    # units fill, where the complements have no columns.
+    @pytest.mark.parametrize("m,n,k,improved,free", [
+        (2, 7, 3, False, 1),
+        (1, 4, 3, False, 2),
+        (3, 5, 4, False, 0),
+        (7, 14, 4, True, 0),
+    ])
+    def test_factored_sum_matches_dense_pair_terms(self, m, n, k, improved, free):
+        _, ch, units, processor = full_build(m, n, k, seed=11, improved=improved)
+        rows = ch.active_relay
+        uplink = build_uplink_projectors(units)
+        _, downlink = design_downlink(units, ch)
+        for side in (uplink, downlink):
+            q, c = side.basis, side.complement
+            assert c.shape == (rows, rows - q.shape[1]) == (rows, free)
+            assert np.allclose(c.conj().T @ c, np.eye(free), rtol=0, atol=1e-12)
+            assert np.allclose(q.conj().T @ c, 0, rtol=0, atol=1e-12)
+        f = processor.forward_matrix
+        manual = sum(projector(processor.downlink_basis, processor.downlink_projectors[key])
+                     @ projector(processor.uplink_basis, z)
+                     for key, z in processor.uplink_projectors.items())
+        assert np.allclose(f, processor.power_scale * manual, rtol=0,
+                           atol=1e-12 * np.linalg.norm(f))
 
 
 class TestVerification:
