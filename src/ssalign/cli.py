@@ -130,6 +130,8 @@ def _parse_ratios(spec: str, parser: argparse.ArgumentParser) -> Iterable[tuple[
         parser.error(f"bad ratio list {spec!r}")
     if not ratios or any(r <= 0 for r in ratios):
         parser.error("ratios must be positive rationals")
+    if ratios[-1] > sys.float_info.max:
+        parser.error(f"ratios must not exceed the largest float, {sys.float_info.max!r}")
     return [(r.numerator, r.denominator) for r in ratios]
 
 
@@ -240,6 +242,8 @@ def cmd_build(args, parser) -> tuple[str, int]:
 
 
 def cmd_verify(args, parser) -> tuple[str, int]:
+    if args.seed + args.seeds > SEED_LIMIT:
+        parser.error(f"seeds {args.seed}..{args.seed + args.seeds - 1} leave [0, 2**64)")
     expected = (dof.achievable_improved if args.improved else dof.achievable_basic)(
         args.m, args.n, args.k
     )
@@ -346,6 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
     curve.add_argument("--half-duplex", action="store_true",
                        help="halve emitted values for half-duplex operation")
     curve.add_argument("--out", help="write CSV here instead of stdout")
+    curve.set_defaults(run=cmd_curve, parser=curve)
 
     config = argparse.ArgumentParser(add_help=False)
     config.add_argument("--m", type=_positive_int, required=True, help="antennas per user")
@@ -357,6 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
     build = sub.add_parser("build", parents=[config], help="construct and verify one realization")
     build.add_argument("--seed", type=_seed, default=0)
     build.add_argument("--out", help="write JSON here instead of stdout")
+    build.set_defaults(run=cmd_build, parser=build)
 
     verify = sub.add_parser("verify", parents=[config],
                             help="sweep seeds and summarize verification")
@@ -367,33 +373,23 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="also require each seed's high-SNR sum-rate slope, read "
                              "where it settles in 40-160 dB, within 5%% of the counted DoF")
     verify.add_argument("--out", help="write JSON here instead of stdout")
+    verify.set_defaults(run=cmd_verify, parser=verify)
 
     lemmas = sub.add_parser("lemmas", help="Monte Carlo rank-identity battery")
     lemmas.add_argument("--trials", type=_positive_int, default=100)
     lemmas.add_argument("--seed", type=_seed, default=0)
     lemmas.add_argument("--config", help="JSON file overriding the built-in grids")
     lemmas.add_argument("--out", help="write JSON here instead of stdout")
+    lemmas.set_defaults(run=cmd_lemmas, parser=lemmas)
 
     return parser
 
 
-def _command_parser(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
-    """The subcommand's own parser, so that late usage errors print its usage."""
-    sub = next(action for action in parser._actions
-               if isinstance(action, argparse._SubParsersAction))
-    return sub.choices[command]
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    parser = _command_parser(parser, args.command)
-    if args.command == "verify" and args.seed + args.seeds > SEED_LIMIT:
-        parser.error(f"seeds {args.seed}..{args.seed + args.seeds - 1} leave [0, 2**64)")
-    command = {"curve": cmd_curve, "build": cmd_build, "verify": cmd_verify,
-               "lemmas": cmd_lemmas}[args.command]
-    text, code = command(args, parser)
-    _emit(text, args.out, parser)
+    args = _build_parser().parse_args(argv)
+    # Each subcommand's parser reports late usage errors, so they print its usage.
+    text, code = args.run(args, args.parser)
+    _emit(text, args.out, args.parser)
     return code
 
 

@@ -6,10 +6,14 @@ value.  The identities hold with probability one, so failures are counted,
 never raised; desk-scale acceptance expects zero.  Offending trial indices
 are recorded for replay.
 
-Trial ``i`` of a check draws its matrices from ``derived_rng(seed, i)``,
-the Philox generator on substream ``i`` of the master seed, as one
-:func:`~ssalign.channel.complex_gaussian` call of their stacked shape
-would: per matrix the real parts, then the imaginary parts, row-major.
+The three rank checks are one measurement, the dimension of the group-wise
+aligned spans of ``K`` users in groups of ``t``: the intersection is it at
+``(K, t) = (2, 2)``, the stacked rank at ``(K, K)`` and the direct sum at
+``(K, t)``.  Each check keeps its own domain and closed-form expected value,
+so the formulas stay an oracle independent of the measurement.
+
+Trial ``i`` of a check draws its matrices from ``derived_rng(seed, i)`` as
+one :func:`~ssalign.channel.complex_gaussian` call of their stacked shape.
 
 Trials run in batches, and each step of a batch is one stacked SVD: one per
 nullspace (:func:`~ssalign.linalg.stacked_nullspaces`) and one per final
@@ -19,7 +23,8 @@ rank.  Every rank goes through
 from the rest of their batch run in a sub-batch of their own, so each trial
 is measured as it would be alone.  A batch holds at most
 :data:`_BATCH_ENTRIES` matrix entries in its draws, stacks and singular
-vectors, and at least one trial, so memory stays bounded for any row.
+vectors, unless one trial alone needs more and runs in a batch of its own,
+so memory is bounded by that budget or by one trial, whichever is larger.
 """
 
 from __future__ import annotations
@@ -28,11 +33,12 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
 from . import dof
-from .channel import derived_rng
+from .channel import complex_gaussian, derived_rng
 from .errors import InvalidLemmaParams
 from .linalg import singular_value_ranks, stacked_nullspaces
 
@@ -94,16 +100,8 @@ def _batch_size(entries_per_trial: int) -> int:
 
 
 def _gaussian_draws(seed: int, trials: range, shape: tuple) -> np.ndarray:
-    """Complex Gaussian matrices of ``shape`` per trial, as ``(len(trials), *shape)``.
-
-    Trial ``i`` gets the stream of ``complex_gaussian(derived_rng(seed, i),
-    *shape)``, each trial's normals filled into one array for the batch.
-    """
-    *lead, rows, cols = shape
-    raw = np.empty((len(trials), *lead, 2, rows, cols))
-    for j, trial in enumerate(trials):
-        derived_rng(seed, trial).standard_normal(out=raw[j])
-    return (raw[..., 0, :, :] + 1j * raw[..., 1, :, :]) / np.sqrt(2.0)
+    """``complex_gaussian(derived_rng(seed, i), *shape)`` of each trial ``i``, stacked."""
+    return np.stack([complex_gaussian(derived_rng(seed, trial), *shape) for trial in trials])
 
 
 def _hstack(blocks: np.ndarray) -> np.ndarray:
@@ -120,11 +118,6 @@ def _ranks(stack: np.ndarray) -> np.ndarray:
     return singular_value_ranks(s, stack.shape[1:])
 
 
-def _null_basis(null: np.ndarray, idx: np.ndarray, rank: int) -> np.ndarray:
-    """Nullspace bases of the trials ``idx`` of a stack, each of rank ``rank``."""
-    return null[idx, :, :null.shape[1] - rank]
-
-
 def _sub_batches(ranks: np.ndarray):
     """Each distinct row of ``(trials, steps)`` nullspace ranks and the trials that have it."""
     rest = np.arange(len(ranks))
@@ -135,32 +128,53 @@ def _sub_batches(ranks: np.ndarray):
         rest = rest[~same]
 
 
+def _aligned_spans(result: LemmaTrialResult, k: int, t: int, m: int, n: int,
+                   extension: int, seed: int) -> LemmaTrialResult:
+    """Tally the dimension of the group-wise aligned spans over ``result.trials`` trials.
+
+    Each trial draws ``K`` block-diagonal ``(ext N) x (ext M)`` matrices
+    ``A_i``.  For every size-``t`` group, ``U`` is a nullspace basis of
+    ``[A_g1 .. A_gt]`` split into per-user row blocks ``U_i``; the measured
+    value is the rank of all groups' ``A_i U_i`` side by side.
+    """
+    groups = [list(group) for group in combinations(range(k), t)]
+    en, mt = extension * n, extension * m
+    for batch in _batches(result.trials, k * en * mt, en, t * mt):
+        mats = _block_diagonal(_gaussian_draws(seed, batch, (k, extension, n, m)))
+        nulls = [stacked_nullspaces(_hstack(mats[:, group])) for group in groups]
+        observed = np.empty(len(batch), dtype=int)
+        for row, idx in _sub_batches(np.stack([ranks for ranks, _ in nulls], axis=1)):
+            pieces = []
+            for group, (_, null), rank in zip(groups, nulls, row):
+                width = t * mt - rank
+                blocks = null[idx, :, :width].reshape(len(idx), t, mt, width)
+                pieces.append(_hstack(mats[idx][:, group] @ blocks))
+            observed[idx] = _ranks(np.concatenate(pieces, axis=2))
+        _tally(result, batch, observed.tolist())
+    return result
+
+
 def check_intersection(m: int, n: int, trials: int, seed: int) -> LemmaTrialResult:
     """Intersection of two random M-dim subspaces of C^N has dim (2M-N)+.
 
-    The intersection is ``a`` times the top block of the nullspace of
-    ``[a, -b]``, as in :func:`~ssalign.linalg.intersection_basis`.
+    This is the aligned span at ``K = t = 2``: with ``[U_1; U_2]`` a
+    nullspace basis of ``[A_1, A_2]``, ``A_1 U_1 = -A_2 U_2`` spans the
+    intersection, so the two pieces side by side have its dimension.
     """
     if not 1 <= m <= n:
         raise InvalidLemmaParams(f"need 1 <= M <= N, got M={m}, N={n}")
     result = LemmaTrialResult(
         LemmaId.INTERSECTION, {"m": m, "n": n}, trials, 0, max(2 * m - n, 0)
     )
-    for batch in _batches(trials, 2 * n * m, n, 2 * m):
-        draws = _gaussian_draws(seed, batch, (2, n, m))
-        ranks, null = stacked_nullspaces(np.concatenate([draws[:, 0], -draws[:, 1]], axis=2))
-        observed = np.empty(len(batch), dtype=int)
-        for (rank,), idx in _sub_batches(ranks[:, None]):
-            observed[idx] = _ranks(draws[idx, 0] @ _null_basis(null, idx, rank)[:, :m])
-        _tally(result, batch, observed.tolist())
-    return result
+    return _aligned_spans(result, 2, 2, m, n, 1, seed)
 
 
 def check_stacked_rank(k: int, m: int, n: int, trials: int, seed: int) -> LemmaTrialResult:
     """Rank of [A_1 U_1, ..., A_K U_K] is min((K-1)(KM-N), N).
 
     ``U`` is a nullspace basis of the horizontal stack ``[A_1 .. A_K]``,
-    partitioned into per-user row blocks ``U_i``.
+    partitioned into per-user row blocks ``U_i``: the aligned span at
+    ``t = K``.
     """
     if not 1 <= m <= n < k * m:
         raise InvalidLemmaParams(f"need 1 <= M <= N < KM, got K={k}, M={m}, N={n}")
@@ -168,15 +182,7 @@ def check_stacked_rank(k: int, m: int, n: int, trials: int, seed: int) -> LemmaT
     result = LemmaTrialResult(
         LemmaId.STACKED_RANK, {"k": k, "m": m, "n": n}, trials, 0, expected
     )
-    for batch in _batches(trials, k * n * m, n, k * m):
-        mats = _gaussian_draws(seed, batch, (k, n, m))
-        ranks, null = stacked_nullspaces(_hstack(mats))
-        observed = np.empty(len(batch), dtype=int)
-        for (rank,), idx in _sub_batches(ranks[:, None]):
-            blocks = _null_basis(null, idx, rank).reshape(len(idx), k, m, -1)
-            observed[idx] = _ranks(_hstack(mats[idx] @ blocks))
-        _tally(result, batch, observed.tolist())
-    return result
+    return _aligned_spans(result, k, k, m, n, 1, seed)
 
 
 def check_direct_sum(k: int, t: int, m: int, n: int, trials: int, seed: int,
@@ -195,26 +201,13 @@ def check_direct_sum(k: int, t: int, m: int, n: int, trials: int, seed: int,
         raise InvalidLemmaParams(f"need tM > N, got t={t}, M={m}, N={n}")
     if extension < 1:
         raise InvalidLemmaParams(f"need extension >= 1, got {extension}")
-    groups = [list(group) for group in combinations(range(k), t)]
-    expected = extension * min(len(groups) * (t - 1) * (t * m - n), n)
+    expected = extension * min(comb(k, t) * (t - 1) * (t * m - n), n)
     result = LemmaTrialResult(
         LemmaId.DIRECT_SUM,
         {"k": k, "t": t, "m": m, "n": n, "extension": extension},
         trials, 0, expected,
     )
-    en, mt = extension * n, extension * m
-    for batch in _batches(trials, k * en * mt, en, t * mt):
-        mats = _block_diagonal(_gaussian_draws(seed, batch, (k, extension, n, m)))
-        nulls = [stacked_nullspaces(_hstack(mats[:, group])) for group in groups]
-        observed = np.empty(len(batch), dtype=int)
-        for row, idx in _sub_batches(np.stack([ranks for ranks, _ in nulls], axis=1)):
-            pieces = []
-            for group, (_, null), rank in zip(groups, nulls, row):
-                blocks = _null_basis(null, idx, rank).reshape(len(idx), t, mt, -1)
-                pieces.append(_hstack(mats[idx][:, group] @ blocks))
-            observed[idx] = _ranks(np.concatenate(pieces, axis=2))
-        _tally(result, batch, observed.tolist())
-    return result
+    return _aligned_spans(result, k, t, m, n, extension, seed)
 
 
 def _block_diagonal(draws: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import re
@@ -156,6 +157,8 @@ class TestExitCodes:
     # argument-type errors, so they print that subcommand's usage.
     @pytest.mark.parametrize("argv", [
         ["curve", "--k", "3", "--ratios", "0"],
+        ["curve", "--k", "3", "--ratios", "1e400"],  # beyond the largest float
+        ["curve", "--k", "inf", "--ratios", "1e400"],
         ["lemmas", "--trials", "1", "--config", "{missing}"],
         ["verify", "--m", "3", "--n", "5", "--k", "3", "--seed", str(2**64 - 1),
          "--seeds", "2"],
@@ -299,6 +302,27 @@ class TestCurveLookup:
 
 
 class TestLemmas:
+    # sha256 of the stdout recorded before the three rank checks shared one
+    # measurement; the spec covers an empty intersection ([2, 5]), a stacked
+    # rank and an extended direct sum.
+    PINNED_SPEC = {"intersection": [[2, 5], [3, 5]], "stacked_rank": [[4, 2, 7]],
+                   "direct_sum": [[3, 3, 2, 5, 2]]}
+
+    @pytest.mark.parametrize("argv,config,digest", [
+        (["--trials", "20", "--seed", "5"], False,
+         "b5f402edb57a6099d690548ca6ce1bf211afe2a228e9c549e3c2bf17d21298b3"),
+        (["--trials", "7", "--seed", "3"], True,
+         "39a4bd8c08623194b3aa1fe037108b27d56fb465e86107dede806dc52addd8a1"),
+    ])
+    def test_stdout_is_pinned(self, capsys, tmp_path, argv, config, digest):
+        if config:
+            path = tmp_path / "battery.json"
+            path.write_text(json.dumps(self.PINNED_SPEC))
+            argv = [*argv, "--config", str(path)]
+        rc, out = run(capsys, "lemmas", *argv)
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_config_matches_builtin_battery(self, capsys, tmp_path):
         spec = tmp_path / "battery.json"
         spec.write_text(json.dumps(DEFAULT_SPEC))
@@ -518,6 +542,12 @@ class TestRatioGrid:
     def test_farey_one_is_only_one(self, capsys):
         rows = _curve_rows(capsys, "--k", "3", "--mode", "outer", "--ratios", "farey:1")
         assert [(row["ratio_num"], row["ratio_den"]) for row in rows] == [("1", "1")]
+
+    @pytest.mark.parametrize("k", ["3", "inf"])
+    def test_ratio_below_the_largest_float_runs(self, capsys, k):
+        # 1e400 is a usage error, having no float for the ratio column; 1e308 has one.
+        rows = _curve_rows(capsys, "--k", k, "--ratios", "1e308")
+        assert [(row["ratio_den"], row["ratio"]) for row in rows] == [("1", "1e+308")]
 
     def test_explicit_list_is_deduplicated_and_sorted(self, capsys):
         rows = _curve_rows(capsys, "--k", "3", "--mode", "outer", "--ratios", "2/3,1/2,2/4")

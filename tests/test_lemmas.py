@@ -192,9 +192,9 @@ class TestMixedRankBatch:
 
     @pytest.mark.parametrize("check,row,degrade,measure", [
         (check_intersection, (3, 5), repeat_first,  # b = a
-         lambda d: reference_intersection_dim(d[0], d[1])),
+         lambda d: reference_intersection_dim(dense(d[0]), dense(d[1]))),
         (check_stacked_rank, (4, 2, 7), repeat_first,  # a repeated user channel
-         lambda d: reference_stacked_rank(list(d))),
+         lambda d: reference_stacked_rank([dense(blocks) for blocks in d])),
         (check_direct_sum, (4, 3, 3, 8), zero_first,  # a zeroed user block
          lambda d: reference_direct_sum_dim([dense(blocks) for blocks in d], 3)),
         (check_direct_sum, (3, 3, 2, 5, 2), zero_first,
