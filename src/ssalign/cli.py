@@ -50,6 +50,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
@@ -132,6 +133,9 @@ def _parse_ratios(spec: str, parser: argparse.ArgumentParser) -> Iterable[tuple[
         parser.error("ratios must be positive rationals")
     if ratios[-1] > sys.float_info.max:
         parser.error(f"ratios must not exceed the largest float, {sys.float_info.max!r}")
+    if float(ratios[0]) == 0.0:
+        parser.error(f"ratios must not round to the float 0.0; the smallest positive "
+                     f"float is {math.ulp(0.0)!r}")
     return [(r.numerator, r.denominator) for r in ratios]
 
 

@@ -12,12 +12,18 @@ aligned spans of ``K`` users in groups of ``t``: the intersection is it at
 ``(K, t)``.  Each check keeps its own domain and closed-form expected value,
 so the formulas stay an oracle independent of the measurement.
 
-Trial ``i`` of a check draws its matrices from ``derived_rng(seed, i)`` as
-one :func:`~ssalign.channel.complex_gaussian` call of their stacked shape.
+A check draws from one stream, ``derived_rng(seed)``: each batch of
+trials is one :func:`~ssalign.channel.complex_gaussian` call of shape
+``(trials in batch, K, ext, N, M)``, the diagonal blocks of each trial's
+``K`` block-diagonal matrices, with ``(K, ext) = (2, 1)`` for the
+intersection and ``ext = 1`` for the stacked rank.  Trial ``i`` is thus
+block ``i`` of the stream whatever the batch size, and a failing trial
+replays as ``complex_gaussian(derived_rng(seed), trials, K, ext, N, M)[i]``.
 
-Trials run in batches, and each step of a batch is one stacked SVD: one per
-nullspace (:func:`~ssalign.linalg.stacked_nullspaces`) and one per final
-rank.  Every rank goes through
+Trials run in batches, and each step of a batch is one stacked call: one
+:func:`~ssalign.linalg.stacked_nullspaces` per group (a complete QR when
+the group's stack is wide) and one values-only SVD per final rank.  Every
+rank goes through
 :func:`~ssalign.linalg.singular_value_ranks`, the rule of
 :func:`~ssalign.linalg.numerical_rank`.  Trials whose nullspace ranks differ
 from the rest of their batch run in a sub-batch of their own, so each trial
@@ -87,8 +93,8 @@ _BATCH_ENTRIES = 1 << 14
 def _batches(trials: int, held: int, rows: int, cols: int):
     """Ranges of trials that fit :data:`_BATCH_ENTRIES`, at least one trial each.
 
-    A trial holds ``held`` entries plus one ``rows x cols`` matrix and its
-    singular vectors while its widest SVD runs.
+    A trial holds ``held`` entries plus one ``rows x cols`` matrix and at
+    most its singular vectors while its widest nullspace is taken.
     """
     size = _batch_size(held + rows * cols + rows * rows + cols * cols)
     for start in range(0, trials, size):
@@ -99,9 +105,9 @@ def _batch_size(entries_per_trial: int) -> int:
     return max(1, _BATCH_ENTRIES // entries_per_trial)
 
 
-def _gaussian_draws(seed: int, trials: range, shape: tuple) -> np.ndarray:
-    """``complex_gaussian(derived_rng(seed, i), *shape)`` of each trial ``i``, stacked."""
-    return np.stack([complex_gaussian(derived_rng(seed, trial), *shape) for trial in trials])
+def _gaussian_draws(stream: np.random.Generator, trials: range, shape: tuple) -> np.ndarray:
+    """The next ``len(trials)`` trials' matrices of ``shape`` from ``stream``, stacked."""
+    return complex_gaussian(stream, len(trials), *shape)
 
 
 def _hstack(blocks: np.ndarray) -> np.ndarray:
@@ -139,8 +145,9 @@ def _aligned_spans(result: LemmaTrialResult, k: int, t: int, m: int, n: int,
     """
     groups = [list(group) for group in combinations(range(k), t)]
     en, mt = extension * n, extension * m
+    stream = derived_rng(seed)
     for batch in _batches(result.trials, k * en * mt, en, t * mt):
-        mats = _block_diagonal(_gaussian_draws(seed, batch, (k, extension, n, m)))
+        mats = _block_diagonal(_gaussian_draws(stream, batch, (k, extension, n, m)))
         nulls = [stacked_nullspaces(_hstack(mats[:, group])) for group in groups]
         observed = np.empty(len(batch), dtype=int)
         for row, idx in _sub_batches(np.stack([ranks for ranks, _ in nulls], axis=1)):

@@ -1,9 +1,11 @@
 """Dense complex-matrix subspace toolkit.
 
-Everything here is SVD-based and deterministic: identical inputs give
-bit-identical outputs, and every dimension decision goes through the same
-relative singular-value threshold, :data:`RANK_REL`.  All functions are pure
-and safe to call concurrently.
+Every rank is decided on singular values, through the same relative
+threshold, :data:`RANK_REL`.  Bases come from SVDs, except the nullspaces
+of wide matrices (fewer rows than columns), which come from one complete
+Householder QR of the conjugate transpose.  Everything is deterministic:
+identical inputs give bit-identical outputs.  All functions are pure and
+safe to call concurrently.
 
 Conventions
 -----------
@@ -79,23 +81,48 @@ def numerical_rank(a) -> int:
 def stacked_nullspaces(stack: np.ndarray):
     """Rank and right nullspace of each matrix of a ``(..., rows, cols)`` stack.
 
-    One full SVD runs over the stack, and :func:`singular_value_ranks`
-    decides each rank.  ``null`` is ``(..., cols, cols - min rank)``: the
-    right singular vectors of the widest nullspace in the stack, in
-    ascending singular value order, so a matrix of rank ``r`` keeps
-    ``null[..., :cols - r]``.  Needs ``rows, cols >= 1``.
+    ``null`` is ``(..., cols, cols - min rank)``, ordered so that a matrix
+    of rank ``r`` keeps ``null[..., :cols - r]``; each matrix's columns
+    depend on it alone.  Needs ``rows, cols >= 1``.
+
+    A tall or square stack takes one full SVD: the right singular vectors of
+    the widest nullspace in the stack, in ascending singular value order.
+
+    A wide stack (``rows < cols``) takes one complete Householder QR of the
+    conjugate transposes, ``A^H = Q R``, so ``A = R_1^H Q_1^H`` with ``R_1 =
+    R[:rows]`` square and ``Q_1 = Q[:, :rows]``.  ``R_1`` has the singular
+    values of ``A``, and a values-only SVD of it decides each rank with the
+    shape of ``A``.  The first ``cols - rows`` columns are ``Q[:, rows:]``,
+    the nullspace of a matrix of full row rank.  Only a matrix of lower rank
+    takes one more SVD, ``R_1 = U S V^H``; its columns go on with ``Q_1 U``,
+    in ascending singular value order.
     """
-    _, s, vh = np.linalg.svd(stack, full_matrices=True)
-    ranks = singular_value_ranks(s, stack.shape[-2:])
-    return ranks, vh[..., np.min(ranks):, :][..., ::-1, :].conj().swapaxes(-1, -2)
+    rows, cols = stack.shape[-2:]
+    if rows >= cols:
+        _, s, vh = np.linalg.svd(stack, full_matrices=True)
+        ranks = singular_value_ranks(s, (rows, cols))
+        return ranks, vh[..., np.min(ranks):, :][..., ::-1, :].conj().swapaxes(-1, -2)
+    q, r = np.linalg.qr(stack.conj().swapaxes(-1, -2), mode="complete")
+    r = r[..., :rows, :]
+    ranks = singular_value_ranks(np.linalg.svd(r, compute_uv=False), (rows, cols))
+    low = np.min(ranks)
+    if low == rows:
+        return ranks, q[..., rows:]
+    short = ranks < rows
+    null = np.zeros((*q.shape[:-1], cols - low), dtype=np.complex128)
+    null[..., :cols - rows] = q[..., rows:]
+    u = np.linalg.svd(r[short])[0]
+    # Every column of Q_1 U, then the slice, so that no member's bits depend on the others.
+    null[short, :, cols - rows:] = (q[short, :, :rows] @ u[..., ::-1])[..., :rows - low]
+    return ranks, null
 
 
 def nullspace_basis(a) -> np.ndarray:
     """Orthonormal basis of the right nullspace of ``a``.
 
-    Returns a ``cols x (cols - rank)`` matrix whose columns are ordered by
-    ascending associated singular value (:func:`stacked_nullspaces` on a
-    stack of one), so repeated calls on identical input agree bit for bit.
+    Returns a ``cols x (cols - rank)`` matrix, :func:`stacked_nullspaces`
+    on a stack of one, so repeated calls on identical input agree bit for
+    bit.
     """
     arr = as_complex_matrix(a)
     rows, cols = arr.shape

@@ -11,7 +11,10 @@ nullspace per slot, one mixing per group, the aggregate solve pair by pair,
 one span decomposition per unit, and one draw per random pair.  They keep
 the library's thresholds, RNG keys and error messages.
 
-The lemma checks run their Monte Carlo trials in batches, one stacked SVD
+``reference_nullspace`` takes a nullspace from one full SVD, which the
+library keeps only for tall and square stacks.
+
+The lemma checks run their Monte Carlo trials in batches, one stacked call
 per step.  The ``reference_check_*`` functions run them one trial at a
 time, through the single-matrix ``linalg`` functions, with the same draws.
 
@@ -71,6 +74,12 @@ def build_aligned_unit(ch, group, column_block):
 def build_random_unit(ch, rng):
     """Random unit drawn from ``rng``, the library's batch of one."""
     return _build_units(ch, [(RANDOM, tuple(range(ch.k)), 0)], rng)[0]
+
+
+def reference_nullspace(a):
+    """Right nullspace of one matrix from one full SVD: its trailing right singular vectors."""
+    vh = np.linalg.svd(a, full_matrices=True)[2]
+    return vh[numerical_rank(a):].conj().T
 
 
 def reference_group_nullspace(ch, group):
@@ -175,10 +184,15 @@ def reference_direct_sum_dim(mats, t):
 
 
 def _reference_trials(result, trials, seed, measure):
-    """Tally ``measure(derived_rng(seed, i))`` of each trial into a zero-trial result."""
+    """Tally ``measure(rng)`` of each trial into a zero-trial result.
+
+    Every trial draws from the same stream, ``rng = derived_rng(seed)``, in
+    trial order.
+    """
     result.trials = trials
+    rng = derived_rng(seed)
     for trial in range(trials):
-        value = measure(derived_rng(seed, trial))
+        value = measure(rng)
         result.observed[value] += 1
         if value != result.expected_value:
             result.failures += 1

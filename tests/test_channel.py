@@ -25,7 +25,8 @@ from ssalign import (
 )
 from ssalign.channel import ChannelSet, array_from_json, array_to_json, derived_rng, slot_product
 from ssalign.errors import InvalidDeactivation, ShapeMismatch
-from ssalign.lemmas import _gaussian_draws
+from ssalign import lemmas
+from ssalign.lemmas import check_direct_sum, check_intersection, check_stacked_rank
 
 from reference import dense
 
@@ -107,15 +108,39 @@ class TestComplexGaussian:
         assert got.shape == (3, 2, 4, 2)
         assert np.array_equal(got, np.reshape(want, (3, 2, 4, 2)))
 
-    @pytest.mark.parametrize("shape", [(2, 4, 3), (3, 2, 5, 2)])
-    def test_one_draw_per_lemma_trial_equals_consecutive_calls(self, shape):
-        # The lemma battery draws all of a trial's matrices in one standard_normal
-        # of shape (..., 2, rows, cols): the stream of one complex_gaussian per matrix.
-        got = _gaussian_draws(11, range(3, 5), shape)
-        for j, trial in enumerate(range(3, 5)):
-            rng = derived_rng(11, trial)
-            want = [complex_gaussian(rng, *shape[-2:]) for _ in range(np.prod(shape[:-2]))]
-            assert np.array_equal(got[j], np.reshape(want, shape))
+    @pytest.mark.parametrize("budget", [1, None, 1 << 40],
+                             ids=["one-trial-batches", "default", "one-batch"])
+    @pytest.mark.parametrize("check,row,shape", [
+        (check_intersection, (3, 5), (2, 1, 5, 3)),
+        (check_stacked_rank, (3, 2, 4), (3, 1, 4, 2)),
+        (check_direct_sum, (3, 3, 2, 5, 2), (3, 2, 5, 2)),
+    ], ids=["intersection", "stacked_rank", "direct_sum_extended"])
+    def test_lemma_trial_i_is_block_i_of_one_stream(self, monkeypatch, budget, check, row,
+                                                     shape):
+        # A lemma check draws batch after batch from one derived_rng(seed), so
+        # trial i's matrices are block i of one draw of all trials; 200 trials
+        # take two or more batches at the default budget.
+        trials, seed, seen, sizes = 200, 11, {}, []
+        honest = lemmas._gaussian_draws
+
+        def draws(stream, batch, shape):
+            out = honest(stream, batch, shape)
+            seen.update(zip(batch, out))
+            sizes.append(len(batch))
+            return out
+
+        if budget is not None:
+            monkeypatch.setattr(lemmas, "_BATCH_ENTRIES", budget)
+        monkeypatch.setattr(lemmas, "_gaussian_draws", draws)
+        check(*row[:4], trials, seed, *row[4:])
+        if budget is None:
+            assert 1 < len(sizes) < trials
+        else:
+            assert sizes == ([1] * trials if budget == 1 else [trials])
+        want = complex_gaussian(derived_rng(seed), trials, *shape)
+        assert sorted(seen) == list(range(trials))
+        for i in range(trials):
+            assert np.array_equal(seen[i], want[i])
 
     def test_channel_draw_order(self):
         # Uplink blocks for users 0..K-1, then downlink blocks, slot by slot.

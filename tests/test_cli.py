@@ -159,6 +159,8 @@ class TestExitCodes:
         ["curve", "--k", "3", "--ratios", "0"],
         ["curve", "--k", "3", "--ratios", "1e400"],  # beyond the largest float
         ["curve", "--k", "inf", "--ratios", "1e400"],
+        ["curve", "--k", "3", "--ratios", "1e-400"],  # rounds to the float 0.0
+        ["curve", "--k", "inf", "--ratios", "1e-400"],
         ["lemmas", "--trials", "1", "--config", "{missing}"],
         ["verify", "--m", "3", "--n", "5", "--k", "3", "--seed", str(2**64 - 1),
          "--seeds", "2"],
@@ -548,6 +550,12 @@ class TestRatioGrid:
         # 1e400 is a usage error, having no float for the ratio column; 1e308 has one.
         rows = _curve_rows(capsys, "--k", k, "--ratios", "1e308")
         assert [(row["ratio_den"], row["ratio"]) for row in rows] == [("1", "1e+308")]
+
+    @pytest.mark.parametrize("k", ["3", "inf"])
+    def test_smallest_positive_float_ratio_runs(self, capsys, k):
+        # 1e-400 is a usage error, its float being 0.0; 5e-324 is the smallest positive one.
+        rows = _curve_rows(capsys, "--k", k, "--ratios", "5e-324")
+        assert [(row["ratio_num"], row["ratio"]) for row in rows] == [("1", "5e-324")]
 
     def test_explicit_list_is_deduplicated_and_sorted(self, capsys):
         rows = _curve_rows(capsys, "--k", "3", "--mode", "outer", "--ratios", "2/3,1/2,2/4")

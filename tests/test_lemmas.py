@@ -4,7 +4,8 @@ Each check is tested on a small valid case, at the edges of its parameter
 domain, and with its batched rank step replaced by one that misses, so that
 the failure tally is exercised.  The batched checks are compared with the
 one-trial-at-a-time references, on the default rows and on batches that mix
-degenerate trials with generic ones.
+degenerate trials with generic ones, and a failing trial is replayed from
+its block of the check's draw stream.
 """
 
 from collections import Counter
@@ -22,6 +23,7 @@ from reference import (
 )
 
 from ssalign import lemmas
+from ssalign.channel import complex_gaussian, derived_rng
 from ssalign.errors import InvalidLemmaParams
 from ssalign.lemmas import (
     DEFAULT_SPEC,
@@ -172,8 +174,8 @@ class TestBatches:
         honest = lemmas._gaussian_draws
         monkeypatch.setattr(lemmas, "_BATCH_ENTRIES", 1)
         monkeypatch.setattr(lemmas, "_gaussian_draws",
-                            lambda seed, trials, shape: draws.append(trials)
-                            or honest(seed, trials, shape))
+                            lambda stream, trials, shape: draws.append(trials)
+                            or honest(stream, trials, shape))
         result = check_stacked_rank(3, 2, 4, 3, seed=2)
         assert draws == [range(0, 1), range(1, 2), range(2, 3)]
         assert result == reference_check_stacked_rank(3, 2, 4, 3, 2)
@@ -187,39 +189,52 @@ def zero_first(draw):
     draw[0] = 0
 
 
+# (check, row, degrade, measure): a way to make a trial's draws degenerate,
+# and the one-trial reference measurement of its draws.
+DEGRADED = pytest.mark.parametrize("check,row,degrade,measure", [
+    (check_intersection, (3, 5), repeat_first,  # b = a
+     lambda d: reference_intersection_dim(dense(d[0]), dense(d[1]))),
+    (check_stacked_rank, (4, 2, 7), repeat_first,  # a repeated user channel
+     lambda d: reference_stacked_rank([dense(blocks) for blocks in d])),
+    (check_direct_sum, (4, 3, 3, 8), zero_first,  # a zeroed user block
+     lambda d: reference_direct_sum_dim([dense(blocks) for blocks in d], 3)),
+    (check_direct_sum, (3, 3, 2, 5, 2), zero_first,
+     lambda d: reference_direct_sum_dim([dense(blocks) for blocks in d], 3)),
+], ids=["intersection", "stacked_rank", "direct_sum", "direct_sum_extended"])
+
+
+def degrading(monkeypatch, bad, degrade):
+    """Make the draws of the trials in ``bad`` degenerate; returns every trial's draws."""
+    honest, seen = lemmas._gaussian_draws, {}
+
+    def draws(stream, batch, shape):
+        out = honest(stream, batch, shape)
+        for j, trial in enumerate(batch):
+            if trial in bad:
+                degrade(out[j])
+            seen[trial] = out[j].copy()
+        return out
+
+    monkeypatch.setattr(lemmas, "_gaussian_draws", draws)
+    return seen
+
+
 class TestMixedRankBatch:
     """Degenerate trials change a nullspace rank inside one batch."""
 
-    @pytest.mark.parametrize("check,row,degrade,measure", [
-        (check_intersection, (3, 5), repeat_first,  # b = a
-         lambda d: reference_intersection_dim(dense(d[0]), dense(d[1]))),
-        (check_stacked_rank, (4, 2, 7), repeat_first,  # a repeated user channel
-         lambda d: reference_stacked_rank([dense(blocks) for blocks in d])),
-        (check_direct_sum, (4, 3, 3, 8), zero_first,  # a zeroed user block
-         lambda d: reference_direct_sum_dim([dense(blocks) for blocks in d], 3)),
-        (check_direct_sum, (3, 3, 2, 5, 2), zero_first,
-         lambda d: reference_direct_sum_dim([dense(blocks) for blocks in d], 3)),
-    ], ids=["intersection", "stacked_rank", "direct_sum", "direct_sum_extended"])
+    @DEGRADED
     def test_degenerate_trials_are_measured_alone(self, monkeypatch, check, row, degrade,
                                                  measure):
         trials, bad = 6, [1, 4]
-        seen, splits = {}, []
-        honest_draws, honest_split = lemmas._gaussian_draws, lemmas._sub_batches
-
-        def draws(seed, batch, shape):
-            out = honest_draws(seed, batch, shape)
-            for j, trial in enumerate(batch):
-                if trial in bad:
-                    degrade(out[j])
-                seen[trial] = out[j].copy()
-            return out
+        splits = []
+        honest_split = lemmas._sub_batches
 
         def split(ranks):
             parts = list(honest_split(ranks))
             splits.append(len(parts))
             return parts
 
-        monkeypatch.setattr(lemmas, "_gaussian_draws", draws)
+        seen = degrading(monkeypatch, bad, degrade)
         monkeypatch.setattr(lemmas, "_sub_batches", split)
         args = (*row[:4], trials, 5, *row[4:])
         result = check(*args)
@@ -229,6 +244,25 @@ class TestMixedRankBatch:
         assert result.failure_trials == bad
         assert result.failures == len(bad)
         assert result.observed == Counter(want)
+
+    @DEGRADED
+    def test_a_failing_trial_replays_from_its_block_of_the_stream(self, monkeypatch, check, row,
+                                                                 degrade, measure):
+        # Trial i of a check with params (K, ext, N, M) and seed draws block i of
+        # complex_gaussian(derived_rng(seed), trials, K, ext, N, M).
+        # A degenerate trial's value does not depend on its draws, so the replayed
+        # draws are also compared with the ones the check measured.
+        trials, seed, bad = 6, 5, 4
+        seen = degrading(monkeypatch, [bad], degrade)
+        result = check(*row[:4], trials, seed, *row[4:])
+        assert result.failure_trials == [bad]
+        (value,) = set(result.observed) - {result.expected_value}
+        params = result.params
+        shape = (params.get("k", 2), params.get("extension", 1), params["n"], params["m"])
+        replay = complex_gaussian(derived_rng(seed), trials, *shape)[bad]
+        degrade(replay)
+        assert np.array_equal(replay, seen[bad])
+        assert measure(replay) == value
 
 
 class TestScaling:

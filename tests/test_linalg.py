@@ -17,7 +17,7 @@ from ssalign.channel import complex_gaussian
 from ssalign.errors import InvalidMatrix, ShapeMismatch
 from ssalign.linalg import singular_value_ranks, stacked_nullspaces
 
-from reference import complement_projector, dense
+from reference import complement_projector, dense, reference_nullspace
 
 
 def _rng(seed):
@@ -98,6 +98,34 @@ class TestNullspaceBasis:
         first = nullspace_basis(a)
         second = nullspace_basis(a.copy())
         assert np.array_equal(first, second)
+
+
+class TestStackedNullspacePaths:
+    """Wide stacks take one complete QR, tall and square ones one full SVD."""
+
+    @pytest.mark.parametrize("rows,cols,ranks", [
+        (4, 7, (4, 4, 3, 4, 0, 2)),  # wide, full row rank mixed with deficient
+        (4, 7, (4, 4, 4, 4, 4, 4)),  # wide, every member of full row rank
+        (7, 4, (4, 2, 3, 0, 4, 1)),  # tall
+        (5, 5, (5, 3, 5, 4, 0, 2)),  # square
+    ], ids=["wide-mixed", "wide-full", "tall", "square"])
+    def test_each_member_matches_the_reference_and_itself_alone(self, rng, rows, cols, ranks):
+        stack = np.array([complex_gaussian(rng, rows, rank) @ complex_gaussian(rng, rank, cols)
+                          for rank in ranks]).reshape(2, 3, rows, cols)
+        got_ranks, null = stacked_nullspaces(stack)
+        assert got_ranks.tolist() == np.reshape(ranks, (2, 3)).tolist()
+        assert null.shape == (2, 3, cols, cols - min(ranks))
+        for idx in np.ndindex(2, 3):
+            a, rank = stack[idx], got_ranks[idx]
+            assert rank == numerical_rank(a)
+            basis = null[idx][:, :cols - rank]
+            assert np.abs(basis.conj().T @ basis - np.eye(cols - rank)).max(initial=0) <= 1e-12
+            assert np.linalg.norm(a @ basis) <= LEAKAGE_ABS * np.linalg.norm(a)
+            ref = reference_nullspace(a)
+            assert np.abs(basis @ basis.conj().T - ref @ ref.conj().T).max() <= 1e-12
+            alone_rank, alone = stacked_nullspaces(a)
+            assert alone_rank == rank
+            assert np.array_equal(alone[:, :cols - rank], basis)
 
 
 class TestIntersectionBasis:
