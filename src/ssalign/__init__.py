@@ -43,15 +43,7 @@ from .lemmas import (
     default_battery,
     run_battery,
 )
-from .linalg import (
-    LEAKAGE_ABS,
-    RANK_REL,
-    intersection_basis,
-    nullspace_basis,
-    numerical_rank,
-    range_basis,
-    union_span_dim,
-)
+from .linalg import LEAKAGE_ABS, RANK_REL
 from .pipeline import Construction, construct
 from .relay import (
     RelayProcessor,
@@ -76,8 +68,7 @@ from .units import (
 __all__ = [
     "__version__",
     # linalg
-    "RANK_REL", "LEAKAGE_ABS", "numerical_rank", "nullspace_basis", "range_basis",
-    "intersection_basis", "union_span_dim",
+    "RANK_REL", "LEAKAGE_ABS",
     # channel
     "SystemConfig", "ChannelSet", "sample_channel_set", "deactivate_relay_antennas",
     "channel_to_json", "channel_from_json", "complex_gaussian", "derived_rng",

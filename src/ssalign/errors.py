@@ -3,10 +3,6 @@
 import functools
 
 
-class InvalidMatrix(ValueError):
-    """Matrix input contains NaN/Inf entries or is not two-dimensional."""
-
-
 class ShapeMismatch(ValueError):
     """Operands do not share the required dimension."""
 

@@ -6,21 +6,26 @@ except the pair's own two, so exactly one linear combination of the paired
 streams survives per projector; that survival is tested for every pair of
 every unit on both links while the projector factors are computed.  The
 downlink side mirrors the uplink: the same unit construction runs on the
-conjugate-transposed downlink ``G_a^H`` to produce receive vectors ``v``,
-and downlink projectors null everything but the pair among the vectors
-``G_a^H v = (v^H G_a)^H`` of the users' rows.  The relay forwards
-``F = alpha * sum_l sum_{a<b} W(l,a,b) @ P(l,a,b)`` with ``alpha`` meeting
-the unit relay power budget with equality.
+conjugate-transposed downlink ``G_a^H`` to produce twins whose beamformers
+are the receive vectors ``v``, and downlink projectors null everything but
+the pair among the twins' vectors ``G_a^H v = (v^H G_a)^H``.  The relay
+forwards ``F = alpha * sum_l sum_{a<b} W(l,a,b) @ P(l,a,b)`` with ``alpha``
+meeting the unit relay power budget with equality.
 
-No projector is stored densely.  One complete QR of each side's stacked
+No projector is stored densely.  One complete QR of each link's stacked
 unit bases, which must keep all their columns (the link's joint-independence
 check), gives an orthonormal basis ``Q`` of their span and ``C`` of its
 complement; per pair, a thin orthonormal ``Z`` completes the pair's projector
 ``C C^H + Z Z^H = I - Q Q^H + Z Z^H``, and ``F`` is assembled from these
-factors directly.  The factors are computed in batches, one per unit shape
-(basis width and pair layout): one stacked SVD gives every pair of an
-aligned shape its nullspace, and a random unit, whose basis is as wide as
-its stream count, takes all its pairs' nullspaces from one matrix inverse.
+factors directly.  A twin has its unit's pairs and basis width, so both links
+run every step in one call over a leading link axis: the QR, the solve that
+gives each vector of ``span(Q)`` its unit coordinates, and, per unit shape
+(basis width and pair layout), the pair nullspaces and the factor QR.  One
+stacked SVD gives every pair of an aligned shape its nullspace, and a random
+unit, whose basis is as wide as its stream count, takes all its pairs'
+nullspaces from one matrix inverse.  The joint-independence check needs no
+SVD where the solve certifies it: ``sigma_min(R) >= 1/||R^-1||_F`` (Golub &
+Van Loan, *Matrix Computations*, section 2.3).
 
 Verification is structural: a stream is decodable when its chain through ``F``
 keeps both pair coefficients above threshold while every other stream's
@@ -42,7 +47,13 @@ from fractions import Fraction
 import numpy as np
 
 from .channel import ChannelSet, derived_rng, slot_product
-from .errors import AlignmentDegenerate, IndependenceViolation, ProjectorCollapse, stage
+from .errors import (
+    AlignmentDegenerate,
+    ConstructionError,
+    IndependenceViolation,
+    ProjectorCollapse,
+    stage,
+)
 from .linalg import LEAKAGE_ABS, RANK_REL, singular_value_ranks, stacked_nullspaces
 from .units import Unit, _build_units
 
@@ -72,6 +83,10 @@ PAIR_SURVIVAL_MIN = 1e-6
 # reads, and the relative change at which two neighbouring slopes count as settled.
 SLOPE_SNR_DB = (40.0, 60.0, 80.0, 100.0, 120.0, 140.0, 160.0)
 SLOPE_SETTLE_REL = 1e-3
+
+# A link's stacked bases keep every column without an SVD when
+# ``||R||_F * ||R^-1||_F * RANK_REL * max(shape)`` is below this margin.
+CERTIFICATE_MARGIN = 0.5
 
 Key = tuple[int, tuple[int, int]]
 
@@ -148,9 +163,26 @@ class VerificationReport:
 
 
 @stage("uplink")
-def build_uplink_projectors(units: list[Unit]) -> PairProjectors:
-    """Per-(unit, pair) projectors nulling every other stream in the system."""
-    return _complement_projectors(units, side="uplink")
+def build_uplink_projectors(units: list[Unit],
+                            twins: list[Unit] | None = None) -> tuple[PairProjectors, ...]:
+    """Per-(unit, pair) projectors nulling every other stream, on each link in one pass.
+
+    ``twins`` are the downlink twins of ``units`` from :func:`design_downlink`;
+    the result is the uplink's projectors, then the downlink's.  Without
+    ``twins`` only the uplink is built, and the tuple has one entry.  Both
+    links share every batched step (see :func:`_complement_projectors`), so
+    the twins must have the units' pairs and basis shapes, in order.
+
+    A failure raises the error a link-by-link build would raise first: every
+    uplink error before any downlink one.  Its ``stage`` is its link,
+    ``uplink`` or ``downlink``.
+    """
+    links = {"uplink": units}
+    if twins is not None:
+        if [(t.pairs, t.basis.shape) for t in twins] != [(u.pairs, u.basis.shape) for u in units]:
+            raise ValueError("twins must have the units' pairs and basis shapes, in order")
+        links["downlink"] = twins
+    return tuple(_complement_projectors(links))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -196,33 +228,106 @@ def _pair_nullspaces(local: np.ndarray, own: np.ndarray):
         yield ranks == rank, null[..., :d - rank]
 
 
-def _complement_projectors(units: list[Unit], side: str) -> PairProjectors:
+def _certified(r: np.ndarray, coords: np.ndarray, shape: tuple[int, int]) -> bool:
+    """Whether the solve's ``coords = R^-1 Q^H`` proves every singular value of ``R`` counts.
+
+    ``Q`` has orthonormal columns, so ``||coords||_F = ||R^-1||_F``, and
+    ``sigma_min(R) >= 1/||R^-1||_F`` while ``sigma_max(R) <= ||R||_F``.  Below
+    :data:`CERTIFICATE_MARGIN` every ``sigma`` is then at least twice the
+    :func:`~ssalign.linalg.singular_value_ranks` cutoff
+    ``RANK_REL * sigma_max * max(shape)``, a margin far wider than the
+    round-off of the norms or of an SVD of ``R``.  A non-finite norm fails.
+    """
+    bound = np.linalg.norm(r) * np.linalg.norm(coords) * RANK_REL * max(shape)
+    return bool(bound < CERTIFICATE_MARGIN)
+
+
+def _independence_violation(side: str, r: np.ndarray,
+                            shape: tuple[int, int]) -> IndependenceViolation | None:
+    """The exact joint-independence rule: an SVD of ``R``, whose values are the stacked bases'."""
+    rows, width = shape
+    sigma = np.linalg.svd(r, compute_uv=False)
+    rank = singular_value_ranks(sigma, shape)
+    if rank == width:
+        return None
+    dropped = sigma[rank] / sigma[0] if rank < sigma.size else 0.0
+    error = IndependenceViolation(
+        f"{side} unit spans overlap: their dimensions sum to {width}, "
+        f"jointly they span {rank} of N_active = {rows}; largest dropped singular "
+        f"value / sigma_max = {dropped:.1e} against RANK_REL*max(shape) = "
+        f"{RANK_REL * max(rows, width):.1e}"
+    )
+    error.stage = side
+    return error
+
+
+def _joint_basis(links: dict[str, list[Unit]]) -> tuple[np.ndarray, np.ndarray]:
+    """Each link's unitary QR factor and ``coords = R^-1 Q^H``, its unit spans checked.
+
+    Each unit's ``basis`` ``B_l`` has decided its span, so the relay space
+    is split by one complete Householder QR of each link's ``N_active x W``
+    stacked bases ``S = [B_1 .. B_L]``, not of the streams: ``S = Q R`` with
+    ``Q`` the first ``W`` columns of the unitary factor and the complement
+    ``C`` the other ``N_active - W``.  The spans must form a direct sum
+    ``span(B_1) + ... + span(B_L) = span(Q)``, the link's one
+    joint-independence check: ``R`` has the singular values of ``S``, and
+    all ``W`` must count under :func:`~ssalign.linalg.singular_value_ranks`
+    with the shape of ``S``.  The solve for ``coords`` certifies that
+    (:func:`_certified`); a link the certificate does not clear takes the
+    exact SVD of its ``R``, and so does every link when ``W > N_active`` or
+    the solve fails.  A link that fails it raises
+    :class:`~ssalign.errors.IndependenceViolation` naming the side, the
+    joint dimension against ``N_active``, and the largest dropped singular
+    value over ``sigma_max`` against the cutoff (0 when ``W > N_active``,
+    whose excess values are exact zeros).  A later link raises it only after
+    a pass over the earlier links has raised none of theirs.
+    """
+    stacked = (np.hstack([u.basis for u in units]) for units in links.values())
+    q_full, r = np.linalg.qr(np.stack(list(stacked)), mode="complete")
+    _, rows, width = r.shape
+    r = r[:, :width]
+    q_h = q_full[..., :width].conj().swapaxes(1, 2)
+    coords = None
+    if width <= rows:
+        try:
+            coords = np.linalg.solve(r, q_h)
+        except np.linalg.LinAlgError:
+            pass  # an exactly singular R: the SVD decides below
+    for i, side in enumerate(links):
+        if coords is not None and _certified(r[i], coords[i], (rows, width)):
+            continue
+        error = _independence_violation(side, r[i], (rows, width))
+        if error is not None:
+            if i:
+                _complement_projectors(dict(list(links.items())[:i]))
+            raise error
+    if coords is None:
+        # Every link passed the SVD, so the solve's own error is the one to raise.
+        coords = np.linalg.solve(r, q_h)
+    return q_full, coords
+
+
+def _complement_projectors(links: dict[str, list[Unit]]) -> list[PairProjectors]:
     """Factor every pair's complement projector through one oblique basis change.
 
-    The streams are the columns of the units' ``equivalent_uplink``, which
-    are ``G_a^H v`` for downlink twins.  Each unit's ``basis`` ``B_l`` has
-    decided its span, so the relay space is split by one complete Householder
-    QR of the ``N_active x W`` stacked bases ``S = [B_1 .. B_L]``, not of the
-    streams: ``S = Q R`` with ``Q`` the first ``W`` columns of the unitary
-    factor and the complement ``C`` the other ``N_active - W``.  The spans
-    must form a direct sum ``span(B_1) + ... + span(B_L) = span(Q)``, the
-    link's one joint-independence check: ``R`` has the singular values of
-    ``S``, and all ``W`` must count under :func:`~ssalign.linalg.singular_value_ranks`
-    with the shape of ``S``; else :class:`~ssalign.errors.IndependenceViolation`
-    names the side, the joint dimension against ``N_active``, and the
-    largest dropped singular value over ``sigma_max`` against the cutoff
-    (0 when ``W > N_active``, whose excess values are exact zeros).
-    So the rows of ``R^-1 Q^H`` give each vector of ``span(Q)`` its
-    coordinates in every unit basis.  A direction
-    ``R_l^H y`` built from unit ``l``'s rows is orthogonal to all other
-    units, and to the rest of unit ``l`` exactly when ``y`` is, so one small
-    nullspace in unit coordinates ``L = B_l^H H`` yields the pair's factor
-    ``Z = qr(R_l^H y)``.
+    ``links`` maps each side, ``uplink`` or ``downlink``, to its units, in
+    check order; their streams are the columns of ``equivalent_uplink``,
+    which are ``G_a^H v`` for downlink twins.  The links must match unit by
+    unit in pairs and basis shape, so every step runs once over a leading
+    link axis, and each link's factors equal those of a pass over that link
+    alone.  :func:`_joint_basis` splits each link's relay space into
+    ``span(Q)`` and its complement ``C``, and the rows of its
+    ``coords = R^-1 Q^H`` give each vector of ``span(Q)`` its coordinates
+    in every unit basis.  A direction ``R_l^H y`` built from unit ``l``'s
+    rows is orthogonal to all other units, and to the rest of unit ``l``
+    exactly when ``y`` is, so one small nullspace in unit coordinates
+    ``L = B_l^H H`` yields the pair's factor ``Z = qr(R_l^H y)``.
 
     The nullspaces are taken per unit shape, the basis width ``d`` and the
-    pair layout: one :func:`~ssalign.linalg.stacked_nullspaces` of every
-    pair's ``L[:, rest]^H`` decides each pair's rank, and the pairs are
-    sliced by rank, so each keeps the width that rule gives it.
+    pair layout, over both links' units of that shape: one
+    :func:`~ssalign.linalg.stacked_nullspaces` of every pair's
+    ``L[:, rest]^H`` decides each pair's rank, and the pairs are sliced by
+    rank, so each keeps the width that rule gives it.
     A square unit (a random one, ``d = s``) needs no SVD.  Its basis width is
     the span check's verdict ``rank(L) = s``, so ``L^-H[:, own]``, orthogonal
     to every other column of ``L``, spans the nullspace, and one inverse per
@@ -235,85 +340,77 @@ def _complement_projectors(units: list[Unit], side: str) -> PairProjectors:
     The same ``y`` tests the pair's survival: each of its streams ``h`` must
     keep ``|y^H B_l^H h| >= PAIR_SURVIVAL_MIN * |h| > 0`` off the rest of
     its unit, else :class:`~ssalign.errors.AlignmentDegenerate` names the
-    side, unit, group, column block and pair, the first failing in unit
-    order; so ``Z`` is never empty.
+    side, unit, group, column block and pair, the first failing in link and
+    then unit order; so ``Z`` is never empty.  Every error's ``stage`` is
+    its side.
     """
-    unit_bases = [u.basis for u in units]
-    stacked = np.hstack(unit_bases)
-    rows, width = stacked.shape
-    q_full, r = np.linalg.qr(stacked, mode="complete")
-    sigma = np.linalg.svd(r[:width], compute_uv=False)
-    rank = singular_value_ranks(sigma, stacked.shape)
-    if rank != width:
-        dropped = sigma[rank] / sigma[0] if rank < sigma.size else 0.0
-        raise IndependenceViolation(
-            f"{side} unit spans overlap: their dimensions sum to {width}, "
-            f"jointly they span {rank} of N_active = {rows}; largest dropped singular "
-            f"value / sigma_max = {dropped:.1e} against RANK_REL*max(shape) = "
-            f"{RANK_REL * max(rows, width):.1e}"
-        )
-    q = q_full[:, :width]
-    coords = np.linalg.solve(r[:width], q.conj().T)
-    offsets = np.cumsum([0] + [basis.shape[1] for basis in unit_bases])
+    sides = list(links)
+    unit_bases = [[u.basis for u in units] for units in links.values()]
+    q_full, coords = _joint_basis(links)
+    width = coords.shape[1]
+    offsets = np.cumsum([0] + [basis.shape[1] for basis in unit_bases[0]])
     pair_keys, shapes = [], {}
-    for li, (unit, basis) in enumerate(zip(units, unit_bases)):
+    for li, (unit, basis) in enumerate(zip(links[sides[0]], unit_bases[0])):
         keys, columns = _pair_columns(unit.pairs)
         pair_keys.append(keys)
         shapes.setdefault((basis.shape[1], columns), []).append(li)
 
-    found: dict[tuple[int, int], np.ndarray] = {}
+    found: dict[tuple[int, int, int], np.ndarray] = {}
     failed = []
     for (d, columns), members in shapes.items():
         own = np.array(columns)
-        bases = np.stack([unit_bases[li] for li in members])
-        streams = np.stack([units[li].equivalent_uplink for li in members])
-        local = bases.conj().swapaxes(1, 2) @ streams
+        # (link, unit) of each batch entry, link-major.
+        batch = [(i, li) for i in range(len(sides)) for li in members]
+        streams = np.stack([links[sides[i]][li].equivalent_uplink for i, li in batch])
+        local = np.stack([unit_bases[i][li] for i, li in batch]).conj().swapaxes(1, 2) @ streams
         # (units, pairs, d, 2) and (units, pairs, 2): each pair's own streams.
         local_own = local[:, :, own].transpose(0, 2, 1, 3)
         norms = np.linalg.norm(streams, axis=1)[:, own]
         # (units, 1, N_active, d): each unit's rows R_l^H, shared by its pairs.
-        rows_h = np.stack([coords[offsets[li]:offsets[li] + d] for li in members])
+        rows_h = np.stack([coords[i, offsets[li]:offsets[li] + d] for i, li in batch])
         rows_h = rows_h.conj().swapaxes(1, 2)[:, None]
         for select, y in _pair_nullspaces(local, own):
             kept = np.linalg.norm(y.conj().swapaxes(2, 3) @ local_own, axis=2)
             bad = select & np.any((norms == 0.0) | (kept < PAIR_SURVIVAL_MIN * norms), axis=2)
-            failed += [(members[u], p) for u, p in zip(*np.nonzero(bad))]
+            failed += [(*batch[u], p) for u, p in zip(*np.nonzero(bad))]
             if y.shape[3] == 0:
                 continue
             z = np.linalg.qr(rows_h @ y)[0]
-            found.update(((members[u], p), z[u, p]) for u, p in zip(*np.nonzero(select)))
+            found.update(((*batch[u], p), z[u, p]) for u, p in zip(*np.nonzero(select)))
     if failed:
-        li, p = min(failed)
-        unit = units[li]
+        i, li, p = min(failed)
+        unit = links[sides[i]][li]
         a, b = pair_keys[li][p]
-        raise AlignmentDegenerate(
-            f"{side} pair ({a},{b}) of unit {li} (group {unit.group}, column block "
+        error = AlignmentDegenerate(
+            f"{sides[i]} pair ({a},{b}) of unit {li} (group {unit.group}, column block "
             f"{unit.column_block}) does not survive the rest of its unit")
-    projectors = {(li, key): found[(li, p)]
-                  for li, keys in enumerate(pair_keys) for p, key in enumerate(keys)}
-    return PairProjectors(q, q_full[:, width:], projectors)
+        error.stage = sides[i]
+        raise error
+    return [PairProjectors(q_full[i, :, :width], q_full[i, :, width:],
+                           {(li, key): found[(i, li, p)]
+                            for li, keys in enumerate(pair_keys) for p, key in enumerate(keys)})
+            for i in range(len(sides))]
 
 
 @stage("downlink")
-def design_downlink(units: list[Unit], ch: ChannelSet) -> tuple[np.ndarray, PairProjectors]:
-    """Receive vectors and downlink projectors by uplink/downlink symmetry.
+def design_downlink(units: list[Unit], ch: ChannelSet) -> tuple[np.ndarray, list[Unit]]:
+    """Receive vectors and the downlink twins of ``units``, by uplink/downlink symmetry.
 
     Builds a twin of every unit with the uplink's own batched unit builder on
     the conjugate-transposed downlink ``G_a^H`` (same group and column block;
     for random units, fresh draws from RNG substream 2 of ``ch.seed``), so
-    every twin passes the same span checks; the first failing twin's error
-    names its unit.
-    The twins' beamformers side by side are the receive vectors ``v``, and
-    their equivalent vectors ``G_a^H v = (v^H G_a)^H`` give the complement
-    projectors, so each pair's ``W`` nulls the other pairs' rows ``v^H G_a``.
+    every twin passes the same span checks and has its unit's pairs and
+    basis width; the first failing twin's error names its unit.
+    The twins' beamformers side by side are the receive vectors ``v``.  Their
+    equivalent vectors ``G_a^H v = (v^H G_a)^H`` give the downlink projectors
+    in :func:`build_uplink_projectors`' pass over both links, so each pair's
+    ``W`` nulls the other pairs' rows ``v^H G_a``.
     """
     mirror = ChannelSet(m=ch.m, n=ch.n, k=ch.k, uplink=ch.downlink.swapaxes(2, 3).conj(),
                         downlink=ch.downlink, seed=ch.seed)
     specs = [(u.pattern_order, u.group, u.column_block) for u in units]
     twins = _build_units(mirror, specs, derived_rng(ch.seed, 2), name="downlink twin of unit")
-    receive = np.hstack([twin.beamformers for twin in twins])
-    projectors = _complement_projectors(twins, side="downlink")
-    return receive, projectors
+    return np.hstack([twin.beamformers for twin in twins]), twins
 
 
 def _stacked_factors(side: PairProjectors, keys: list[Key]):
@@ -358,9 +455,19 @@ def assemble_forward_matrix(units: list[Unit], uplink_projectors: PairProjectors
 
 
 def build_relay_processor(units: list[Unit], ch: ChannelSet) -> RelayProcessor:
-    """Full relay design: uplink projectors, downlink mirror, forwarding matrix."""
-    uplink = build_uplink_projectors(units)
-    receive, downlink = design_downlink(units, ch)
+    """Full relay design: downlink twins, both links' projectors, forwarding matrix.
+
+    A failing design raises the first error in link order: the uplink
+    projectors', then the twins', then the downlink projectors'.  The twins
+    are built first, so when one fails the uplink projectors are built alone
+    before its error is raised again.
+    """
+    try:
+        receive, twins = design_downlink(units, ch)
+    except ConstructionError:
+        build_uplink_projectors(units)
+        raise
+    uplink, downlink = build_uplink_projectors(units, twins)
     forward, alpha = assemble_forward_matrix(units, uplink, downlink)
     return RelayProcessor(
         uplink_basis=uplink.basis, uplink_projectors=uplink.factors,

@@ -48,7 +48,7 @@ from .errors import (
     SupplyExhausted,
     stage,
 )
-from .linalg import range_basis, singular_value_ranks, stacked_nullspaces
+from .linalg import singular_value_ranks, stacked_nullspaces
 
 __all__ = [
     "RANDOM",
@@ -71,8 +71,8 @@ class Unit:
     vector for its stream to user ``b``, ``(a, b) = pairs[i]`` with ``pairs``
     sorted; column ``i`` of ``equivalent_uplink`` (``N_active x s``) is its
     image ``H_a @ u`` at the active relay antennas.  ``basis`` is an
-    orthonormal basis of their span: :func:`_build_units` passes the one its
-    span check decided, else it is decomposed here, once.  ``==`` is identity.
+    orthonormal basis of their span, the one the span check of
+    :func:`_build_units` decided.  ``==`` is identity.
     """
 
     pattern_order: int  # 2..K for aligned units, RANDOM for random directions
@@ -80,12 +80,8 @@ class Unit:
     pairs: tuple[tuple[int, int], ...]
     beamformers: np.ndarray
     equivalent_uplink: np.ndarray
-    column_block: int = 0
-    basis: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if self.basis is None:
-            self.basis = range_basis(self.equivalent_uplink)
+    column_block: int
+    basis: np.ndarray
 
 
 def _unit_dims(pattern_order: int, size: int) -> int:

@@ -14,9 +14,15 @@ the library's thresholds, RNG keys and error messages.
 ``reference_nullspace`` takes a nullspace from one full SVD, which the
 library keeps only for tall and square stacks.
 
+The library decides ranks and nullspaces only on stacks, through
+``linalg.singular_value_ranks`` and ``linalg.stacked_nullspaces``.  The
+single-matrix subspace functions here (``numerical_rank``,
+``nullspace_basis``, ``range_basis``, ``intersection_basis`` and
+``union_span_dim``) keep that rank rule for one matrix at a time.
+
 The lemma checks run their Monte Carlo trials in batches, one stacked call
 per step.  The ``reference_check_*`` functions run them one trial at a
-time, through the single-matrix ``linalg`` functions, with the same draws.
+time, through the single-matrix functions, with the same draws.
 
 ``reference_curve_csv`` is the ``curve`` command's text made point by point
 from the public ``DofResult`` functions in ``Fraction`` arithmetic, which
@@ -30,18 +36,101 @@ from scipy.linalg import block_diag
 
 from ssalign import dof
 from ssalign.channel import complex_gaussian, derived_rng, slot_product
-from ssalign.errors import AlignmentDegenerate, SupplyExhausted
+from ssalign.errors import AlignmentDegenerate, ShapeMismatch, SupplyExhausted
 from ssalign.lemmas import check_direct_sum, check_intersection, check_stacked_rank
-from ssalign.linalg import (
-    as_complex_matrix,
-    intersection_basis,
-    nullspace_basis,
-    numerical_rank,
-    range_basis,
-    union_span_dim,
-)
+from ssalign.linalg import RANK_REL, singular_value_ranks, stacked_nullspaces
 from ssalign.cli import CSV_HEADER
 from ssalign.units import RANDOM, Unit, _build_units
+
+
+# The seven seed-sweep configs, (7,20,4), (5,9,5) improved, and a pair-unit
+# point with extension 3: the batched builders' and relay's comparison points.
+BUILD_CONFIGS = [(3, 5, 3, False), (3, 8, 4, False), (3, 12, 4, False), (2, 10, 5, False),
+                 (7, 14, 4, True), (2, 12, 6, False), (3, 5, 4, False), (7, 20, 4, False),
+                 (5, 9, 5, True), (7, 8, 4, False)]
+
+
+class InvalidMatrix(ValueError):
+    """Matrix input contains NaN/Inf entries or is not two-dimensional."""
+
+
+def as_complex_matrix(a) -> np.ndarray:
+    """Coerce input to a finite complex128 matrix (vectors become columns)."""
+    arr = np.asarray(a, dtype=np.complex128)
+    if arr.ndim == 1:
+        arr = arr[:, None]
+    if arr.ndim != 2:
+        raise InvalidMatrix(f"expected a matrix, got ndim={arr.ndim}")
+    if arr.size and not np.isfinite(arr).all():
+        raise InvalidMatrix("matrix contains non-finite entries")
+    return arr
+
+
+def numerical_rank(a) -> int:
+    """Rank of ``a``: singular values above ``RANK_REL * sigma_max * max(shape)``."""
+    arr = as_complex_matrix(a)
+    if arr.size == 0:
+        return 0
+    s = np.linalg.svd(arr, compute_uv=False)
+    return singular_value_ranks(s, arr.shape)
+
+
+def nullspace_basis(a) -> np.ndarray:
+    """Orthonormal basis of the right nullspace of ``a``.
+
+    Returns a ``cols x (cols - rank)`` matrix, :func:`stacked_nullspaces`
+    on a stack of one, so repeated calls on identical input agree bit for
+    bit.
+    """
+    arr = as_complex_matrix(a)
+    rows, cols = arr.shape
+    if cols == 0:
+        return np.empty((0, 0), dtype=np.complex128)
+    if rows == 0:
+        return np.eye(cols, dtype=np.complex128)
+    return stacked_nullspaces(arr)[1]
+
+
+def range_basis(a) -> np.ndarray:
+    """Orthonormal basis of the column space of ``a`` (``rows x rank``)."""
+    arr = as_complex_matrix(a)
+    if arr.size == 0:
+        return np.empty((arr.shape[0], 0), dtype=np.complex128)
+    u, s, _ = np.linalg.svd(arr, full_matrices=False)
+    rank = singular_value_ranks(s, arr.shape)
+    return u[:, :rank]
+
+
+def intersection_basis(a, b) -> np.ndarray:
+    """Orthonormal basis of ``span(a) & span(b)``.
+
+    Computed through the nullspace of the horizontal stack ``[a, -b]``: each
+    nullspace column ``[x; y]`` satisfies ``a @ x == b @ y``, so ``a @ x``
+    lies in the intersection.  The returned dimension equals
+    ``rank(a) + rank(b) - rank([a, b])``.
+    """
+    am = as_complex_matrix(a)
+    bm = as_complex_matrix(b)
+    if am.shape[0] != bm.shape[0]:
+        raise ShapeMismatch(f"row counts differ: {am.shape[0]} vs {bm.shape[0]}")
+    n = am.shape[0]
+    if am.shape[1] == 0 or bm.shape[1] == 0:
+        return np.empty((n, 0), dtype=np.complex128)
+    stacked = np.hstack([am, -bm])
+    null = nullspace_basis(stacked)
+    candidates = am @ null[: am.shape[1], :]
+    return range_basis(candidates)
+
+
+def union_span_dim(bases) -> int:
+    """Dimension of the joint span of a collection of bases/vectors."""
+    mats = [as_complex_matrix(b) for b in bases]
+    if not mats:
+        return 0
+    rows = {m.shape[0] for m in mats}
+    if len(rows) != 1:
+        raise ShapeMismatch(f"bases have mixed row counts: {sorted(rows)}")
+    return numerical_rank(np.hstack(mats))
 
 
 def dense(blocks):
@@ -74,6 +163,27 @@ def build_aligned_unit(ch, group, column_block):
 def build_random_unit(ch, rng):
     """Random unit drawn from ``rng``, the library's batch of one."""
     return _build_units(ch, [(RANDOM, tuple(range(ch.k)), 0)], rng)[0]
+
+
+def reference_joint_independence(side, bases):
+    """One link's joint-independence rule by the SVD of its stacked bases' ``R`` alone.
+
+    ``R`` is the complete QR's, and all ``W`` of its singular values must
+    count with the stacked shape.  Gives ``None`` or the library's
+    ``IndependenceViolation`` message.
+    """
+    stacked = np.hstack(bases)
+    rows, width = stacked.shape
+    r = np.linalg.qr(stacked, mode="complete")[1][:width]
+    sigma = np.linalg.svd(r, compute_uv=False)
+    rank = int(np.count_nonzero(sigma > RANK_REL * sigma[0] * max(rows, width)))
+    if rank == width:
+        return None
+    dropped = sigma[rank] / sigma[0] if rank < sigma.size else 0.0
+    return (f"{side} unit spans overlap: their dimensions sum to {width}, "
+            f"jointly they span {rank} of N_active = {rows}; largest dropped singular "
+            f"value / sigma_max = {dropped:.1e} against RANK_REL*max(shape) = "
+            f"{RANK_REL * max(rows, width):.1e}")
 
 
 def reference_nullspace(a):

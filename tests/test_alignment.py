@@ -17,7 +17,6 @@ from ssalign import (
     execute_plan,
     plan_alignment,
     sample_channel_set,
-    union_span_dim,
 )
 from ssalign.errors import (
     AlignmentDegenerate,
@@ -28,12 +27,14 @@ from ssalign.errors import (
 from ssalign.units import _build_units, _group_nullspaces
 
 from reference import (
+    BUILD_CONFIGS,
     build_aligned_unit,
     build_random_unit,
     complement_projector,
     dense,
     reference_group_nullspace,
     reference_units,
+    union_span_dim,
 )
 
 
@@ -401,11 +402,8 @@ def assert_units_match(got, want):
 
 
 class TestBatchedBuilder:
-    # The seven seed-sweep configs, (7,20,4), (5,9,5) improved, and a pair-unit
-    # point with extension 3 from TestExecutePlan.SLOT_LOCAL.
-    CONFIGS = [(3, 5, 3, False), (3, 8, 4, False), (3, 12, 4, False), (2, 10, 5, False),
-               (7, 14, 4, True), (2, 12, 6, False), (3, 5, 4, False), (7, 20, 4, False),
-               (5, 9, 5, True), (7, 8, 4, False)]
+    # (7, 8, 4) is the pair-unit point of TestExecutePlan.SLOT_LOCAL.
+    CONFIGS = BUILD_CONFIGS
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("m,n,k,improved", CONFIGS)

@@ -20,7 +20,6 @@ from ssalign import (
     construct,
     deactivate_relay_antennas,
     execute_plan,
-    numerical_rank,
     sample_channel_set,
 )
 from ssalign.channel import ChannelSet, array_from_json, array_to_json, derived_rng, slot_product
@@ -28,7 +27,7 @@ from ssalign.errors import InvalidDeactivation, ShapeMismatch
 from ssalign import lemmas
 from ssalign.lemmas import check_direct_sum, check_intersection, check_stacked_rank
 
-from reference import dense
+from reference import dense, numerical_rank
 
 
 class TestSystemConfig:

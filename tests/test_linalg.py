@@ -7,17 +7,22 @@ from ssalign import (
     LEAKAGE_ABS,
     RANK_REL,
     SystemConfig,
+    sample_channel_set,
+)
+from ssalign.channel import complex_gaussian
+from ssalign.errors import ShapeMismatch
+from ssalign.linalg import singular_value_ranks, stacked_nullspaces
+
+from reference import (
+    InvalidMatrix,
+    complement_projector,
+    dense,
     intersection_basis,
     nullspace_basis,
     numerical_rank,
-    sample_channel_set,
+    reference_nullspace,
     union_span_dim,
 )
-from ssalign.channel import complex_gaussian
-from ssalign.errors import InvalidMatrix, ShapeMismatch
-from ssalign.linalg import singular_value_ranks, stacked_nullspaces
-
-from reference import complement_projector, dense, reference_nullspace
 
 
 def _rng(seed):

@@ -17,10 +17,7 @@ from ssalign import (
     derived_rng,
     design_downlink,
     estimate_dof_slope,
-    nullspace_basis,
-    numerical_rank,
     sample_channel_set,
-    union_span_dim,
     verify_end_to_end,
 )
 from ssalign.errors import AlignmentDegenerate, IndependenceViolation
@@ -29,12 +26,23 @@ from ssalign.relay import _entry_rms_scale
 from ssalign.units import RANDOM, Unit
 
 from reference import (
+    BUILD_CONFIGS,
     build_aligned_unit,
     build_random_unit,
     complement_projector,
     dense,
+    nullspace_basis,
+    numerical_rank,
     projector,
+    range_basis,
+    reference_joint_independence,
+    union_span_dim,
 )
+
+
+def unit_of(pattern_order, group, pairs, streams):
+    """A hand-made unit whose streams are its beamformers, with a reference basis."""
+    return Unit(pattern_order, group, pairs, streams.copy(), streams, 0, range_basis(streams))
 
 
 def full_build(m, n, k, seed, improved=False):
@@ -48,7 +56,7 @@ class TestUplinkProjectors:
         # directions, so each projector has rank 2.
         ch = sample_channel_set(SystemConfig(m=2, n=6, k=3, seed=1))
         unit = build_random_unit(ch, derived_rng(1, 1))
-        projectors = build_uplink_projectors([unit])
+        (projectors,) = build_uplink_projectors([unit])
         assert len(projectors.factors) == 3
         for z in projectors.factors.values():
             assert numerical_rank(projector(projectors.basis, z)) == 2
@@ -64,7 +72,7 @@ class TestUplinkProjectors:
     def test_single_pair_alone_gives_identity(self):
         ch = sample_channel_set(SystemConfig(m=3, n=5, k=3, seed=3))
         unit = build_aligned_unit(ch, (0, 1), 0)
-        projectors = build_uplink_projectors([unit])
+        (projectors,) = build_uplink_projectors([unit])
         p = projector(projectors.basis, projectors.factors[(0, (0, 1))])
         assert np.allclose(p, np.eye(5), rtol=0, atol=1e-12)
 
@@ -85,7 +93,7 @@ class TestUplinkProjectors:
         units = []
         for _ in range(2):
             vecs = np.column_stack([complex_gaussian(rng, 2, 1)[:, 0] for _ in range(2)])
-            units.append(Unit(2, (0, 1), ((0, 1), (1, 0)), vecs.copy(), vecs))
+            units.append(unit_of(2, (0, 1), ((0, 1), (1, 0)), vecs))
         with pytest.raises(IndependenceViolation, match="^uplink unit spans overlap"):
             build_uplink_projectors(units)
 
@@ -97,14 +105,14 @@ class TestUplinkProjectors:
         vecs = np.column_stack([complex_gaussian(rng, 2, 1)[:, 0] for _ in pairs])
         with pytest.raises(AlignmentDegenerate,
                            match=r"^uplink pair \(0,1\) of unit 0 .* does not survive"):
-            build_uplink_projectors([Unit(RANDOM, (0, 1, 2), pairs, vecs.copy(), vecs)])
+            build_uplink_projectors([unit_of(RANDOM, (0, 1, 2), pairs, vecs)])
 
     def test_zero_stream_does_not_survive(self):
         rng = np.random.Generator(np.random.Philox(key=7))
         vecs = complex_gaussian(rng, 3, 2)
         vecs[:, 1] = 0.0
         with pytest.raises(AlignmentDegenerate, match="does not survive"):
-            build_uplink_projectors([Unit(2, (0, 1), ((0, 1), (1, 0)), vecs.copy(), vecs)])
+            build_uplink_projectors([unit_of(2, (0, 1), ((0, 1), (1, 0)), vecs)])
 
 
 # The ordered pairs of group (0, 1, 2): pair (0,1) owns columns 0 and 2,
@@ -124,7 +132,7 @@ def six_stream_unit(rng, frame, dependent=None):
         j, cols = dependent
         coords[:, j] = coords[:, list(cols)].sum(axis=1)
     streams = frame @ coords
-    return Unit(3, (0, 1, 2), TRIPLE_PAIRS, streams.copy(), streams)
+    return unit_of(3, (0, 1, 2), TRIPLE_PAIRS, streams)
 
 
 class TestBatchedFactors:
@@ -135,7 +143,7 @@ class TestBatchedFactors:
         frame = complex_gaussian(rng, 12, 10)
         units = [six_stream_unit(rng, frame[:, :5], dependent=(5, (1, 3, 4))),
                  six_stream_unit(rng, frame[:, 5:])]
-        projectors = build_uplink_projectors(units)
+        (projectors,) = build_uplink_projectors(units)
         widths = {}
         for li, unit in enumerate(units):
             local = unit.basis.conj().T @ unit.equivalent_uplink
@@ -153,7 +161,7 @@ class TestBatchedFactors:
         rng = np.random.Generator(np.random.Philox(key=9))
         frame = complex_gaussian(rng, 12, 11)
         pair = frame[:, :1] @ complex_gaussian(rng, 1, 2)
-        units = [Unit(2, (0, 1), ((0, 1), (1, 0)), pair.copy(), pair),
+        units = [unit_of(2, (0, 1), ((0, 1), (1, 0)), pair),
                  six_stream_unit(rng, frame[:, 1:6]),
                  six_stream_unit(rng, frame[:, 6:], dependent=(3, (0, 1, 2, 4)))]
         with pytest.raises(AlignmentDegenerate,
@@ -178,9 +186,42 @@ class TestPairSurvival:
 
     def test_downlink_twins_are_tested(self, monkeypatch):
         built = construct(3, 8, 4, 0)
+        _, twins = design_downlink(built.units, built.channels)
         monkeypatch.setattr(relay, "PAIR_SURVIVAL_MIN", 2.0)
         with pytest.raises(AlignmentDegenerate, match=r"^downlink pair \(0,1\) of unit 0 "):
-            design_downlink(built.units, built.channels)
+            relay._complement_projectors({"downlink": twins})
+
+
+def projectors_of(side, units, ch):
+    """One link's projectors from a pass over that link alone: the units', or their twins'."""
+    if side == "uplink":
+        return build_uplink_projectors(units)[0]
+    _, twins = design_downlink(units, ch)
+    return relay._complement_projectors({"downlink": twins})[0]
+
+
+def scaled_pair_unit(rows, scale, seed=0):
+    """A pair unit in ``C^rows`` whose orthonormal basis has its second column scaled.
+
+    The basis then has singular values 1 and ``scale``.
+    """
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    vecs = complex_gaussian(rng, rows, 2)
+    basis = np.linalg.qr(vecs)[0] * np.array([1.0, scale])
+    return Unit(2, (0, 1), ((0, 1), (1, 0)), vecs.copy(), vecs, 0, basis)
+
+
+def joint_svds(monkeypatch):
+    """The shapes of the single-matrix SVDs run from now on: the joint rule's, on ``R``."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        if np.ndim(a) == 2:
+            shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return shapes
 
 
 class TestJointIndependence:
@@ -197,10 +238,7 @@ class TestJointIndependence:
                                  r"jointly they span 16 of N_active = 16; largest dropped "
                                  r"singular value / sigma_max = 0\.0e\+00 against "
                                  r"RANK_REL\*max\(shape\) = 2\.0e-09$"):
-            if side == "uplink":
-                build_uplink_projectors(units)
-            else:
-                design_downlink(units, built.channels)
+            projectors_of(side, units, built.channels)
 
     # Units 0, 1 and a copy of 0 fit in the 16 rows, so the copy's 4
     # dimensions are dropped singular values: round-off, far below the cutoff.
@@ -209,10 +247,7 @@ class TestJointIndependence:
         built = construct(3, 8, 4, 0)
         units = built.units[:2] + [built.units[0]]
         with pytest.raises(IndependenceViolation) as info:
-            if side == "uplink":
-                build_uplink_projectors(units)
-            else:
-                design_downlink(units, built.channels)
+            projectors_of(side, units, built.channels)
         found = re.fullmatch(rf"{side} unit spans overlap: their dimensions sum to 12, "
                              r"jointly they span 8 of N_active = 16; largest dropped "
                              r"singular value / sigma_max = (\d\.\de-\d\d) against "
@@ -220,6 +255,144 @@ class TestJointIndependence:
         assert found is not None, str(info.value)
         margin, cutoff = map(float, found.groups())
         assert margin < 1e-6 * cutoff
+
+    # A 4 x 2 basis with singular values 1 and ``scale`` against the cutoff
+    # RANK_REL * 4 = 4e-10.  The certificate ||R|| ||R^-1|| RANK_REL * 4 is
+    # about 4e-10 / scale: 4e-7 clears the 1/2 margin, 0.91 and 1.11 do not,
+    # so the SVD decides them, one just above the cutoff and one just below.
+    @pytest.mark.parametrize("scale,certified", [(1e-3, True), (4.4e-10, False),
+                                                 (3.6e-10, False)])
+    def test_scaled_column_gets_the_svd_rules_verdict(self, monkeypatch, scale, certified):
+        unit = scaled_pair_unit(4, scale)
+        want = reference_joint_independence("uplink", [unit.basis])
+        assert (want is None) == (scale > 4e-10)
+        shapes = joint_svds(monkeypatch)
+        if want is None:
+            build_uplink_projectors([unit])
+        else:
+            with pytest.raises(IndependenceViolation) as info:
+                build_uplink_projectors([unit])
+            assert (str(info.value), info.value.stage) == (want, "uplink")
+            assert str(info.value).endswith("= 3.6e-10 against RANK_REL*max(shape) = 4.0e-10")
+        assert shapes == ([] if certified else [(2, 2)])
+
+    def test_exactly_singular_factor_fails_the_solve_and_the_svd_decides(self, monkeypatch):
+        # Basis columns e_0 and e_0: Householder leaves e_0 as it is, so R is
+        # exactly [[1, 1], [0, 0]] and the solve raises.
+        rng = np.random.Generator(np.random.Philox(key=1))
+        vecs = complex_gaussian(rng, 4, 2)
+        basis = np.eye(4, dtype=np.complex128)[:, [0, 0]]
+        r = np.linalg.qr(basis, mode="complete")[1][:2]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(r, np.eye(2))
+        want = reference_joint_independence("uplink", [basis])
+        shapes = joint_svds(monkeypatch)
+        with pytest.raises(IndependenceViolation) as info:
+            build_uplink_projectors([Unit(2, (0, 1), ((0, 1), (1, 0)), vecs.copy(), vecs, 0,
+                                          basis)])
+        assert str(info.value) == want
+        assert want.startswith("uplink unit spans overlap: their dimensions sum to 2, "
+                               "jointly they span 1 of N_active = 4")
+        assert shapes == [(2, 2)]
+
+    def test_more_dimensions_than_rows_skip_the_solve(self, monkeypatch):
+        built = construct(3, 8, 4, 0)
+        units = built.units + [built.units[0]]
+        want = reference_joint_independence("uplink", [u.basis for u in units])
+        assert want.endswith("sigma_max = 0.0e+00 against RANK_REL*max(shape) = 2.0e-09")
+        shapes = joint_svds(monkeypatch)
+        with pytest.raises(IndependenceViolation) as info:
+            build_uplink_projectors(units)
+        assert str(info.value) == want
+        assert shapes == [(16, 20)]
+
+    @pytest.mark.parametrize("m,n,k,improved", [(7, 20, 4, False), (5, 9, 5, True),
+                                                (2, 12, 6, False), (4, 9, 5, False)])
+    def test_well_conditioned_builds_need_no_joint_svd(self, monkeypatch, m, n, k, improved):
+        built = construct(m, n, k, 0, improved)
+        _, twins = design_downlink(built.units, built.channels)
+        for units in (built.units, twins):
+            assert reference_joint_independence("uplink", [u.basis for u in units]) is None
+        width = sum(u.basis.shape[1] for u in built.units)
+        shapes = joint_svds(monkeypatch)
+        build_uplink_projectors(built.units, twins)
+        assert (width, width) not in shapes
+
+
+class TestFusedLinks:
+    @pytest.mark.parametrize("m,n,k,improved", BUILD_CONFIGS)
+    def test_factors_equal_a_pass_over_each_link_alone(self, m, n, k, improved):
+        built = construct(m, n, k, 0, improved)
+        _, twins = design_downlink(built.units, built.channels)
+        fused = build_uplink_projectors(built.units, twins)
+        alone = (build_uplink_projectors(built.units)[0],
+                 relay._complement_projectors({"downlink": twins})[0])
+        for got, want in zip(fused, alone, strict=True):
+            assert list(got.factors) == list(want.factors)
+            c_got, c_want = got.complement, want.complement
+            assert np.allclose(c_got @ c_got.conj().T, c_want @ c_want.conj().T,
+                               rtol=0, atol=1e-12)
+            for key, z in want.factors.items():
+                assert np.allclose(projector(got.basis, got.factors[key]),
+                                   projector(want.basis, z), rtol=0, atol=1e-12)
+
+    def test_twins_must_mirror_the_units(self):
+        built = construct(3, 8, 4, 0)
+        _, twins = design_downlink(built.units, built.channels)
+        with pytest.raises(ValueError, match="twins must have the units' pairs"):
+            build_uplink_projectors(built.units, twins[:-1])
+
+    # Users 2 and 3 share one downlink, so the twins of their groups fail the
+    # span check; with PAIR_SURVIVAL_MIN = 2.0 every uplink pair fails too.
+    def test_uplink_pair_error_comes_before_a_twin_error(self, monkeypatch):
+        built = construct(3, 8, 4, 0)
+        downlink = built.channels.downlink.copy()
+        downlink[3] = downlink[2]
+        ch = replace(built.channels, downlink=downlink)
+        with pytest.raises(AlignmentDegenerate, match="^downlink twin of unit ") as info:
+            build_relay_processor(built.units, ch)
+        assert info.value.stage == "downlink"
+        monkeypatch.setattr(relay, "PAIR_SURVIVAL_MIN", 2.0)
+        with pytest.raises(AlignmentDegenerate,
+                           match=r"^uplink pair \(0,1\) of unit 0 \(group \(0, 1, 2\)") as info:
+            build_relay_processor(built.units, ch)
+        assert info.value.stage == "uplink"
+
+    def test_downlink_pair_error_keeps_its_stage(self, monkeypatch):
+        # Twin 0's first stream, of pair (0,1), is zeroed after its span check.
+        built = construct(3, 8, 4, 0)
+        build = relay._build_units
+
+        def zeroed_twins(*args, **kwargs):
+            twins = build(*args, **kwargs)
+            twins[0].equivalent_uplink = twins[0].equivalent_uplink.copy()
+            twins[0].equivalent_uplink[:, 0] = 0.0
+            return twins
+        monkeypatch.setattr(relay, "_build_units", zeroed_twins)
+        with pytest.raises(AlignmentDegenerate,
+                           match=r"^downlink pair \(0,1\) of unit 0 .* does not survive") as info:
+            build_relay_processor(built.units, built.channels)
+        assert info.value.stage == "downlink"
+
+    def test_downlink_overlap_comes_after_the_uplink_pair_errors(self, monkeypatch):
+        # Twin 1 takes twin 0's basis: only the downlink spans overlap.
+        built = construct(3, 8, 4, 0)
+        build = relay._build_units
+
+        def overlapping_twins(*args, **kwargs):
+            twins = build(*args, **kwargs)
+            twins[1].basis = twins[0].basis
+            return twins
+        monkeypatch.setattr(relay, "_build_units", overlapping_twins)
+        with pytest.raises(IndependenceViolation,
+                           match="^downlink unit spans overlap: their dimensions sum to 16, "
+                                 "jointly they span 12 of N_active = 16") as info:
+            build_relay_processor(built.units, built.channels)
+        assert info.value.stage == "downlink"
+        monkeypatch.setattr(relay, "PAIR_SURVIVAL_MIN", 2.0)
+        with pytest.raises(AlignmentDegenerate, match=r"^uplink pair \(0,1\) of unit 0 ") as info:
+            build_relay_processor(built.units, built.channels)
+        assert info.value.stage == "uplink"
 
 
 class TestLowRankProjectors:
@@ -310,8 +483,8 @@ class TestForwardMatrix:
         # A lone pair unit excludes nothing, so W = P = I and F = alpha * I.
         ch = sample_channel_set(SystemConfig(m=3, n=5, k=3, seed=8))
         unit = build_aligned_unit(ch, (0, 1), 0)
-        uplink = build_uplink_projectors([unit])
-        receive, downlink = design_downlink([unit], ch)
+        receive, twins = design_downlink([unit], ch)
+        uplink, downlink = build_uplink_projectors([unit], twins)
         forward, alpha = assemble_forward_matrix([unit], uplink, downlink)
         assert alpha > 0
         assert np.allclose(forward, alpha * np.eye(5))
@@ -326,8 +499,8 @@ class TestForwardMatrix:
     def test_sums_pair_terms(self):
         ch = sample_channel_set(SystemConfig(m=2, n=6, k=3, seed=10))
         unit = build_random_unit(ch, derived_rng(10, 1))
-        uplink = build_uplink_projectors([unit])
-        receive, downlink = design_downlink([unit], ch)
+        receive, twins = design_downlink([unit], ch)
+        uplink, downlink = build_uplink_projectors([unit], twins)
         forward, alpha = assemble_forward_matrix([unit], uplink, downlink)
         manual = sum(projector(downlink.basis, downlink.factors[key])
                      @ projector(uplink.basis, uplink.factors[key]) for key in uplink.factors)
@@ -346,9 +519,8 @@ class TestForwardMatrix:
     def test_factored_sum_matches_dense_pair_terms(self, m, n, k, improved, free):
         _, ch, units, processor = full_build(m, n, k, seed=11, improved=improved)
         rows = ch.active_relay
-        uplink = build_uplink_projectors(units)
-        _, downlink = design_downlink(units, ch)
-        for side in (uplink, downlink):
+        _, twins = design_downlink(units, ch)
+        for side in build_uplink_projectors(units, twins):
             q, c = side.basis, side.complement
             assert c.shape == (rows, rows - q.shape[1]) == (rows, free)
             assert np.allclose(c.conj().T @ c, np.eye(free), rtol=0, atol=1e-12)
