@@ -32,8 +32,10 @@ def construct(m: int, n: int, k: int, seed: int, improved: bool = False) -> Cons
 
     Stages in order: :func:`plan_alignment`; :func:`sample_channel_set` on
     ``seed``, then :func:`deactivate_relay_antennas` if the plan keeps fewer
-    relay rows; :func:`execute_plan`, which draws from RNG substream 1 of
-    ``seed``; :func:`build_relay_processor`, which draws from substream 2.  A failed stage raises
+    relay rows; :func:`execute_plan`, which builds the units and beside them
+    their downlink twins, drawing from RNG substreams 1 and 2 of ``seed``;
+    :func:`build_relay_processor`, which takes the twins from the units and
+    draws nothing.  A failed stage raises
     :class:`~ssalign.errors.ConstructionError` tagged with its ``stage``; one
     raised after sampling carries the sampled channels as its ``channels``,
     from which the same stages raise it again.  Count the decodable DoF of
@@ -47,7 +49,7 @@ def construct(m: int, n: int, k: int, seed: int, improved: bool = False) -> Cons
         channels = deactivate_relay_antennas(channels, plan.active_relay)
     try:
         units = execute_plan(plan, channels)
-        processor = build_relay_processor(units, channels)
+        processor = build_relay_processor(units)
     except ConstructionError as exc:
         exc.channels = channels
         raise

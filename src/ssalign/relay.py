@@ -5,10 +5,12 @@ signal onto the orthogonal complement of *all* equivalent uplink vectors
 except the pair's own two, so exactly one linear combination of the paired
 streams survives per projector; that survival is tested for every pair of
 every unit on both links while the projector factors are computed.  The
-downlink side mirrors the uplink: the same unit construction runs on the
-conjugate-transposed downlink ``G_a^H`` to produce twins whose beamformers
-are the receive vectors ``v``, and downlink projectors null everything but
-the pair among the twins' vectors ``G_a^H v = (v^H G_a)^H``.  The relay
+downlink side mirrors the uplink: each unit carries its twin, which
+:func:`~ssalign.units.execute_plan` builds beside it with the same unit
+construction on the conjugate-transposed downlink ``G_a^H`` (random twins
+from RNG substream 2).  The twins' beamformers are the receive vectors
+``v``, and downlink projectors null everything but the pair among the
+twins' vectors ``G_a^H v = (v^H G_a)^H``.  The relay
 forwards ``F = alpha * sum_l sum_{a<b} W(l,a,b) @ P(l,a,b)`` with ``alpha``
 meeting the unit relay power budget with equality.
 
@@ -46,7 +48,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .channel import ChannelSet, derived_rng, slot_product
+from .channel import ChannelSet, slot_product
 from .errors import (
     AlignmentDegenerate,
     ConstructionError,
@@ -55,7 +57,7 @@ from .errors import (
     stage,
 )
 from .linalg import LEAKAGE_ABS, RANK_REL, singular_value_ranks, stacked_nullspaces
-from .units import Unit, _build_units
+from .units import Unit, _raise_first_error
 
 __all__ = [
     "PairProjectors",
@@ -393,23 +395,25 @@ def _complement_projectors(links: dict[str, list[Unit]]) -> list[PairProjectors]
 
 
 @stage("downlink")
-def design_downlink(units: list[Unit], ch: ChannelSet) -> tuple[np.ndarray, list[Unit]]:
+def design_downlink(units: list[Unit]) -> tuple[np.ndarray, list[Unit]]:
     """Receive vectors and the downlink twins of ``units``, by uplink/downlink symmetry.
 
-    Builds a twin of every unit with the uplink's own batched unit builder on
-    the conjugate-transposed downlink ``G_a^H`` (same group and column block;
-    for random units, fresh draws from RNG substream 2 of ``ch.seed``), so
-    every twin passes the same span checks and has its unit's pairs and
-    basis width; the first failing twin's error names its unit.
+    The twins are the ones :func:`~ssalign.units.execute_plan` built beside
+    the units, on the conjugate-transposed downlink ``G_a^H`` (same group
+    and column block; for random units, draws from RNG substream 2 of the
+    channels' seed), so every twin passed the same span checks and has its
+    unit's pairs and basis width.  Nothing is rebuilt here: the first twin
+    kept as its error raises it again, its message led by ``downlink twin
+    of unit {index}: ``, and a unit without a twin raises ``ValueError``.
     The twins' beamformers side by side are the receive vectors ``v``.  Their
     equivalent vectors ``G_a^H v = (v^H G_a)^H`` give the downlink projectors
     in :func:`build_uplink_projectors`' pass over both links, so each pair's
     ``W`` nulls the other pairs' rows ``v^H G_a``.
     """
-    mirror = ChannelSet(m=ch.m, n=ch.n, k=ch.k, uplink=ch.downlink.swapaxes(2, 3).conj(),
-                        downlink=ch.downlink, seed=ch.seed)
-    specs = [(u.pattern_order, u.group, u.column_block) for u in units]
-    twins = _build_units(mirror, specs, derived_rng(ch.seed, 2), name="downlink twin of unit")
+    twins = [unit.twin for unit in units]
+    if any(twin is None for twin in twins):
+        raise ValueError("every unit needs the downlink twin execute_plan builds beside it")
+    _raise_first_error(twins, name="downlink twin of unit")
     return np.hstack([twin.beamformers for twin in twins]), twins
 
 
@@ -454,16 +458,18 @@ def assemble_forward_matrix(units: list[Unit], uplink_projectors: PairProjectors
     return alpha * base, alpha
 
 
-def build_relay_processor(units: list[Unit], ch: ChannelSet) -> RelayProcessor:
+def build_relay_processor(units: list[Unit]) -> RelayProcessor:
     """Full relay design: downlink twins, both links' projectors, forwarding matrix.
 
-    A failing design raises the first error in link order: the uplink
-    projectors', then the twins', then the downlink projectors'.  The twins
-    are built first, so when one fails the uplink projectors are built alone
-    before its error is raised again.
+    The units must carry the twins :func:`~ssalign.units.execute_plan`
+    built beside them; the channels are not read again.  A failing design
+    raises the first error in link order: the uplink projectors', then the
+    twins', then the downlink projectors'.  The twins are checked first, so
+    when one failed the uplink projectors are built alone before its error
+    is raised again.
     """
     try:
-        receive, twins = design_downlink(units, ch)
+        receive, twins = design_downlink(units)
     except ConstructionError:
         build_uplink_projectors(units)
         raise

@@ -11,15 +11,20 @@ one remaining beamformer makes the ``t (t - 1)`` equivalent channel vectors
 collapse onto ``(t - 1)^2`` relay dimensions; ``t = 2`` degenerates to the
 two pair vectors being parallel.
 
-Units are built in batches, not one by one (:func:`_build_units`, which
-serves both the uplink units and the relay's downlink twins): per group
-size, one SVD over every ``(group, slot)`` stack gives the slot nullspaces
-and one QR per width the groups' mixings; one product with a fixed signed
+Units are built in batches, not one by one (:func:`_build_units`), and
+each unit's downlink *twin*, the same spec built on the mirrored downlink
+``G_a^H``, is built in the same pass: :func:`execute_plan` runs it over
+both links, the channels with RNG substream 1 and their mirror with
+substream 2.  Per group size, one SVD over every ``(link, group, slot)``
+stack gives the slot nullspaces, and one QR per width the groups' mixings,
+each drawn once and shared by the links; one product with a fixed signed
 coefficient array gives every column block's beamformers; and per unit
-shape one product gives every equivalent vector and one SVD checks every
-span.  Random units draw from the caller's RNG in spec order, and a group's
-mixing from its own key, so a unit does not depend on its batch: built alone,
-as a batch of one, it equals its copy in a whole plan bit for bit.
+shape one SVD checks every span.  The products that copy a channel or a
+basis per entry run link by link, so that one link's copies are alive at a
+time.  Random units draw from their link's RNG in spec order, and a group's
+mixing from its own key, so a unit does not depend on its batch: built
+alone, as a batch of one on one link, it equals its copy in a whole plan
+bit for bit.
 
 The planner decides, per antenna regime, how many units of which order fill
 the relay space, choosing the smallest symbol-extension factor that makes
@@ -72,7 +77,10 @@ class Unit:
     sorted; column ``i`` of ``equivalent_uplink`` (``N_active x s``) is its
     image ``H_a @ u`` at the active relay antennas.  ``basis`` is an
     orthonormal basis of their span, the one the span check of
-    :func:`_build_units` decided.  ``==`` is identity.
+    :func:`_build_units` decided.  ``twin`` is the unit's downlink twin from
+    :func:`execute_plan`, a ``Unit`` on ``G^H`` or the ``ConstructionError``
+    its build raised; it is ``None`` on a twin, and on a unit built on one
+    link only.  ``==`` is identity.
     """
 
     pattern_order: int  # 2..K for aligned units, RANDOM for random directions
@@ -82,6 +90,7 @@ class Unit:
     equivalent_uplink: np.ndarray
     column_block: int
     basis: np.ndarray
+    twin: Unit | ConstructionError | None = None
 
 
 def _unit_dims(pattern_order: int, size: int) -> int:
@@ -103,24 +112,32 @@ def _pair_layout(group: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], t
     return tuple(own[c] for c in order), order
 
 
-def _checked_units(ch: ChannelSet, pattern_order: int, groups: list[tuple[int, ...]],
-                   beams: np.ndarray, column_blocks: list[int]) -> list:
+def _checked_units(up: np.ndarray, pattern_order: int, links: list[int],
+                   groups: list[tuple[int, ...]], beams: np.ndarray,
+                   column_blocks: list[int]) -> list:
     """Units of one shape from their beamformers, each span checked: a ``Unit`` or its error.
 
-    ``beams`` is ``(units, M*ext, s)``, every unit's columns in its group's
-    own pair order (:func:`_pair_layout`).  One batched product gives every
-    image ``H_a u``, laid out as :func:`~ssalign.channel.slot_product` lays
-    it out, so the images equal that function's bit for bit; one stacked
-    SVD decides every span, and each unit keeps its slice as ``basis``.
+    ``up`` stacks the links' uplinks, ``(links, K, ext, rows, M)``, and unit
+    ``u`` is on link ``links[u]``.  ``beams`` is ``(units, M*ext, s)``, every
+    unit's columns in its group's own pair order (:func:`_pair_layout`).
+    One batched product per link gives every image ``H_a u``, laid out as
+    :func:`~ssalign.channel.slot_product` lays it out, so the images equal
+    that function's bit for bit; one stacked SVD over both links decides
+    every span, and each unit keeps its slice as ``basis``.
     """
     count, _, streams = beams.shape
-    t, ext = len(groups[0]), ch.extension
+    t, ext, m = len(groups[0]), up.shape[2], up.shape[4]
     layouts = [_pair_layout(group) for group in groups]
     beams = np.take_along_axis(beams, np.array([order for _, order in layouts])[:, None], axis=2)
     # (units, t, ext, M, t - 1): each sorted sender's beamformers, slot by slot.
     per_sender = np.ascontiguousarray(
-        beams.reshape(count, ext, ch.m, t, t - 1).transpose(0, 3, 1, 2, 4))
-    images = ch.uplink[np.sort(groups, axis=1)] @ per_sender
+        beams.reshape(count, ext, m, t, t - 1).transpose(0, 3, 1, 2, 4))
+    on, sorted_groups = np.array(links), np.sort(groups, axis=1)
+    images = np.empty((count, t, ext, up.shape[3], t - 1), dtype=np.complex128)
+    for li in set(links):
+        # Link by link, as the gather copies every unit's group channels.
+        sel = on == li
+        images[sel] = up[li, sorted_groups[sel]] @ per_sender[sel]
     images = images.transpose(0, 2, 3, 1, 4).reshape(count, -1, streams)
     left, sv, _ = np.linalg.svd(images, full_matrices=False)
     ranks = singular_value_ranks(sv, images.shape[1:])
@@ -132,19 +149,22 @@ def _checked_units(ch: ChannelSet, pattern_order: int, groups: list[tuple[int, .
             for u, (group, (pairs, _), block) in enumerate(zip(groups, layouts, column_blocks))]
 
 
-def _random_units(ch: ChannelSet, count: int, rng: np.random.Generator) -> list:
-    """``count`` random units, each span checked: a ``Unit`` or its error.
+def _random_units(up: np.ndarray, rngs: list, count: int) -> list:
+    """``count`` random units per link, link by link, each span checked: a ``Unit`` or its error.
 
     Every pair's beamformer is a unit direction, normalised from one
-    ``complex_gaussian`` draw for all units and then pairs, in order.  The
-    K(K-1) equivalent vectors span K(K-1) relay dimensions with probability
-    one, which needs ``M*ext >= K-1`` and at least K(K-1) active relay rows.
+    ``complex_gaussian`` draw per link, from that link's RNG, for all its
+    units and then pairs, in order.  The K(K-1) equivalent vectors span
+    K(K-1) relay dimensions with probability one, which needs
+    ``M*ext >= K-1`` and at least K(K-1) active relay rows.
     """
-    k, mt = ch.k, ch.m * ch.extension
-    beams = complex_gaussian(rng, count, k * (k - 1), mt, 1)[..., 0]
+    k, mt = up.shape[1], up.shape[2] * up.shape[4]
+    beams = np.concatenate([complex_gaussian(rng, count, k * (k - 1), mt, 1)[..., 0]
+                            for rng in rngs])
     beams /= np.linalg.norm(beams, axis=2, keepdims=True)
-    return _checked_units(ch, RANDOM, [tuple(range(k))] * count, beams.swapaxes(1, 2),
-                          [0] * count)
+    total = len(rngs) * count
+    return _checked_units(up, RANDOM, np.repeat(np.arange(len(rngs)), count).tolist(),
+                          [tuple(range(k))] * total, beams.swapaxes(1, 2), [0] * total)
 
 
 @cache
@@ -172,44 +192,57 @@ def _aggregate_coefficients(t: int) -> np.ndarray:
     return coeffs
 
 
-def _group_nullspaces(ch: ChannelSet, groups: list[tuple[int, ...]]):
-    """Nullspace bases of equal-size groups, ``(groups, t*M*ext, width)``, and their widths.
+def _group_nullspaces(up: np.ndarray, seed: int, groups: list[tuple[int, ...]]):
+    """Nullspace bases of equal-size groups, yielded link by link with their widths.
 
-    Stacked column ``i*M*ext + s*M + j`` (user ``group[i]``, slot ``s``,
-    antenna ``j``) meets only slot ``s``'s relay rows, so a group's nullspace
-    is the direct sum of its slots' nullspaces, of ``[H_{g0}[s], ...,
-    H_{g(t-1)}[s]]`` each.  One :func:`~ssalign.linalg.stacked_nullspaces`
-    runs over every ``(group, slot)`` stack, and the slots are sliced by
-    rank.  That basis is slot-localised, and its consecutive column blocks
-    would repeat relay directions, so it is multiplied by one ``width x
-    width`` unitary, the Q factor of a complex Gaussian matrix drawn from
-    ``derived_rng(ch.seed, 3, *group)``; the basis thus replays from the
-    channel JSON.  One QR per width gives the groups' mixings.  A group's
-    width is its slots' nullities summed; a group narrower than the widest
-    has zero columns past its width.
+    ``up`` stacks the links' uplinks, ``(links, K, ext, rows, M)``.  Each
+    link gives its index, ``(groups, t, ext, M, width)`` bases, axes user,
+    slot and antenna, and ``(groups,)`` widths; its bases are made when it
+    is reached, so a caller that drops them keeps one link's alive at a
+    time.  Stacked column ``i*M*ext + s*M + j`` (user ``group[i]``, slot
+    ``s``, antenna ``j``) meets only slot ``s``'s relay rows, so a group's
+    nullspace is the direct sum of its slots' nullspaces, of ``[H_{g0}[s],
+    ..., H_{g(t-1)}[s]]`` each.  One
+    :func:`~ssalign.linalg.stacked_nullspaces` runs over every ``(link,
+    group, slot)`` stack, and the slots are sliced by rank.  That basis is
+    slot-localised, and its consecutive column blocks would repeat relay
+    directions, so it is multiplied by one ``width x width`` unitary, the Q
+    factor of a complex Gaussian matrix drawn from ``derived_rng(seed, 3,
+    *group)``; the basis thus replays from the channel JSON.  A group's
+    links share its mixing: it is drawn once per group and width, and one
+    QR per width gives every drawn mixing.  A group's width is its slots'
+    nullities summed; a group narrower than the widest has zero columns
+    past its width.
     """
-    t, ext, m = len(groups[0]), ch.extension, ch.m
-    stacks = ch.uplink[np.array(groups)].transpose(0, 2, 3, 1, 4).reshape(
-        len(groups), ext, -1, t * m)
+    links, _, ext, rows, m = up.shape
+    t = len(groups[0])
+    stacks = up[:, np.array(groups)].transpose(0, 1, 3, 4, 2, 5).reshape(
+        links, len(groups), ext, rows, t * m)
     ranks, null = stacked_nullspaces(stacks)
     nullities = t * m - ranks
-    widths = nullities.sum(axis=1)
-    width = int(widths.max())
-    mixings = np.zeros((len(groups), width, width), dtype=np.complex128)
-    for w in set(widths.tolist()):
-        members = np.flatnonzero(widths == w)
-        draws = [complex_gaussian(derived_rng(ch.seed, 3, *groups[g]), w, w) for g in members]
-        mixings[members, :w, :w] = np.linalg.qr(np.stack(draws))[0]
+    widths = nullities.sum(axis=2)
+    # One mixing per group and width, shared by the links where the group has that width.
+    keys = sorted({(w, g) for row in widths.tolist() for g, w in enumerate(row)})
+    mixings = np.zeros((len(keys), keys[-1][0], keys[-1][0]), dtype=np.complex128)
+    for w in sorted({w for w, _ in keys}):
+        drawn = [d for d, key in enumerate(keys) if key[0] == w]
+        draws = [complex_gaussian(derived_rng(seed, 3, *groups[keys[d][1]]), w, w) for d in drawn]
+        mixings[drawn, :w, :w] = np.linalg.qr(np.stack(draws))[0]
+    index = {key: d for d, key in enumerate(keys)}
+    mixing_of = np.array([[index[w, g] for g, w in enumerate(row)] for row in widths.tolist()])
     # Slot s of a group takes the mixing rows after its earlier slots' nullities.
-    starts = np.cumsum(nullities, axis=1) - nullities
-    bases = np.zeros((len(groups), ext, t * m, width), dtype=np.complex128)
-    for rank in set(ranks.flat):
-        g, s = np.nonzero(ranks == rank)
-        cols = starts[g, s][:, None] + np.arange(t * m - rank)
-        bases[g, s] = null[g, s, :, :t * m - rank] @ mixings[g[:, None], cols]
-    # Stacked row i*M*ext + s*M + j: user group[i], slot s, antenna j.
-    bases = bases.reshape(len(groups), ext, t, m, width).transpose(0, 2, 1, 3, 4)
-    return bases.reshape(len(groups), t * ext * m, width), widths
+    starts = np.cumsum(nullities, axis=2) - nullities
+    for li in range(links):
+        # As wide as the link's widest group, as in a pass over that link alone.
+        width = int(widths[li].max())
+        bases = np.zeros((len(groups), ext, t * m, width), dtype=np.complex128)
+        for rank in set(ranks[li].flat):
+            g, s = np.nonzero(ranks[li] == rank)
+            cols = starts[li, g, s][:, None] + np.arange(t * m - rank)
+            bases[g, s] = (null[li, g, s, :, :t * m - rank]
+                           @ mixings[mixing_of[li, g][:, None], cols, :width])
+        # A view with the user axis ahead of the slot axis, not a copy.
+        yield li, bases.reshape(len(groups), ext, t, m, width).transpose(0, 2, 1, 3, 4), widths[li]
 
 
 def _block_start(group: tuple[int, ...], width: int, column_block: int) -> int:
@@ -226,17 +259,18 @@ def _block_start(group: tuple[int, ...], width: int, column_block: int) -> int:
     return start
 
 
-def _aligned_units(ch: ChannelSet, groups: list[tuple[int, ...]], blocks: np.ndarray,
-                   column_blocks: list[int]) -> list:
+def _aligned_units(up: np.ndarray, links: list[int], groups: list[tuple[int, ...]],
+                   blocks: np.ndarray, column_blocks: list[int]) -> list:
     """Order-``t`` units from their nullspace column blocks, each a ``Unit`` or its error.
 
-    ``blocks`` is ``(units, t*M*ext, t-1)``; one product with
-    :func:`_aggregate_coefficients` gives every unit's beamformers.
+    ``blocks`` is ``(units, t*M*ext, t-1)``, unit ``u`` on link
+    ``links[u]``; one product with :func:`_aggregate_coefficients` gives
+    every unit's beamformers.
     """
     t = len(groups[0])
-    segments = blocks.reshape(len(groups), t, ch.m * ch.extension, t - 1)
+    segments = blocks.reshape(len(groups), t, up.shape[4] * up.shape[2], t - 1)
     beams = (segments @ _aggregate_coefficients(t)).transpose(0, 2, 1, 3)
-    return _checked_units(ch, t, groups, beams.reshape(len(groups), -1, t * (t - 1)),
+    return _checked_units(up, t, links, groups, beams.reshape(len(groups), -1, t * (t - 1)),
                           column_blocks)
 
 
@@ -395,62 +429,96 @@ def _check_plan(plan: AlignmentPlan) -> None:
             )
 
 
-def _build_units(ch: ChannelSet, specs, rng: np.random.Generator, name: str = "") -> list[Unit]:
-    """One unit per ``(pattern_order, group, column_block)`` spec, in spec order.
+def _mirror(ch: ChannelSet) -> ChannelSet:
+    """The downlink as an uplink: ``G_a^H`` per user and slot, with the same seed."""
+    return ChannelSet(m=ch.m, n=ch.n, k=ch.k, uplink=ch.downlink.swapaxes(2, 3).conj(),
+                      downlink=ch.downlink, seed=ch.seed)
 
-    The units are built in the batched passes of the module docstring: the
-    random ones in one draw from ``rng``, in spec order (aligned ones draw
-    nothing from it), and the aligned ones per group size, each group's
-    mixing keyed ``derived_rng(ch.seed, 3, *group)``.  If specs fail, the
-    first in spec order raises its error; with a ``name`` it is raised again,
-    its message led by ``f"{name} {index}: "``.
+
+def _build_units(links, specs) -> list[list]:
+    """One unit per ``(pattern_order, group, column_block)`` spec on every link, in spec order.
+
+    ``links`` holds ``(channels, rng)`` pairs: channel sets of one shape and
+    seed, each with the RNG its random units draw from (``None`` if there
+    are none).  The units are built in the batched passes of the module
+    docstring, every link in the same pass: the random ones in one draw per
+    link from its ``rng``, in spec order (aligned ones draw nothing from
+    it), and the aligned ones per group size, each group's mixing keyed
+    ``derived_rng(seed, 3, *group)`` and shared by the links.  Gives, per
+    link, each spec's ``Unit`` or the ``ConstructionError`` its build
+    raised; nothing is raised (see :func:`_raise_first_error`).
     """
-    built: list = [None] * len(specs)
+    # One C-ordered copy, whatever the links' layouts (the mirror's is not C
+    # order): a product's bits depend on its operands' layout.
+    up = np.array([ch.uplink for ch, _ in links], order="C")
+    seed = links[0][0].seed
+    built: list[list] = [[None] * len(specs) for _ in links]
     randoms = [i for i, (order, _, _) in enumerate(specs) if order == RANDOM]
     if randoms:
-        for i, unit in zip(randoms, _random_units(ch, len(randoms), rng)):
-            built[i] = unit
+        done = iter(_random_units(up, [rng for _, rng in links], len(randoms)))
+        for row in built:
+            for i in randoms:
+                row[i] = next(done)
     sizes: dict[int, list[int]] = {}
     for i, (order, group, _) in enumerate(specs):
         if order != RANDOM:
             sizes.setdefault(len(group), []).append(i)
     for members in sizes.values():
         groups = list(dict.fromkeys(specs[i][1] for i in members))
-        bases, widths = _group_nullspaces(ch, groups)
         rows = {group: g for g, group in enumerate(groups)}
-        fits, owners, starts = [], [], []
-        for i in members:
-            _, group, block = specs[i]
-            try:
-                starts.append(_block_start(group, int(widths[rows[group]]), block))
-            except SupplyExhausted as exc:
-                built[i] = exc
-                continue
-            fits.append(i)
-            owners.append(rows[group])
+        fits, blocks = [], []
+        for li, bases, widths in _group_nullspaces(up, seed, groups):
+            owners, starts = [], []
+            for i in members:
+                _, group, block = specs[i]
+                try:
+                    starts.append(_block_start(group, int(widths[rows[group]]), block))
+                except SupplyExhausted as exc:
+                    built[li][i] = exc
+                    continue
+                fits.append((li, i))
+                owners.append(rows[group])
+            cols = np.array(starts, dtype=int)[:, None] + np.arange(len(groups[0]) - 1)
+            # (units, t - 1, t, ext, M): each unit's columns, rows (i, s, j).
+            blocks.append(bases[np.array(owners, dtype=int)[:, None], ..., cols])
+            del bases  # so that the next link's bases are made without this link's
         if fits:
-            cols = np.array(starts)[:, None] + np.arange(len(groups[0]) - 1)
-            blocks = bases.swapaxes(1, 2)[np.array(owners)[:, None], cols].swapaxes(1, 2)
-            done = _aligned_units(ch, [specs[i][1] for i in fits], blocks,
-                                  [specs[i][2] for i in fits])
-            for i, unit in zip(fits, done):
-                built[i] = unit
+            # Stacked row i*M*ext + s*M + j: user group[i], slot s, antenna j.
+            blocks = np.concatenate(blocks).reshape(len(fits), len(groups[0]) - 1, -1)
+            blocks = blocks.swapaxes(1, 2)
+            done = _aligned_units(up, [li for li, _ in fits], [specs[i][1] for _, i in fits],
+                                  blocks, [specs[i][2] for _, i in fits])
+            for (li, i), unit in zip(fits, done):
+                built[li][i] = unit
+    return built
+
+
+def _raise_first_error(built: list, name: str = "") -> None:
+    """Raise the first ``ConstructionError`` in ``built``, if any.
+
+    With a ``name`` it is raised again, its message led by ``f"{name} {index}: "``.
+    """
     for index, unit in enumerate(built):
         if isinstance(unit, ConstructionError):
             if name:
                 raise type(unit)(f"{name} {index}: {unit}") from unit
             raise unit
-    return built
 
 
 @stage("execute")
 def execute_plan(plan: AlignmentPlan, ch: ChannelSet) -> list[Unit]:
-    """Build every planned unit on the given channels, in allocation order.
+    """Build every planned unit on the given channels, in allocation order, each with its twin.
 
-    Nullspace column blocks are consumed sequentially, never reused, and
-    random units draw from RNG substream 1 of ``ch.seed``.  Each unit spans
-    its ``dims_per_unit()``, so the spans sum to ``plan.dims_used``; the
-    relay checks, on both links, that they are independent.  Every user's
+    Nullspace column blocks are consumed sequentially, never reused.  Each
+    unit's downlink twin is built in the same pass, on the mirrored downlink
+    ``G_a^H`` with the unit's group and column block, and set as its
+    ``twin``: random units draw from RNG substream 1 of ``ch.seed``, random
+    twins from substream 2, and each group's mixing from its own key, shared
+    by both links.  A failing unit raises here, the first in allocation
+    order; a failing twin is kept as its error, which
+    :func:`~ssalign.relay.design_downlink` raises.  Each unit spans its
+    ``dims_per_unit()``, so the spans sum to ``plan.dims_used``; the relay
+    checks, on both links, that they are independent.  Every user's
     transmit beamformer stack must have full column rank, else
     :class:`~ssalign.errors.IndependenceViolation` names the first user
     whose stack does not; the stacks, equally wide as ``_check_plan`` gives
@@ -468,7 +536,11 @@ def execute_plan(plan: AlignmentPlan, ch: ChannelSet) -> list[Unit]:
     if not plan.allocations:
         raise ValueError("plan has no allocations; every plan_alignment plan has one")
     specs = [(a.pattern_order, a.group, i) for a in plan.allocations for i in range(a.count)]
-    units = _build_units(ch, specs, derived_rng(ch.seed, 1))
+    units, twins = _build_units([(ch, derived_rng(ch.seed, 1)),
+                                 (_mirror(ch), derived_rng(ch.seed, 2))], specs)
+    _raise_first_error(units)
+    for unit, twin in zip(units, twins):
+        unit.twin = twin
     senders = np.array([a for u in units for a, _ in u.pairs])
     streams = np.bincount(senders, minlength=ch.k)
     if streams.min() != streams.max():

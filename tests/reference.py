@@ -40,7 +40,7 @@ from ssalign.errors import AlignmentDegenerate, ShapeMismatch, SupplyExhausted
 from ssalign.lemmas import check_direct_sum, check_intersection, check_stacked_rank
 from ssalign.linalg import RANK_REL, singular_value_ranks, stacked_nullspaces
 from ssalign.cli import CSV_HEADER
-from ssalign.units import RANDOM, Unit, _build_units
+from ssalign.units import RANDOM, Unit, _build_units, _mirror, _raise_first_error
 
 
 # The seven seed-sweep configs, (7,20,4), (5,9,5) improved, and a pair-unit
@@ -155,14 +155,31 @@ def projector(basis, factor):
     return np.eye(n, dtype=np.complex128) - basis @ basis.conj().T + factor @ factor.conj().T
 
 
+def build_one_link(ch, specs, rng):
+    """Units of ``specs`` from the library's pass over ``ch`` alone; the first error raises."""
+    (units,) = _build_units([(ch, rng)], specs)
+    _raise_first_error(units)
+    return units
+
+
 def build_aligned_unit(ch, group, column_block):
     """Order-``t`` aligned unit on one column block, the library's batch of one."""
-    return _build_units(ch, [(len(group), group, column_block)], None)[0]
+    return build_one_link(ch, [(len(group), group, column_block)], None)[0]
 
 
 def build_random_unit(ch, rng):
     """Random unit drawn from ``rng``, the library's batch of one."""
-    return _build_units(ch, [(RANDOM, tuple(range(ch.k)), 0)], rng)[0]
+    return build_one_link(ch, [(RANDOM, tuple(range(ch.k)), 0)], rng)[0]
+
+
+def twinned_units(ch, specs):
+    """Units of ``specs`` with their downlink twins, keyed as ``execute_plan`` keys them."""
+    units, twins = _build_units([(ch, derived_rng(ch.seed, 1)),
+                                 (_mirror(ch), derived_rng(ch.seed, 2))], specs)
+    _raise_first_error(units)
+    for unit, twin in zip(units, twins):
+        unit.twin = twin
+    return units
 
 
 def reference_joint_independence(side, bases):

@@ -14,6 +14,7 @@ from ssalign import (
     construct,
     deactivate_relay_antennas,
     derived_rng,
+    design_downlink,
     execute_plan,
     plan_alignment,
     sample_channel_set,
@@ -24,7 +25,8 @@ from ssalign.errors import (
     IndependenceViolation,
     SupplyExhausted,
 )
-from ssalign.units import _build_units, _group_nullspaces
+from ssalign import units as units_module
+from ssalign.units import _build_units, _group_nullspaces, _raise_first_error
 
 from reference import (
     BUILD_CONFIGS,
@@ -112,7 +114,8 @@ class TestAlignedUnit:
     def test_full_rank_stack_has_empty_nullspace(self):
         # Four 3-antenna users into 12 relay rows per slot: no nullspace.
         ch = channels(3, 12, 4, extension=2, seed=7)
-        assert _group_nullspaces(ch, [(0, 1, 2, 3)])[0][0].shape == (24, 0)
+        _, bases, _ = next(_group_nullspaces(ch.uplink[None], ch.seed, [(0, 1, 2, 3)]))
+        assert bases[0].shape == (4, 2, 3, 0)  # user, slot, antenna; no column
         with pytest.raises(SupplyExhausted):
             build_aligned_unit(ch, (0, 1, 2, 3), 0)
 
@@ -413,10 +416,98 @@ class TestBatchedBuilder:
         specs = [(a.pattern_order, a.group, i) for a in built.plan.allocations
                  for i in range(a.count)]
         assert_units_match(built.units, reference_units(ch, specs, derived_rng(seed, 1)))
-        twins = _build_units(mirror_of(ch), specs, derived_rng(seed, 2))
+        twins = [unit.twin for unit in built.units]
         assert_units_match(twins, reference_units(mirror_of(ch), specs, derived_rng(seed, 2)))
         assert np.array_equal(built.processor.receive_vectors,
                               np.hstack([twin.beamformers for twin in twins]))
+
+    # Both links' units come from one pass, which stacks the links' channels;
+    # a one-link pass stacks its one link the same way, so the mirrored
+    # channel has the same memory layout in both and the twins match exactly.
+    @pytest.mark.parametrize("m,n,k,improved", CONFIGS)
+    def test_one_pass_equals_a_pass_over_each_link_alone(self, m, n, k, improved):
+        built = construct(m, n, k, 0, improved)
+        ch = built.channels
+        specs = [(u.pattern_order, u.group, u.column_block) for u in built.units]
+        alone = [_build_units([(link, derived_rng(0, stream))], specs)[0]
+                 for link, stream in ((ch, 1), (mirror_of(ch), 2))]
+        fused = (built.units, [unit.twin for unit in built.units])
+        for got, want in zip(fused, alone, strict=True):
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert (g.pairs, g.column_block) == (w.pairs, w.column_block)
+                assert np.array_equal(g.beamformers, w.beamformers)
+                assert np.array_equal(g.equivalent_uplink, w.equivalent_uplink)
+                assert np.array_equal(g.basis, w.basis)
+
+    def test_links_of_unequal_widths_keep_their_own(self, monkeypatch):
+        # Relay row 2 of slot 1 reaches neither user 0 nor user 1 on the
+        # downlink only, so group (0,1) is 2 wide on the uplink and 3 on the
+        # mirror: each width draws its own mixing, and the third column
+        # block exists on the mirror alone.
+        plan = plan_alignment(3, 5, 3)
+        ch = channels(3, 5, 3, extension=plan.extension, seed=3)
+        downlink = ch.downlink.copy()
+        downlink[:2, 1, :, 2] = 0.0
+        ch = replace(ch, downlink=downlink)
+        specs = [(a.pattern_order, a.group, i) for a in plan.allocations for i in range(a.count)]
+        specs.append((2, (0, 1), 2))
+        keys = []
+        derived = units_module.derived_rng
+        monkeypatch.setattr(units_module, "derived_rng",
+                            lambda seed, *key: keys.append(key) or derived(seed, *key))
+        fused = _build_units([(ch, derived_rng(3, 1)), (mirror_of(ch), derived_rng(3, 2))],
+                             specs)
+        assert sorted(keys) == [(3, 0, 1), (3, 0, 1), (3, 0, 1, 2), (3, 0, 2), (3, 1, 2)]
+        assert isinstance(fused[0][-1], SupplyExhausted)
+        assert isinstance(fused[1][-1], units_module.Unit)
+        for got, (link, stream) in zip(fused, ((ch, 1), (mirror_of(ch), 2))):
+            (alone,) = _build_units([(link, derived_rng(3, stream))], specs)
+            for g, w in zip(got, alone):
+                if isinstance(w, SupplyExhausted):
+                    assert str(g) == str(w)
+                    continue
+                assert np.array_equal(g.beamformers, w.beamformers)
+                assert np.array_equal(g.equivalent_uplink, w.equivalent_uplink)
+                assert np.array_equal(g.basis, w.basis)
+
+    @pytest.mark.parametrize("m,n,k", [(3, 5, 4), (7, 20, 4)])
+    def test_each_group_draws_its_mixing_once_for_both_links(self, monkeypatch, m, n, k):
+        keys = []
+        derived = units_module.derived_rng
+
+        def spy(seed, *key):
+            keys.append(key)
+            return derived(seed, *key)
+        monkeypatch.setattr(units_module, "derived_rng", spy)
+        built = construct(m, n, k, 0)
+        mixing = [key for key in keys if key[0] == 3]
+        groups = {u.group for u in built.units if u.pattern_order != RANDOM}
+        assert len(mixing) == len(groups) > 0
+        assert set(mixing) == {(3, *group) for group in groups}
+
+    def test_a_failing_twin_is_kept_as_its_error(self):
+        # Users 2 and 3 share one downlink: the uplink units build, and the
+        # twins of units 2 and 3 keep the span check's error for the relay.
+        built = construct(3, 8, 4, 0)
+        downlink = built.channels.downlink.copy()
+        downlink[3] = downlink[2]
+        units = execute_plan(built.plan, replace(built.channels, downlink=downlink))
+        for got, want in zip(units, built.units):
+            assert np.array_equal(got.beamformers, want.beamformers)
+        assert [isinstance(u.twin, AlignmentDegenerate) for u in units] \
+            == [False, False, True, True]
+        with pytest.raises(AlignmentDegenerate, match="^downlink twin of unit 2: ") as info:
+            design_downlink(units)
+        assert info.value.__cause__ is units[2].twin
+        assert info.value.stage == "downlink"
+
+    def test_units_without_twins_are_refused(self):
+        ch = channels(3, 5, 3, seed=2)
+        unit = build_aligned_unit(ch, (0, 1), 0)
+        assert unit.twin is None
+        with pytest.raises(ValueError, match="downlink twin execute_plan builds"):
+            build_relay_processor([unit])
 
     def test_mixed_slot_nullities_keep_the_per_slot_widths(self):
         # Relay row 2 of slot 1 hears neither user 0 nor user 1, so that slot
@@ -427,7 +518,9 @@ class TestBatchedBuilder:
         uplink = ch.uplink.copy()
         uplink[:2, 1, 2] = 0.0
         ch = replace(ch, uplink=uplink)
-        bases = {g: _group_nullspaces(ch, [g])[0][0] for g in [(0, 1), (0, 2), (1, 2), (0, 1, 2)]}
+        bases = {g: next(_group_nullspaces(ch.uplink[None], ch.seed, [g]))[1][0]
+                 for g in [(0, 1), (0, 2), (1, 2), (0, 1, 2)]}
+        bases = {g: basis.reshape(-1, basis.shape[-1]) for g, basis in bases.items()}
         widths = {g: basis.shape[1] for g, basis in bases.items()}
         assert widths == {(0, 1): 3, (0, 2): 2, (1, 2): 2, (0, 1, 2): 8}
         for group, basis in bases.items():
@@ -435,7 +528,7 @@ class TestBatchedBuilder:
             assert np.allclose(basis, want, rtol=0, atol=1e-12)
         specs = [(a.pattern_order, a.group, i) for a in plan.allocations for i in range(a.count)]
         specs.append((2, (0, 1), 2))  # the third column of group (0,1)
-        units = _build_units(ch, specs, derived_rng(3, 1))
+        (units,) = _build_units([(ch, derived_rng(3, 1))], specs)
         assert_units_match(units, reference_units(ch, specs, derived_rng(3, 1)))
         for unit in units:
             alone = build_aligned_unit(ch, unit.group, unit.column_block)
@@ -455,7 +548,7 @@ class TestBatchedBuilder:
             reference_units(mirror_of(ch), specs, derived_rng(0, 2))
         assert "(0, 2, 3)" in str(want.value)
         with pytest.raises(AlignmentDegenerate) as info:
-            build_relay_processor(built.units, ch)
+            build_relay_processor(execute_plan(built.plan, ch))
         assert str(info.value) == f"downlink twin of unit 2: {want.value}"
         assert info.value.stage == "downlink"
 
@@ -464,11 +557,13 @@ class TestBatchedBuilder:
         # random unit that cannot span K(K-1) = 6 dimensions on 3 relay rows.
         ch = channels(2, 3, 3, seed=4)
         specs = [(2, (0, 1), 0), (2, (0, 1), 9), (RANDOM, (0, 1, 2), 0)]
+        (built,) = _build_units([(ch, derived_rng(4, 1))], specs)
         with pytest.raises(SupplyExhausted, match=r"^group \(0, 1\) nullspace has 1 columns, "
                                                   r"block 9 needs columns 9\.\.9$"):
-            _build_units(ch, specs, derived_rng(4, 1))
+            _raise_first_error(built)
+        (built,) = _build_units([(ch, derived_rng(4, 1))], specs[::2])
         with pytest.raises(AlignmentDegenerate, match=r"^twin 1: random unit on group "):
-            _build_units(ch, specs[::2], derived_rng(4, 1), name="twin")
+            _raise_first_error(built, name="twin")
 
     def test_user_stacks_checked_in_one_pass_name_the_first_deficient_user(self, monkeypatch):
         # Users 1 and 2 each send along one direction only.
@@ -477,12 +572,12 @@ class TestBatchedBuilder:
         original = _build_units
 
         def flattened(*args, **kwargs):
-            units = original(*args, **kwargs)
-            for unit in units:
+            links = original(*args, **kwargs)
+            for unit in links[0]:
                 for i, (a, _) in enumerate(unit.pairs):
                     if a in (1, 2):
                         unit.beamformers[:, i] = unit.beamformers[:, 0]
-            return units
+            return links
 
         monkeypatch.setattr("ssalign.units._build_units", flattened)
         with pytest.raises(IndependenceViolation,

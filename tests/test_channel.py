@@ -431,7 +431,7 @@ class TestJson:
         built = construct(1, 3, 3, 5)
         back = channel_from_json(json.loads(json.dumps(channel_to_json(built.channels))))
         units = execute_plan(built.plan, back)
-        processor = build_relay_processor(units, back)
+        processor = build_relay_processor(units)
         assert len(units) == len(built.units)
         for got, want in zip(units, built.units):
             assert got.pairs == want.pairs

@@ -232,7 +232,7 @@ class TestExitCodes:
         ch = channel_from_json(doc["channels"])
         assert ch.seed == 7
         with pytest.raises(AlignmentDegenerate) as info:
-            build_relay_processor(execute_plan(plan_alignment(3, 8, 4), ch), ch)
+            build_relay_processor(execute_plan(plan_alignment(3, 8, 4), ch))
         assert str(info.value) == doc["message"]
 
 
@@ -263,7 +263,7 @@ class TestExitCodes:
         ch = channel_from_json(doc["channels"])
         m, n, k = (int(v) for v in argv[1:6:2])
         with pytest.raises(AlignmentDegenerate) as info:
-            build_relay_processor(execute_plan(plan_alignment(m, n, k), ch), ch)
+            build_relay_processor(execute_plan(plan_alignment(m, n, k), ch))
         assert (type(info.value).__name__, str(info.value), info.value.stage) \
             == (doc["error"], doc["message"], doc["stage"])
 
@@ -612,7 +612,7 @@ class TestBuildDocument:
         _, out = run(capsys, *self.ARGV)
         back = channel_from_json(json.loads(out)["channels"])
         units = execute_plan(built.plan, back)
-        processor = build_relay_processor(units, back)
+        processor = build_relay_processor(units)
         assert len(units) == len(built.units)
         for got, want in zip(units, built.units):
             assert got.pairs == want.pairs

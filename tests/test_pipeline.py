@@ -33,7 +33,7 @@ def by_hand(m, n, k, seed, improved):
     if plan.active_relay < ch.active_relay:
         ch = deactivate_relay_antennas(ch, plan.active_relay)
     units = execute_plan(plan, ch)
-    processor = build_relay_processor(units, ch)
+    processor = build_relay_processor(units)
     return plan, ch, units, processor, verify_end_to_end(ch, units, processor)
 
 

@@ -23,7 +23,7 @@ from ssalign import (
 from ssalign.errors import AlignmentDegenerate, IndependenceViolation
 from ssalign import relay
 from ssalign.relay import _entry_rms_scale
-from ssalign.units import RANDOM, Unit
+from ssalign.units import RANDOM, Unit, execute_plan
 
 from reference import (
     BUILD_CONFIGS,
@@ -36,6 +36,7 @@ from reference import (
     projector,
     range_basis,
     reference_joint_independence,
+    twinned_units,
     union_span_dim,
 )
 
@@ -186,17 +187,17 @@ class TestPairSurvival:
 
     def test_downlink_twins_are_tested(self, monkeypatch):
         built = construct(3, 8, 4, 0)
-        _, twins = design_downlink(built.units, built.channels)
+        _, twins = design_downlink(built.units)
         monkeypatch.setattr(relay, "PAIR_SURVIVAL_MIN", 2.0)
         with pytest.raises(AlignmentDegenerate, match=r"^downlink pair \(0,1\) of unit 0 "):
             relay._complement_projectors({"downlink": twins})
 
 
-def projectors_of(side, units, ch):
+def projectors_of(side, units):
     """One link's projectors from a pass over that link alone: the units', or their twins'."""
     if side == "uplink":
         return build_uplink_projectors(units)[0]
-    _, twins = design_downlink(units, ch)
+    _, twins = design_downlink(units)
     return relay._complement_projectors({"downlink": twins})[0]
 
 
@@ -238,7 +239,7 @@ class TestJointIndependence:
                                  r"jointly they span 16 of N_active = 16; largest dropped "
                                  r"singular value / sigma_max = 0\.0e\+00 against "
                                  r"RANK_REL\*max\(shape\) = 2\.0e-09$"):
-            projectors_of(side, units, built.channels)
+            projectors_of(side, units)
 
     # Units 0, 1 and a copy of 0 fit in the 16 rows, so the copy's 4
     # dimensions are dropped singular values: round-off, far below the cutoff.
@@ -247,7 +248,7 @@ class TestJointIndependence:
         built = construct(3, 8, 4, 0)
         units = built.units[:2] + [built.units[0]]
         with pytest.raises(IndependenceViolation) as info:
-            projectors_of(side, units, built.channels)
+            projectors_of(side, units)
         found = re.fullmatch(rf"{side} unit spans overlap: their dimensions sum to 12, "
                              r"jointly they span 8 of N_active = 16; largest dropped "
                              r"singular value / sigma_max = (\d\.\de-\d\d) against "
@@ -310,7 +311,7 @@ class TestJointIndependence:
                                                 (2, 12, 6, False), (4, 9, 5, False)])
     def test_well_conditioned_builds_need_no_joint_svd(self, monkeypatch, m, n, k, improved):
         built = construct(m, n, k, 0, improved)
-        _, twins = design_downlink(built.units, built.channels)
+        _, twins = design_downlink(built.units)
         for units in (built.units, twins):
             assert reference_joint_independence("uplink", [u.basis for u in units]) is None
         width = sum(u.basis.shape[1] for u in built.units)
@@ -323,7 +324,7 @@ class TestFusedLinks:
     @pytest.mark.parametrize("m,n,k,improved", BUILD_CONFIGS)
     def test_factors_equal_a_pass_over_each_link_alone(self, m, n, k, improved):
         built = construct(m, n, k, 0, improved)
-        _, twins = design_downlink(built.units, built.channels)
+        _, twins = design_downlink(built.units)
         fused = build_uplink_projectors(built.units, twins)
         alone = (build_uplink_projectors(built.units)[0],
                  relay._complement_projectors({"downlink": twins})[0])
@@ -338,7 +339,7 @@ class TestFusedLinks:
 
     def test_twins_must_mirror_the_units(self):
         built = construct(3, 8, 4, 0)
-        _, twins = design_downlink(built.units, built.channels)
+        _, twins = design_downlink(built.units)
         with pytest.raises(ValueError, match="twins must have the units' pairs"):
             build_uplink_projectors(built.units, twins[:-1])
 
@@ -348,50 +349,39 @@ class TestFusedLinks:
         built = construct(3, 8, 4, 0)
         downlink = built.channels.downlink.copy()
         downlink[3] = downlink[2]
-        ch = replace(built.channels, downlink=downlink)
+        units = execute_plan(built.plan, replace(built.channels, downlink=downlink))
         with pytest.raises(AlignmentDegenerate, match="^downlink twin of unit ") as info:
-            build_relay_processor(built.units, ch)
+            build_relay_processor(units)
         assert info.value.stage == "downlink"
         monkeypatch.setattr(relay, "PAIR_SURVIVAL_MIN", 2.0)
         with pytest.raises(AlignmentDegenerate,
                            match=r"^uplink pair \(0,1\) of unit 0 \(group \(0, 1, 2\)") as info:
-            build_relay_processor(built.units, ch)
+            build_relay_processor(units)
         assert info.value.stage == "uplink"
 
-    def test_downlink_pair_error_keeps_its_stage(self, monkeypatch):
+    def test_downlink_pair_error_keeps_its_stage(self):
         # Twin 0's first stream, of pair (0,1), is zeroed after its span check.
         built = construct(3, 8, 4, 0)
-        build = relay._build_units
-
-        def zeroed_twins(*args, **kwargs):
-            twins = build(*args, **kwargs)
-            twins[0].equivalent_uplink = twins[0].equivalent_uplink.copy()
-            twins[0].equivalent_uplink[:, 0] = 0.0
-            return twins
-        monkeypatch.setattr(relay, "_build_units", zeroed_twins)
+        twin = built.units[0].twin
+        twin.equivalent_uplink = twin.equivalent_uplink.copy()
+        twin.equivalent_uplink[:, 0] = 0.0
         with pytest.raises(AlignmentDegenerate,
                            match=r"^downlink pair \(0,1\) of unit 0 .* does not survive") as info:
-            build_relay_processor(built.units, built.channels)
+            build_relay_processor(built.units)
         assert info.value.stage == "downlink"
 
     def test_downlink_overlap_comes_after_the_uplink_pair_errors(self, monkeypatch):
         # Twin 1 takes twin 0's basis: only the downlink spans overlap.
         built = construct(3, 8, 4, 0)
-        build = relay._build_units
-
-        def overlapping_twins(*args, **kwargs):
-            twins = build(*args, **kwargs)
-            twins[1].basis = twins[0].basis
-            return twins
-        monkeypatch.setattr(relay, "_build_units", overlapping_twins)
+        built.units[1].twin.basis = built.units[0].twin.basis
         with pytest.raises(IndependenceViolation,
                            match="^downlink unit spans overlap: their dimensions sum to 16, "
                                  "jointly they span 12 of N_active = 16") as info:
-            build_relay_processor(built.units, built.channels)
+            build_relay_processor(built.units)
         assert info.value.stage == "downlink"
         monkeypatch.setattr(relay, "PAIR_SURVIVAL_MIN", 2.0)
         with pytest.raises(AlignmentDegenerate, match=r"^uplink pair \(0,1\) of unit 0 ") as info:
-            build_relay_processor(built.units, built.channels)
+            build_relay_processor(built.units)
         assert info.value.stage == "uplink"
 
 
@@ -469,21 +459,21 @@ class TestDownlinkMirror:
     def test_deaf_user_fails_the_random_twin_span_check(self):
         # With user 0's downlink zeroed, the random twin's six equivalent
         # downlink vectors span only four dimensions.
-        _, ch, units, _ = full_build(2, 6, 3, seed=0)
+        plan, ch, units, _ = full_build(2, 6, 3, seed=0)
         assert [u.pattern_order for u in units] == [RANDOM]
         deaf = replace(ch, downlink=np.concatenate([np.zeros_like(ch.downlink[:1]),
                                                     ch.downlink[1:]]))
         want = r"^downlink twin of unit 0: random unit on group \(0, 1, 2\) spans 4 dimensions"
         with pytest.raises(AlignmentDegenerate, match=want):
-            build_relay_processor(units, deaf)
+            build_relay_processor(execute_plan(plan, deaf))
 
 
 class TestForwardMatrix:
     def test_single_pair_identity_projectors(self):
         # A lone pair unit excludes nothing, so W = P = I and F = alpha * I.
         ch = sample_channel_set(SystemConfig(m=3, n=5, k=3, seed=8))
-        unit = build_aligned_unit(ch, (0, 1), 0)
-        receive, twins = design_downlink([unit], ch)
+        (unit,) = twinned_units(ch, [(2, (0, 1), 0)])
+        receive, twins = design_downlink([unit])
         uplink, downlink = build_uplink_projectors([unit], twins)
         forward, alpha = assemble_forward_matrix([unit], uplink, downlink)
         assert alpha > 0
@@ -498,8 +488,8 @@ class TestForwardMatrix:
 
     def test_sums_pair_terms(self):
         ch = sample_channel_set(SystemConfig(m=2, n=6, k=3, seed=10))
-        unit = build_random_unit(ch, derived_rng(10, 1))
-        receive, twins = design_downlink([unit], ch)
+        (unit,) = twinned_units(ch, [(RANDOM, (0, 1, 2), 0)])
+        receive, twins = design_downlink([unit])
         uplink, downlink = build_uplink_projectors([unit], twins)
         forward, alpha = assemble_forward_matrix([unit], uplink, downlink)
         manual = sum(projector(downlink.basis, downlink.factors[key])
@@ -519,7 +509,7 @@ class TestForwardMatrix:
     def test_factored_sum_matches_dense_pair_terms(self, m, n, k, improved, free):
         _, ch, units, processor = full_build(m, n, k, seed=11, improved=improved)
         rows = ch.active_relay
-        _, twins = design_downlink(units, ch)
+        _, twins = design_downlink(units)
         for side in build_uplink_projectors(units, twins):
             q, c = side.basis, side.complement
             assert c.shape == (rows, rows - q.shape[1]) == (rows, free)
