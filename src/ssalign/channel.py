@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import base64
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,9 @@ class SystemConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # Plain ints, as in dof._validate_mnk: JSON cannot encode numpy integers.
+        for name in ("m", "n", "k", "extension", "seed"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.k < 3:
             raise ValueError(f"user count must be >= 3, got {self.k}")
         if self.m < 1 or self.n < 1:

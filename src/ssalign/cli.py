@@ -40,9 +40,10 @@ Exit codes: 0 success, 1 verification failure, 2 usage error (also an
 unreadable or invalid ``--config`` and an unwritable ``--out``), 3 construction
 failure.  Exit 3 writes ``{"error", "message", "seed", "stage"}``, ``stage``
 being the construction stage that failed (``plan``, ``execute``, ``uplink``,
-``downlink`` or ``forward``), plus ``channels`` when the failure came after
-sampling, so that rebuilding from those channels with the same plan raises
-the same error, message and stage again.
+``downlink`` or ``forward``; ``downlink`` is a downlink twin or a downlink
+relay projector), plus ``channels`` when the failure came after sampling, so
+that rebuilding from those channels with the same plan raises the same error,
+message and stage again.
 """
 
 from __future__ import annotations

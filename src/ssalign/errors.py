@@ -21,8 +21,9 @@ class ConstructionError(RuntimeError):
     ``channels`` is the ``ChannelSet`` the failed construction sampled, set by
     ``pipeline.construct`` on failures after sampling, else ``None``.
     ``stage`` names the construction stage that raised it, set by the
-    stage's function (see :func:`stage`): ``plan``, ``execute``, ``uplink``,
-    ``downlink`` or ``forward``; ``None`` if it came from outside them.
+    stage's function (see :func:`stage`) or by the relay per side: ``plan``,
+    ``execute``, ``uplink``, ``downlink`` (a downlink twin or a downlink
+    projector) or ``forward``; ``None`` if it came from outside them.
     """
 
     channels = None

@@ -140,8 +140,11 @@ def _aligned_spans(result: LemmaTrialResult, k: int, t: int, m: int, n: int,
     Each trial draws ``K`` block-diagonal ``(ext N) x (ext M)`` matrices
     ``A_i``.  For every size-``t`` group, ``U`` is a nullspace basis of
     ``[A_g1 .. A_gt]`` split into per-user row blocks ``U_i``; the measured
-    value is the rank of all groups' ``A_i U_i`` side by side.
+    value is the rank of all groups' ``A_i U_i`` side by side.  A negative
+    trial count raises :class:`~ssalign.errors.InvalidLemmaParams`.
     """
+    if result.trials < 0:
+        raise InvalidLemmaParams(f"need trials >= 0, got {result.trials}")
     groups = [list(group) for group in combinations(range(k), t)]
     en, mt = extension * n, extension * m
     stream = derived_rng(seed)
@@ -319,7 +322,8 @@ def run_battery(spec: dict, trials: int, seed: int) -> list[LemmaTrialResult]:
     Raises ``ValueError`` before any trial runs when the spec has an unknown
     key, a row of the wrong length or type, or selects no check at all, and
     :class:`~ssalign.errors.InvalidLemmaParams` (a ``ValueError`` too) when
-    any row lies outside its check's parameter domain.
+    any row lies outside its check's parameter domain, which for the rank
+    checks includes ``trials >= 0``.
     """
     _check_spec(spec)
     for block in spec.get("scaling", []):

@@ -36,11 +36,14 @@ def construct(m: int, n: int, k: int, seed: int, improved: bool = False) -> Cons
     their downlink twins, drawing from RNG substreams 1 and 2 of ``seed``;
     :func:`build_relay_processor`, which takes the twins from the units and
     draws nothing.  A failed stage raises
-    :class:`~ssalign.errors.ConstructionError` tagged with its ``stage``; one
-    raised after sampling carries the sampled channels as its ``channels``,
-    from which the same stages raise it again.  Count the decodable DoF of
-    the result with :func:`~ssalign.relay.verify_end_to_end`, which reports
-    failures instead of raising them.
+    :class:`~ssalign.errors.ConstructionError` tagged with its ``stage``:
+    ``execute`` for a unit or a user's beamformer stack, then ``downlink``
+    for a twin, then the relay's ``uplink``, ``downlink`` or ``forward``, in
+    the relay's check order.  One raised after sampling carries the sampled
+    channels as its ``channels``, from which the same stages raise it again.
+    Count the decodable DoF of the result with
+    :func:`~ssalign.relay.verify_end_to_end`, which reports failures instead
+    of raising them.
     """
     plan = plan_alignment(m, n, k, improved)
     cfg = SystemConfig(m=m, n=n, k=k, extension=plan.extension, seed=seed)

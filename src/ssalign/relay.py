@@ -8,11 +8,15 @@ every unit on both links while the projector factors are computed.  The
 downlink side mirrors the uplink: each unit carries its twin, which
 :func:`~ssalign.units.execute_plan` builds beside it with the same unit
 construction on the conjugate-transposed downlink ``G_a^H`` (random twins
-from RNG substream 2).  The twins' beamformers are the receive vectors
-``v``, and downlink projectors null everything but the pair among the
-twins' vectors ``G_a^H v = (v^H G_a)^H``.  The relay
+from RNG substream 2), and whose failure it raises.  The twins' beamformers
+are the receive vectors ``v``, and downlink projectors null everything but
+the pair among the twins' vectors ``G_a^H v = (v^H G_a)^H``.  The relay
 forwards ``F = alpha * sum_l sum_{a<b} W(l,a,b) @ P(l,a,b)`` with ``alpha``
 meeting the unit relay power budget with equality.
+
+A failing design raises in one stage order, each check over both links,
+uplink first: joint independence, then pair survival (``stage`` is the side,
+``uplink`` or ``downlink``), then the collapse of ``F`` (``forward``).
 
 No projector is stored densely.  One complete QR of each link's stacked
 unit bases, which must keep all their columns (the link's joint-independence
@@ -51,13 +55,12 @@ import numpy as np
 from .channel import ChannelSet, slot_product
 from .errors import (
     AlignmentDegenerate,
-    ConstructionError,
     IndependenceViolation,
     ProjectorCollapse,
     stage,
 )
 from .linalg import LEAKAGE_ABS, RANK_REL, singular_value_ranks, stacked_nullspaces
-from .units import Unit, _raise_first_error
+from .units import Unit
 
 __all__ = [
     "PairProjectors",
@@ -91,6 +94,9 @@ SLOPE_SETTLE_REL = 1e-3
 CERTIFICATE_MARGIN = 0.5
 
 Key = tuple[int, tuple[int, int]]
+
+# The side of each link of a projector pass, by position.
+SIDES = ("uplink", "downlink")
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,27 +170,26 @@ class VerificationReport:
     slope_window_db: tuple[float, float]
 
 
-@stage("uplink")
-def build_uplink_projectors(units: list[Unit],
-                            twins: list[Unit] | None = None) -> tuple[PairProjectors, ...]:
-    """Per-(unit, pair) projectors nulling every other stream, on each link in one pass.
+def _twins(units: list[Unit]) -> list[Unit]:
+    """The units' downlink twins, each checked to have its unit's pairs and basis shape."""
+    twins = [unit.twin for unit in units]
+    if any(twin is None for twin in twins):
+        raise ValueError("every unit needs the downlink twin execute_plan builds beside it")
+    if [(t.pairs, t.basis.shape) for t in twins] != [(u.pairs, u.basis.shape) for u in units]:
+        raise ValueError("twins must have the units' pairs and basis shapes")
+    return twins
 
-    ``twins`` are the downlink twins of ``units`` from :func:`design_downlink`;
-    the result is the uplink's projectors, then the downlink's.  Without
-    ``twins`` only the uplink is built, and the tuple has one entry.  Both
-    links share every batched step (see :func:`_complement_projectors`), so
-    the twins must have the units' pairs and basis shapes, in order.
 
-    A failure raises the error a link-by-link build would raise first: every
-    uplink error before any downlink one.  Its ``stage`` is its link,
-    ``uplink`` or ``downlink``.
+def build_uplink_projectors(units: list[Unit]) -> tuple[PairProjectors, PairProjectors]:
+    """Per-(unit, pair) projectors nulling every other stream, on both links in one pass.
+
+    The downlink's units are the twins :func:`~ssalign.units.execute_plan`
+    set as each unit's ``twin``; the result is the uplink's projectors, then
+    the downlink's.  Both links share every batched step (see
+    :func:`_complement_projectors`), so a missing twin, or one without its
+    unit's pairs and basis shape, raises ``ValueError``.
     """
-    links = {"uplink": units}
-    if twins is not None:
-        if [(t.pairs, t.basis.shape) for t in twins] != [(u.pairs, u.basis.shape) for u in units]:
-            raise ValueError("twins must have the units' pairs and basis shapes, in order")
-        links["downlink"] = twins
-    return tuple(_complement_projectors(links))
+    return tuple(_complement_projectors([units, _twins(units)]))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -244,14 +249,13 @@ def _certified(r: np.ndarray, coords: np.ndarray, shape: tuple[int, int]) -> boo
     return bool(bound < CERTIFICATE_MARGIN)
 
 
-def _independence_violation(side: str, r: np.ndarray,
-                            shape: tuple[int, int]) -> IndependenceViolation | None:
+def _check_independence(side: str, r: np.ndarray, shape: tuple[int, int]) -> None:
     """The exact joint-independence rule: an SVD of ``R``, whose values are the stacked bases'."""
     rows, width = shape
     sigma = np.linalg.svd(r, compute_uv=False)
     rank = singular_value_ranks(sigma, shape)
     if rank == width:
-        return None
+        return
     dropped = sigma[rank] / sigma[0] if rank < sigma.size else 0.0
     error = IndependenceViolation(
         f"{side} unit spans overlap: their dimensions sum to {width}, "
@@ -260,10 +264,10 @@ def _independence_violation(side: str, r: np.ndarray,
         f"{RANK_REL * max(rows, width):.1e}"
     )
     error.stage = side
-    return error
+    raise error
 
 
-def _joint_basis(links: dict[str, list[Unit]]) -> tuple[np.ndarray, np.ndarray]:
+def _joint_basis(links: list[list[Unit]]) -> tuple[np.ndarray, np.ndarray]:
     """Each link's unitary QR factor and ``coords = R^-1 Q^H``, its unit spans checked.
 
     Each unit's ``basis`` ``B_l`` has decided its span, so the relay space
@@ -281,11 +285,10 @@ def _joint_basis(links: dict[str, list[Unit]]) -> tuple[np.ndarray, np.ndarray]:
     :class:`~ssalign.errors.IndependenceViolation` naming the side, the
     joint dimension against ``N_active``, and the largest dropped singular
     value over ``sigma_max`` against the cutoff (0 when ``W > N_active``,
-    whose excess values are exact zeros).  A later link raises it only after
-    a pass over the earlier links has raised none of theirs.
+    whose excess values are exact zeros); the links are checked in order.
     """
-    stacked = (np.hstack([u.basis for u in units]) for units in links.values())
-    q_full, r = np.linalg.qr(np.stack(list(stacked)), mode="complete")
+    stacked = [np.hstack([u.basis for u in units]) for units in links]
+    q_full, r = np.linalg.qr(np.stack(stacked), mode="complete")
     _, rows, width = r.shape
     r = r[:, :width]
     q_h = q_full[..., :width].conj().swapaxes(1, 2)
@@ -295,25 +298,20 @@ def _joint_basis(links: dict[str, list[Unit]]) -> tuple[np.ndarray, np.ndarray]:
             coords = np.linalg.solve(r, q_h)
         except np.linalg.LinAlgError:
             pass  # an exactly singular R: the SVD decides below
-    for i, side in enumerate(links):
-        if coords is not None and _certified(r[i], coords[i], (rows, width)):
-            continue
-        error = _independence_violation(side, r[i], (rows, width))
-        if error is not None:
-            if i:
-                _complement_projectors(dict(list(links.items())[:i]))
-            raise error
+    for i, side in enumerate(SIDES[:len(links)]):
+        if coords is None or not _certified(r[i], coords[i], (rows, width)):
+            _check_independence(side, r[i], (rows, width))
     if coords is None:
         # Every link passed the SVD, so the solve's own error is the one to raise.
         coords = np.linalg.solve(r, q_h)
     return q_full, coords
 
 
-def _complement_projectors(links: dict[str, list[Unit]]) -> list[PairProjectors]:
+def _complement_projectors(links: list[list[Unit]]) -> list[PairProjectors]:
     """Factor every pair's complement projector through one oblique basis change.
 
-    ``links`` maps each side, ``uplink`` or ``downlink``, to its units, in
-    check order; their streams are the columns of ``equivalent_uplink``,
+    ``links`` lists each link's units, sides named by position in
+    :data:`SIDES`; their streams are the columns of ``equivalent_uplink``,
     which are ``G_a^H v`` for downlink twins.  The links must match unit by
     unit in pairs and basis shape, so every step runs once over a leading
     link axis, and each link's factors equal those of a pass over that link
@@ -346,13 +344,12 @@ def _complement_projectors(links: dict[str, list[Unit]]) -> list[PairProjectors]
     then unit order; so ``Z`` is never empty.  Every error's ``stage`` is
     its side.
     """
-    sides = list(links)
-    unit_bases = [[u.basis for u in units] for units in links.values()]
+    unit_bases = [[u.basis for u in units] for units in links]
     q_full, coords = _joint_basis(links)
     width = coords.shape[1]
     offsets = np.cumsum([0] + [basis.shape[1] for basis in unit_bases[0]])
     pair_keys, shapes = [], {}
-    for li, (unit, basis) in enumerate(zip(links[sides[0]], unit_bases[0])):
+    for li, (unit, basis) in enumerate(zip(links[0], unit_bases[0])):
         keys, columns = _pair_columns(unit.pairs)
         pair_keys.append(keys)
         shapes.setdefault((basis.shape[1], columns), []).append(li)
@@ -362,8 +359,8 @@ def _complement_projectors(links: dict[str, list[Unit]]) -> list[PairProjectors]
     for (d, columns), members in shapes.items():
         own = np.array(columns)
         # (link, unit) of each batch entry, link-major.
-        batch = [(i, li) for i in range(len(sides)) for li in members]
-        streams = np.stack([links[sides[i]][li].equivalent_uplink for i, li in batch])
+        batch = [(i, li) for i in range(len(links)) for li in members]
+        streams = np.stack([links[i][li].equivalent_uplink for i, li in batch])
         local = np.stack([unit_bases[i][li] for i, li in batch]).conj().swapaxes(1, 2) @ streams
         # (units, pairs, d, 2) and (units, pairs, 2): each pair's own streams.
         local_own = local[:, :, own].transpose(0, 2, 1, 3)
@@ -381,40 +378,31 @@ def _complement_projectors(links: dict[str, list[Unit]]) -> list[PairProjectors]
             found.update(((*batch[u], p), z[u, p]) for u, p in zip(*np.nonzero(select)))
     if failed:
         i, li, p = min(failed)
-        unit = links[sides[i]][li]
+        unit = links[i][li]
         a, b = pair_keys[li][p]
         error = AlignmentDegenerate(
-            f"{sides[i]} pair ({a},{b}) of unit {li} (group {unit.group}, column block "
+            f"{SIDES[i]} pair ({a},{b}) of unit {li} (group {unit.group}, column block "
             f"{unit.column_block}) does not survive the rest of its unit")
-        error.stage = sides[i]
+        error.stage = SIDES[i]
         raise error
     return [PairProjectors(q_full[i, :, :width], q_full[i, :, width:],
                            {(li, key): found[(i, li, p)]
                             for li, keys in enumerate(pair_keys) for p, key in enumerate(keys)})
-            for i in range(len(sides))]
+            for i in range(len(links))]
 
 
-@stage("downlink")
-def design_downlink(units: list[Unit]) -> tuple[np.ndarray, list[Unit]]:
-    """Receive vectors and the downlink twins of ``units``, by uplink/downlink symmetry.
+def design_downlink(units: list[Unit]) -> np.ndarray:
+    """Receive vectors of ``units``: their downlink twins' beamformers side by side.
 
     The twins are the ones :func:`~ssalign.units.execute_plan` built beside
     the units, on the conjugate-transposed downlink ``G_a^H`` (same group
-    and column block; for random units, draws from RNG substream 2 of the
-    channels' seed), so every twin passed the same span checks and has its
-    unit's pairs and basis width.  Nothing is rebuilt here: the first twin
-    kept as its error raises it again, its message led by ``downlink twin
-    of unit {index}: ``, and a unit without a twin raises ``ValueError``.
-    The twins' beamformers side by side are the receive vectors ``v``.  Their
-    equivalent vectors ``G_a^H v = (v^H G_a)^H`` give the downlink projectors
-    in :func:`build_uplink_projectors`' pass over both links, so each pair's
-    ``W`` nulls the other pairs' rows ``v^H G_a``.
+    and column block; random ones from RNG substream 2 of the channels'
+    seed), so each passed the span checks; a unit without one raises
+    ``ValueError``.  Their equivalent vectors ``G_a^H v = (v^H G_a)^H`` give
+    the downlink projectors in :func:`build_uplink_projectors`, so each
+    pair's ``W`` nulls the other pairs' rows ``v^H G_a``.
     """
-    twins = [unit.twin for unit in units]
-    if any(twin is None for twin in twins):
-        raise ValueError("every unit needs the downlink twin execute_plan builds beside it")
-    _raise_first_error(twins, name="downlink twin of unit")
-    return np.hstack([twin.beamformers for twin in twins]), twins
+    return np.hstack([twin.beamformers for twin in _twins(units)])
 
 
 def _stacked_factors(side: PairProjectors, keys: list[Key]):
@@ -459,21 +447,14 @@ def assemble_forward_matrix(units: list[Unit], uplink_projectors: PairProjectors
 
 
 def build_relay_processor(units: list[Unit]) -> RelayProcessor:
-    """Full relay design: downlink twins, both links' projectors, forwarding matrix.
+    """Full relay design: receive vectors, both links' projectors, forwarding matrix.
 
     The units must carry the twins :func:`~ssalign.units.execute_plan`
     built beside them; the channels are not read again.  A failing design
-    raises the first error in link order: the uplink projectors', then the
-    twins', then the downlink projectors'.  The twins are checked first, so
-    when one failed the uplink projectors are built alone before its error
-    is raised again.
+    raises in the stage order of the module docstring.
     """
-    try:
-        receive, twins = design_downlink(units)
-    except ConstructionError:
-        build_uplink_projectors(units)
-        raise
-    uplink, downlink = build_uplink_projectors(units, twins)
+    receive = design_downlink(units)
+    uplink, downlink = build_uplink_projectors(units)
     forward, alpha = assemble_forward_matrix(units, uplink, downlink)
     return RelayProcessor(
         uplink_basis=uplink.basis, uplink_projectors=uplink.factors,

@@ -78,9 +78,8 @@ class Unit:
     image ``H_a @ u`` at the active relay antennas.  ``basis`` is an
     orthonormal basis of their span, the one the span check of
     :func:`_build_units` decided.  ``twin`` is the unit's downlink twin from
-    :func:`execute_plan`, a ``Unit`` on ``G^H`` or the ``ConstructionError``
-    its build raised; it is ``None`` on a twin, and on a unit built on one
-    link only.  ``==`` is identity.
+    :func:`execute_plan`, a ``Unit`` built on ``G^H``; it is ``None`` on a
+    twin, and on a unit built on one link only.  ``==`` is identity.
     """
 
     pattern_order: int  # 2..K for aligned units, RANDOM for random directions
@@ -90,7 +89,7 @@ class Unit:
     equivalent_uplink: np.ndarray
     column_block: int
     basis: np.ndarray
-    twin: Unit | ConstructionError | None = None
+    twin: Unit | None = None
 
 
 def _unit_dims(pattern_order: int, size: int) -> int:
@@ -493,15 +492,18 @@ def _build_units(links, specs) -> list[list]:
     return built
 
 
-def _raise_first_error(built: list, name: str = "") -> None:
+def _raise_first_error(built: list, name: str = "", side: str | None = None) -> None:
     """Raise the first ``ConstructionError`` in ``built``, if any.
 
-    With a ``name`` it is raised again, its message led by ``f"{name} {index}: "``.
+    With a ``name`` it is raised again, its message led by ``f"{name} {index}: "``
+    and its ``stage`` set to ``side``.
     """
     for index, unit in enumerate(built):
         if isinstance(unit, ConstructionError):
             if name:
-                raise type(unit)(f"{name} {index}: {unit}") from unit
+                error = type(unit)(f"{name} {index}: {unit}")
+                error.stage = side
+                raise error from unit
             raise unit
 
 
@@ -514,15 +516,15 @@ def execute_plan(plan: AlignmentPlan, ch: ChannelSet) -> list[Unit]:
     ``G_a^H`` with the unit's group and column block, and set as its
     ``twin``: random units draw from RNG substream 1 of ``ch.seed``, random
     twins from substream 2, and each group's mixing from its own key, shared
-    by both links.  A failing unit raises here, the first in allocation
-    order; a failing twin is kept as its error, which
-    :func:`~ssalign.relay.design_downlink` raises.  Each unit spans its
-    ``dims_per_unit()``, so the spans sum to ``plan.dims_used``; the relay
-    checks, on both links, that they are independent.  Every user's
-    transmit beamformer stack must have full column rank, else
-    :class:`~ssalign.errors.IndependenceViolation` names the first user
-    whose stack does not; the stacks, equally wide as ``_check_plan`` gives
-    every user the same stream count, are checked in one SVD.
+    by both links.  Each unit spans its ``dims_per_unit()``, so the spans
+    sum to ``plan.dims_used``; the relay checks, on both links, that they
+    are independent.  The checks here raise in this order: the first failing
+    unit, in allocation order; then a user whose transmit beamformer stack
+    lacks full column rank, as :class:`~ssalign.errors.IndependenceViolation`
+    naming the first such user (the stacks, equally wide as ``_check_plan``
+    gives every user the same stream count, are checked in one SVD); then
+    the first failing twin, its message led by ``downlink twin of unit
+    {index}: `` and its ``stage`` ``downlink``.
     """
     if (plan.m, plan.n, plan.k) != (ch.m, ch.n, ch.k):
         raise ValueError("channel set was sampled for a different (M, N, K)")
@@ -539,8 +541,6 @@ def execute_plan(plan: AlignmentPlan, ch: ChannelSet) -> list[Unit]:
     units, twins = _build_units([(ch, derived_rng(ch.seed, 1)),
                                  (_mirror(ch), derived_rng(ch.seed, 2))], specs)
     _raise_first_error(units)
-    for unit, twin in zip(units, twins):
-        unit.twin = twin
     senders = np.array([a for u in units for a, _ in u.pairs])
     streams = np.bincount(senders, minlength=ch.k)
     if streams.min() != streams.max():
@@ -553,4 +553,7 @@ def execute_plan(plan: AlignmentPlan, ch: ChannelSet) -> list[Unit]:
         raise IndependenceViolation(
             f"user {deficient[0]}'s beamformer stack is column-rank deficient"
         )
+    _raise_first_error(twins, name="downlink twin of unit", side="downlink")
+    for unit, twin in zip(units, twins):
+        unit.twin = twin
     return units

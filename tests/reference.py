@@ -173,10 +173,11 @@ def build_random_unit(ch, rng):
 
 
 def twinned_units(ch, specs):
-    """Units of ``specs`` with their downlink twins, keyed as ``execute_plan`` keys them."""
+    """Units of ``specs`` with their downlink twins, keyed and raised as ``execute_plan`` does."""
     units, twins = _build_units([(ch, derived_rng(ch.seed, 1)),
                                  (_mirror(ch), derived_rng(ch.seed, 2))], specs)
     _raise_first_error(units)
+    _raise_first_error(twins, name="downlink twin of unit", side="downlink")
     for unit, twin in zip(units, twins):
         unit.twin = twin
     return units

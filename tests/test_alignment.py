@@ -14,7 +14,6 @@ from ssalign import (
     construct,
     deactivate_relay_antennas,
     derived_rng,
-    design_downlink,
     execute_plan,
     plan_alignment,
     sample_channel_set,
@@ -486,21 +485,40 @@ class TestBatchedBuilder:
         assert len(mixing) == len(groups) > 0
         assert set(mixing) == {(3, *group) for group in groups}
 
-    def test_a_failing_twin_is_kept_as_its_error(self):
+    def test_a_failing_twin_raises_after_the_user_stacks(self, monkeypatch):
         # Users 2 and 3 share one downlink: the uplink units build, and the
-        # twins of units 2 and 3 keep the span check's error for the relay.
+        # twins of units 2 and 3 fail the span check.  execute_plan raises
+        # the first, after the user stacks' check, which raises first when
+        # users 1 and 2 send along one direction only.
         built = construct(3, 8, 4, 0)
         downlink = built.channels.downlink.copy()
         downlink[3] = downlink[2]
-        units = execute_plan(built.plan, replace(built.channels, downlink=downlink))
+        ch = replace(built.channels, downlink=downlink)
+        specs = [(u.pattern_order, u.group, u.column_block) for u in built.units]
+        units, twins = _build_units([(ch, derived_rng(0, 1)), (mirror_of(ch), derived_rng(0, 2))],
+                                    specs)
         for got, want in zip(units, built.units):
             assert np.array_equal(got.beamformers, want.beamformers)
-        assert [isinstance(u.twin, AlignmentDegenerate) for u in units] \
+        assert [isinstance(twin, AlignmentDegenerate) for twin in twins] \
             == [False, False, True, True]
         with pytest.raises(AlignmentDegenerate, match="^downlink twin of unit 2: ") as info:
-            design_downlink(units)
-        assert info.value.__cause__ is units[2].twin
+            execute_plan(built.plan, ch)
+        assert str(info.value) == f"downlink twin of unit 2: {twins[2]}"
+        assert isinstance(info.value.__cause__, AlignmentDegenerate)
         assert info.value.stage == "downlink"
+
+        def flattened(*args, **kwargs):
+            links = _build_units(*args, **kwargs)
+            for unit in links[0]:
+                for i, (a, _) in enumerate(unit.pairs):
+                    if a in (1, 2):
+                        unit.beamformers[:, i] = unit.beamformers[:, 0]
+            return links
+
+        monkeypatch.setattr(units_module, "_build_units", flattened)
+        with pytest.raises(IndependenceViolation, match="^user 1's beamformer stack") as info:
+            execute_plan(built.plan, ch)
+        assert info.value.stage == "execute"
 
     def test_units_without_twins_are_refused(self):
         ch = channels(3, 5, 3, seed=2)

@@ -41,6 +41,20 @@ class TestSystemConfig:
         with pytest.raises(ValueError):
             SystemConfig(m=1, n=2, k=3, extension=0)
 
+    def test_numpy_integers_become_plain_ints(self):
+        # A numpy seed must not reach the channel document: json cannot encode it.
+        cfg = SystemConfig(np.int64(2), 5, 3, extension=np.int32(1), seed=np.uint64(7))
+        assert [type(v) for v in (cfg.m, cfg.n, cfg.k, cfg.extension, cfg.seed)] == [int] * 5
+        want = json.dumps(channel_to_json(sample_channel_set(SystemConfig(2, 5, 3, seed=7))))
+        assert json.dumps(channel_to_json(sample_channel_set(cfg))) == want
+        ch = construct(3, 5, 3, np.int64(3)).channels
+        assert type(ch.seed) is int
+        json.dumps(channel_to_json(ch))
+
+    def test_non_integer_counts_are_rejected(self):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            SystemConfig(2.5, 5, 3)
+
 
 class TestSampling:
     def test_shapes(self):

@@ -289,3 +289,20 @@ class TestScaling:
         monkeypatch.setattr(lemmas.dof, "scaling_check", lambda m, n, sigma, k: False)
         result = check_scaling(3, [[1, 2], [2, 3]], [2, 5])
         assert_all_missed(result, 0)
+
+
+class TestTrialCount:
+    CHECKS = {
+        "intersection": lambda trials: [check_intersection(2, 3, trials, 0)],
+        "stacked_rank": lambda trials: [check_stacked_rank(3, 2, 3, trials, 0)],
+        "direct_sum": lambda trials: [check_direct_sum(3, 2, 2, 3, trials, 0)],
+        "default_battery": lambda trials: lemmas.default_battery(trials, 0),
+    }
+
+    @pytest.mark.parametrize("name", CHECKS)
+    def test_negative_trial_counts_are_rejected_and_zero_is_legal(self, name):
+        with pytest.raises(InvalidLemmaParams, match=r"^need trials >= 0, got -3$"):
+            self.CHECKS[name](-3)
+        for result in self.CHECKS[name](0):
+            if result.lemma_id is not LemmaId.SCALING:
+                assert (result.trials, result.failures, result.observed) == (0, 0, Counter())

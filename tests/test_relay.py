@@ -15,13 +15,12 @@ from ssalign import (
     construct,
     deactivate_relay_antennas,
     derived_rng,
-    design_downlink,
     estimate_dof_slope,
     sample_channel_set,
     verify_end_to_end,
 )
 from ssalign.errors import AlignmentDegenerate, IndependenceViolation
-from ssalign import relay
+from ssalign import pipeline, relay
 from ssalign.relay import _entry_rms_scale
 from ssalign.units import RANDOM, Unit, execute_plan
 
@@ -57,7 +56,7 @@ class TestUplinkProjectors:
         # directions, so each projector has rank 2.
         ch = sample_channel_set(SystemConfig(m=2, n=6, k=3, seed=1))
         unit = build_random_unit(ch, derived_rng(1, 1))
-        (projectors,) = build_uplink_projectors([unit])
+        (projectors,) = relay._complement_projectors([[unit]])
         assert len(projectors.factors) == 3
         for z in projectors.factors.values():
             assert numerical_rank(projector(projectors.basis, z)) == 2
@@ -73,7 +72,7 @@ class TestUplinkProjectors:
     def test_single_pair_alone_gives_identity(self):
         ch = sample_channel_set(SystemConfig(m=3, n=5, k=3, seed=3))
         unit = build_aligned_unit(ch, (0, 1), 0)
-        (projectors,) = build_uplink_projectors([unit])
+        (projectors,) = relay._complement_projectors([[unit]])
         p = projector(projectors.basis, projectors.factors[(0, (0, 1))])
         assert np.allclose(p, np.eye(5), rtol=0, atol=1e-12)
 
@@ -96,7 +95,7 @@ class TestUplinkProjectors:
             vecs = np.column_stack([complex_gaussian(rng, 2, 1)[:, 0] for _ in range(2)])
             units.append(unit_of(2, (0, 1), ((0, 1), (1, 0)), vecs))
         with pytest.raises(IndependenceViolation, match="^uplink unit spans overlap"):
-            build_uplink_projectors(units)
+            relay._complement_projectors([units])
 
     def test_pair_inside_rest_of_its_unit_collapses(self):
         # One unit, four streams in C^2: the other pair's two streams span
@@ -106,14 +105,14 @@ class TestUplinkProjectors:
         vecs = np.column_stack([complex_gaussian(rng, 2, 1)[:, 0] for _ in pairs])
         with pytest.raises(AlignmentDegenerate,
                            match=r"^uplink pair \(0,1\) of unit 0 .* does not survive"):
-            build_uplink_projectors([unit_of(RANDOM, (0, 1, 2), pairs, vecs)])
+            relay._complement_projectors([[unit_of(RANDOM, (0, 1, 2), pairs, vecs)]])
 
     def test_zero_stream_does_not_survive(self):
         rng = np.random.Generator(np.random.Philox(key=7))
         vecs = complex_gaussian(rng, 3, 2)
         vecs[:, 1] = 0.0
         with pytest.raises(AlignmentDegenerate, match="does not survive"):
-            build_uplink_projectors([unit_of(2, (0, 1), ((0, 1), (1, 0)), vecs)])
+            relay._complement_projectors([[unit_of(2, (0, 1), ((0, 1), (1, 0)), vecs)]])
 
 
 # The ordered pairs of group (0, 1, 2): pair (0,1) owns columns 0 and 2,
@@ -144,7 +143,7 @@ class TestBatchedFactors:
         frame = complex_gaussian(rng, 12, 10)
         units = [six_stream_unit(rng, frame[:, :5], dependent=(5, (1, 3, 4))),
                  six_stream_unit(rng, frame[:, 5:])]
-        (projectors,) = build_uplink_projectors(units)
+        (projectors,) = relay._complement_projectors([units])
         widths = {}
         for li, unit in enumerate(units):
             local = unit.basis.conj().T @ unit.equivalent_uplink
@@ -168,7 +167,7 @@ class TestBatchedFactors:
         with pytest.raises(AlignmentDegenerate,
                            match=r"^uplink pair \(1,2\) of unit 2 \(group \(0, 1, 2\), "
                                  r"column block 0\) does not survive"):
-            build_uplink_projectors(units)
+            relay._complement_projectors([units])
 
 
 class TestPairSurvival:
@@ -185,20 +184,18 @@ class TestPairSurvival:
                                  rf"{re.escape(str(group))}, column block 0\)"):
             construct(m, n, k, 0)
 
-    def test_downlink_twins_are_tested(self, monkeypatch):
+    def test_downlink_twins_are_tested(self):
+        # Twin 0's stream of pair (0,1) is replaced by its stream of pair
+        # (0,2), after its span check: it lies in the rest of its unit, so
+        # only that downlink pair and pair (0,2) fail, and (0,1) is first.
         built = construct(3, 8, 4, 0)
-        _, twins = design_downlink(built.units)
-        monkeypatch.setattr(relay, "PAIR_SURVIVAL_MIN", 2.0)
-        with pytest.raises(AlignmentDegenerate, match=r"^downlink pair \(0,1\) of unit 0 "):
-            relay._complement_projectors({"downlink": twins})
-
-
-def projectors_of(side, units):
-    """One link's projectors from a pass over that link alone: the units', or their twins'."""
-    if side == "uplink":
-        return build_uplink_projectors(units)[0]
-    _, twins = design_downlink(units)
-    return relay._complement_projectors({"downlink": twins})[0]
+        twin = built.units[0].twin
+        twin.equivalent_uplink = twin.equivalent_uplink.copy()
+        twin.equivalent_uplink[:, 0] = twin.equivalent_uplink[:, 1]
+        with pytest.raises(AlignmentDegenerate,
+                           match=r"^downlink pair \(0,1\) of unit 0 ") as info:
+            build_uplink_projectors(built.units)
+        assert info.value.stage == "downlink"
 
 
 def scaled_pair_unit(rows, scale, seed=0):
@@ -227,28 +224,36 @@ def joint_svds(monkeypatch):
 
 class TestJointIndependence:
     # At (3, 8, 4) four order-3 units fill all 16 relay rows, so a second
-    # copy of unit 0 (on the downlink, of its twin) overlaps the others.
-    # Its 4 extra dimensions lie past the 16 rows, so no singular value of
-    # the stacked bases is dropped: the largest dropped one is exactly 0.
-    @pytest.mark.parametrize("side", ["uplink", "downlink"])
-    def test_overlap_names_the_side(self, side):
+    # copy of unit 0, with its twin, overlaps the others on both links, and
+    # the uplink is checked first.  Its 4 extra dimensions lie past the 16
+    # rows, so no singular value of the stacked bases is dropped: the
+    # largest dropped one is exactly 0.  (Past the rows the downlink cannot
+    # overlap alone, as its twins are as wide as the units.)
+    def test_overlap_names_the_side(self):
         built = construct(3, 8, 4, 0)
         units = built.units + [built.units[0]]
         with pytest.raises(IndependenceViolation,
-                           match=rf"^{side} unit spans overlap: their dimensions sum to 20, "
+                           match=r"^uplink unit spans overlap: their dimensions sum to 20, "
                                  r"jointly they span 16 of N_active = 16; largest dropped "
                                  r"singular value / sigma_max = 0\.0e\+00 against "
-                                 r"RANK_REL\*max\(shape\) = 2\.0e-09$"):
-            projectors_of(side, units)
+                                 r"RANK_REL\*max\(shape\) = 2\.0e-09$") as info:
+            build_uplink_projectors(units)
+        assert info.value.stage == "uplink"
 
-    # Units 0, 1 and a copy of 0 fit in the 16 rows, so the copy's 4
-    # dimensions are dropped singular values: round-off, far below the cutoff.
+    # Units 0, 1 and a copy of 0 (on the downlink, units 0 to 2 with twin 2
+    # given twin 0's basis) fit in the 16 rows, so the copy's 4 dimensions
+    # are dropped singular values: round-off, far below the cutoff.
     @pytest.mark.parametrize("side", ["uplink", "downlink"])
     def test_overlap_inside_the_relay_reports_its_margin(self, side):
         built = construct(3, 8, 4, 0)
-        units = built.units[:2] + [built.units[0]]
+        if side == "uplink":
+            units = built.units[:2] + [built.units[0]]
+        else:
+            units = built.units[:3]
+            units[2].twin.basis = units[0].twin.basis
         with pytest.raises(IndependenceViolation) as info:
-            projectors_of(side, units)
+            build_uplink_projectors(units)
+        assert info.value.stage == side
         found = re.fullmatch(rf"{side} unit spans overlap: their dimensions sum to 12, "
                              r"jointly they span 8 of N_active = 16; largest dropped "
                              r"singular value / sigma_max = (\d\.\de-\d\d) against "
@@ -269,10 +274,10 @@ class TestJointIndependence:
         assert (want is None) == (scale > 4e-10)
         shapes = joint_svds(monkeypatch)
         if want is None:
-            build_uplink_projectors([unit])
+            relay._complement_projectors([[unit]])
         else:
             with pytest.raises(IndependenceViolation) as info:
-                build_uplink_projectors([unit])
+                relay._complement_projectors([[unit]])
             assert (str(info.value), info.value.stage) == (want, "uplink")
             assert str(info.value).endswith("= 3.6e-10 against RANK_REL*max(shape) = 4.0e-10")
         assert shapes == ([] if certified else [(2, 2)])
@@ -289,8 +294,8 @@ class TestJointIndependence:
         want = reference_joint_independence("uplink", [basis])
         shapes = joint_svds(monkeypatch)
         with pytest.raises(IndependenceViolation) as info:
-            build_uplink_projectors([Unit(2, (0, 1), ((0, 1), (1, 0)), vecs.copy(), vecs, 0,
-                                          basis)])
+            relay._complement_projectors([[Unit(2, (0, 1), ((0, 1), (1, 0)), vecs.copy(),
+                                                vecs, 0, basis)]])
         assert str(info.value) == want
         assert want.startswith("uplink unit spans overlap: their dimensions sum to 2, "
                                "jointly they span 1 of N_active = 4")
@@ -311,12 +316,12 @@ class TestJointIndependence:
                                                 (2, 12, 6, False), (4, 9, 5, False)])
     def test_well_conditioned_builds_need_no_joint_svd(self, monkeypatch, m, n, k, improved):
         built = construct(m, n, k, 0, improved)
-        _, twins = design_downlink(built.units)
+        twins = [unit.twin for unit in built.units]
         for units in (built.units, twins):
             assert reference_joint_independence("uplink", [u.basis for u in units]) is None
         width = sum(u.basis.shape[1] for u in built.units)
         shapes = joint_svds(monkeypatch)
-        build_uplink_projectors(built.units, twins)
+        build_uplink_projectors(built.units)
         assert (width, width) not in shapes
 
 
@@ -324,10 +329,9 @@ class TestFusedLinks:
     @pytest.mark.parametrize("m,n,k,improved", BUILD_CONFIGS)
     def test_factors_equal_a_pass_over_each_link_alone(self, m, n, k, improved):
         built = construct(m, n, k, 0, improved)
-        _, twins = design_downlink(built.units)
-        fused = build_uplink_projectors(built.units, twins)
-        alone = (build_uplink_projectors(built.units)[0],
-                 relay._complement_projectors({"downlink": twins})[0])
+        fused = build_uplink_projectors(built.units)
+        alone = (relay._complement_projectors([built.units])[0],
+                 relay._complement_projectors([[unit.twin for unit in built.units]])[0])
         for got, want in zip(fused, alone, strict=True):
             assert list(got.factors) == list(want.factors)
             c_got, c_want = got.complement, want.complement
@@ -338,26 +342,31 @@ class TestFusedLinks:
                                    projector(want.basis, z), rtol=0, atol=1e-12)
 
     def test_twins_must_mirror_the_units(self):
+        # Unit 3, on group (1, 2, 3), is given the twin of unit 0, on (0, 1, 2).
         built = construct(3, 8, 4, 0)
-        _, twins = design_downlink(built.units)
+        built.units[3].twin = built.units[0].twin
         with pytest.raises(ValueError, match="twins must have the units' pairs"):
-            build_uplink_projectors(built.units, twins[:-1])
+            build_uplink_projectors(built.units)
 
     # Users 2 and 3 share one downlink, so the twins of their groups fail the
-    # span check; with PAIR_SURVIVAL_MIN = 2.0 every uplink pair fails too.
-    def test_uplink_pair_error_comes_before_a_twin_error(self, monkeypatch):
-        built = construct(3, 8, 4, 0)
-        downlink = built.channels.downlink.copy()
-        downlink[3] = downlink[2]
-        units = execute_plan(built.plan, replace(built.channels, downlink=downlink))
-        with pytest.raises(AlignmentDegenerate, match="^downlink twin of unit ") as info:
-            build_relay_processor(units)
-        assert info.value.stage == "downlink"
+    # span check; with PAIR_SURVIVAL_MIN = 2.0 every uplink pair would fail
+    # too, but the relay is never reached.
+    def test_a_twin_error_comes_before_the_relay_errors(self, monkeypatch):
+        sample = pipeline.sample_channel_set
+
+        def shared(cfg):
+            ch = sample(cfg)
+            downlink = ch.downlink.copy()
+            downlink[3] = downlink[2]
+            return replace(ch, downlink=downlink)
+
+        monkeypatch.setattr(pipeline, "sample_channel_set", shared)
         monkeypatch.setattr(relay, "PAIR_SURVIVAL_MIN", 2.0)
         with pytest.raises(AlignmentDegenerate,
-                           match=r"^uplink pair \(0,1\) of unit 0 \(group \(0, 1, 2\)") as info:
-            build_relay_processor(units)
-        assert info.value.stage == "uplink"
+                           match=r"^downlink twin of unit 2: order-3 unit on group "
+                                 r"\(0, 2, 3\) spans") as info:
+            construct(3, 8, 4, 0)
+        assert info.value.stage == "downlink"
 
     def test_downlink_pair_error_keeps_its_stage(self):
         # Twin 0's first stream, of pair (0,1), is zeroed after its span check.
@@ -370,16 +379,20 @@ class TestFusedLinks:
             build_relay_processor(built.units)
         assert info.value.stage == "downlink"
 
-    def test_downlink_overlap_comes_after_the_uplink_pair_errors(self, monkeypatch):
-        # Twin 1 takes twin 0's basis: only the downlink spans overlap.
+    def test_downlink_overlap_comes_before_the_uplink_pair_errors(self, monkeypatch):
+        # Twin 1 takes twin 0's basis: only the downlink spans overlap.  With
+        # PAIR_SURVIVAL_MIN = 2.0 every uplink pair fails too, but joint
+        # independence is checked on both links before any pair's survival.
         built = construct(3, 8, 4, 0)
+        basis = built.units[1].twin.basis
         built.units[1].twin.basis = built.units[0].twin.basis
+        monkeypatch.setattr(relay, "PAIR_SURVIVAL_MIN", 2.0)
         with pytest.raises(IndependenceViolation,
                            match="^downlink unit spans overlap: their dimensions sum to 16, "
                                  "jointly they span 12 of N_active = 16") as info:
             build_relay_processor(built.units)
         assert info.value.stage == "downlink"
-        monkeypatch.setattr(relay, "PAIR_SURVIVAL_MIN", 2.0)
+        built.units[1].twin.basis = basis
         with pytest.raises(AlignmentDegenerate, match=r"^uplink pair \(0,1\) of unit 0 ") as info:
             build_relay_processor(built.units)
         assert info.value.stage == "uplink"
@@ -473,8 +486,7 @@ class TestForwardMatrix:
         # A lone pair unit excludes nothing, so W = P = I and F = alpha * I.
         ch = sample_channel_set(SystemConfig(m=3, n=5, k=3, seed=8))
         (unit,) = twinned_units(ch, [(2, (0, 1), 0)])
-        receive, twins = design_downlink([unit])
-        uplink, downlink = build_uplink_projectors([unit], twins)
+        uplink, downlink = build_uplink_projectors([unit])
         forward, alpha = assemble_forward_matrix([unit], uplink, downlink)
         assert alpha > 0
         assert np.allclose(forward, alpha * np.eye(5))
@@ -489,8 +501,7 @@ class TestForwardMatrix:
     def test_sums_pair_terms(self):
         ch = sample_channel_set(SystemConfig(m=2, n=6, k=3, seed=10))
         (unit,) = twinned_units(ch, [(RANDOM, (0, 1, 2), 0)])
-        receive, twins = design_downlink([unit])
-        uplink, downlink = build_uplink_projectors([unit], twins)
+        uplink, downlink = build_uplink_projectors([unit])
         forward, alpha = assemble_forward_matrix([unit], uplink, downlink)
         manual = sum(projector(downlink.basis, downlink.factors[key])
                      @ projector(uplink.basis, uplink.factors[key]) for key in uplink.factors)
@@ -509,8 +520,7 @@ class TestForwardMatrix:
     def test_factored_sum_matches_dense_pair_terms(self, m, n, k, improved, free):
         _, ch, units, processor = full_build(m, n, k, seed=11, improved=improved)
         rows = ch.active_relay
-        _, twins = design_downlink(units)
-        for side in build_uplink_projectors(units, twins):
+        for side in build_uplink_projectors(units):
             q, c = side.basis, side.complement
             assert c.shape == (rows, rows - q.shape[1]) == (rows, free)
             assert np.allclose(c.conj().T @ c, np.eye(free), rtol=0, atol=1e-12)
