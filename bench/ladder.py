@@ -7,10 +7,14 @@ Each rung ``M,N,K`` (``M,N,K,improved`` for the improved scheme) runs in a
 fresh interpreter, so its peak resident memory (``ru_maxrss``) is its own.
 For every seed the rung runs ``construct`` then ``verify_end_to_end`` under
 ``perfbench/tracer.py``'s :class:`Tracer`, which times each stage and counts
-SVDs; the wall time spans both calls, the tracer's wrappers included.  A
-rung reports, over its seeds, the median wall and stage times, the median
-SVD count and the largest SVD dimension, whether every build counted the
-closed-form ``d_sum``, and the smallest desired coefficient.
+SVDs; the wall time spans both calls, the tracer's wrappers included.  The
+pair of calls repeats until ``BUILD_SECONDS`` of them have run, at least
+once, and the seed's wall and stage times are the medians over its
+repeats, so a small rung is not read from one run of a few milliseconds.
+A rung reports, over its seeds, the median of those wall and stage times,
+the median SVD count of one build and the largest SVD dimension, whether
+every build counted the closed-form ``d_sum``, and the smallest desired
+coefficient.
 
 The oracle row runs in a process of its own: ``default_battery(400, 0)``
 under the tracer, and the loop that consumes ``dof.curve`` for each of the
@@ -43,6 +47,8 @@ PERFBENCH = ROOT / "perfbench"
 # The configs inside today's extension cap, smallest first.
 RUNGS = ("3,5,3", "3,5,4", "7,20,4", "5,9,5,improved", "3,10,6", "4,9,5", "12,23,5")
 SEEDS = (0, 1, 2)
+# Seconds of builds each seed repeats for; a build slower than this runs once.
+BUILD_SECONDS = 0.5
 BATTERY_TRIALS = 400
 BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
@@ -85,23 +91,29 @@ def run_rung(spec: str, seeds: list[int]) -> dict:
     closed = (dof.achievable_improved if improved else dof.achievable_basic)(m, n, k).d_sum
     runs = []
     for seed in seeds:
-        tracer.reset()
-        with tracer:
-            if tracer.missing:
-                raise RuntimeError(f"tracer could not find {tracer.missing}")
-            start = time.perf_counter()
-            try:
-                built = construct(m, n, k, seed, improved)
-                # Looked up at call time, so that the tracer's wrapper runs.
-                report = relay.verify_end_to_end(built.channels, built.units, built.processor)
-            except ConstructionError as exc:
-                built, report = None, None
-                error = f"{type(exc).__name__} at stage {exc.stage}: {exc}"
-            wall = time.perf_counter() - start
-        counts = tracer.snapshot()
-        stages = {name: s for name, s in counts["seconds"].items() if s}
-        run = {"seed": seed, "wall_s": wall, "stages_s": stages,
-               "svd_calls": counts["svd_calls"], "svd_max_dim": counts["svd_max_dim"]}
+        walls, seconds = [], []
+        while sum(walls) < BUILD_SECONDS or not walls:
+            built = report = None  # so that one build at a time is alive
+            tracer.reset()
+            with tracer:
+                if tracer.missing:
+                    raise RuntimeError(f"tracer could not find {tracer.missing}")
+                start = time.perf_counter()
+                try:
+                    built = construct(m, n, k, seed, improved)
+                    # Looked up at call time, so that the tracer's wrapper runs.
+                    report = relay.verify_end_to_end(built.channels, built.units,
+                                                     built.processor)
+                except ConstructionError as exc:
+                    error = f"{type(exc).__name__} at stage {exc.stage}: {exc}"
+                walls.append(time.perf_counter() - start)
+            counts = tracer.snapshot()
+            seconds.append(counts["seconds"])
+        stages = {name: statistics.median(run[name] for run in seconds)
+                  for name in seconds[0] if any(run[name] for run in seconds)}
+        run = {"seed": seed, "repeats": len(walls), "wall_s": statistics.median(walls),
+               "stages_s": stages, "svd_calls": counts["svd_calls"],
+               "svd_max_dim": counts["svd_max_dim"]}
         if report is None:
             run.update({"pass": False, "error": error})
         else:

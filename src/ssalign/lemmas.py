@@ -22,14 +22,15 @@ replays as ``complex_gaussian(derived_rng(seed), trials, K, ext, N, M)[i]``.
 
 Trials run in batches, and each step of a batch is one stacked call: one
 :func:`~ssalign.linalg.stacked_nullspaces` per group (a complete QR when
-the group's stack is wide) and one values-only SVD per final rank.  Every
-rank goes through :func:`~ssalign.linalg.singular_value_ranks`, the one
-rank rule.  Trials whose nullspace ranks differ from the rest of their
-batch run in a sub-batch of their own, so each trial is measured as it
-would be alone.  A batch holds at most
-:data:`_BATCH_ENTRIES` matrix entries in its draws, stacks and singular
-vectors, unless one trial alone needs more and runs in a batch of its own,
-so memory is bounded by that budget or by one trial, whichever is larger.
+the group's stack is wide, its ranks certified from the QR factor) and one
+values-only SVD per final rank.  Every rank gets the verdict of
+:func:`~ssalign.linalg.singular_value_ranks`, the one rank rule.  Trials
+whose nullspace ranks differ from the rest of their batch run in a
+sub-batch of their own, so each trial is measured as it would be alone.  A
+batch holds at most :data:`_BATCH_ENTRIES` matrix entries in its draws,
+stacks and singular vectors, unless one trial alone needs more and runs in
+a batch of its own, so memory is bounded by that budget or by one trial,
+whichever is larger.
 """
 
 from __future__ import annotations

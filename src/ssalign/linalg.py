@@ -1,11 +1,15 @@
 """The rank rule and the stacked nullspaces every construction stage shares.
 
 Every rank is decided on singular values, through the same relative
-threshold, :data:`RANK_REL`.  Nullspaces come from one SVD per matrix,
-except those of wide matrices (fewer rows than columns), which come from
-one complete Householder QR of the conjugate transpose.  Everything is
-deterministic: identical inputs give bit-identical outputs.  Matrices are
-``numpy`` arrays with ``complex128`` entries, stacked along leading axes.
+threshold, :data:`RANK_REL`.  A matrix that the construction needs of full
+rank is first offered to the certificate of :func:`certified_ranks`, which
+reads full rank off the square factor of a QR the caller already has, and
+takes a values-only SVD only where the certificate fails.  Nullspaces come
+from one SVD per matrix, except those of wide matrices (fewer rows than
+columns), which come from one complete Householder QR of the conjugate
+transpose.  Everything is deterministic: identical inputs give bit-identical
+outputs.  Matrices are ``numpy`` arrays with ``complex128`` entries, stacked
+along leading axes.
 """
 
 from __future__ import annotations
@@ -15,7 +19,9 @@ import numpy as np
 __all__ = [
     "RANK_REL",
     "LEAKAGE_ABS",
+    "CERTIFICATE_MARGIN",
     "singular_value_ranks",
+    "certified_ranks",
     "stacked_nullspaces",
 ]
 
@@ -27,6 +33,10 @@ RANK_REL = 1e-10
 # Absolute ceiling on residual norms: nullspace residuals, projector leakage
 # and interference coefficients.
 LEAKAGE_ABS = 1e-8
+
+# A square factor ``R`` is certified of full rank, with no SVD, when
+# ``||R||_F * ||R^-1||_F * RANK_REL * max(shape)`` is below this margin.
+CERTIFICATE_MARGIN = 0.5
 
 
 def singular_value_ranks(s: np.ndarray, shape):
@@ -43,6 +53,36 @@ def singular_value_ranks(s: np.ndarray, shape):
     return np.count_nonzero(s > thresh[..., None], axis=-1)
 
 
+def certified_ranks(r: np.ndarray, shape, inverse_norms=None) -> np.ndarray:
+    """Rank of each matrix of ``shape`` from its square QR factor, ``r`` as ``(..., n, n)``.
+
+    Each matrix has the singular values of its ``R``, and ``n`` is the full
+    rank the caller needs.  As ``sigma_min(R) >= 1/||R^-1||_F`` and
+    ``sigma_max(R) <= ||R||_F`` (Golub & Van Loan, *Matrix Computations*,
+    section 2.3), a member with ``||R||_F * ||R^-1||_F * RANK_REL *
+    max(shape)`` below :data:`CERTIFICATE_MARGIN` has every singular value
+    at least twice the :func:`singular_value_ranks` cutoff, far beyond the
+    round-off of the norms or of an SVD: its rank is ``n``.  A non-finite
+    bound fails.  ``inverse_norms`` gives each ``||R^-1||_F``, else one
+    batched inverse does; if it raises (a singular or non-square ``R``), no
+    member is certified.  The rest take a values-only SVD of their ``R``
+    and :func:`singular_value_ranks`, so each gets that rule's verdict.
+    """
+    try:
+        # An overflowing or 0 * inf bound is non-finite, and fails below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if inverse_norms is None:
+                inverse_norms = np.linalg.norm(np.linalg.inv(r), axis=(-2, -1))
+            bound = np.linalg.norm(r, axis=(-2, -1)) * inverse_norms * (RANK_REL * max(shape))
+        rest = ~(bound < CERTIFICATE_MARGIN)
+    except np.linalg.LinAlgError:
+        rest = np.ones(r.shape[:-2], dtype=bool)
+    ranks = np.full(r.shape[:-2], r.shape[-1])
+    if rest.any():
+        ranks[rest] = singular_value_ranks(np.linalg.svd(r[rest], compute_uv=False), shape)
+    return ranks
+
+
 def stacked_nullspaces(stack: np.ndarray):
     """Rank and right nullspace of each matrix of a ``(..., rows, cols)`` stack.
 
@@ -56,11 +96,11 @@ def stacked_nullspaces(stack: np.ndarray):
     A wide stack (``rows < cols``) takes one complete Householder QR of the
     conjugate transposes, ``A^H = Q R``, so ``A = R_1^H Q_1^H`` with ``R_1 =
     R[:rows]`` square and ``Q_1 = Q[:, :rows]``.  ``R_1`` has the singular
-    values of ``A``, and a values-only SVD of it decides each rank with the
-    shape of ``A``.  The first ``cols - rows`` columns are ``Q[:, rows:]``,
-    the nullspace of a matrix of full row rank.  Only a matrix of lower rank
-    takes one more SVD, ``R_1 = U S V^H``; its columns go on with ``Q_1 U``,
-    in ascending singular value order.
+    values of ``A``, and :func:`certified_ranks` decides each rank from it
+    with the shape of ``A``.  The first ``cols - rows`` columns are
+    ``Q[:, rows:]``, the nullspace of a matrix of full row rank.  Only a
+    matrix of lower rank takes one more SVD, ``R_1 = U S V^H``; its columns
+    go on with ``Q_1 U``, in ascending singular value order.
     """
     rows, cols = stack.shape[-2:]
     if rows >= cols:
@@ -69,7 +109,7 @@ def stacked_nullspaces(stack: np.ndarray):
         return ranks, vh[..., np.min(ranks):, :][..., ::-1, :].conj().swapaxes(-1, -2)
     q, r = np.linalg.qr(stack.conj().swapaxes(-1, -2), mode="complete")
     r = r[..., :rows, :]
-    ranks = singular_value_ranks(np.linalg.svd(r, compute_uv=False), (rows, cols))
+    ranks = certified_ranks(r, (rows, cols))
     low = np.min(ranks)
     if low == rows:
         return ranks, q[..., rows:]

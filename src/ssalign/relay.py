@@ -30,8 +30,8 @@ gives each vector of ``span(Q)`` its unit coordinates, and, per unit shape
 stacked SVD gives every pair of an aligned shape its nullspace, and a random
 unit, whose basis is as wide as its stream count, takes all its pairs'
 nullspaces from one matrix inverse.  The joint-independence check needs no
-SVD where the solve certifies it: ``sigma_min(R) >= 1/||R^-1||_F`` (Golub &
-Van Loan, *Matrix Computations*, section 2.3).
+SVD where the solve certifies it, by the full-rank rule of
+:func:`~ssalign.linalg.certified_ranks`.
 
 Verification is structural: a stream is decodable when its chain through ``F``
 keeps both pair coefficients above threshold while every other stream's
@@ -59,7 +59,13 @@ from .errors import (
     ProjectorCollapse,
     stage,
 )
-from .linalg import LEAKAGE_ABS, RANK_REL, singular_value_ranks, stacked_nullspaces
+from .linalg import (
+    LEAKAGE_ABS,
+    RANK_REL,
+    certified_ranks,
+    singular_value_ranks,
+    stacked_nullspaces,
+)
 from .units import Unit
 
 __all__ = [
@@ -88,10 +94,6 @@ PAIR_SURVIVAL_MIN = 1e-6
 # reads, and the relative change at which two neighbouring slopes count as settled.
 SLOPE_SNR_DB = (40.0, 60.0, 80.0, 100.0, 120.0, 140.0, 160.0)
 SLOPE_SETTLE_REL = 1e-3
-
-# A link's stacked bases keep every column without an SVD when
-# ``||R||_F * ||R^-1||_F * RANK_REL * max(shape)`` is below this margin.
-CERTIFICATE_MARGIN = 0.5
 
 Key = tuple[int, tuple[int, int]]
 
@@ -235,27 +237,11 @@ def _pair_nullspaces(local: np.ndarray, own: np.ndarray):
         yield ranks == rank, null[..., :d - rank]
 
 
-def _certified(r: np.ndarray, coords: np.ndarray, shape: tuple[int, int]) -> bool:
-    """Whether the solve's ``coords = R^-1 Q^H`` proves every singular value of ``R`` counts.
-
-    ``Q`` has orthonormal columns, so ``||coords||_F = ||R^-1||_F``, and
-    ``sigma_min(R) >= 1/||R^-1||_F`` while ``sigma_max(R) <= ||R||_F``.  Below
-    :data:`CERTIFICATE_MARGIN` every ``sigma`` is then at least twice the
-    :func:`~ssalign.linalg.singular_value_ranks` cutoff
-    ``RANK_REL * sigma_max * max(shape)``, a margin far wider than the
-    round-off of the norms or of an SVD of ``R``.  A non-finite norm fails.
-    """
-    bound = np.linalg.norm(r) * np.linalg.norm(coords) * RANK_REL * max(shape)
-    return bool(bound < CERTIFICATE_MARGIN)
-
-
-def _check_independence(side: str, r: np.ndarray, shape: tuple[int, int]) -> None:
-    """The exact joint-independence rule: an SVD of ``R``, whose values are the stacked bases'."""
+def _overlap_error(side: str, r: np.ndarray, shape: tuple[int, int]) -> IndependenceViolation:
+    """The joint-independence failure of a link, worded from the singular values of its ``R``."""
     rows, width = shape
     sigma = np.linalg.svd(r, compute_uv=False)
     rank = singular_value_ranks(sigma, shape)
-    if rank == width:
-        return
     dropped = sigma[rank] / sigma[0] if rank < sigma.size else 0.0
     error = IndependenceViolation(
         f"{side} unit spans overlap: their dimensions sum to {width}, "
@@ -264,7 +250,7 @@ def _check_independence(side: str, r: np.ndarray, shape: tuple[int, int]) -> Non
         f"{RANK_REL * max(rows, width):.1e}"
     )
     error.stage = side
-    raise error
+    return error
 
 
 def _joint_basis(links: list[list[Unit]]) -> tuple[np.ndarray, np.ndarray]:
@@ -278,8 +264,9 @@ def _joint_basis(links: list[list[Unit]]) -> tuple[np.ndarray, np.ndarray]:
     ``span(B_1) + ... + span(B_L) = span(Q)``, the link's one
     joint-independence check: ``R`` has the singular values of ``S``, and
     all ``W`` must count under :func:`~ssalign.linalg.singular_value_ranks`
-    with the shape of ``S``.  The solve for ``coords`` certifies that
-    (:func:`_certified`); a link the certificate does not clear takes the
+    with the shape of ``S``.  :func:`~ssalign.linalg.certified_ranks`
+    decides it, with ``||R^-1||_F = ||coords||_F`` from the solve (``Q`` has
+    orthonormal columns): a link the certificate does not clear takes the
     exact SVD of its ``R``, and so does every link when ``W > N_active`` or
     the solve fails.  A link that fails it raises
     :class:`~ssalign.errors.IndependenceViolation` naming the side, the
@@ -298,9 +285,12 @@ def _joint_basis(links: list[list[Unit]]) -> tuple[np.ndarray, np.ndarray]:
             coords = np.linalg.solve(r, q_h)
         except np.linalg.LinAlgError:
             pass  # an exactly singular R: the SVD decides below
+    ranks = certified_ranks(r, (rows, width),
+                            None if coords is None else np.linalg.norm(coords, axis=(1, 2)))
     for i, side in enumerate(SIDES[:len(links)]):
-        if coords is None or not _certified(r[i], coords[i], (rows, width)):
-            _check_independence(side, r[i], (rows, width))
+        if ranks[i] < width:
+            # The failing link's SVD again, for the singular values the message reports.
+            raise _overlap_error(side, r[i], (rows, width))
     if coords is None:
         # Every link passed the SVD, so the solve's own error is the one to raise.
         coords = np.linalg.solve(r, q_h)

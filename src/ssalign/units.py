@@ -15,13 +15,14 @@ Units are built in batches, not one by one (:func:`_build_units`), and
 each unit's downlink *twin*, the same spec built on the mirrored downlink
 ``G_a^H``, is built in the same pass: :func:`execute_plan` runs it over
 both links, the channels with RNG substream 1 and their mirror with
-substream 2.  Per group size, one SVD over every ``(link, group, slot)``
-stack gives the slot nullspaces, and one QR per width the groups' mixings,
-each drawn once and shared by the links; one product with a fixed signed
-coefficient array gives every column block's beamformers; and per unit
-shape one SVD checks every span.  The products that copy a channel or a
-basis per entry run link by link, so that one link's copies are alive at a
-time.  Random units draw from their link's RNG in spec order, and a group's
+substream 2.  Per group size, one
+:func:`~ssalign.linalg.stacked_nullspaces` over every ``(link, group,
+slot)`` stack gives the slot nullspaces, and one QR per width the groups'
+mixings, each drawn once and shared by the links; one product with a fixed
+signed coefficient array gives every column block's beamformers; and per
+unit shape one decomposition checks every span, a QR for random units and
+an SVD for aligned ones.  The products that copy a channel or a basis per
+entry run link by link, so that one link's copies are alive at a time.  Random units draw from their link's RNG in spec order, and a group's
 mixing from its own key, so a unit does not depend on its batch: built
 alone, as a batch of one on one link, it equals its copy in a whole plan
 bit for bit.
@@ -53,7 +54,7 @@ from .errors import (
     SupplyExhausted,
     stage,
 )
-from .linalg import singular_value_ranks, stacked_nullspaces
+from .linalg import certified_ranks, singular_value_ranks, stacked_nullspaces
 
 __all__ = [
     "RANDOM",
@@ -77,9 +78,11 @@ class Unit:
     sorted; column ``i`` of ``equivalent_uplink`` (``N_active x s``) is its
     image ``H_a @ u`` at the active relay antennas.  ``basis`` is an
     orthonormal basis of their span, the one the span check of
-    :func:`_build_units` decided.  ``twin`` is the unit's downlink twin from
-    :func:`execute_plan`, a ``Unit`` built on ``G^H``; it is ``None`` on a
-    twin, and on a unit built on one link only.  ``==`` is identity.
+    :func:`_build_units` decided: the Q factor of the images for a random
+    unit, their leading left singular vectors for an aligned one.  ``twin``
+    is the unit's downlink twin from :func:`execute_plan`, a ``Unit`` built
+    on ``G^H``; it is ``None`` on a twin, and on a unit built on one link
+    only.  ``==`` is identity.
     """
 
     pattern_order: int  # 2..K for aligned units, RANDOM for random directions
@@ -121,8 +124,12 @@ def _checked_units(up: np.ndarray, pattern_order: int, links: list[int],
     unit's columns in its group's own pair order (:func:`_pair_layout`).
     One batched product per link gives every image ``H_a u``, laid out as
     :func:`~ssalign.channel.slot_product` lays it out, so the images equal
-    that function's bit for bit; one stacked SVD over both links decides
-    every span, and each unit keeps its slice as ``basis``.
+    that function's bit for bit; one stacked decomposition over both links
+    decides every span, and each unit keeps its slice as ``basis``.  A
+    random unit must keep all its streams: a reduced QR of its images gives
+    the basis ``Q``, and :func:`~ssalign.linalg.certified_ranks` the rank.
+    Aligned units span fewer dimensions than they have streams, and a random
+    unit with fewer image rows than streams cannot pass: these take an SVD.
     """
     count, _, streams = beams.shape
     t, ext, m = len(groups[0]), up.shape[2], up.shape[4]
@@ -138,11 +145,16 @@ def _checked_units(up: np.ndarray, pattern_order: int, links: list[int],
         sel = on == li
         images[sel] = up[li, sorted_groups[sel]] @ per_sender[sel]
     images = images.transpose(0, 2, 3, 1, 4).reshape(count, -1, streams)
-    left, sv, _ = np.linalg.svd(images, full_matrices=False)
-    ranks = singular_value_ranks(sv, images.shape[1:])
     want = _unit_dims(pattern_order, t)
+    if want == streams <= images.shape[1]:
+        bases, r = np.linalg.qr(images)
+        ranks = certified_ranks(r, images.shape[1:])
+    else:
+        left, sv, _ = np.linalg.svd(images, full_matrices=False)
+        ranks = singular_value_ranks(sv, images.shape[1:])
+        bases = left[..., :want]
     kind = "random" if pattern_order == RANDOM else f"order-{pattern_order}"
-    return [Unit(pattern_order, group, pairs, beams[u], images[u], block, left[u, :, :want])
+    return [Unit(pattern_order, group, pairs, beams[u], images[u], block, bases[u])
             if ranks[u] == want else AlignmentDegenerate(
                 f"{kind} unit on group {group} spans {ranks[u]} dimensions, expected {want}")
             for u, (group, (pairs, _), block) in enumerate(zip(groups, layouts, column_blocks))]
@@ -522,7 +534,8 @@ def execute_plan(plan: AlignmentPlan, ch: ChannelSet) -> list[Unit]:
     unit, in allocation order; then a user whose transmit beamformer stack
     lacks full column rank, as :class:`~ssalign.errors.IndependenceViolation`
     naming the first such user (the stacks, equally wide as ``_check_plan``
-    gives every user the same stream count, are checked in one SVD); then
+    gives every user the same stream count, are checked in one QR, whose
+    factors :func:`~ssalign.linalg.certified_ranks` decides); then
     the first failing twin, its message led by ``downlink twin of unit
     {index}: `` and its ``stage`` ``downlink``.
     """
@@ -547,7 +560,7 @@ def execute_plan(plan: AlignmentPlan, ch: ChannelSet) -> list[Unit]:
         raise ValueError(f"plan gives its users unequal stream counts {streams.tolist()}")
     beams = np.hstack([u.beamformers for u in units])[:, np.argsort(senders, kind="stable")]
     stacks = beams.reshape(beams.shape[0], ch.k, -1).swapaxes(0, 1)
-    ranks = singular_value_ranks(np.linalg.svd(stacks, compute_uv=False), stacks.shape[1:])
+    ranks = certified_ranks(np.linalg.qr(stacks, mode="r"), stacks.shape[1:])
     deficient = np.flatnonzero(ranks != stacks.shape[2])
     if deficient.size:
         raise IndependenceViolation(

@@ -6,17 +6,20 @@ import pytest
 
 from ssalign import (
     RANDOM,
+    LEAKAGE_ABS,
     AlignmentPlan,
     SystemConfig,
     achievable_basic,
     achievable_improved,
     build_relay_processor,
+    complex_gaussian,
     construct,
     deactivate_relay_antennas,
     derived_rng,
     execute_plan,
     plan_alignment,
     sample_channel_set,
+    verify_end_to_end,
 )
 from ssalign.errors import (
     AlignmentDegenerate,
@@ -165,6 +168,41 @@ class TestRandomUnit:
         ch = channels(1, 6, 3, seed=8)
         with pytest.raises(AlignmentDegenerate):
             build_random_unit(ch, derived_rng(8, 1))
+
+    @pytest.mark.parametrize("m,n,k", [(2, 6, 3), (3, 12, 4), (1, 4, 3)])
+    def test_basis_is_the_orthonormal_q_of_the_images(self, m, n, k):
+        # A random unit keeps every stream, so its basis is the Q factor of
+        # its images: orthonormal, and spanning every image.
+        plan = plan_alignment(m, n, k)
+        ch = channels(m, n, k, extension=plan.extension, seed=8)
+        unit = build_random_unit(ch, derived_rng(8, 1))
+        basis, images = unit.basis, unit.equivalent_uplink
+        assert basis.shape == (ch.active_relay, k * (k - 1))
+        assert np.abs(basis.conj().T @ basis - np.eye(k * (k - 1))).max() <= 1e-12
+        assert np.array_equal(basis, np.linalg.qr(images)[0])
+        residual = images - basis @ (basis.conj().T @ images)
+        assert np.linalg.norm(residual) <= LEAKAGE_ABS * np.linalg.norm(images)
+
+    def test_two_equal_beamformers_span_one_dimension_less(self):
+        # User 0 sends to users 1 and 2 along one beamformer, so the six
+        # images span five dimensions: the certificate fails and the SVD
+        # decides, with the message the span check has always given.
+        ch = channels(2, 6, 3, seed=8)
+        beams = complex_gaussian(derived_rng(8, 1), 1, 2, 6)
+        beams[0, :, 1] = beams[0, :, 0]
+        up = np.array([ch.uplink])
+        (error,) = units_module._checked_units(up, RANDOM, [0], [(0, 1, 2)], beams, [0])
+        assert isinstance(error, AlignmentDegenerate)
+        assert str(error) == "random unit on group (0, 1, 2) spans 5 dimensions, expected 6"
+
+    @pytest.mark.parametrize("m,n,k", [(2, 12, 6), (3, 12, 4), (2, 10, 5), (1, 4, 3)])
+    def test_random_unit_configs_verify_on_twenty_seeds(self, m, n, k):
+        want = achievable_basic(m, n, k).d_sum
+        for seed in range(20):
+            built = construct(m, n, k, seed)
+            assert {u.pattern_order for u in built.units} == {RANDOM}
+            report = verify_end_to_end(built.channels, built.units, built.processor)
+            assert (report.passed, report.counted_d_sum) == (True, want), seed
 
 
 class TestPlanner:

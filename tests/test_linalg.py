@@ -133,6 +133,78 @@ class TestStackedNullspacePaths:
             assert np.array_equal(alone[:, :cols - rank], basis)
 
 
+def wide_with_singular_values(rng, values, cols=4):
+    """A ``len(values) x cols`` matrix with exactly these singular values, up to round-off."""
+    u = np.linalg.qr(complex_gaussian(rng, len(values), len(values)))[0]
+    v = np.linalg.qr(complex_gaussian(rng, cols, len(values)))[0]
+    return (u * np.asarray(values)) @ v.conj().T
+
+
+def svd_calls(monkeypatch):
+    """The shape of every array an SVD runs on from now on, stack axes included."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return shapes
+
+
+class TestFullRankCertificate:
+    """A wide stack's ranks come from its QR factor, with an SVD only where that fails."""
+
+    # A 2 x 4 matrix with singular values 1 and ``scale`` against the cutoff
+    # RANK_REL * 4 = 4e-10.  The certificate ||R|| ||R^-1|| RANK_REL * 4 is
+    # about 4e-10 / scale: 4e-7 clears the 1/2 margin, 0.91 and 1.11 do not,
+    # so the SVD decides them, one just above the cutoff and one just below.
+    # A member of lower rank takes one more SVD, for its nullspace.
+    @pytest.mark.parametrize("scale,rank", [(1e-3, 2), (4.4e-10, 2), (3.6e-10, 1)])
+    def test_scaled_value_gets_the_svd_rules_verdict(self, monkeypatch, scale, rank):
+        stack = wide_with_singular_values(_rng(0), [1.0, scale])[None]
+        assert numerical_rank(stack[0]) == rank
+        calls = svd_calls(monkeypatch)
+        ranks, null = stacked_nullspaces(stack)
+        assert ranks.tolist() == [rank]
+        assert calls == ([] if scale == 1e-3 else [(1, 2, 2)] * (1 + (rank < 2)))
+        basis = null[0, :, :4 - rank]
+        assert np.linalg.norm(stack[0] @ basis) <= LEAKAGE_ABS
+
+    def test_exactly_singular_member_sends_its_batch_to_the_svd(self, monkeypatch):
+        # Rows e_0 and e_0: Householder leaves e_0 as it is, so that
+        # member's R is exactly [[1, 1], [0, 0]] and the batched inverse raises.
+        singular = np.eye(4, dtype=np.complex128)[[0, 0]]
+        generic = complex_gaussian(_rng(1), 2, 4)
+        r = np.linalg.qr(singular.conj().T)[1]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(r)
+        calls = svd_calls(monkeypatch)
+        ranks, null = stacked_nullspaces(np.stack([singular, generic]))
+        assert ranks.tolist() == [1, 2]
+        assert calls == [(2, 2, 2), (1, 2, 2)]
+        for a, rank, basis in zip((singular, generic), ranks, null):
+            assert np.linalg.norm(a @ basis[:, :4 - rank]) <= LEAKAGE_ABS
+
+    def test_mixed_batch_only_the_uncertified_reach_the_svd(self, monkeypatch):
+        rng = _rng(2)
+        members = [wide_with_singular_values(rng, values) for values in
+                   ([1.0, 0.5], [1.0, 1e-3], [1.0, 4.4e-10], [1.0, 3.6e-10], [2.0, 1.0])]
+        members.append(complex_gaussian(rng, 2, 1) @ complex_gaussian(rng, 1, 4))
+        stack = np.stack(members).reshape(2, 3, 2, 4)
+        calls = svd_calls(monkeypatch)
+        ranks, null = stacked_nullspaces(stack)
+        monkeypatch.undo()
+        assert ranks.tolist() == [[numerical_rank(a) for a in row] for row in stack]
+        assert ranks.tolist() == [[2, 2, 2], [1, 2, 1]]
+        # Members 2, 3 and 5 miss the certificate; 3 and 5 then need their nullspaces.
+        assert calls == [(3, 2, 2), (2, 2, 2)]
+        for idx in np.ndindex(2, 3):
+            basis = null[idx][:, :4 - ranks[idx]]
+            assert np.linalg.norm(stack[idx] @ basis) <= LEAKAGE_ABS
+            assert np.abs(basis.conj().T @ basis - np.eye(4 - ranks[idx])).max() <= 1e-12
+
+
 class TestIntersectionBasis:
     def test_identical_spans(self, rng):
         a = complex_gaussian(rng, 5, 2)

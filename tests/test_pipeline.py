@@ -69,20 +69,24 @@ def test_constructions_compare_by_identity():
                                             (1, 4, 3, False)])
 def test_no_matrix_is_decomposed_twice(monkeypatch, m, n, k, improved):
     # Every span is decided once: each unit's in its builder, each link's
-    # joint span and pair complements in the relay.
+    # joint span and pair complements in the relay.  A rank is decided by an
+    # SVD, or by a QR and the inverse of its factor, so all three routines
+    # are fingerprinted, each matrix keyed by the routine that took it.
     seen = Counter()
-    svd = np.linalg.svd
 
-    def fingerprinting(a, *args, **kwargs):
-        arr = np.asarray(a)
-        seen[(arr.shape, hashlib.sha256(arr.tobytes()).digest())] += 1
-        return svd(a, *args, **kwargs)
+    def fingerprinting(name, routine):
+        def spy(a, *args, **kwargs):
+            arr = np.asarray(a)
+            seen[(name, arr.shape, hashlib.sha256(arr.tobytes()).digest())] += 1
+            return routine(a, *args, **kwargs)
+        return spy
 
-    monkeypatch.setattr(np.linalg, "svd", fingerprinting)
+    for name in ("svd", "qr", "inv"):
+        monkeypatch.setattr(np.linalg, name, fingerprinting(name, getattr(np.linalg, name)))
     built = construct(m, n, k, 0, improved)
     assert verify_end_to_end(built.channels, built.units, built.processor).passed
     assert seen
-    assert [(shape, count) for (shape, _), count in seen.items() if count > 1] == []
+    assert [(name, shape, count) for (name, shape, _), count in seen.items() if count > 1] == []
 
 
 def test_construct_calls_module_planner(monkeypatch):
