@@ -17,9 +17,12 @@ every build counted the closed-form ``d_sum``, and the smallest desired
 coefficient.
 
 The oracle row runs in a process of its own: ``default_battery(400, 0)``
-under the tracer, and the loop that consumes ``dof.curve`` for each of the
-benchmark's oracle curves (``perfbench/workloads.py``'s ``CURVES``), which
-the tracer cannot see.  Every child runs with one BLAS thread.
+under the tracer, and the benchmark's oracle curves (``perfbench/workloads.py``'s
+``CURVES``), which the tracer cannot see, timed twice: the loop that consumes
+``dof.curve`` (``curves_s``), and the ``curve`` command through
+``cli.main(argv)`` in-process with its stdout captured, as the benchmark
+runs it (``curves_cli_s``, the CSV text included).  Every child runs with
+one BLAS thread.
 
 The output also records the commit, whether ``src/`` differs from it, a
 sha256 of ``src/ssalign/*.py`` and their line count, so a result can be
@@ -29,7 +32,9 @@ matched to the tree that made it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import platform
@@ -156,12 +161,17 @@ def run_oracle() -> dict:
         results = default_battery(BATTERY_TRIALS, 0)
         battery = time.perf_counter() - start
     curves = {}
+    cli_s = 0.0
     for k, mode, ratios in CURVES:
         grid = cli._parse_ratios(ratios, argparse.ArgumentParser())
         start = time.perf_counter()
         for _ in dof.curve(None if k == "inf" else int(k), mode, grid):
             pass
         curves[f"{k} {mode} {ratios}"] = time.perf_counter() - start
+        with contextlib.redirect_stdout(io.StringIO()):
+            start = time.perf_counter()
+            cli.main(["curve", "--k", k, "--mode", mode, "--ratios", ratios])
+            cli_s += time.perf_counter() - start
     return {
         "battery_trials": BATTERY_TRIALS,
         "battery_s": battery,
@@ -169,6 +179,7 @@ def run_oracle() -> dict:
         "battery_svd_calls": tracer.snapshot()["svd_calls"],
         "curves_s": sum(curves.values()),
         "curve_s": curves,
+        "curves_cli_s": cli_s,
         "peak_rss_mb": _peak_rss_mb(),
     }
 
@@ -226,8 +237,8 @@ def main(argv=None) -> int:
               f"wall {rung['wall_s']:.3f} s, peak {rung['peak_rss_mb']:.1f} MB", file=sys.stderr)
         rungs.append(rung)
     oracle = _child(["--worker", "oracle"])
-    print(f"oracle: battery {oracle['battery_s']:.3f} s, curves {oracle['curves_s']:.3f} s",
-          file=sys.stderr)
+    print(f"oracle: battery {oracle['battery_s']:.3f} s, curves {oracle['curves_s']:.3f} s, "
+          f"through the CLI {oracle['curves_cli_s']:.3f} s", file=sys.stderr)
     import numpy
 
     doc = {**source_record(),

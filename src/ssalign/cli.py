@@ -157,9 +157,20 @@ def cmd_curve(args, parser) -> tuple[str, int]:
     else:
         k, mode_tag = args.k, args.mode
     # Int true division is correctly rounded: the same float as float(Fraction).
+    # A "p,q,float" text depends on the reduced pair alone, so a value reuses
+    # the text of the row above when its pair is the same, else its own
+    # ratio's text when equal to the ratio, and only then formats its own:
+    # the curves are piecewise linear in the ratio, so on a sorted grid most
+    # values are one of the two, and float repr is most of the cost.
+    tails = (f",{mode_tag},false", f",{mode_tag},true")
     lines = [CSV_HEADER]
-    lines += [f"{c},{d},{c / d!r},{num},{den},{num / den!r},{mode_tag},{str(tight).lower()}"
-              for c, d, num, den, tight in dof.curve(k, args.mode, ratios, args.half_duplex)]
+    last_num = last_den = value = None
+    for c, d, num, den, tight in dof.curve(k, args.mode, ratios, args.half_duplex):
+        ratio = f"{c},{d},{c / d!r}"
+        if num != last_num or den != last_den:
+            last_num, last_den = num, den
+            value = ratio if num == c and den == d else f"{num},{den},{num / den!r}"
+        lines.append(f"{ratio},{value}{tails[tight]}")
     return "\n".join(lines) + "\n", 0
 
 

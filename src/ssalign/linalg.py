@@ -2,9 +2,9 @@
 
 Every rank is decided on singular values, through the same relative
 threshold, :data:`RANK_REL`.  A matrix that the construction needs of full
-rank is first offered to the certificate of :func:`certified_ranks`, which
-reads full rank off the square factor of a QR the caller already has, and
-takes a values-only SVD only where the certificate fails.  Nullspaces come
+rank is first offered to the certificate of :func:`uncertified`, which
+reads full rank off the square factor of a QR the caller already has; only
+a matrix the certificate fails takes an SVD, one per matrix.  Nullspaces come
 from one SVD per matrix, except those of wide matrices (fewer rows than
 columns), which come from one complete Householder QR of the conjugate
 transpose.  Everything is deterministic: identical inputs give bit-identical
@@ -21,6 +21,7 @@ __all__ = [
     "LEAKAGE_ABS",
     "CERTIFICATE_MARGIN",
     "singular_value_ranks",
+    "uncertified",
     "certified_ranks",
     "stacked_nullspaces",
 ]
@@ -53,20 +54,22 @@ def singular_value_ranks(s: np.ndarray, shape):
     return np.count_nonzero(s > thresh[..., None], axis=-1)
 
 
-def certified_ranks(r: np.ndarray, shape, inverse_norms=None) -> np.ndarray:
-    """Rank of each matrix of ``shape`` from its square QR factor, ``r`` as ``(..., n, n)``.
+def uncertified(r: np.ndarray, shape, inverse_norms=None) -> np.ndarray:
+    """Which matrices of ``shape`` the full-rank certificate does not clear, ``r`` their ``R``.
 
-    Each matrix has the singular values of its ``R``, and ``n`` is the full
-    rank the caller needs.  As ``sigma_min(R) >= 1/||R^-1||_F`` and
-    ``sigma_max(R) <= ||R||_F`` (Golub & Van Loan, *Matrix Computations*,
-    section 2.3), a member with ``||R||_F * ||R^-1||_F * RANK_REL *
-    max(shape)`` below :data:`CERTIFICATE_MARGIN` has every singular value
-    at least twice the :func:`singular_value_ranks` cutoff, far beyond the
-    round-off of the norms or of an SVD: its rank is ``n``.  A non-finite
-    bound fails.  ``inverse_norms`` gives each ``||R^-1||_F``, else one
-    batched inverse does; if it raises (a singular or non-square ``R``), no
-    member is certified.  The rest take a values-only SVD of their ``R``
-    and :func:`singular_value_ranks`, so each gets that rule's verdict.
+    ``r`` is ``(..., n, n)``, each matrix's square QR factor, and ``n`` the
+    full rank the caller needs; the result is a boolean array of shape
+    ``r.shape[:-2]``.  Each matrix has the singular values of its ``R``.  As
+    ``sigma_min(R) >= 1/||R^-1||_F`` and ``sigma_max(R) <= ||R||_F`` (Golub &
+    Van Loan, *Matrix Computations*, section 2.3), a member with
+    ``||R||_F * ||R^-1||_F * RANK_REL * max(shape)`` below
+    :data:`CERTIFICATE_MARGIN` has every singular value at least twice the
+    :func:`singular_value_ranks` cutoff, far beyond the round-off of the
+    norms or of an SVD: its rank is ``n``.  A non-finite bound fails.
+    ``inverse_norms`` gives each ``||R^-1||_F``, else one batched inverse
+    does; if it raises (a singular or non-square ``R``), every member fails.
+    A member that fails takes one SVD of its ``R``, whose values decide its
+    rank under :func:`singular_value_ranks`.
     """
     try:
         # An overflowing or 0 * inf bound is non-finite, and fails below.
@@ -74,9 +77,19 @@ def certified_ranks(r: np.ndarray, shape, inverse_norms=None) -> np.ndarray:
             if inverse_norms is None:
                 inverse_norms = np.linalg.norm(np.linalg.inv(r), axis=(-2, -1))
             bound = np.linalg.norm(r, axis=(-2, -1)) * inverse_norms * (RANK_REL * max(shape))
-        rest = ~(bound < CERTIFICATE_MARGIN)
+        return ~(bound < CERTIFICATE_MARGIN)
     except np.linalg.LinAlgError:
-        rest = np.ones(r.shape[:-2], dtype=bool)
+        return np.ones(r.shape[:-2], dtype=bool)
+
+
+def certified_ranks(r: np.ndarray, shape, inverse_norms=None) -> np.ndarray:
+    """Rank of each matrix of ``shape`` from its square QR factor, ``r`` as ``(..., n, n)``.
+
+    ``n`` for each member :func:`uncertified` clears; the rest take a
+    values-only SVD of their ``R`` and :func:`singular_value_ranks`, so each
+    gets that rule's verdict.
+    """
+    rest = uncertified(r, shape, inverse_norms)
     ranks = np.full(r.shape[:-2], r.shape[-1])
     if rest.any():
         ranks[rest] = singular_value_ranks(np.linalg.svd(r[rest], compute_uv=False), shape)
@@ -96,11 +109,12 @@ def stacked_nullspaces(stack: np.ndarray):
     A wide stack (``rows < cols``) takes one complete Householder QR of the
     conjugate transposes, ``A^H = Q R``, so ``A = R_1^H Q_1^H`` with ``R_1 =
     R[:rows]`` square and ``Q_1 = Q[:, :rows]``.  ``R_1`` has the singular
-    values of ``A``, and :func:`certified_ranks` decides each rank from it
-    with the shape of ``A``.  The first ``cols - rows`` columns are
-    ``Q[:, rows:]``, the nullspace of a matrix of full row rank.  Only a
-    matrix of lower rank takes one more SVD, ``R_1 = U S V^H``; its columns
-    go on with ``Q_1 U``, in ascending singular value order.
+    values of ``A``, and each rank is decided from it with the shape of
+    ``A``: ``rows`` where :func:`uncertified` clears it, else from one full
+    SVD ``R_1 = U S V^H`` under :func:`singular_value_ranks`.  The first
+    ``cols - rows`` columns are ``Q[:, rows:]``, the nullspace of a matrix
+    of full row rank; a matrix of lower rank goes on with the columns of
+    ``Q_1 U`` from that same SVD, in ascending singular value order.
     """
     rows, cols = stack.shape[-2:]
     if rows >= cols:
@@ -109,14 +123,18 @@ def stacked_nullspaces(stack: np.ndarray):
         return ranks, vh[..., np.min(ranks):, :][..., ::-1, :].conj().swapaxes(-1, -2)
     q, r = np.linalg.qr(stack.conj().swapaxes(-1, -2), mode="complete")
     r = r[..., :rows, :]
-    ranks = certified_ranks(r, (rows, cols))
+    rest = uncertified(r, (rows, cols))
+    ranks = np.full(r.shape[:-2], rows)
+    if rest.any():
+        u, s, _ = np.linalg.svd(r[rest])
+        ranks[rest] = singular_value_ranks(s, (rows, cols))
     low = np.min(ranks)
     if low == rows:
         return ranks, q[..., rows:]
     short = ranks < rows
     null = np.zeros((*q.shape[:-1], cols - low), dtype=np.complex128)
     null[..., :cols - rows] = q[..., rows:]
-    u = np.linalg.svd(r[short])[0]
+    u = u[ranks[rest] < rows]
     # Every column of Q_1 U, then the slice, so that no member's bits depend on the others.
     null[short, :, cols - rows:] = (q[short, :, :rows] @ u[..., ::-1])[..., :rows - low]
     return ranks, null

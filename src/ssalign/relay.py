@@ -31,7 +31,7 @@ stacked SVD gives every pair of an aligned shape its nullspace, and a random
 unit, whose basis is as wide as its stream count, takes all its pairs'
 nullspaces from one matrix inverse.  The joint-independence check needs no
 SVD where the solve certifies it, by the full-rank rule of
-:func:`~ssalign.linalg.certified_ranks`.
+:func:`~ssalign.linalg.uncertified`.
 
 Verification is structural: a stream is decodable when its chain through ``F``
 keeps both pair coefficients above threshold while every other stream's
@@ -62,9 +62,9 @@ from .errors import (
 from .linalg import (
     LEAKAGE_ABS,
     RANK_REL,
-    certified_ranks,
     singular_value_ranks,
     stacked_nullspaces,
+    uncertified,
 )
 from .units import Unit
 
@@ -237,10 +237,9 @@ def _pair_nullspaces(local: np.ndarray, own: np.ndarray):
         yield ranks == rank, null[..., :d - rank]
 
 
-def _overlap_error(side: str, r: np.ndarray, shape: tuple[int, int]) -> IndependenceViolation:
+def _overlap_error(side: str, sigma: np.ndarray, shape: tuple[int, int]) -> IndependenceViolation:
     """The joint-independence failure of a link, worded from the singular values of its ``R``."""
     rows, width = shape
-    sigma = np.linalg.svd(r, compute_uv=False)
     rank = singular_value_ranks(sigma, shape)
     dropped = sigma[rank] / sigma[0] if rank < sigma.size else 0.0
     error = IndependenceViolation(
@@ -264,11 +263,11 @@ def _joint_basis(links: list[list[Unit]]) -> tuple[np.ndarray, np.ndarray]:
     ``span(B_1) + ... + span(B_L) = span(Q)``, the link's one
     joint-independence check: ``R`` has the singular values of ``S``, and
     all ``W`` must count under :func:`~ssalign.linalg.singular_value_ranks`
-    with the shape of ``S``.  :func:`~ssalign.linalg.certified_ranks`
-    decides it, with ``||R^-1||_F = ||coords||_F`` from the solve (``Q`` has
-    orthonormal columns): a link the certificate does not clear takes the
-    exact SVD of its ``R``, and so does every link when ``W > N_active`` or
-    the solve fails.  A link that fails it raises
+    with the shape of ``S``.  The certificate of
+    :func:`~ssalign.linalg.uncertified` decides it, with ``||R^-1||_F =
+    ||coords||_F`` from the solve (``Q`` has orthonormal columns): a link it
+    does not clear takes one values-only SVD of its ``R``, and so does every
+    link when ``W > N_active`` or the solve fails.  A link that fails it raises
     :class:`~ssalign.errors.IndependenceViolation` naming the side, the
     joint dimension against ``N_active``, and the largest dropped singular
     value over ``sigma_max`` against the cutoff (0 when ``W > N_active``,
@@ -285,12 +284,13 @@ def _joint_basis(links: list[list[Unit]]) -> tuple[np.ndarray, np.ndarray]:
             coords = np.linalg.solve(r, q_h)
         except np.linalg.LinAlgError:
             pass  # an exactly singular R: the SVD decides below
-    ranks = certified_ranks(r, (rows, width),
-                            None if coords is None else np.linalg.norm(coords, axis=(1, 2)))
-    for i, side in enumerate(SIDES[:len(links)]):
-        if ranks[i] < width:
-            # The failing link's SVD again, for the singular values the message reports.
-            raise _overlap_error(side, r[i], (rows, width))
+    rest = uncertified(r, (rows, width),
+                       None if coords is None else np.linalg.norm(coords, axis=(1, 2)))
+    if rest.any():
+        # One SVD per link the certificate fails: its rank, and its message's values.
+        for i, sigma in zip(np.flatnonzero(rest), np.linalg.svd(r[rest], compute_uv=False)):
+            if singular_value_ranks(sigma, (rows, width)) < width:
+                raise _overlap_error(SIDES[i], sigma, (rows, width))
     if coords is None:
         # Every link passed the SVD, so the solve's own error is the one to raise.
         coords = np.linalg.solve(r, q_h)

@@ -351,7 +351,12 @@ def reference_check_direct_sum(k, t, m, n, trials, seed, extension=1):
 
 
 def reference_curve_csv(k, mode, ratios, half_duplex=False):
-    """``curve`` output for ``--k k`` (an int or ``"inf"``) over the sorted Fractions ``ratios``."""
+    """``curve`` output for ``--k k`` (an int or ``"inf"``) over the sorted Fractions ``ratios``.
+
+    The per-row formatter: every row formats its ratio and its value afresh,
+    with no text reused from another row or column, and the ``curve``
+    command, which reuses texts, must match it byte for byte.
+    """
     if k == "inf":
         mode_tag = f"asymptotic-{mode}"
     else:

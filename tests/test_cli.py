@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -9,6 +10,8 @@ from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference import reference_curve_csv
 
 from ssalign import cli, dof, lemmas, pipeline, relay
@@ -528,6 +531,64 @@ class TestCurveMatchesReference:
         rc, out = run(capsys, *argv, *(["--half-duplex"] if half_duplex else []))
         assert rc == 0
         assert out == reference_curve_csv(k, mode, ratios, half_duplex)
+
+
+# Ratios for the curve text: p/q up to 10**6 (above 1 they clamp), and values
+# near 1e-300 and 1e300, whose float repr takes the exponent form.
+RATIOS = st.one_of(
+    st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**6)),
+    st.builds(lambda p, e: p * Fraction(10) ** e, st.integers(1, 999), st.integers(-303, -297)),
+    st.builds(lambda p, e: p * Fraction(10) ** e, st.integers(1, 999), st.integers(297, 302)),
+)
+CURVE_SPECS = st.one_of(
+    st.tuples(st.integers(3, 8), st.sampled_from(["outer", "basic", "improved"])),
+    st.tuples(st.just("inf"), st.sampled_from(["basic", "improved"])),
+)
+
+
+def _curve_text(k, mode, spec, half_duplex):
+    argv = ["curve", "--k", str(k), "--mode", mode, "--ratios", spec]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(argv + (["--half-duplex"] if half_duplex else []))
+    assert rc == 0
+    return out.getvalue()
+
+
+class TestCurveTextReuse:
+    """A value's text is reused from the row above or from its ratio; the bytes never change."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ratios=st.lists(RATIOS, min_size=1, max_size=40, unique=True).map(sorted),
+           curve=CURVE_SPECS, half_duplex=st.booleans())
+    def test_any_sorted_grid_matches_the_reference(self, ratios, curve, half_duplex):
+        k, mode = curve
+        spec = ",".join(str(r) for r in ratios)
+        assert _curve_text(k, mode, spec, half_duplex) == \
+            reference_curve_csv(k, mode, ratios, half_duplex)
+
+    @pytest.mark.parametrize("k", [3, "inf"])
+    def test_one_row_grid(self, k):
+        ratios = [Fraction(2, 7)]
+        assert _curve_text(k, "basic", "2/7", False) == reference_curve_csv(k, "basic", ratios)
+
+    def test_farey_12_takes_all_three_sources(self):
+        ratios = sorted({Fraction(p, q) for q in range(1, 13) for p in range(1, q + 1)})
+        text = _curve_text(5, "improved", "farey:12", False)
+        assert text == reference_curve_csv(5, "improved", ratios)
+        rows = list(csv.DictReader(io.StringIO(text)))
+        sources = {"above": 0, "ratio": 0, "new": 0}
+        above = None
+        for row in rows:
+            value = (row["value_num"], row["value_den"])
+            if value == above:
+                sources["above"] += 1
+            elif value == (row["ratio_num"], row["ratio_den"]):
+                sources["ratio"] += 1
+            else:
+                sources["new"] += 1
+            above = value
+        assert sources == {"above": 25, "ratio": 11, "new": 10}
 
 
 class TestRatioGrid:
