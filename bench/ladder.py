@@ -21,8 +21,10 @@ under the tracer, and the benchmark's oracle curves (``perfbench/workloads.py``'
 ``CURVES``), which the tracer cannot see, timed twice: the loop that consumes
 ``dof.curve`` (``curves_s``), and the ``curve`` command through
 ``cli.main(argv)`` in-process with its stdout captured, as the benchmark
-runs it (``curves_cli_s``, the CSV text included).  Every child runs with
-one BLAS thread.
+runs it (``curves_cli_s``, the CSV text included).  The battery and both
+curve loops repeat until ``ORACLE_SECONDS`` of them have run, at least once,
+and each time is the median over the ``repeats``, so the row is not read
+from one cold pass.  Every child runs with one BLAS thread.
 
 The output also records the commit, whether ``src/`` differs from it, a
 sha256 of ``src/ssalign/*.py`` and their line count, so a result can be
@@ -55,6 +57,8 @@ SEEDS = (0, 1, 2)
 # Seconds of builds each seed repeats for; a build slower than this runs once.
 BUILD_SECONDS = 0.5
 BATTERY_TRIALS = 400
+# Seconds the oracle row's battery and curve loops repeat for, at least once.
+ORACLE_SECONDS = 2.0
 BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
@@ -156,30 +160,39 @@ def run_oracle() -> dict:
     from ssalign.lemmas import default_battery
     from workloads import CURVES
 
-    with tracer:
-        start = time.perf_counter()
-        results = default_battery(BATTERY_TRIALS, 0)
-        battery = time.perf_counter() - start
-    curves = {}
-    cli_s = 0.0
-    for k, mode, ratios in CURVES:
-        grid = cli._parse_ratios(ratios, argparse.ArgumentParser())
-        start = time.perf_counter()
-        for _ in dof.curve(None if k == "inf" else int(k), mode, grid):
-            pass
-        curves[f"{k} {mode} {ratios}"] = time.perf_counter() - start
-        with contextlib.redirect_stdout(io.StringIO()):
+    battery_s, curves_s, cli_s, curve_s, passed = [], [], [], {}, True
+    begin = time.perf_counter()
+    while not battery_s or time.perf_counter() - begin < ORACLE_SECONDS:
+        tracer.reset()
+        with tracer:
             start = time.perf_counter()
-            cli.main(["curve", "--k", k, "--mode", mode, "--ratios", ratios])
-            cli_s += time.perf_counter() - start
+            results = default_battery(BATTERY_TRIALS, 0)
+            battery_s.append(time.perf_counter() - start)
+        passed &= all(result.failures == 0 for result in results)
+        svd_calls = tracer.snapshot()["svd_calls"]
+        curves_s.append(0.0)
+        cli_s.append(0.0)
+        for k, mode, ratios in CURVES:
+            grid = cli._parse_ratios(ratios, argparse.ArgumentParser())
+            start = time.perf_counter()
+            for _ in dof.curve(None if k == "inf" else int(k), mode, grid):
+                pass
+            seconds = time.perf_counter() - start
+            curve_s.setdefault(f"{k} {mode} {ratios}", []).append(seconds)
+            curves_s[-1] += seconds
+            with contextlib.redirect_stdout(io.StringIO()):
+                start = time.perf_counter()
+                cli.main(["curve", "--k", k, "--mode", mode, "--ratios", ratios])
+                cli_s[-1] += time.perf_counter() - start
     return {
         "battery_trials": BATTERY_TRIALS,
-        "battery_s": battery,
-        "battery_pass": all(result.failures == 0 for result in results),
-        "battery_svd_calls": tracer.snapshot()["svd_calls"],
-        "curves_s": sum(curves.values()),
-        "curve_s": curves,
-        "curves_cli_s": cli_s,
+        "repeats": len(battery_s),
+        "battery_s": statistics.median(battery_s),
+        "battery_pass": passed,
+        "battery_svd_calls": svd_calls,
+        "curves_s": statistics.median(curves_s),
+        "curve_s": {name: statistics.median(times) for name, times in curve_s.items()},
+        "curves_cli_s": statistics.median(cli_s),
         "peak_rss_mb": _peak_rss_mb(),
     }
 
@@ -238,7 +251,8 @@ def main(argv=None) -> int:
         rungs.append(rung)
     oracle = _child(["--worker", "oracle"])
     print(f"oracle: battery {oracle['battery_s']:.3f} s, curves {oracle['curves_s']:.3f} s, "
-          f"through the CLI {oracle['curves_cli_s']:.3f} s", file=sys.stderr)
+          f"through the CLI {oracle['curves_cli_s']:.3f} s, {oracle['repeats']} repeats",
+          file=sys.stderr)
     import numpy
 
     doc = {**source_record(),

@@ -66,10 +66,11 @@ def uncertified(r: np.ndarray, shape, inverse_norms=None) -> np.ndarray:
     :data:`CERTIFICATE_MARGIN` has every singular value at least twice the
     :func:`singular_value_ranks` cutoff, far beyond the round-off of the
     norms or of an SVD: its rank is ``n``.  A non-finite bound fails.
-    ``inverse_norms`` gives each ``||R^-1||_F``, else one batched inverse
-    does; if it raises (a singular or non-square ``R``), every member fails.
-    A member that fails takes one SVD of its ``R``, whose values decide its
-    rank under :func:`singular_value_ranks`.
+    ``inverse_norms`` gives each ``||R^-1||_F``, and the matrices themselves,
+    of the same Frobenius norms, may then stand in for ``r``; else one batched
+    inverse does, and if it raises (a singular or non-square ``R``), every
+    member fails.  A member that fails takes one SVD of its ``R`` or of
+    itself, whose values decide its rank under :func:`singular_value_ranks`.
     """
     try:
         # An overflowing or 0 * inf bound is non-finite, and fails below.

@@ -18,20 +18,22 @@ A failing design raises in one stage order, each check over both links,
 uplink first: joint independence, then pair survival (``stage`` is the side,
 ``uplink`` or ``downlink``), then the collapse of ``F`` (``forward``).
 
-No projector is stored densely.  One complete QR of each link's stacked
-unit bases, which must keep all their columns (the link's joint-independence
-check), gives an orthonormal basis ``Q`` of their span and ``C`` of its
-complement; per pair, a thin orthonormal ``Z`` completes the pair's projector
-``C C^H + Z Z^H = I - Q Q^H + Z Z^H``, and ``F`` is assembled from these
-factors directly.  A twin has its unit's pairs and basis width, so both links
-run every step in one call over a leading link axis: the QR, the solve that
-gives each vector of ``span(Q)`` its unit coordinates, and, per unit shape
-(basis width and pair layout), the pair nullspaces and the factor QR.  One
-stacked SVD gives every pair of an aligned shape its nullspace, and a random
-unit, whose basis is as wide as its stream count, takes all its pairs'
-nullspaces from one matrix inverse.  The joint-independence check needs no
-SVD where the solve certifies it, by the full-rank rule of
-:func:`~ssalign.linalg.uncertified`.
+No projector is stored densely.  A pair's is ``P = C C^H + Z Z^H``: ``C``
+is an orthonormal basis of the complement of every stream on its link, none
+when the units fill the relay, and ``Z`` a thin orthonormal basis of the
+directions in the streams' span orthogonal to every stream but the pair's
+two; ``F`` is assembled from these factors directly.  Each link's stacked
+unit bases ``S`` must keep all their columns (its joint-independence check);
+``C`` comes from their complete QR, taken only when relay rows are free, and
+``coords = inv([S C])[:W]`` gives each vector of ``span(S)`` its coordinates
+in every unit basis.  A twin has its unit's pairs and basis width, so both
+links run every step in one call over a leading link axis: the QR, the
+inverse, and, per unit shape (basis width and pair layout), the pair
+nullspaces and the factor QR.  One stacked SVD gives every pair of an
+aligned shape its nullspace, and a random unit, whose basis is as wide as
+its stream count, takes all its pairs' nullspaces from one matrix inverse.
+The joint-independence check needs no SVD where the inverse certifies it, by
+the full-rank rule of :func:`~ssalign.linalg.uncertified`.
 
 Verification is structural: a stream is decodable when its chain through ``F``
 keeps both pair coefficients above threshold while every other stream's
@@ -103,18 +105,15 @@ SIDES = ("uplink", "downlink")
 
 @dataclass(frozen=True, eq=False)
 class PairProjectors:
-    """One side's per-pair complement projectors, stored as low-rank factors.
+    """One side's per-pair projectors ``P = C C^H + Z Z^H``, stored as their factors.
 
-    ``basis`` is an orthonormal basis ``Q`` of every stream on that side, and
-    ``complement`` an orthonormal basis ``C`` of its orthogonal complement,
-    ``N_active x (N_active - W)``: empty when the units fill the relay.
-    ``factors[(l, (a, b))]`` is an orthonormal ``Z`` spanning the directions
-    of ``span(Q)`` orthogonal to every stream except the pair's two, so the
-    pair's projector is ``C C^H + Z Z^H = I - Q Q^H + Z Z^H``.  ``==`` is
-    identity.
+    ``complement`` is an orthonormal basis ``C`` of the orthogonal complement
+    of every stream on that side, ``N_active x (N_active - W)``: empty when
+    the units fill the relay.  ``factors[(l, (a, b))]`` is an orthonormal
+    ``Z`` spanning the directions in the streams' span orthogonal to every
+    stream except the pair's two.  ``==`` is identity.
     """
 
-    basis: np.ndarray
     complement: np.ndarray
     factors: dict[Key, np.ndarray]
 
@@ -124,7 +123,7 @@ class RelayProcessor:
     """Projector factors, receive vectors, and the scaled forwarding matrix.
 
     ``uplink_projectors[(l, (a, b))]`` is the factor ``Z`` of the uplink
-    projector ``I - Q Q^H + Z Z^H`` with ``Q = uplink_basis``, keyed with
+    projector ``C C^H + Z Z^H`` with ``C = uplink_complement``, keyed with
     ``a < b``; the downlink fields mirror it.  ``receive_vectors`` is an
     ``M*ext x streams`` matrix with one column per stream ``(l, (a, b))``,
     in the order of the units and then of each unit's ``pairs``: the twins'
@@ -132,9 +131,9 @@ class RelayProcessor:
     to listen for user ``b``'s stream.  ``==`` is identity.
     """
 
-    uplink_basis: np.ndarray
+    uplink_complement: np.ndarray
     uplink_projectors: dict[Key, np.ndarray]
-    downlink_basis: np.ndarray
+    downlink_complement: np.ndarray
     downlink_projectors: dict[Key, np.ndarray]
     receive_vectors: np.ndarray
     forward_matrix: np.ndarray
@@ -238,7 +237,7 @@ def _pair_nullspaces(local: np.ndarray, own: np.ndarray):
 
 
 def _overlap_error(side: str, sigma: np.ndarray, shape: tuple[int, int]) -> IndependenceViolation:
-    """The joint-independence failure of a link, worded from the singular values of its ``R``."""
+    """The joint-independence failure of a link, worded from its stacked bases' singular values."""
     rows, width = shape
     rank = singular_value_ranks(sigma, shape)
     dropped = sigma[rank] / sigma[0] if rank < sigma.size else 0.0
@@ -253,48 +252,46 @@ def _overlap_error(side: str, sigma: np.ndarray, shape: tuple[int, int]) -> Inde
 
 
 def _joint_basis(links: list[list[Unit]]) -> tuple[np.ndarray, np.ndarray]:
-    """Each link's unitary QR factor and ``coords = R^-1 Q^H``, its unit spans checked.
+    """Each link's complement ``C`` and ``coords = inv([S C])[:W]``, its unit spans checked.
 
-    Each unit's ``basis`` ``B_l`` has decided its span, so the relay space
-    is split by one complete Householder QR of each link's ``N_active x W``
-    stacked bases ``S = [B_1 .. B_L]``, not of the streams: ``S = Q R`` with
-    ``Q`` the first ``W`` columns of the unitary factor and the complement
-    ``C`` the other ``N_active - W``.  The spans must form a direct sum
-    ``span(B_1) + ... + span(B_L) = span(Q)``, the link's one
-    joint-independence check: ``R`` has the singular values of ``S``, and
-    all ``W`` must count under :func:`~ssalign.linalg.singular_value_ranks`
-    with the shape of ``S``.  The certificate of
-    :func:`~ssalign.linalg.uncertified` decides it, with ``||R^-1||_F =
-    ||coords||_F`` from the solve (``Q`` has orthonormal columns): a link it
-    does not clear takes one values-only SVD of its ``R``, and so does every
-    link when ``W > N_active`` or the solve fails.  A link that fails it raises
+    Each unit's ``basis`` ``B_l`` has decided its span, so the relay space is
+    split along each link's ``N_active x W`` stacked bases ``S = [B_1 .. B_L]``,
+    not its streams.  ``C``, the orthonormal complement of ``span(S)``, ends
+    a complete Householder QR of ``S``, taken only when ``W < N_active``;
+    ``coords S = I`` and ``coords C = 0``.  The spans must form a direct sum,
+    the link's one joint-independence check: all ``W`` singular values of
+    ``S`` must count under :func:`~ssalign.linalg.singular_value_ranks`.  The
+    certificate of :func:`~ssalign.linalg.uncertified` decides it from
+    ``||S||_F`` and ``||coords||_F``, the norms of the triangular QR factor
+    of ``S`` and of its inverse, as ``[S C]`` is a unitary matrix times that
+    factor beside an identity block.  A link it does not clear takes one
+    values-only SVD of its ``S``, and so does every link when the inverse
+    fails, as it must when ``W > N_active``.  A link that fails it raises
     :class:`~ssalign.errors.IndependenceViolation` naming the side, the
     joint dimension against ``N_active``, and the largest dropped singular
-    value over ``sigma_max`` against the cutoff (0 when ``W > N_active``,
-    whose excess values are exact zeros); the links are checked in order.
+    value over ``sigma_max`` against the cutoff (0 when ``W > N_active``, as
+    ``S`` has only ``N_active`` values); the links are checked in order.
     """
-    stacked = [np.hstack([u.basis for u in units]) for units in links]
-    q_full, r = np.linalg.qr(np.stack(stacked), mode="complete")
-    _, rows, width = r.shape
-    r = r[:, :width]
-    q_h = q_full[..., :width].conj().swapaxes(1, 2)
-    coords = None
-    if width <= rows:
-        try:
-            coords = np.linalg.solve(r, q_h)
-        except np.linalg.LinAlgError:
-            pass  # an exactly singular R: the SVD decides below
-    rest = uncertified(r, (rows, width),
-                       None if coords is None else np.linalg.norm(coords, axis=(1, 2)))
+    stacked = np.stack([np.hstack([u.basis for u in units]) for units in links])
+    _, rows, width = stacked.shape
+    complement = (np.linalg.qr(stacked, mode="complete")[0][..., width:] if width < rows
+                  else stacked[..., :0])
+    square = np.concatenate([stacked, complement], axis=2)
+    try:
+        coords = np.linalg.inv(square)[:, :width]
+    except np.linalg.LinAlgError:
+        coords = None  # a singular or wide [S C]: the SVD decides below
+    rest = uncertified(stacked, (rows, width),
+                       np.inf if coords is None else np.linalg.norm(coords, axis=(1, 2)))
     if rest.any():
         # One SVD per link the certificate fails: its rank, and its message's values.
-        for i, sigma in zip(np.flatnonzero(rest), np.linalg.svd(r[rest], compute_uv=False)):
+        for i, sigma in zip(np.flatnonzero(rest), np.linalg.svd(stacked[rest], compute_uv=False)):
             if singular_value_ranks(sigma, (rows, width)) < width:
                 raise _overlap_error(SIDES[i], sigma, (rows, width))
     if coords is None:
-        # Every link passed the SVD, so the solve's own error is the one to raise.
-        coords = np.linalg.solve(r, q_h)
-    return q_full, coords
+        # Every link passed the SVD, so the inverse's own error is the one to raise.
+        coords = np.linalg.inv(square)[:, :width]
+    return complement, coords
 
 
 def _complement_projectors(links: list[list[Unit]]) -> list[PairProjectors]:
@@ -305,13 +302,14 @@ def _complement_projectors(links: list[list[Unit]]) -> list[PairProjectors]:
     which are ``G_a^H v`` for downlink twins.  The links must match unit by
     unit in pairs and basis shape, so every step runs once over a leading
     link axis, and each link's factors equal those of a pass over that link
-    alone.  :func:`_joint_basis` splits each link's relay space into
-    ``span(Q)`` and its complement ``C``, and the rows of its
-    ``coords = R^-1 Q^H`` give each vector of ``span(Q)`` its coordinates
-    in every unit basis.  A direction ``R_l^H y`` built from unit ``l``'s
-    rows is orthogonal to all other units, and to the rest of unit ``l``
-    exactly when ``y`` is, so one small nullspace in unit coordinates
-    ``L = B_l^H H`` yields the pair's factor ``Z = qr(R_l^H y)``.
+    alone.  :func:`_joint_basis` gives each link's complement ``C`` of the
+    span of its stacked unit bases ``S`` and ``coords = inv([S C])[:W]``,
+    which nulls ``C`` and gives each vector of ``span(S)`` its coordinates
+    in every unit basis.  A direction ``X_l^H y`` built from unit ``l``'s
+    rows ``X_l`` of ``coords`` lies in ``span(S)``, is orthogonal to all
+    other units, and to the rest of unit ``l`` exactly when ``y`` is, so one
+    small nullspace in unit coordinates ``L = B_l^H H`` yields the pair's
+    factor ``Z = qr(X_l^H y)``, and its projector is ``C C^H + Z Z^H``.
 
     The nullspaces are taken per unit shape, the basis width ``d`` and the
     pair layout, over both links' units of that shape: one
@@ -335,8 +333,7 @@ def _complement_projectors(links: list[list[Unit]]) -> list[PairProjectors]:
     its side.
     """
     unit_bases = [[u.basis for u in units] for units in links]
-    q_full, coords = _joint_basis(links)
-    width = coords.shape[1]
+    complement, coords = _joint_basis(links)
     offsets = np.cumsum([0] + [basis.shape[1] for basis in unit_bases[0]])
     pair_keys, shapes = [], {}
     for li, (unit, basis) in enumerate(zip(links[0], unit_bases[0])):
@@ -355,7 +352,7 @@ def _complement_projectors(links: list[list[Unit]]) -> list[PairProjectors]:
         # (units, pairs, d, 2) and (units, pairs, 2): each pair's own streams.
         local_own = local[:, :, own].transpose(0, 2, 1, 3)
         norms = np.linalg.norm(streams, axis=1)[:, own]
-        # (units, 1, N_active, d): each unit's rows R_l^H, shared by its pairs.
+        # (units, 1, N_active, d): each unit's rows X_l^H, shared by its pairs.
         rows_h = np.stack([coords[i, offsets[li]:offsets[li] + d] for i, li in batch])
         rows_h = rows_h.conj().swapaxes(1, 2)[:, None]
         for select, y in _pair_nullspaces(local, own):
@@ -375,10 +372,8 @@ def _complement_projectors(links: list[list[Unit]]) -> list[PairProjectors]:
             f"{unit.column_block}) does not survive the rest of its unit")
         error.stage = SIDES[i]
         raise error
-    return [PairProjectors(q_full[i, :, :width], q_full[i, :, width:],
-                           {(li, key): found[(i, li, p)]
-                            for li, keys in enumerate(pair_keys) for p, key in enumerate(keys)})
-            for i in range(len(links))]
+    return [PairProjectors(c, {(li, key): found[(i, li, p)] for li, keys in enumerate(pair_keys)
+                               for p, key in enumerate(keys)}) for i, c in enumerate(complement)]
 
 
 def design_downlink(units: list[Unit]) -> np.ndarray:
@@ -447,8 +442,8 @@ def build_relay_processor(units: list[Unit]) -> RelayProcessor:
     uplink, downlink = build_uplink_projectors(units)
     forward, alpha = assemble_forward_matrix(units, uplink, downlink)
     return RelayProcessor(
-        uplink_basis=uplink.basis, uplink_projectors=uplink.factors,
-        downlink_basis=downlink.basis, downlink_projectors=downlink.factors,
+        uplink_complement=uplink.complement, uplink_projectors=uplink.factors,
+        downlink_complement=downlink.complement, downlink_projectors=downlink.factors,
         receive_vectors=receive, forward_matrix=forward, power_scale=alpha,
     )
 

@@ -149,10 +149,9 @@ def complement_projector(b):
     return np.eye(bm.shape[0], dtype=np.complex128) - q @ q.conj().T
 
 
-def projector(basis, factor):
-    """Dense projector ``I - Q Q^H + Z Z^H`` of one pair from its factors."""
-    n = basis.shape[0]
-    return np.eye(n, dtype=np.complex128) - basis @ basis.conj().T + factor @ factor.conj().T
+def projector(complement, factor):
+    """Dense projector ``C C^H + Z Z^H`` of one pair from its factors."""
+    return complement @ complement.conj().T + factor @ factor.conj().T
 
 
 def build_one_link(ch, specs, rng):

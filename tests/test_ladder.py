@@ -11,8 +11,8 @@ TOP_KEYS = {"commit", "src_dirty", "src_sha256", "src_lines", "host", "seeds", "
 RUNG_KEYS = {"rung", "m", "n", "k", "improved", "closed_form_d_sum", "extension", "n_active",
              "pass", "d_sum", "smallest_desired", "wall_s", "stages_s", "svd_calls",
              "svd_max_dim", "peak_rss_mb", "seeds"}
-ORACLE_KEYS = {"battery_trials", "battery_s", "battery_pass", "battery_svd_calls", "curves_s",
-               "curve_s", "curves_cli_s", "peak_rss_mb"}
+ORACLE_KEYS = {"battery_trials", "repeats", "battery_s", "battery_pass", "battery_svd_calls",
+               "curves_s", "curve_s", "curves_cli_s", "peak_rss_mb"}
 STAGES = {"units.plan_s", "units.execute_s", "channel.sample_s", "relay.uplink_s",
           "relay.downlink_s", "relay.forward_s", "relay.verify_s"}
 
@@ -35,7 +35,7 @@ def test_one_rung_records_every_field(tmp_path):
     assert rung["svd_calls"] > 0 and rung["smallest_desired"] > 0
     assert set(doc["oracle"]) == ORACLE_KEYS
     assert doc["oracle"]["battery_pass"] and len(doc["oracle"]["curve_s"]) == 14
-    assert doc["oracle"]["curves_cli_s"] > 0
+    assert doc["oracle"]["curves_cli_s"] > 0 and doc["oracle"]["repeats"] >= 1
 
 
 def test_bad_rung_is_a_usage_error(tmp_path):

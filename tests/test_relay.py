@@ -7,6 +7,7 @@ import pytest
 
 from ssalign import (
     LEAKAGE_ABS,
+    RANK_REL,
     SystemConfig,
     assemble_forward_matrix,
     build_relay_processor,
@@ -59,7 +60,7 @@ class TestUplinkProjectors:
         (projectors,) = relay._complement_projectors([[unit]])
         assert len(projectors.factors) == 3
         for z in projectors.factors.values():
-            assert numerical_rank(projector(projectors.basis, z)) == 2
+            assert numerical_rank(projector(projectors.complement, z)) == 2
 
     def test_pair_plan_rank_one(self):
         # K=3, M=2, N=3: three aligned directions fill the space; each
@@ -67,20 +68,20 @@ class TestUplinkProjectors:
         _, ch, units, processor = full_build(2, 3, 3, seed=2)
         assert len(processor.uplink_projectors) == 3
         for z in processor.uplink_projectors.values():
-            assert numerical_rank(projector(processor.uplink_basis, z)) == 1
+            assert numerical_rank(projector(processor.uplink_complement, z)) == 1
 
     def test_single_pair_alone_gives_identity(self):
         ch = sample_channel_set(SystemConfig(m=3, n=5, k=3, seed=3))
         unit = build_aligned_unit(ch, (0, 1), 0)
         (projectors,) = relay._complement_projectors([[unit]])
-        p = projector(projectors.basis, projectors.factors[(0, (0, 1))])
+        p = projector(projectors.complement, projectors.factors[(0, (0, 1))])
         assert np.allclose(p, np.eye(5), rtol=0, atol=1e-12)
 
     def test_projectors_idempotent(self):
         _, _, _, processor = full_build(3, 8, 4, seed=4)
-        dense = [projector(processor.uplink_basis, z)
+        dense = [projector(processor.uplink_complement, z)
                  for z in processor.uplink_projectors.values()] \
-            + [projector(processor.downlink_basis, z)
+            + [projector(processor.downlink_complement, z)
                for z in processor.downlink_projectors.values()]
         for p in dense:
             assert np.linalg.norm(p @ p - p) <= 10 * LEAKAGE_ABS
@@ -262,10 +263,10 @@ class TestJointIndependence:
         assert margin < 1e-6 * cutoff
 
     # A 4 x 2 basis with singular values 1 and ``scale`` against the cutoff
-    # RANK_REL * 4 = 4e-10.  The certificate ||R|| ||R^-1|| RANK_REL * 4 is
+    # RANK_REL * 4 = 4e-10.  The certificate ||S|| ||coords|| RANK_REL * 4 is
     # about 4e-10 / scale: 4e-7 clears the 1/2 margin, 0.91 and 1.11 do not,
-    # so the SVD decides them, one just above the cutoff and one just below.
-    # A failing R's message reports the values of that same SVD.
+    # so the SVD of S decides them, one just above the cutoff and one just
+    # below.  A failing S's message reports the values of that same SVD.
     @pytest.mark.parametrize("scale,certified", [(1e-3, True), (4.4e-10, False),
                                                  (3.6e-10, False)])
     def test_scaled_column_gets_the_svd_rules_verdict(self, monkeypatch, scale, certified):
@@ -280,17 +281,17 @@ class TestJointIndependence:
                 relay._complement_projectors([[unit]])
             assert (str(info.value), info.value.stage) == (want, "uplink")
             assert str(info.value).endswith("= 3.6e-10 against RANK_REL*max(shape) = 4.0e-10")
-        assert shapes == [(2, 2)] * (not certified)
+        assert shapes == [(4, 2)] * (not certified)
 
-    def test_exactly_singular_factor_fails_the_solve_and_the_svd_decides(self, monkeypatch):
-        # Basis columns e_0 and e_0: Householder leaves e_0 as it is, so R is
-        # exactly [[1, 1], [0, 0]] and the solve raises.
+    def test_exactly_singular_stack_fails_the_inverse_and_the_svd_decides(self, monkeypatch):
+        # Basis columns e_0 and e_0: [S C] has two equal columns, so its
+        # inverse raises.
         rng = np.random.Generator(np.random.Philox(key=1))
         vecs = complex_gaussian(rng, 4, 2)
         basis = np.eye(4, dtype=np.complex128)[:, [0, 0]]
-        r = np.linalg.qr(basis, mode="complete")[1][:2]
+        complement = np.linalg.qr(basis, mode="complete")[0][:, 2:]
         with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.solve(r, np.eye(2))
+            np.linalg.inv(np.hstack([basis, complement]))
         want = reference_joint_independence("uplink", [basis])
         shapes = joint_svds(monkeypatch)
         with pytest.raises(IndependenceViolation) as info:
@@ -299,9 +300,9 @@ class TestJointIndependence:
         assert str(info.value) == want
         assert want.startswith("uplink unit spans overlap: their dimensions sum to 2, "
                                "jointly they span 1 of N_active = 4")
-        assert shapes == [(2, 2)]
+        assert shapes == [(4, 2)]
 
-    def test_more_dimensions_than_rows_skip_the_solve(self, monkeypatch):
+    def test_more_dimensions_than_rows_fail_the_inverse(self, monkeypatch):
         built = construct(3, 8, 4, 0)
         units = built.units + [built.units[0]]
         want = reference_joint_independence("uplink", [u.basis for u in units])
@@ -310,7 +311,7 @@ class TestJointIndependence:
         with pytest.raises(IndependenceViolation) as info:
             build_uplink_projectors(units)
         assert str(info.value) == want
-        # Both links' R, once each; the uplink's values also word its message.
+        # Both links' S, once each; the uplink's values also word its message.
         assert shapes == [(16, 20)] * 2
 
     @pytest.mark.parametrize("m,n,k,improved", [(7, 20, 4, False), (5, 9, 5, True),
@@ -323,7 +324,60 @@ class TestJointIndependence:
         width = sum(u.basis.shape[1] for u in built.units)
         shapes = joint_svds(monkeypatch)
         build_uplink_projectors(built.units)
-        assert (width, width) not in shapes
+        assert (built.channels.active_relay, width) not in shapes
+
+
+def linalg_calls(monkeypatch, shape):
+    """Each later ``qr`` of a stack of ``shape`` matrices, with its mode, and each ``solve``."""
+    calls = []
+    qr, solve = np.linalg.qr, np.linalg.solve
+
+    def qr_spy(a, mode="reduced"):
+        if np.shape(a)[-2:] == shape:
+            calls.append((np.shape(a), mode))
+        return qr(a, mode)
+
+    def solve_spy(a, b):
+        calls.append(("solve", np.shape(a)))
+        return solve(a, b)
+    monkeypatch.setattr(np.linalg, "qr", qr_spy)
+    monkeypatch.setattr(np.linalg, "solve", solve_spy)
+    return calls
+
+
+class TestJointStep:
+    # (3,5,3) fills the relay; (2,7,3) leaves it one free row, (1,4,3) two.
+    @pytest.mark.parametrize("m,n,k,free", [(3, 5, 3, 0), (2, 7, 3, 1), (1, 4, 3, 2)])
+    def test_coords_invert_the_stack_beside_its_complement(self, m, n, k, free):
+        built = construct(m, n, k, 0)
+        links = [built.units, [unit.twin for unit in built.units]]
+        complement, coords = relay._joint_basis(links)
+        for units, c, x in zip(links, complement, coords, strict=True):
+            s = np.hstack([u.basis for u in units])
+            rows, width = s.shape
+            assert c.shape == (rows, free) == (rows, rows - width)
+            assert np.allclose(x @ s, np.eye(width), rtol=0, atol=1e-12)
+            assert np.allclose(x @ c, 0, rtol=0, atol=1e-12)
+            assert np.allclose(c.conj().T @ c, np.eye(free), rtol=0, atol=1e-12)
+            for unit in units:
+                assert np.allclose(c.conj().T @ unit.basis, 0, rtol=0, atol=1e-12)
+            # The certificate's bound equals ||R|| ||R^-1|| from the stack's own QR.
+            r = np.linalg.qr(s)[1]
+            cutoff = RANK_REL * max(rows, width)
+            want = np.linalg.norm(r) * np.linalg.norm(np.linalg.inv(r)) * cutoff
+            got = np.linalg.norm(s) * np.linalg.norm(x) * cutoff
+            assert got == pytest.approx(want, rel=1e-10, abs=0)
+
+    # A filled relay needs no QR of S and no solve; an unfilled one takes one
+    # complete QR of both links' S, for C.  The pair nullspaces' own
+    # decompositions have other shapes.
+    @pytest.mark.parametrize("m,n,k,free", [(3, 5, 3, 0), (2, 7, 3, 1), (1, 4, 3, 2)])
+    def test_only_an_unfilled_relay_takes_a_qr_of_the_stack(self, monkeypatch, m, n, k, free):
+        built = construct(m, n, k, 0)
+        rows = built.channels.active_relay
+        calls = linalg_calls(monkeypatch, (rows, rows - free))
+        build_uplink_projectors(built.units)
+        assert calls == ([((2, rows, rows - free), "complete")] if free else [])
 
 
 class TestFusedLinks:
@@ -339,8 +393,8 @@ class TestFusedLinks:
             assert np.allclose(c_got @ c_got.conj().T, c_want @ c_want.conj().T,
                                rtol=0, atol=1e-12)
             for key, z in want.factors.items():
-                assert np.allclose(projector(got.basis, got.factors[key]),
-                                   projector(want.basis, z), rtol=0, atol=1e-12)
+                assert np.allclose(projector(got.complement, got.factors[key]),
+                                   projector(want.complement, z), rtol=0, atol=1e-12)
 
     def test_twins_must_mirror_the_units(self):
         # Unit 3, on group (1, 2, 3), is given the twin of unit 0, on (0, 1, 2).
@@ -419,15 +473,15 @@ class TestLowRankProjectors:
         uplink = dict(zip(keys, streams.T))
         downlink = {key: dense(ch.downlink[key[1][0]]).conj().T
                     @ processor.receive_vectors[:, i] for i, key in enumerate(keys)}
-        sides = ((uplink, processor.uplink_basis, processor.uplink_projectors),
-                 (downlink, processor.downlink_basis, processor.downlink_projectors))
-        for vectors, basis, factors in sides:
+        sides = ((uplink, processor.uplink_complement, processor.uplink_projectors),
+                 (downlink, processor.downlink_complement, processor.downlink_projectors))
+        for vectors, complement, factors in sides:
             assert len(factors) == len(keys) // 2
             for (li, (a, b)), z in factors.items():
                 others = [v for key, v in vectors.items()
                           if key not in ((li, (a, b)), (li, (b, a)))]
                 want = complement_projector(np.column_stack(others))
-                assert np.allclose(projector(basis, z), want, rtol=0, atol=1e-12)
+                assert np.allclose(projector(complement, z), want, rtol=0, atol=1e-12)
 
 
 class TestDownlinkMirror:
@@ -504,8 +558,8 @@ class TestForwardMatrix:
         (unit,) = twinned_units(ch, [(RANDOM, (0, 1, 2), 0)])
         uplink, downlink = build_uplink_projectors([unit])
         forward, alpha = assemble_forward_matrix([unit], uplink, downlink)
-        manual = sum(projector(downlink.basis, downlink.factors[key])
-                     @ projector(uplink.basis, uplink.factors[key]) for key in uplink.factors)
+        manual = sum(projector(downlink.complement, downlink.factors[key])
+                     @ projector(uplink.complement, uplink.factors[key]) for key in uplink.factors)
         assert np.allclose(forward, alpha * manual)
 
     # The forward matrix is one factored sandwich of the complements and pair
@@ -521,14 +575,16 @@ class TestForwardMatrix:
     def test_factored_sum_matches_dense_pair_terms(self, m, n, k, improved, free):
         _, ch, units, processor = full_build(m, n, k, seed=11, improved=improved)
         rows = ch.active_relay
-        for side in build_uplink_projectors(units):
-            q, c = side.basis, side.complement
-            assert c.shape == (rows, rows - q.shape[1]) == (rows, free)
+        twins = [unit.twin for unit in units]
+        for side, link in zip(build_uplink_projectors(units), (units, twins), strict=True):
+            c = side.complement
+            assert c.shape == (rows, rows - sum(u.basis.shape[1] for u in link)) == (rows, free)
             assert np.allclose(c.conj().T @ c, np.eye(free), rtol=0, atol=1e-12)
-            assert np.allclose(q.conj().T @ c, 0, rtol=0, atol=1e-12)
+            for unit in link:
+                assert np.allclose(c.conj().T @ unit.basis, 0, rtol=0, atol=1e-12)
         f = processor.forward_matrix
-        manual = sum(projector(processor.downlink_basis, processor.downlink_projectors[key])
-                     @ projector(processor.uplink_basis, z)
+        manual = sum(projector(processor.downlink_complement, processor.downlink_projectors[key])
+                     @ projector(processor.uplink_complement, z)
                      for key, z in processor.uplink_projectors.items())
         assert np.allclose(f, processor.power_scale * manual, rtol=0,
                            atol=1e-12 * np.linalg.norm(f))
