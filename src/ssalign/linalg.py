@@ -83,14 +83,14 @@ def uncertified(r: np.ndarray, shape, inverse_norms=None) -> np.ndarray:
         return np.ones(r.shape[:-2], dtype=bool)
 
 
-def certified_ranks(r: np.ndarray, shape, inverse_norms=None) -> np.ndarray:
+def certified_ranks(r: np.ndarray, shape) -> np.ndarray:
     """Rank of each matrix of ``shape`` from its square QR factor, ``r`` as ``(..., n, n)``.
 
     ``n`` for each member :func:`uncertified` clears; the rest take a
     values-only SVD of their ``R`` and :func:`singular_value_ranks`, so each
     gets that rule's verdict.
     """
-    rest = uncertified(r, shape, inverse_norms)
+    rest = uncertified(r, shape)
     ranks = np.full(r.shape[:-2], r.shape[-1])
     if rest.any():
         ranks[rest] = singular_value_ranks(np.linalg.svd(r[rest], compute_uv=False), shape)

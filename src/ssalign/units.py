@@ -15,17 +15,20 @@ Units are built in batches, not one by one (:func:`_build_units`), and
 each unit's downlink *twin*, the same spec built on the mirrored downlink
 ``G_a^H``, is built in the same pass: :func:`execute_plan` runs it over
 both links, the channels with RNG substream 1 and their mirror with
-substream 2.  Per group size, one
+substream 2.  Per group size, one pass (:func:`_aligned_units`) takes one
 :func:`~ssalign.linalg.stacked_nullspaces` over every ``(link, group,
-slot)`` stack gives the slot nullspaces, and one QR per width the groups'
-mixings, each drawn once and shared by the links; one product with a fixed
-signed coefficient array gives every column block's beamformers; and per
-unit shape one decomposition checks every span, a QR for random units and
-an SVD for aligned ones.  The products that copy a channel or a basis per
-entry run link by link, so that one link's copies are alive at a time.  Random units draw from their link's RNG in spec order, and a group's
-mixing from its own key, so a unit does not depend on its batch: built
-alone, as a batch of one on one link, it equals its copy in a whole plan
-bit for bit.
+slot)`` stack for the slot nullspaces, and one QR per width for the groups'
+mixings, each drawn once and shared by the links.  No group's whole mixed
+basis is formed: each unit takes, slot by slot, the slot nullspace times
+its own ``t - 1`` mixing columns, and one product with a fixed signed
+coefficient array gives its beamformers.  Per unit shape one decomposition
+checks every span, a QR for random units and an SVD for aligned ones; the
+gather that copies each unit's group channels runs link by link, so that
+one link's copies are alive at a time.  Random units draw from their link's
+RNG in spec order, a group's mixing from its own key, and every product
+gives each unit's entries from that unit's operands alone, so a unit does
+not depend on its batch: built alone, as a batch of one on one link, it
+equals its copy in a whole plan bit for bit.
 
 The planner decides, per antenna regime, how many units of which order fill
 the relay space, choosing the smallest symbol-extension factor that makes
@@ -203,59 +206,6 @@ def _aggregate_coefficients(t: int) -> np.ndarray:
     return coeffs
 
 
-def _group_nullspaces(up: np.ndarray, seed: int, groups: list[tuple[int, ...]]):
-    """Nullspace bases of equal-size groups, yielded link by link with their widths.
-
-    ``up`` stacks the links' uplinks, ``(links, K, ext, rows, M)``.  Each
-    link gives its index, ``(groups, t, ext, M, width)`` bases, axes user,
-    slot and antenna, and ``(groups,)`` widths; its bases are made when it
-    is reached, so a caller that drops them keeps one link's alive at a
-    time.  Stacked column ``i*M*ext + s*M + j`` (user ``group[i]``, slot
-    ``s``, antenna ``j``) meets only slot ``s``'s relay rows, so a group's
-    nullspace is the direct sum of its slots' nullspaces, of ``[H_{g0}[s],
-    ..., H_{g(t-1)}[s]]`` each.  One
-    :func:`~ssalign.linalg.stacked_nullspaces` runs over every ``(link,
-    group, slot)`` stack, and the slots are sliced by rank.  That basis is
-    slot-localised, and its consecutive column blocks would repeat relay
-    directions, so it is multiplied by one ``width x width`` unitary, the Q
-    factor of a complex Gaussian matrix drawn from ``derived_rng(seed, 3,
-    *group)``; the basis thus replays from the channel JSON.  A group's
-    links share its mixing: it is drawn once per group and width, and one
-    QR per width gives every drawn mixing.  A group's width is its slots'
-    nullities summed; a group narrower than the widest has zero columns
-    past its width.
-    """
-    links, _, ext, rows, m = up.shape
-    t = len(groups[0])
-    stacks = up[:, np.array(groups)].transpose(0, 1, 3, 4, 2, 5).reshape(
-        links, len(groups), ext, rows, t * m)
-    ranks, null = stacked_nullspaces(stacks)
-    nullities = t * m - ranks
-    widths = nullities.sum(axis=2)
-    # One mixing per group and width, shared by the links where the group has that width.
-    keys = sorted({(w, g) for row in widths.tolist() for g, w in enumerate(row)})
-    mixings = np.zeros((len(keys), keys[-1][0], keys[-1][0]), dtype=np.complex128)
-    for w in sorted({w for w, _ in keys}):
-        drawn = [d for d, key in enumerate(keys) if key[0] == w]
-        draws = [complex_gaussian(derived_rng(seed, 3, *groups[keys[d][1]]), w, w) for d in drawn]
-        mixings[drawn, :w, :w] = np.linalg.qr(np.stack(draws))[0]
-    index = {key: d for d, key in enumerate(keys)}
-    mixing_of = np.array([[index[w, g] for g, w in enumerate(row)] for row in widths.tolist()])
-    # Slot s of a group takes the mixing rows after its earlier slots' nullities.
-    starts = np.cumsum(nullities, axis=2) - nullities
-    for li in range(links):
-        # As wide as the link's widest group, as in a pass over that link alone.
-        width = int(widths[li].max())
-        bases = np.zeros((len(groups), ext, t * m, width), dtype=np.complex128)
-        for rank in set(ranks[li].flat):
-            g, s = np.nonzero(ranks[li] == rank)
-            cols = starts[li, g, s][:, None] + np.arange(t * m - rank)
-            bases[g, s] = (null[li, g, s, :, :t * m - rank]
-                           @ mixings[mixing_of[li, g][:, None], cols, :width])
-        # A view with the user axis ahead of the slot axis, not a copy.
-        yield li, bases.reshape(len(groups), ext, t, m, width).transpose(0, 2, 1, 3, 4), widths[li]
-
-
 def _block_start(group: tuple[int, ...], width: int, column_block: int) -> int:
     """First nullspace column of a column block, or ``SupplyExhausted`` if it does not fit."""
     t = len(group)
@@ -270,19 +220,76 @@ def _block_start(group: tuple[int, ...], width: int, column_block: int) -> int:
     return start
 
 
-def _aligned_units(up: np.ndarray, links: list[int], groups: list[tuple[int, ...]],
-                   blocks: np.ndarray, column_blocks: list[int]) -> list:
-    """Order-``t`` units from their nullspace column blocks, each a ``Unit`` or its error.
+def _aligned_units(up: np.ndarray, seed: int, requests: list) -> list:
+    """Order-``t`` units for ``(link, group, column_block)`` requests, each a ``Unit`` or its error.
 
-    ``blocks`` is ``(units, t*M*ext, t-1)``, unit ``u`` on link
-    ``links[u]``; one product with :func:`_aggregate_coefficients` gives
-    every unit's beamformers.
+    ``up`` stacks the links' uplinks, ``(links, K, ext, rows, M)``, and
+    every group has ``t`` members.  Stacked column ``i*M*ext + s*M + j``
+    (user ``group[i]``, slot ``s``, antenna ``j``) meets only slot ``s``'s
+    relay rows, so a group's nullspace is the direct sum of its slots'
+    nullspaces, of ``[H_{g0}[s], ..., H_{g(t-1)}[s]]`` each: one
+    :func:`~ssalign.linalg.stacked_nullspaces` runs over every ``(link,
+    group, slot)`` stack.  That basis is slot-localised, and its consecutive
+    column blocks would repeat relay directions, so it is mixed by one
+    ``width x width`` unitary, the Q factor of a complex Gaussian matrix
+    drawn from ``derived_rng(seed, 3, *group)``; the units thus replay from
+    the channel JSON.  A group's width is its slots' nullities summed, and
+    its links share its mixing: it is drawn once per group and width, and
+    one QR per width gives every drawn mixing.  A request whose block fits
+    its width (:func:`_block_start`) takes, per slot, that slot's nullspace
+    times the mixing rows after the earlier slots' nullities and its own
+    ``t - 1`` columns; so each unit's columns, and its beamformers from
+    :func:`_aggregate_coefficients`, depend on that unit alone.
     """
+    links, _, ext, rows, m = up.shape
+    groups = list(dict.fromkeys(group for _, group, _ in requests))
     t = len(groups[0])
-    segments = blocks.reshape(len(groups), t, up.shape[4] * up.shape[2], t - 1)
+    stacks = up[:, np.array(groups)].transpose(0, 1, 3, 4, 2, 5).reshape(
+        links, len(groups), ext, rows, t * m)
+    ranks, null = stacked_nullspaces(stacks)
+    nullities = t * m - ranks
+    widths = nullities.sum(axis=2)
+    # One mixing per group and width, shared by the links where the group has that width.
+    keys = sorted({(w, g) for row in widths.tolist() for g, w in enumerate(row)})
+    mixings = np.zeros((len(keys), keys[-1][0], keys[-1][0]), dtype=np.complex128)
+    for w in sorted({w for w, _ in keys}):
+        drawn = [d for d, key in enumerate(keys) if key[0] == w]
+        draws = [complex_gaussian(derived_rng(seed, 3, *groups[keys[d][1]]), w, w) for d in drawn]
+        mixings[drawn, :w, :w] = np.linalg.qr(np.stack(draws))[0]
+    index = {key: d for d, key in enumerate(keys)}
+    row_of = {group: g for g, group in enumerate(groups)}
+    done, fits = [], []
+    for li, group, block in requests:
+        g = row_of[group]
+        width = int(widths[li, g])
+        try:
+            start = _block_start(group, width, block)
+        except SupplyExhausted as exc:
+            done.append(exc)
+            continue
+        done.append(None)
+        fits.append((li, g, start, block, index[width, g]))
+    if not fits:
+        return done
+    on, g, start, column_blocks, mixing = (np.array(column) for column in zip(*fits))
+    cols = start[:, None] + np.arange(t - 1)
+    # Slot s of a group takes the mixing rows after its earlier slots' nullities.
+    firsts = (np.cumsum(nullities, axis=2) - nullities)[on, g]
+    # (units, ext, t*M, t - 1): each unit's columns, slot by slot, rows (i, j).
+    blocks = np.empty((len(fits), ext, t * m, t - 1), dtype=np.complex128)
+    fit_ranks = ranks[on, g]
+    for rank in set(fit_ranks.ravel().tolist()):
+        u, s = np.nonzero(fit_ranks == rank)
+        mixed = firsts[u, s][:, None] + np.arange(t * m - rank)
+        blocks[u, s] = (null[on[u], g[u], s, :, :t * m - rank]
+                        @ mixings[mixing[u][:, None, None], mixed[..., None], cols[u][:, None]])
+    # (units, t, M*ext, t - 1): member i's segment, rows s*M + j.
+    segments = blocks.reshape(len(fits), ext, t, m, t - 1).transpose(0, 2, 1, 3, 4).reshape(
+        len(fits), t, ext * m, t - 1)
     beams = (segments @ _aggregate_coefficients(t)).transpose(0, 2, 1, 3)
-    return _checked_units(up, t, links, groups, beams.reshape(len(groups), -1, t * (t - 1)),
-                          column_blocks)
+    units = iter(_checked_units(up, t, on.tolist(), [groups[x] for x in g],
+                                beams.reshape(len(fits), -1, t * (t - 1)), column_blocks.tolist()))
+    return [next(units) if unit is None else unit for unit in done]
 
 
 @dataclass(frozen=True)
@@ -454,10 +461,10 @@ def _build_units(links, specs) -> list[list]:
     are none).  The units are built in the batched passes of the module
     docstring, every link in the same pass: the random ones in one draw per
     link from its ``rng``, in spec order (aligned ones draw nothing from
-    it), and the aligned ones per group size, each group's mixing keyed
-    ``derived_rng(seed, 3, *group)`` and shared by the links.  Gives, per
-    link, each spec's ``Unit`` or the ``ConstructionError`` its build
-    raised; nothing is raised (see :func:`_raise_first_error`).
+    it), and the aligned ones in one :func:`_aligned_units` pass per group
+    size, which gets every link's request for each spec of that size.
+    Gives, per link, each spec's ``Unit`` or the ``ConstructionError`` its
+    build raised; nothing is raised (see :func:`_raise_first_error`).
     """
     # One C-ordered copy, whatever the links' layouts (the mirror's is not C
     # order): a product's bits depend on its operands' layout.
@@ -475,32 +482,11 @@ def _build_units(links, specs) -> list[list]:
         if order != RANDOM:
             sizes.setdefault(len(group), []).append(i)
     for members in sizes.values():
-        groups = list(dict.fromkeys(specs[i][1] for i in members))
-        rows = {group: g for g, group in enumerate(groups)}
-        fits, blocks = [], []
-        for li, bases, widths in _group_nullspaces(up, seed, groups):
-            owners, starts = [], []
+        done = iter(_aligned_units(up, seed, [(li, specs[i][1], specs[i][2])
+                                              for li in range(len(links)) for i in members]))
+        for row in built:
             for i in members:
-                _, group, block = specs[i]
-                try:
-                    starts.append(_block_start(group, int(widths[rows[group]]), block))
-                except SupplyExhausted as exc:
-                    built[li][i] = exc
-                    continue
-                fits.append((li, i))
-                owners.append(rows[group])
-            cols = np.array(starts, dtype=int)[:, None] + np.arange(len(groups[0]) - 1)
-            # (units, t - 1, t, ext, M): each unit's columns, rows (i, s, j).
-            blocks.append(bases[np.array(owners, dtype=int)[:, None], ..., cols])
-            del bases  # so that the next link's bases are made without this link's
-        if fits:
-            # Stacked row i*M*ext + s*M + j: user group[i], slot s, antenna j.
-            blocks = np.concatenate(blocks).reshape(len(fits), len(groups[0]) - 1, -1)
-            blocks = blocks.swapaxes(1, 2)
-            done = _aligned_units(up, [li for li, _ in fits], [specs[i][1] for _, i in fits],
-                                  blocks, [specs[i][2] for _, i in fits])
-            for (li, i), unit in zip(fits, done):
-                built[li][i] = unit
+                row[i] = next(done)
     return built
 
 

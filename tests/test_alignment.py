@@ -1,5 +1,7 @@
+import re
 from dataclasses import replace
 from fractions import Fraction as F
+from itertools import takewhile
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from ssalign.errors import (
     SupplyExhausted,
 )
 from ssalign import units as units_module
-from ssalign.units import _build_units, _group_nullspaces, _raise_first_error
+from ssalign.units import Unit, _aligned_units, _build_units, _raise_first_error
 
 from reference import (
     BUILD_CONFIGS,
@@ -51,6 +53,26 @@ def channels(m, n, k, extension=1, seed=0, active=None):
 
 def unit_vectors(unit):
     return list(unit.equivalent_uplink.T)
+
+
+def unit_columns(unit):
+    """An aligned unit's nullspace column block, ``(t*M*ext, t-1)``, from its beamformers.
+
+    Member ``i``'s segment holds its beamformers toward the first ``t - 1``
+    members, but its own column ``i`` holds their signed aggregate, with sign
+    +1 when either index is the leader 0, else -1.
+    """
+    group = unit.group
+    t = len(group)
+    beam = dict(zip(unit.pairs, unit.beamformers.T))
+
+    def column(i, c):
+        if c != i:
+            return beam[group[i], group[c]]
+        return sum((1.0 if 0 in (i, j) else -1.0) * beam[group[i], group[j]]
+                   for j in range(t) if j != i)
+
+    return np.vstack([np.column_stack([column(i, c) for c in range(t - 1)]) for i in range(t)])
 
 
 class TestAlignedUnit:
@@ -116,8 +138,9 @@ class TestAlignedUnit:
     def test_full_rank_stack_has_empty_nullspace(self):
         # Four 3-antenna users into 12 relay rows per slot: no nullspace.
         ch = channels(3, 12, 4, extension=2, seed=7)
-        _, bases, _ = next(_group_nullspaces(ch.uplink[None], ch.seed, [(0, 1, 2, 3)]))
-        assert bases[0].shape == (4, 2, 3, 0)  # user, slot, antenna; no column
+        (error,) = _aligned_units(ch.uplink[None], ch.seed, [(0, (0, 1, 2, 3), 0)])
+        assert isinstance(error, SupplyExhausted)
+        assert str(error) == "group (0, 1, 2, 3) nullspace has 0 columns, block 0 needs columns 0..2"
         with pytest.raises(SupplyExhausted):
             build_aligned_unit(ch, (0, 1, 2, 3), 0)
 
@@ -125,6 +148,12 @@ class TestAlignedUnit:
         ch = channels(3, 5, 3, seed=2)  # pair nullity 2*3-5 = 1
         with pytest.raises(SupplyExhausted):
             build_aligned_unit(ch, (0, 1), 1)
+
+    def test_negative_column_block_is_refused(self):
+        # A negative block would otherwise index the mixing from its end.
+        ch = channels(3, 5, 3, seed=2)
+        with pytest.raises(SupplyExhausted, match=r"^column block must be nonnegative, got -1$"):
+            build_aligned_unit(ch, (0, 1), -1)
 
 
 class TestUnitLayout:
@@ -445,8 +474,10 @@ class TestBatchedBuilder:
     # (7, 8, 4) is the pair-unit point of TestExecutePlan.SLOT_LOCAL.
     CONFIGS = BUILD_CONFIGS
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("m,n,k,improved", CONFIGS)
+    # (4, 9, 5) has 120-wide order-3 groups of which its units use 18 columns.
+    @pytest.mark.parametrize("m,n,k,improved,seed",
+                             [(*config, seed) for config in CONFIGS for seed in (0, 1, 2)]
+                             + [(4, 9, 5, False, 0)])
     def test_units_and_twins_match_one_at_a_time_reference(self, m, n, k, improved, seed):
         built = construct(m, n, k, seed, improved)
         ch = built.channels
@@ -574,14 +605,21 @@ class TestBatchedBuilder:
         uplink = ch.uplink.copy()
         uplink[:2, 1, 2] = 0.0
         ch = replace(ch, uplink=uplink)
-        bases = {g: next(_group_nullspaces(ch.uplink[None], ch.seed, [g]))[1][0]
-                 for g in [(0, 1), (0, 2), (1, 2), (0, 1, 2)]}
-        bases = {g: basis.reshape(-1, basis.shape[-1]) for g, basis in bases.items()}
-        widths = {g: basis.shape[1] for g, basis in bases.items()}
-        assert widths == {(0, 1): 3, (0, 2): 2, (1, 2): 2, (0, 1, 2): 8}
-        for group, basis in bases.items():
+        widths = {}
+        for group in [(0, 1), (0, 2), (1, 2), (0, 1, 2)]:
+            # Every column block of the group, then the first past its width.
+            built = _aligned_units(ch.uplink[None], ch.seed, [(0, group, b) for b in range(9)])
+            fit = list(takewhile(lambda unit: isinstance(unit, Unit), built))
+            error = built[len(fit)]
+            assert isinstance(error, SupplyExhausted)
+            width = re.fullmatch(rf"group {re.escape(str(group))} nullspace has (\d+) columns, "
+                                 rf"block {len(fit)} needs columns .*", str(error))
+            widths[group] = int(width[1])
+            got = np.hstack([unit_columns(unit) for unit in fit])
             want = reference_group_nullspace(ch, group)
-            assert np.allclose(basis, want, rtol=0, atol=1e-12)
+            assert got.shape == want.shape
+            assert np.allclose(got, want, rtol=0, atol=1e-12)
+        assert widths == {(0, 1): 3, (0, 2): 2, (1, 2): 2, (0, 1, 2): 8}
         specs = [(a.pattern_order, a.group, i) for a in plan.allocations for i in range(a.count)]
         specs.append((2, (0, 1), 2))  # the third column of group (0,1)
         (units,) = _build_units([(ch, derived_rng(3, 1))], specs)
