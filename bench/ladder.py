@@ -24,7 +24,10 @@ under the tracer, and the benchmark's oracle curves (``perfbench/workloads.py``'
 runs it (``curves_cli_s``, the CSV text included).  The battery and both
 curve loops repeat until ``ORACLE_SECONDS`` of them have run, at least once,
 and each time is the median over the ``repeats``, so the row is not read
-from one cold pass.  Every child runs with one BLAS thread.
+from one cold pass.  ``curve_cold_s`` is the median, over ``COLD_REPEATS``
+fresh interpreters, of importing ``ssalign.cli`` and running one
+``COLD_CURVE`` through ``cli.main``: the start-up a one-off ``ssalign curve``
+pays.  Every child runs with one BLAS thread.
 
 The output also records the commit, whether ``src/`` differs from it, a
 sha256 of ``src/ssalign/*.py`` and their line count, so a result can be
@@ -59,6 +62,9 @@ BUILD_SECONDS = 0.5
 BATTERY_TRIALS = 400
 # Seconds the oracle row's battery and curve loops repeat for, at least once.
 ORACLE_SECONDS = 2.0
+# The one-off curve that curve_cold_s times, in this many fresh interpreters.
+COLD_CURVE = ("curve", "--k", "3", "--mode", "basic", "--ratios", "farey:8")
+COLD_REPEATS = 5
 BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
@@ -83,7 +89,9 @@ def _peak_rss_mb() -> float:
 
 def _tracer():
     sys.path[:0] = [str(SRC), str(PERFBENCH)]
-    import ssalign  # noqa: F401  (the tracer wraps functions of loaded modules)
+    # The tracer wraps functions of loaded modules only, and `import ssalign`
+    # loads none of them.
+    from ssalign import channel, dof, lemmas, linalg, pipeline, relay, units  # noqa: F401
     from tracer import Tracer
 
     return Tracer()
@@ -197,6 +205,17 @@ def run_oracle() -> dict:
     }
 
 
+def run_cold_curve() -> dict:
+    """Seconds to import ``ssalign.cli`` and run ``COLD_CURVE``; runs in a fresh child."""
+    sys.path.insert(0, str(SRC))
+    start = time.perf_counter()
+    from ssalign import cli
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(list(COLD_CURVE))
+    return {"seconds": time.perf_counter() - start}
+
+
 def _child(args: list[str]) -> dict:
     env = {**os.environ, **BLAS_ENV}
     done = subprocess.run([sys.executable, __file__, *args], cwd=ROOT, env=env, check=True,
@@ -232,13 +251,17 @@ def main(argv=None) -> int:
                         help="rungs as M,N,K or M,N,K,improved (default: the ladder)")
     parser.add_argument("--seeds", type=lambda s: [int(x) for x in s.split(",")],
                         default=list(SEEDS), help="comma-separated seeds (default 0,1,2)")
-    parser.add_argument("--worker", choices=["rung", "oracle"], help=argparse.SUPPRESS)
+    parser.add_argument("--worker", choices=["rung", "oracle", "cold-curve"],
+                        help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker == "rung":
         print(json.dumps(run_rung(args.rungs[0], args.seeds)))
         return 0
     if args.worker == "oracle":
         print(json.dumps(run_oracle()))
+        return 0
+    if args.worker == "cold-curve":
+        print(json.dumps(run_cold_curve()))
         return 0
     if not args.out:
         parser.error("--out is required")
@@ -250,9 +273,11 @@ def main(argv=None) -> int:
               f"wall {rung['wall_s']:.3f} s, peak {rung['peak_rss_mb']:.1f} MB", file=sys.stderr)
         rungs.append(rung)
     oracle = _child(["--worker", "oracle"])
+    oracle["curve_cold_s"] = statistics.median(
+        _child(["--worker", "cold-curve"])["seconds"] for _ in range(COLD_REPEATS))
     print(f"oracle: battery {oracle['battery_s']:.3f} s, curves {oracle['curves_s']:.3f} s, "
-          f"through the CLI {oracle['curves_cli_s']:.3f} s, {oracle['repeats']} repeats",
-          file=sys.stderr)
+          f"through the CLI {oracle['curves_cli_s']:.3f} s, {oracle['repeats']} repeats, "
+          f"one cold curve {oracle['curve_cold_s']:.3f} s", file=sys.stderr)
     import numpy
 
     doc = {**source_record(),

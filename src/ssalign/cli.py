@@ -15,6 +15,11 @@ JSON documents are written compact, on a single line, so that the C encoder
 of the ``json`` module writes them; ``python -m json.tool`` pretty-prints one.
 Output goes to stdout, or to the ``--out`` file once the command is done.
 
+``curve`` runs on the pure-Python :mod:`ssalign.dof` alone and never imports
+numpy.  ``build``, ``verify`` and ``lemmas`` load numpy and the whole numeric
+stack before they run, as does reading any numeric name as an attribute of
+this module (``cli.verify_end_to_end``): one such name loads them all.
+
 The ``build`` document has the keys ``config``, ``plan``, ``channels`` (the
 :func:`~ssalign.channel.channel_to_json` document), ``units`` and ``report``.
 Every complex array in it is one object, ``{"shape": [...], "base64": ...}``,
@@ -56,18 +61,38 @@ import sys
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
-from . import __version__, dof
-from .channel import array_to_json, channel_to_json
+from . import __version__, _load, dof
 from .errors import ConstructionError
-from .lemmas import default_battery, run_battery
-from .pipeline import construct
-from .relay import verify_end_to_end
-from .units import plan_alignment  # noqa: F401  (perfbench's tests read cli.plan_alignment)
+
+# The names this module takes from the numeric stack, by defining module.
+# ``build``, ``verify`` and ``lemmas`` bind them all before they run, and so
+# does a read of one as a ``cli`` attribute (perfbench's tests read
+# ``cli.plan_alignment`` and patch ``cli.verify_end_to_end``).
+_NUMERIC_HOME = {
+    "array_to_json": "channel", "channel_to_json": "channel",
+    "default_battery": "lemmas", "run_battery": "lemmas", "construct": "pipeline",
+    "verify_end_to_end": "relay", "plan_alignment": "units",
+}
 
 CSV_HEADER = "ratio_num,ratio_den,ratio,value_num,value_den,value,mode,capacity_tight"
 
 # Seeds key Philox generators, which take unsigned 64-bit integers.
 SEED_LIMIT = 2**64
+
+
+def _numeric() -> None:
+    """Bind every name of ``_NUMERIC_HOME`` that is not bound yet; a test may have patched one."""
+    namespace = globals()
+    for name, home in _NUMERIC_HOME.items():
+        if name not in namespace:
+            namespace[name] = getattr(_load(home), name)
+
+
+def __getattr__(name: str):
+    if name not in _NUMERIC_HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _numeric()
+    return globals()[name]
 
 
 def _int_arg(text: str, low: int, high: float, expected: str) -> int:
@@ -127,6 +152,9 @@ def _parse_ratios(spec: str, parser: argparse.ArgumentParser) -> Iterable[tuple[
             parser.error("farey grid denominator bound must be positive")
         return _farey(top)
     try:
+        # Fraction takes PEP 515 underscores ("1_000") only from Python 3.11.
+        if "_" in spec:
+            raise ValueError(spec)
         ratios = sorted({Fraction(part) for part in spec.split(",") if part.strip()})
     except (ValueError, ZeroDivisionError):
         parser.error(f"bad ratio list {spec!r}")
@@ -403,6 +431,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.run is not cmd_curve:
+        _numeric()
     # Each subcommand's parser reports late usage errors, so they print its usage.
     text, code = args.run(args, args.parser)
     _emit(text, args.out, args.parser)

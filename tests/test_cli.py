@@ -623,6 +623,17 @@ class TestRatioGrid:
         assert [(row["ratio_num"], row["ratio_den"]) for row in rows] == \
             [("1", "2"), ("2", "3")]
 
+    # Fraction reads PEP 515 underscores from Python 3.11 on and refuses them
+    # before, so a ratio with one is refused on every version.
+    @pytest.mark.parametrize("spec", ["1_000,2/3", "2/1_0", "0.2_5", "1e1_0"])
+    def test_underscore_in_a_ratio_is_a_usage_error(self, capsys, spec):
+        with pytest.raises(SystemExit) as info:
+            main(["curve", "--k", "3", "--ratios", spec])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"ssalign curve: error: bad ratio list {spec!r}" in captured.err
+
 
 class TestBuildDocument:
     # (3, 5, 4) plans a symbol extension of 6, and its document holds -0.0s.

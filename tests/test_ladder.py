@@ -12,7 +12,7 @@ RUNG_KEYS = {"rung", "m", "n", "k", "improved", "closed_form_d_sum", "extension"
              "pass", "d_sum", "smallest_desired", "wall_s", "stages_s", "svd_calls",
              "svd_max_dim", "peak_rss_mb", "seeds"}
 ORACLE_KEYS = {"battery_trials", "repeats", "battery_s", "battery_pass", "battery_svd_calls",
-               "curves_s", "curve_s", "curves_cli_s", "peak_rss_mb"}
+               "curves_s", "curve_s", "curves_cli_s", "peak_rss_mb", "curve_cold_s"}
 STAGES = {"units.plan_s", "units.execute_s", "channel.sample_s", "relay.uplink_s",
           "relay.downlink_s", "relay.forward_s", "relay.verify_s"}
 
@@ -36,6 +36,7 @@ def test_one_rung_records_every_field(tmp_path):
     assert set(doc["oracle"]) == ORACLE_KEYS
     assert doc["oracle"]["battery_pass"] and len(doc["oracle"]["curve_s"]) == 14
     assert doc["oracle"]["curves_cli_s"] > 0 and doc["oracle"]["repeats"] >= 1
+    assert doc["oracle"]["curve_cold_s"] > 0
 
 
 def test_bad_rung_is_a_usage_error(tmp_path):
