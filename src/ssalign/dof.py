@@ -13,6 +13,13 @@ are computed once per ``(K, t)`` and cached as integers.  Integer arguments
 are reduced to plain ``int`` first, so a caller passing numpy integers gets
 the same plain ``int`` and ``Fraction`` values as one passing Python ints.
 
+:func:`curve` walks a finite-``K`` basic or improved curve cell by cell: the
+value is linear in ``M/N`` between the paper's breakpoints (``1/t``,
+``theta_t``, ``tau_t`` and the capacity thresholds, read from the cached
+constants), so the rule runs only on the first three distinct ratios of each
+cell, the third checked on the line of the first two, and on the
+breakpoints themselves.  Outer and many-user rows are computed one by one.
+
 Setting: ``K`` users with ``M`` antennas each exchange messages pairwise
 through an ``N``-antenna relay.  ``d_user`` counts spatial streams per user
 per channel use; ``d_sum = K * d_user``; ``d_relay = d_sum / N``.
@@ -101,8 +108,7 @@ def _result(d_user: Fraction, n: int, k: int, tight: bool) -> DofResult:
 def _per_k_constant(fn):
     # Exceptions are not cached, so out-of-range arguments raise on every call.
     # The bound keeps a sweep over many K from growing the cache without limit;
-    # it holds every order t of one K up to 4096, so improvement_branch's scan
-    # over t still hits.
+    # it holds every order t of one K up to 4096.
     cached = functools.lru_cache(maxsize=4096)(fn)
 
     @functools.wraps(fn)
@@ -202,16 +208,19 @@ def _tight(m: int, n: int, k: int) -> bool:
 
 def _branch(m: int, n: int, k: int) -> tuple[int, bool] | None:
     # theta_2 is the high threshold and theta_{K-1} the low one, so the
-    # intervals (theta_{t+1}, theta_t] cover the open range between them.
+    # intervals (theta_{t+1}, theta_t] cover the open range between them.  In
+    # regime t, theta_{t+1} <= 1/t < M/N <= 1/(t-1) < theta_{t-1}, so M/N lies
+    # in interval t up to theta_t and in interval t - 1 above it.
     if k == 3 or _tight(m, n, k):
         return None
-    for t in range(2, k - 1):
-        up_num, up_den = _theta(k, t)
-        low_num, low_den = _theta(k, t + 1)
-        if low_num * n < m * low_den and m * up_den <= up_num * n:
-            tau_num, tau_den = _tau(k, t)
-            return t, m * tau_den > tau_num * n
-    raise AssertionError(f"ratio {m}/{n} not covered by any improvement interval")
+    t = _regime(m, n)
+    theta_num, theta_den = _theta(k, t)
+    if m * theta_den > theta_num * n:
+        t -= 1
+    if not 2 <= t <= k - 2:
+        raise AssertionError(f"ratio {m}/{n} not covered by any improvement interval")
+    tau_num, tau_den = _tau(k, t)
+    return t, m * tau_den > tau_num * n
 
 
 def _improved(m: int, n: int, k: int) -> tuple[int, int]:
@@ -237,6 +246,26 @@ def _asymptotic(num: int, den: int, improved: bool) -> tuple[int, int]:
     if num * t**3 <= (t + 1) * (t - 1) * den:
         return t + 1, t
     return num * t * t, den * (t - 1)
+
+
+@_core_constant
+def _breakpoints(k: int, t: int) -> tuple[tuple[int, int], ...]:
+    # The ratios, reduced and sorted, where the basic or improved value of
+    # regime t may change its linear piece or its tightness: the regime's ends
+    # 1/t and 1/(t-1), and theta_t, tau_{t-1} and tau_t where they lie between
+    # them.  The capacity thresholds are theta_2 and theta_{K-1}.  Regime
+    # K + 1 stands for every ratio up to 1/K, where d_user = M, and regime 1
+    # for every ratio above 1, clamped at M = N; 1/0 lies above every ratio.
+    if t > k:
+        return (0, 1), (1, k)
+    if t == 1:
+        return (1, 1), (1, 0)
+    points = {(1, t), (1, t - 1)}
+    for num, den in [_theta(k, t), *(_tau(k, s) for s in (t - 1, t) if 2 <= s <= k - 2)]:
+        if (t - 1) * num < den < t * num:
+            g = math.gcd(num, den)
+            points.add((num // g, den // g))
+    return tuple(sorted(points, key=functools.cmp_to_key(lambda p, q: p[0] * q[1] - q[0] * p[1])))
 
 
 # -- public functions --------------------------------------------------------
@@ -353,6 +382,13 @@ def curve(k: int | None, mode: str, ratios: Iterable[tuple[int, int]],
     ``"improved"``, never tight.  ``half_duplex`` halves every value.  The
     value is in lowest terms, and equal to the public function's.
 
+    Finite-``k`` basic and improved rows are walked by cells of the
+    paper's breakpoints: the rule gives a cell's first three distinct ratios
+    and the breakpoints, and the line through the first two gives the rest of
+    the cell; ``AssertionError`` if the third is off it.  Outer and
+    ``k=None`` rows are computed one by one.  Pairs may come in any order,
+    unreduced or repeated.
+
     ``k`` and ``mode`` are checked here; the pairs as the rows are made.
     """
     if mode not in (("basic", "improved") if k is None else ("outer", "basic", "improved")):
@@ -361,26 +397,89 @@ def curve(k: int | None, mode: str, ratios: Iterable[tuple[int, int]],
         k = operator.index(k)
         if k < 3:
             raise ValueError(f"user count must be >= 3, got {k}")
-    return _curve_rows(k, mode, ratios, 2 if half_duplex else 1)
+    scale = 2 if half_duplex else 1
+    if k is None or mode == "outer":
+        return _point_rows(k, mode == "improved", ratios, scale)
+    return _cell_rows(k, _improved if mode == "improved" else _basic, ratios, scale)
 
 
-def _curve_rows(k, mode, ratios, scale):
-    improved = mode == "improved"
-    per_user = {"outer": _outer, "basic": _basic, "improved": _improved}[mode]
+def _point_rows(k, improved, ratios, scale):
+    # The outer bound and the many-user limit, O(1) per row.
     for c, d in ratios:
         c, d = operator.index(c), operator.index(d)
         if c < 1 or d < 1:
             raise ValueError(f"ratio {c}/{d} is not a positive rational")
         if k is None:
             num, den = _asymptotic(c, d, improved)
-            tight = False
         else:
-            num, den = per_user(c, d, k)
+            num, den = _outer(c, d, k)
             den *= d
-            tight = mode != "outer" and _tight(c, d, k)
+        den *= scale
+        g = math.gcd(num, den)
+        yield c, d, num // g, den // g, False
+
+
+def _cell_rows(k, rule, ratios, scale):
+    # Cell (t, i) is the open range between breakpoints i - 1 and i of
+    # regime t, where d_user = (a M + b N) / line_den and the tightness is
+    # constant.
+    lines = {}    # cell -> its checked line (a, b, line_den, tight)
+    points = {}   # cell -> its distinct rule points (c, d, num, den, tight) so far
+    # The open cell of `line`, the line the last row found; empty at first.
+    lo_num = lo_den = hi_num = hi_den = 0
+    line = None
+    for c, d in ratios:
+        c, d = operator.index(c), operator.index(d)
+        if c < 1 or d < 1:
+            raise ValueError(f"ratio {c}/{d} is not a positive rational")
+        if lo_num * d < c * lo_den and c * hi_den < hi_num * d:
+            a, b, line_den, tight = line
+            num, den = a * c + b * d, line_den * d
+        else:
+            t = d // c + 1
+            if t > k:
+                t = k + 1
+            bounds = _breakpoints(k, t)
+            i = 1
+            hi_num, hi_den = bounds[1]
+            while c * hi_den > hi_num * d:
+                i += 1
+                hi_num, hi_den = bounds[i]
+            inside = c * hi_den < hi_num * d
+            line = lines.get((t, i)) if inside else None
+            if line is not None:
+                lo_num, lo_den = bounds[i - 1]
+                a, b, line_den, tight = line
+                num, den = a * c + b * d, line_den * d
+            else:
+                lo_num = lo_den = 0
+                num, den = rule(c, d, k)
+                tight = _tight(c, d, k)
+                if inside:
+                    seen = points.setdefault((t, i), [])
+                    if all(c * q != p * d for p, q, *_ in seen):
+                        seen.append((c, d, num, den, tight))
+                        if len(seen) == 3:
+                            lines[t, i] = _line(seen)
+                den *= d
         den *= scale
         g = math.gcd(num, den)
         yield c, d, num // g, den // g, tight
+
+
+def _line(seen):
+    # (a, b, line_den, tight) with d_user = (a M + b N) / line_den through the
+    # first two of a cell's three rule points, which the third must lie on.
+    (c1, d1, n1, q1, tight), (c2, d2, n2, q2, _), (c3, d3, n3, q3, _) = seen
+    # Cramer's rule on a c_i + b d_i = n_i / q_i, scaled by q1 q2.
+    a = n1 * q2 * d2 - n2 * q1 * d1
+    b = c1 * n2 * q1 - c2 * n1 * q2
+    line_den = (c1 * d2 - c2 * d1) * q1 * q2
+    g = math.gcd(a, b, line_den) * (1 if line_den > 0 else -1)
+    a, b, line_den = a // g, b // g, line_den // g
+    if (a * c3 + b * d3) * q3 != n3 * line_den or any(p[4] != tight for p in seen):
+        raise AssertionError(f"ratio {c3}/{d3} is off the line of its curve cell")
+    return a, b, line_den, tight
 
 
 def scaling_check(m: int, n: int, sigma: int, k: int) -> bool:
@@ -391,5 +490,6 @@ def scaling_check(m: int, n: int, sigma: int, k: int) -> bool:
     """
     if sigma < 1:
         raise ValueError(f"scale factor must be positive, got {sigma}")
-    scaled = achievable_basic(sigma * m, sigma * n, k).d_user
-    return scaled == sigma * achievable_basic(m, n, k).d_user
+    scaled_num, scaled_den = _basic(*_validate_mnk(sigma * m, sigma * n, k))
+    num, den = _basic(*_validate_mnk(m, n, k))
+    return scaled_num * den == operator.index(sigma) * num * scaled_den

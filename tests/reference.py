@@ -26,9 +26,14 @@ time, through the single-matrix functions, with the same draws.
 
 ``reference_curve_csv`` is the ``curve`` command's text made point by point
 from the public ``DofResult`` functions in ``Fraction`` arithmetic, which
-the library's integer curve rows must match byte for byte.
+the library's integer curve rows must match byte for byte;
+``reference_curve_rows`` gives ``dof.curve``'s rows the same way, for pairs
+in any order.  ``reference_improvement_branch`` finds the improved-curve
+interval by a linear scan over every ``theta_t``.
 """
 
+import functools
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import numpy as np
@@ -379,3 +384,34 @@ def reference_curve_csv(k, mode, ratios, half_duplex=False):
             f"{mode_tag},{str(tight).lower()}"
         )
     return "\n".join(lines) + "\n"
+
+
+def reference_curve_rows(k, mode, pairs, half_duplex=False):
+    """``dof.curve`` rows at a finite ``k`` for int ``pairs`` in any order, one per pair."""
+    evaluate = {"outer": dof.outer_bound_per_user, "basic": dof.achievable_basic,
+                "improved": dof.achievable_improved}[mode]
+    rows = []
+    for c, d in pairs:
+        res = evaluate(c, d, k)
+        value = res.d_user / d / (2 if half_duplex else 1)
+        rows.append((c, d, value.numerator, value.denominator, res.capacity_tight))
+    return rows
+
+
+@functools.lru_cache
+def _coefficients(k):
+    # Index i holds the coefficients of order t = i + 2, for t = 2 .. K - 1.
+    return [dof.gamma_theta_tau(1, 1, k, t) for t in range(2, k)]
+
+
+def reference_improvement_branch(m, n, k):
+    """``improvement_branch`` by a scan over ``t = 2 .. K-2`` for ``theta_{t+1} < M/N <= theta_t``."""
+    ratio = Fraction(m, n)
+    low, high = dof.capacity_thresholds(k)
+    if k == 3 or not low < ratio < high:
+        return None
+    coefs = _coefficients(k)
+    for t in range(2, k - 1):
+        if coefs[t - 1].theta_t < ratio <= coefs[t - 2].theta_t:
+            return t, ratio > coefs[t - 2].tau_t
+    raise AssertionError(f"ratio {ratio} not covered by any improvement interval")

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import random
 import re
 from fractions import Fraction
 from math import gcd
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import reference_curve_csv
+from reference import reference_curve_csv, reference_curve_rows
 
 from ssalign import cli, dof, lemmas, pipeline, relay
 from ssalign.channel import array_from_json, channel_from_json, slot_product
@@ -531,6 +532,84 @@ class TestCurveMatchesReference:
         rc, out = run(capsys, *argv, *(["--half-duplex"] if half_duplex else []))
         assert rc == 0
         assert out == reference_curve_csv(k, mode, ratios, half_duplex)
+
+
+def _farey(q):
+    return sorted({Fraction(p, d) for d in range(1, q + 1) for p in range(1, d + 1)})
+
+
+class TestCurveWalk:
+    """Finite-K basic and improved curves are walked by cells; every row is the point rule's."""
+
+    FAREY_60 = _farey(60)
+
+    @pytest.mark.parametrize("half_duplex", [False, True])
+    @pytest.mark.parametrize("mode", ["basic", "improved"])
+    @pytest.mark.parametrize("k", [*range(3, 13), 20, 64, 160])
+    def test_rows_equal_the_reference(self, capsys, k, mode, half_duplex):
+        duplex = ["--half-duplex"] if half_duplex else []
+        rc, out = run(capsys, "curve", "--k", str(k), "--mode", mode, "--ratios", "farey:60",
+                      *duplex)
+        assert rc == 0
+        assert out == reference_curve_csv(k, mode, self.FAREY_60, half_duplex)
+        # Shuffled, with every breakpoint exactly, ratios above 1 and unreduced
+        # duplicates: the cells are found and filled in any order.
+        extra = _boundaries(k) | {Fraction(1, t) for t in range(1, k + 1)} \
+            | {Fraction(5, 3), Fraction(2), Fraction(7, 2)}
+        pairs = [(r.numerator, r.denominator) for r in [*self.FAREY_60, *sorted(extra)]]
+        pairs += [(3 * c, 3 * d) for c, d in pairs[::5]]
+        random.Random(k).shuffle(pairs)
+        assert list(dof.curve(k, mode, pairs, half_duplex)) == \
+            reference_curve_rows(k, mode, pairs, half_duplex)
+
+    @pytest.mark.parametrize("mode", ["basic", "improved"])
+    def test_a_dropped_breakpoint_raises(self, monkeypatch, mode):
+        # theta_3 is the corner of K = 5's basic curve and the end of its
+        # improved curve's interval 3, inside regime 3, (1/3, 1/2].
+        k, t = 5, 3
+        theta = Fraction(*dof._theta(k, t))
+        bounds = [Fraction(*p) for p in dof._breakpoints(k, t)]
+        assert Fraction(1, 3) < theta < Fraction(1, 2) and theta in bounds
+        below, above = (bounds[bounds.index(theta) + step] for step in (-1, 1))
+        # The merged cell's two outermost ratios first: the chord through them
+        # misses every ratio between them on one side of the corner.
+        ratios = self.FAREY_60
+        inside = [r for r in ratios if below < r < above]
+        order = [inside[0], inside[-1]] + [r for r in ratios if r not in (inside[0], inside[-1])]
+        pairs = [(r.numerator, r.denominator) for r in order]
+        assert list(dof.curve(k, mode, pairs)) == reference_curve_rows(k, mode, pairs)
+
+        breakpoints = dof._breakpoints
+
+        def without_theta(kk, tt):
+            return tuple(p for p in breakpoints(kk, tt) if (kk, tt, Fraction(*p)) != (k, t, theta))
+        monkeypatch.setattr(dof, "_breakpoints", without_theta)
+        with pytest.raises(AssertionError, match="off the line of its curve cell"):
+            list(dof.curve(k, mode, pairs))
+
+
+class TestLargeKCurves:
+    # sha256 of the stdout, recorded before the curves were walked by cells.
+    @pytest.mark.parametrize("argv,digest", [
+        ("--k 640 --mode improved --ratios farey:48",
+         "092d5438285055c5ac0813f405cab8a361dc4020d35c0b6e7db6155bd356b2d7"),
+        ("--k 160 --mode basic --ratios farey:120 --half-duplex",
+         "f11d0901fcc00633400246a267fbdc583268f5c05385a327797d593d1b7cf3ce"),
+    ])
+    def test_stdout_is_pinned(self, capsys, argv, digest):
+        rc, out = run(capsys, "curve", *argv.split())
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("k", range(3, 65))
+def test_every_mode_up_to_64_users_matches_the_reference(capsys, k):
+    ratios = _farey(80)
+    for mode in ("outer", "basic", "improved"):
+        rc, out = run(capsys, "curve", "--k", str(k), "--mode", mode, "--ratios", "farey:80")
+        assert rc == 0
+        assert out == reference_curve_csv(k, mode, ratios)
 
 
 # Ratios for the curve text: p/q up to 10**6 (above 1 they clamp), and values

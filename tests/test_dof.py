@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import reference_improvement_branch
 
 from ssalign import (
     achievable_basic,
@@ -17,6 +18,7 @@ from ssalign import (
     regime_index,
     scaling_check,
 )
+from ssalign import dof
 from ssalign.dof import curve
 from ssalign.errors import InvalidPatternOrder
 
@@ -323,6 +325,34 @@ class TestImprovementBranch:
                     assert gamma_theta_tau(m, n, k, t + 1).theta_t < ratio <= coef.theta_t
                     assert deactivate == (ratio > coef.tau_t)
 
+    def test_capacity_thresholds_are_the_outer_corners(self):
+        # The curve walker lists theta_t as breakpoints and no threshold apart.
+        for k in range(3, 41):
+            low, high = capacity_thresholds(k)
+            assert (low, high) == (gamma_theta_tau(1, 1, k, k - 1).theta_t,
+                                   gamma_theta_tau(1, 1, k, 2).theta_t)
+
+    def test_one_theta_comparison_matches_the_linear_scan(self):
+        # Every reduced ratio up to denominator 30, every theta_t and tau_t
+        # exactly, and all of them unreduced.
+        farey = {F(p, q) for q in range(1, 31) for p in range(1, q + 1)}
+        for k in range(3, 41):
+            ratios = farey | set(capacity_thresholds(k))
+            for t in range(2, k):
+                coef = gamma_theta_tau(1, 1, k, t)
+                ratios |= {coef.theta_t, coef.tau_t} - {None}
+            for r in ratios:
+                for s in (1, 3):
+                    m, n = s * r.numerator, s * r.denominator
+                    assert improvement_branch(m, n, k) == reference_improvement_branch(m, n, k)
+
+    def test_interval_outside_two_to_k_minus_two_raises(self, monkeypatch):
+        # A tightness test that lets the capacity range through leaves 1/2's
+        # interval at t = 1.
+        monkeypatch.setattr(dof, "_tight", lambda m, n, k: False)
+        with pytest.raises(AssertionError, match="not covered"):
+            improvement_branch(3, 4, 5)
+
 
 class TestAsymptotic:
     @pytest.mark.parametrize("ratio,improved,expected", [
@@ -418,6 +448,23 @@ class TestScaling:
     ])
     def test_examples(self, m, n, sigma, k):
         assert scaling_check(m, n, sigma, k)
+
+    def test_numpy_arguments(self):
+        assert scaling_check(np.int64(3), np.int64(7), np.int64(4), np.int64(640))
+
+    @pytest.mark.parametrize("args,match", [
+        ((2, 3, 0, 4), "scale factor must be positive, got 0"),
+        ((0, 3, 2, 4), "antenna counts must be positive, got M=0, N=6"),
+        ((2, 3, 2, 2), "user count must be >= 3, got 2"),
+    ])
+    def test_bad_arguments_raise(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            scaling_check(*args)
+
+    def test_a_value_that_does_not_scale_is_caught(self, monkeypatch):
+        basic = dof._basic
+        monkeypatch.setattr(dof, "_basic", lambda m, n, k: (basic(m, n, k)[0] + 1, 1))
+        assert not scaling_check(2, 3, 2, 4)
 
 
 @settings(max_examples=200, deadline=None)
