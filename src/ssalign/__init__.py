@@ -9,11 +9,12 @@ in exact rational arithmetic.
 Importing the package loads no submodule: each exported name is resolved on
 first read (PEP 562) from the module that defines it.  The ``dof`` names
 load only the pure-Python ``dof``, so ``import ssalign``, ``ssalign.dof``
-and the ``curve`` command never import numpy.  Any other name loads numpy
-and the whole numeric stack (``linalg``, ``channel``, ``units``, ``relay``,
-``pipeline``, ``lemmas``) at once, so that a tool which wraps the functions
-of loaded modules, such as the benchmark's stage tracer, finds them all; the
-``build``, ``verify`` and ``lemmas`` commands load it before they run.
+and the ``curve`` command never import numpy, nor ``dataclasses`` and so
+``inspect``.  Any other name loads numpy and the whole numeric stack
+(``linalg``, ``channel``, ``units``, ``relay``, ``pipeline``, ``lemmas``) at
+once, so that a tool which wraps the functions of loaded modules, such as
+the benchmark's stage tracer, finds them all; the ``build``, ``verify`` and
+``lemmas`` commands load it before they run.
 """
 
 import importlib

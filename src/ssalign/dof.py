@@ -5,7 +5,8 @@ comparisons (``7/16``, ``(t+1)(t-1)/t^3``, ...) are integer
 cross-multiplications, so they are exact.  The public functions return exact
 :class:`fractions.Fraction` values built from those pairs, and the results
 double as the analytical oracle that constructed beamforming plans must
-match.  No floating point is used anywhere in this module.
+match.  No floating point is used, and neither numpy nor ``dataclasses``
+(with its ``inspect``) is loaded: the two records are named tuples.
 
 The regime constants that depend on ``K`` and the pattern order ``t`` alone
 (``alpha_t``, ``beta_t``, ``theta_t``, ``tau_t`` and the capacity thresholds)
@@ -16,9 +17,9 @@ the same plain ``int`` and ``Fraction`` values as one passing Python ints.
 :func:`curve` walks a finite-``K`` basic or improved curve cell by cell: the
 value is linear in ``M/N`` between the paper's breakpoints (``1/t``,
 ``theta_t``, ``tau_t`` and the capacity thresholds, read from the cached
-constants), so the rule runs only on the first three distinct ratios of each
-cell, the third checked on the line of the first two, and on the
-breakpoints themselves.  Outer and many-user rows are computed one by one.
+constants), so the rule runs only on the breakpoints and on the first three
+distinct ratios of each cell, whose line must hold at the third and at the
+cell's finite ends.  Outer and many-user rows are computed one by one.
 
 Setting: ``K`` users with ``M`` antennas each exchange messages pairwise
 through an ``N``-antenna relay.  ``d_user`` counts spatial streams per user
@@ -30,8 +31,8 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidPatternOrder
@@ -53,22 +54,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DofResult:
+class DofResult(namedtuple("DofResult", "d_user d_sum d_relay capacity_tight")):
     """Per-user/total/per-relay-dimension DoF triple with a tightness flag.
 
     ``capacity_tight`` is True only where the value is known to equal the DoF
-    capacity; outer bounds always carry False.
+    capacity; outer bounds always carry False.  An immutable named tuple: it
+    unpacks, and compares and hashes as the tuple of its fields.
     """
 
-    d_user: Fraction
-    d_sum: Fraction
-    d_relay: Fraction
-    capacity_tight: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PatternCoefficients:
+class PatternCoefficients(namedtuple(
+        "PatternCoefficients", "t alpha_t beta_t gamma_t1 gamma_t2 theta_t tau_t")):
     """Coefficients of the order-``t`` alignment regime for ``K`` users.
 
     ``alpha_t`` counts streams per user contributed by one unit across all
@@ -76,17 +74,12 @@ class PatternCoefficients:
     per unit count across all groups.  ``gamma_t1`` is the mixed-fill
     achievable per-user DoF, ``gamma_t2`` the all-order-``t`` cap, ``theta_t``
     the corner ratio where both meet, and ``tau_t`` the breakpoint below
-    which relay-antenna deactivation stops paying off (undefined for
-    ``t = K - 1``).
+    which relay-antenna deactivation stops paying off (None for
+    ``t = K - 1``).  An immutable named tuple: it unpacks, and compares and
+    hashes as the tuple of its fields.
     """
 
-    t: int
-    alpha_t: int
-    beta_t: int
-    gamma_t1: Fraction
-    gamma_t2: Fraction
-    theta_t: Fraction
-    tau_t: Fraction | None
+    __slots__ = ()
 
 
 def _validate_mnk(m: int, n: int, k: int) -> tuple[int, int, int]:
@@ -385,9 +378,9 @@ def curve(k: int | None, mode: str, ratios: Iterable[tuple[int, int]],
     Finite-``k`` basic and improved rows are walked by cells of the
     paper's breakpoints: the rule gives a cell's first three distinct ratios
     and the breakpoints, and the line through the first two gives the rest of
-    the cell; ``AssertionError`` if the third is off it.  Outer and
-    ``k=None`` rows are computed one by one.  Pairs may come in any order,
-    unreduced or repeated.
+    the cell; ``AssertionError`` if the third, or the rule's value at a finite
+    end of the cell, is off it.  Outer and ``k=None`` rows are computed one by
+    one.  Pairs may come in any order, unreduced or repeated.
 
     ``k`` and ``mode`` are checked here; the pairs as the rows are made.
     """
@@ -460,16 +453,18 @@ def _cell_rows(k, rule, ratios, scale):
                     if all(c * q != p * d for p, q, *_ in seen):
                         seen.append((c, d, num, den, tight))
                         if len(seen) == 3:
-                            lines[t, i] = _line(seen)
+                            lines[t, i] = _line(seen, bounds[i - 1:i + 1], rule, k)
                 den *= d
         den *= scale
         g = math.gcd(num, den)
         yield c, d, num // g, den // g, tight
 
 
-def _line(seen):
+def _line(seen, ends, rule, k):
     # (a, b, line_den, tight) with d_user = (a M + b N) / line_den through the
-    # first two of a cell's three rule points, which the third must lie on.
+    # first two of a cell's three rule points.  The third must lie on it, and
+    # so must the rule's values at the cell's ends other than 0/1 and 1/0,
+    # where the curve is continuous: a missing breakpoint shows in any order.
     (c1, d1, n1, q1, tight), (c2, d2, n2, q2, _), (c3, d3, n3, q3, _) = seen
     # Cramer's rule on a c_i + b d_i = n_i / q_i, scaled by q1 q2.
     a = n1 * q2 * d2 - n2 * q1 * d1
@@ -477,8 +472,10 @@ def _line(seen):
     line_den = (c1 * d2 - c2 * d1) * q1 * q2
     g = math.gcd(a, b, line_den) * (1 if line_den > 0 else -1)
     a, b, line_den = a // g, b // g, line_den // g
-    if (a * c3 + b * d3) * q3 != n3 * line_den or any(p[4] != tight for p in seen):
-        raise AssertionError(f"ratio {c3}/{d3} is off the line of its curve cell")
+    at_ends = [(c, d, *rule(c, d, k)) for c, d in ends if c and d]
+    for c, d, num, den in [(c3, d3, n3, q3), *at_ends]:
+        if (a * c + b * d) * den != num * line_den or any(p[4] != tight for p in seen):
+            raise AssertionError(f"ratio {c}/{d} is off the line of its curve cell")
     return a, b, line_den, tight
 
 

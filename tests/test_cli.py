@@ -562,21 +562,20 @@ class TestCurveWalk:
         assert list(dof.curve(k, mode, pairs, half_duplex)) == \
             reference_curve_rows(k, mode, pairs, half_duplex)
 
+    @pytest.mark.parametrize("order", ["sorted", "reversed"])
     @pytest.mark.parametrize("mode", ["basic", "improved"])
-    def test_a_dropped_breakpoint_raises(self, monkeypatch, mode):
+    def test_a_dropped_breakpoint_raises(self, monkeypatch, mode, order):
         # theta_3 is the corner of K = 5's basic curve and the end of its
-        # improved curve's interval 3, inside regime 3, (1/3, 1/2].
+        # improved curve's interval 3, inside regime 3, (1/3, 1/2].  Without
+        # it, the merged cell's first three ratios of a sorted grid all lie on
+        # one side of the corner, so only the line's check at the cell's ends
+        # can see the kink.
         k, t = 5, 3
         theta = Fraction(*dof._theta(k, t))
-        bounds = [Fraction(*p) for p in dof._breakpoints(k, t)]
-        assert Fraction(1, 3) < theta < Fraction(1, 2) and theta in bounds
-        below, above = (bounds[bounds.index(theta) + step] for step in (-1, 1))
-        # The merged cell's two outermost ratios first: the chord through them
-        # misses every ratio between them on one side of the corner.
-        ratios = self.FAREY_60
-        inside = [r for r in ratios if below < r < above]
-        order = [inside[0], inside[-1]] + [r for r in ratios if r not in (inside[0], inside[-1])]
-        pairs = [(r.numerator, r.denominator) for r in order]
+        assert Fraction(1, 3) < theta < Fraction(1, 2)
+        assert theta in [Fraction(*p) for p in dof._breakpoints(k, t)]
+        ratios = self.FAREY_60 if order == "sorted" else self.FAREY_60[::-1]
+        pairs = [(r.numerator, r.denominator) for r in ratios]
         assert list(dof.curve(k, mode, pairs)) == reference_curve_rows(k, mode, pairs)
 
         breakpoints = dof._breakpoints

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from reference import reference_improvement_branch
 
 from ssalign import (
+    DofResult,
+    PatternCoefficients,
     achievable_basic,
     achievable_improved,
     alpha_beta,
@@ -438,6 +440,51 @@ class TestCurve:
     def test_non_positive_ratio_raises(self):
         with pytest.raises(ValueError, match="positive"):
             list(curve(4, "basic", [(1, 2), (0, 3)]))
+
+
+
+class TestRecords:
+    """``DofResult`` and ``PatternCoefficients`` are immutable named tuples."""
+
+    RESULT = (F(3), F(9), F(9, 5), True)
+    COEFFICIENTS = (2, 3, 6, F(21, 8), F(5, 2), F(7, 12), F(7, 16))
+
+    def test_repr_is_the_frozen_dataclass_text(self):
+        assert repr(achievable_basic(3, 5, 3)) == (
+            "DofResult(d_user=Fraction(3, 1), d_sum=Fraction(9, 1), d_relay=Fraction(9, 5), "
+            "capacity_tight=True)")
+        assert repr(gamma_theta_tau(3, 5, 4, 2)) == (
+            "PatternCoefficients(t=2, alpha_t=3, beta_t=6, gamma_t1=Fraction(21, 8), "
+            "gamma_t2=Fraction(5, 2), theta_t=Fraction(7, 12), tau_t=Fraction(7, 16))")
+
+    def test_keyword_and_positional_construction_agree(self):
+        by_keyword = DofResult(d_user=F(3), d_sum=F(9), d_relay=F(9, 5), capacity_tight=True)
+        assert DofResult(*self.RESULT) == by_keyword == achievable_basic(3, 5, 3)
+        assert hash(DofResult(*self.RESULT)) == hash(by_keyword)
+        by_keyword = PatternCoefficients(t=2, alpha_t=3, beta_t=6, gamma_t1=F(21, 8),
+                                         gamma_t2=F(5, 2), theta_t=F(7, 12), tau_t=F(7, 16))
+        assert PatternCoefficients(*self.COEFFICIENTS) == by_keyword == gamma_theta_tau(3, 5, 4, 2)
+        assert hash(PatternCoefficients(*self.COEFFICIENTS)) == hash(by_keyword)
+
+    def test_records_unpack_and_compare_as_tuples(self):
+        d_user, d_sum, d_relay, tight = achievable_basic(3, 5, 3)
+        assert (d_user, d_sum, d_relay, tight) == self.RESULT == achievable_basic(3, 5, 3)
+        assert gamma_theta_tau(3, 5, 4, 2) == self.COEFFICIENTS
+
+    @pytest.mark.parametrize("record", [achievable_basic(3, 5, 3), gamma_theta_tau(3, 5, 4, 2)],
+                             ids=["DofResult", "PatternCoefficients"])
+    def test_no_field_can_be_assigned(self, record):
+        for name in [*record._fields, "extra"]:
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+
+    def test_a_repeated_call_gives_the_same_record(self):
+        first = gamma_theta_tau(3, 5, 4, 2)
+        with pytest.raises(AttributeError):
+            first.theta_t = F(0)
+        again = gamma_theta_tau(3, 5, 4, 2)
+        assert again == first == self.COEFFICIENTS
+        assert hash(again) == hash(first)
 
 
 class TestScaling:
