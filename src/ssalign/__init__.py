@@ -25,7 +25,8 @@ __version__ = "0.1.0"
 _HOME = {name: module for module, names in {
     "linalg": ("RANK_REL", "LEAKAGE_ABS"),
     "channel": ("SystemConfig", "ChannelSet", "sample_channel_set", "deactivate_relay_antennas",
-                "channel_to_json", "channel_from_json", "complex_gaussian", "derived_rng"),
+                "array_to_json", "channel_to_json", "channel_from_json", "complex_gaussian",
+                "derived_rng"),
     "dof": ("DofResult", "PatternCoefficients", "alpha_beta", "outer_bound_per_user",
             "regime_index", "achievable_basic", "achievable_improved", "improvement_branch",
             "gamma_theta_tau", "asymptotic_dof", "scaling_check", "capacity_thresholds"),

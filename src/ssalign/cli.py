@@ -61,18 +61,16 @@ import sys
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
-from . import __version__, _load, dof
+from . import _HOME, __version__, _load, dof
 from .errors import ConstructionError
 
-# The names this module takes from the numeric stack, by defining module.
-# ``build``, ``verify`` and ``lemmas`` bind them all before they run, and so
-# does a read of one as a ``cli`` attribute (perfbench's tests read
-# ``cli.plan_alignment`` and patch ``cli.verify_end_to_end``).
-_NUMERIC_HOME = {
-    "array_to_json": "channel", "channel_to_json": "channel",
-    "default_battery": "lemmas", "run_battery": "lemmas", "construct": "pipeline",
-    "verify_end_to_end": "relay", "plan_alignment": "units",
-}
+# The names this module takes from the numeric stack; the package's ``_HOME``
+# gives each one's module.  ``build``, ``verify`` and ``lemmas`` bind them all
+# before they run, and so does a read of one as a ``cli`` attribute
+# (perfbench's tests read ``cli.plan_alignment`` and patch
+# ``cli.verify_end_to_end``).
+_NUMERIC_NAMES = ("array_to_json", "channel_to_json", "default_battery", "run_battery",
+                  "construct", "verify_end_to_end", "plan_alignment")
 
 CSV_HEADER = "ratio_num,ratio_den,ratio,value_num,value_den,value,mode,capacity_tight"
 
@@ -81,15 +79,15 @@ SEED_LIMIT = 2**64
 
 
 def _numeric() -> None:
-    """Bind every name of ``_NUMERIC_HOME`` that is not bound yet; a test may have patched one."""
+    """Bind every name of ``_NUMERIC_NAMES`` that is not bound yet; a test may have patched one."""
     namespace = globals()
-    for name, home in _NUMERIC_HOME.items():
+    for name in _NUMERIC_NAMES:
         if name not in namespace:
-            namespace[name] = getattr(_load(home), name)
+            namespace[name] = getattr(_load(_HOME[name]), name)
 
 
 def __getattr__(name: str):
-    if name not in _NUMERIC_HOME:
+    if name not in _NUMERIC_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     _numeric()
     return globals()[name]

@@ -11,24 +11,27 @@ one remaining beamformer makes the ``t (t - 1)`` equivalent channel vectors
 collapse onto ``(t - 1)^2`` relay dimensions; ``t = 2`` degenerates to the
 two pair vectors being parallel.
 
-Units are built in batches, not one by one (:func:`_build_units`), and
-each unit's downlink *twin*, the same spec built on the mirrored downlink
+Units are built in batches, not one by one (:func:`_build_units`), and each
+unit's downlink *twin*, the same spec built on the mirrored downlink
 ``G_a^H``, is built in the same pass: :func:`execute_plan` runs it over
 both links, the channels with RNG substream 1 and their mirror with
 substream 2.  Per group size, one pass (:func:`_aligned_units`) takes one
 :func:`~ssalign.linalg.stacked_nullspaces` over every ``(link, group,
-slot)`` stack for the slot nullspaces, and one QR per width for the groups'
-mixings, each drawn once and shared by the links.  No group's whole mixed
-basis is formed: each unit takes, slot by slot, the slot nullspace times
-its own ``t - 1`` mixing columns, and one product with a fixed signed
-coefficient array gives its beamformers.  Per unit shape one decomposition
-checks every span, a QR for random units and an SVD for aligned ones; the
-gather that copies each unit's group channels runs link by link, so that
-one link's copies are alive at a time.  Random units draw from their link's
-RNG in spec order, a group's mixing from its own key, and every product
-gives each unit's entries from that unit's operands alone, so a unit does
-not depend on its batch: built alone, as a batch of one on one link, it
-equals its copy in a whole plan bit for bit.
+slot)`` stack and keeps each slot's planned nullity, ``(tM - rows)^+``
+columns: the trailing columns ``Q[:, rows:]`` of a complete QR of the
+stack's conjugate transpose, which are exact nullspace vectors whatever its
+rank.  So every group has the planned width ``ext (tM - rows)^+``, and one
+batched QR gives the groups' mixings, each drawn once and shared by the
+links.  No group's whole mixed basis is formed: each unit takes, slot by
+slot, the slot nullspace times its own ``t - 1`` mixing columns, and one
+product with a fixed signed coefficient array gives its beamformers.  Per
+unit shape one decomposition checks every span, a QR for random units and
+an SVD for aligned ones; the gather that copies each unit's group channels
+runs link by link, so that one link's copies are alive at a time.  Random
+units draw from their link's RNG in spec order, a group's mixing from its
+own key, and every product gives each unit's entries from that unit's
+operands alone, so a unit does not depend on its batch: built alone, as a
+batch of one on one link, it equals its copy in a whole plan bit for bit.
 
 The planner decides, per antenna regime, how many units of which order fill
 the relay space, choosing the smallest symbol-extension factor that makes
@@ -229,60 +232,52 @@ def _aligned_units(up: np.ndarray, seed: int, requests: list) -> list:
     relay rows, so a group's nullspace is the direct sum of its slots'
     nullspaces, of ``[H_{g0}[s], ..., H_{g(t-1)}[s]]`` each: one
     :func:`~ssalign.linalg.stacked_nullspaces` runs over every ``(link,
-    group, slot)`` stack.  That basis is slot-localised, and its consecutive
-    column blocks would repeat relay directions, so it is mixed by one
-    ``width x width`` unitary, the Q factor of a complex Gaussian matrix
-    drawn from ``derived_rng(seed, 3, *group)``; the units thus replay from
-    the channel JSON.  A group's width is its slots' nullities summed, and
-    its links share its mixing: it is drawn once per group and width, and
-    one QR per width gives every drawn mixing.  A request whose block fits
-    its width (:func:`_block_start`) takes, per slot, that slot's nullspace
-    times the mixing rows after the earlier slots' nullities and its own
-    ``t - 1`` columns; so each unit's columns, and its beamformers from
-    :func:`_aggregate_coefficients`, depend on that unit alone.
+    group, slot)`` stack.  Each slot keeps the planned nullity ``(tM -
+    rows)^+`` that ``_check_plan`` budgets, the first columns of that
+    result.  For a wide stack ``A`` they are ``Q[:, rows:]`` of the complete
+    QR ``A^H = Q R``: ``A^H`` lies in the span of ``Q[:, :rows]``, so they
+    are exact nullspace vectors whatever the rank of ``A``.  Every group so
+    has the same width, ``ext`` times the nullity.  That basis is
+    slot-localised, and its consecutive column blocks would repeat relay
+    directions, so it is mixed by one ``width x width`` unitary, the Q
+    factor of a complex Gaussian matrix drawn once per group from
+    ``derived_rng(seed, 3, *group)`` and shared by the links; one batched
+    QR gives them all, and the units replay from the channel JSON.  A
+    request whose block fits the width (:func:`_block_start`) takes, per
+    slot ``s``, that slot's nullspace times mixing rows ``s * nullity``
+    onward and its own ``t - 1`` columns; so each unit's columns, and its
+    beamformers from :func:`_aggregate_coefficients`, depend on that unit
+    alone.
     """
     links, _, ext, rows, m = up.shape
     groups = list(dict.fromkeys(group for _, group, _ in requests))
     t = len(groups[0])
-    stacks = up[:, np.array(groups)].transpose(0, 1, 3, 4, 2, 5).reshape(
-        links, len(groups), ext, rows, t * m)
-    ranks, null = stacked_nullspaces(stacks)
-    nullities = t * m - ranks
-    widths = nullities.sum(axis=2)
-    # One mixing per group and width, shared by the links where the group has that width.
-    keys = sorted({(w, g) for row in widths.tolist() for g, w in enumerate(row)})
-    mixings = np.zeros((len(keys), keys[-1][0], keys[-1][0]), dtype=np.complex128)
-    for w in sorted({w for w, _ in keys}):
-        drawn = [d for d, key in enumerate(keys) if key[0] == w]
-        draws = [complex_gaussian(derived_rng(seed, 3, *groups[keys[d][1]]), w, w) for d in drawn]
-        mixings[drawn, :w, :w] = np.linalg.qr(np.stack(draws))[0]
-    index = {key: d for d, key in enumerate(keys)}
+    nullity = max(t * m - rows, 0)
+    width = ext * nullity
     row_of = {group: g for g, group in enumerate(groups)}
     done, fits = [], []
     for li, group, block in requests:
-        g = row_of[group]
-        width = int(widths[li, g])
         try:
             start = _block_start(group, width, block)
         except SupplyExhausted as exc:
             done.append(exc)
             continue
         done.append(None)
-        fits.append((li, g, start, block, index[width, g]))
+        fits.append((li, row_of[group], start, block))
     if not fits:
         return done
-    on, g, start, column_blocks, mixing = (np.array(column) for column in zip(*fits))
+    stacks = up[:, np.array(groups)].transpose(0, 1, 3, 4, 2, 5).reshape(
+        links, len(groups), ext, rows, t * m)
+    null = stacked_nullspaces(stacks)[1][..., :nullity]
+    mixings = np.linalg.qr(np.stack([complex_gaussian(derived_rng(seed, 3, *group), width, width)
+                                     for group in groups]))[0]
+    on, g, start, column_blocks = (np.array(column) for column in zip(*fits))
     cols = start[:, None] + np.arange(t - 1)
-    # Slot s of a group takes the mixing rows after its earlier slots' nullities.
-    firsts = (np.cumsum(nullities, axis=2) - nullities)[on, g]
+    # (units, ext, nullity, t - 1): slot s takes mixing rows s*nullity onward.
+    mixed = mixings[g[:, None, None], np.arange(width)[:, None], cols[:, None]].reshape(
+        len(fits), ext, nullity, t - 1)
     # (units, ext, t*M, t - 1): each unit's columns, slot by slot, rows (i, j).
-    blocks = np.empty((len(fits), ext, t * m, t - 1), dtype=np.complex128)
-    fit_ranks = ranks[on, g]
-    for rank in set(fit_ranks.ravel().tolist()):
-        u, s = np.nonzero(fit_ranks == rank)
-        mixed = firsts[u, s][:, None] + np.arange(t * m - rank)
-        blocks[u, s] = (null[on[u], g[u], s, :, :t * m - rank]
-                        @ mixings[mixing[u][:, None, None], mixed[..., None], cols[u][:, None]])
+    blocks = null[on, g] @ mixed
     # (units, t, M*ext, t - 1): member i's segment, rows s*M + j.
     segments = blocks.reshape(len(fits), ext, t, m, t - 1).transpose(0, 2, 1, 3, 4).reshape(
         len(fits), t, ext * m, t - 1)

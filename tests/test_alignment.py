@@ -1,4 +1,3 @@
-import re
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import takewhile
@@ -27,6 +26,7 @@ from ssalign.errors import (
     AlignmentDegenerate,
     ExtensionOverflow,
     IndependenceViolation,
+    InternalPlanError,
     SupplyExhausted,
 )
 from ssalign import units as units_module
@@ -38,7 +38,6 @@ from reference import (
     build_random_unit,
     complement_projector,
     dense,
-    reference_group_nullspace,
     reference_units,
     union_span_dim,
 )
@@ -326,6 +325,19 @@ class TestPlanner:
                 assert plan.predicted_d_user == achievable_improved(m, n, k).d_user, (m, n, k)
                 assert plan.active_relay % plan.extension == 0, (m, n, k)
 
+    def test_a_planner_fault_is_refused(self, monkeypatch):
+        # One more pair unit per group asks (7,12,4) for 18 of its 12 relay
+        # dimensions; the planner's own check must refuse the plan.
+        original = units_module._plan_pieces
+
+        def padded(*args):
+            [(order, per_group)], active = original(*args)
+            return [(order, per_group + 1)], active
+
+        monkeypatch.setattr(units_module, "_plan_pieces", padded)
+        with pytest.raises(InternalPlanError, match=r"^plan consumes 18 of 12 relay dimensions$"):
+            plan_alignment(7, 12, 4)
+
     def test_budgets_respected(self):
         for k in (3, 4, 5):
             for m in range(1, 6):
@@ -508,36 +520,46 @@ class TestBatchedBuilder:
                 assert np.array_equal(g.equivalent_uplink, w.equivalent_uplink)
                 assert np.array_equal(g.basis, w.basis)
 
-    def test_links_of_unequal_widths_keep_their_own(self, monkeypatch):
-        # Relay row 2 of slot 1 reaches neither user 0 nor user 1 on the
-        # downlink only, so group (0,1) is 2 wide on the uplink and 3 on the
-        # mirror: each width draws its own mixing, and the third column
-        # block exists on the mirror alone.
+    @staticmethod
+    def links_of_unequal_ranks():
+        """(3,5,3) at seed 3, on which relay row 2 of slot 1 hears neither user 0 nor user 1.
+
+        The row is zeroed on the downlink alone, so the mirror's slot-1
+        stack of group (0,1) has rank 4 of its 5 rows, and every other
+        stack, on either link, rank 5.  Gives the plan and both links, each
+        with its RNG substream.
+        """
         plan = plan_alignment(3, 5, 3)
         ch = channels(3, 5, 3, extension=plan.extension, seed=3)
         downlink = ch.downlink.copy()
         downlink[:2, 1, :, 2] = 0.0
         ch = replace(ch, downlink=downlink)
+        return plan, [(ch, 1), (mirror_of(ch), 2)]
+
+    def test_links_of_unequal_ranks_keep_the_planned_width(self, monkeypatch):
+        # Both links give group (0,1) its planned two columns, so its third
+        # column block is refused on both, and each group draws one mixing.
+        plan, links = self.links_of_unequal_ranks()
         specs = [(a.pattern_order, a.group, i) for a in plan.allocations for i in range(a.count)]
         specs.append((2, (0, 1), 2))
         keys = []
         derived = units_module.derived_rng
         monkeypatch.setattr(units_module, "derived_rng",
                             lambda seed, *key: keys.append(key) or derived(seed, *key))
-        fused = _build_units([(ch, derived_rng(3, 1)), (mirror_of(ch), derived_rng(3, 2))],
-                             specs)
-        assert sorted(keys) == [(3, 0, 1), (3, 0, 1), (3, 0, 1, 2), (3, 0, 2), (3, 1, 2)]
-        assert isinstance(fused[0][-1], SupplyExhausted)
-        assert isinstance(fused[1][-1], units_module.Unit)
-        for got, (link, stream) in zip(fused, ((ch, 1), (mirror_of(ch), 2))):
+        fused = _build_units([(link, derived_rng(3, stream)) for link, stream in links], specs)
+        assert sorted(keys) == [(3, 0, 1), (3, 0, 1, 2), (3, 0, 2), (3, 1, 2)]
+        for got, (link, stream) in zip(fused, links):
+            assert isinstance(got[-1], SupplyExhausted)
+            assert str(got[-1]) == ("group (0, 1) nullspace has 2 columns, "
+                                    "block 2 needs columns 2..2")
             (alone,) = _build_units([(link, derived_rng(3, stream))], specs)
-            for g, w in zip(got, alone):
-                if isinstance(w, SupplyExhausted):
-                    assert str(g) == str(w)
-                    continue
-                assert np.array_equal(g.beamformers, w.beamformers)
-                assert np.array_equal(g.equivalent_uplink, w.equivalent_uplink)
-                assert np.array_equal(g.basis, w.basis)
+            assert str(alone[-1]) == str(got[-1])
+            for g, w in zip(got[:-1], alone[:-1], strict=True):
+                single = build_aligned_unit(link, g.group, g.column_block)
+                for want in (w, single):
+                    assert np.array_equal(g.beamformers, want.beamformers)
+                    assert np.array_equal(g.equivalent_uplink, want.equivalent_uplink)
+                    assert np.array_equal(g.basis, want.basis)
 
     @pytest.mark.parametrize("m,n,k", [(3, 5, 4), (7, 20, 4)])
     def test_each_group_draws_its_mixing_once_for_both_links(self, monkeypatch, m, n, k):
@@ -596,37 +618,31 @@ class TestBatchedBuilder:
         with pytest.raises(ValueError, match="downlink twin execute_plan builds"):
             build_relay_processor([unit])
 
-    def test_mixed_slot_nullities_keep_the_per_slot_widths(self):
-        # Relay row 2 of slot 1 hears neither user 0 nor user 1, so that slot
-        # of group (0,1) has nullity 2 and the other slots and pair groups 1:
-        # one batch holds ranks 4 and 5 and group widths 3, 2 and 2.
-        plan = plan_alignment(3, 5, 3)
-        ch = channels(3, 5, 3, extension=plan.extension, seed=3)
-        uplink = ch.uplink.copy()
-        uplink[:2, 1, 2] = 0.0
-        ch = replace(ch, uplink=uplink)
+    def test_a_stack_that_lost_rank_gives_exact_planned_columns(self):
+        # Every group keeps ext (tM - rows) columns on both links, the
+        # columns past them are refused, and each unit's columns lie in the
+        # nullspace of each of its slot stacks, the one of rank 4 included.
+        _, links = self.links_of_unequal_ranks()
         widths = {}
-        for group in [(0, 1), (0, 2), (1, 2), (0, 1, 2)]:
-            # Every column block of the group, then the first past its width.
-            built = _aligned_units(ch.uplink[None], ch.seed, [(0, group, b) for b in range(9)])
-            fit = list(takewhile(lambda unit: isinstance(unit, Unit), built))
-            error = built[len(fit)]
-            assert isinstance(error, SupplyExhausted)
-            width = re.fullmatch(rf"group {re.escape(str(group))} nullspace has (\d+) columns, "
-                                 rf"block {len(fit)} needs columns .*", str(error))
-            widths[group] = int(width[1])
-            got = np.hstack([unit_columns(unit) for unit in fit])
-            want = reference_group_nullspace(ch, group)
-            assert got.shape == want.shape
-            assert np.allclose(got, want, rtol=0, atol=1e-12)
-        assert widths == {(0, 1): 3, (0, 2): 2, (1, 2): 2, (0, 1, 2): 8}
-        specs = [(a.pattern_order, a.group, i) for a in plan.allocations for i in range(a.count)]
-        specs.append((2, (0, 1), 2))  # the third column of group (0,1)
-        (units,) = _build_units([(ch, derived_rng(3, 1))], specs)
-        assert_units_match(units, reference_units(ch, specs, derived_rng(3, 1)))
-        for unit in units:
-            alone = build_aligned_unit(ch, unit.group, unit.column_block)
-            assert np.array_equal(unit.beamformers, alone.beamformers)
+        for link, _ in links:
+            ext, rows, m = link.uplink.shape[1:]
+            for group in [(0, 1), (0, 2), (1, 2), (0, 1, 2)]:
+                t = len(group)
+                built = _aligned_units(link.uplink[None], link.seed,
+                                       [(0, group, b) for b in range(9)])
+                fit = list(takewhile(lambda unit: isinstance(unit, Unit), built))
+                width = (t - 1) * len(fit)
+                assert width == ext * (t * m - rows)
+                assert isinstance(built[len(fit)], SupplyExhausted)
+                assert str(built[len(fit)]).startswith(f"group {group} nullspace has {width} ")
+                widths.setdefault(group, set()).add(width)
+                for unit in fit:
+                    columns = unit_columns(unit).reshape(t, ext, m, t - 1)
+                    for s in range(ext):
+                        stack = np.hstack(link.uplink[list(group), s])
+                        residual = stack @ columns[:, s].reshape(t * m, t - 1)
+                        assert np.linalg.norm(residual, axis=0).max() <= LEAKAGE_ABS
+        assert widths == {(0, 1): {2}, (0, 2): {2}, (1, 2): {2}, (0, 1, 2): {8}}
 
     def test_first_failing_twin_in_a_shared_batch_names_its_unit(self):
         # Users 2 and 3 share one downlink, so the twins of the units on

@@ -627,6 +627,46 @@ class TestVerification:
         assert max(rec.leakage for rec in report.streams) > LEAKAGE_ABS
         assert report.counted_d_sum < F(6)
 
+    def test_a_desired_coefficient_below_the_cutoff_is_not_counted(self):
+        # Scaling one receive vector by 1e-9 scales its chain row, so the
+        # stream's desired coefficient stays nonzero but falls to about 1e-9
+        # of a passing one: the stream must drop out of the count.
+        _, ch, units, processor = full_build(3, 5, 3, seed=0)
+        base = verify_end_to_end(ch, units, processor)
+        receive = processor.receive_vectors.copy()
+        receive[:, 0] *= 1e-9
+        report = verify_end_to_end(ch, units, replace(processor, receive_vectors=receive))
+        assert base.passed and base.counted_d_sum == F(9)
+        assert report.streams[0].desired > 0
+        assert report.counted_d_sum == base.counted_d_sum - F(1, ch.extension)
+        assert not report.passed
+
+    def test_a_vanished_own_coefficient_fails_but_keeps_the_count(self):
+        # (3,12,4) has one random unit, whose 12 images h_j and 12 chain rows
+        # r_i = v_i^H G_a are each a basis of C^12.  Subtracting
+        # u (r_0 F h_0) y^H from F, with y^H h_j = [j == 0] and r_i u = [i == 0],
+        # zeroes stream 0's own coefficient and leaves every other one.
+        plan, ch, units, processor = full_build(3, 12, 4, seed=0)
+        (unit,) = units
+        assert (plan.extension, unit.pattern_order, ch.active_relay) == (1, RANDOM, 12)
+        images = unit.equivalent_uplink
+        rows = np.array([processor.receive_vectors[:, i].conj() @ ch.downlink[a, 0]
+                         for i, (a, _) in enumerate(unit.pairs)])
+        f = processor.forward_matrix
+        dual_image = np.linalg.inv(images)[0]
+        dual_row = np.linalg.inv(rows)[:, 0]
+        forward = f - np.outer(dual_row, dual_image) * (rows[0] @ f @ images[:, 0])
+        base = verify_end_to_end(ch, units, processor)
+        report = verify_end_to_end(ch, units, replace(processor, forward_matrix=forward))
+        assert base.passed and base.counted_d_sum == F(12)
+        assert report.streams[0].partner < 1e-9 * base.streams[0].partner
+        for i, (rec, want) in enumerate(zip(report.streams, base.streams, strict=True)):
+            assert rec.desired == pytest.approx(want.desired, rel=1e-9)
+            assert i == 0 or rec.partner == pytest.approx(want.partner, rel=1e-9)
+            assert rec.leakage <= LEAKAGE_ABS
+        assert report.counted_d_sum == base.counted_d_sum
+        assert not report.passed
+
     @pytest.mark.parametrize("factor", [1e3, 1e-3])
     def test_report_is_invariant_to_channel_scale(self, factor):
         # The thresholds see per-entry-RMS-normalised channels, so scaling one
