@@ -5,6 +5,8 @@
 
 Each rung ``M,N,K`` (``M,N,K,improved`` for the improved scheme) runs in a
 fresh interpreter, so its peak resident memory (``ru_maxrss``) is its own.
+A rung that ends in ``,uncapped`` needs an extension past
+``units.MAX_EXTENSION``: its interpreter, and no other, lifts that cap.
 For every seed the rung runs ``construct`` then ``verify_end_to_end`` under
 ``perfbench/tracer.py``'s :class:`Tracer`, which times each stage and counts
 SVDs; the wall time spans both calls, the tracer's wrappers included.  The
@@ -54,8 +56,9 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 PERFBENCH = ROOT / "perfbench"
 
-# The configs inside today's extension cap, smallest first.
-RUNGS = ("3,5,3", "3,5,4", "7,20,4", "5,9,5,improved", "3,10,6", "4,9,5", "12,23,5")
+# The configs inside today's extension cap, smallest first, then three past it.
+RUNGS = ("3,5,3", "3,5,4", "7,20,4", "5,9,5,improved", "3,10,6", "4,9,5", "12,23,5",
+         "3,7,6,uncapped", "4,11,6,uncapped", "12,23,7,uncapped")
 SEEDS = (0, 1, 2)
 # Seconds of builds each seed repeats for; a build slower than this runs once.
 BUILD_SECONDS = 0.5
@@ -68,14 +71,16 @@ COLD_REPEATS = 5
 BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
-def parse_rung(spec: str) -> tuple[int, int, int, bool]:
-    """``(M, N, K, improved)`` of a rung written ``M,N,K`` or ``M,N,K,improved``."""
+def parse_rung(spec: str) -> tuple[int, int, int, bool, bool]:
+    """``(M, N, K, improved, uncapped)`` of a rung ``M,N,K[,improved][,uncapped]``."""
     parts = spec.split(",")
-    if len(parts) not in (3, 4) or not all(p.isdigit() for p in parts[:3]) \
-            or parts[3:] not in ([], ["improved"]):
-        raise argparse.ArgumentTypeError(f"rung {spec!r} is not M,N,K or M,N,K,improved")
+    suffix = parts[3:]
+    if len(parts) < 3 or not all(p.isdigit() for p in parts[:3]) \
+            or suffix not in ([], ["improved"], ["uncapped"], ["improved", "uncapped"]):
+        raise argparse.ArgumentTypeError(
+            f"rung {spec!r} is not M,N,K with an optional ,improved and then ,uncapped")
     m, n, k = map(int, parts[:3])
-    return m, n, k, len(parts) == 4
+    return m, n, k, "improved" in suffix, "uncapped" in suffix
 
 
 def _rung_arg(spec: str) -> str:
@@ -99,11 +104,14 @@ def _tracer():
 
 def run_rung(spec: str, seeds: list[int]) -> dict:
     """One rung's per-seed records and their summary; runs in the child process."""
-    m, n, k, improved = parse_rung(spec)
+    m, n, k, improved, uncapped = parse_rung(spec)
     tracer = _tracer()
-    from ssalign import dof, relay
+    from ssalign import dof, relay, units
     from ssalign.errors import ConstructionError
     from ssalign.pipeline import construct
+
+    if uncapped:
+        units.MAX_EXTENSION = sys.maxsize
 
     closed = (dof.achievable_improved if improved else dof.achievable_basic)(m, n, k).d_sum
     runs = []
@@ -144,7 +152,7 @@ def run_rung(spec: str, seeds: list[int]) -> dict:
     built_runs = [run for run in runs if "d_sum" in run]
     stages = dict.fromkeys(name for run in runs for name in run["stages_s"])
     return {
-        "rung": spec, "m": m, "n": n, "k": k, "improved": improved,
+        "rung": spec, "m": m, "n": n, "k": k, "improved": improved, "uncapped": uncapped,
         "closed_form_d_sum": f"{closed.numerator}/{closed.denominator}",
         "extension": built_runs[0]["extension"] if built_runs else None,
         "n_active": built_runs[0]["n_active"] if built_runs else None,
@@ -248,7 +256,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", help="write the JSON result here")
     parser.add_argument("--rungs", nargs="+", default=list(RUNGS), type=_rung_arg,
-                        help="rungs as M,N,K or M,N,K,improved (default: the ladder)")
+                        help="rungs as M,N,K[,improved][,uncapped] (default: the ladder)")
     parser.add_argument("--seeds", type=lambda s: [int(x) for x in s.split(",")],
                         default=list(SEEDS), help="comma-separated seeds (default 0,1,2)")
     parser.add_argument("--worker", choices=["rung", "oracle", "cold-curve"],

@@ -418,6 +418,7 @@ def _cell_rows(k, rule, ratios, scale):
     # constant.
     lines = {}    # cell -> its checked line (a, b, line_den, tight)
     points = {}   # cell -> its distinct rule points (c, d, num, den, tight) so far
+    ends = {}     # breakpoint (c, d) -> the rule's value there, evaluated once
     # The open cell of `line`, the line the last row found; empty at first.
     lo_num = lo_den = hi_num = hi_den = 0
     line = None
@@ -446,25 +447,34 @@ def _cell_rows(k, rule, ratios, scale):
                 num, den = a * c + b * d, line_den * d
             else:
                 lo_num = lo_den = 0
-                num, den = rule(c, d, k)
+                num, den = rule(c, d, k) if inside else _at_breakpoint(ends, rule, c, d, k)
                 tight = _tight(c, d, k)
                 if inside:
                     seen = points.setdefault((t, i), [])
                     if all(c * q != p * d for p, q, *_ in seen):
                         seen.append((c, d, num, den, tight))
                         if len(seen) == 3:
-                            lines[t, i] = _line(seen, bounds[i - 1:i + 1], rule, k)
+                            lines[t, i] = _line(seen, bounds[i - 1:i + 1], rule, k, ends)
                 den *= d
         den *= scale
         g = math.gcd(num, den)
         yield c, d, num // g, den // g, tight
 
 
-def _line(seen, ends, rule, k):
+def _at_breakpoint(ends, rule, c, d, k):
+    # The rule's value at breakpoint c/d, kept in `ends` for the rest of the walk.
+    value = ends.get((c, d))
+    if value is None:
+        value = ends[c, d] = rule(c, d, k)
+    return value
+
+
+def _line(seen, bounds, rule, k, ends):
     # (a, b, line_den, tight) with d_user = (a M + b N) / line_den through the
     # first two of a cell's three rule points.  The third must lie on it, and
-    # so must the rule's values at the cell's ends other than 0/1 and 1/0,
+    # so must the rule's values at the cell's bounds other than 0/1 and 1/0,
     # where the curve is continuous: a missing breakpoint shows in any order.
+    # A bound that two cells share is evaluated once (`_at_breakpoint`).
     (c1, d1, n1, q1, tight), (c2, d2, n2, q2, _), (c3, d3, n3, q3, _) = seen
     # Cramer's rule on a c_i + b d_i = n_i / q_i, scaled by q1 q2.
     a = n1 * q2 * d2 - n2 * q1 * d1
@@ -472,7 +482,7 @@ def _line(seen, ends, rule, k):
     line_den = (c1 * d2 - c2 * d1) * q1 * q2
     g = math.gcd(a, b, line_den) * (1 if line_den > 0 else -1)
     a, b, line_den = a // g, b // g, line_den // g
-    at_ends = [(c, d, *rule(c, d, k)) for c, d in ends if c and d]
+    at_ends = [(c, d, *_at_breakpoint(ends, rule, c, d, k)) for c, d in bounds if c and d]
     for c, d, num, den in [(c3, d3, n3, q3), *at_ends]:
         if (a * c + b * d) * den != num * line_den or any(p[4] != tight for p in seen):
             raise AssertionError(f"ratio {c}/{d} is off the line of its curve cell")

@@ -4,12 +4,17 @@ Every rank is decided on singular values, through the same relative
 threshold, :data:`RANK_REL`.  A matrix that the construction needs of full
 rank is first offered to the certificate of :func:`uncertified`, which
 reads full rank off the square factor of a QR the caller already has; only
-a matrix the certificate fails takes an SVD, one per matrix.  Nullspaces come
-from one SVD per matrix, except those of wide matrices (fewer rows than
-columns), which come from one complete Householder QR of the conjugate
-transpose.  Everything is deterministic: identical inputs give bit-identical
-outputs.  Matrices are ``numpy`` arrays with ``complex128`` entries, stacked
-along leading axes.
+a matrix the certificate fails takes an SVD, one per matrix.
+
+:func:`stacked_nullspaces` gives each matrix's rank with its nullspace, for
+the callers that need the rank: the relay's per-pair nullspaces and the
+lemma battery.  Nullspaces come from one SVD per matrix, except those of
+wide matrices (fewer rows than columns), which come from one complete
+Householder QR of the conjugate transpose.  The aligned units need no rank,
+only each slot's planned nullity, so ``units`` takes that QR's trailing
+columns itself.  Everything is deterministic: identical inputs give
+bit-identical outputs.  Matrices are ``numpy`` arrays with ``complex128``
+entries, stacked along leading axes.
 """
 
 from __future__ import annotations

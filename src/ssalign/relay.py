@@ -22,8 +22,11 @@ No projector is stored densely.  A pair's is ``P = C C^H + Z Z^H``: ``C``
 is an orthonormal basis of the complement of every stream on its link, none
 when the units fill the relay, and ``Z`` a thin orthonormal basis of the
 directions in the streams' span orthogonal to every stream but the pair's
-two; ``F`` is assembled from these factors directly.  Each link's stacked
-unit bases ``S`` must keep all their columns (its joint-independence check);
+two.  ``F`` is assembled from these factors directly: each pair's ``W P``
+meets only its own factors, so only each pair's own block of the downlink
+and uplink factors' products is formed, and the complements enter only
+when relay rows are free.  Each link's stacked unit bases ``S`` must keep
+all their columns (its joint-independence check);
 ``C`` comes from their complete QR, taken only when relay rows are free, and
 ``coords = inv([S C])[:W]`` gives each vector of ``span(S)`` its coordinates
 in every unit basis.  A twin has its unit's pairs and basis width, so both
@@ -390,11 +393,33 @@ def design_downlink(units: list[Unit]) -> np.ndarray:
     return np.hstack([twin.beamformers for twin in _twins(units)])
 
 
-def _stacked_factors(side: PairProjectors, keys: list[Key]):
-    """The factors of ``keys`` side by side, and the key index of each column."""
-    factors = [side.factors[key] for key in keys]
-    owner = np.repeat(np.arange(len(keys)), [z.shape[1] for z in factors])
-    return np.hstack(factors), owner
+def _pair_terms(uplink: PairProjectors, downlink: PairProjectors):
+    """Each pair's ``Z_d Z_d^H Z_u`` and ``Z_u``, side by side, and ``sum Z_d Z_d^H C_u``.
+
+    Only each pair's own block ``Z_d^H Z_u`` is formed, in one batch per
+    factor shape; the last term, ``N_active x (N_active - W)``, is formed only
+    when the uplink complement ``C_u`` has columns.
+    """
+    keys = list(uplink.factors)
+    ups = [uplink.factors[key] for key in keys]
+    downs = [downlink.factors[key] for key in keys]
+    cu = uplink.complement
+    rows = cu.shape[0]
+    starts = np.cumsum([0] + [z.shape[1] for z in ups])
+    own, zu = np.empty((2, rows, starts[-1]), dtype=np.complex128)
+    down_cu = np.zeros(cu.shape, dtype=np.complex128)
+    shapes: dict[tuple[int, int], list[int]] = {}
+    for i, (d, u) in enumerate(zip(downs, ups)):
+        shapes.setdefault((d.shape[1], u.shape[1]), []).append(i)
+    for (_, width), members in shapes.items():
+        u = np.stack([ups[i] for i in members])
+        d = np.stack([downs[i] for i in members])
+        cols = (starts[members][:, None] + np.arange(width)).ravel()
+        zu[:, cols] = u.transpose(1, 0, 2).reshape(rows, -1)
+        own[:, cols] = (d @ (d.conj().swapaxes(1, 2) @ u)).transpose(1, 0, 2).reshape(rows, -1)
+        if cu.shape[1]:
+            down_cu += (d @ (d.conj().swapaxes(1, 2) @ cu)).sum(axis=0)
+    return own, zu, down_cu
 
 
 @stage("forward")
@@ -402,26 +427,26 @@ def assemble_forward_matrix(units: list[Unit], uplink_projectors: PairProjectors
                             downlink_projectors: PairProjectors) -> tuple[np.ndarray, float]:
     """Sum the per-pair W P products and scale to the relay power budget.
 
-    With ``P = C_u C_u^H + Z_u Z_u^H`` and ``W = C_d C_d^H + Z_d Z_d^H``, the
-    sum over ``p`` pairs is one factored sandwich
-    ``[C_d Z_d] [[p C_d^H C_u, C_d^H Z_u], [Z_d^H C_u, own]] [C_u Z_u]^H``:
-    ``Z_u`` and ``Z_d`` stack every pair's factor, and ``own`` keeps the
-    blocks of ``Z_d^H Z_u`` that pair a factor with its own.  The complement
-    blocks have ``N_active - W`` columns, none when the units fill the relay.
-    The scale solves ``tr(F E[Y_R Y_R^H] F^H) = 1`` exactly, the unit relay
+    With ``P = C_u C_u^H + Z_u Z_u^H`` and ``W = C_d C_d^H + Z_d Z_d^H`` for
+    each of the ``p`` pairs, ``sum W P`` is ``sum Z_d (Z_d^H Z_u) Z_u^H``:
+    each pair's own block ``Z_d^H Z_u`` alone (:func:`_pair_terms`), then one
+    ``N_active x w x N_active`` product over the ``w`` stacked columns of
+    ``Z_u``.  Only when the units leave relay rows free (``W < N_active``)
+    are the complement terms ``p C_d (C_d^H C_u) C_u^H + C_d (C_d^H Z_u)
+    Z_u^H + Z_d (Z_d^H C_u) C_u^H`` added, with ``Z_u`` and ``Z_d`` stacking
+    every pair's factor, in the same product.  The scale solves
+    ``tr(F E[Y_R Y_R^H] F^H) = 1`` exactly, the unit relay
     power budget, with unit per-stream power and unit relay noise variance,
     so no Monte Carlo noise enters the normalization.
     """
-    keys = list(uplink_projectors.factors)
-    zu, owner_u = _stacked_factors(uplink_projectors, keys)
-    zd, owner_d = _stacked_factors(downlink_projectors, keys)
+    left, right, down_cu = _pair_terms(uplink_projectors, downlink_projectors)
     cu, cd = uplink_projectors.complement, downlink_projectors.complement
-    left = np.hstack([cd, zd])
-    right = np.hstack([cu, zu])
-    middle = left.conj().T @ right
-    middle[:cd.shape[1], :cu.shape[1]] *= len(keys)
-    middle[cd.shape[1]:, cu.shape[1]:] *= np.equal.outer(owner_d, owner_u)
-    base = (left @ middle) @ right.conj().T
+    if cu.shape[1]:
+        pairs = len(uplink_projectors.factors)
+        left += cd @ (cd.conj().T @ right)
+        left = np.hstack([left, cd @ (pairs * (cd.conj().T @ cu)) + down_cu])
+        right = np.hstack([right, cu])
+    base = left @ right.conj().T
     streams = np.hstack([u.equivalent_uplink for u in units])
     # tr(B (S S^H + I) B^H) = ||B S||^2 + ||B||^2
     denom = float(np.linalg.norm(base @ streams) ** 2 + np.linalg.norm(base) ** 2)

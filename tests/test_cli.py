@@ -586,6 +586,21 @@ class TestCurveWalk:
         with pytest.raises(AssertionError, match="off the line of its curve cell"):
             list(dof.curve(k, mode, pairs))
 
+    def test_each_breakpoint_is_evaluated_once_per_walk(self, monkeypatch):
+        # Interior breakpoints end two cells each, and some are also rows of
+        # the grid; the walk keeps each one's value, so the rule runs once there.
+        k, calls = 160, []
+        pairs = [(r.numerator, r.denominator) for r in _farey(120)]
+        want = reference_curve_rows(k, "improved", pairs)
+        improved = dof._improved
+        monkeypatch.setattr(dof, "_improved", lambda c, d, kk: calls.append((c, d)) or
+                            improved(c, d, kk))
+        assert list(dof.curve(k, "improved", pairs)) == want
+        interior = {p for t in range(1, k + 2) for p in dof._breakpoints(k, t) if all(p)}
+        counted = [calls.count(p) for p in interior if p in calls]
+        assert len(counted) > 20 and max(counted) == 1
+        assert sum(p in pairs for p in interior if p in calls) > 0
+
 
 class TestLargeKCurves:
     # sha256 of the stdout, recorded before the curves were walked by cells.

@@ -516,8 +516,10 @@ class TestDownlinkMirror:
         plan, ch, units, processor = full_build(m, n, k, seed=32, improved=improved)
         mirror = replace(ch, uplink=ch.downlink.swapaxes(2, 3).conj())
         rng = derived_rng(32, 2)
+        count = {a.group: a.count for a in plan.allocations}
         twins = [build_random_unit(mirror, rng) if u.pattern_order == RANDOM
-                 else build_aligned_unit(mirror, u.group, u.column_block) for u in units]
+                 else build_aligned_unit(mirror, u.group, u.column_block, count[u.group])
+                 for u in units]
         assert [twin.pairs for twin in twins] == [u.pairs for u in units]
         assert processor.receive_vectors.shape == (m * plan.extension,
                                                    sum(len(u.pairs) for u in units))
@@ -540,7 +542,7 @@ class TestForwardMatrix:
     def test_single_pair_identity_projectors(self):
         # A lone pair unit excludes nothing, so W = P = I and F = alpha * I.
         ch = sample_channel_set(SystemConfig(m=3, n=5, k=3, seed=8))
-        (unit,) = twinned_units(ch, [(2, (0, 1), 0)])
+        (unit,) = twinned_units(ch, [(2, (0, 1), 0, 1)])
         uplink, downlink = build_uplink_projectors([unit])
         forward, alpha = assemble_forward_matrix([unit], uplink, downlink)
         assert alpha > 0
@@ -555,24 +557,28 @@ class TestForwardMatrix:
 
     def test_sums_pair_terms(self):
         ch = sample_channel_set(SystemConfig(m=2, n=6, k=3, seed=10))
-        (unit,) = twinned_units(ch, [(RANDOM, (0, 1, 2), 0)])
+        (unit,) = twinned_units(ch, [(RANDOM, (0, 1, 2), 0, 1)])
         uplink, downlink = build_uplink_projectors([unit])
         forward, alpha = assemble_forward_matrix([unit], uplink, downlink)
         manual = sum(projector(downlink.complement, downlink.factors[key])
                      @ projector(uplink.complement, uplink.factors[key]) for key in uplink.factors)
         assert np.allclose(forward, alpha * manual)
 
-    # The forward matrix is one factored sandwich of the complements and pair
-    # factors; check it against the dense sum of W_p P_p on plans that leave
-    # relay rows free (K*M < N, which no benchmark config does) and on ones the
-    # units fill, where the complements have no columns.
-    @pytest.mark.parametrize("m,n,k,improved,free", [
-        (2, 7, 3, False, 1),
-        (1, 4, 3, False, 2),
-        (3, 5, 4, False, 0),
-        (7, 14, 4, True, 0),
+    # The forward matrix comes from each pair's own block of the factors, and
+    # the complements only when relay rows are free; check it against the
+    # dense sum of W_p P_p, to 1e-12 relative, on plans that leave rows free
+    # (K*M < N, which no benchmark config does), on one whose pairs have
+    # factors of widths 1 and 2, and on ones the units fill, where the
+    # complements have no columns.
+    @pytest.mark.parametrize("m,n,k,improved,free,widths", [
+        (2, 7, 3, False, 1, {2}),
+        (1, 4, 3, False, 2, {2}),
+        (2, 5, 3, False, 0, {1, 2}),
+        (3, 5, 4, False, 0, {1}),
+        (7, 14, 4, True, 0, {1}),
+        (7, 20, 4, False, 0, {1}),
     ])
-    def test_factored_sum_matches_dense_pair_terms(self, m, n, k, improved, free):
+    def test_factored_sum_matches_dense_pair_terms(self, m, n, k, improved, free, widths):
         _, ch, units, processor = full_build(m, n, k, seed=11, improved=improved)
         rows = ch.active_relay
         twins = [unit.twin for unit in units]
@@ -582,6 +588,7 @@ class TestForwardMatrix:
             assert np.allclose(c.conj().T @ c, np.eye(free), rtol=0, atol=1e-12)
             for unit in link:
                 assert np.allclose(c.conj().T @ unit.basis, 0, rtol=0, atol=1e-12)
+            assert {z.shape[1] for z in side.factors.values()} == widths
         f = processor.forward_matrix
         manual = sum(projector(processor.downlink_complement, processor.downlink_projectors[key])
                      @ projector(processor.uplink_complement, z)
@@ -625,6 +632,19 @@ class TestVerification:
         report = verify_end_to_end(ch, units, processor)
         assert not report.passed
         assert max(rec.leakage for rec in report.streams) > LEAKAGE_ABS
+        assert report.counted_d_sum < F(6)
+
+    def test_a_small_leak_is_not_counted(self):
+        # A beamformer nudged by 1e-5 after the relay design leaks far above
+        # round-off and far below the streams' own coefficients: the leaking
+        # streams drop out of the count and the build fails.
+        _, ch, units, processor = full_build(2, 3, 3, seed=14)
+        units[0].beamformers = units[0].beamformers.copy()
+        units[0].beamformers[0, 0] += 1e-5
+        report = verify_end_to_end(ch, units, processor)
+        leakage = max(rec.leakage for rec in report.streams)
+        assert 1e-7 < leakage < 1e-2
+        assert not report.passed
         assert report.counted_d_sum < F(6)
 
     def test_a_desired_coefficient_below_the_cutoff_is_not_counted(self):
