@@ -570,15 +570,18 @@ class TestForwardMatrix:
     # (K*M < N, which no benchmark config does), on one whose pairs have
     # factors of widths 1 and 2, and on ones the units fill, where the
     # complements have no columns.
-    @pytest.mark.parametrize("m,n,k,improved,free,widths", [
-        (2, 7, 3, False, 1, {2}),
-        (1, 4, 3, False, 2, {2}),
-        (2, 5, 3, False, 0, {1, 2}),
-        (3, 5, 4, False, 0, {1}),
-        (7, 14, 4, True, 0, {1}),
-        (7, 20, 4, False, 0, {1}),
+    FACTOR_WIDTHS = {(2, 7, 3): {2}, (1, 4, 3): {2}, (2, 5, 3): {1, 2}, (3, 5, 4): {1},
+                     (7, 14, 4): {1}, (7, 20, 4): {1}}
+
+    @pytest.mark.parametrize("m,n,k,improved,free", [
+        (2, 7, 3, False, 1),
+        (1, 4, 3, False, 2),
+        (2, 5, 3, False, 0),
+        (3, 5, 4, False, 0),
+        (7, 14, 4, True, 0),
+        (7, 20, 4, False, 0),
     ])
-    def test_factored_sum_matches_dense_pair_terms(self, m, n, k, improved, free, widths):
+    def test_factored_sum_matches_dense_pair_terms(self, m, n, k, improved, free):
         _, ch, units, processor = full_build(m, n, k, seed=11, improved=improved)
         rows = ch.active_relay
         twins = [unit.twin for unit in units]
@@ -588,7 +591,7 @@ class TestForwardMatrix:
             assert np.allclose(c.conj().T @ c, np.eye(free), rtol=0, atol=1e-12)
             for unit in link:
                 assert np.allclose(c.conj().T @ unit.basis, 0, rtol=0, atol=1e-12)
-            assert {z.shape[1] for z in side.factors.values()} == widths
+            assert {z.shape[1] for z in side.factors.values()} == self.FACTOR_WIDTHS[m, n, k]
         f = processor.forward_matrix
         manual = sum(projector(processor.downlink_complement, processor.downlink_projectors[key])
                      @ projector(processor.uplink_complement, z)
