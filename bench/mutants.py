@@ -17,8 +17,9 @@ The table covers the checks that must never get looser: each threshold as
 its constant and as its inline comparison, the plan check, the unit span
 checks, the user-stack and joint-independence checks, pair survival on both
 links, the decodability rule, and the slope's settling rule.  It also covers
-the build path's shortcuts: the aligned nullspace's columns, and the forward
-matrix's complement terms and pair count.  Standard library only.
+the build path's shortcuts: the aligned nullspace's columns, the mixing
+columns, the channel blocks shared by a group's units, and the forward
+matrix's complement terms.  Standard library only.
 """
 
 from __future__ import annotations
@@ -83,6 +84,13 @@ MUTANTS = (
     # The build path's shortcuts.
     ("nullspace-slice-shifted", UNITS,
      'mode="complete")[0][..., rows:]', 'mode="complete")[0][..., rows - 1:-1]'),
+    ("mixing-last-columns", UNITS, "firsts[key] = draw[:, :key[1]].copy()",
+     "firsts[key] = draw[:, -key[1]:].copy()"),
+    ("mixing-columns-short", UNITS, "return min((t - 1) * count, width)",
+     "return min(count, width)"),
+    ("shared-blocks-unsorted", UNITS,
+     "_positions((li, tuple(sorted(group))) for li, group in zip(links, groups))",
+     "_positions((li, tuple(group)) for li, group in zip(links, groups))"),
     ("forward-complement-dropped", RELAY, "    if cu.shape[1]:\n        pairs",
      "    if False:\n        pairs"),
     ("forward-complement-count", RELAY, "cd @ (pairs * (cd.conj().T @ cu))",

@@ -20,18 +20,21 @@ complete QR over every ``(link, group, slot)`` stack and keeps each slot's
 planned nullity, ``(tM - rows)^+`` columns, with no rank decided: the
 trailing columns ``Q[:, rows:]`` of the QR of the stack's conjugate
 transpose, which are exact nullspace vectors whatever its rank.  So every
-group has the planned width ``ext (tM - rows)^+``, and one batched QR gives
-the groups' mixings, each drawn once and shared by the links.  No group's
-whole mixed basis is formed: each unit takes, slot by slot, the slot
-nullspace times its own ``t - 1`` mixing columns, and one product with a
-fixed signed coefficient array gives its beamformers.  Per unit shape one
-decomposition checks every span, a QR for random units and an SVD for
-aligned ones; the gather that copies each unit's group channels runs link
-by link, so that one link's copies are alive at a time.  Random units draw
-from their link's RNG in spec order, a group's mixing from its own key, and
-every product gives each unit's entries from that unit's operands alone, so
-a unit does not depend on its batch: built alone, as a batch of one on one
-link, it equals its copy in a whole plan bit for bit.
+group has the planned width ``ext (tM - rows)^+``.  Its mixing is drawn
+once from the group's own key and shared by the links, and only the ``c =
+(t - 1) count`` columns that its planned blocks use are factored, one
+batched QR per ``c``.  No group's whole mixed basis is formed: each unit
+takes, slot by slot, the slot nullspace times its own ``t - 1`` mixing
+columns, and one product with a fixed signed coefficient array gives its
+beamformers.  The units of one ``(link, group)`` share its nullspaces and
+channel blocks, which multiply them without a per-unit copy.  Per unit
+shape one decomposition checks every span, a QR for random units and an
+SVD for aligned ones.  Random units draw from their link's RNG in spec
+order, a group's mixing from its own key, ``c`` comes from the spec's
+planned count, and every product gives each unit's entries from that
+unit's operands alone, so a unit does not depend on its batch: built
+alone, as a batch of one on one link, it equals its copy in a whole plan
+bit for bit.
 
 The planner decides, per antenna regime, how many units of which order fill
 the relay space, choosing the smallest symbol-extension factor that makes
@@ -108,6 +111,14 @@ def _unit_dims(pattern_order: int, size: int) -> int:
     return (pattern_order - 1) ** 2
 
 
+def _positions(keys) -> dict:
+    """Each distinct key's positions in ``keys``, in first-seen order."""
+    positions: dict = {}
+    for i, key in enumerate(keys):
+        positions.setdefault(key, []).append(i)
+    return positions
+
+
 @cache
 def _pair_layout(group: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
     """A unit's sorted pairs, and the column of each in the group's own pair order.
@@ -128,14 +139,16 @@ def _checked_units(up: np.ndarray, pattern_order: int, links: list[int],
     ``up`` stacks the links' uplinks, ``(links, K, ext, rows, M)``, and unit
     ``u`` is on link ``links[u]``.  ``beams`` is ``(units, M*ext, s)``, every
     unit's columns in its group's own pair order (:func:`_pair_layout`).
-    One batched product per link gives every image ``H_a u``, laid out as
-    :func:`~ssalign.channel.slot_product` lays it out, so the images equal
-    that function's bit for bit; one stacked decomposition over both links
-    decides every span, and each unit keeps its slice as ``basis``.  A
-    random unit must keep all its streams: a reduced QR of its images gives
-    the basis ``Q``, and :func:`~ssalign.linalg.certified_ranks` the rank.
-    Aligned units span fewer dimensions than they have streams, and a random
-    unit with fewer image rows than streams cannot pass: these take an SVD.
+    One product per ``(link, group)`` multiplies that group's channel blocks,
+    which its units share, by those units' beamformers, broadcast over the
+    units with no per-unit copy; the images so equal
+    :func:`~ssalign.channel.slot_product`'s bit for bit.  One stacked
+    decomposition over both links decides every span, and each unit keeps
+    its slice as ``basis``.  A random unit must keep all its streams: a
+    reduced QR of its images gives the basis ``Q``, and
+    :func:`~ssalign.linalg.certified_ranks` the rank.  Aligned units span
+    fewer dimensions than they have streams, and a random unit with fewer
+    image rows than streams cannot pass: these take an SVD.
     """
     count, _, streams = beams.shape
     t, ext, m = len(groups[0]), up.shape[2], up.shape[4]
@@ -144,12 +157,10 @@ def _checked_units(up: np.ndarray, pattern_order: int, links: list[int],
     # (units, t, ext, M, t - 1): each sorted sender's beamformers, slot by slot.
     per_sender = np.ascontiguousarray(
         beams.reshape(count, ext, m, t, t - 1).transpose(0, 3, 1, 2, 4))
-    on, sorted_groups = np.array(links), np.sort(groups, axis=1)
     images = np.empty((count, t, ext, up.shape[3], t - 1), dtype=np.complex128)
-    for li in set(links):
-        # Link by link, as the gather copies every unit's group channels.
-        sel = on == li
-        images[sel] = up[li, sorted_groups[sel]] @ per_sender[sel]
+    by_channels = _positions((li, tuple(sorted(group))) for li, group in zip(links, groups))
+    for (li, group), members in by_channels.items():
+        images[members] = up[li, list(group)] @ per_sender[members]
     images = images.transpose(0, 2, 3, 1, 4).reshape(count, -1, streams)
     want = _unit_dims(pattern_order, t)
     if want == streams <= images.shape[1]:
@@ -239,60 +250,92 @@ def _group_nullspaces(up: np.ndarray, groups: list) -> np.ndarray:
     return np.linalg.qr(stacks.conj().swapaxes(-1, -2), mode="complete")[0][..., rows:]
 
 
-def _aligned_units(up: np.ndarray, seed: int, requests: list) -> list:
-    """Order-``t`` units for ``(link, group, column_block)`` requests, each a ``Unit`` or its error.
+def _mixing_columns(t: int, count: int, width: int) -> int:
+    """Mixing columns ``c`` of an order-``t`` group of ``width`` with ``count`` planned blocks."""
+    return min((t - 1) * count, width)
 
-    ``up`` stacks the links' uplinks, ``(links, K, ext, rows, M)``, and
-    every group has ``t`` members.  Stacked column ``i*M*ext + s*M + j``
+
+def _mixings(seed: int, keys: list, width: int) -> np.ndarray:
+    """``(keys, width, max c)``: each ``(group, c)`` key's ``c`` orthonormal mixing columns.
+
+    They are the Q factor of the first ``c`` columns of the group's complex
+    Gaussian ``width x width`` draw from ``derived_rng(seed, 3, *group)``,
+    drawn once per group; one batched QR per ``c`` gives them, and columns
+    past a key's ``c`` stay zero.  For ``c = width`` it is the Q of the whole
+    draw.
+    """
+    firsts = {}
+    for group in dict.fromkeys(group for group, _ in keys):
+        draw = complex_gaussian(derived_rng(seed, 3, *group), width, width)
+        for key in keys:
+            if key[0] == group:
+                firsts[key] = draw[:, :key[1]].copy()
+    mixings = np.zeros((len(keys), width, max(c for _, c in keys)), dtype=np.complex128)
+    for c, rows in _positions(c for _, c in keys).items():
+        mixings[rows, :, :c] = np.linalg.qr(np.stack([firsts[keys[i]] for i in rows]))[0]
+    return mixings
+
+
+def _aligned_units(up: np.ndarray, seed: int, requests: list) -> list:
+    """Order-``t`` units for ``(link, group, column_block, count)`` requests, or their errors.
+
+    ``up`` stacks the links' uplinks, ``(links, K, ext, rows, M)``, every
+    group has ``t`` members, and ``count`` is the number of column blocks
+    the group's allocation plans.  Stacked column ``i*M*ext + s*M + j``
     (user ``group[i]``, slot ``s``, antenna ``j``) meets only slot ``s``'s
     relay rows, so a group's nullspace is the direct sum of its slots':
     :func:`_group_nullspaces` gives each slot the planned nullity ``(tM -
-    rows)^+`` that ``_check_plan`` budgets, with no rank decided.  Every
-    group so has the same width, ``ext`` times the nullity.  That basis is
-    slot-localised, and its consecutive column blocks would repeat relay
-    directions, so it is mixed by one ``width x width`` unitary, the Q
-    factor of a complex Gaussian matrix drawn once per group from
-    ``derived_rng(seed, 3, *group)`` and shared by the links; one batched
-    QR gives them all, and the units replay from the channel JSON.  A
-    request whose block fits the width (:func:`_block_start`) takes, per
-    slot ``s``, that slot's nullspace times mixing rows ``s * nullity``
-    onward and its own ``t - 1`` columns; so each unit's columns, and its
-    beamformers from :func:`_aggregate_coefficients`, depend on that unit
-    alone.
+    rows)^+`` that ``_check_plan`` budgets, and every group ``ext`` times
+    that as its width.  That basis is slot-localised, and its consecutive
+    column blocks would repeat relay directions, so it is mixed by the ``c =
+    min((t - 1) count, width)`` orthonormal columns that the planned blocks
+    use (:func:`_mixing_columns`, :func:`_mixings`), from a draw keyed by the
+    group alone and shared by the links; so the units replay from the
+    channel JSON.  A request whose block fits the width
+    (:func:`_block_start`) takes, per slot ``s``, that slot's nullspace
+    times mixing rows ``s * nullity`` onward and its own ``t - 1`` columns,
+    in one product per ``(link, group)``; so each unit's columns, and its
+    beamformers from :func:`_aggregate_coefficients`, depend on its request
+    alone.  A block past ``count`` raises ``ValueError``.
     """
     links, _, ext, rows, m = up.shape
-    groups = list(dict.fromkeys(group for _, group, _ in requests))
-    t = len(groups[0])
+    t = len(requests[0][1])
     nullity = max(t * m - rows, 0)
     width = ext * nullity
-    row_of = {group: g for g, group in enumerate(groups)}
+    keys: dict[tuple, int] = {}
     done, fits = [], []
-    for li, group, block in requests:
+    for li, group, block, count in requests:
         try:
             start = _block_start(group, width, block)
         except SupplyExhausted as exc:
             done.append(exc)
             continue
+        if block >= count:
+            raise ValueError(f"column block {block} of group {group} is past its {count} blocks")
         done.append(None)
-        fits.append((li, row_of[group], start, block))
+        key = keys.setdefault((group, _mixing_columns(t, count, width)), len(keys))
+        fits.append((li, group, key, start, block))
     if not fits:
         return done
+    groups = list(dict.fromkeys(group for group, _ in keys))
     null = _group_nullspaces(up, groups)
-    mixings = np.linalg.qr(np.stack([complex_gaussian(derived_rng(seed, 3, *group), width, width)
-                                     for group in groups]))[0]
-    on, g, start, column_blocks = (np.array(column) for column in zip(*fits))
-    cols = start[:, None] + np.arange(t - 1)
+    mixings = _mixings(seed, list(keys), width)
+    on, group_of, key, start, column_blocks = zip(*fits)
+    cols = np.array(start)[:, None] + np.arange(t - 1)
     # (units, ext, nullity, t - 1): slot s takes mixing rows s*nullity onward.
-    mixed = mixings[g[:, None, None], np.arange(width)[:, None], cols[:, None]].reshape(
+    mixed = mixings[np.array(key)[:, None, None], np.arange(width)[:, None], cols[:, None]].reshape(
         len(fits), ext, nullity, t - 1)
-    # (units, ext, t*M, t - 1): each unit's columns, slot by slot, rows (i, j).
-    blocks = null[on, g] @ mixed
+    # (units, ext, t*M, t - 1): each unit's columns, slot by slot, rows (i, j),
+    # from its (link, group)'s nullspaces, broadcast over that pair's units.
+    columns = np.empty((len(fits), ext, t * m, t - 1), dtype=np.complex128)
+    for (li, group), members in _positions(zip(on, group_of)).items():
+        columns[members] = null[li, groups.index(group)] @ mixed[members]
     # (units, t, M*ext, t - 1): member i's segment, rows s*M + j.
-    segments = blocks.reshape(len(fits), ext, t, m, t - 1).transpose(0, 2, 1, 3, 4).reshape(
+    segments = columns.reshape(len(fits), ext, t, m, t - 1).transpose(0, 2, 1, 3, 4).reshape(
         len(fits), t, ext * m, t - 1)
     beams = (segments @ _aggregate_coefficients(t)).transpose(0, 2, 1, 3)
-    units = iter(_checked_units(up, t, on.tolist(), [groups[x] for x in g],
-                                beams.reshape(len(fits), -1, t * (t - 1)), column_blocks.tolist()))
+    units = iter(_checked_units(up, t, list(on), list(group_of),
+                                beams.reshape(len(fits), -1, t * (t - 1)), list(column_blocks)))
     return [next(units) if unit is None else unit for unit in done]
 
 
@@ -458,15 +501,18 @@ def _mirror(ch: ChannelSet) -> ChannelSet:
 
 
 def _build_units(links, specs) -> list[list]:
-    """One unit per ``(pattern_order, group, column_block)`` spec on every link, in spec order.
+    """One unit per ``(pattern_order, group, column_block, count)`` spec on every link, in order.
 
-    ``links`` holds ``(channels, rng)`` pairs: channel sets of one shape and
-    seed, each with the RNG its random units draw from (``None`` if there
-    are none).  The units are built in the batched passes of the module
-    docstring, every link in the same pass: the random ones in one draw per
-    link from its ``rng``, in spec order (aligned ones draw nothing from
-    it), and the aligned ones in one :func:`_aligned_units` pass per group
-    size, which gets every link's request for each spec of that size.
+    ``count`` is the number of units the group's allocation plans, which
+    fixes its aligned units' mixing columns (:func:`_aligned_units`), so a
+    unit built alone equals its copy in the whole plan.  ``links`` holds
+    ``(channels, rng)`` pairs: channel sets of one shape and seed, each with
+    the RNG its random units draw from (``None`` if there are none).  The
+    units are built in the batched passes of the module docstring, every
+    link in the same pass: the random ones in one draw per link from its
+    ``rng``, in spec order (aligned ones draw nothing from it), and the
+    aligned ones in one :func:`_aligned_units` pass per group size, which
+    gets every link's request for each spec of that size.
     Gives, per link, each spec's ``Unit`` or the ``ConstructionError`` its
     build raised; nothing is raised (see :func:`_raise_first_error`).
     """
@@ -475,18 +521,18 @@ def _build_units(links, specs) -> list[list]:
     up = np.array([ch.uplink for ch, _ in links], order="C")
     seed = links[0][0].seed
     built: list[list] = [[None] * len(specs) for _ in links]
-    randoms = [i for i, (order, _, _) in enumerate(specs) if order == RANDOM]
+    randoms = [i for i, spec in enumerate(specs) if spec[0] == RANDOM]
     if randoms:
         done = iter(_random_units(up, [rng for _, rng in links], len(randoms)))
         for row in built:
             for i in randoms:
                 row[i] = next(done)
     sizes: dict[int, list[int]] = {}
-    for i, (order, group, _) in enumerate(specs):
+    for i, (order, group, *_) in enumerate(specs):
         if order != RANDOM:
             sizes.setdefault(len(group), []).append(i)
     for members in sizes.values():
-        done = iter(_aligned_units(up, seed, [(li, specs[i][1], specs[i][2])
+        done = iter(_aligned_units(up, seed, [(li, *specs[i][1:])
                                               for li in range(len(links)) for i in members]))
         for row in built:
             for i in members:
@@ -540,7 +586,8 @@ def execute_plan(plan: AlignmentPlan, ch: ChannelSet) -> list[Unit]:
         )
     if not plan.allocations:
         raise ValueError("plan has no allocations; every plan_alignment plan has one")
-    specs = [(a.pattern_order, a.group, i) for a in plan.allocations for i in range(a.count)]
+    specs = [(a.pattern_order, a.group, i, a.count) for a in plan.allocations
+             for i in range(a.count)]
     units, twins = _build_units([(ch, derived_rng(ch.seed, 1)),
                                  (_mirror(ch), derived_rng(ch.seed, 2))], specs)
     _raise_first_error(units)

@@ -166,14 +166,25 @@ def build_one_link(ch, specs, rng):
     return units
 
 
-def build_aligned_unit(ch, group, column_block):
-    """Order-``t`` aligned unit on one column block, the library's batch of one."""
-    return build_one_link(ch, [(len(group), group, column_block)], None)[0]
+def build_aligned_unit(ch, group, column_block, count=None):
+    """Order-``t`` aligned unit on one column block, the library's batch of one.
+
+    ``count`` is the number of blocks the group's allocation plans; by
+    default just enough for this block.
+    """
+    count = column_block + 1 if count is None else count
+    return build_one_link(ch, [(len(group), group, column_block, count)], None)[0]
 
 
 def build_random_unit(ch, rng):
     """Random unit drawn from ``rng``, the library's batch of one."""
-    return build_one_link(ch, [(RANDOM, tuple(range(ch.k)), 0)], rng)[0]
+    return build_one_link(ch, [(RANDOM, tuple(range(ch.k)), 0, 1)], rng)[0]
+
+
+def plan_specs(plan):
+    """The ``(pattern_order, group, column_block, count)`` spec of every unit of ``plan``."""
+    return [(a.pattern_order, a.group, i, a.count) for a in plan.allocations
+            for i in range(a.count)]
 
 
 def twinned_units(ch, specs):
@@ -279,10 +290,10 @@ def reference_random_unit(ch, rng):
 
 
 def reference_units(ch, specs, rng):
-    """One unit per ``(pattern_order, group, column_block)`` spec, built in order."""
+    """One unit per ``(pattern_order, group, column_block, count)`` spec, built in order."""
     bases = {}
     units = []
-    for order, group, block in specs:
+    for order, group, block, _ in specs:
         if order == RANDOM:
             units.append(reference_random_unit(ch, rng))
             continue

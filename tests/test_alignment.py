@@ -40,6 +40,7 @@ from reference import (
     build_random_unit,
     complement_projector,
     dense,
+    plan_specs,
     reference_units,
     union_span_dim,
 )
@@ -132,14 +133,14 @@ class TestAlignedUnit:
 
     def test_column_blocks_disjoint(self):
         ch = channels(3, 4, 3, seed=7)  # nullity 3*3-4 = 5, two pair blocks fit
-        u0 = build_aligned_unit(ch, (0, 1), 0)
-        u1 = build_aligned_unit(ch, (0, 1), 1)
+        u0 = build_aligned_unit(ch, (0, 1), 0, 2)
+        u1 = build_aligned_unit(ch, (0, 1), 1, 2)
         assert union_span_dim(unit_vectors(u0) + unit_vectors(u1)) == 2
 
     def test_full_rank_stack_has_empty_nullspace(self):
         # Four 3-antenna users into 12 relay rows per slot: no nullspace.
         ch = channels(3, 12, 4, extension=2, seed=7)
-        (error,) = _aligned_units(ch.uplink[None], ch.seed, [(0, (0, 1, 2, 3), 0)])
+        (error,) = _aligned_units(ch.uplink[None], ch.seed, [(0, (0, 1, 2, 3), 0, 1)])
         assert isinstance(error, SupplyExhausted)
         assert str(error) == "group (0, 1, 2, 3) nullspace has 0 columns, block 0 needs columns 0..2"
         with pytest.raises(SupplyExhausted):
@@ -447,8 +448,9 @@ class TestExecutePlan:
         ch = channels(5, 9, 5, extension=plan.extension, seed=0, active=plan.active_relay)
         units = execute_plan(plan, ch)
         assert len(units) == sum(a.count for a in plan.allocations)
+        count = {a.group: a.count for a in plan.allocations}
         for unit in units:
-            alone = build_aligned_unit(ch, unit.group, unit.column_block)
+            alone = build_aligned_unit(ch, unit.group, unit.column_block, count[unit.group])
             assert unit.pairs == alone.pairs
             assert np.array_equal(unit.beamformers, alone.beamformers)
             assert np.array_equal(unit.equivalent_uplink, alone.equivalent_uplink)
@@ -504,8 +506,7 @@ class TestBatchedBuilder:
     def test_units_and_twins_match_one_at_a_time_reference(self, m, n, k, improved, seed):
         built = construct(m, n, k, seed, improved)
         ch = built.channels
-        specs = [(a.pattern_order, a.group, i) for a in built.plan.allocations
-                 for i in range(a.count)]
+        specs = plan_specs(built.plan)
         assert_units_match(built.units, reference_units(ch, specs, derived_rng(seed, 1)))
         twins = [unit.twin for unit in built.units]
         assert_units_match(twins, reference_units(mirror_of(ch), specs, derived_rng(seed, 2)))
@@ -519,7 +520,7 @@ class TestBatchedBuilder:
     def test_one_pass_equals_a_pass_over_each_link_alone(self, m, n, k, improved):
         built = construct(m, n, k, 0, improved)
         ch = built.channels
-        specs = [(u.pattern_order, u.group, u.column_block) for u in built.units]
+        specs = plan_specs(built.plan)
         alone = [_build_units([(link, derived_rng(0, stream))], specs)[0]
                  for link, stream in ((ch, 1), (mirror_of(ch), 2))]
         fused = (built.units, [unit.twin for unit in built.units])
@@ -551,8 +552,9 @@ class TestBatchedBuilder:
         # Both links give group (0,1) its planned two columns, so its third
         # column block is refused on both, and each group draws one mixing.
         plan, links = self.links_of_unequal_ranks()
-        specs = [(a.pattern_order, a.group, i) for a in plan.allocations for i in range(a.count)]
-        specs.append((2, (0, 1), 2))
+        specs = plan_specs(plan)
+        specs.append((2, (0, 1), 2, 3))
+        count = {a.group: a.count for a in plan.allocations}
         keys = []
         derived = units_module.derived_rng
         monkeypatch.setattr(units_module, "derived_rng",
@@ -566,7 +568,7 @@ class TestBatchedBuilder:
             (alone,) = _build_units([(link, derived_rng(3, stream))], specs)
             assert str(alone[-1]) == str(got[-1])
             for g, w in zip(got[:-1], alone[:-1], strict=True):
-                single = build_aligned_unit(link, g.group, g.column_block)
+                single = build_aligned_unit(link, g.group, g.column_block, count[g.group])
                 for want in (w, single):
                     assert np.array_equal(g.beamformers, want.beamformers)
                     assert np.array_equal(g.equivalent_uplink, want.equivalent_uplink)
@@ -596,7 +598,7 @@ class TestBatchedBuilder:
         downlink = built.channels.downlink.copy()
         downlink[3] = downlink[2]
         ch = replace(built.channels, downlink=downlink)
-        specs = [(u.pattern_order, u.group, u.column_block) for u in built.units]
+        specs = plan_specs(built.plan)
         units, twins = _build_units([(ch, derived_rng(0, 1)), (mirror_of(ch), derived_rng(0, 2))],
                                     specs)
         for got, want in zip(units, built.units):
@@ -640,7 +642,7 @@ class TestBatchedBuilder:
             for group in [(0, 1), (0, 2), (1, 2), (0, 1, 2)]:
                 t = len(group)
                 built = _aligned_units(link.uplink[None], link.seed,
-                                       [(0, group, b) for b in range(9)])
+                                       [(0, group, b, 9) for b in range(9)])
                 fit = list(takewhile(lambda unit: isinstance(unit, Unit), built))
                 width = (t - 1) * len(fit)
                 assert width == ext * (t * m - rows)
@@ -686,6 +688,61 @@ class TestBatchedBuilder:
                     assert np.array_equal(null[li, g], want[..., :t * m - rows])
         assert ranks == ({rows - 1, rows} if lost_rank else {rows})
 
+    def test_mixing_columns_per_group_at_12_23_5(self):
+        # Plan only: order 2 mixes all 40 columns of its groups, order 3 the
+        # 26 of 520 that its 13 blocks use.
+        plan = plan_alignment(12, 23, 5)
+        rows = plan.active_relay // plan.extension
+        got = {}
+        for a in plan.allocations:
+            t = a.pattern_order
+            width = plan.extension * (t * plan.m - rows)
+            got[a.group] = (units_module._mixing_columns(t, a.count, width), width)
+        assert len(got) == 20
+        assert {c for group, c in got.items() if len(group) == 2} == {(40, 40)}
+        assert {c for group, c in got.items() if len(group) == 3} == {(26, 520)}
+
+    def test_mixings_batch_by_their_columns_and_match_the_full_qr(self, monkeypatch):
+        # Groups of one batch plan 1, 2 and 3 blocks, and (0, 1, 2) is asked
+        # with two counts: each (group, c) takes the Q of its draw's first c
+        # columns, one QR per c, equal to the full QR's first c columns to
+        # round-off, and each unit equals its build alone bit for bit.
+        plan = plan_alignment(7, 20, 4)
+        ch = channels(7, 20, 4, extension=plan.extension, seed=5)
+        t, width = 3, plan.extension * (3 * 7 - 20)
+        requests = [(0, (0, 1, 2), 0, 1), (0, (0, 1, 3), 0, 2), (0, (0, 1, 3), 1, 2),
+                    (0, (0, 2, 3), 2, 3), (0, (0, 1, 2), 1, 3), (0, (1, 2, 3), 0, 3)]
+        seen = []
+        mixings = units_module._mixings
+
+        def spy(seed, keys, width):
+            got = mixings(seed, keys, width)
+            seen.append((keys, got))
+            return got
+        monkeypatch.setattr(units_module, "_mixings", spy)
+        qr_shapes = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kw: qr_shapes.append(a.shape)
+                            or qr(a, *args, **kw))
+        built = _aligned_units(ch.uplink[None], ch.seed, requests)
+        monkeypatch.undo()
+        [(keys, got)] = seen
+        assert keys == [((0, 1, 2), 2), ((0, 1, 3), 4), ((0, 2, 3), 6), ((0, 1, 2), 6),
+                        ((1, 2, 3), 6)]
+        assert sorted(shape for shape in qr_shapes if len(shape) == 3) == \
+            [(1, width, 2), (1, width, 4), (3, width, 6)]
+        for (group, c), mixing in zip(keys, got):
+            full = np.linalg.qr(complex_gaussian(derived_rng(ch.seed, 3, *group), width, width))[0]
+            assert np.allclose(mixing[:, :c], full[:, :c], rtol=0, atol=1e-13)
+            assert not mixing[:, c:].any()
+        for unit, (_, group, block, count) in zip(built, requests, strict=True):
+            alone = build_aligned_unit(ch, group, block, count)
+            assert np.array_equal(unit.beamformers, alone.beamformers)
+            assert unit.basis.shape == (ch.active_relay, (t - 1) ** 2)
+        with pytest.raises(ValueError, match=r"^column block 2 of group \(0, 1, 2\) is past its "
+                                             r"2 blocks$"):
+            _aligned_units(ch.uplink[None], ch.seed, [(0, (0, 1, 2), 2, 2)])
+
     @pytest.mark.parametrize("m,n,k,improved", [(4, 9, 5, False), (2, 5, 3, False),
                                                 (5, 9, 5, True)])
     def test_images_equal_slot_products_sender_by_sender(self, m, n, k, improved):
@@ -711,7 +768,7 @@ class TestBatchedBuilder:
         downlink = built.channels.downlink.copy()
         downlink[3] = downlink[2]
         ch = replace(built.channels, downlink=downlink)
-        specs = [(u.pattern_order, u.group, u.column_block) for u in built.units]
+        specs = plan_specs(built.plan)
         with pytest.raises(AlignmentDegenerate) as want:
             reference_units(mirror_of(ch), specs, derived_rng(0, 2))
         assert "(0, 2, 3)" in str(want.value)
@@ -724,7 +781,7 @@ class TestBatchedBuilder:
         # Spec 1 asks for a column block past the pair nullspace, spec 2 is a
         # random unit that cannot span K(K-1) = 6 dimensions on 3 relay rows.
         ch = channels(2, 3, 3, seed=4)
-        specs = [(2, (0, 1), 0), (2, (0, 1), 9), (RANDOM, (0, 1, 2), 0)]
+        specs = [(2, (0, 1), 0, 1), (2, (0, 1), 9, 10), (RANDOM, (0, 1, 2), 0, 1)]
         (built,) = _build_units([(ch, derived_rng(4, 1))], specs)
         with pytest.raises(SupplyExhausted, match=r"^group \(0, 1\) nullspace has 1 columns, "
                                                   r"block 9 needs columns 9\.\.9$"):

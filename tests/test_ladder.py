@@ -67,13 +67,12 @@ def test_rung_suffixes_parse_without_running_the_rung():
         with pytest.raises(argparse.ArgumentTypeError):
             parse(bad)
     # The cap-lifted rungs are on the ladder, past the cap they lift, and
-    # the CI smoke rung is not one of them.  (12,23,7) joins them with the
-    # mixing QR of only the columns its units use.
+    # the CI smoke rung is not one of them.
     from ssalign import units
     from ssalign.errors import ExtensionOverflow
 
     lifted = [rung for rung in ladder_module.RUNGS if rung.endswith(",uncapped")]
-    assert lifted == ["3,7,6,uncapped", "4,11,6,uncapped"]
+    assert lifted == ["3,7,6,uncapped", "4,11,6,uncapped", "12,23,7,uncapped"]
     for rung in lifted:
         m, n, k, improved, _ = parse(rung)
         with pytest.raises(ExtensionOverflow):

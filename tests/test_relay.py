@@ -516,8 +516,10 @@ class TestDownlinkMirror:
         plan, ch, units, processor = full_build(m, n, k, seed=32, improved=improved)
         mirror = replace(ch, uplink=ch.downlink.swapaxes(2, 3).conj())
         rng = derived_rng(32, 2)
+        count = {a.group: a.count for a in plan.allocations}
         twins = [build_random_unit(mirror, rng) if u.pattern_order == RANDOM
-                 else build_aligned_unit(mirror, u.group, u.column_block) for u in units]
+                 else build_aligned_unit(mirror, u.group, u.column_block, count[u.group])
+                 for u in units]
         assert [twin.pairs for twin in twins] == [u.pairs for u in units]
         assert processor.receive_vectors.shape == (m * plan.extension,
                                                    sum(len(u.pairs) for u in units))
@@ -540,7 +542,7 @@ class TestForwardMatrix:
     def test_single_pair_identity_projectors(self):
         # A lone pair unit excludes nothing, so W = P = I and F = alpha * I.
         ch = sample_channel_set(SystemConfig(m=3, n=5, k=3, seed=8))
-        (unit,) = twinned_units(ch, [(2, (0, 1), 0)])
+        (unit,) = twinned_units(ch, [(2, (0, 1), 0, 1)])
         uplink, downlink = build_uplink_projectors([unit])
         forward, alpha = assemble_forward_matrix([unit], uplink, downlink)
         assert alpha > 0
@@ -555,7 +557,7 @@ class TestForwardMatrix:
 
     def test_sums_pair_terms(self):
         ch = sample_channel_set(SystemConfig(m=2, n=6, k=3, seed=10))
-        (unit,) = twinned_units(ch, [(RANDOM, (0, 1, 2), 0)])
+        (unit,) = twinned_units(ch, [(RANDOM, (0, 1, 2), 0, 1)])
         uplink, downlink = build_uplink_projectors([unit])
         forward, alpha = assemble_forward_matrix([unit], uplink, downlink)
         manual = sum(projector(downlink.complement, downlink.factors[key])
